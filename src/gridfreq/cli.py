@@ -85,7 +85,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     print(f"wrote {args.out} ({len(series)} records)")
     if series.diverged_at is not None:
         print(f"DIVERGED at sample {series.diverged_at} "
-              f"(t = {series.diverged_at * config.ts:.4f} s)")
+              f"(t = {stream.t0 + series.diverged_at * config.ts:.4f} s)")
         return EXIT_DIVERGED
     return EXIT_OK
 
@@ -200,9 +200,13 @@ def cmd_bench(args: argparse.Namespace) -> int:
     config = EstimatorConfig() if args.config is None else gio.read_config(args.config)
     if args.n is not None:
         config = replace(config, n=args.n, gamma_c=(), gamma_s=())
+    if args.steps < 1:
+        print(f"bench: --steps must be >= 1, got {args.steps}", file=sys.stderr)
+        return EXIT_INPUT
     spec = ScenarioSpec(duration=1.0, base_freq=config.f0)
     stream, _ = synthesize(spec, 1.0 / config.ts, seed=0)
-    samples = np.tile(stream.values, args.steps // len(stream) + 1)[:args.steps]
+    samples = np.tile(stream.values,
+                      args.steps // len(stream) + 1)[:args.steps].tolist()
     state = init(config)
     # chunked timing: per-call clock reads would dominate at ~µs step cost
     chunk = 10_000
@@ -210,9 +214,10 @@ def cmd_bench(args: argparse.Namespace) -> int:
     done = 0
     while done < args.steps:
         hi = min(done + chunk, args.steps)
+        block = samples[done:hi]
         t0 = time.perf_counter()
-        for k in range(done, hi):
-            step(state, float(samples[k]), config)
+        for x in block:
+            step(state, x, config)
         dt = time.perf_counter() - t0
         times.append(dt / (hi - done))
         done = hi

@@ -8,13 +8,22 @@ frequency loop is self-tuning, clamped to a narrow band around its
 calibrated optimum.
 
 All laws are strictly per-sample: one call to :func:`step` consumes one
-sample and mutates the state in place.
+sample and mutates the state in place.  :func:`step` is a single fused
+scalar kernel: one loop builds the harmonic basis and the prediction, one
+loop updates the coefficients and sums the frequency gradient.  The
+products of ``ts`` with the gains, the learning-rate band and the other
+per-config constants are computed once per (state, config) pair and cached
+on the state; :class:`EstimatorConfig` is frozen so that cache cannot go
+stale.  The kernel's outputs are bit-identical to the unfused form of the
+same laws (``tests/data/golden_run.json`` holds digests of them).
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,13 +32,14 @@ from .model import ParameterVector, harmonic_basis
 from .synth import SampleStream
 
 TWO_PI = 2.0 * math.pi
+INV_TWO_PI = 1.0 / TWO_PI
 
 
 # --------------------------------------------------------------------------
 # Configuration
 # --------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class EstimatorConfig:
     """Gains and rates of the estimator.
 
@@ -58,12 +68,10 @@ class EstimatorConfig:
     grad_floor: float = 1e-6
 
     def __post_init__(self) -> None:
-        if not self.gamma_c:
-            self.gamma_c = (40.0,) * self.n
-        if not self.gamma_s:
-            self.gamma_s = (40.0,) * self.n
-        self.gamma_c = tuple(self.gamma_c)
-        self.gamma_s = tuple(self.gamma_s)
+        for name in ("gamma_c", "gamma_s"):
+            gains = getattr(self, name)
+            object.__setattr__(self, name,
+                               tuple(gains) if gains else (40.0,) * self.n)
 
     def validate(self) -> None:
         if self.n < 1:
@@ -113,13 +121,17 @@ class EstimatorState:
     eta_k: float = 0.0
     zfilt: float = 0.0                 # one-pole observation-filter state
     diverged: bool = False
-    rocof_buf: list[float] = field(default_factory=list)
+    rocof_buf: deque[float] = field(default_factory=deque)
+    t0: float = 0.0                    # time of the first sample
+    # per-config constants of the step kernel, see _bind
+    kernel: _Kernel | None = field(default=None, repr=False, compare=False)
 
     def copy(self) -> "EstimatorState":
-        s = EstimatorState(self.theta.copy(), self.omega1, self.f_hz,
-                           self.phase_acc, self.k, self.t_anchor, self.eta_k,
-                           self.zfilt, self.diverged, list(self.rocof_buf))
-        return s
+        # the kernel cache holds scratch lists, so a copy rebuilds its own
+        return EstimatorState(self.theta.copy(), self.omega1, self.f_hz,
+                              self.phase_acc, self.k, self.t_anchor, self.eta_k,
+                              self.zfilt, self.diverged, self.rocof_buf.copy(),
+                              self.t0)
 
 
 @dataclass
@@ -164,13 +176,20 @@ class EstimateSeries:
 # Operations
 # --------------------------------------------------------------------------
 
-def init(config: EstimatorConfig) -> EstimatorState:
-    """Fresh state at the nominal frequency with all coefficients zero."""
+def init(config: EstimatorConfig, t0: float = 0.0) -> EstimatorState:
+    """Fresh state at the nominal frequency with all coefficients zero.
+
+    ``t0`` is the time of the first sample; records are stamped
+    ``t0 + k*ts`` after the k-th sample.
+    """
     config.validate()
-    return EstimatorState(theta=ParameterVector.zeros(config.n),
-                          omega1=TWO_PI * config.f0,
-                          f_hz=config.f0,
-                          eta_k=config.eta_opt)
+    state = EstimatorState(theta=ParameterVector.zeros(config.n),
+                           omega1=TWO_PI * config.f0,
+                           f_hz=config.f0,
+                           eta_k=config.eta_opt,
+                           t0=t0)
+    _bind(state, config)
+    return state
 
 
 def regressor(state: EstimatorState, config: EstimatorConfig) -> list[float]:
@@ -195,12 +214,17 @@ def predict(state: EstimatorState, config: EstimatorConfig) -> float:
     return acc
 
 
+def eta_band(config: EstimatorConfig) -> tuple[float, float]:
+    """Clamp band [lo, hi] of the self-tuned learning rate."""
+    return ((1.0 - config.eta_band) * config.eta_opt,
+            (1.0 + config.eta_band) * config.eta_opt)
+
+
 def adapt_eta(gradient: float, config: EstimatorConfig) -> float:
     """Self-tuned learning rate, clamped to the band around eta_opt."""
     g2 = max(gradient * gradient, config.grad_floor)
     eta_raw = config.beta_omega / (config.ts * g2)
-    lo = (1.0 - config.eta_band) * config.eta_opt
-    hi = (1.0 + config.eta_band) * config.eta_opt
+    lo, hi = eta_band(config)
     return min(max(eta_raw, lo), hi)
 
 
@@ -212,6 +236,73 @@ def amp_phase(a_s: float, a_c: float) -> tuple[float, float]:
     return amp, math.atan2(a_s, a_c)
 
 
+class _Kernel(NamedTuple):
+    """Per-config constants and scratch lists of the step kernel."""
+
+    config: EstimatorConfig
+    idx: range
+    tgc: tuple[float, ...]             # ts * gamma_c[i]
+    tgs: tuple[float, ...]             # ts * gamma_s[i]
+    harm: tuple[float, ...]            # harmonic numbers 1..n
+    cos_i: list[float]                 # scratch: cos(i*phi)
+    sin_i: list[float]                 # scratch: sin(i*phi)
+    ts: float
+    tg_dc: float                       # ts * gamma_dc
+    g_dc1: float
+    alpha: float | None                # low-pass coefficient; None: identity
+    beta: float
+    floor: float
+    lo: float                          # eta clamp band
+    hi: float
+    f0: float
+    half_f0: float
+    saturate: bool                     # anchor policy
+    t_reset: float
+    report_every: int
+
+
+def _bind(state: EstimatorState, config: EstimatorConfig) -> _Kernel:
+    """Cache the per-config constants of the step kernel on the state.
+
+    Every product keeps the operand order of the unfused laws, e.g.
+    ``(ts*gamma)*z*basis``, so the cached form is bit-identical.
+    """
+    n = config.n
+    ts = config.ts
+    lo, hi = eta_band(config)
+    window = config.rocof_smooth_window
+    if getattr(state.rocof_buf, "maxlen", None) != window:
+        # a shorter window drops the oldest values at once
+        state.rocof_buf = deque(state.rocof_buf, maxlen=window)
+    alpha = None
+    if config.obs_filter == "lowpass":
+        alpha = 1.0 - math.exp(-TWO_PI * config.obs_cutoff_hz * ts)
+    kernel = _Kernel(
+        config=config,
+        idx=range(n),
+        tgc=tuple(ts * g for g in config.gamma_c),
+        tgs=tuple(ts * g for g in config.gamma_s),
+        harm=tuple(float(i) for i in range(1, n + 1)),
+        cos_i=[0.0] * n,
+        sin_i=[0.0] * n,
+        ts=ts,
+        tg_dc=ts * config.gamma_dc,
+        g_dc1=config.gamma_dc1,
+        alpha=alpha,
+        beta=config.beta_omega,
+        floor=config.grad_floor,
+        lo=lo,
+        hi=hi,
+        f0=config.f0,
+        half_f0=config.f0 / 2,
+        saturate=config.anchor_policy == "saturate",
+        t_reset=config.t_reset_s,
+        report_every=config.report_every,
+    )
+    state.kernel = kernel
+    return kernel
+
+
 def step(state: EstimatorState, sample: float, config: EstimatorConfig
          ) -> EstimateRecord | None:
     """Consume one sample; mutate the state; emit a record on report frames.
@@ -220,91 +311,116 @@ def step(state: EstimatorState, sample: float, config: EstimatorConfig
     """
     if state.diverged:
         raise DivergenceError(f"estimator diverged at sample {state.k}")
+    kernel = state.kernel
+    if kernel is None or kernel.config is not config:
+        kernel = _bind(state, config)
+    (_, idx, tgc, tgs, harm, cos_i, sin_i, ts, tg_dc, g_dc1, alpha, beta, floor,
+     lo, hi, f0, half_f0, saturate, t_reset, report_every) = kernel
 
-    n = config.n
-    ts = config.ts
     th = state.theta
-    t = state.t_anchor
-    cos_i, sin_i = harmonic_basis(state.phase_acc, n)
-
-    # prediction and filtered residual
-    ahat = th.a_dc - th.a_dc1 * t
     a_c = th.a_c
     a_s = th.a_s
-    for i in range(n):
-        ahat += a_c[i] * sin_i[i] + a_s[i] * cos_i[i]
+    t = state.t_anchor
+
+    # basis by the angle-sum recurrence, prediction and filtered residual
+    c1 = math.cos(state.phase_acc)
+    s1 = math.sin(state.phase_acc)
+    c = c1
+    s = s1
+    ahat = th.a_dc - th.a_dc1 * t
+    for i, ac, as_ in zip(idx, a_c, a_s):
+        cos_i[i] = c
+        sin_i[i] = s
+        ahat += ac * s + as_ * c
+        c, s = c * c1 - s * s1, s * c1 + c * s1
     resid = sample - ahat
-    if config.obs_filter == "lowpass":
-        alpha = 1.0 - math.exp(-TWO_PI * config.obs_cutoff_hz * ts)
+    if alpha is None:
+        z = resid
+    else:
         state.zfilt += alpha * (resid - state.zfilt)
         z = state.zfilt
-    else:
-        z = resid
 
-    # coefficient updates
-    for i in range(n):
-        a_c[i] += ts * config.gamma_c[i] * z * sin_i[i]
-        a_s[i] += ts * config.gamma_s[i] * z * cos_i[i]
-    th.a_dc += ts * config.gamma_dc * z
-    th.a_dc1 -= t * ts * config.gamma_dc1 * z
-
-    # frequency gradient and descent update
+    # coefficient updates and, from the updated pair, the frequency gradient
     g = 0.0
-    for i in range(n):
-        g += (i + 1) * t * (a_c[i] * cos_i[i] - a_s[i] * sin_i[i])
-    eta = adapt_eta(g, config)
-    state.eta_k = eta
-    rocof_raw = (1.0 / TWO_PI) * eta * z * g
-    state.f_hz = state.f_hz + ts * rocof_raw
-    state.omega1 = TWO_PI * state.f_hz
+    for i, ac, as_, kc, ks, c, s, h in zip(idx, a_c, a_s, tgc, tgs, cos_i,
+                                            sin_i, harm):
+        ac += kc * z * s
+        as_ += ks * z * c
+        a_c[i] = ac
+        a_s[i] = as_
+        g += h * t * (ac * c - as_ * s)
+    a_dc = th.a_dc + tg_dc * z
+    a_dc1 = th.a_dc1 - t * ts * g_dc1 * z
+    th.a_dc = a_dc
+    th.a_dc1 = a_dc1
 
-    # divergence watchdog
-    if not (math.isfinite(state.f_hz) and th.is_finite()) \
-            or abs(state.f_hz - config.f0) > config.f0 / 2:
+    # self-tuned rate (adapt_eta, with the band cached) and descent update
+    g2 = g * g
+    if g2 < floor:
+        g2 = floor
+    eta = beta / (ts * g2)
+    if eta < lo:
+        eta = lo
+    if eta > hi:
+        eta = hi
+    state.eta_k = eta
+    rocof_raw = INV_TWO_PI * eta * z * g
+    f = state.f_hz + ts * rocof_raw
+    state.f_hz = f
+    omega1 = TWO_PI * f
+    state.omega1 = omega1
+
+    # divergence watchdog: a non-finite coefficient makes the sum non-finite;
+    # a sum that overflowed from finite values goes to the exact check
+    if not math.isfinite(f) or abs(f - f0) > half_f0 or not (
+            math.isfinite(sum(a_c) + sum(a_s) + a_dc + a_dc1)
+            or th.is_finite()):
         state.diverged = True
         return None
 
     # advance phase, anchor and sample counter
-    state.phase_acc = (state.phase_acc + state.omega1 * ts) % TWO_PI
-    state.k += 1
-    state.t_anchor = t + ts
-    if state.t_anchor >= config.t_reset_s:
-        if config.anchor_policy == "saturate":
+    phase = (state.phase_acc + omega1 * ts) % TWO_PI
+    state.phase_acc = phase
+    k = state.k + 1
+    state.k = k
+    t_anchor = t + ts
+    if t_anchor >= t_reset:
+        if saturate:
             # hold the time multiplier at the cap so the frequency-loop
             # authority stays uniform instead of collapsing periodically
-            state.t_anchor = config.t_reset_s
+            t_anchor = t_reset
         else:
             # move the time origin; fold the accumulated slope contribution
             # into the constant term so the model output is continuous
-            th.a_dc -= th.a_dc1 * state.t_anchor
-            state.t_anchor = 0.0
+            a_dc -= a_dc1 * t_anchor
+            th.a_dc = a_dc
+            t_anchor = 0.0
+    state.t_anchor = t_anchor
 
     buf = state.rocof_buf
     buf.append(rocof_raw)
-    if len(buf) > config.rocof_smooth_window:
-        del buf[0]
 
-    if state.k % config.report_every != 0:
+    if k % report_every:
         return None
     amps: list[float] = []
     phases: list[float] = []
-    for i in range(n):
-        a, p = amp_phase(a_s[i], a_c[i])
+    for ac, as_ in zip(a_c, a_s):
+        a, p = amp_phase(as_, ac)
         amps.append(a)
         phases.append(p)
     return EstimateRecord(
-        t=state.k * ts,
-        f_hz=state.f_hz,
+        t=state.t0 + k * ts,
+        f_hz=f,
         rocof_hzps=sum(buf) / len(buf),
         rocof_raw_hzps=rocof_raw,
         amps=amps,
         phases=phases,
-        a_dc=th.a_dc,
-        a_dc1=th.a_dc1,
+        a_dc=a_dc,
+        a_dc1=a_dc1,
         residual=z,
         eta=eta,
-        phase_acc=state.phase_acc,
-        t_anchor=state.t_anchor,
+        phase_acc=phase,
+        t_anchor=t_anchor,
     )
 
 
@@ -315,11 +431,11 @@ def run(stream: SampleStream, config: EstimatorConfig) -> EstimateSeries:
         raise ConfigError(
             f"stream interval {stream.ts:g} does not match config ts {config.ts:g}"
         )
-    state = init(config)
+    state = init(config, stream.t0)
     records: list[EstimateRecord] = []
     diverged_at: int | None = None
-    for sample in stream.values:
-        rec = step(state, float(sample), config)
+    for sample in stream.values.tolist():
+        rec = step(state, sample, config)
         if rec is not None:
             records.append(rec)
         if state.diverged:
@@ -378,14 +494,14 @@ def calibrate_eta_opt(stream: SampleStream, config: EstimatorConfig,
     g2_sum = 0.0
     count = 0
     skip = int(round(skip_s / config.ts))
-    for sample in stream.values:
+    for sample in stream.values.tolist():
         cos_i, sin_i = harmonic_basis(state.phase_acc, config.n)
         t = state.t_anchor
         g = 0.0
         for i in range(config.n):
             g += (i + 1) * t * (state.theta.a_c[i] * cos_i[i]
                                 - state.theta.a_s[i] * sin_i[i])
-        step(state, float(sample), config)
+        step(state, sample, config)
         if state.diverged:
             break
         if state.k > skip:

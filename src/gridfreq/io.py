@@ -145,10 +145,17 @@ def read_estimates(path: str | Path) -> EstimateSeries:
         if n < 1 or header != estimate_header(n):
             raise ScenarioError(f"{path}: not an estimate CSV")
         records = []
-        for row in r:
+        for lineno, row in enumerate(r, 2):
             if not row:
                 continue
-            vals = [float(v) for v in row]
+            if len(row) != len(header):
+                raise ScenarioError(f"{path}:{lineno}: expected {len(header)} "
+                                    f"fields, got {len(row)}")
+            try:
+                vals = [float(v) for v in row]
+            except ValueError as exc:
+                raise ScenarioError(f"{path}:{lineno}: malformed CSV value "
+                                    f"({exc})") from None
             amps = vals[6::2]
             phases = vals[7::2]
             records.append(EstimateRecord(

@@ -3,9 +3,9 @@
 An estimate reported at time t is allowed to describe the state ``latency``
 seconds earlier (measurement-chain delay convention), so each estimate
 record is paired with linearly interpolated truth at t - latency.  The
-first ``skip_s`` seconds are excluded from table-style metrics; the
-estimator has not locked yet and the paper-style tables implicitly start
-after lock.
+first ``skip_s`` seconds after the truth's start are excluded from
+table-style metrics; the estimator has not locked yet and the paper-style
+tables implicitly start after lock.
 """
 
 from __future__ import annotations
@@ -65,7 +65,8 @@ def align(est: EstimateSeries, truth: GroundTruth, latency: float,
         raise AlignmentError("estimate series is empty")
     t = est.t()
     tt = truth.times()
-    keep = (t >= skip_s) & (t - latency >= tt[0]) & (t - latency <= tt[-1])
+    keep = ((t >= tt[0] + skip_s) & (t - latency >= tt[0])
+            & (t - latency <= tt[-1]))
     if not keep.any():
         raise AlignmentError(
             "estimate and truth series do not overlap after latency shifting"

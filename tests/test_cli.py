@@ -1,9 +1,12 @@
 """End-to-end tests of the command-line interface."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from gridfreq import EstimatorConfig, SampleStream, ScenarioSpec, synthesize
+from gridfreq import (EstimatorConfig, EventProfile, SampleStream,
+                      ScenarioSpec, synthesize)
 from gridfreq import io as gio
 from gridfreq.cli import EXIT_BOUNDS, EXIT_DIVERGED, EXIT_INPUT, EXIT_OK, main
 
@@ -125,6 +128,54 @@ class TestEstimateAndMetrics:
         assert "DIVERGED" in capsys.readouterr().out
 
 
+    @pytest.mark.parametrize("row_edit", [
+        lambda row: row[:3],                              # short row
+        lambda row: [row[0], "fifty", *row[2:]],          # non-numeric field
+    ])
+    def test_malformed_estimate_file_is_input_error(self, tmp_path,
+                                                    synth_outputs, capsys,
+                                                    row_edit):
+        samples, truth = synth_outputs
+        est = tmp_path / "est.csv"
+        assert main(["estimate", str(samples), "--out", str(est)]) == EXIT_OK
+        lines = est.read_text().splitlines()
+        lines[5] = ",".join(row_edit(lines[5].split(",")))
+        est.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        rc = main(["metrics", "--est", str(est), "--truth", str(truth)])
+        assert rc == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert "error:" in err and "est.csv:6" in err
+
+
+class TestStreamStartTime:
+    def test_late_start_is_paired_with_its_truth(self, tmp_path, capsys):
+        # a frequency event, so pairing with shifted truth would show
+        spec = ScenarioSpec(duration=2.0, base_freq=50.0,
+                            profile=EventProfile(t_start=0.8, peak_dev_hz=0.5,
+                                                 peak_rocof_hzps=1.0))
+        stream, truth = synthesize(spec, FS, seed=0)
+        reports = {}
+        for t0 in (0.0, 100.0):
+            d = tmp_path / f"t{t0:g}"
+            d.mkdir()
+            gio.write_samples(d / "s.csv", SampleStream(t0, stream.ts,
+                                                        stream.values))
+            gio.write_truth(d / "truth.csv", replace(truth, t0=t0))
+            assert main(["estimate", str(d / "s.csv"),
+                         "--out", str(d / "e.csv")]) == EXIT_OK
+            t_est = gio.read_estimates(d / "e.csv").t()
+            assert t_est[0] == pytest.approx(t0 + 12 / FS, abs=1e-9)
+            assert main(["metrics", "--est", str(d / "e.csv"),
+                         "--truth", str(d / "truth.csv"),
+                         "--out", str(d / "report.csv")]) == EXIT_OK
+            rows = (d / "report.csv").read_text().splitlines()[1:]
+            reports[t0] = {k: float(v) for k, v in
+                           (row.split(",") for row in rows)}
+        for name, value in reports[0.0].items():
+            assert reports[100.0][name] == pytest.approx(value, rel=1e-6)
+
+
 class TestSweepEta:
     def test_table_rows(self, tmp_path, scenario_file, capsys):
         out_csv = tmp_path / "sweep.csv"
@@ -166,3 +217,9 @@ class TestBench:
         rc = main(["bench", "--steps", "2000"])
         assert rc == EXIT_OK
         assert "mean step time" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("steps", ["0", "-5"])
+    def test_non_positive_steps_is_input_error(self, capsys, steps):
+        rc = main(["bench", "--steps", steps])
+        assert rc == EXIT_INPUT
+        assert "--steps" in capsys.readouterr().err

@@ -1,7 +1,7 @@
 """Unit tests for the per-sample adaptive estimator."""
 
 import math
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -10,6 +10,8 @@ from gridfreq import (ConfigError, DivergenceError, EstimatorConfig,
                       SampleStream, ScenarioSpec, amp_phase,
                       calibrate_eta_opt, init, pe_gram, run, step, synthesize)
 from gridfreq.estimator import adapt_eta, predict, regressor
+from golden import compute as golden_compute
+from golden import load as golden_load
 from reference import reference_estimator, reference_gram
 
 FS = 1200.0
@@ -72,7 +74,7 @@ class TestInitAndState:
         cp.rocof_buf.append(1.0)
         assert state.f_hz == 50.0
         assert state.theta.a_c[0] == 0.0
-        assert state.rocof_buf == []
+        assert list(state.rocof_buf) == []
 
 
 class TestRegressorAndPredict:
@@ -180,6 +182,15 @@ class TestReporting:
         assert t[0] == pytest.approx(cfg.report_every * TS)
         np.testing.assert_allclose(np.diff(t), cfg.report_every * TS)
 
+    def test_timestamps_start_at_stream_t0(self):
+        cfg = EstimatorConfig()
+        stream = _clean_stream(1.0)
+        late = SampleStream(100.0, stream.ts, stream.values)
+        base, shifted = run(stream, cfg), run(late, cfg)
+        k = cfg.report_every * np.arange(1, len(base) + 1)
+        np.testing.assert_array_equal(shifted.t(), 100.0 + k * TS)
+        np.testing.assert_array_equal(shifted.f_hz(), base.f_hz())
+
     def test_rocof_is_boxcar_of_raw(self):
         cfg = replace(EstimatorConfig(), report_every=1, rocof_smooth_window=4)
         series = run(_clean_stream(0.1), cfg)
@@ -239,6 +250,35 @@ class TestDivergence:
         stream = SampleStream(0.0, 1.0 / 1000.0, np.zeros(10))
         with pytest.raises(ConfigError):
             run(stream, EstimatorConfig())
+
+
+class TestKernelCache:
+    def test_config_is_frozen(self):
+        with pytest.raises(FrozenInstanceError):
+            EstimatorConfig().eta_opt = 1.0
+
+    def test_new_config_object_every_step_is_bit_identical(self):
+        cfg = replace(EstimatorConfig(), obs_filter="lowpass")
+        stream = _clean_stream(0.5)
+        state = init(cfg)
+        records = [rec for x in stream.values.tolist()
+                   if (rec := step(state, x, replace(cfg))) is not None]
+        assert records == run(stream, cfg).records
+
+
+class TestGolden:
+    def test_outputs_match_stored_digests(self):
+        want = golden_load()
+        got = golden_compute()
+        assert sorted(got) == sorted(want)
+        changed = [name for name in want if got[name] != want[name]]
+        assert not changed, f"outputs changed for {changed}"
+
+    def test_divergence_fixtures(self):
+        want = golden_load()
+        assert want["case1/seed0/x10"]["diverged_at"] == 942
+        assert want["case1/seed0/x325"]["diverged_at"] == 4
+        assert want["case1/seed0/nan500"]["diverged_at"] == 500
 
 
 class TestObservationFilter:

@@ -52,6 +52,13 @@ class TestAlign:
         pairs = align(est, truth, 0.1, skip_s=0.5)
         np.testing.assert_allclose(pairs.t, [0.6, 0.8])
 
+    def test_skip_counts_from_the_truth_start(self):
+        truth = _truth(100.0, 0.5, np.full(8, 50.0), np.zeros(8))
+        te = 100.0 + np.array([0.2, 0.4, 0.6, 0.8])
+        est = _series(te, np.full(4, 50.0), np.zeros(4))
+        pairs = align(est, truth, 0.1, skip_s=0.5)
+        np.testing.assert_allclose(pairs.t, te[2:])
+
     def test_out_of_span_records_dropped(self):
         tt = np.arange(0, 1.01, 0.5)
         truth = _truth(0.0, 0.5, np.full(3, 50.0), np.zeros(3))

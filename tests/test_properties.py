@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridfreq import (EventProfile, FreqSeries, SampleStream, amp_phase,
-                      rolling_rocof)
+from gridfreq import (EstimatorConfig, EventProfile, FreqSeries,
+                      SampleStream, ScenarioSpec, amp_phase, init,
+                      rolling_rocof, step, synthesize)
 from gridfreq import io as gio
 from gridfreq.model import ParameterVector, eval_model, harmonic_basis
 
@@ -82,3 +83,67 @@ def test_sample_csv_round_trip_is_bitwise(values, tmp_path_factory):
     gio.write_samples(path, stream)
     back = gio.read_samples(path)
     np.testing.assert_array_equal(back.values, stream.values)
+
+
+# --------------------------------------------------------------------------
+# divergence watchdog
+# --------------------------------------------------------------------------
+
+WATCH_CFG = EstimatorConfig()
+WATCH_TONE = synthesize(ScenarioSpec(duration=0.05, base_freq=50.0),
+                        1200.0)[0].values.tolist()
+bad_values = st.sampled_from([math.nan, math.inf, -math.inf]) | st.floats(
+    min_value=1e290, max_value=1.7e308).flatmap(
+        lambda v: st.sampled_from([v, -v]))
+
+
+def _exact_verdict(state, config) -> bool:
+    f = state.f_hz
+    return (not (math.isfinite(f) and state.theta.is_finite())
+            or abs(f - config.f0) > config.f0 / 2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(warm=st.integers(0, len(WATCH_TONE) - 1),
+       slot=st.integers(0, 2 * WATCH_CFG.n + 2), bad=bad_values)
+def test_watchdog_flags_exactly_the_divergence_condition(warm, slot, bad):
+    """A non-finite or huge value in one coefficient (slots 0..2n+1) or in
+    the sample (slot 2n+2): step flags divergence exactly when the state it
+    leaves fails the exact finiteness and frequency-band test."""
+    cfg = WATCH_CFG
+    n = cfg.n
+    state = init(cfg)
+    for x in WATCH_TONE[:warm]:
+        step(state, x, cfg)
+    assert not state.diverged
+    th = state.theta
+    sample = WATCH_TONE[warm]
+    if slot < n:
+        th.a_c[slot] = bad
+    elif slot < 2 * n:
+        th.a_s[slot - n] = bad
+    elif slot == 2 * n:
+        th.a_dc = bad
+    elif slot == 2 * n + 1:
+        th.a_dc1 = bad
+    else:
+        sample = bad
+    assert step(state, sample, cfg) is None or not state.diverged
+    assert state.diverged == _exact_verdict(state, cfg)
+
+
+def test_watchdog_exact_check_after_finite_overflow():
+    # finite coefficients whose sum overflows: the exact check decides.
+    # The sample equals the prediction, so the residual and every update
+    # are zero and the frequency stays put.
+    cfg = WATCH_CFG
+    state = init(cfg)
+    state.theta.a_dc = 1.7e308
+    state.theta.a_dc1 = 1.7e308
+    step(state, 1.7e308, cfg)
+    assert state.f_hz == cfg.f0
+    assert state.theta.is_finite()
+    assert not math.isfinite(sum(state.theta.a_c) + sum(state.theta.a_s)
+                             + state.theta.a_dc + state.theta.a_dc1)
+    assert not state.diverged
+    assert not _exact_verdict(state, cfg)
