@@ -7,7 +7,7 @@ synthesizer with exact ground truth, a rolling-window baseline, a PSO gain
 tuner, latency-aligned error metrics and a batch CLI.
 """
 
-from .baselines import FreqSeries, derivatives_from_phase, rolling_rocof, truth_derivatives
+from .baselines import FreqSeries, rolling_rocof
 from .errors import (AlignmentError, ConfigError, DivergenceError,
                      GridFreqError, ScenarioError)
 from .estimator import (EstimateRecord, EstimateSeries, EstimatorConfig,
@@ -15,12 +15,10 @@ from .estimator import (EstimateRecord, EstimateSeries, EstimatorConfig,
                         pe_gram, run, step)
 from .metrics import (MetricsReport, aggregate, align, evaluate, fe_re,
                       reconstruction_error)
-from .model import ParameterVector, eval_model, freq_gradient, harmonic_basis
+from .model import ParameterVector, harmonic_basis, output_and_gradient
 from .synth import (ConstantProfile, DcSpec, EventProfile, GroundTruth,
-                    HarmonicSpec, NoiseSpec, PhasorFrame, RampProfile,
-                    SampleStream, ScenarioSpec, StepSpec, add_noise,
-                    inject_decaying_dc, inject_step, phasor_to_waveform,
-                    synthesize)
+                    HarmonicSpec, NoiseSpec, RampProfile, SampleStream,
+                    ScenarioSpec, StepSpec, add_noise, synthesize)
 from .tuner import (PsoParams, SearchSpace, TuneResult, apply_gain_vector,
                     ise_fitness, pso_minimize, pso_tune)
 
@@ -31,12 +29,11 @@ __all__ = [
     "DivergenceError", "EstimateRecord", "EstimateSeries", "EstimatorConfig",
     "EstimatorState", "EventProfile", "FreqSeries", "GridFreqError",
     "GroundTruth", "HarmonicSpec", "MetricsReport", "NoiseSpec",
-    "ParameterVector", "PhasorFrame", "PsoParams", "RampProfile",
-    "SampleStream", "ScenarioError", "ScenarioSpec", "SearchSpace",
-    "StepSpec", "TuneResult", "add_noise", "aggregate", "align", "amp_phase",
-    "apply_gain_vector", "calibrate_eta_opt", "derivatives_from_phase",
-    "eval_model", "evaluate", "fe_re", "freq_gradient", "harmonic_basis",
-    "init", "inject_decaying_dc", "inject_step", "ise_fitness", "pe_gram",
-    "phasor_to_waveform", "pso_minimize", "pso_tune", "reconstruction_error",
-    "rolling_rocof", "run", "step", "synthesize", "truth_derivatives",
+    "ParameterVector", "PsoParams", "RampProfile", "SampleStream",
+    "ScenarioError", "ScenarioSpec", "SearchSpace", "StepSpec", "TuneResult",
+    "add_noise", "aggregate", "align", "amp_phase", "apply_gain_vector",
+    "calibrate_eta_opt", "evaluate", "fe_re", "harmonic_basis", "init",
+    "ise_fitness", "output_and_gradient", "pe_gram", "pso_minimize",
+    "pso_tune", "reconstruction_error", "rolling_rocof", "run", "step",
+    "synthesize",
 ]

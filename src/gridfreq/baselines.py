@@ -1,4 +1,4 @@
-"""Reference methods: rolling-window RoCoF and truth-derivative extraction.
+"""Reference method: rolling-window RoCoF.
 
 The rolling-window method divides the frequency change over a fixed window
 by the window length.  It is exact on affine frequency profiles and
@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AlignmentError, ScenarioError
-from .synth import GroundTruth
 
 
 @dataclass(frozen=True)
@@ -57,25 +56,3 @@ def rolling_rocof(series: FreqSeries, window: float) -> FreqSeries:
     f = series.values
     rocof = (f[lag:] - f[:-lag]) / span
     return FreqSeries(t0=series.t0 + span, ts=series.ts, values=rocof)
-
-
-def truth_derivatives(truth: GroundTruth) -> tuple[FreqSeries, FreqSeries]:
-    """Frequency and RoCoF series straight from synthesizer ground truth."""
-    return (FreqSeries(truth.t0, truth.ts, truth.freq_hz),
-            FreqSeries(truth.t0, truth.ts, truth.rocof_hzps))
-
-
-def derivatives_from_phase(t0: float, ts: float, phase_rad: np.ndarray
-                           ) -> tuple[FreqSeries, FreqSeries]:
-    """Frequency and RoCoF from a raw phase track by centered differences.
-
-    f = (dθ/dt) / 2π via centered differences of the phase, and RoCoF via
-    centered differences of that frequency; both series lose one sample at
-    each edge, so the RoCoF series starts two samples in.
-    """
-    phase = np.asarray(phase_rad, dtype=float)
-    if phase.size < 5:
-        raise ScenarioError("phase track too short for centered differences")
-    freq = (phase[2:] - phase[:-2]) / (2.0 * ts) / (2.0 * np.pi)
-    rocof = (freq[2:] - freq[:-2]) / (2.0 * ts)
-    return (FreqSeries(t0 + ts, ts, freq), FreqSeries(t0 + 2 * ts, ts, rocof))

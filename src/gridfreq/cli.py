@@ -20,7 +20,8 @@ from .errors import GridFreqError
 from .estimator import EstimatorConfig, init, run, step
 from .metrics import MetricsReport, aggregate, evaluate
 from .synth import ScenarioSpec, synthesize
-from .tuner import PsoParams, SearchSpace, pso_minimize, pso_tune
+from .tuner import (PsoParams, SearchSpace, apply_gain_vector, pso_minimize,
+                    pso_tune)
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -173,22 +174,12 @@ def cmd_tune(args: argparse.Namespace) -> int:
     for path in args.scenario:
         spec = gio.read_scenario(path)
         scenarios.append(synthesize(spec, args.fs, seed=args.seed))
-    dims = 2 * config.n + 2 + (1 if args.tune_eta else 0)
-    lo, hi = args.gain_lo, args.gain_hi
-    bounds = [(lo, hi)] * (2 * config.n + 2)
+    bounds = [(args.gain_lo, args.gain_hi)] * (2 * config.n + 2)
     if args.tune_eta:
         bounds.append((args.eta_lo, args.eta_hi))
-    space = SearchSpace(bounds=tuple(bounds), log_scale=(True,) * dims)
+    space = SearchSpace(bounds=tuple(bounds), log_scale=(True,) * len(bounds))
     best, score, history = pso_tune(space, scenarios, pso, config)
-    tuned = config
-    tuned = replace(tuned,
-                    gamma_c=tuple(best[:config.n]),
-                    gamma_s=tuple(best[config.n:2 * config.n]),
-                    gamma_dc=float(best[2 * config.n]),
-                    gamma_dc1=float(best[2 * config.n + 1]))
-    if args.tune_eta:
-        tuned = replace(tuned, eta_opt=float(best[-1]))
-    gio.write_config(args.out, tuned)
+    gio.write_config(args.out, apply_gain_vector(config, best))
     print(f"wrote {args.out} (fitness {score:.6g})")
     if args.history is not None:
         gio.write_history(args.history, history)

@@ -15,7 +15,9 @@ products of ``ts`` with the gains, the learning-rate band and the other
 per-config constants are computed once per (state, config) pair and cached
 on the state; :class:`EstimatorConfig` is frozen so that cache cannot go
 stale.  The kernel's outputs are bit-identical to the unfused form of the
-same laws (``tests/data/golden_run.json`` holds digests of them).
+same laws (``tests/data/golden_run.json`` holds digests of them), and its
+prediction and frequency gradient are bit-identical to
+:func:`gridfreq.model.output_and_gradient` (pinned by a test).
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError, DivergenceError
-from .model import ParameterVector, harmonic_basis
+from .model import ParameterVector, output_and_gradient
 from .synth import SampleStream
 
 TWO_PI = 2.0 * math.pi
@@ -190,28 +192,6 @@ def init(config: EstimatorConfig, t0: float = 0.0) -> EstimatorState:
                            t0=t0)
     _bind(state, config)
     return state
-
-
-def regressor(state: EstimatorState, config: EstimatorConfig) -> list[float]:
-    """Basis vector [cos(i*phi), sin(i*phi) ... 1, -t_anchor]."""
-    cos_i, sin_i = harmonic_basis(state.phase_acc, config.n)
-    out: list[float] = []
-    for i in range(config.n):
-        out.append(cos_i[i])
-        out.append(sin_i[i])
-    out.append(1.0)
-    out.append(-state.t_anchor)
-    return out
-
-
-def predict(state: EstimatorState, config: EstimatorConfig) -> float:
-    """Model output at the current phase accumulator and anchor time."""
-    cos_i, sin_i = harmonic_basis(state.phase_acc, config.n)
-    th = state.theta
-    acc = th.a_dc - th.a_dc1 * state.t_anchor
-    for i in range(config.n):
-        acc += th.a_c[i] * sin_i[i] + th.a_s[i] * cos_i[i]
-    return acc
 
 
 def eta_band(config: EstimatorConfig) -> tuple[float, float]:
@@ -495,12 +475,8 @@ def calibrate_eta_opt(stream: SampleStream, config: EstimatorConfig,
     count = 0
     skip = int(round(skip_s / config.ts))
     for sample in stream.values.tolist():
-        cos_i, sin_i = harmonic_basis(state.phase_acc, config.n)
-        t = state.t_anchor
-        g = 0.0
-        for i in range(config.n):
-            g += (i + 1) * t * (state.theta.a_c[i] * cos_i[i]
-                                - state.theta.a_s[i] * sin_i[i])
+        _, g = output_and_gradient(state.theta, state.phase_acc,
+                                   state.t_anchor)
         step(state, sample, config)
         if state.diverged:
             break

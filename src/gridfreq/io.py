@@ -17,12 +17,11 @@ import numpy as np
 from .errors import ConfigError, ScenarioError
 from .estimator import EstimateRecord, EstimateSeries, EstimatorConfig
 from .synth import (ConstantProfile, DcSpec, EventProfile, GroundTruth,
-                    HarmonicSpec, NoiseSpec, PhasorFrame, RampProfile,
-                    SampleStream, ScenarioSpec, StepSpec)
+                    HarmonicSpec, NoiseSpec, RampProfile, SampleStream,
+                    ScenarioSpec, StepSpec)
 
 SAMPLE_HEADER = ["t", "value"]
 TRUTH_HEADER = ["t", "freq_hz", "rocof_hzps", "amp_pu", "phase_rad"]
-PHASOR_HEADER = ["t", "amp_pu", "freq_hz", "rocof_hzps", "phase_rad"]
 HISTORY_HEADER = ["iteration", "best_score"]
 
 
@@ -40,6 +39,7 @@ def _write_rows(path: str | Path, header: Sequence[str],
 
 
 def _read_rows(path: str | Path, header: Sequence[str]) -> np.ndarray:
+    width = len(header)
     with open(path, newline="") as fh:
         r = csv.reader(fh)
         try:
@@ -49,20 +49,36 @@ def _read_rows(path: str | Path, header: Sequence[str]) -> np.ndarray:
         if got != list(header):
             raise ScenarioError(f"{path}: expected header {','.join(header)}, "
                                 f"got {','.join(got)}")
+        data = []
         try:
-            data = [[float(v) for v in row] for row in r if row]
+            for row in r:
+                if len(row) != width:
+                    if not row:
+                        continue
+                    raise ScenarioError(f"{path}:{r.line_num}: expected {width} "
+                                        f"fields, got {len(row)}")
+                data.append(list(map(float, row)))
         except ValueError as exc:
-            raise ScenarioError(f"{path}: malformed CSV value ({exc})") from None
+            raise ScenarioError(f"{path}:{r.line_num}: malformed CSV value "
+                                f"({exc})") from None
     if not data:
         raise ScenarioError(f"{path}: no data rows")
-    arr = np.array(data)
-    if arr.shape[1] != len(header):
-        raise ScenarioError(f"{path}: wrong column count")
-    return arr
+    return np.array(data)
+
+
+def _uniform_grid(path: str | Path, t: np.ndarray, what: str
+                  ) -> tuple[float, float]:
+    """(t0, ts) of a time column, which must be uniformly spaced."""
+    if len(t) < 2:
+        raise ScenarioError(f"{path}: need at least two {what}")
+    ts = float(t[1] - t[0])
+    if ts <= 0 or np.abs(np.diff(t) - ts).max() > 1e-9:
+        raise ScenarioError(f"{path}: {what} times are not uniformly spaced")
+    return float(t[0]), ts
 
 
 # --------------------------------------------------------------------------
-# Streams, truth, phasors
+# Streams and truth
 # --------------------------------------------------------------------------
 
 def write_samples(path: str | Path, stream: SampleStream) -> None:
@@ -72,13 +88,8 @@ def write_samples(path: str | Path, stream: SampleStream) -> None:
 
 def read_samples(path: str | Path) -> SampleStream:
     arr = _read_rows(path, SAMPLE_HEADER)
-    t = arr[:, 0]
-    if len(t) < 2:
-        raise ScenarioError(f"{path}: need at least two samples")
-    ts = float(t[1] - t[0])
-    if ts <= 0 or np.abs(np.diff(t) - ts).max() > 1e-9:
-        raise ScenarioError(f"{path}: sample times are not uniformly spaced")
-    return SampleStream(t0=float(t[0]), ts=ts, values=arr[:, 1])
+    t0, ts = _uniform_grid(path, arr[:, 0], "samples")
+    return SampleStream(t0=t0, ts=ts, values=arr[:, 1])
 
 
 def write_truth(path: str | Path, truth: GroundTruth) -> None:
@@ -90,25 +101,10 @@ def write_truth(path: str | Path, truth: GroundTruth) -> None:
 
 def read_truth(path: str | Path) -> GroundTruth:
     arr = _read_rows(path, TRUTH_HEADER)
-    t = arr[:, 0]
-    if len(t) < 2:
-        raise ScenarioError(f"{path}: need at least two rows")
-    ts = float(t[1] - t[0])
-    return GroundTruth(t0=float(t[0]), ts=ts, freq_hz=arr[:, 1],
+    t0, ts = _uniform_grid(path, arr[:, 0], "truth rows")
+    return GroundTruth(t0=t0, ts=ts, freq_hz=arr[:, 1],
                        rocof_hzps=arr[:, 2], amp_pu=arr[:, 3],
                        phase_rad=arr[:, 4])
-
-
-def write_phasors(path: str | Path, frames: Sequence[PhasorFrame]) -> None:
-    _write_rows(path, PHASOR_HEADER,
-                [(f.t, f.amp_pu, f.freq_hz, f.rocof_hzps, f.phase_rad)
-                 for f in frames])
-
-
-def read_phasors(path: str | Path) -> list[PhasorFrame]:
-    arr = _read_rows(path, PHASOR_HEADER)
-    return [PhasorFrame(t=row[0], amp_pu=row[1], freq_hz=row[2],
-                        rocof_hzps=row[3], phase_rad=row[4]) for row in arr]
 
 
 # --------------------------------------------------------------------------
@@ -314,10 +310,15 @@ def read_scenario(path: str | Path) -> ScenarioSpec:
 
     noise = None
     if "noise.kind" in kv or "noise.level" in kv:
-        noise = NoiseSpec(kind=kv.get("noise.kind", "gaussian"),
-                          level=_kv_float(kv, "noise.level", path, 0.0),
-                          seed=int(_kv_float(kv, "noise.seed", path, 0)),
-                          pole=_kv_float(kv, "noise.pole", path, 0.9))
+        defaults = NoiseSpec()
+        noise = NoiseSpec(kind=kv.get("noise.kind", defaults.kind),
+                          level=_kv_float(kv, "noise.level", path, defaults.level),
+                          seed=int(_kv_float(kv, "noise.seed", path, defaults.seed)),
+                          pole=_kv_float(kv, "noise.pole", path, defaults.pole),
+                          impulse_rate=_kv_float(kv, "noise.impulse_rate", path,
+                                                 defaults.impulse_rate),
+                          impulse_mag=_kv_float(kv, "noise.impulse_mag", path,
+                                                defaults.impulse_mag))
 
     harmonics = tuple(
         HarmonicSpec(order=int(_kv_float(kv, f"harmonic_{i}.order", path)),
@@ -366,7 +367,9 @@ def write_scenario(path: str | Path, spec: ScenarioSpec) -> None:
         lines += [f"noise.kind = {spec.noise.kind}",
                   f"noise.level = {_fmt(spec.noise.level)}",
                   f"noise.seed = {spec.noise.seed}",
-                  f"noise.pole = {_fmt(spec.noise.pole)}"]
+                  f"noise.pole = {_fmt(spec.noise.pole)}",
+                  f"noise.impulse_rate = {_fmt(spec.noise.impulse_rate)}",
+                  f"noise.impulse_mag = {_fmt(spec.noise.impulse_mag)}"]
     for i, h in enumerate(spec.harmonics, 1):
         lines += [f"harmonic_{i}.order = {h.order}",
                   f"harmonic_{i}.rel_amp = {_fmt(h.rel_amp)}",

@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import AlignmentError
 from .estimator import EstimateSeries
+from .model import ParameterVector, output_and_gradient
 from .synth import GroundTruth, SampleStream
 
 DEFAULT_LATENCY_S = 0.1
@@ -113,8 +114,11 @@ def reconstruction_error(est: EstimateSeries, measured: SampleStream,
     Each record carries the model state (harmonic amplitudes/phases, DC
     pair, phase accumulator, anchor time) as it stands right before the
     sample at the record's timestamp, so evaluating the model there
-    reconstructs the waveform the estimator predicts.  Returns
-    ||measured - reconstructed||_2 / ||measured||_2 over [t_min, t_max].
+    reconstructs the waveform the estimator predicts.  Each (amplitude,
+    phase) pair is turned back into the coefficients a_c = amp*cos(phase),
+    a_s = amp*sin(phase) of :func:`gridfreq.model.output_and_gradient`.
+    Returns ||measured - reconstructed||_2 / ||measured||_2 over
+    [t_min, t_max].
     """
     if len(est) == 0:
         raise AlignmentError("estimate series is empty")
@@ -128,11 +132,12 @@ def reconstruction_error(est: EstimateSeries, measured: SampleStream,
         idx = int(round((rec.t - measured.t0) / measured.ts))
         if idx < 0 or idx >= len(measured):
             continue
-        ahat = rec.a_dc - rec.a_dc1 * rec.t_anchor
-        for i in range(est.n):
-            ahat += rec.amps[i] * math.sin((i + 1) * rec.phase_acc + rec.phases[i])
+        polar = list(zip(rec.amps, rec.phases))
+        theta = ParameterVector([a * math.cos(p) for a, p in polar],
+                                [a * math.sin(p) for a, p in polar],
+                                rec.a_dc, rec.a_dc1)
         meas.append(float(measured.values[idx]))
-        recon.append(ahat)
+        recon.append(output_and_gradient(theta, rec.phase_acc, rec.t_anchor)[0])
     if not meas:
         raise AlignmentError("estimate series does not cover the evaluation span")
     m = np.array(meas)

@@ -7,6 +7,12 @@ The model of a single-channel waveform is
 
 i.e. a truncated harmonic series around a fundamental w1 plus a first-order
 (Taylor) approximation of a decaying DC offset.
+
+:func:`output_and_gradient` is the one definition of this model and of its
+derivative with respect to w1; the metrics, the learning-rate calibration
+and the tests evaluate the model through it.  The estimator's per-sample
+``step`` carries a fused specialisation of the same arithmetic for speed,
+and a test pins it to this function bit for bit.
 """
 
 from __future__ import annotations
@@ -62,23 +68,21 @@ def harmonic_basis(phase: float, n: int) -> tuple[list[float], list[float]]:
     return cos_i, sin_i
 
 
-def eval_model(theta: ParameterVector, omega1: float, t: float) -> float:
-    """Model output at time ``t`` for fundamental ``omega1`` (rad/s)."""
-    cos_i, sin_i = harmonic_basis(omega1 * t, theta.n)
-    acc = theta.a_dc - theta.a_dc1 * t
-    for i in range(theta.n):
-        acc += theta.a_c[i] * sin_i[i] + theta.a_s[i] * cos_i[i]
-    return acc
+def output_and_gradient(theta: ParameterVector, phase: float, t: float
+                        ) -> tuple[float, float]:
+    """Model output and its derivative d(model)/d(w1) at fixed coefficients.
 
-
-def freq_gradient(theta: ParameterVector, omega1: float, t: float) -> float:
-    """d(model)/d(omega1) at time ``t``.
-
-    Each harmonic term contributes i*t*(a_c*cos(i*w1*t) - a_s*sin(i*w1*t));
+    ``phase`` is the fundamental phase (w1*t for the model above; an
+    estimator state carries a wrapped phase accumulator instead) and ``t``
+    the time that multiplies the DC slope and the gradient.  Harmonic i
+    contributes i*t*(a_c*cos(i*phase) - a_s*sin(i*phase)) to the gradient;
     the DC terms do not depend on the fundamental.
     """
-    cos_i, sin_i = harmonic_basis(omega1 * t, theta.n)
-    g = 0.0
-    for i in range(theta.n):
-        g += (i + 1) * t * (theta.a_c[i] * cos_i[i] - theta.a_s[i] * sin_i[i])
-    return g
+    cos_i, sin_i = harmonic_basis(phase, theta.n)
+    value = theta.a_dc - theta.a_dc1 * t
+    grad = 0.0
+    for i, (ac, as_, c, s) in enumerate(zip(theta.a_c, theta.a_s, cos_i,
+                                            sin_i), 1):
+        value += ac * s + as_ * c
+        grad += i * t * (ac * c - as_ * s)
+    return value, grad

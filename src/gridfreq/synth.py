@@ -76,21 +76,6 @@ class GroundTruth:
         return self.freq_hz.size
 
 
-@dataclass(frozen=True)
-class PhasorFrame:
-    """One reported phasor: amplitude, frequency, RoCoF and absolute phase."""
-
-    t: float
-    amp_pu: float
-    freq_hz: float
-    rocof_hzps: float
-    phase_rad: float
-
-    def __post_init__(self) -> None:
-        if self.amp_pu < 0:
-            raise ScenarioError("phasor amplitude must be non-negative")
-
-
 # --------------------------------------------------------------------------
 # Frequency profiles
 # --------------------------------------------------------------------------
@@ -236,7 +221,9 @@ class NoiseSpec:
     """Additive noise: gaussian, colored (AR(1)) or impulsive outliers.
 
     ``level`` is the noise standard deviation as a fraction of the
-    fundamental amplitude.
+    fundamental amplitude.  Impulsive noise hits each sample with
+    probability ``impulse_rate`` with an outlier of ``impulse_mag`` times
+    that standard deviation.
     """
 
     kind: str = "gaussian"
@@ -253,6 +240,10 @@ class NoiseSpec:
             raise ScenarioError("noise level must lie in [0, 0.2]")
         if not 0.0 < self.pole < 1.0:
             raise ScenarioError("color pole must lie in (0, 1)")
+        if not 0.0 <= self.impulse_rate <= 1.0:
+            raise ScenarioError("impulse rate must lie in [0, 1]")
+        if not 0.0 <= self.impulse_mag < math.inf:
+            raise ScenarioError("impulse magnitude must be finite and non-negative")
 
 
 @dataclass(frozen=True)
@@ -395,74 +386,3 @@ def add_noise(stream: SampleStream, kind: str, level: float, seed: int,
     else:
         raise ScenarioError(f"unknown noise kind {kind!r}")
     return SampleStream(stream.t0, stream.ts, stream.values + noise)
-
-
-def inject_step(stream: SampleStream, truth: GroundTruth, t_start: float,
-                duration: float, amp_step: float, phase_step: float
-                ) -> SampleStream:
-    """Re-synthesize the fundamental inside [t_start, t_start+duration).
-
-    Inside the window the fundamental amplitude is scaled by (1 + amp_step)
-    and its phase offset by ``phase_step``; harmonics, DC and noise are left
-    untouched.  The paired ground truth supplies the fundamental's
-    per-sample amplitude and phase.
-    """
-    t = stream.times()
-    t_end = t_start + duration
-    if t_start < t[0] or t_end > t[-1] + stream.ts / 2:
-        raise ScenarioError("step window must lie within the stream span")
-    win = (t >= t_start) & (t < t_end)
-    old = truth.amp_pu * np.sin(truth.phase_rad)
-    new = truth.amp_pu * (1.0 + amp_step) * np.sin(truth.phase_rad + phase_step)
-    values = stream.values + np.where(win, new - old, 0.0)
-    return SampleStream(stream.t0, stream.ts, values)
-
-
-def inject_decaying_dc(stream: SampleStream, t_start: float, a_dc: float,
-                       tau: float) -> SampleStream:
-    """Add a_dc * exp(-(t - t_start)/tau) for all samples at t >= t_start."""
-    if tau <= 0:
-        raise ScenarioError("DC time constant must be positive")
-    t = stream.times()
-    active = t >= t_start
-    values = stream.values + np.where(active, a_dc * np.exp(-(t - t_start) / tau), 0.0)
-    return SampleStream(stream.t0, stream.ts, values)
-
-
-def phasor_to_waveform(frames: list[PhasorFrame], fs: float) -> SampleStream:
-    """Reconstruct a sampled waveform from uniformly spaced phasor frames.
-
-    Within each frame, sample k (counted from the frame start) is
-
-        a(k) = amp * sin(2*pi*k*Ts*f + pi*k^2*Ts^2*rocof + phase)
-
-    i.e. lookup-table-and-sampler semantics; frames are stitched in order.
-    """
-    if not frames:
-        raise ScenarioError("frame sequence must not be empty")
-    ts = 1.0 / fs
-    if len(frames) == 1:
-        k = np.arange(1)
-        f = frames[0]
-        vals = f.amp_pu * np.sin(TWO_PI * k * ts * f.freq_hz
-                                 + math.pi * (k * ts) ** 2 * f.rocof_hzps
-                                 + f.phase_rad)
-        return SampleStream(f.t, ts, vals)
-
-    spacing = frames[1].t - frames[0].t
-    for a, b in zip(frames, frames[1:]):
-        if abs((b.t - a.t) - spacing) > 1e-9:
-            raise ScenarioError("phasor frames must be uniformly spaced")
-    per_frame = fs * spacing
-    m = int(round(per_frame))
-    if abs(per_frame - m) > 1e-6 or m < 1:
-        raise ScenarioError("sampling rate must be a multiple of the frame rate")
-
-    k = np.arange(m)
-    chunks = []
-    for f in frames:
-        kt = k * ts
-        chunks.append(f.amp_pu * np.sin(TWO_PI * kt * f.freq_hz
-                                        + math.pi * kt * kt * f.rocof_hzps
-                                        + f.phase_rad))
-    return SampleStream(frames[0].t, ts, np.concatenate(chunks))

@@ -19,9 +19,9 @@ import pytest
 
 from cases import FS, case1, case2, case2b, case3, clean_tone
 from gridfreq import (ConfigError, EstimatorConfig, PsoParams, SearchSpace,
-                      aggregate, align, eval_model, evaluate, freq_gradient,
-                      init, ise_fitness, pe_gram, pso_minimize, pso_tune, run,
-                      step, synthesize)
+                      aggregate, align, evaluate, init, ise_fitness,
+                      output_and_gradient, pe_gram, pso_minimize, pso_tune,
+                      run, step, synthesize)
 from gridfreq.model import ParameterVector
 
 LATENCY = 0.1
@@ -233,12 +233,12 @@ def test_c07_descent_and_divergence():
         omega = 2.0 * math.pi * 50.02
         for k in range(1000):
             t = min((k + 1) * ts, cap)
-            target = eval_model(theta, omega_true, t)
-            err = eval_model(theta, omega, t) - target
-            g = freq_gradient(theta, omega, t)
+            target = output_and_gradient(theta, omega_true * t, t)[0]
+            y, g = output_and_gradient(theta, omega * t, t)
+            err = y - target
             omega_new = omega - ts * eta * err * g
-            dj = (0.5 * (eval_model(theta, omega_new, t) - target) ** 2
-                  - 0.5 * err ** 2)
+            y_new = output_and_gradient(theta, omega_new * t, t)[0]
+            dj = 0.5 * (y_new - target) ** 2 - 0.5 * err ** 2
             worst_dj = max(worst_dj, dj)
             omega = omega_new
         assert abs(omega / (2.0 * math.pi) - 50.0) < 1e-3, \
@@ -250,13 +250,14 @@ def test_c07_descent_and_divergence():
     t = cap
     eta = 3.0 / (ts * g_max ** 2)
     omega = omega_true * (1.0 + 1e-6)
-    target = eval_model(theta, omega_true, t)
-    J = [0.5 * (eval_model(theta, omega, t) - target) ** 2]
+    target = output_and_gradient(theta, omega_true * t, t)[0]
+    J = [0.5 * (output_and_gradient(theta, omega * t, t)[0] - target) ** 2]
     for _ in range(1000):
-        err = eval_model(theta, omega, t) - target
-        g = freq_gradient(theta, omega, t)
+        y, g = output_and_gradient(theta, omega * t, t)
+        err = y - target
         omega = omega - ts * eta * err * g
-        J.append(0.5 * (eval_model(theta, omega, t) - target) ** 2)
+        J.append(0.5 * (output_and_gradient(theta, omega * t, t)[0]
+                        - target) ** 2)
     k = 1
     grew = False
     while k < len(J):
@@ -316,10 +317,10 @@ def test_c09_gradient_check():
                                 float(rng.normal()), float(rng.normal()))
         omega = float(rng.uniform(250.0, 380.0))
         t = float(rng.uniform(0.01, 1.0))
-        g = freq_gradient(theta, omega, t)
+        g = output_and_gradient(theta, omega * t, t)[1]
         h = 1e-6 * omega
-        fd = (eval_model(theta, omega + h, t)
-              - eval_model(theta, omega - h, t)) / (2.0 * h)
+        fd = (output_and_gradient(theta, (omega + h) * t, t)[0]
+              - output_and_gradient(theta, (omega - h) * t, t)[0]) / (2.0 * h)
         worst = max(worst, abs(g - fd) / max(abs(g), abs(fd), 1e-9))
     _verdict("C9 gradient check", worst < 1e-5,
              f"worst relative error = {worst:.2e} (< 1e-5) over 100 states")

@@ -1,13 +1,10 @@
-"""Unit tests for the rolling-window baseline and derivative helpers."""
-
-import math
+"""Unit tests for the rolling-window baseline."""
 
 import numpy as np
 import pytest
 
 from gridfreq import (AlignmentError, EventProfile, FreqSeries, ScenarioError,
-                      ScenarioSpec, derivatives_from_phase, rolling_rocof,
-                      synthesize, truth_derivatives)
+                      ScenarioSpec, rolling_rocof, synthesize)
 from reference import reference_rolling_rocof
 
 FS = 1200.0
@@ -56,7 +53,7 @@ class TestRollingRocof:
                             profile=EventProfile(t_start=1.0, peak_dev_hz=0.5,
                                                  peak_rocof_hzps=1.0))
         _, truth = synthesize(spec, FS)
-        freq, _ = truth_derivatives(truth)
+        freq = FreqSeries(truth.t0, truth.ts, truth.freq_hz)
         peaks = [float(np.abs(rolling_rocof(freq, w).values).max())
                  for w in (0.04, 0.1, 0.5)]
         assert peaks[0] > peaks[1] > peaks[2]
@@ -71,34 +68,3 @@ class TestRollingRocof:
             rolling_rocof(series, 10.0)        # window longer than the series
         with pytest.raises(AlignmentError):
             rolling_rocof(series, 0.001)       # window shorter than one step
-
-
-class TestTruthDerivatives:
-    def test_passthrough(self):
-        spec = ScenarioSpec(duration=1.0, base_freq=50.0)
-        _, truth = synthesize(spec, FS)
-        freq, rocof = truth_derivatives(truth)
-        np.testing.assert_array_equal(freq.values, truth.freq_hz)
-        np.testing.assert_array_equal(rocof.values, truth.rocof_hzps)
-        assert freq.t0 == truth.t0
-        assert rocof.ts == truth.ts
-
-
-class TestDerivativesFromPhase:
-    def test_exact_on_quadratic_phase(self):
-        # constant RoCoF r: phase = 2*pi*(f0*t + r*t^2/2)
-        ts = 1.0 / FS
-        t = np.arange(1000) * ts
-        f0, r = 50.0, 0.8
-        phase = 2.0 * math.pi * (f0 * t + 0.5 * r * t * t)
-        freq, rocof = derivatives_from_phase(0.0, ts, phase)
-        np.testing.assert_allclose(freq.values, f0 + r * t[1:-1], atol=1e-7)
-        np.testing.assert_allclose(rocof.values, r, atol=1e-4)
-        assert freq.t0 == pytest.approx(ts)
-        assert rocof.t0 == pytest.approx(2 * ts)
-        assert len(freq) == 998
-        assert len(rocof) == 996
-
-    def test_short_series_rejected(self):
-        with pytest.raises(ScenarioError):
-            derivatives_from_phase(0.0, 0.01, np.zeros(4))

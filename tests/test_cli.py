@@ -147,6 +147,31 @@ class TestEstimateAndMetrics:
         err = capsys.readouterr().err
         assert "error:" in err and "est.csv:6" in err
 
+    def test_ragged_samples_file_is_input_error(self, tmp_path, synth_outputs,
+                                                capsys):
+        samples, _ = synth_outputs
+        lines = samples.read_text().splitlines()
+        lines[3] += ",3.0"
+        samples.write_text("\n".join(lines) + "\n")
+        rc = main(["estimate", str(samples), "--out", str(tmp_path / "e.csv")])
+        assert rc == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert "error:" in err and "tone_samples.csv:4" in err
+
+    def test_ragged_truth_file_is_input_error(self, tmp_path, synth_outputs,
+                                              capsys):
+        samples, truth = synth_outputs
+        est = tmp_path / "est.csv"
+        assert main(["estimate", str(samples), "--out", str(est)]) == EXIT_OK
+        lines = truth.read_text().splitlines()
+        lines[7] = ",".join(lines[7].split(",")[:3])
+        truth.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        rc = main(["metrics", "--est", str(est), "--truth", str(truth)])
+        assert rc == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert "error:" in err and "tone_truth.csv:8" in err
+
 
 class TestStreamStartTime:
     def test_late_start_is_paired_with_its_truth(self, tmp_path, capsys):

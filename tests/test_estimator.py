@@ -9,7 +9,9 @@ import pytest
 from gridfreq import (ConfigError, DivergenceError, EstimatorConfig,
                       SampleStream, ScenarioSpec, amp_phase,
                       calibrate_eta_opt, init, pe_gram, run, step, synthesize)
-from gridfreq.estimator import adapt_eta, predict, regressor
+from gridfreq.estimator import INV_TWO_PI, adapt_eta
+from gridfreq.model import output_and_gradient
+from cases import case1
 from golden import compute as golden_compute
 from golden import load as golden_load
 from reference import reference_estimator, reference_gram
@@ -75,32 +77,6 @@ class TestInitAndState:
         assert state.f_hz == 50.0
         assert state.theta.a_c[0] == 0.0
         assert list(state.rocof_buf) == []
-
-
-class TestRegressorAndPredict:
-    def test_regressor_layout(self):
-        cfg = EstimatorConfig(n=2)
-        state = init(cfg)
-        state.phase_acc = 0.4
-        state.t_anchor = 0.1
-        r = regressor(state, cfg)
-        assert r == pytest.approx([math.cos(0.4), math.sin(0.4),
-                                   math.cos(0.8), math.sin(0.8),
-                                   1.0, -0.1], abs=1e-12)
-
-    def test_predict_matches_dot_product(self):
-        cfg = EstimatorConfig(n=2)
-        state = init(cfg)
-        state.phase_acc = 1.1
-        state.t_anchor = 0.2
-        state.theta.a_c[:] = [0.5, -0.3]
-        state.theta.a_s[:] = [0.1, 0.7]
-        state.theta.a_dc = 0.05
-        state.theta.a_dc1 = 0.4
-        expect = (0.5 * math.sin(1.1) + 0.1 * math.cos(1.1)
-                  + (-0.3) * math.sin(2.2) + 0.7 * math.cos(2.2)
-                  + 0.05 - 0.4 * 0.2)
-        assert predict(state, cfg) == pytest.approx(expect, rel=1e-12)
 
 
 class TestAdaptEta:
@@ -266,6 +242,27 @@ class TestKernelCache:
         assert records == run(stream, cfg).records
 
 
+class TestStepMatchesModelKernel:
+    """The fused step kernel is output_and_gradient, bit for bit."""
+
+    @pytest.mark.parametrize("policy", ["saturate", "reset"])
+    def test_residual_and_raw_rocof(self, policy):
+        cfg = replace(EstimatorConfig(), report_every=1, anchor_policy=policy)
+        stream, _ = synthesize(case1(0.02, 0, duration=2.0), FS, seed=0)
+        state = init(cfg)
+        mismatches = 0
+        for x in stream.values.tolist():
+            theta, phase, t = state.theta.copy(), state.phase_acc, state.t_anchor
+            rec = step(state, x, cfg)
+            out, _ = output_and_gradient(theta, phase, t)
+            _, grad = output_and_gradient(state.theta, phase, t)
+            mismatches += rec.residual != x - out
+            mismatches += (rec.rocof_raw_hzps
+                           != INV_TWO_PI * rec.eta * rec.residual * grad)
+        assert state.k == len(stream)
+        assert mismatches == 0
+
+
 class TestGolden:
     def test_outputs_match_stored_digests(self):
         want = golden_load()
@@ -326,3 +323,11 @@ class TestCalibration:
         stream = SampleStream(0.0, TS, np.zeros(10))
         with pytest.raises(ConfigError):
             calibrate_eta_opt(stream, EstimatorConfig())
+
+    def test_values_are_pinned(self):
+        # the gradient comes from output_and_gradient; these are the values
+        # of the earlier inline sum, bit for bit
+        assert calibrate_eta_opt(_clean_stream(2.0), EstimatorConfig()) \
+            == 38376.298731015864
+        stream, _ = synthesize(case1(0.02, 0), FS, seed=0)
+        assert calibrate_eta_opt(stream, EstimatorConfig()) == 38323.12024737843

@@ -7,9 +7,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gridfreq import (ConfigError, EstimatorConfig, EventProfile, PhasorFrame,
-                      RampProfile, SampleStream, ScenarioError, ScenarioSpec,
-                      run, synthesize)
+from gridfreq import (ConfigError, EstimatorConfig, EventProfile, RampProfile,
+                      SampleStream, ScenarioError, ScenarioSpec, run,
+                      synthesize)
 from gridfreq import io as gio
 from gridfreq.synth import (ConstantProfile, DcSpec, HarmonicSpec, NoiseSpec,
                             StepSpec)
@@ -72,13 +72,16 @@ class TestTruthAndPhasorRoundTrip:
         np.testing.assert_array_equal(back.amp_pu, truth.amp_pu)
         np.testing.assert_array_equal(back.phase_rad, truth.phase_rad)
 
-    def test_phasors(self, tmp_path):
-        frames = [PhasorFrame(0.0, 1.0, 50.0, 0.5, 0.1),
-                  PhasorFrame(0.1, 0.9, 49.5, -0.5, 0.2)]
-        path = tmp_path / "p.csv"
-        gio.write_phasors(path, frames)
-        back = gio.read_phasors(path)
-        assert back == frames
+    def test_truth_rejects_nonuniform(self, tmp_path):
+        # re-gridding 0, 0.001, 0.005 to 0, 0.001, 0.002 would pair
+        # estimates with the wrong truth
+        path = tmp_path / "bad.csv"
+        path.write_text("t,freq_hz,rocof_hzps,amp_pu,phase_rad\n"
+                        "0.0,50.0,0.0,1.0,0.0\n"
+                        "0.001,50.0,0.0,1.0,0.1\n"
+                        "0.005,50.0,0.0,1.0,0.2\n")
+        with pytest.raises(ScenarioError, match="not uniformly spaced"):
+            gio.read_truth(path)
 
 
 class TestEstimateRoundTrip:
@@ -190,11 +193,23 @@ class TestScenarioRoundTrip:
                      dc_events=(DcSpec(t_start=1.0, a_dc_pu=0.1,
                                        tau_s=0.05),),
                      distortion_knee=2.0),
+        ScenarioSpec(duration=1.0, base_freq=50.0,
+                     noise=NoiseSpec(kind="impulsive", level=0.05, seed=7,
+                                     impulse_rate=0.02, impulse_mag=4.5)),
     ])
     def test_round_trip(self, tmp_path, spec):
         path = tmp_path / "s.cfg"
         gio.write_scenario(path, spec)
         assert gio.read_scenario(path) == spec
+
+    @pytest.mark.parametrize("line", ["noise.impulse_rate = 1.5",
+                                      "noise.impulse_mag = -1.0"])
+    def test_bad_impulse_noise_rejected(self, tmp_path, line):
+        path = tmp_path / "s.cfg"
+        path.write_text("duration = 1.0\nbase_freq = 50.0\n"
+                        f"noise.kind = impulsive\nnoise.level = 0.05\n{line}\n")
+        with pytest.raises(ScenarioError, match="impulse"):
+            gio.read_scenario(path)
 
     def test_unknown_profile_rejected(self, tmp_path):
         path = tmp_path / "s.cfg"

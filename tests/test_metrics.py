@@ -12,6 +12,7 @@ from gridfreq import (AlignmentError, EstimatorConfig, MetricsReport,
                       synthesize)
 from gridfreq.estimator import EstimateRecord, EstimateSeries
 from gridfreq.synth import GroundTruth
+from cases import case1, clean_tone
 from reference import reference_fe_re
 
 FS = 1200.0
@@ -161,6 +162,28 @@ class TestReconstructionError:
         early = reconstruction_error(series, stream, t_min=0.0, t_max=0.2)
         late = reconstruction_error(series, stream, t_min=1.0)
         assert early > late
+
+    @pytest.mark.parametrize("spec", [clean_tone(3.0), case1(0.02, 0, 3.0)],
+                             ids=["clean", "case1-2pct"])
+    def test_matches_amplitude_phase_form(self, spec):
+        stream, _ = synthesize(spec, FS, seed=0)
+        series = run(stream, self.CFG)
+        # oracle: the model in amplitude/phase form, straight from the records
+        meas, recon = [], []
+        for rec in series.records:
+            idx = int(round((rec.t - stream.t0) / stream.ts))
+            if idx >= len(stream):
+                continue
+            ahat = rec.a_dc - rec.a_dc1 * rec.t_anchor
+            for i in range(series.n):
+                ahat += rec.amps[i] * math.sin((i + 1) * rec.phase_acc
+                                               + rec.phases[i])
+            meas.append(stream.values[idx])
+            recon.append(ahat)
+        m, r = np.array(meas), np.array(recon)
+        expect = float(np.linalg.norm(m - r) / np.linalg.norm(m))
+        assert reconstruction_error(series, stream) == pytest.approx(
+            expect, rel=0, abs=1e-12)
 
     def test_errors(self):
         stream, _ = synthesize(ScenarioSpec(duration=1.0, base_freq=50.0), FS)

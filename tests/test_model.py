@@ -5,8 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from gridfreq.model import (ParameterVector, eval_model, freq_gradient,
-                            harmonic_basis)
+from gridfreq.model import ParameterVector, harmonic_basis, output_and_gradient
 
 
 class TestParameterVector:
@@ -54,15 +53,18 @@ class TestHarmonicBasis:
 
 
 class TestEvalModel:
+    """Model output of output_and_gradient at phase omega*t."""
+
     def test_pure_sine_peak(self):
         # a(t) = sin(2*pi*t) at t = 0.25 is exactly 1
         th = ParameterVector([1.0], [0.0])
-        assert eval_model(th, 2.0 * math.pi, 0.25) == pytest.approx(1.0)
+        out, _ = output_and_gradient(th, 2.0 * math.pi * 0.25, 0.25)
+        assert out == pytest.approx(1.0)
 
     def test_dc_terms(self):
         th = ParameterVector([0.0], [0.0], a_dc=2.0, a_dc1=4.0)
-        assert eval_model(th, 100.0, 0.5) == pytest.approx(0.0)
-        assert eval_model(th, 100.0, 0.0) == pytest.approx(2.0)
+        assert output_and_gradient(th, 100.0 * 0.5, 0.5)[0] == pytest.approx(0.0)
+        assert output_and_gradient(th, 0.0, 0.0)[0] == pytest.approx(2.0)
 
     def test_superposition(self):
         th = ParameterVector([0.5, 0.0, -0.2], [0.1, 0.3, 0.0], 0.7, 1.1)
@@ -70,21 +72,42 @@ class TestEvalModel:
         expect = 0.7 - 1.1 * t
         for i, (ac, as_) in enumerate(zip(th.a_c, th.a_s), 1):
             expect += ac * math.sin(i * omega * t) + as_ * math.cos(i * omega * t)
-        assert eval_model(th, omega, t) == pytest.approx(expect, rel=1e-12)
+        out, _ = output_and_gradient(th, omega * t, t)
+        assert out == pytest.approx(expect, rel=1e-12)
 
 
 class TestFreqGradient:
+    """d(model)/d(omega1) of output_and_gradient at phase omega*t."""
+
     def test_zero_at_t_zero(self):
         th = ParameterVector([1.0, 2.0], [3.0, 4.0], 5.0, 6.0)
-        assert freq_gradient(th, 314.0, 0.0) == 0.0
+        assert output_and_gradient(th, 0.0, 0.0)[1] == 0.0
 
     def test_closed_form(self):
         th = ParameterVector([2.0], [0.5])
         omega, t = 310.0, 0.4
         expect = t * (2.0 * math.cos(omega * t) - 0.5 * math.sin(omega * t))
-        assert freq_gradient(th, omega, t) == pytest.approx(expect, rel=1e-12)
+        _, grad = output_and_gradient(th, omega * t, t)
+        assert grad == pytest.approx(expect, rel=1e-12)
 
     def test_dc_terms_do_not_contribute(self):
         th_a = ParameterVector([1.0], [1.0], 0.0, 0.0)
         th_b = ParameterVector([1.0], [1.0], 5.0, -3.0)
-        assert freq_gradient(th_a, 314.0, 0.3) == freq_gradient(th_b, 314.0, 0.3)
+        phase, t = 314.0 * 0.3, 0.3
+        assert (output_and_gradient(th_a, phase, t)[1]
+                == output_and_gradient(th_b, phase, t)[1])
+
+
+class TestOutputAndGradient:
+    def test_phase_and_slope_time_are_separate(self):
+        # an estimator state: wrapped phase accumulator and anchor time
+        th = ParameterVector([0.5, -0.3], [0.1, 0.7], 0.05, 0.4)
+        phase, t = 1.1, 0.2
+        out, grad = output_and_gradient(th, phase, t)
+        assert out == pytest.approx(
+            0.5 * math.sin(1.1) + 0.1 * math.cos(1.1)
+            - 0.3 * math.sin(2.2) + 0.7 * math.cos(2.2)
+            + 0.05 - 0.4 * 0.2, rel=1e-12)
+        assert grad == pytest.approx(
+            t * (0.5 * math.cos(1.1) - 0.1 * math.sin(1.1))
+            + 2 * t * (-0.3 * math.cos(2.2) - 0.7 * math.sin(2.2)), rel=1e-12)

@@ -6,10 +6,8 @@ import numpy as np
 import pytest
 
 from gridfreq import (ConstantProfile, DcSpec, EventProfile, HarmonicSpec,
-                      NoiseSpec, PhasorFrame, RampProfile, SampleStream,
-                      ScenarioError, ScenarioSpec, StepSpec, add_noise,
-                      inject_decaying_dc, inject_step, phasor_to_waveform,
-                      synthesize)
+                      NoiseSpec, RampProfile, SampleStream, ScenarioError,
+                      ScenarioSpec, StepSpec, add_noise, synthesize)
 from reference import reference_event_freq, reference_event_phase
 
 FS = 1200.0
@@ -177,15 +175,18 @@ class TestNoise:
 
 class TestStepsAndDc:
     def test_step_spec_matches_injection(self):
-        base_spec = ScenarioSpec(duration=2.0, base_freq=50.0)
-        stream, truth = synthesize(base_spec, FS)
-        stepped_spec = ScenarioSpec(
+        # closed form: the step window scales the fundamental by (1 + 0.05)
+        # and advances its phase by 0.04 rad
+        spec = ScenarioSpec(
             duration=2.0, base_freq=50.0,
             steps=(StepSpec(t_start=0.5, duration=0.4,
                             amp_step_pu=0.05, phase_step_rad=0.04),))
-        expect, _ = synthesize(stepped_spec, FS)
-        got = inject_step(stream, truth, 0.5, 0.4, 0.05, 0.04)
-        np.testing.assert_allclose(got.values, expect.values, atol=1e-12)
+        stream, _ = synthesize(spec, FS)
+        t = stream.times()
+        win = (t >= 0.5) & (t < 0.9)
+        phase = 2.0 * np.pi * 50.0 * t
+        expect = np.where(win, 1.05 * np.sin(phase + 0.04), np.sin(phase))
+        np.testing.assert_allclose(stream.values, expect, atol=1e-12)
 
     def test_step_window_contents(self):
         spec = ScenarioSpec(
@@ -202,26 +203,25 @@ class TestStepsAndDc:
             ScenarioSpec(duration=1.0, base_freq=50.0,
                          steps=(StepSpec(t_start=0.8, duration=0.5),))
 
-    def test_injection_outside_span_rejected(self):
-        spec = ScenarioSpec(duration=1.0, base_freq=50.0)
-        stream, truth = synthesize(spec, FS)
-        with pytest.raises(ScenarioError):
-            inject_step(stream, truth, 0.9, 0.5, 0.1, 0.0)
-
     def test_dc_spec_matches_injection(self):
-        clean, _ = synthesize(ScenarioSpec(duration=2.0, base_freq=50.0), FS)
+        # closed form: 0.1 * exp(-(t - 0.5)/0.05) added from t = 0.5 on
         spec = ScenarioSpec(duration=2.0, base_freq=50.0,
                             dc_events=(DcSpec(t_start=0.5, a_dc_pu=0.1,
                                               tau_s=0.05),))
-        expect, truth = synthesize(spec, FS)
-        got = inject_decaying_dc(clean, 0.5, 0.1, 0.05)
-        np.testing.assert_allclose(got.values, expect.values, atol=1e-12)
+        stream, truth = synthesize(spec, FS)
+        t = stream.times()
+        expect = np.sin(2.0 * np.pi * 50.0 * t) + np.where(
+            t >= 0.5, 0.1 * np.exp(-(t - 0.5) / 0.05), 0.0)
+        np.testing.assert_allclose(stream.values, expect, atol=1e-12)
         assert truth.dc_amp == 0.1
         assert truth.dc_tau == 0.05
 
     def test_dc_decay_value(self):
-        stream = SampleStream(0.0, 1.0 / FS, np.zeros(1201))
-        out = inject_decaying_dc(stream, 0.0, 0.2, 0.1)
+        # a zero-amplitude fundamental leaves only the DC event
+        spec = ScenarioSpec(duration=1.0, base_freq=50.0, amp_pu=0.0,
+                            dc_events=(DcSpec(t_start=0.0, a_dc_pu=0.2,
+                                              tau_s=0.1),))
+        out, _ = synthesize(spec, FS)
         assert out.values[0] == pytest.approx(0.2)
         k = int(round(0.1 * FS))       # one time constant later
         assert out.values[k] == pytest.approx(0.2 / math.e, rel=1e-6)
@@ -254,46 +254,6 @@ class TestDistortionAndNyquist:
         expect = np.sin(2.0 * np.pi * 50.0 * t) \
             + 0.02 * np.sin(3.0 * 2.0 * np.pi * 50.0 * t + 0.1)
         np.testing.assert_allclose(stream.values, expect, atol=1e-9)
-
-
-class TestPhasorToWaveform:
-    def test_single_frame(self):
-        frame = PhasorFrame(t=2.0, amp_pu=1.5, freq_hz=50.0,
-                            rocof_hzps=0.0, phase_rad=0.25)
-        stream = phasor_to_waveform([frame], FS)
-        assert stream.t0 == 2.0
-        assert stream.values[0] == pytest.approx(1.5 * math.sin(0.25))
-
-    def test_stitching_and_chirp_term(self):
-        frames = [PhasorFrame(t=0.0, amp_pu=1.0, freq_hz=50.0,
-                              rocof_hzps=2.0, phase_rad=0.0),
-                  PhasorFrame(t=0.1, amp_pu=0.5, freq_hz=51.0,
-                              rocof_hzps=0.0, phase_rad=0.3)]
-        stream = phasor_to_waveform(frames, FS)
-        m = int(round(FS * 0.1))
-        assert len(stream) == 2 * m
-        ts = 1.0 / FS
-        k = 7
-        assert stream.values[k] == pytest.approx(
-            math.sin(2.0 * math.pi * k * ts * 50.0
-                     + math.pi * (k * ts) ** 2 * 2.0), abs=1e-12)
-        assert stream.values[m + k] == pytest.approx(
-            0.5 * math.sin(2.0 * math.pi * k * ts * 51.0 + 0.3), abs=1e-12)
-
-    def test_nonuniform_frames_rejected(self):
-        frames = [PhasorFrame(t, 1.0, 50.0, 0.0, 0.0) for t in (0.0, 0.1, 0.25)]
-        with pytest.raises(ScenarioError):
-            phasor_to_waveform(frames, FS)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ScenarioError):
-            phasor_to_waveform([], FS)
-
-    def test_rate_mismatch_rejected(self):
-        frames = [PhasorFrame(0.0, 1.0, 50.0, 0.0, 0.0),
-                  PhasorFrame(0.0003, 1.0, 50.0, 0.0, 0.0)]
-        with pytest.raises(ScenarioError):
-            phasor_to_waveform(frames, FS)
 
 
 class TestSpecValidation:
