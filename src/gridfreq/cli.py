@@ -42,8 +42,6 @@ def _print_report(report: MetricsReport, label: str = "") -> None:
         print(f"{name:>16}: {value:.6g}")
     print(f"{'latency (s)':>16}: {report.latency_s:g}")
     print(f"{'pairs':>16}: {report.n_samples}")
-    if report.recon_error is not None:
-        print(f"{'recon error':>16}: {report.recon_error:.6g}")
 
 
 def _check_bounds(report: MetricsReport, args: argparse.Namespace) -> bool:

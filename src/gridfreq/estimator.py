@@ -35,6 +35,8 @@ from .synth import SampleStream
 
 TWO_PI = 2.0 * math.pi
 INV_TWO_PI = 1.0 / TWO_PI
+# floor on the squared frequency gradient in the self-tuned learning rate
+GRAD_FLOOR = 1e-6
 
 
 # --------------------------------------------------------------------------
@@ -67,7 +69,6 @@ class EstimatorConfig:
     report_every: int = 12
     anchor_policy: str = "saturate"       # "saturate" | "reset"
     t_reset_s: float = 0.25
-    grad_floor: float = 1e-6
 
     def __post_init__(self) -> None:
         for name in ("gamma_c", "gamma_s"):
@@ -202,7 +203,7 @@ def eta_band(config: EstimatorConfig) -> tuple[float, float]:
 
 def adapt_eta(gradient: float, config: EstimatorConfig) -> float:
     """Self-tuned learning rate, clamped to the band around eta_opt."""
-    g2 = max(gradient * gradient, config.grad_floor)
+    g2 = max(gradient * gradient, GRAD_FLOOR)
     eta_raw = config.beta_omega / (config.ts * g2)
     lo, hi = eta_band(config)
     return min(max(eta_raw, lo), hi)
@@ -270,7 +271,7 @@ def _bind(state: EstimatorState, config: EstimatorConfig) -> _Kernel:
         g_dc1=config.gamma_dc1,
         alpha=alpha,
         beta=config.beta_omega,
-        floor=config.grad_floor,
+        floor=GRAD_FLOOR,
         lo=lo,
         hi=hi,
         f0=config.f0,

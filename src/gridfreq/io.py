@@ -3,18 +3,26 @@ configs and scenarios.
 
 Floats are written with ``repr`` (shortest round-trip form), so every file
 written here parses back bit-identically.
+
+Config and scenario files are ``key = value`` lines whose keys come from
+the fields of the frozen dataclasses they describe: ``name`` for a field of
+the top-level object, ``section.name`` for a field of a nested one
+(``profile.``, ``noise.``) and ``section_i.name`` for the i-th item of a
+tuple of them (``harmonic_i.``, ``step_i.``, ``dc_i.``).  One field walk
+writes and reads every format, so each key is defined once, by its field.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+from dataclasses import MISSING, fields, is_dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Any, Iterable, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, ScenarioError
+from .errors import ScenarioError
 from .estimator import EstimateRecord, EstimateSeries, EstimatorConfig
 from .synth import (ConstantProfile, DcSpec, EventProfile, GroundTruth,
                     HarmonicSpec, NoiseSpec, RampProfile, SampleStream,
@@ -38,17 +46,19 @@ def _write_rows(path: str | Path, header: Sequence[str],
             w.writerow([_fmt(v) for v in row])
 
 
-def _read_rows(path: str | Path, header: Sequence[str]) -> np.ndarray:
-    width = len(header)
+def _read_rows(path: str | Path, header: Sequence[str] | None = None
+               ) -> tuple[list[str], np.ndarray]:
+    """(header, float rows) of a CSV; ``header``, if given, must match."""
     with open(path, newline="") as fh:
         r = csv.reader(fh)
         try:
             got = next(r)
         except StopIteration:
             raise ScenarioError(f"{path}: empty CSV") from None
-        if got != list(header):
+        if header is not None and got != list(header):
             raise ScenarioError(f"{path}: expected header {','.join(header)}, "
                                 f"got {','.join(got)}")
+        width = len(got)
         data = []
         try:
             for row in r:
@@ -63,7 +73,7 @@ def _read_rows(path: str | Path, header: Sequence[str]) -> np.ndarray:
                                 f"({exc})") from None
     if not data:
         raise ScenarioError(f"{path}: no data rows")
-    return np.array(data)
+    return got, np.array(data)
 
 
 def _uniform_grid(path: str | Path, t: np.ndarray, what: str
@@ -87,7 +97,7 @@ def write_samples(path: str | Path, stream: SampleStream) -> None:
 
 
 def read_samples(path: str | Path) -> SampleStream:
-    arr = _read_rows(path, SAMPLE_HEADER)
+    _, arr = _read_rows(path, SAMPLE_HEADER)
     t0, ts = _uniform_grid(path, arr[:, 0], "samples")
     return SampleStream(t0=t0, ts=ts, values=arr[:, 1])
 
@@ -100,7 +110,7 @@ def write_truth(path: str | Path, truth: GroundTruth) -> None:
 
 
 def read_truth(path: str | Path) -> GroundTruth:
-    arr = _read_rows(path, TRUTH_HEADER)
+    _, arr = _read_rows(path, TRUTH_HEADER)
     t0, ts = _uniform_grid(path, arr[:, 0], "truth rows")
     return GroundTruth(t0=t0, ts=ts, freq_hz=arr[:, 1],
                        rocof_hzps=arr[:, 2], amp_pu=arr[:, 3],
@@ -131,36 +141,15 @@ def write_estimates(path: str | Path, series: EstimateSeries) -> None:
 
 
 def read_estimates(path: str | Path) -> EstimateSeries:
-    with open(path, newline="") as fh:
-        r = csv.reader(fh)
-        try:
-            header = next(r)
-        except StopIteration:
-            raise ScenarioError(f"{path}: empty CSV") from None
-        n = (len(header) - 6) // 2
-        if n < 1 or header != estimate_header(n):
-            raise ScenarioError(f"{path}: not an estimate CSV")
-        records = []
-        for lineno, row in enumerate(r, 2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise ScenarioError(f"{path}:{lineno}: expected {len(header)} "
-                                    f"fields, got {len(row)}")
-            try:
-                vals = [float(v) for v in row]
-            except ValueError as exc:
-                raise ScenarioError(f"{path}:{lineno}: malformed CSV value "
-                                    f"({exc})") from None
-            amps = vals[6::2]
-            phases = vals[7::2]
-            records.append(EstimateRecord(
-                t=vals[0], f_hz=vals[1], rocof_hzps=vals[2],
-                rocof_raw_hzps=math.nan, amps=amps, phases=phases,
-                a_dc=vals[4], a_dc1=vals[5], residual=vals[3],
-                eta=math.nan, phase_acc=math.nan, t_anchor=math.nan))
-    if not records:
-        raise ScenarioError(f"{path}: no data rows")
+    header, arr = _read_rows(path)
+    n = (len(header) - 6) // 2
+    if n < 1 or header != estimate_header(n):
+        raise ScenarioError(f"{path}: not an estimate CSV")
+    records = [EstimateRecord(
+        t=vals[0], f_hz=vals[1], rocof_hzps=vals[2], rocof_raw_hzps=math.nan,
+        amps=vals[6::2], phases=vals[7::2], a_dc=vals[4], a_dc1=vals[5],
+        residual=vals[3], eta=math.nan, phase_acc=math.nan,
+        t_anchor=math.nan) for vals in arr.tolist()]
     return EstimateSeries(records=records, n=n)
 
 
@@ -176,213 +165,159 @@ def write_history(path: str | Path, history: Sequence[float]) -> None:
 # Key-value files
 # --------------------------------------------------------------------------
 
-def _parse_kv(path: str | Path) -> dict[str, str]:
-    out: dict[str, str] = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ScenarioError(f"{path}:{lineno}: expected 'key = value'")
-            key, value = (part.strip() for part in line.split("=", 1))
-            if not key:
-                raise ScenarioError(f"{path}:{lineno}: empty key")
-            out[key] = value
+# annotation text of the scalar fields -> value type
+_SCALARS = {"int": int, "float": float, "float | None": float, "str": str}
+# keys that differ from their field name
+_KEYS = {"f0": "f0_hz", "ts": "ts_s"}
+# the scenario's frequency profile: `profile = <kind>` selects the class
+_PROFILES = {"constant": ConstantProfile, "ramp": RampProfile,
+             "event": EventProfile}
+# tuple fields of sections, written as `<prefix>_<i>.<field>`
+_INDEXED = {"harmonics": ("harmonic", HarmonicSpec), "steps": ("step", StepSpec),
+            "dc_events": ("dc", DcSpec)}
+# optional sections, present when any `<field>.` key is
+_OPTIONAL = {"noise": NoiseSpec}
+
+
+class _Keys:
+    """The ``key = value`` pairs of one file; each read consumes its key."""
+
+    def __init__(self, path: str | Path) -> None:
+        self.path = path
+        self.kv: dict[str, tuple[int, str]] = {}
+        with open(path) as fh:
+            for lineno, raw in enumerate(fh, 1):
+                line = raw.split("#", 1)[0].strip()
+                if not line:
+                    continue
+                if "=" not in line:
+                    raise ScenarioError(f"{path}:{lineno}: expected 'key = value'")
+                key, value = (part.strip() for part in line.split("=", 1))
+                if not key:
+                    raise ScenarioError(f"{path}:{lineno}: empty key")
+                self.kv[key] = (lineno, value)
+
+    def take(self, key: str, kind: type, default: Any = MISSING) -> Any:
+        """The value of ``key`` as an int, a finite float or a str."""
+        if key not in self.kv:
+            if default is MISSING:
+                raise ScenarioError(f"{self.path}: missing key `{key}`")
+            return default
+        lineno, text = self.kv.pop(key)
+        if kind is str:
+            return text
+        where = f"{self.path}:{lineno}: key `{key}`"
+        try:
+            x = float(text)
+        except ValueError:
+            raise ScenarioError(f"{where} is not a number ({text!r})") from None
+        if not math.isfinite(x):
+            raise ScenarioError(f"{where} is not finite ({text!r})")
+        if kind is float:
+            return x
+        if not x.is_integer():
+            raise ScenarioError(f"{where} is not an integer ({text!r})")
+        try:
+            return int(text)
+        except ValueError:            # integral but written as e.g. 3.0
+            return int(x)
+
+    def has(self, prefix: str) -> bool:
+        return any(key.startswith(prefix) for key in self.kv)
+
+    def indices(self, prefix: str) -> list[int]:
+        """Sorted item numbers of keys like ``step_1.t_start``."""
+        heads = {key.split(".", 1)[0] for key in self.kv if "." in key}
+        return sorted(int(h[len(prefix) + 1:]) for h in heads
+                      if h.startswith(prefix + "_") and h[len(prefix) + 1:].isdigit())
+
+    def finish(self) -> None:
+        """Reject the keys no field has read."""
+        if self.kv:
+            key, (lineno, _) = min(self.kv.items(), key=lambda kv: kv[1][0])
+            raise ScenarioError(f"{self.path}:{lineno}: unknown key `{key}`")
+
+
+def _lines(obj: Any, prefix: str = "") -> list[str]:
+    """The ``key = value`` lines of a dataclass, in field order."""
+    out = []
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        key = prefix + _KEYS.get(f.name, f.name)
+        if f.name in _INDEXED:
+            for i, item in enumerate(value, 1):
+                out += _lines(item, f"{_INDEXED[f.name][0]}_{i}.")
+        elif is_dataclass(value):
+            if f.name == "profile":
+                kind = next(k for k, c in _PROFILES.items() if isinstance(value, c))
+                out.append(f"{key} = {kind}")
+            out += _lines(value, f"{key}.")
+        elif isinstance(value, tuple):
+            out += [f"{key}_{i} = {_fmt(v)}" for i, v in enumerate(value, 1)]
+        elif value is not None:
+            text = _fmt(value) if _SCALARS[f.type] is float else value
+            out.append(f"{key} = {text}")
     return out
 
 
-def _need(kv: dict[str, str], key: str, path: str | Path) -> str:
-    if key not in kv:
-        raise ScenarioError(f"{path}: missing key `{key}`")
-    return kv[key]
+def _read(keys: _Keys, cls: type, prefix: str = "", **given: Any) -> Any:
+    """Build ``cls`` from the keys :func:`_lines` writes for it.
+
+    A field with a dataclass default is an optional key; the values in
+    ``given`` are taken as read.
+    """
+    values = dict(given)
+    for f in fields(cls):
+        if f.name in values:
+            continue
+        key = prefix + _KEYS.get(f.name, f.name)
+        if f.name in _INDEXED:
+            head, item = _INDEXED[f.name]
+            values[f.name] = tuple(_read(keys, item, f"{head}_{i}.")
+                                   for i in keys.indices(head))
+        elif f.name in _OPTIONAL:
+            values[f.name] = (_read(keys, _OPTIONAL[f.name], f"{key}.")
+                              if keys.has(f"{key}.") else None)
+        elif f.name == "profile":
+            kind = keys.take(key, str, "constant")
+            if kind not in _PROFILES:
+                raise ScenarioError(f"{keys.path}: unknown profile kind {kind!r}")
+            values[f.name] = _read(keys, _PROFILES[kind], f"{key}.")
+        elif f.type not in _SCALARS:          # gain tuple, one key per harmonic
+            values[f.name] = tuple(keys.take(f"{key}_{i}", float)
+                                   for i in range(1, values["n"] + 1))
+        else:
+            values[f.name] = keys.take(key, _SCALARS[f.type], f.default)
+    return cls(**values)
 
 
-def _kv_float(kv: dict[str, str], key: str, path: str | Path,
-              default: float | None = None) -> float:
-    if key not in kv:
-        if default is None:
-            raise ScenarioError(f"{path}: missing key `{key}`")
-        return default
-    try:
-        return float(kv[key])
-    except ValueError:
-        raise ScenarioError(f"{path}: key `{key}` is not a number "
-                            f"({kv[key]!r})") from None
+def _write_kv(path: str | Path, obj: Any) -> None:
+    Path(path).write_text("\n".join(_lines(obj)) + "\n")
 
 
 # --------------------------------------------------------------------------
-# Estimator config files
+# Estimator config and scenario files
 # --------------------------------------------------------------------------
 
 def write_config(path: str | Path, config: EstimatorConfig) -> None:
-    lines = [f"n = {config.n}",
-             f"f0_hz = {_fmt(config.f0)}",
-             f"ts_s = {_fmt(config.ts)}"]
-    for i, g in enumerate(config.gamma_c, 1):
-        lines.append(f"gamma_c_{i} = {_fmt(g)}")
-    for i, g in enumerate(config.gamma_s, 1):
-        lines.append(f"gamma_s_{i} = {_fmt(g)}")
-    lines += [f"gamma_dc = {_fmt(config.gamma_dc)}",
-              f"gamma_dc1 = {_fmt(config.gamma_dc1)}",
-              f"beta_omega = {_fmt(config.beta_omega)}",
-              f"eta_opt = {_fmt(config.eta_opt)}",
-              f"eta_band = {_fmt(config.eta_band)}",
-              f"obs_filter = {config.obs_filter}",
-              f"obs_cutoff_hz = {_fmt(config.obs_cutoff_hz)}",
-              f"rocof_smooth_window = {config.rocof_smooth_window}",
-              f"report_every = {config.report_every}",
-              f"anchor_policy = {config.anchor_policy}",
-              f"t_reset_s = {_fmt(config.t_reset_s)}"]
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_kv(path, config)
 
 
 def read_config(path: str | Path) -> EstimatorConfig:
-    kv = _parse_kv(path)
-    try:
-        n = int(_need(kv, "n", path))
-    except ValueError:
-        raise ConfigError(f"{path}: key `n` is not an integer") from None
-    gamma_c = tuple(_kv_float(kv, f"gamma_c_{i}", path) for i in range(1, n + 1))
-    gamma_s = tuple(_kv_float(kv, f"gamma_s_{i}", path) for i in range(1, n + 1))
-    defaults = EstimatorConfig(n=n)
-    cfg = EstimatorConfig(
-        n=n,
-        f0=_kv_float(kv, "f0_hz", path, defaults.f0),
-        ts=_kv_float(kv, "ts_s", path, defaults.ts),
-        gamma_c=gamma_c,
-        gamma_s=gamma_s,
-        gamma_dc=_kv_float(kv, "gamma_dc", path, defaults.gamma_dc),
-        gamma_dc1=_kv_float(kv, "gamma_dc1", path, defaults.gamma_dc1),
-        beta_omega=_kv_float(kv, "beta_omega", path, defaults.beta_omega),
-        eta_opt=_kv_float(kv, "eta_opt", path, defaults.eta_opt),
-        eta_band=_kv_float(kv, "eta_band", path, defaults.eta_band),
-        obs_filter=kv.get("obs_filter", defaults.obs_filter),
-        obs_cutoff_hz=_kv_float(kv, "obs_cutoff_hz", path, defaults.obs_cutoff_hz),
-        rocof_smooth_window=int(_kv_float(kv, "rocof_smooth_window", path,
-                                          defaults.rocof_smooth_window)),
-        report_every=int(_kv_float(kv, "report_every", path,
-                                   defaults.report_every)),
-        anchor_policy=kv.get("anchor_policy", defaults.anchor_policy),
-        t_reset_s=_kv_float(kv, "t_reset_s", path, defaults.t_reset_s),
-    )
+    keys = _Keys(path)
+    # the harmonic count sizes the gain tuples, so it is the one required key
+    cfg = _read(keys, EstimatorConfig, n=keys.take("n", int))
+    keys.finish()
     cfg.validate()
     return cfg
 
 
-# --------------------------------------------------------------------------
-# Scenario files
-# --------------------------------------------------------------------------
-
-def _indexed(kv: dict[str, str], prefix: str) -> list[int]:
-    """Sorted section indices for keys like `step_1.t_start`."""
-    idx = set()
-    for key in kv:
-        if key.startswith(prefix + "_") and "." in key:
-            head = key.split(".", 1)[0]
-            tail = head[len(prefix) + 1:]
-            if tail.isdigit():
-                idx.add(int(tail))
-    return sorted(idx)
+def write_scenario(path: str | Path, spec: ScenarioSpec) -> None:
+    _write_kv(path, spec)
 
 
 def read_scenario(path: str | Path) -> ScenarioSpec:
-    kv = _parse_kv(path)
-    duration = _kv_float(kv, "duration", path)
-    base_freq = _kv_float(kv, "base_freq", path)
-    amp_pu = _kv_float(kv, "amp_pu", path, 1.0)
-    phase0 = _kv_float(kv, "phase0_rad", path, 0.0)
-
-    kind = kv.get("profile", "constant")
-    if kind == "constant":
-        profile = ConstantProfile()
-    elif kind == "ramp":
-        profile = RampProfile(t_start=_kv_float(kv, "profile.t_start", path),
-                              duration=_kv_float(kv, "profile.duration", path),
-                              df_hz=_kv_float(kv, "profile.df_hz", path))
-    elif kind == "event":
-        profile = EventProfile(
-            t_start=_kv_float(kv, "profile.t_start", path),
-            peak_dev_hz=_kv_float(kv, "profile.peak_dev_hz", path),
-            peak_rocof_hzps=_kv_float(kv, "profile.peak_rocof_hzps", path))
-    else:
-        raise ScenarioError(f"{path}: unknown profile kind {kind!r}")
-
-    noise = None
-    if "noise.kind" in kv or "noise.level" in kv:
-        defaults = NoiseSpec()
-        noise = NoiseSpec(kind=kv.get("noise.kind", defaults.kind),
-                          level=_kv_float(kv, "noise.level", path, defaults.level),
-                          seed=int(_kv_float(kv, "noise.seed", path, defaults.seed)),
-                          pole=_kv_float(kv, "noise.pole", path, defaults.pole),
-                          impulse_rate=_kv_float(kv, "noise.impulse_rate", path,
-                                                 defaults.impulse_rate),
-                          impulse_mag=_kv_float(kv, "noise.impulse_mag", path,
-                                                defaults.impulse_mag))
-
-    harmonics = tuple(
-        HarmonicSpec(order=int(_kv_float(kv, f"harmonic_{i}.order", path)),
-                     rel_amp=_kv_float(kv, f"harmonic_{i}.rel_amp", path),
-                     phase_rad=_kv_float(kv, f"harmonic_{i}.phase_rad", path, 0.0))
-        for i in _indexed(kv, "harmonic"))
-    steps = tuple(
-        StepSpec(t_start=_kv_float(kv, f"step_{i}.t_start", path),
-                 duration=_kv_float(kv, f"step_{i}.duration", path),
-                 amp_step_pu=_kv_float(kv, f"step_{i}.amp_step_pu", path, 0.0),
-                 phase_step_rad=_kv_float(kv, f"step_{i}.phase_step_rad", path, 0.0))
-        for i in _indexed(kv, "step"))
-    dc_events = tuple(
-        DcSpec(t_start=_kv_float(kv, f"dc_{i}.t_start", path),
-               a_dc_pu=_kv_float(kv, f"dc_{i}.a_dc_pu", path),
-               tau_s=_kv_float(kv, f"dc_{i}.tau_s", path))
-        for i in _indexed(kv, "dc"))
-
-    knee = kv.get("distortion_knee")
-    return ScenarioSpec(duration=duration, base_freq=base_freq, amp_pu=amp_pu,
-                        phase0_rad=phase0, profile=profile,
-                        harmonics=harmonics, noise=noise, steps=steps,
-                        dc_events=dc_events,
-                        distortion_knee=float(knee) if knee else None)
-
-
-def write_scenario(path: str | Path, spec: ScenarioSpec) -> None:
-    lines = [f"duration = {_fmt(spec.duration)}",
-             f"base_freq = {_fmt(spec.base_freq)}",
-             f"amp_pu = {_fmt(spec.amp_pu)}",
-             f"phase0_rad = {_fmt(spec.phase0_rad)}"]
-    p = spec.profile
-    if isinstance(p, RampProfile):
-        lines += ["profile = ramp",
-                  f"profile.t_start = {_fmt(p.t_start)}",
-                  f"profile.duration = {_fmt(p.duration)}",
-                  f"profile.df_hz = {_fmt(p.df_hz)}"]
-    elif isinstance(p, EventProfile):
-        lines += ["profile = event",
-                  f"profile.t_start = {_fmt(p.t_start)}",
-                  f"profile.peak_dev_hz = {_fmt(p.peak_dev_hz)}",
-                  f"profile.peak_rocof_hzps = {_fmt(p.peak_rocof_hzps)}"]
-    else:
-        lines.append("profile = constant")
-    if spec.noise is not None:
-        lines += [f"noise.kind = {spec.noise.kind}",
-                  f"noise.level = {_fmt(spec.noise.level)}",
-                  f"noise.seed = {spec.noise.seed}",
-                  f"noise.pole = {_fmt(spec.noise.pole)}",
-                  f"noise.impulse_rate = {_fmt(spec.noise.impulse_rate)}",
-                  f"noise.impulse_mag = {_fmt(spec.noise.impulse_mag)}"]
-    for i, h in enumerate(spec.harmonics, 1):
-        lines += [f"harmonic_{i}.order = {h.order}",
-                  f"harmonic_{i}.rel_amp = {_fmt(h.rel_amp)}",
-                  f"harmonic_{i}.phase_rad = {_fmt(h.phase_rad)}"]
-    for i, s in enumerate(spec.steps, 1):
-        lines += [f"step_{i}.t_start = {_fmt(s.t_start)}",
-                  f"step_{i}.duration = {_fmt(s.duration)}",
-                  f"step_{i}.amp_step_pu = {_fmt(s.amp_step_pu)}",
-                  f"step_{i}.phase_step_rad = {_fmt(s.phase_step_rad)}"]
-    for i, d in enumerate(spec.dc_events, 1):
-        lines += [f"dc_{i}.t_start = {_fmt(d.t_start)}",
-                  f"dc_{i}.a_dc_pu = {_fmt(d.a_dc_pu)}",
-                  f"dc_{i}.tau_s = {_fmt(d.tau_s)}"]
-    if spec.distortion_knee is not None:
-        lines.append(f"distortion_knee = {_fmt(spec.distortion_knee)}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    keys = _Keys(path)
+    spec = _read(keys, ScenarioSpec)
+    keys.finish()
+    return spec

@@ -32,7 +32,6 @@ class MetricsReport:
     rmse_re: float               # Hz/s
     latency_s: float
     n_samples: int
-    recon_error: float | None = None
 
     def rows(self) -> list[tuple[str, float]]:
         """Table rows in the conventional label order."""
@@ -117,15 +116,15 @@ def reconstruction_error(est: EstimateSeries, measured: SampleStream,
     reconstructs the waveform the estimator predicts.  Each (amplitude,
     phase) pair is turned back into the coefficients a_c = amp*cos(phase),
     a_s = amp*sin(phase) of :func:`gridfreq.model.output_and_gradient`.
-    Returns ||measured - reconstructed||_2 / ||measured||_2 over
-    [t_min, t_max].
+    Returns the RMS of measured - reconstructed at the report instants in
+    [t_min, t_max] over the RMS of every measured sample in that span (the
+    report instants alone can all fall on zero crossings of the waveform).
     """
     if len(est) == 0:
         raise AlignmentError("estimate series is empty")
-    t_end = measured.t0 + (len(measured) - 1) * measured.ts
-    hi = t_end if t_max is None else t_max
-    meas: list[float] = []
-    recon: list[float] = []
+    t = measured.times()
+    hi = t[-1] if t_max is None else t_max
+    errors: list[float] = []
     for rec in est.records:
         if rec.t < t_min or rec.t > hi:
             continue
@@ -136,16 +135,15 @@ def reconstruction_error(est: EstimateSeries, measured: SampleStream,
         theta = ParameterVector([a * math.cos(p) for a, p in polar],
                                 [a * math.sin(p) for a, p in polar],
                                 rec.a_dc, rec.a_dc1)
-        meas.append(float(measured.values[idx]))
-        recon.append(output_and_gradient(theta, rec.phase_acc, rec.t_anchor)[0])
-    if not meas:
+        errors.append(float(measured.values[idx])
+                      - output_and_gradient(theta, rec.phase_acc, rec.t_anchor)[0])
+    if not errors:
         raise AlignmentError("estimate series does not cover the evaluation span")
-    m = np.array(meas)
-    r = np.array(recon)
-    denom = float(np.linalg.norm(m))
+    span = measured.values[(t >= t_min) & (t <= hi)]
+    denom = float(np.sqrt(np.mean(span ** 2)))
     if denom == 0.0:
         raise AlignmentError("measured signal has zero energy over the span")
-    return float(np.linalg.norm(m - r) / denom)
+    return float(np.sqrt(np.mean(np.square(errors)))) / denom
 
 
 def aggregate(reports: list[MetricsReport]) -> tuple[MetricsReport, MetricsReport]:
@@ -157,9 +155,5 @@ def aggregate(reports: list[MetricsReport]) -> tuple[MetricsReport, MetricsRepor
     worst_vals = {f: float(max(getattr(r, f) for r in reports)) for f in fields}
     latency = reports[0].latency_s
     n = sum(r.n_samples for r in reports)
-    recons = [r.recon_error for r in reports if r.recon_error is not None]
-    mean = MetricsReport(**mean_vals, latency_s=latency, n_samples=n,
-                         recon_error=float(np.mean(recons)) if recons else None)
-    worst = MetricsReport(**worst_vals, latency_s=latency, n_samples=n,
-                          recon_error=float(max(recons)) if recons else None)
-    return mean, worst
+    return (MetricsReport(**mean_vals, latency_s=latency, n_samples=n),
+            MetricsReport(**worst_vals, latency_s=latency, n_samples=n))

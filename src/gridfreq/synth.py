@@ -248,13 +248,16 @@ class NoiseSpec:
 
 @dataclass(frozen=True)
 class ScenarioSpec:
+    """A test waveform.  Its field order is the line order of scenario files
+    (:mod:`gridfreq.io`)."""
+
     duration: float
     base_freq: float
     amp_pu: float = 1.0
     phase0_rad: float = 0.0
     profile: FreqProfile = field(default_factory=ConstantProfile)
-    harmonics: tuple[HarmonicSpec, ...] = ()
     noise: NoiseSpec | None = None
+    harmonics: tuple[HarmonicSpec, ...] = ()
     steps: tuple[StepSpec, ...] = ()
     dc_events: tuple[DcSpec, ...] = ()
     distortion_knee: float | None = None

@@ -49,6 +49,23 @@ class TestSynth:
         rc = main(["synth", str(path), "--out", str(tmp_path)])
         assert rc == EXIT_INPUT
 
+    @pytest.mark.parametrize("line, key", [
+        ("harmonic_1.order = 2.9", "harmonic_1.order"),
+        ("duration = nan", "duration"),
+        ("distortion_knee = abc", "distortion_knee"),
+        ("noise.levle = 0.2", "noise.levle"),
+    ])
+    def test_malformed_key_is_input_error(self, tmp_path, capsys, line, key):
+        path = tmp_path / "bad.cfg"
+        body = ["duration = 1.0", "base_freq = 50.0", "noise.level = 0.01",
+                "harmonic_1.order = 3", "harmonic_1.rel_amp = 0.01"]
+        body = [x for x in body if x.split(" = ")[0] != line.split(" = ")[0]]
+        path.write_text("\n".join([*body, line]) + "\n")
+        rc = main(["synth", str(path), "--out", str(tmp_path)])
+        assert rc == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert f"bad.cfg:{len(body) + 1}: " in err and f"`{key}`" in err
+
 
 class TestEstimateAndMetrics:
     def test_estimate_then_metrics(self, tmp_path, synth_outputs, capsys):
@@ -64,6 +81,22 @@ class TestEstimateAndMetrics:
         out = capsys.readouterr().out
         assert "Max (FE) (Hz)" in out
         assert "RMSE (RE) (Hz/s)" in out
+
+    @pytest.mark.parametrize("line", ["report_every = 12.7", "eta_opt = nan"])
+    def test_malformed_config_is_input_error(self, tmp_path, synth_outputs,
+                                             capsys, line):
+        samples, _ = synth_outputs
+        config = tmp_path / "c.cfg"
+        gio.write_config(config, EstimatorConfig())
+        key = line.split(" = ")[0]
+        text = config.read_text().splitlines()
+        lineno = [x.split(" = ")[0] for x in text].index(key) + 1
+        text[lineno - 1] = line
+        config.write_text("\n".join(text) + "\n")
+        rc = main(["estimate", str(samples), "--config", str(config),
+                   "--out", str(tmp_path / "est.csv")])
+        assert rc == EXIT_INPUT
+        assert f"c.cfg:{lineno}: key `{key}`" in capsys.readouterr().err
 
     def test_report_every_flag(self, tmp_path, synth_outputs):
         samples, _ = synth_outputs

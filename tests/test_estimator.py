@@ -9,7 +9,7 @@ import pytest
 from gridfreq import (ConfigError, DivergenceError, EstimatorConfig,
                       SampleStream, ScenarioSpec, amp_phase,
                       calibrate_eta_opt, init, pe_gram, run, step, synthesize)
-from gridfreq.estimator import INV_TWO_PI, adapt_eta
+from gridfreq.estimator import GRAD_FLOOR, INV_TWO_PI, adapt_eta
 from gridfreq.model import output_and_gradient
 from cases import case1
 from golden import compute as golden_compute
@@ -93,8 +93,7 @@ class TestAdaptEta:
         assert adapt_eta(g, cfg) == pytest.approx(1100.0, rel=1e-9)
 
     def test_gradient_floor(self):
-        cfg = EstimatorConfig(eta_opt=1e9, eta_band=0.5, beta_omega=1.0,
-                              grad_floor=1e-6)
+        cfg = EstimatorConfig(eta_opt=1e9, eta_band=0.5, beta_omega=1.0)
         # below the floor the rate stops growing
         assert adapt_eta(1e-9, cfg) == adapt_eta(0.0, cfg)
 
@@ -121,7 +120,7 @@ class TestStepAgainstReference:
         f_ref, rocof_ref = reference_estimator(
             stream.values, TS, cfg.n, cfg.f0, cfg.gamma_c, cfg.gamma_s,
             cfg.gamma_dc, cfg.gamma_dc1, cfg.beta_omega, cfg.eta_opt,
-            cfg.eta_band, cfg.t_reset_s, cfg.grad_floor)
+            cfg.eta_band, cfg.t_reset_s, GRAD_FLOOR)
         got_f = series.f_hz()
         np.testing.assert_allclose(got_f, f_ref[:len(got_f)], atol=1e-9)
         got_raw = np.array([r.rocof_raw_hzps for r in series.records])
@@ -138,7 +137,7 @@ class TestStepAgainstReference:
         f_ref, _ = reference_estimator(
             stream.values, TS, cfg.n, cfg.f0, cfg.gamma_c, cfg.gamma_s,
             cfg.gamma_dc, cfg.gamma_dc1, cfg.beta_omega, cfg.eta_opt,
-            cfg.eta_band, cfg.t_reset_s, cfg.grad_floor)
+            cfg.eta_band, cfg.t_reset_s, GRAD_FLOOR)
         np.testing.assert_allclose(series.f_hz(), f_ref[:len(series)], atol=1e-9)
 
     def test_residual_shrinks_after_lock(self):

@@ -165,6 +165,41 @@ class TestConfigRoundTrip:
         path.write_text(text)
         assert gio.read_config(path) == EstimatorConfig()
 
+    @pytest.mark.parametrize("line, match", [
+        ("report_every = 12.7", r"c\.cfg:2: key `report_every` is not an integer"),
+        ("eta_opt = nan", r"c\.cfg:2: key `eta_opt` is not finite"),
+        ("t_reset_s = inf", r"c\.cfg:2: key `t_reset_s` is not finite"),
+        ("eta_band = abc", r"c\.cfg:2: key `eta_band` is not a number"),
+        ("report_evry = 6", r"c\.cfg:2: unknown key `report_evry`"),
+        ("gamma_c_8 = 40.0", r"c\.cfg:2: unknown key `gamma_c_8`"),
+    ])
+    def test_malformed_value_names_file_and_key(self, tmp_path, line, match):
+        path = tmp_path / "c.cfg"
+        gio.write_config(path, EstimatorConfig())
+        key = line.split(" = ")[0]
+        lines = [x for x in path.read_text().splitlines()
+                 if x.split(" = ")[0] != key]
+        path.write_text("\n".join([lines[0], line, *lines[1:]]) + "\n")
+        with pytest.raises(ScenarioError, match=match):
+            gio.read_config(path)
+
+    def test_integral_value_accepted(self, tmp_path):
+        path = tmp_path / "c.cfg"
+        gio.write_config(path, EstimatorConfig())
+        path.write_text(path.read_text().replace("report_every = 12",
+                                                 "report_every = 6.0"))
+        assert gio.read_config(path).report_every == 6
+
+    def test_written_keys_are_the_field_names(self, tmp_path):
+        path = tmp_path / "c.cfg"
+        gio.write_config(path, EstimatorConfig(n=2))
+        keys = [line.split(" = ")[0] for line in path.read_text().splitlines()]
+        assert keys == ["n", "f0_hz", "ts_s", "gamma_c_1", "gamma_c_2",
+                        "gamma_s_1", "gamma_s_2", "gamma_dc", "gamma_dc1",
+                        "beta_omega", "eta_opt", "eta_band", "obs_filter",
+                        "obs_cutoff_hz", "rocof_smooth_window", "report_every",
+                        "anchor_policy", "t_reset_s"]
+
     def test_invalid_config_rejected_on_read(self, tmp_path):
         path = tmp_path / "c.cfg"
         gio.write_config(path, replace(EstimatorConfig(), f0=-1.0))
@@ -223,6 +258,38 @@ class TestScenarioRoundTrip:
         with pytest.raises(ScenarioError, match="missing key `base_freq`"):
             gio.read_scenario(path)
 
+    @pytest.mark.parametrize("line, match", [
+        ("harmonic_1.order = 2.9", r"key `harmonic_1.order` is not an integer \('2.9'\)"),
+        ("noise.seed = 1.5", r"key `noise.seed` is not an integer"),
+        ("duration = nan", r"key `duration` is not finite"),
+        ("distortion_knee = abc", r"key `distortion_knee` is not a number \('abc'\)"),
+        ("noise.levle = 0.2", r"unknown key `noise.levle`"),
+        ("harmonic_1.phase = 0.1", r"unknown key `harmonic_1.phase`"),
+        ("profile.df_hz = 0.1", r"unknown key `profile.df_hz`"),
+    ])
+    def test_malformed_value_names_file_and_key(self, tmp_path, line, match):
+        base = ["duration = 1.0", "base_freq = 50.0", "noise.level = 0.01",
+                "harmonic_1.order = 3", "harmonic_1.rel_amp = 0.01"]
+        key = line.split(" = ")[0]
+        lines = [x for x in base if x.split(" = ")[0] != key] + [line]
+        path = tmp_path / "s.cfg"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ScenarioError, match=rf"s\.cfg:{len(lines)}: {match}"):
+            gio.read_scenario(path)
+
+    def test_integral_values_accepted(self, tmp_path):
+        path = tmp_path / "s.cfg"
+        path.write_text("duration = 1.0\nbase_freq = 50.0\n"
+                        "noise.seed = 1e3\nharmonic_1.order = 3.0\n"
+                        "harmonic_1.rel_amp = 0.01\n")
+        spec = gio.read_scenario(path)
+        assert spec.noise == NoiseSpec(seed=1000)
+        assert spec.harmonics == (HarmonicSpec(order=3, rel_amp=0.01),)
+        assert type(spec.noise.seed) is int and type(spec.harmonics[0].order) is int
+        # an integer beyond float precision stays exact
+        path.write_text(path.read_text().replace("1e3", str(2 ** 64 + 1)))
+        assert gio.read_scenario(path).noise.seed == 2 ** 64 + 1
+
     def test_constant_profile_default(self, tmp_path):
         path = tmp_path / "s.cfg"
         path.write_text("duration = 1.0\nbase_freq = 50.0\n")
@@ -230,10 +297,23 @@ class TestScenarioRoundTrip:
         assert isinstance(spec.profile, ConstantProfile)
 
 
+SHIPPED = ["clean.cfg", "case1.cfg", "case1b.cfg", "case2.cfg", "case2b.cfg",
+           "case3.cfg"]
+
+
 class TestShippedScenarios:
-    @pytest.mark.parametrize("name", ["clean.cfg", "case1.cfg", "case1b.cfg",
-                                      "case2.cfg", "case2b.cfg", "case3.cfg"])
+    @pytest.mark.parametrize("name", SHIPPED)
     def test_parses_and_synthesizes(self, name):
         spec = gio.read_scenario(SCENARIO_DIR / name)
         stream, truth = synthesize(spec, FS, seed=0)
         assert len(stream) == len(truth) == int(round(spec.duration * FS)) + 1
+
+    @pytest.mark.parametrize("name", SHIPPED)
+    def test_rewrite_keeps_every_line(self, tmp_path, name):
+        # a shipped file, comments aside, is what write_scenario writes
+        text = (SCENARIO_DIR / name).read_text().splitlines()
+        expect = [line for line in text if not line.startswith("#")]
+        path = tmp_path / name
+        gio.write_scenario(path, gio.read_scenario(SCENARIO_DIR / name))
+        got = path.read_text().splitlines()
+        assert [line for line in got if line in expect] == expect

@@ -130,14 +130,13 @@ class TestFeRe:
 class TestAggregate:
     def test_mean_and_worst(self):
         a = MetricsReport(0.1, 0.05, 1.0, 0.5, 0.1, 10)
-        b = MetricsReport(0.3, 0.01, 2.0, 0.3, 0.1, 20, recon_error=0.2)
+        b = MetricsReport(0.3, 0.01, 2.0, 0.3, 0.1, 20)
         mean, worst = aggregate([a, b])
         assert mean.max_fe == pytest.approx(0.2)
         assert mean.rmse_fe == pytest.approx(0.03)
         assert worst.max_fe == pytest.approx(0.3)
         assert worst.max_re == pytest.approx(2.0)
         assert mean.n_samples == 30
-        assert mean.recon_error == pytest.approx(0.2)
 
     def test_empty_rejected(self):
         with pytest.raises(AlignmentError):
@@ -145,9 +144,6 @@ class TestAggregate:
 
 
 class TestReconstructionError:
-    # the default 12-sample report cadence is half a 50 Hz period, which
-    # strobes a clean tone at its zero crossings; report every 5 samples so
-    # the sampled waveform has energy at the report instants
     CFG = replace(EstimatorConfig(), report_every=5)
 
     def test_small_after_lock_on_clean_tone(self):
@@ -181,9 +177,19 @@ class TestReconstructionError:
             meas.append(stream.values[idx])
             recon.append(ahat)
         m, r = np.array(meas), np.array(recon)
-        expect = float(np.linalg.norm(m - r) / np.linalg.norm(m))
+        # normalised by the RMS of every sample, not only the report instants
+        expect = float(np.sqrt(np.mean((m - r) ** 2))
+                       / np.sqrt(np.mean(stream.values ** 2)))
         assert reconstruction_error(series, stream) == pytest.approx(
             expect, rel=0, abs=1e-12)
+
+    def test_default_cadence_on_clean_tone(self):
+        # every 12th sample of a 50 Hz tone at 1.2 kHz is a zero crossing;
+        # normalising by the report instants alone gave about 4e9 here
+        stream, _ = synthesize(ScenarioSpec(duration=2.0, base_freq=50.0), FS)
+        series = run(stream, EstimatorConfig())
+        assert EstimatorConfig().report_every == 12
+        assert reconstruction_error(series, stream, t_min=0.5) < 0.01
 
     def test_errors(self):
         stream, _ = synthesize(ScenarioSpec(duration=1.0, base_freq=50.0), FS)

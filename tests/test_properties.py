@@ -8,9 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridfreq import (EstimatorConfig, EventProfile, FreqSeries,
-                      SampleStream, ScenarioSpec, amp_phase, init,
+                      RampProfile, SampleStream, ScenarioSpec, amp_phase, init,
                       rolling_rocof, step, synthesize)
 from gridfreq import io as gio
+from gridfreq.synth import (ConstantProfile, DcSpec, HarmonicSpec, NoiseSpec,
+                            StepSpec)
 from gridfreq.model import ParameterVector, harmonic_basis, output_and_gradient
 
 finite = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False,
@@ -84,6 +86,81 @@ def test_sample_csv_round_trip_is_bitwise(values, tmp_path_factory):
     gio.write_samples(path, stream)
     back = gio.read_samples(path)
     np.testing.assert_array_equal(back.values, stream.values)
+
+
+# --------------------------------------------------------------------------
+# key-value file round trips
+# --------------------------------------------------------------------------
+
+real = st.floats(-1e3, 1e3)
+positive = st.floats(1e-3, 1e3)
+unit = st.floats(0.0, 1.0)
+
+profiles = st.one_of(
+    st.just(ConstantProfile()),
+    st.builds(RampProfile, t_start=real, duration=positive, df_hz=real),
+    st.builds(EventProfile, t_start=real,
+              peak_dev_hz=real.filter(lambda v: v != 0.0),
+              peak_rocof_hzps=positive))
+noises = st.none() | st.builds(
+    NoiseSpec, kind=st.sampled_from(["gaussian", "colored", "impulsive"]),
+    level=st.floats(0.0, 0.2), seed=st.integers(0, 2 ** 64),
+    pole=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    impulse_rate=unit, impulse_mag=st.floats(0.0, 1e6))
+
+
+@st.composite
+def scenario_specs(draw):
+    duration = draw(positive)
+    # each half of the window fits in half the record
+    steps = st.builds(lambda a, b, amp, ph: StepSpec(0.5 * a * duration,
+                                                     0.5 * b * duration, amp, ph),
+                      unit, unit, real, real)
+    return ScenarioSpec(
+        duration=duration, base_freq=draw(positive), amp_pu=draw(real),
+        phase0_rad=draw(real), profile=draw(profiles), noise=draw(noises),
+        harmonics=draw(st.lists(st.builds(HarmonicSpec, st.integers(2, 50),
+                                          unit, real), max_size=3)),
+        steps=draw(st.lists(steps, max_size=3)),
+        dc_events=draw(st.lists(st.builds(DcSpec, real, real, positive),
+                                max_size=3)),
+        distortion_knee=draw(st.none() | positive))
+
+
+@st.composite
+def estimator_configs(draw):
+    n = draw(st.integers(1, 8))
+    f0 = draw(st.floats(1.0, 100.0))
+    gains = st.lists(positive, min_size=n, max_size=n).map(tuple)
+    return EstimatorConfig(
+        n=n, f0=f0, ts=draw(st.floats(0.01, 0.99)) * 0.5 / (n * f0),
+        gamma_c=draw(gains), gamma_s=draw(gains), gamma_dc=draw(positive),
+        gamma_dc1=draw(positive),
+        beta_omega=draw(st.floats(0.0, 2.0, exclude_min=True, exclude_max=True)),
+        eta_opt=draw(positive), eta_band=draw(st.floats(0.0, 0.5)),
+        obs_filter=draw(st.sampled_from(["identity", "lowpass"])),
+        obs_cutoff_hz=draw(positive),
+        rocof_smooth_window=draw(st.integers(1, 1000)),
+        report_every=draw(st.integers(1, 1000)),
+        anchor_policy=draw(st.sampled_from(["saturate", "reset"])),
+        t_reset_s=draw(positive))
+
+
+@settings(max_examples=100, deadline=None)
+@given(spec=scenario_specs())
+def test_scenario_file_round_trip(spec, tmp_path_factory):
+    path = tmp_path_factory.mktemp("kv") / "s.cfg"
+    gio.write_scenario(path, spec)
+    assert gio.read_scenario(path) == spec
+
+
+@settings(max_examples=100, deadline=None)
+@given(config=estimator_configs())
+def test_config_file_round_trip(config, tmp_path_factory):
+    config.validate()
+    path = tmp_path_factory.mktemp("kv") / "c.cfg"
+    gio.write_config(path, config)
+    assert gio.read_config(path) == config
 
 
 # --------------------------------------------------------------------------
