@@ -45,9 +45,9 @@ def digest(series: EstimateSeries) -> str:
 
 def state_digest(state: EstimatorState) -> str:
     th = state.theta
-    vals = [th.a_c, th.a_s, th.a_dc, th.a_dc1, state.omega1, state.f_hz,
-            state.phase_acc, state.k, state.t_anchor, state.eta_k,
-            state.zfilt, state.diverged, list(state.rocof_buf)]
+    vals = [th.a_c, th.a_s, th.a_dc, th.a_dc1, state.f_hz, state.phase_acc,
+            state.k, state.t_anchor, state.zfilt, state.diverged,
+            list(state.rocof_buf)]
     return hashlib.sha256(repr(vals).encode()).hexdigest()
 
 
@@ -69,11 +69,11 @@ def cases() -> Iterator[tuple[str, SampleStream, EstimatorConfig]]:
             for label, overrides in CONFIGS.items():
                 yield (f"{path.stem}/seed{seed}/{label}", stream,
                        EstimatorConfig(**overrides))
-    # divergence fixtures: amplitudes far outside the clamped loop's range,
+    # amplitude fixtures: 0.1 and 3 pu run, 10 pu and raw volts (325) diverge;
     # and a non-finite sample
     base, _ = synthesize(gio.read_scenario(ROOT / "scenarios" / "case1.cfg"),
                          FS, seed=0)
-    for scale in (10.0, 325.0):
+    for scale in (0.1, 3.0, 10.0, 325.0):
         yield (f"case1/seed0/x{scale:g}",
                SampleStream(base.t0, base.ts, base.values * scale),
                EstimatorConfig())
