@@ -2,9 +2,9 @@
 
 An adaptive observer tracks the coefficients of a harmonic-plus-DC signal
 model sample by sample and adjusts the fundamental frequency by gradient
-descent on the prediction error.  The package also ships a scenario
-synthesizer with exact ground truth, a rolling-window baseline, a PSO gain
-tuner, latency-aligned error metrics and a batch CLI.
+descent on the prediction error at a fixed learning rate.  The package also
+ships a scenario synthesizer with exact ground truth, a rolling-window
+baseline, a PSO gain tuner, latency-aligned error metrics and a batch CLI.
 """
 
 from .baselines import FreqSeries, rolling_rocof

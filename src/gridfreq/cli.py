@@ -140,9 +140,7 @@ def cmd_sweep_eta(args: argparse.Namespace) -> int:
         if ratio < 1.0:
             print(f"sweep-eta: ratio {ratio} < 1", file=sys.stderr)
             return EXIT_INPUT
-        # the sweep pins the rate at ratio * eta_opt; the self-tuning band
-        # is collapsed so the swept value is actually used
-        cfg = replace(base, eta_opt=base.eta_opt * ratio, eta_band=0.0)
+        cfg = replace(base, eta_opt=base.eta_opt * ratio)
         stream, truth = synthesize(spec, args.fs, seed=args.seed)
         series = run(stream, cfg)
         if series.diverged_at is not None:
@@ -265,7 +263,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="optional bound; exceeding it exits 4")
     p.set_defaults(func=cmd_metrics)
 
-    p = sub.add_parser("sweep-eta", help="RMSE table over eta/eta_opt ratios")
+    p = sub.add_parser("sweep-eta",
+                       help="RMSE table with the frequency-loop rate set to "
+                            "each ratio times eta_opt")
     p.add_argument("scenario")
     p.add_argument("--config", default=None)
     p.add_argument("--ratios", type=float, nargs="+",

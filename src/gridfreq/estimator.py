@@ -3,15 +3,14 @@
 The estimator tracks the coefficients of the harmonic-plus-DC signal model
 (:mod:`gridfreq.model`) with gradient parameter updates driven by the
 filtered observation residual, and adjusts the fundamental frequency by
-steepest descent on the squared prediction error.  The learning rate of the
-frequency loop is self-tuning, clamped to a narrow band around its
-calibrated optimum.
+steepest descent on the squared prediction error at the constant learning
+rate ``eta_opt``.
 
 All laws are strictly per-sample: one call to :func:`step` consumes one
 sample and mutates the state in place.  :func:`step` is a single fused
 scalar kernel: one loop builds the harmonic basis and the prediction, one
 loop updates the coefficients and sums the frequency gradient.  The
-products of ``ts`` with the gains, the learning-rate band and the other
+products of ``ts`` with the gains, the low-pass coefficient and the other
 per-config constants are computed once per (state, config) pair and cached
 on the state; :class:`EstimatorConfig` is frozen so that cache cannot go
 stale.  The kernel's outputs are bit-identical to the unfused form of the
@@ -35,8 +34,6 @@ from .synth import SampleStream
 
 TWO_PI = 2.0 * math.pi
 INV_TWO_PI = 1.0 / TWO_PI
-# floor on the squared frequency gradient in the self-tuned learning rate
-GRAD_FLOOR = 1e-6
 
 
 # --------------------------------------------------------------------------
@@ -49,8 +46,7 @@ class EstimatorConfig:
 
     ``gamma_c[i-1]``/``gamma_s[i-1]`` drive the sine/cosine coefficient of
     harmonic i, ``gamma_dc``/``gamma_dc1`` the DC pair.  ``eta_opt`` is the
-    calibrated frequency-loop learning rate; the self-tuned rate is clamped
-    to [1-eta_band, 1+eta_band] * eta_opt.
+    learning rate of the frequency loop, used on every sample.
     """
 
     n: int = 7
@@ -60,9 +56,7 @@ class EstimatorConfig:
     gamma_s: tuple[float, ...] = ()
     gamma_dc: float = 50.0
     gamma_dc1: float = 50.0
-    beta_omega: float = 1.0
-    eta_opt: float = 1600.0
-    eta_band: float = 0.05
+    eta_opt: float = 1680.0
     obs_filter: str = "identity"          # "identity" | "lowpass"
     obs_cutoff_hz: float = 500.0
     rocof_smooth_window: int = 96
@@ -93,12 +87,8 @@ class EstimatorConfig:
         if any(g <= 0 for g in (*self.gamma_c, *self.gamma_s,
                                 self.gamma_dc, self.gamma_dc1)):
             raise ConfigError("all gains must be positive")
-        if not 0.0 < self.beta_omega < 2.0:
-            raise ConfigError("beta_omega must lie in (0, 2)")
         if self.eta_opt <= 0:
             raise ConfigError("eta_opt must be positive")
-        if not 0.0 <= self.eta_band <= 0.5:
-            raise ConfigError("eta_band must lie in [0, 0.5]")
         if self.obs_filter not in ("identity", "lowpass"):
             raise ConfigError(f"unknown observation filter {self.obs_filter!r}")
         if self.rocof_smooth_window < 1 or self.report_every < 1:
@@ -116,12 +106,10 @@ class EstimatorConfig:
 @dataclass
 class EstimatorState:
     theta: ParameterVector
-    omega1: float                      # rad/s
     f_hz: float
     phase_acc: float = 0.0             # wrapped fundamental phase, [0, 2pi)
     k: int = 0
     t_anchor: float = 0.0              # elapsed time since last re-anchor
-    eta_k: float = 0.0
     zfilt: float = 0.0                 # one-pole observation-filter state
     diverged: bool = False
     rocof_buf: deque[float] = field(default_factory=deque)
@@ -131,10 +119,9 @@ class EstimatorState:
 
     def copy(self) -> "EstimatorState":
         # the kernel cache holds scratch lists, so a copy rebuilds its own
-        return EstimatorState(self.theta.copy(), self.omega1, self.f_hz,
-                              self.phase_acc, self.k, self.t_anchor, self.eta_k,
-                              self.zfilt, self.diverged, self.rocof_buf.copy(),
-                              self.t0)
+        return EstimatorState(self.theta.copy(), self.f_hz, self.phase_acc,
+                              self.k, self.t_anchor, self.zfilt, self.diverged,
+                              self.rocof_buf.copy(), self.t0)
 
 
 @dataclass
@@ -187,26 +174,9 @@ def init(config: EstimatorConfig, t0: float = 0.0) -> EstimatorState:
     """
     config.validate()
     state = EstimatorState(theta=ParameterVector.zeros(config.n),
-                           omega1=TWO_PI * config.f0,
-                           f_hz=config.f0,
-                           eta_k=config.eta_opt,
-                           t0=t0)
+                           f_hz=config.f0, t0=t0)
     _bind(state, config)
     return state
-
-
-def eta_band(config: EstimatorConfig) -> tuple[float, float]:
-    """Clamp band [lo, hi] of the self-tuned learning rate."""
-    return ((1.0 - config.eta_band) * config.eta_opt,
-            (1.0 + config.eta_band) * config.eta_opt)
-
-
-def adapt_eta(gradient: float, config: EstimatorConfig) -> float:
-    """Self-tuned learning rate, clamped to the band around eta_opt."""
-    g2 = max(gradient * gradient, GRAD_FLOOR)
-    eta_raw = config.beta_omega / (config.ts * g2)
-    lo, hi = eta_band(config)
-    return min(max(eta_raw, lo), hi)
 
 
 def amp_phase(a_s: float, a_c: float) -> tuple[float, float]:
@@ -231,10 +201,7 @@ class _Kernel(NamedTuple):
     tg_dc: float                       # ts * gamma_dc
     g_dc1: float
     alpha: float | None                # low-pass coefficient; None: identity
-    beta: float
-    floor: float
-    lo: float                          # eta clamp band
-    hi: float
+    eta: float                         # frequency-loop learning rate
     f0: float
     half_f0: float
     saturate: bool                     # anchor policy
@@ -250,7 +217,6 @@ def _bind(state: EstimatorState, config: EstimatorConfig) -> _Kernel:
     """
     n = config.n
     ts = config.ts
-    lo, hi = eta_band(config)
     window = config.rocof_smooth_window
     if getattr(state.rocof_buf, "maxlen", None) != window:
         # a shorter window drops the oldest values at once
@@ -270,10 +236,7 @@ def _bind(state: EstimatorState, config: EstimatorConfig) -> _Kernel:
         tg_dc=ts * config.gamma_dc,
         g_dc1=config.gamma_dc1,
         alpha=alpha,
-        beta=config.beta_omega,
-        floor=GRAD_FLOOR,
-        lo=lo,
-        hi=hi,
+        eta=config.eta_opt,
         f0=config.f0,
         half_f0=config.f0 / 2,
         saturate=config.anchor_policy == "saturate",
@@ -295,8 +258,8 @@ def step(state: EstimatorState, sample: float, config: EstimatorConfig
     kernel = state.kernel
     if kernel is None or kernel.config is not config:
         kernel = _bind(state, config)
-    (_, idx, tgc, tgs, harm, cos_i, sin_i, ts, tg_dc, g_dc1, alpha, beta, floor,
-     lo, hi, f0, half_f0, saturate, t_reset, report_every) = kernel
+    (_, idx, tgc, tgs, harm, cos_i, sin_i, ts, tg_dc, g_dc1, alpha, eta, f0,
+     half_f0, saturate, t_reset, report_every) = kernel
 
     th = state.theta
     a_c = th.a_c
@@ -335,21 +298,10 @@ def step(state: EstimatorState, sample: float, config: EstimatorConfig
     th.a_dc = a_dc
     th.a_dc1 = a_dc1
 
-    # self-tuned rate (adapt_eta, with the band cached) and descent update
-    g2 = g * g
-    if g2 < floor:
-        g2 = floor
-    eta = beta / (ts * g2)
-    if eta < lo:
-        eta = lo
-    if eta > hi:
-        eta = hi
-    state.eta_k = eta
+    # descent update of the frequency
     rocof_raw = INV_TWO_PI * eta * z * g
     f = state.f_hz + ts * rocof_raw
     state.f_hz = f
-    omega1 = TWO_PI * f
-    state.omega1 = omega1
 
     # divergence watchdog: a non-finite coefficient makes the sum non-finite;
     # a sum that overflowed from finite values goes to the exact check
@@ -360,6 +312,7 @@ def step(state: EstimatorState, sample: float, config: EstimatorConfig
         return None
 
     # advance phase, anchor and sample counter
+    omega1 = TWO_PI * f
     phase = (state.phase_acc + omega1 * ts) % TWO_PI
     state.phase_acc = phase
     k = state.k + 1
@@ -464,11 +417,12 @@ def pe_gram(omega1: float, n: int, fs: float, normalized: bool = True
 
 def calibrate_eta_opt(stream: SampleStream, config: EstimatorConfig,
                       skip_s: float = 0.5) -> float:
-    """Offline eta_opt: beta / (Ts * mean-square frequency gradient).
+    """Offline eta_opt: 1 / (Ts * mean-square frequency gradient).
 
     Runs the estimator over a calibration stream with the configured
     eta_opt, collects the squared frequency gradient after the initial
-    transient and evaluates the stability-bound expression at its mean.
+    transient and evaluates the stability bound ``beta/(Ts*g^2)`` at its
+    mean with ``beta = 1``.
     """
     config.validate()
     state = init(config)
@@ -486,4 +440,4 @@ def calibrate_eta_opt(stream: SampleStream, config: EstimatorConfig,
             count += 1
     if count == 0:
         raise ConfigError("calibration stream too short")
-    return config.beta_omega / (config.ts * (g2_sum / count))
+    return 1.0 / (config.ts * (g2_sum / count))

@@ -195,6 +195,9 @@ class _Keys:
                 key, value = (part.strip() for part in line.split("=", 1))
                 if not key:
                     raise ScenarioError(f"{path}:{lineno}: empty key")
+                if key in self.kv:
+                    raise ScenarioError(f"{path}:{lineno}: duplicate key `{key}` "
+                                        f"(first on line {self.kv[key][0]})")
                 self.kv[key] = (lineno, value)
 
     def take(self, key: str, kind: type, default: Any = MISSING) -> Any:

@@ -198,7 +198,7 @@ def test_c06_eta_sweep_trend():
     stream, truth = synthesize(case1(0.02, 0), FS, seed=0)
     rows = []
     for ratio in ratios:
-        cfg = replace(CONFIG, eta_opt=CONFIG.eta_opt * ratio, eta_band=0.0)
+        cfg = replace(CONFIG, eta_opt=CONFIG.eta_opt * ratio)
         series = run(stream, cfg)
         assert series.diverged_at is None
         m = evaluate(series, truth, LATENCY)

@@ -98,6 +98,25 @@ class TestEstimateAndMetrics:
         assert rc == EXIT_INPUT
         assert f"c.cfg:{lineno}: key `{key}`" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line, message", [
+        # keys of the retired self-tuning rate law: ignoring them would run
+        # the file's eta_opt without its band, 5 % slower than it used to
+        ("eta_band = 0.05", "unknown key `eta_band`"),
+        ("beta_omega = 1.0", "unknown key `beta_omega`"),
+        ("report_every = 6", "duplicate key `report_every`"),
+    ])
+    def test_rejected_config_line_is_input_error(self, tmp_path, synth_outputs,
+                                                 capsys, line, message):
+        samples, _ = synth_outputs
+        config = tmp_path / "c.cfg"
+        gio.write_config(config, EstimatorConfig())
+        text = [*config.read_text().splitlines(), line]
+        config.write_text("\n".join(text) + "\n")
+        rc = main(["estimate", str(samples), "--config", str(config),
+                   "--out", str(tmp_path / "est.csv")])
+        assert rc == EXIT_INPUT
+        assert f"c.cfg:{len(text)}: {message}" in capsys.readouterr().err
+
     def test_report_every_flag(self, tmp_path, synth_outputs):
         samples, _ = synth_outputs
         est = tmp_path / "est.csv"
@@ -150,7 +169,7 @@ class TestEstimateAndMetrics:
     def test_divergence_exits_3(self, tmp_path, capsys):
         # a destabilizing learning rate makes the watchdog trip
         cfg_path = tmp_path / "hot.cfg"
-        cfg = EstimatorConfig(eta_opt=1e9, eta_band=0.0)
+        cfg = EstimatorConfig(eta_opt=1e9)
         gio.write_config(cfg_path, cfg)
         stream, _ = synthesize(ScenarioSpec(duration=1.0, base_freq=50.0), FS)
         samples = tmp_path / "s.csv"

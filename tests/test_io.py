@@ -137,8 +137,8 @@ class TestConfigRoundTrip:
     def test_nondefault(self, tmp_path):
         cfg = EstimatorConfig(n=3, f0=60.0, ts=1.0 / 1500.0,
                               gamma_c=(1.0, 2.0, 3.0), gamma_s=(4.0, 5.0, 6.0),
-                              gamma_dc=7.0, gamma_dc1=8.0, beta_omega=1.5,
-                              eta_opt=900.0, eta_band=0.1, obs_filter="lowpass",
+                              gamma_dc=7.0, gamma_dc1=8.0, eta_opt=900.0,
+                              obs_filter="lowpass",
                               obs_cutoff_hz=300.0, rocof_smooth_window=24,
                               report_every=3, anchor_policy="reset",
                               t_reset_s=0.4)
@@ -161,15 +161,28 @@ class TestConfigRoundTrip:
     def test_comments_and_blank_lines_ignored(self, tmp_path):
         path = tmp_path / "c.cfg"
         gio.write_config(path, EstimatorConfig())
-        text = "# leading comment\n\n" + path.read_text() + "\nn = 7  # inline\n"
-        path.write_text(text)
+        text = path.read_text().replace("report_every = 12\n",
+                                        "report_every = 12  # inline\n\n")
+        path.write_text("# leading comment\n\n" + text)
         assert gio.read_config(path) == EstimatorConfig()
+
+    def test_duplicate_key_rejected(self, tmp_path):
+        path = tmp_path / "c.cfg"
+        gio.write_config(path, EstimatorConfig())
+        lines = path.read_text().splitlines()
+        first = lines.index("report_every = 12") + 1
+        path.write_text("\n".join([*lines, "report_every = 6"]) + "\n")
+        with pytest.raises(ScenarioError,
+                           match=rf"c\.cfg:{len(lines) + 1}: duplicate key "
+                                 rf"`report_every` \(first on line {first}\)"):
+            gio.read_config(path)
 
     @pytest.mark.parametrize("line, match", [
         ("report_every = 12.7", r"c\.cfg:2: key `report_every` is not an integer"),
         ("eta_opt = nan", r"c\.cfg:2: key `eta_opt` is not finite"),
         ("t_reset_s = inf", r"c\.cfg:2: key `t_reset_s` is not finite"),
-        ("eta_band = abc", r"c\.cfg:2: key `eta_band` is not a number"),
+        ("eta_band = abc", r"c\.cfg:2: unknown key `eta_band`"),
+        ("obs_cutoff_hz = abc", r"c\.cfg:2: key `obs_cutoff_hz` is not a number"),
         ("report_evry = 6", r"c\.cfg:2: unknown key `report_evry`"),
         ("gamma_c_8 = 40.0", r"c\.cfg:2: unknown key `gamma_c_8`"),
     ])
@@ -196,9 +209,9 @@ class TestConfigRoundTrip:
         keys = [line.split(" = ")[0] for line in path.read_text().splitlines()]
         assert keys == ["n", "f0_hz", "ts_s", "gamma_c_1", "gamma_c_2",
                         "gamma_s_1", "gamma_s_2", "gamma_dc", "gamma_dc1",
-                        "beta_omega", "eta_opt", "eta_band", "obs_filter",
-                        "obs_cutoff_hz", "rocof_smooth_window", "report_every",
-                        "anchor_policy", "t_reset_s"]
+                        "eta_opt", "obs_filter", "obs_cutoff_hz",
+                        "rocof_smooth_window", "report_every", "anchor_policy",
+                        "t_reset_s"]
 
     def test_invalid_config_rejected_on_read(self, tmp_path):
         path = tmp_path / "c.cfg"
@@ -275,6 +288,14 @@ class TestScenarioRoundTrip:
         path = tmp_path / "s.cfg"
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ScenarioError, match=rf"s\.cfg:{len(lines)}: {match}"):
+            gio.read_scenario(path)
+
+    def test_duplicate_key_rejected(self, tmp_path):
+        path = tmp_path / "s.cfg"
+        path.write_text("duration = 1.0\nbase_freq = 50.0\nnoise.level = 0.01\n"
+                        "# a later block repeats a key\nnoise.level = 0.2\n")
+        with pytest.raises(ScenarioError, match=r"s\.cfg:5: duplicate key "
+                                                r"`noise.level` \(first on line 3\)"):
             gio.read_scenario(path)
 
     def test_integral_values_accepted(self, tmp_path):

@@ -135,9 +135,7 @@ def estimator_configs(draw):
     return EstimatorConfig(
         n=n, f0=f0, ts=draw(st.floats(0.01, 0.99)) * 0.5 / (n * f0),
         gamma_c=draw(gains), gamma_s=draw(gains), gamma_dc=draw(positive),
-        gamma_dc1=draw(positive),
-        beta_omega=draw(st.floats(0.0, 2.0, exclude_min=True, exclude_max=True)),
-        eta_opt=draw(positive), eta_band=draw(st.floats(0.0, 0.5)),
+        gamma_dc1=draw(positive), eta_opt=draw(positive),
         obs_filter=draw(st.sampled_from(["identity", "lowpass"])),
         obs_cutoff_hz=draw(positive),
         rocof_smooth_window=draw(st.integers(1, 1000)),

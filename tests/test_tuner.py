@@ -82,7 +82,7 @@ class TestIseFitness:
         assert ise_fitness(gains, battery, cfg) == DIVERGENCE_PENALTY
 
     def test_divergent_gains_are_penalized(self, battery):
-        cfg = replace(EstimatorConfig(), eta_opt=1e9, eta_band=0.0)
+        cfg = replace(EstimatorConfig(), eta_opt=1e9)
         gains = [*cfg.gamma_c, *cfg.gamma_s, cfg.gamma_dc, cfg.gamma_dc1]
         assert ise_fitness(gains, battery, cfg) >= DIVERGENCE_PENALTY
 
