@@ -1,5 +1,5 @@
-"""Command-line front end: synthesis, estimation, metrics, sweeps, tuning
-and benchmarking.
+"""Command-line front end: synthesis, estimation, metrics, learning-rate
+sweeps and PSO gain tuning.
 
 Exit codes: 0 success, 2 input error, 3 divergence, 4 metric-bound failure.
 """
@@ -7,21 +7,16 @@ Exit codes: 0 success, 2 input error, 3 divergence, 4 metric-bound failure.
 from __future__ import annotations
 
 import argparse
-import statistics
 import sys
-import time
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
 from . import io as gio
 from .errors import GridFreqError
-from .estimator import EstimatorConfig, init, run, step
+from .estimator import EstimatorConfig, run
 from .metrics import MetricsReport, aggregate, evaluate
-from .synth import ScenarioSpec, synthesize
-from .tuner import (PsoParams, SearchSpace, apply_gain_vector, pso_minimize,
-                    pso_tune)
+from .synth import synthesize
+from .tuner import PsoParams, SearchSpace, apply_gain_vector, pso_tune
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -134,14 +129,12 @@ def cmd_sweep_eta(args: argparse.Namespace) -> int:
     spec = gio.read_scenario(args.scenario)
     base = _load_config(args.config)
     latency = args.latency_ms / 1000.0
+    stream, truth = synthesize(spec, args.fs, seed=args.seed)
     print("ratio,rmse_fe,rmse_re")
     rows = []
     for ratio in args.ratios:
-        if ratio < 1.0:
-            print(f"sweep-eta: ratio {ratio} < 1", file=sys.stderr)
-            return EXIT_INPUT
+        # a rate that is not finite and positive exits 2 in run's validate
         cfg = replace(base, eta_opt=base.eta_opt * ratio)
-        stream, truth = synthesize(spec, args.fs, seed=args.seed)
         series = run(stream, cfg)
         if series.diverged_at is not None:
             print(f"{ratio},DIVERGED,DIVERGED")
@@ -160,11 +153,6 @@ def cmd_sweep_eta(args: argparse.Namespace) -> int:
 def cmd_tune(args: argparse.Namespace) -> int:
     pso = PsoParams(swarm_size=args.swarm, iterations=args.iterations,
                     seed=args.seed)
-    if args.sphere_test:
-        space = SearchSpace(bounds=((-5.0, 5.0),) * args.sphere_dims)
-        result = pso_minimize(lambda x: float(np.sum(x * x)), space, pso)
-        print(f"sphere best score: {result.best_score:.3e}")
-        return EXIT_OK if result.best_score < 1e-3 else EXIT_BOUNDS
     config = _load_config(args.config)
     scenarios = []
     for path in args.scenario:
@@ -180,44 +168,6 @@ def cmd_tune(args: argparse.Namespace) -> int:
     if args.history is not None:
         gio.write_history(args.history, history)
         print(f"wrote {args.history}")
-    return EXIT_OK
-
-
-def cmd_bench(args: argparse.Namespace) -> int:
-    config = EstimatorConfig() if args.config is None else gio.read_config(args.config)
-    if args.n is not None:
-        config = replace(config, n=args.n, gamma_c=(), gamma_s=())
-    if args.steps < 1:
-        print(f"bench: --steps must be >= 1, got {args.steps}", file=sys.stderr)
-        return EXIT_INPUT
-    spec = ScenarioSpec(duration=1.0, base_freq=config.f0)
-    stream, _ = synthesize(spec, 1.0 / config.ts, seed=0)
-    samples = np.tile(stream.values,
-                      args.steps // len(stream) + 1)[:args.steps].tolist()
-    state = init(config)
-    # chunked timing: per-call clock reads would dominate at ~µs step cost
-    chunk = 10_000
-    times = []
-    done = 0
-    while done < args.steps:
-        hi = min(done + chunk, args.steps)
-        block = samples[done:hi]
-        t0 = time.perf_counter()
-        for x in block:
-            step(state, x, config)
-        dt = time.perf_counter() - t0
-        times.append(dt / (hi - done))
-        done = hi
-        if state.diverged:
-            print("bench stream diverged (unexpected)")
-            return EXIT_DIVERGED
-    mean_us = statistics.fmean(times) * 1e6
-    med_us = statistics.median(times) * 1e6
-    p99_us = float(np.percentile(times, 99)) * 1e6
-    print(f"steps: {args.steps}")
-    print(f"mean step time: {mean_us:.2f} us")
-    print(f"median step time (per-chunk): {med_us:.2f} us")
-    print(f"p99 step time (per-chunk): {p99_us:.2f} us")
     return EXIT_OK
 
 
@@ -291,16 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tune-eta", action="store_true")
     p.add_argument("--eta-lo", type=float, default=100.0)
     p.add_argument("--eta-hi", type=float, default=10000.0)
-    p.add_argument("--sphere-test", action="store_true",
-                   help="optimizer self-test on the sphere function")
-    p.add_argument("--sphere-dims", type=int, default=4)
     p.set_defaults(func=cmd_tune)
-
-    p = sub.add_parser("bench", help="per-step throughput measurement")
-    p.add_argument("--config", default=None)
-    p.add_argument("--steps", type=int, default=1_000_000)
-    p.add_argument("--n", type=int, default=None)
-    p.set_defaults(func=cmd_bench)
 
     return ap
 

@@ -29,7 +29,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError, DivergenceError
-from .model import ParameterVector, output_and_gradient
+from .model import ParameterVector
 from .synth import SampleStream
 
 TWO_PI = 2.0 * math.pi
@@ -73,6 +73,12 @@ class EstimatorConfig:
     def validate(self) -> None:
         if self.n < 1:
             raise ConfigError("harmonic order n must be >= 1")
+        for name in ("f0", "ts", "gamma_c", "gamma_s", "gamma_dc", "gamma_dc1",
+                     "eta_opt", "obs_cutoff_hz", "t_reset_s"):
+            value = getattr(self, name)
+            if not all(map(math.isfinite, value if isinstance(value, tuple)
+                           else (value,))):
+                raise ConfigError(f"{name} must be finite, got {value}")
         if self.f0 <= 0:
             raise ConfigError("nominal frequency must be positive")
         if self.ts <= 0:
@@ -116,12 +122,6 @@ class EstimatorState:
     t0: float = 0.0                    # time of the first sample
     # per-config constants of the step kernel, see _bind
     kernel: _Kernel | None = field(default=None, repr=False, compare=False)
-
-    def copy(self) -> "EstimatorState":
-        # the kernel cache holds scratch lists, so a copy rebuilds its own
-        return EstimatorState(self.theta.copy(), self.f_hz, self.phase_acc,
-                              self.k, self.t_anchor, self.zfilt, self.diverged,
-                              self.rocof_buf.copy(), self.t0)
 
 
 @dataclass
@@ -376,68 +376,3 @@ def run(stream: SampleStream, config: EstimatorConfig) -> EstimateSeries:
             diverged_at = state.k
             break
     return EstimateSeries(records=records, n=config.n, diverged_at=diverged_at)
-
-
-# --------------------------------------------------------------------------
-# Persistence of excitation
-# --------------------------------------------------------------------------
-
-def pe_gram(omega1: float, n: int, fs: float, normalized: bool = True
-            ) -> tuple[np.ndarray, float, float]:
-    """Gram matrix of the sinusoidal regressor over one fundamental period.
-
-    Integrates S*S^T (sinusoidal entries only, interleaved cos/sin per
-    harmonic) over tau = 2*pi/omega1 by the rectangle rule at rate ``fs``.
-    With ``normalized`` the integral is divided by the period length, so the
-    diagonal of an orthogonal basis is 1/2; without it the diagonal is
-    pi/omega1.  Returns (matrix, smallest eigenvalue, largest eigenvalue).
-    """
-    if omega1 <= 0:
-        raise ConfigError("omega1 must be positive")
-    if fs <= 2.0 * n * omega1 / TWO_PI:
-        raise ConfigError("sampling rate violates Nyquist for the requested order")
-    tau = TWO_PI / omega1
-    m = int(round(fs * tau))
-    t = np.arange(m) / fs
-    rows = []
-    for i in range(1, n + 1):
-        rows.append(np.cos(i * omega1 * t))
-        rows.append(np.sin(i * omega1 * t))
-    S = np.vstack(rows)
-    gram = (S @ S.T) / m
-    if not normalized:
-        gram = gram * tau
-    eig = np.linalg.eigvalsh(gram)
-    return gram, float(eig[0]), float(eig[-1])
-
-
-# --------------------------------------------------------------------------
-# Learning-rate calibration
-# --------------------------------------------------------------------------
-
-def calibrate_eta_opt(stream: SampleStream, config: EstimatorConfig,
-                      skip_s: float = 0.5) -> float:
-    """Offline eta_opt: 1 / (Ts * mean-square frequency gradient).
-
-    Runs the estimator over a calibration stream with the configured
-    eta_opt, collects the squared frequency gradient after the initial
-    transient and evaluates the stability bound ``beta/(Ts*g^2)`` at its
-    mean with ``beta = 1``.
-    """
-    config.validate()
-    state = init(config)
-    g2_sum = 0.0
-    count = 0
-    skip = int(round(skip_s / config.ts))
-    for sample in stream.values.tolist():
-        _, g = output_and_gradient(state.theta, state.phase_acc,
-                                   state.t_anchor)
-        step(state, sample, config)
-        if state.diverged:
-            break
-        if state.k > skip:
-            g2_sum += g * g
-            count += 1
-    if count == 0:
-        raise ConfigError("calibration stream too short")
-    return 1.0 / (config.ts * (g2_sum / count))

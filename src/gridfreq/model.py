@@ -9,8 +9,8 @@ i.e. a truncated harmonic series around a fundamental w1 plus a first-order
 (Taylor) approximation of a decaying DC offset.
 
 :func:`output_and_gradient` is the one definition of this model and of its
-derivative with respect to w1; the metrics, the learning-rate calibration
-and the tests evaluate the model through it.  The estimator's per-sample
+derivative with respect to w1; the metrics and the tests evaluate the
+model through it.  The estimator's per-sample
 ``step`` carries a fused specialisation of the same arithmetic for speed,
 and a test pins it to this function bit for bit.
 """

@@ -293,8 +293,8 @@ def synthesize(spec: ScenarioSpec, fs: float, seed: int | None = None
     time-varying profiles produce physically consistent waveforms.  ``seed``
     overrides the seed of the scenario's noise block when given.
     """
-    if fs <= 0:
-        raise ScenarioError("sampling rate must be positive")
+    if not (math.isfinite(fs) and fs > 0):
+        raise ScenarioError(f"sampling rate must be finite and positive, got {fs:g}")
     if spec.duration * fs < 2:
         raise ScenarioError("scenario too short for the requested sampling rate")
     f_peak = spec.base_freq + max(abs(_peak_freq_excursion(spec.profile)), 0.0)

@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
+import math
+
 import numpy as np
 
 from .errors import ConfigError
@@ -19,6 +21,11 @@ from .estimator import EstimatorConfig, run
 from .synth import GroundTruth, SampleStream
 
 DIVERGENCE_PENALTY = 1e6
+
+# velocity-update weights of the standard global-best swarm
+INERTIA = 0.7
+COGNITIVE = 1.5
+SOCIAL = 1.5
 
 
 @dataclass(frozen=True)
@@ -33,6 +40,8 @@ class SearchSpace:
         if not self.bounds:
             raise ConfigError("search space must have at least one dimension")
         for lo, hi in self.bounds:
+            if not (math.isfinite(lo) and math.isfinite(hi)):
+                raise ConfigError(f"bounds must be finite, got ({lo:g}, {hi:g})")
             if not lo < hi:
                 raise ConfigError("each lower bound must be below its upper bound")
         if not self.log_scale:
@@ -54,9 +63,6 @@ class SearchSpace:
 class PsoParams:
     swarm_size: int = 30
     iterations: int = 50
-    inertia: float = 0.7
-    cognitive: float = 1.5
-    social: float = 1.5
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -156,9 +162,9 @@ def pso_minimize(fn: Callable[[np.ndarray], float], space: SearchSpace,
     for _ in range(pso.iterations):
         r1 = rng.random((pso.swarm_size, d))
         r2 = rng.random((pso.swarm_size, d))
-        vel = (pso.inertia * vel
-               + pso.cognitive * r1 * (pbest - pos)
-               + pso.social * r2 * (gbest - pos))
+        vel = (INERTIA * vel
+               + COGNITIVE * r1 * (pbest - pos)
+               + SOCIAL * r2 * (gbest - pos))
         vel = np.clip(vel, -vmax, vmax)
         pos = np.clip(pos + vel, wlo, whi)
         for i in range(pso.swarm_size):

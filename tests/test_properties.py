@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridfreq import (EstimatorConfig, EventProfile, FreqSeries,
-                      RampProfile, SampleStream, ScenarioSpec, amp_phase, init,
-                      rolling_rocof, step, synthesize)
+from gridfreq import (EstimatorConfig, EventProfile, RampProfile,
+                      SampleStream, ScenarioSpec, init, step, synthesize)
 from gridfreq import io as gio
+from gridfreq.estimator import amp_phase
 from gridfreq.synth import (ConstantProfile, DcSpec, HarmonicSpec, NoiseSpec,
                             StepSpec)
 from gridfreq.model import ParameterVector, harmonic_basis, output_and_gradient
@@ -51,17 +51,6 @@ def test_eval_model_is_linear_in_the_coefficients(data, n, omega, t):
     rhs = (output_and_gradient(th1, omega * t, t)[0]
            + output_and_gradient(th2, omega * t, t)[0])
     assert lhs == pytest.approx(rhs, abs=1e-8)
-
-
-@given(slope=st.floats(-5.0, 5.0), intercept=st.floats(40.0, 60.0),
-       lag=st.integers(1, 50))
-def test_rolling_rocof_is_exact_on_affine_series(slope, intercept, lag):
-    ts = 1.0 / 1200.0
-    t = np.arange(100) * ts
-    series = FreqSeries(0.0, ts, intercept + slope * t)
-    out = rolling_rocof(series, lag * ts)
-    np.testing.assert_allclose(out.values, slope, atol=1e-6)
-    assert len(out) == 100 - lag
 
 
 @given(peak_dev=st.floats(0.05, 2.0).filter(lambda v: abs(v) > 1e-3),

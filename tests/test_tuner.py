@@ -29,6 +29,13 @@ class TestSearchSpace:
         with pytest.raises(ConfigError):
             SearchSpace(bounds=((0.1, 1.0),), log_scale=(True, False))
 
+    @pytest.mark.parametrize("bounds", [(1.0, float("inf")),
+                                        (float("-inf"), 1.0),
+                                        (1.0, float("nan"))])
+    def test_non_finite_bounds_rejected(self, bounds):
+        with pytest.raises(ConfigError, match="finite"):
+            SearchSpace(bounds=(bounds,))
+
 
 class TestPsoParams:
     def test_validation(self):
