@@ -16,7 +16,7 @@ from .metrics import (MetricsReport, aggregate, align, evaluate, fe_re,
 from .model import ParameterVector, output_and_gradient
 from .synth import (ConstantProfile, DcSpec, EventProfile, GroundTruth,
                     HarmonicSpec, NoiseSpec, RampProfile, SampleStream,
-                    ScenarioSpec, StepSpec, add_noise, synthesize)
+                    ScenarioSpec, StepSpec, synthesize)
 from .tuner import (PsoParams, SearchSpace, TuneResult, apply_gain_vector,
                     ise_fitness, pso_minimize, pso_tune)
 
@@ -28,8 +28,8 @@ __all__ = [
     "EstimatorState", "EventProfile", "GridFreqError", "GroundTruth",
     "HarmonicSpec", "MetricsReport", "NoiseSpec", "ParameterVector",
     "PsoParams", "RampProfile", "SampleStream", "ScenarioError",
-    "ScenarioSpec", "SearchSpace", "StepSpec", "TuneResult", "add_noise",
-    "aggregate", "align", "apply_gain_vector", "evaluate", "fe_re", "init",
-    "ise_fitness", "output_and_gradient", "pso_minimize", "pso_tune",
-    "reconstruction_error", "run", "step", "synthesize",
+    "ScenarioSpec", "SearchSpace", "StepSpec", "TuneResult", "aggregate",
+    "align", "apply_gain_vector", "evaluate", "fe_re", "init", "ise_fitness",
+    "output_and_gradient", "pso_minimize", "pso_tune", "reconstruction_error",
+    "run", "step", "synthesize",
 ]

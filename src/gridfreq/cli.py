@@ -1,18 +1,22 @@
 """Command-line front end: synthesis, estimation, metrics, learning-rate
 sweeps and PSO gain tuning.
 
+Estimator settings come only from ``--config``; ``metrics``, ``sweep-eta``
+and ``tune`` render at its ``1 / ts``, the one rate the estimator accepts.
+
 Exit codes: 0 success, 2 input error, 3 divergence, 4 metric-bound failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
 
 from . import io as gio
-from .errors import GridFreqError
+from .errors import ConfigError, GridFreqError
 from .estimator import EstimatorConfig, run
 from .metrics import MetricsReport, aggregate, evaluate
 from .synth import synthesize
@@ -22,6 +26,8 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_DIVERGED = 3
 EXIT_BOUNDS = 4
+
+BOUNDS = ("max_fe", "rmse_fe", "max_re", "rmse_re")   # metrics bound flags
 
 
 def _load_config(path: str | None) -> EstimatorConfig:
@@ -39,13 +45,20 @@ def _print_report(report: MetricsReport, label: str = "") -> None:
     print(f"{'pairs':>16}: {report.n_samples}")
 
 
+def _require_finite(args: argparse.Namespace, *names: str) -> None:
+    """Reject a float flag that is not finite, naming the flag."""
+    for name in names:
+        value = getattr(args, name)
+        if value is not None and not math.isfinite(value):
+            raise ConfigError(f"--{name.replace('_', '-')} must be finite, got {value}")
+
+
 def _check_bounds(report: MetricsReport, args: argparse.Namespace) -> bool:
     ok = True
-    for attr, flag in (("max_fe", "max_fe"), ("rmse_fe", "rmse_fe"),
-                       ("max_re", "max_re"), ("rmse_re", "rmse_re")):
-        bound = getattr(args, flag)
-        if bound is not None and getattr(report, attr) > bound:
-            print(f"BOUND FAIL: {attr} = {getattr(report, attr):.6g} > {bound:g}")
+    for name in BOUNDS:
+        bound = getattr(args, name)
+        if bound is not None and getattr(report, name) > bound:
+            print(f"BOUND FAIL: {name} = {getattr(report, name):.6g} > {bound:g}")
             ok = False
     return ok
 
@@ -70,10 +83,6 @@ def cmd_synth(args: argparse.Namespace) -> int:
 def cmd_estimate(args: argparse.Namespace) -> int:
     stream = gio.read_samples(args.samples)
     config = _load_config(args.config)
-    if args.report_every is not None:
-        config = replace(config, report_every=args.report_every)
-    if args.n is not None:
-        config = replace(config, n=args.n, gamma_c=(), gamma_s=())
     series = run(stream, config)
     gio.write_estimates(args.out, series)
     print(f"wrote {args.out} ({len(series)} records)")
@@ -85,6 +94,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
 
 
 def cmd_metrics(args: argparse.Namespace) -> int:
+    _require_finite(args, "latency_ms", "skip", *BOUNDS)
     latency = args.latency_ms / 1000.0
     config = _load_config(args.config)
     if args.scenario is not None:
@@ -93,7 +103,7 @@ def cmd_metrics(args: argparse.Namespace) -> int:
         reports = []
         diverged = 0
         for seed in range(args.seeds):
-            stream, truth = synthesize(spec, args.fs, seed=seed)
+            stream, truth = synthesize(spec, 1.0 / config.ts, seed=seed)
             series = run(stream, config)
             if series.diverged_at is not None:
                 diverged += 1
@@ -126,27 +136,25 @@ def cmd_metrics(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep_eta(args: argparse.Namespace) -> int:
+    _require_finite(args, "latency_ms", "skip")
     spec = gio.read_scenario(args.scenario)
     base = _load_config(args.config)
     latency = args.latency_ms / 1000.0
-    stream, truth = synthesize(spec, args.fs, seed=args.seed)
-    print("ratio,rmse_fe,rmse_re")
-    rows = []
+    stream, truth = synthesize(spec, 1.0 / base.ts, seed=args.seed)
+    lines = ["ratio,rmse_fe,rmse_re"]
+    print(lines[0])
     for ratio in args.ratios:
-        # a rate that is not finite and positive exits 2 in run's validate
+        # a rate that is not finite and positive exits 2: replace validates
         cfg = replace(base, eta_opt=base.eta_opt * ratio)
         series = run(stream, cfg)
         if series.diverged_at is not None:
             print(f"{ratio},DIVERGED,DIVERGED")
             return EXIT_DIVERGED
         rep = evaluate(series, truth, latency, skip_s=args.skip)
-        rows.append((ratio, rep.rmse_fe, rep.rmse_re))
-        print(f"{ratio},{rep.rmse_fe!r},{rep.rmse_re!r}")
+        lines.append(f"{ratio},{rep.rmse_fe!r},{rep.rmse_re!r}")
+        print(lines[-1])
     if args.out is not None:
-        with open(args.out, "w") as fh:
-            fh.write("ratio,rmse_fe,rmse_re\n")
-            for ratio, fe, re in rows:
-                fh.write(f"{ratio},{fe!r},{re!r}\n")
+        Path(args.out).write_text("\n".join(lines) + "\n")
     return EXIT_OK
 
 
@@ -157,7 +165,7 @@ def cmd_tune(args: argparse.Namespace) -> int:
     scenarios = []
     for path in args.scenario:
         spec = gio.read_scenario(path)
-        scenarios.append(synthesize(spec, args.fs, seed=args.seed))
+        scenarios.append(synthesize(spec, 1.0 / config.ts, seed=args.seed))
     bounds = [(args.gain_lo, args.gain_hi)] * (2 * config.n + 2)
     if args.tune_eta:
         bounds.append((args.eta_lo, args.eta_hi))
@@ -192,8 +200,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("samples")
     p.add_argument("--config", default=None)
     p.add_argument("--out", default="estimates.csv")
-    p.add_argument("--report-every", type=int, default=None)
-    p.add_argument("--n", type=int, default=None)
     p.set_defaults(func=cmd_estimate)
 
     p = sub.add_parser("metrics", help="latency-aligned FE/RE report")
@@ -203,13 +209,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="Monte-Carlo mode: synthesize and run per seed")
     p.add_argument("--config", default=None)
     p.add_argument("--seeds", type=int, default=20)
-    p.add_argument("--fs", type=float, default=1200.0)
     p.add_argument("--latency-ms", type=float, default=100.0)
     p.add_argument("--skip", type=float, default=0.5,
                    help="transient exclusion window (s)")
     p.add_argument("--out", default=None)
-    for flag in ("--max-fe", "--rmse-fe", "--max-re", "--rmse-re"):
-        p.add_argument(flag, type=float, default=None,
+    for name in BOUNDS:
+        p.add_argument("--" + name.replace("_", "-"), type=float, default=None,
                        help="optional bound; exceeding it exits 4")
     p.set_defaults(func=cmd_metrics)
 
@@ -220,7 +225,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", default=None)
     p.add_argument("--ratios", type=float, nargs="+",
                    default=[1.0, 1.02, 1.04, 1.06])
-    p.add_argument("--fs", type=float, default=1200.0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--latency-ms", type=float, default=100.0)
     p.add_argument("--skip", type=float, default=0.5)
@@ -232,7 +236,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", default=None)
     p.add_argument("--out", default="tuned.cfg")
     p.add_argument("--history", default=None)
-    p.add_argument("--fs", type=float, default=1200.0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--swarm", type=int, default=30)
     p.add_argument("--iterations", type=int, default=50)

@@ -46,7 +46,8 @@ class EstimatorConfig:
 
     ``gamma_c[i-1]``/``gamma_s[i-1]`` drive the sine/cosine coefficient of
     harmonic i, ``gamma_dc``/``gamma_dc1`` the DC pair.  ``eta_opt`` is the
-    learning rate of the frequency loop, used on every sample.
+    learning rate of the frequency loop, used on every sample.  Building a
+    config, also by :func:`dataclasses.replace`, validates it.
     """
 
     n: int = 7
@@ -69,6 +70,7 @@ class EstimatorConfig:
             gains = getattr(self, name)
             object.__setattr__(self, name,
                                tuple(gains) if gains else (40.0,) * self.n)
+        self.validate()
 
     def validate(self) -> None:
         if self.n < 1:
@@ -97,6 +99,8 @@ class EstimatorConfig:
             raise ConfigError("eta_opt must be positive")
         if self.obs_filter not in ("identity", "lowpass"):
             raise ConfigError(f"unknown observation filter {self.obs_filter!r}")
+        if self.obs_cutoff_hz <= 0:
+            raise ConfigError("observation-filter cutoff must be positive")
         if self.rocof_smooth_window < 1 or self.report_every < 1:
             raise ConfigError("window and report interval must be >= 1 sample")
         if self.anchor_policy not in ("saturate", "reset"):
@@ -172,7 +176,6 @@ def init(config: EstimatorConfig, t0: float = 0.0) -> EstimatorState:
     ``t0`` is the time of the first sample; records are stamped
     ``t0 + k*ts`` after the k-th sample.
     """
-    config.validate()
     state = EstimatorState(theta=ParameterVector.zeros(config.n),
                            f_hz=config.f0, t0=t0)
     _bind(state, config)
@@ -360,7 +363,6 @@ def step(state: EstimatorState, sample: float, config: EstimatorConfig
 
 def run(stream: SampleStream, config: EstimatorConfig) -> EstimateSeries:
     """Fold :func:`step` over a stream; report divergence if it occurs."""
-    config.validate()
     if abs(stream.ts - config.ts) > 1e-9 * config.ts:
         raise ConfigError(
             f"stream interval {stream.ts:g} does not match config ts {config.ts:g}"

@@ -81,6 +81,8 @@ def _uniform_grid(path: str | Path, t: np.ndarray, what: str
     """(t0, ts) of a time column, which must be uniformly spaced."""
     if len(t) < 2:
         raise ScenarioError(f"{path}: need at least two {what}")
+    if not np.isfinite(t).all():
+        raise ScenarioError(f"{path}: {what} times must be finite")
     ts = float(t[1] - t[0])
     if ts <= 0 or np.abs(np.diff(t) - ts).max() > 1e-9:
         raise ScenarioError(f"{path}: {what} times are not uniformly spaced")
@@ -311,7 +313,6 @@ def read_config(path: str | Path) -> EstimatorConfig:
     # the harmonic count sizes the gain tuples, so it is the one required key
     cfg = _read(keys, EstimatorConfig, n=keys.take("n", int))
     keys.finish()
-    cfg.validate()
     return cfg
 
 

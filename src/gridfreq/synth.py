@@ -3,10 +3,11 @@
 Generates single-channel sampled waveforms built from a fundamental with a
 configurable frequency profile, harmonic content, amplitude/phase step
 windows, decaying DC offsets, an optional soft-saturation distortion stage
-and additive noise.  The fundamental phase is obtained by analytically
-integrating the frequency profile, so ramps and dips are physically
-consistent and the recorded ground truth (frequency, RoCoF, amplitude,
-phase) is exact rather than finite-differenced.
+and the additive noise of a :class:`NoiseSpec`.  The fundamental phase is
+obtained by analytically integrating the frequency profile, so ramps and
+dips are physically consistent and the recorded ground truth (frequency,
+RoCoF, amplitude, phase) is exact rather than finite-differenced.  The
+Nyquist check reads the same rendered frequency.
 """
 
 from __future__ import annotations
@@ -57,8 +58,6 @@ class GroundTruth:
     rocof_hzps: np.ndarray
     amp_pu: np.ndarray
     phase_rad: np.ndarray
-    dc_amp: float = 0.0
-    dc_tau: float = 1.0
 
     def __post_init__(self) -> None:
         for name in ("freq_hz", "rocof_hzps", "amp_pu", "phase_rad"):
@@ -66,8 +65,6 @@ class GroundTruth:
         n = self.freq_hz.size
         if any(getattr(self, f).size != n for f in ("rocof_hzps", "amp_pu", "phase_rad")):
             raise ScenarioError("ground-truth sequences must have equal length")
-        if self.dc_amp != 0.0 and self.dc_tau <= 0:
-            raise ScenarioError("dc_tau must be positive when dc_amp is nonzero")
 
     def times(self) -> np.ndarray:
         return self.t0 + self.ts * np.arange(self.freq_hz.size)
@@ -134,8 +131,8 @@ class EventProfile:
 
     f(t) = f0 - (D/2) * (1 - cos(2*pi*u/T)) for u = t - t_start in [0, T],
     with T = pi * |D| / R so that max |df/dt| equals ``peak_rocof_hzps`` and
-    the peak deviation equals ``peak_dev_hz`` (negative deviation dips below
-    nominal, positive swells above it).
+    the peak deviation equals ``peak_dev_hz`` (positive deviation dips below
+    nominal, negative swells above it).
     """
 
     t_start: float
@@ -297,16 +294,15 @@ def synthesize(spec: ScenarioSpec, fs: float, seed: int | None = None
         raise ScenarioError(f"sampling rate must be finite and positive, got {fs:g}")
     if spec.duration * fs < 2:
         raise ScenarioError("scenario too short for the requested sampling rate")
-    f_peak = spec.base_freq + max(abs(_peak_freq_excursion(spec.profile)), 0.0)
-    if spec.max_order * f_peak >= fs / 2:
-        raise ScenarioError(
-            f"harmonic order {spec.max_order} at {f_peak:g} Hz violates Nyquist for fs={fs:g}"
-        )
 
     n_samples = int(round(spec.duration * fs)) + 1
     t = np.arange(n_samples) / fs
 
     f1 = spec.profile.freq(t, spec.base_freq)
+    if spec.max_order * f1.max() >= fs / 2:
+        raise ScenarioError(
+            f"harmonic order {spec.max_order} at {f1.max():g} Hz violates Nyquist for fs={fs:g}"
+        )
     rocof = spec.profile.rocof(t, spec.base_freq)
     phi1 = TWO_PI * spec.profile.freq_integral(t, spec.base_freq) + spec.phase0_rad
 
@@ -328,64 +324,33 @@ def synthesize(spec: ScenarioSpec, fs: float, seed: int | None = None
         k = spec.distortion_knee
         values = k * np.tanh(values / k)
 
-    stream = SampleStream(t0=0.0, ts=1.0 / fs, values=values)
     if spec.noise is not None and spec.noise.level > 0:
-        eff_seed = spec.noise.seed if seed is None else seed
-        stream = add_noise(stream, spec.noise.kind, spec.noise.level, eff_seed,
-                           pole=spec.noise.pole,
-                           impulse_rate=spec.noise.impulse_rate,
-                           impulse_mag=spec.noise.impulse_mag,
-                           amp_ref=spec.amp_pu)
+        values = values + _noise(spec.noise, n_samples, spec.amp_pu,
+                                 spec.noise.seed if seed is None else seed)
 
-    dc_amp = spec.dc_events[0].a_dc_pu if spec.dc_events else 0.0
-    dc_tau = spec.dc_events[0].tau_s if spec.dc_events else 1.0
+    stream = SampleStream(t0=0.0, ts=1.0 / fs, values=values)
     truth = GroundTruth(t0=0.0, ts=1.0 / fs, freq_hz=f1, rocof_hzps=rocof,
-                        amp_pu=amp, phase_rad=phase, dc_amp=dc_amp, dc_tau=dc_tau)
+                        amp_pu=amp, phase_rad=phase)
     return stream, truth
 
 
-def _peak_freq_excursion(profile: FreqProfile) -> float:
-    if isinstance(profile, RampProfile):
-        return profile.df_hz
-    if isinstance(profile, EventProfile):
-        return max(profile.peak_dev_hz, 0.0)
-    return 0.0
-
-
-def add_noise(stream: SampleStream, kind: str, level: float, seed: int,
-              pole: float = 0.9, impulse_rate: float = 1e-3,
-              impulse_mag: float = 10.0, amp_ref: float | None = None
-              ) -> SampleStream:
-    """Return a copy of ``stream`` with additive noise.
-
-    ``level`` is the target standard deviation as a fraction of the
-    fundamental amplitude; when ``amp_ref`` is not given it is estimated as
-    sqrt(2) * RMS of the stream (exact for a pure tone).
-    """
-    if level < 0:
-        raise ScenarioError("noise level must be non-negative")
-    if level == 0:
-        return stream
-    if amp_ref is None:
-        amp_ref = math.sqrt(2.0) * float(np.sqrt(np.mean(stream.values ** 2)))
-    sigma = level * amp_ref
+def _noise(spec: NoiseSpec, n: int, amp_pu: float, seed: int) -> np.ndarray:
+    """``n`` samples of the noise ``spec`` describes, its standard deviation
+    ``spec.level`` times the fundamental amplitude ``amp_pu``."""
+    sigma = spec.level * amp_pu
     rng = np.random.default_rng(seed)
-    n = len(stream)
-    if kind == "gaussian":
-        noise = rng.normal(0.0, sigma, n)
-    elif kind == "colored":
+    if spec.kind == "gaussian":
+        return rng.normal(0.0, sigma, n)
+    if spec.kind == "colored":
         white = rng.normal(0.0, 1.0, n)
         y = np.empty(n)
         acc = 0.0
         for i in range(n):
-            acc = pole * acc + white[i]
+            acc = spec.pole * acc + white[i]
             y[i] = acc
         # variance-match the AR(1) output to the requested sigma
-        noise = y * (sigma / math.sqrt(1.0 / (1.0 - pole * pole)))
-    elif kind == "impulsive":
-        hits = rng.random(n) < impulse_rate
-        signs = np.where(rng.random(n) < 0.5, -1.0, 1.0)
-        noise = np.where(hits, signs * impulse_mag * sigma, 0.0)
-    else:
-        raise ScenarioError(f"unknown noise kind {kind!r}")
-    return SampleStream(stream.t0, stream.ts, stream.values + noise)
+        return y * (sigma / math.sqrt(1.0 / (1.0 - spec.pole * spec.pole)))
+    # impulsive, the one kind left that NoiseSpec admits
+    hits = rng.random(n) < spec.impulse_rate
+    signs = np.where(rng.random(n) < 0.5, -1.0, 1.0)
+    return np.where(hits, signs * spec.impulse_mag * sigma, 0.0)

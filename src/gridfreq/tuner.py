@@ -85,14 +85,9 @@ def apply_gain_vector(config: EstimatorConfig, gains: Sequence[float]
         raise ConfigError(
             f"gain vector length {len(g)} does not match 2n+2 or 2n+3 for n={n}"
         )
-    cfg = replace(config,
-                  gamma_c=tuple(g[:n]),
-                  gamma_s=tuple(g[n:2 * n]),
-                  gamma_dc=g[2 * n],
-                  gamma_dc1=g[2 * n + 1])
-    if len(g) == 2 * n + 3:
-        cfg = replace(cfg, eta_opt=g[2 * n + 2])
-    return cfg
+    eta = {"eta_opt": g[2 * n + 2]} if len(g) == 2 * n + 3 else {}
+    return replace(config, gamma_c=tuple(g[:n]), gamma_s=tuple(g[n:2 * n]),
+                   gamma_dc=g[2 * n], gamma_dc1=g[2 * n + 1], **eta)
 
 
 def ise_fitness(gains: Sequence[float],
@@ -109,7 +104,6 @@ def ise_fitness(gains: Sequence[float],
         raise ConfigError("scenario battery must not be empty")
     try:
         cfg = apply(config, gains)
-        cfg.validate()
     except ConfigError:
         return DIVERGENCE_PENALTY
     score = 0.0

@@ -14,18 +14,24 @@ TWO_PI = 2.0 * math.pi
 
 
 def reference_estimator(values, ts, n, f0, gamma_c, gamma_s, gamma_dc,
-                        gamma_dc1, beta_omega, eta_opt, eta_band, cap,
-                        grad_floor=1e-6):
+                        gamma_dc1, eta_opt, t_reset, cutoff_hz=None,
+                        reset=False):
     """Plain transcription of the per-sample adaptation laws.
 
     Model: a_hat = sum_i a_c[i]*sin((i+1)*phi) + a_s[i]*cos((i+1)*phi)
-                   + a_dc - a_dc1*t_anchor, residual z = sample - a_hat.
+                   + a_dc - a_dc1*t_anchor, residual r = sample - a_hat.
 
+    The laws are driven by z = r, or, when ``cutoff_hz`` is given, by the
+    one-pole low-pass z += alpha*(r - z) with alpha = 1 - exp(-2*pi*fc*ts).
     Coefficient updates are scaled gradient steps on z**2/2; the frequency
-    update is steepest descent with self-tuned rate clamped to the band
-    around eta_opt; the anchor time saturates at ``cap``.  Returns parallel
-    lists (f_hz, rocof_raw) with one entry per consumed sample.
+    update is steepest descent at the fixed rate ``eta_opt``.  When the
+    anchor time reaches ``t_reset`` it saturates there, or with ``reset``
+    it returns to 0 after the slope term is folded into a_dc.  Returns
+    parallel lists (f_hz, rocof_raw) with one entry per consumed sample.
     """
+    alpha = None
+    if cutoff_hz is not None:
+        alpha = 1.0 - math.exp(-TWO_PI * cutoff_hz * ts)
     a_c = [0.0] * n
     a_s = [0.0] * n
     a_dc = 0.0
@@ -33,6 +39,7 @@ def reference_estimator(values, ts, n, f0, gamma_c, gamma_s, gamma_dc,
     f_hz = f0
     phi = 0.0
     t_anchor = 0.0
+    z = 0.0
     f_trace = []
     rocof_trace = []
     for sample in values:
@@ -40,7 +47,10 @@ def reference_estimator(values, ts, n, f0, gamma_c, gamma_s, gamma_dc,
         for i in range(n):
             a_hat += a_c[i] * math.sin((i + 1) * phi)
             a_hat += a_s[i] * math.cos((i + 1) * phi)
-        z = sample - a_hat
+        if alpha is None:
+            z = sample - a_hat
+        else:
+            z = z + alpha * ((sample - a_hat) - z)
 
         for i in range(n):
             a_c[i] += ts * gamma_c[i] * z * math.sin((i + 1) * phi)
@@ -52,14 +62,17 @@ def reference_estimator(values, ts, n, f0, gamma_c, gamma_s, gamma_dc,
         for i in range(n):
             g += (i + 1) * t_anchor * (a_c[i] * math.cos((i + 1) * phi)
                                        - a_s[i] * math.sin((i + 1) * phi))
-        eta = beta_omega / (ts * max(g * g, grad_floor))
-        eta = min(max(eta, (1.0 - eta_band) * eta_opt),
-                  (1.0 + eta_band) * eta_opt)
-        rocof_raw = eta * z * g / TWO_PI
+        rocof_raw = eta_opt * z * g / TWO_PI
         f_hz = f_hz + ts * rocof_raw
 
         phi = (phi + TWO_PI * f_hz * ts) % TWO_PI
-        t_anchor = min(t_anchor + ts, cap)
+        t_anchor = t_anchor + ts
+        if t_anchor >= t_reset:
+            if reset:
+                a_dc -= a_dc1 * t_anchor
+                t_anchor = 0.0
+            else:
+                t_anchor = t_reset
 
         f_trace.append(f_hz)
         rocof_trace.append(rocof_raw)

@@ -9,10 +9,10 @@ PUBLIC = {
     "EstimatorState", "EventProfile", "GridFreqError", "GroundTruth",
     "HarmonicSpec", "MetricsReport", "NoiseSpec", "ParameterVector",
     "PsoParams", "RampProfile", "SampleStream", "ScenarioError",
-    "ScenarioSpec", "SearchSpace", "StepSpec", "TuneResult", "add_noise",
-    "aggregate", "align", "apply_gain_vector", "evaluate", "fe_re", "init",
-    "ise_fitness", "output_and_gradient", "pso_minimize", "pso_tune",
-    "reconstruction_error", "run", "step", "synthesize",
+    "ScenarioSpec", "SearchSpace", "StepSpec", "TuneResult", "aggregate",
+    "align", "apply_gain_vector", "evaluate", "fe_re", "init", "ise_fitness",
+    "output_and_gradient", "pso_minimize", "pso_tune", "reconstruction_error",
+    "run", "step", "synthesize",
 }
 
 
@@ -23,5 +23,5 @@ def test_star_import_resolves_every_exported_name():
 
 
 def test_public_names_are_pinned():
-    assert len(gridfreq.__all__) == len(PUBLIC) == 39
+    assert len(gridfreq.__all__) == len(PUBLIC) == 38
     assert set(gridfreq.__all__) == PUBLIC

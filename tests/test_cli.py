@@ -120,8 +120,10 @@ class TestEstimateAndMetrics:
     def test_report_every_flag(self, tmp_path, synth_outputs):
         samples, _ = synth_outputs
         est = tmp_path / "est.csv"
+        config = tmp_path / "c.cfg"
+        gio.write_config(config, replace(EstimatorConfig(), report_every=100))
         assert main(["estimate", str(samples), "--out", str(est),
-                     "--report-every", "100"]) == EXIT_OK
+                     "--config", str(config)]) == EXIT_OK
         assert len(gio.read_estimates(est)) == (int(round(2.0 * FS)) + 1) // 100
 
     def test_bound_violation_exits_4(self, tmp_path, synth_outputs, capsys):
@@ -210,6 +212,20 @@ class TestEstimateAndMetrics:
         err = capsys.readouterr().err
         assert "error:" in err and "tone_samples.csv:4" in err
 
+    @pytest.mark.parametrize("row", [1, 500])
+    def test_non_finite_sample_time_is_input_error(self, tmp_path,
+                                                   synth_outputs, capsys, row):
+        samples, _ = synth_outputs
+        lines = samples.read_text().splitlines()
+        lines[row] = "nan," + lines[row].split(",")[1]
+        samples.write_text("\n".join(lines) + "\n")
+        est = tmp_path / "e.csv"
+        rc = main(["estimate", str(samples), "--out", str(est)])
+        assert rc == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert "error:" in err and "tone_samples.csv: samples times" in err
+        assert not est.exists()
+
     def test_ragged_truth_file_is_input_error(self, tmp_path, synth_outputs,
                                               capsys):
         samples, truth = synth_outputs
@@ -281,6 +297,13 @@ class TestNonFiniteInput:
         (["sweep-eta", "{scenario}", "--ratios", "nan"], "eta_opt"),
         (["tune", "--scenario", "{scenario}", "--gain-hi", "inf",
           "--swarm", "2", "--iterations", "1"], "bounds must be finite"),
+        *((["metrics", "--scenario", "{scenario}", "--seeds", "1", flag, "nan"],
+           f"{flag} must be finite")
+          for flag in ("--max-fe", "--rmse-fe", "--max-re", "--rmse-re",
+                       "--latency-ms", "--skip")),
+        (["sweep-eta", "{scenario}", "--latency-ms", "nan"],
+         "--latency-ms must be finite"),
+        (["sweep-eta", "{scenario}", "--skip", "inf"], "--skip must be finite"),
     ])
     def test_is_input_error(self, tmp_path, scenario_file, capsys, argv,
                             message):

@@ -45,11 +45,12 @@ class TestConfig:
         dict(report_every=0),
         dict(anchor_policy="drift"),
         dict(t_reset_s=0.0),
+        dict(obs_cutoff_hz=0.0),
+        dict(obs_cutoff_hz=-100.0),
     ])
     def test_validation_rejects(self, kwargs):
-        cfg = EstimatorConfig(**kwargs)
         with pytest.raises(ConfigError):
-            cfg.validate()
+            EstimatorConfig(**kwargs)
 
     @pytest.mark.parametrize("name", ["f0", "ts", "gamma_c", "gamma_s",
                                       "gamma_dc", "gamma_dc1", "eta_opt",
@@ -57,9 +58,8 @@ class TestConfig:
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_validation_rejects_non_finite(self, name, bad):
         value = (40.0,) * 6 + (bad,) if name in ("gamma_c", "gamma_s") else bad
-        cfg = replace(EstimatorConfig(), **{name: value})
         with pytest.raises(ConfigError, match=f"{name} must be finite"):
-            cfg.validate()
+            replace(EstimatorConfig(), **{name: value})
 
     def test_defaults_are_valid(self):
         EstimatorConfig().validate()
@@ -92,33 +92,47 @@ class TestAmpPhase:
 
 
 class TestStepAgainstReference:
-    def test_clean_tone_trace_matches_oracle(self):
-        cfg = replace(EstimatorConfig(), report_every=1)
-        stream = _clean_stream(2.0)
+    @staticmethod
+    def _check(stream, cfg):
         series = run(stream, cfg)
-        # a zero band pins the oracle's self-tuned rate at eta_opt
         f_ref, rocof_ref = reference_estimator(
             stream.values, TS, cfg.n, cfg.f0, cfg.gamma_c, cfg.gamma_s,
-            cfg.gamma_dc, cfg.gamma_dc1, beta_omega=1.0, eta_opt=cfg.eta_opt,
-            eta_band=0.0, cap=cfg.t_reset_s)
-        got_f = series.f_hz()
-        np.testing.assert_allclose(got_f, f_ref[:len(got_f)], atol=1e-9)
+            cfg.gamma_dc, cfg.gamma_dc1, eta_opt=cfg.eta_opt,
+            t_reset=cfg.t_reset_s,
+            cutoff_hz=(cfg.obs_cutoff_hz if cfg.obs_filter == "lowpass"
+                       else None),
+            reset=cfg.anchor_policy == "reset")
+        assert len(series) == len(stream)
+        np.testing.assert_allclose(series.f_hz(), f_ref, atol=1e-9)
         got_raw = np.array([r.rocof_raw_hzps for r in series.records])
-        np.testing.assert_allclose(got_raw, rocof_ref[:len(got_raw)], atol=1e-5)
+        np.testing.assert_allclose(got_raw, rocof_ref, atol=1e-5)
+
+    @staticmethod
+    def _noisy_stream():
+        stream, _ = synthesize(ScenarioSpec(duration=1.0, base_freq=50.0), FS)
+        rng = np.random.default_rng(0)
+        return SampleStream(stream.t0, stream.ts,
+                            stream.values + rng.normal(0.0, 0.02, len(stream)))
+
+    def test_clean_tone_trace_matches_oracle(self):
+        self._check(_clean_stream(2.0),
+                    replace(EstimatorConfig(), report_every=1))
 
     def test_noisy_trace_matches_oracle(self):
-        cfg = replace(EstimatorConfig(), report_every=1)
-        spec = ScenarioSpec(duration=1.0, base_freq=50.0)
-        stream, _ = synthesize(spec, FS)
-        rng = np.random.default_rng(0)
-        stream = SampleStream(stream.t0, stream.ts,
-                              stream.values + rng.normal(0.0, 0.02, len(stream)))
-        series = run(stream, cfg)
-        f_ref, _ = reference_estimator(
-            stream.values, TS, cfg.n, cfg.f0, cfg.gamma_c, cfg.gamma_s,
-            cfg.gamma_dc, cfg.gamma_dc1, beta_omega=1.0, eta_opt=cfg.eta_opt,
-            eta_band=0.0, cap=cfg.t_reset_s)
-        np.testing.assert_allclose(series.f_hz(), f_ref[:len(series)], atol=1e-9)
+        self._check(self._noisy_stream(),
+                    replace(EstimatorConfig(), report_every=1))
+
+    @pytest.mark.parametrize("variant", [
+        dict(obs_filter="lowpass", obs_cutoff_hz=400.0),
+        dict(anchor_policy="reset", t_reset_s=0.5),
+        dict(obs_filter="lowpass", obs_cutoff_hz=400.0,
+             anchor_policy="reset", t_reset_s=0.5),
+    ], ids=["lowpass", "reset", "lowpass-reset"])
+    @pytest.mark.parametrize("noisy", [False, True], ids=["clean", "noisy"])
+    def test_filter_and_anchor_branches_match_oracle(self, variant, noisy):
+        stream = self._noisy_stream() if noisy else _clean_stream(2.0)
+        self._check(stream, replace(EstimatorConfig(), report_every=1,
+                                    **variant))
 
     def test_residual_shrinks_after_lock(self):
         cfg = EstimatorConfig()

@@ -36,6 +36,16 @@ class TestSampleRoundTrip:
         with pytest.raises(ScenarioError):
             gio.read_samples(path)
 
+    @pytest.mark.parametrize("rows", ["nan,1.0\n0.1,2.0\n0.2,3.0\n",
+                                      "0.0,1.0\nnan,2.0\n0.2,3.0\n",
+                                      "0.0,1.0\n0.1,2.0\ninf,3.0\n"])
+    def test_rejects_non_finite_time(self, tmp_path, rows):
+        path = tmp_path / "bad.csv"
+        path.write_text("t,value\n" + rows)
+        with pytest.raises(ScenarioError, match="bad.csv: samples times must "
+                                                "be finite"):
+            gio.read_samples(path)
+
     def test_rejects_wrong_header(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("time,val\n0.0,1.0\n")
@@ -81,6 +91,16 @@ class TestTruthAndPhasorRoundTrip:
                         "0.001,50.0,0.0,1.0,0.1\n"
                         "0.005,50.0,0.0,1.0,0.2\n")
         with pytest.raises(ScenarioError, match="not uniformly spaced"):
+            gio.read_truth(path)
+
+    def test_truth_rejects_non_finite_time(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("t,freq_hz,rocof_hzps,amp_pu,phase_rad\n"
+                        "0.0,50.0,0.0,1.0,0.0\n"
+                        "nan,50.0,0.0,1.0,0.1\n"
+                        "0.002,50.0,0.0,1.0,0.2\n")
+        with pytest.raises(ScenarioError, match="truth rows times must be "
+                                                "finite"):
             gio.read_truth(path)
 
 
@@ -215,7 +235,8 @@ class TestConfigRoundTrip:
 
     def test_invalid_config_rejected_on_read(self, tmp_path):
         path = tmp_path / "c.cfg"
-        gio.write_config(path, replace(EstimatorConfig(), f0=-1.0))
+        gio.write_config(path, EstimatorConfig())
+        path.write_text(path.read_text().replace("f0_hz = 50.0", "f0_hz = -1.0"))
         with pytest.raises(ConfigError):
             gio.read_config(path)
 

@@ -1,13 +1,14 @@
 """Unit tests for the scenario synthesizer."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from gridfreq import (ConstantProfile, DcSpec, EventProfile, HarmonicSpec,
                       NoiseSpec, RampProfile, SampleStream, ScenarioError,
-                      ScenarioSpec, StepSpec, add_noise, synthesize)
+                      ScenarioSpec, StepSpec, synthesize)
 from reference import reference_event_freq, reference_event_phase
 
 FS = 1200.0
@@ -147,24 +148,22 @@ class TestNoise:
         assert rho == pytest.approx(0.9, abs=0.03)
 
     def test_impulsive_hit_rate(self):
-        stream = SampleStream(0.0, 1.0 / FS, np.zeros(200_000))
-        noisy = add_noise(stream, "impulsive", 0.02, seed=2,
-                          impulse_rate=1e-3, impulse_mag=10.0, amp_ref=1.0)
-        hits = np.count_nonzero(noisy.values)
+        clean = ScenarioSpec(duration=200_000 / FS, base_freq=50.0)
+        noisy, _ = synthesize(
+            replace(clean, noise=NoiseSpec(kind="impulsive", level=0.02,
+                                           impulse_rate=1e-3,
+                                           impulse_mag=10.0)), FS, seed=2)
+        noise = noisy.values - synthesize(clean, FS)[0].values
+        hits = np.count_nonzero(noise)
         assert 100 <= hits <= 320     # ~200 expected
-        assert float(np.abs(noisy.values[noisy.values != 0.0]).min()) \
+        assert float(np.abs(noise[noise != 0.0]).min()) \
             == pytest.approx(0.2)     # 10 * 0.02 * 1.0
 
-    def test_amp_ref_default_is_sqrt2_rms(self):
-        spec = ScenarioSpec(duration=50.0, base_freq=50.0, amp_pu=3.0)
-        clean, _ = synthesize(spec, FS)
-        noisy = add_noise(clean, "gaussian", 0.1, seed=0)
-        resid = noisy.values - clean.values
-        assert float(np.std(resid)) == pytest.approx(0.3, rel=0.05)
-
     def test_zero_level_passthrough(self):
-        stream = SampleStream(0.0, 1.0 / FS, np.ones(10))
-        assert add_noise(stream, "gaussian", 0.0, seed=0) is stream
+        clean = ScenarioSpec(duration=1.0, base_freq=50.0)
+        noisy = replace(clean, noise=NoiseSpec(kind="gaussian", level=0.0))
+        np.testing.assert_array_equal(synthesize(noisy, FS, seed=0)[0].values,
+                                      synthesize(clean, FS)[0].values)
 
     def test_level_validation(self):
         with pytest.raises(ScenarioError):
@@ -208,13 +207,11 @@ class TestStepsAndDc:
         spec = ScenarioSpec(duration=2.0, base_freq=50.0,
                             dc_events=(DcSpec(t_start=0.5, a_dc_pu=0.1,
                                               tau_s=0.05),))
-        stream, truth = synthesize(spec, FS)
+        stream, _ = synthesize(spec, FS)
         t = stream.times()
         expect = np.sin(2.0 * np.pi * 50.0 * t) + np.where(
             t >= 0.5, 0.1 * np.exp(-(t - 0.5) / 0.05), 0.0)
         np.testing.assert_allclose(stream.values, expect, atol=1e-12)
-        assert truth.dc_amp == 0.1
-        assert truth.dc_tau == 0.05
 
     def test_dc_decay_value(self):
         # a zero-amplitude fundamental leaves only the DC event
@@ -240,6 +237,23 @@ class TestDistortionAndNyquist:
                             harmonics=(HarmonicSpec(order=13, rel_amp=0.01),))
         with pytest.raises(ScenarioError):
             synthesize(spec, FS)     # 13 * 50 = 650 >= 600
+
+    @pytest.mark.parametrize("profile, rejected", [
+        # a negative deviation swells to 55 Hz: 11 * 55 = 605 >= 600
+        (EventProfile(t_start=0.5, peak_dev_hz=-5.0, peak_rocof_hzps=10.0),
+         True),
+        # a down-ramp never rises above 50 Hz: 11 * 50 = 550 < 600
+        (RampProfile(t_start=0.5, duration=1.0, df_hz=-5.0), False),
+    ])
+    def test_nyquist_follows_rendered_frequency(self, profile, rejected):
+        spec = ScenarioSpec(duration=3.0, base_freq=50.0, profile=profile,
+                            harmonics=(HarmonicSpec(order=11, rel_amp=0.01),))
+        if rejected:
+            with pytest.raises(ScenarioError, match="order 11 at 55 Hz"):
+                synthesize(spec, FS)
+        else:
+            _, truth = synthesize(spec, FS)
+            assert float(truth.freq_hz.min()) == pytest.approx(45.0)
 
     def test_too_short_rejected(self):
         with pytest.raises(ScenarioError):
