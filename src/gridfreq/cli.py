@@ -162,14 +162,14 @@ def cmd_tune(args: argparse.Namespace) -> int:
     pso = PsoParams(swarm_size=args.swarm, iterations=args.iterations,
                     seed=args.seed)
     config = _load_config(args.config)
+    bounds = [(args.gain_lo, args.gain_hi)] * (2 * config.n + 2)
+    if args.tune_eta is not None:
+        bounds.append(tuple(args.tune_eta))
+    space = SearchSpace(bounds=tuple(bounds), log_scale=True)
     scenarios = []
     for path in args.scenario:
         spec = gio.read_scenario(path)
         scenarios.append(synthesize(spec, 1.0 / config.ts, seed=args.seed))
-    bounds = [(args.gain_lo, args.gain_hi)] * (2 * config.n + 2)
-    if args.tune_eta:
-        bounds.append((args.eta_lo, args.eta_hi))
-    space = SearchSpace(bounds=tuple(bounds), log_scale=(True,) * len(bounds))
     best, score, history = pso_tune(space, scenarios, pso, config)
     gio.write_config(args.out, apply_gain_vector(config, best))
     print(f"wrote {args.out} (fitness {score:.6g})")
@@ -241,9 +241,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--iterations", type=int, default=50)
     p.add_argument("--gain-lo", type=float, default=1.0)
     p.add_argument("--gain-hi", type=float, default=500.0)
-    p.add_argument("--tune-eta", action="store_true")
-    p.add_argument("--eta-lo", type=float, default=100.0)
-    p.add_argument("--eta-hi", type=float, default=10000.0)
+    p.add_argument("--tune-eta", type=float, nargs=2, metavar=("LO", "HI"),
+                   help="also tune eta_opt within [LO, HI]")
     p.set_defaults(func=cmd_tune)
 
     return ap

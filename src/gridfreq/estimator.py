@@ -58,8 +58,7 @@ class EstimatorConfig:
     gamma_dc: float = 50.0
     gamma_dc1: float = 50.0
     eta_opt: float = 1680.0
-    obs_filter: str = "identity"          # "identity" | "lowpass"
-    obs_cutoff_hz: float = 500.0
+    obs_lowpass_hz: float | None = None   # None: raw residual drives the laws
     rocof_smooth_window: int = 96
     report_every: int = 12
     anchor_policy: str = "saturate"       # "saturate" | "reset"
@@ -76,10 +75,10 @@ class EstimatorConfig:
         if self.n < 1:
             raise ConfigError("harmonic order n must be >= 1")
         for name in ("f0", "ts", "gamma_c", "gamma_s", "gamma_dc", "gamma_dc1",
-                     "eta_opt", "obs_cutoff_hz", "t_reset_s"):
+                     "eta_opt", "obs_lowpass_hz", "t_reset_s"):
             value = getattr(self, name)
             if not all(map(math.isfinite, value if isinstance(value, tuple)
-                           else (value,))):
+                           else () if value is None else (value,))):
                 raise ConfigError(f"{name} must be finite, got {value}")
         if self.f0 <= 0:
             raise ConfigError("nominal frequency must be positive")
@@ -97,9 +96,7 @@ class EstimatorConfig:
             raise ConfigError("all gains must be positive")
         if self.eta_opt <= 0:
             raise ConfigError("eta_opt must be positive")
-        if self.obs_filter not in ("identity", "lowpass"):
-            raise ConfigError(f"unknown observation filter {self.obs_filter!r}")
-        if self.obs_cutoff_hz <= 0:
+        if self.obs_lowpass_hz is not None and self.obs_lowpass_hz <= 0:
             raise ConfigError("observation-filter cutoff must be positive")
         if self.rocof_smooth_window < 1 or self.report_every < 1:
             raise ConfigError("window and report interval must be >= 1 sample")
@@ -224,9 +221,8 @@ def _bind(state: EstimatorState, config: EstimatorConfig) -> _Kernel:
     if getattr(state.rocof_buf, "maxlen", None) != window:
         # a shorter window drops the oldest values at once
         state.rocof_buf = deque(state.rocof_buf, maxlen=window)
-    alpha = None
-    if config.obs_filter == "lowpass":
-        alpha = 1.0 - math.exp(-TWO_PI * config.obs_cutoff_hz * ts)
+    cutoff = config.obs_lowpass_hz
+    alpha = None if cutoff is None else 1.0 - math.exp(-TWO_PI * cutoff * ts)
     kernel = _Kernel(
         config=config,
         idx=range(n),
@@ -345,10 +341,15 @@ def step(state: EstimatorState, sample: float, config: EstimatorConfig
         a, p = amp_phase(as_, ac)
         amps.append(a)
         phases.append(p)
+    # a plain left-to-right sum: the builtin sum of floats is compensated
+    # from Python 3.12 on, which would change the reported value
+    acc = 0.0
+    for v in buf:
+        acc += v
     return EstimateRecord(
         t=state.t0 + k * ts,
         f_hz=f,
-        rocof_hzps=sum(buf) / len(buf),
+        rocof_hzps=acc / len(buf),
         rocof_raw_hzps=rocof_raw,
         amps=amps,
         phases=phases,

@@ -15,6 +15,7 @@ writes and reads every format, so each key is defined once, by its field.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from dataclasses import MISSING, fields, is_dataclass
 from pathlib import Path
@@ -22,7 +23,7 @@ from typing import Any, Iterable, Sequence
 
 import numpy as np
 
-from .errors import ScenarioError
+from .errors import GridFreqError, ScenarioError
 from .estimator import EstimateRecord, EstimateSeries, EstimatorConfig
 from .synth import (ConstantProfile, DcSpec, EventProfile, GroundTruth,
                     HarmonicSpec, NoiseSpec, RampProfile, SampleStream,
@@ -73,7 +74,22 @@ def _read_rows(path: str | Path, header: Sequence[str] | None = None
                                 f"({exc})") from None
     if not data:
         raise ScenarioError(f"{path}: no data rows")
-    return got, np.array(data)
+    arr = np.array(data)
+    finite = np.isfinite(arr)
+    if not finite.all():
+        row, col = np.argwhere(~finite)[0]
+        raise ScenarioError(f"{path}:{_line_of_row(path, row)}: "
+                            f"`{got[col]}` is not finite")
+    return got, arr
+
+
+def _line_of_row(path: str | Path, row: int) -> int:
+    """File line of the ``row``-th data row, found by reading it again."""
+    with open(path, newline="") as fh:
+        r = csv.reader(fh)
+        next(r)
+        lines = (r.line_num for cells in r if cells)
+        return next(itertools.islice(lines, row, None))
 
 
 def _uniform_grid(path: str | Path, t: np.ndarray, what: str
@@ -81,8 +97,6 @@ def _uniform_grid(path: str | Path, t: np.ndarray, what: str
     """(t0, ts) of a time column, which must be uniformly spaced."""
     if len(t) < 2:
         raise ScenarioError(f"{path}: need at least two {what}")
-    if not np.isfinite(t).all():
-        raise ScenarioError(f"{path}: {what} times must be finite")
     ts = float(t[1] - t[0])
     if ts <= 0 or np.abs(np.diff(t) - ts).max() > 1e-9:
         raise ScenarioError(f"{path}: {what} times are not uniformly spaced")
@@ -293,7 +307,10 @@ def _read(keys: _Keys, cls: type, prefix: str = "", **given: Any) -> Any:
                                    for i in range(1, values["n"] + 1))
         else:
             values[f.name] = keys.take(key, _SCALARS[f.type], f.default)
-    return cls(**values)
+    try:
+        return cls(**values)
+    except GridFreqError as exc:      # a value check of the dataclass
+        raise type(exc)(f"{keys.path}: {exc}") from None
 
 
 def _write_kv(path: str | Path, obj: Any) -> None:

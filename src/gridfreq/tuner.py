@@ -1,15 +1,16 @@
 """Offline particle-swarm tuning of estimator gains.
 
-Global-best PSO over a box-bounded search space with integral-square-error
-fitness computed by running the estimator over a scenario battery.  The
-driver is deterministic under a fixed seed; fitness evaluations are pure
-and reduced in particle order, so parallel evaluation cannot change the
-answer (the reference implementation evaluates serially).
+Global-best PSO over a box-bounded search space, linear or log-scaled as a
+whole, with integral-square-error fitness computed by running the
+estimator over a scenario battery.  The driver is deterministic under a
+fixed seed; fitness evaluations are pure and reduced in particle order, so
+parallel evaluation cannot change the answer (the reference implementation
+evaluates serially).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import math
@@ -18,6 +19,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .estimator import EstimatorConfig, run
+from .metrics import align
 from .synth import GroundTruth, SampleStream
 
 DIVERGENCE_PENALTY = 1e6
@@ -30,10 +32,10 @@ SOCIAL = 1.5
 
 @dataclass(frozen=True)
 class SearchSpace:
-    """Per-dimension (lower, upper) box bounds, optionally log-scaled."""
+    """Per-dimension (lower, upper) bounds, all log-scaled if ``log_scale``."""
 
     bounds: tuple[tuple[float, float], ...]
-    log_scale: tuple[bool, ...] = ()
+    log_scale: bool = False
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "bounds", tuple(tuple(b) for b in self.bounds))
@@ -44,15 +46,8 @@ class SearchSpace:
                 raise ConfigError(f"bounds must be finite, got ({lo:g}, {hi:g})")
             if not lo < hi:
                 raise ConfigError("each lower bound must be below its upper bound")
-        if not self.log_scale:
-            object.__setattr__(self, "log_scale", (False,) * len(self.bounds))
-        else:
-            object.__setattr__(self, "log_scale", tuple(self.log_scale))
-            if len(self.log_scale) != len(self.bounds):
-                raise ConfigError("log_scale length must match bounds")
-        for (lo, _), lg in zip(self.bounds, self.log_scale):
-            if lg and lo <= 0:
-                raise ConfigError("log-scaled dimensions need positive bounds")
+        if self.log_scale and any(lo <= 0 for lo, _ in self.bounds):
+            raise ConfigError("a log-scaled search space needs positive bounds")
 
     @property
     def dims(self) -> int:
@@ -98,7 +93,9 @@ def ise_fitness(gains: Sequence[float],
     """Integral square frequency error over the battery; lower is better.
 
     Each scenario contributes sum_k (f_hat_k - f_k)^2 * dt at the report
-    cadence; a diverged run adds a large constant penalty instead.
+    cadence, f_k paired by :func:`gridfreq.metrics.align` at zero latency
+    (a record stamped after the last truth sample is dropped); a diverged
+    run adds a large constant penalty instead.
     """
     if not scenarios:
         raise ConfigError("scenario battery must not be empty")
@@ -112,35 +109,27 @@ def ise_fitness(gains: Sequence[float],
         if series.diverged_at is not None or len(series) == 0:
             score += DIVERGENCE_PENALTY
             continue
-        t = series.t()
-        f_true = np.interp(t, truth.times(), truth.freq_hz)
+        pairs = align(series, truth, 0.0, skip_s=0.0)
         dt = cfg.ts * cfg.report_every
-        score += float(np.sum((series.f_hz() - f_true) ** 2) * dt)
+        score += float(np.sum((pairs.f_est - pairs.f_true) ** 2) * dt)
     return score
 
 
-@dataclass
-class TuneResult:
-    best_position: np.ndarray
-    best_score: float
-    history: list[float] = field(default_factory=list)   # best score per iteration
-
-
 def pso_minimize(fn: Callable[[np.ndarray], float], space: SearchSpace,
-                 pso: PsoParams) -> TuneResult:
-    """Standard global-best PSO over a box; deterministic under pso.seed."""
+                 pso: PsoParams) -> tuple[np.ndarray, float, list[float]]:
+    """Standard global-best PSO over a box; deterministic under pso.seed.
+
+    Returns (best position, best score, per-iteration best-score history).
+    """
     rng = np.random.default_rng(pso.seed)
     d = space.dims
-    lo = np.array([b[0] for b in space.bounds])
-    hi = np.array([b[1] for b in space.bounds])
-    lg = np.array(space.log_scale)
-    # work in log space for log-scaled dimensions
-    wlo = np.where(lg, np.log(np.where(lg, lo, 1.0)), lo)
-    whi = np.where(lg, np.log(np.where(lg, hi, 1.0)), hi)
+    wlo, whi = np.array(space.bounds).T     # the box the swarm moves in
+    if space.log_scale:
+        wlo, whi = np.log(wlo), np.log(whi)
     span = whi - wlo
 
     def decode(w: np.ndarray) -> np.ndarray:
-        return np.where(lg, np.exp(w), w)
+        return np.exp(w) if space.log_scale else w
 
     pos = wlo + rng.random((pso.swarm_size, d)) * span
     vel = (rng.random((pso.swarm_size, d)) - 0.5) * span
@@ -170,8 +159,7 @@ def pso_minimize(fn: Callable[[np.ndarray], float], space: SearchSpace,
                     gbest_score = float(s)
                     gbest = pos[i].copy()
         history.append(gbest_score)
-    return TuneResult(best_position=decode(gbest), best_score=gbest_score,
-                      history=history)
+    return decode(gbest), gbest_score, history
 
 
 def pso_tune(space: SearchSpace,
@@ -184,6 +172,5 @@ def pso_tune(space: SearchSpace,
 
     Returns (best gain vector, best score, per-iteration best-score history).
     """
-    result = pso_minimize(lambda x: ise_fitness(x, scenarios, config, apply),
-                          space, pso)
-    return result.best_position, result.best_score, result.history
+    return pso_minimize(lambda x: ise_fitness(x, scenarios, config, apply),
+                        space, pso)

@@ -30,7 +30,7 @@ FS = 1200.0
 SEEDS = (0, 1)
 CONFIGS = {
     "default": {},
-    "lowpass": {"obs_filter": "lowpass"},
+    "lowpass": {"obs_lowpass_hz": 500.0},
     "reset": {"anchor_policy": "reset"},
 }
 

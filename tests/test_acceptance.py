@@ -375,8 +375,8 @@ def test_c12_tuner_sanity():
     # optimizer self-test on the sphere function
     space = SearchSpace(bounds=((-5.0, 5.0),) * 4)
     pso = PsoParams(swarm_size=30, iterations=50, seed=0)
-    result = pso_minimize(lambda x: float(np.sum(x * x)), space, pso)
-    sphere_ok = result.best_score < 1e-3
+    _, sphere_best, _ = pso_minimize(lambda x: float(np.sum(x * x)), space, pso)
+    sphere_ok = sphere_best < 1e-3
 
     # 1-D gain search against a 20-point log-spaced grid oracle
     scenarios = [synthesize(case1(0.02, 0, duration=3.0), FS, seed=0)]
@@ -391,13 +391,13 @@ def test_c12_tuner_sanity():
     grid = np.geomspace(1.0, 500.0, 20)
     grid_best = min(ise_fitness([g], scenarios, CONFIG, apply=apply_uniform)
                     for g in grid)
-    gain_space = SearchSpace(bounds=((1.0, 500.0),), log_scale=(True,))
+    gain_space = SearchSpace(bounds=((1.0, 500.0),), log_scale=True)
     gain_pso = PsoParams(swarm_size=10, iterations=15, seed=1)
     best, score, history = pso_tune(gain_space, scenarios, gain_pso, CONFIG,
                                     apply=apply_uniform)
     beats = score < grid_best
     _verdict("C12 tuner", sphere_ok and beats,
-             f"sphere best = {result.best_score:.2e} (< 1e-3); 1-D gain "
+             f"sphere best = {sphere_best:.2e} (< 1e-3); 1-D gain "
              f"search {score:.6f} beats 20-point grid {grid_best:.6f} "
              f"(best gain {best[0]:.2f})")
     assert sphere_ok

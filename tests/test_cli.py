@@ -66,6 +66,13 @@ class TestSynth:
         err = capsys.readouterr().err
         assert f"bad.cfg:{len(body) + 1}: " in err and f"`{key}`" in err
 
+    def test_scenario_value_error_names_the_file(self, tmp_path, capsys):
+        path = tmp_path / "bad.cfg"
+        path.write_text("duration = 1.0\nbase_freq = 50.0\nnoise.level = 0.5\n")
+        rc = main(["metrics", "--scenario", str(path), "--seeds", "1"])
+        assert rc == EXIT_INPUT
+        assert f"error: {path}: noise level must lie in" in capsys.readouterr().err
+
 
 class TestEstimateAndMetrics:
     def test_estimate_then_metrics(self, tmp_path, synth_outputs, capsys):
@@ -104,6 +111,9 @@ class TestEstimateAndMetrics:
         ("eta_band = 0.05", "unknown key `eta_band`"),
         ("beta_omega = 1.0", "unknown key `beta_omega`"),
         ("report_every = 6", "duplicate key `report_every`"),
+        # keys of the retired filter switch: obs_lowpass_hz replaces both
+        ("obs_filter = identity", "unknown key `obs_filter`"),
+        ("obs_cutoff_hz = 500.0", "unknown key `obs_cutoff_hz`"),
     ])
     def test_rejected_config_line_is_input_error(self, tmp_path, synth_outputs,
                                                  capsys, line, message):
@@ -223,8 +233,52 @@ class TestEstimateAndMetrics:
         rc = main(["estimate", str(samples), "--out", str(est)])
         assert rc == EXIT_INPUT
         err = capsys.readouterr().err
-        assert "error:" in err and "tone_samples.csv: samples times" in err
+        assert "error:" in err
+        assert f"tone_samples.csv:{row + 1}: `t` is not finite" in err
         assert not est.exists()
+
+    def test_non_finite_sample_value_is_input_error(self, tmp_path,
+                                                    synth_outputs, capsys):
+        samples, _ = synth_outputs
+        lines = samples.read_text().splitlines()
+        lines[300] = lines[300].split(",")[0] + ",inf"
+        samples.write_text("\n".join(lines) + "\n")
+        est = tmp_path / "e.csv"
+        rc = main(["estimate", str(samples), "--out", str(est)])
+        assert rc == EXIT_INPUT
+        assert "tone_samples.csv:301: `value` is not finite" in \
+            capsys.readouterr().err
+        assert not est.exists()
+
+    def test_non_finite_estimate_is_input_error(self, tmp_path, synth_outputs,
+                                                capsys):
+        samples, truth = synth_outputs
+        est = tmp_path / "est.csv"
+        assert main(["estimate", str(samples), "--out", str(est)]) == EXIT_OK
+        lines = est.read_text().splitlines()
+        row = lines[100].split(",")
+        lines[100] = ",".join([row[0], "nan", *row[2:]])
+        est.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        rc = main(["metrics", "--est", str(est), "--truth", str(truth),
+                   "--max-fe", "0.1"])
+        assert rc == EXIT_INPUT
+        assert "est.csv:101: `f_hz` is not finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line", ["f0_hz = -50.0", "obs_lowpass_hz = 0.0"])
+    def test_config_value_error_names_the_file(self, tmp_path, synth_outputs,
+                                               capsys, line):
+        samples, _ = synth_outputs
+        config = tmp_path / "c.cfg"
+        gio.write_config(config, EstimatorConfig())
+        key = line.split(" = ")[0]
+        text = [x for x in config.read_text().splitlines()
+                if x.split(" = ")[0] != key]
+        config.write_text("\n".join([*text, line]) + "\n")
+        rc = main(["estimate", str(samples), "--config", str(config),
+                   "--out", str(tmp_path / "est.csv")])
+        assert rc == EXIT_INPUT
+        assert f"error: {config}: " in capsys.readouterr().err
 
     def test_ragged_truth_file_is_input_error(self, tmp_path, synth_outputs,
                                               capsys):
@@ -327,4 +381,28 @@ class TestTune:
         tuned = gio.read_config(out_cfg)
         assert all(10.0 <= g <= 100.0 for g in tuned.gamma_c)
         assert hist.read_text().startswith("iteration,best_score")
+
+    def test_tune_eta_stays_in_range(self, tmp_path, scenario_file):
+        out_cfg = tmp_path / "tuned.cfg"
+        rc = main(["tune", "--scenario", str(scenario_file),
+                   "--out", str(out_cfg), "--swarm", "3", "--iterations", "2",
+                   "--tune-eta", "500.0", "3000.0"])
+        assert rc == EXIT_OK
+        eta = gio.read_config(out_cfg).eta_opt
+        assert 500.0 <= eta <= 3000.0
+        assert eta != EstimatorConfig().eta_opt
+
+    @pytest.mark.parametrize("lo, hi, message", [
+        ("200", "100", "lower bound must be below its upper bound"),
+        ("0", "100", "needs positive bounds"),
+    ])
+    def test_bad_eta_range_is_input_error(self, tmp_path, scenario_file,
+                                          capsys, lo, hi, message):
+        out_cfg = tmp_path / "tuned.cfg"
+        rc = main(["tune", "--scenario", str(scenario_file),
+                   "--out", str(out_cfg), "--swarm", "2", "--iterations", "1",
+                   "--tune-eta", lo, hi])
+        assert rc == EXIT_INPUT
+        assert message in capsys.readouterr().err
+        assert not out_cfg.exists()
 

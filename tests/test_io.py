@@ -38,12 +38,19 @@ class TestSampleRoundTrip:
 
     @pytest.mark.parametrize("rows", ["nan,1.0\n0.1,2.0\n0.2,3.0\n",
                                       "0.0,1.0\nnan,2.0\n0.2,3.0\n",
-                                      "0.0,1.0\n0.1,2.0\ninf,3.0\n"])
+                                      "0.0,1.0\n0.1,2.0\ninf,3.0\n",
+                                      "0.0,1.0\n0.1,2.0\n0.2,-inf\n",
+                                      "0.0,1.0\n\n0.1,nan\n0.2,3.0\n"])
     def test_rejects_non_finite_time(self, tmp_path, rows):
+        # time and value columns alike; a blank line still counts as a line
         path = tmp_path / "bad.csv"
         path.write_text("t,value\n" + rows)
-        with pytest.raises(ScenarioError, match="bad.csv: samples times must "
-                                                "be finite"):
+        line, column = next((i, ("t", "value")[j])
+                            for i, row in enumerate(rows.splitlines(), 2) if row
+                            for j, x in enumerate(row.split(","))
+                            if not math.isfinite(float(x)))
+        with pytest.raises(ScenarioError,
+                           match=rf"bad\.csv:{line}: `{column}` is not finite"):
             gio.read_samples(path)
 
     def test_rejects_wrong_header(self, tmp_path):
@@ -99,8 +106,17 @@ class TestTruthAndPhasorRoundTrip:
                         "0.0,50.0,0.0,1.0,0.0\n"
                         "nan,50.0,0.0,1.0,0.1\n"
                         "0.002,50.0,0.0,1.0,0.2\n")
-        with pytest.raises(ScenarioError, match="truth rows times must be "
-                                                "finite"):
+        with pytest.raises(ScenarioError, match=r"bad\.csv:3: `t` is not finite"):
+            gio.read_truth(path)
+
+    def test_truth_rejects_non_finite_value(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("t,freq_hz,rocof_hzps,amp_pu,phase_rad\n"
+                        "0.0,50.0,0.0,1.0,0.0\n"
+                        "0.001,50.0,0.0,1.0,0.1\n"
+                        "0.002,50.0,inf,1.0,0.2\n")
+        with pytest.raises(ScenarioError,
+                           match=r"bad\.csv:4: `rocof_hzps` is not finite"):
             gio.read_truth(path)
 
 
@@ -158,8 +174,7 @@ class TestConfigRoundTrip:
         cfg = EstimatorConfig(n=3, f0=60.0, ts=1.0 / 1500.0,
                               gamma_c=(1.0, 2.0, 3.0), gamma_s=(4.0, 5.0, 6.0),
                               gamma_dc=7.0, gamma_dc1=8.0, eta_opt=900.0,
-                              obs_filter="lowpass",
-                              obs_cutoff_hz=300.0, rocof_smooth_window=24,
+                              obs_lowpass_hz=300.0, rocof_smooth_window=24,
                               report_every=3, anchor_policy="reset",
                               t_reset_s=0.4)
         path = tmp_path / "c.cfg"
@@ -202,7 +217,7 @@ class TestConfigRoundTrip:
         ("eta_opt = nan", r"c\.cfg:2: key `eta_opt` is not finite"),
         ("t_reset_s = inf", r"c\.cfg:2: key `t_reset_s` is not finite"),
         ("eta_band = abc", r"c\.cfg:2: unknown key `eta_band`"),
-        ("obs_cutoff_hz = abc", r"c\.cfg:2: key `obs_cutoff_hz` is not a number"),
+        ("obs_lowpass_hz = abc", r"c\.cfg:2: key `obs_lowpass_hz` is not a number"),
         ("report_evry = 6", r"c\.cfg:2: unknown key `report_evry`"),
         ("gamma_c_8 = 40.0", r"c\.cfg:2: unknown key `gamma_c_8`"),
     ])
@@ -229,15 +244,15 @@ class TestConfigRoundTrip:
         keys = [line.split(" = ")[0] for line in path.read_text().splitlines()]
         assert keys == ["n", "f0_hz", "ts_s", "gamma_c_1", "gamma_c_2",
                         "gamma_s_1", "gamma_s_2", "gamma_dc", "gamma_dc1",
-                        "eta_opt", "obs_filter", "obs_cutoff_hz",
-                        "rocof_smooth_window", "report_every", "anchor_policy",
-                        "t_reset_s"]
+                        "eta_opt", "rocof_smooth_window", "report_every",
+                        "anchor_policy", "t_reset_s"]
 
     def test_invalid_config_rejected_on_read(self, tmp_path):
         path = tmp_path / "c.cfg"
         gio.write_config(path, EstimatorConfig())
         path.write_text(path.read_text().replace("f0_hz = 50.0", "f0_hz = -1.0"))
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError,
+                           match=r"c\.cfg: nominal frequency must be positive"):
             gio.read_config(path)
 
 
@@ -278,6 +293,19 @@ class TestScenarioRoundTrip:
         path.write_text("duration = 1.0\nbase_freq = 50.0\n"
                         f"noise.kind = impulsive\nnoise.level = 0.05\n{line}\n")
         with pytest.raises(ScenarioError, match="impulse"):
+            gio.read_scenario(path)
+
+    @pytest.mark.parametrize("line, message", [
+        ("noise.level = 0.5", "noise level must lie in"),
+        ("duration = -1.0", "scenario duration must be positive"),
+    ])
+    def test_value_error_names_the_file(self, tmp_path, line, message):
+        key = line.split(" = ")[0]
+        base = ["duration = 1.0", "base_freq = 50.0", "noise.level = 0.01"]
+        path = tmp_path / "s.cfg"
+        path.write_text("\n".join([x for x in base if not x.startswith(key)]
+                                  + [line]) + "\n")
+        with pytest.raises(ScenarioError, match=rf"s\.cfg: {message}"):
             gio.read_scenario(path)
 
     def test_unknown_profile_rejected(self, tmp_path):

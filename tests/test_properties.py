@@ -125,8 +125,7 @@ def estimator_configs(draw):
         n=n, f0=f0, ts=draw(st.floats(0.01, 0.99)) * 0.5 / (n * f0),
         gamma_c=draw(gains), gamma_s=draw(gains), gamma_dc=draw(positive),
         gamma_dc1=draw(positive), eta_opt=draw(positive),
-        obs_filter=draw(st.sampled_from(["identity", "lowpass"])),
-        obs_cutoff_hz=draw(positive),
+        obs_lowpass_hz=draw(st.none() | positive),
         rocof_smooth_window=draw(st.integers(1, 1000)),
         report_every=draw(st.integers(1, 1000)),
         anchor_policy=draw(st.sampled_from(["saturate", "reset"])),

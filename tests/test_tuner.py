@@ -5,9 +5,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from gridfreq import (ConfigError, EstimatorConfig, PsoParams, ScenarioSpec,
-                      SearchSpace, apply_gain_vector, ise_fitness,
-                      pso_minimize, pso_tune, run, synthesize)
+from gridfreq import (ConfigError, EstimatorConfig, GroundTruth, PsoParams,
+                      ScenarioSpec, SearchSpace, apply_gain_vector,
+                      ise_fitness, pso_minimize, pso_tune, run, synthesize)
 from gridfreq.tuner import DIVERGENCE_PENALTY
 
 FS = 1200.0
@@ -17,7 +17,7 @@ class TestSearchSpace:
     def test_dims_and_default_log_scale(self):
         space = SearchSpace(bounds=((0.0, 1.0), (-1.0, 1.0)))
         assert space.dims == 2
-        assert space.log_scale == (False, False)
+        assert space.log_scale is False
 
     def test_validation(self):
         with pytest.raises(ConfigError):
@@ -25,9 +25,7 @@ class TestSearchSpace:
         with pytest.raises(ConfigError):
             SearchSpace(bounds=((1.0, 1.0),))
         with pytest.raises(ConfigError):
-            SearchSpace(bounds=((0.0, 1.0),), log_scale=(True,))
-        with pytest.raises(ConfigError):
-            SearchSpace(bounds=((0.1, 1.0),), log_scale=(True, False))
+            SearchSpace(bounds=((0.0, 1.0),), log_scale=True)
 
     @pytest.mark.parametrize("bounds", [(1.0, float("inf")),
                                         (float("-inf"), 1.0),
@@ -83,6 +81,22 @@ class TestIseFitness:
                        * cfg.ts * cfg.report_every)
         assert score == pytest.approx(expect, rel=1e-12)
 
+    def test_records_after_the_last_truth_sample_are_dropped(self, battery):
+        cfg = EstimatorConfig()
+        gains = [*cfg.gamma_c, *cfg.gamma_s, cfg.gamma_dc, cfg.gamma_dc1]
+        stream, truth = battery[0]
+        half = len(truth) // 2
+        short = GroundTruth(truth.t0, truth.ts, truth.freq_hz[:half],
+                            truth.rocof_hzps[:half], truth.amp_pu[:half],
+                            truth.phase_rad[:half])
+        series = run(stream, cfg)
+        kept = series.t() <= short.times()[-1]
+        assert 0 < kept.sum() < len(series)
+        f_true = np.interp(series.t()[kept], short.times(), short.freq_hz)
+        expect = float(np.sum((series.f_hz()[kept] - f_true) ** 2)
+                       * cfg.ts * cfg.report_every)
+        assert ise_fitness(gains, [(stream, short)], cfg) == expect
+
     def test_invalid_gains_are_penalized(self, battery):
         cfg = EstimatorConfig()
         gains = [-1.0] * (2 * cfg.n + 2)
@@ -102,16 +116,17 @@ class TestPsoMinimize:
     def test_quadratic_converges(self):
         space = SearchSpace(bounds=((-10.0, 10.0),))
         pso = PsoParams(swarm_size=15, iterations=40, seed=0)
-        result = pso_minimize(lambda x: float((x[0] - 3.0) ** 2), space, pso)
-        assert result.best_position[0] == pytest.approx(3.0, abs=1e-3)
-        assert result.best_score < 1e-5
+        best, score, _ = pso_minimize(lambda x: float((x[0] - 3.0) ** 2),
+                                      space, pso)
+        assert best[0] == pytest.approx(3.0, abs=1e-3)
+        assert score < 1e-5
 
     def test_log_scale_dimension(self):
-        space = SearchSpace(bounds=((1.0, 1e4),), log_scale=(True,))
+        space = SearchSpace(bounds=((1.0, 1e4),), log_scale=True)
         pso = PsoParams(swarm_size=15, iterations=40, seed=0)
-        result = pso_minimize(
+        best, _, _ = pso_minimize(
             lambda x: float((np.log10(x[0]) - 2.0) ** 2), space, pso)
-        assert result.best_position[0] == pytest.approx(100.0, rel=0.01)
+        assert best[0] == pytest.approx(100.0, rel=0.01)
 
     def test_deterministic_under_seed(self):
         space = SearchSpace(bounds=((-5.0, 5.0),) * 3)
@@ -119,9 +134,8 @@ class TestPsoMinimize:
         fn = lambda x: float(np.sum(x * x))   # noqa: E731
         a = pso_minimize(fn, space, pso)
         b = pso_minimize(fn, space, pso)
-        np.testing.assert_array_equal(a.best_position, b.best_position)
-        assert a.best_score == b.best_score
-        assert a.history == b.history
+        np.testing.assert_array_equal(a[0], b[0])
+        assert a[1:] == b[1:]
 
     def test_respects_bounds(self):
         lo, hi = 2.0, 3.0
@@ -138,10 +152,11 @@ class TestPsoMinimize:
     def test_history_is_monotone_best(self):
         space = SearchSpace(bounds=((-5.0, 5.0),) * 2)
         pso = PsoParams(swarm_size=8, iterations=25, seed=2)
-        result = pso_minimize(lambda x: float(np.sum(x * x)), space, pso)
-        assert len(result.history) == 25
-        assert result.history == sorted(result.history, reverse=True)
-        assert result.history[-1] == result.best_score
+        _, score, history = pso_minimize(lambda x: float(np.sum(x * x)),
+                                         space, pso)
+        assert len(history) == 25
+        assert history == sorted(history, reverse=True)
+        assert history[-1] == score
 
 
 class TestPsoTune:
@@ -157,7 +172,7 @@ class TestPsoTune:
             return replace(config, gamma_c=(g,) * config.n,
                            gamma_s=(g,) * config.n)
 
-        space = SearchSpace(bounds=((1.0, 500.0),), log_scale=(True,))
+        space = SearchSpace(bounds=((1.0, 500.0),), log_scale=True)
         pso = PsoParams(swarm_size=6, iterations=8, seed=0)
         best, score, history = pso_tune(space, battery, pso, cfg,
                                         apply=apply_uniform)
