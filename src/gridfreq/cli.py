@@ -14,11 +14,13 @@ import math
 import sys
 from dataclasses import replace
 from pathlib import Path
+from typing import Any, Callable
 
 from . import io as gio
 from .errors import ConfigError, GridFreqError
 from .estimator import EstimatorConfig, run
-from .metrics import MetricsReport, aggregate, evaluate
+from .metrics import (DEFAULT_LATENCY_S, DEFAULT_SKIP_S, MetricsReport,
+                      aggregate, evaluate)
 from .synth import synthesize
 from .tuner import PsoParams, SearchSpace, apply_gain_vector, pso_tune
 
@@ -51,6 +53,15 @@ def _require_finite(args: argparse.Namespace, *names: str) -> None:
         value = getattr(args, name)
         if value is not None and not math.isfinite(value):
             raise ConfigError(f"--{name.replace('_', '-')} must be finite, got {value}")
+
+
+def _flagged(flag: str, build: Callable[..., Any], *args: Any,
+             **kwargs: Any) -> Any:
+    """``build(*args, **kwargs)``, naming the flag in any ConfigError."""
+    try:
+        return build(*args, **kwargs)
+    except ConfigError as exc:
+        raise ConfigError(f"{flag}: {exc}") from None
 
 
 def _check_bounds(report: MetricsReport, args: argparse.Namespace) -> bool:
@@ -99,6 +110,8 @@ def cmd_metrics(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
     if args.scenario is not None:
         # Monte-Carlo mode: synthesize/run/evaluate over a seed ensemble
+        if args.seeds < 1:
+            raise ConfigError(f"--seeds must be >= 1, got {args.seeds}")
         spec = gio.read_scenario(args.scenario)
         reports = []
         diverged = 0
@@ -140,12 +153,14 @@ def cmd_sweep_eta(args: argparse.Namespace) -> int:
     spec = gio.read_scenario(args.scenario)
     base = _load_config(args.config)
     latency = args.latency_ms / 1000.0
+    # every rate is checked before the first run: replace validates
+    configs = [(ratio, _flagged(f"--ratios {ratio}", replace, base,
+                                eta_opt=base.eta_opt * ratio))
+               for ratio in args.ratios]
     stream, truth = synthesize(spec, 1.0 / base.ts, seed=args.seed)
     lines = ["ratio,rmse_fe,rmse_re"]
     print(lines[0])
-    for ratio in args.ratios:
-        # a rate that is not finite and positive exits 2: replace validates
-        cfg = replace(base, eta_opt=base.eta_opt * ratio)
+    for ratio, cfg in configs:
         series = run(stream, cfg)
         if series.diverged_at is not None:
             print(f"{ratio},DIVERGED,DIVERGED")
@@ -159,13 +174,18 @@ def cmd_sweep_eta(args: argparse.Namespace) -> int:
 
 
 def cmd_tune(args: argparse.Namespace) -> int:
-    pso = PsoParams(swarm_size=args.swarm, iterations=args.iterations,
-                    seed=args.seed)
+    if not args.scenario:
+        raise ConfigError("--scenario: scenario battery must not be empty")
+    pso = _flagged("--swarm", PsoParams, swarm_size=args.swarm, seed=args.seed)
+    pso = _flagged("--iterations", replace, pso, iterations=args.iterations)
     config = _load_config(args.config)
-    bounds = [(args.gain_lo, args.gain_hi)] * (2 * config.n + 2)
+    gains = _flagged("--gain-lo/--gain-hi", SearchSpace,
+                     ((args.gain_lo, args.gain_hi),), log_scale=True)
+    bounds = gains.bounds * (2 * config.n + 2)
     if args.tune_eta is not None:
-        bounds.append(tuple(args.tune_eta))
-    space = SearchSpace(bounds=tuple(bounds), log_scale=True)
+        bounds += _flagged("--tune-eta", SearchSpace, (tuple(args.tune_eta),),
+                           log_scale=True).bounds
+    space = SearchSpace(bounds=bounds, log_scale=True)
     scenarios = []
     for path in args.scenario:
         spec = gio.read_scenario(path)
@@ -209,8 +229,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="Monte-Carlo mode: synthesize and run per seed")
     p.add_argument("--config", default=None)
     p.add_argument("--seeds", type=int, default=20)
-    p.add_argument("--latency-ms", type=float, default=100.0)
-    p.add_argument("--skip", type=float, default=0.5,
+    p.add_argument("--latency-ms", type=float,
+                   default=DEFAULT_LATENCY_S * 1000.0)
+    p.add_argument("--skip", type=float, default=DEFAULT_SKIP_S,
                    help="transient exclusion window (s)")
     p.add_argument("--out", default=None)
     for name in BOUNDS:
@@ -226,8 +247,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ratios", type=float, nargs="+",
                    default=[1.0, 1.02, 1.04, 1.06])
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--latency-ms", type=float, default=100.0)
-    p.add_argument("--skip", type=float, default=0.5)
+    p.add_argument("--latency-ms", type=float,
+                   default=DEFAULT_LATENCY_S * 1000.0)
+    p.add_argument("--skip", type=float, default=DEFAULT_SKIP_S)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_sweep_eta)
 

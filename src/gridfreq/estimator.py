@@ -46,8 +46,11 @@ class EstimatorConfig:
 
     ``gamma_c[i-1]``/``gamma_s[i-1]`` drive the sine/cosine coefficient of
     harmonic i, ``gamma_dc``/``gamma_dc1`` the DC pair.  ``eta_opt`` is the
-    learning rate of the frequency loop, used on every sample.  Building a
-    config, also by :func:`dataclasses.replace`, validates it.
+    learning rate of the frequency loop, used on every sample.  The anchor
+    time, which multiplies the frequency gradient and the DC slope, ramps
+    up to ``t_reset_s`` and then holds there: ``t_reset_s`` is the length of
+    the lock-in ramp and the cap of the anchor time.  Building a config,
+    also by :func:`dataclasses.replace`, validates it.
     """
 
     n: int = 7
@@ -61,8 +64,7 @@ class EstimatorConfig:
     obs_lowpass_hz: float | None = None   # None: raw residual drives the laws
     rocof_smooth_window: int = 96
     report_every: int = 12
-    anchor_policy: str = "saturate"       # "saturate" | "reset"
-    t_reset_s: float = 0.25
+    t_reset_s: float = 0.25               # lock-in ramp length, anchor cap
 
     def __post_init__(self) -> None:
         for name in ("gamma_c", "gamma_s"):
@@ -100,10 +102,8 @@ class EstimatorConfig:
             raise ConfigError("observation-filter cutoff must be positive")
         if self.rocof_smooth_window < 1 or self.report_every < 1:
             raise ConfigError("window and report interval must be >= 1 sample")
-        if self.anchor_policy not in ("saturate", "reset"):
-            raise ConfigError(f"unknown anchor policy {self.anchor_policy!r}")
         if self.t_reset_s <= 0:
-            raise ConfigError("anchor cap / re-anchor period must be positive")
+            raise ConfigError("anchor cap t_reset_s must be positive")
 
 
 # --------------------------------------------------------------------------
@@ -116,7 +116,7 @@ class EstimatorState:
     f_hz: float
     phase_acc: float = 0.0             # wrapped fundamental phase, [0, 2pi)
     k: int = 0
-    t_anchor: float = 0.0              # elapsed time since last re-anchor
+    t_anchor: float = 0.0              # min(elapsed time, t_reset_s)
     zfilt: float = 0.0                 # one-pole observation-filter state
     diverged: bool = False
     rocof_buf: deque[float] = field(default_factory=deque)
@@ -204,7 +204,6 @@ class _Kernel(NamedTuple):
     eta: float                         # frequency-loop learning rate
     f0: float
     half_f0: float
-    saturate: bool                     # anchor policy
     t_reset: float
     report_every: int
 
@@ -238,7 +237,6 @@ def _bind(state: EstimatorState, config: EstimatorConfig) -> _Kernel:
         eta=config.eta_opt,
         f0=config.f0,
         half_f0=config.f0 / 2,
-        saturate=config.anchor_policy == "saturate",
         t_reset=config.t_reset_s,
         report_every=config.report_every,
     )
@@ -258,7 +256,7 @@ def step(state: EstimatorState, sample: float, config: EstimatorConfig
     if kernel is None or kernel.config is not config:
         kernel = _bind(state, config)
     (_, idx, tgc, tgs, harm, cos_i, sin_i, ts, tg_dc, g_dc1, alpha, eta, f0,
-     half_f0, saturate, t_reset, report_every) = kernel
+     half_f0, t_reset, report_every) = kernel
 
     th = state.theta
     a_c = th.a_c
@@ -316,18 +314,12 @@ def step(state: EstimatorState, sample: float, config: EstimatorConfig
     state.phase_acc = phase
     k = state.k + 1
     state.k = k
+    # the anchor multiplies the frequency gradient: ramping it up eases the
+    # loop in at lock-in, holding it at the cap keeps the loop gain uniform.
+    # A compare, not min(): on CPython 3.11 the call costs ~3 % of a step
     t_anchor = t + ts
-    if t_anchor >= t_reset:
-        if saturate:
-            # hold the time multiplier at the cap so the frequency-loop
-            # authority stays uniform instead of collapsing periodically
-            t_anchor = t_reset
-        else:
-            # move the time origin; fold the accumulated slope contribution
-            # into the constant term so the model output is continuous
-            a_dc -= a_dc1 * t_anchor
-            th.a_dc = a_dc
-            t_anchor = 0.0
+    if t_anchor > t_reset:
+        t_anchor = t_reset
     state.t_anchor = t_anchor
 
     buf = state.rocof_buf

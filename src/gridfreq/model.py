@@ -6,7 +6,9 @@ The model of a single-channel waveform is
          + a_dc - a_dc1 * t
 
 i.e. a truncated harmonic series around a fundamental w1 plus a first-order
-(Taylor) approximation of a decaying DC offset.
+(Taylor) approximation of a decaying DC offset.  The estimator evaluates it
+at its anchor time, which saturates at ``t_reset_s``: after that ramp
+``a_dc - a_dc1*t`` acts as one constant offset.
 
 :func:`output_and_gradient` is the one definition of this model and of its
 derivative with respect to w1; the metrics and the tests evaluate the
@@ -26,7 +28,9 @@ class ParameterVector:
     """Coefficients of the harmonic-plus-DC model.
 
     ``a_c[i-1]`` multiplies sin(i*w1*t), ``a_s[i-1]`` multiplies cos(i*w1*t).
-    ``a_dc`` is the constant offset in pu and ``a_dc1`` its decay slope in pu/s.
+    ``a_dc`` is the constant offset in pu and ``a_dc1`` its decay slope in pu/s;
+    once the estimator's anchor time ``t`` saturates, ``a_dc - a_dc1*t`` is
+    one constant.
     """
 
     a_c: list[float]

@@ -31,7 +31,6 @@ SEEDS = (0, 1)
 CONFIGS = {
     "default": {},
     "lowpass": {"obs_lowpass_hz": 500.0},
-    "reset": {"anchor_policy": "reset"},
 }
 
 
@@ -89,7 +88,7 @@ def compute() -> dict[str, dict]:
         out[name] = {"diverged_at": series.diverged_at,
                      "records": len(series),
                      "sha256": digest(series)}
-        if "/seed0/" in name and not name.endswith(("/lowpass", "/reset")):
+        if "/seed0/" in name and not name.endswith("/lowpass"):
             out[name]["state_sha256"] = state_digest(final_state(stream, config))
     return out
 

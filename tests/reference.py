@@ -14,8 +14,7 @@ TWO_PI = 2.0 * math.pi
 
 
 def reference_estimator(values, ts, n, f0, gamma_c, gamma_s, gamma_dc,
-                        gamma_dc1, eta_opt, t_reset, cutoff_hz=None,
-                        reset=False):
+                        gamma_dc1, eta_opt, t_reset, cutoff_hz=None):
     """Plain transcription of the per-sample adaptation laws.
 
     Model: a_hat = sum_i a_c[i]*sin((i+1)*phi) + a_s[i]*cos((i+1)*phi)
@@ -25,9 +24,8 @@ def reference_estimator(values, ts, n, f0, gamma_c, gamma_s, gamma_dc,
     one-pole low-pass z += alpha*(r - z) with alpha = 1 - exp(-2*pi*fc*ts).
     Coefficient updates are scaled gradient steps on z**2/2; the frequency
     update is steepest descent at the fixed rate ``eta_opt``.  When the
-    anchor time reaches ``t_reset`` it saturates there, or with ``reset``
-    it returns to 0 after the slope term is folded into a_dc.  Returns
-    parallel lists (f_hz, rocof_raw) with one entry per consumed sample.
+    anchor time reaches ``t_reset`` it saturates there.  Returns parallel
+    lists (f_hz, rocof_raw) with one entry per consumed sample.
     """
     alpha = None
     if cutoff_hz is not None:
@@ -68,11 +66,7 @@ def reference_estimator(values, ts, n, f0, gamma_c, gamma_s, gamma_dc,
         phi = (phi + TWO_PI * f_hz * ts) % TWO_PI
         t_anchor = t_anchor + ts
         if t_anchor >= t_reset:
-            if reset:
-                a_dc -= a_dc1 * t_anchor
-                t_anchor = 0.0
-            else:
-                t_anchor = t_reset
+            t_anchor = t_reset
 
         f_trace.append(f_hz)
         rocof_trace.append(rocof_raw)

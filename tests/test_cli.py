@@ -7,6 +7,7 @@ import pytest
 
 from gridfreq import (EstimatorConfig, EventProfile, SampleStream,
                       ScenarioSpec, synthesize)
+from gridfreq import cli
 from gridfreq import io as gio
 from gridfreq.cli import EXIT_BOUNDS, EXIT_DIVERGED, EXIT_INPUT, EXIT_OK, main
 
@@ -366,6 +367,46 @@ class TestNonFiniteInput:
         assert rc == EXIT_INPUT
         err = capsys.readouterr().err
         assert "error:" in err and message in err
+        assert not (tmp_path / "out").exists()
+
+
+class TestBadFlag:
+    """A flag value the command cannot use exits 2 naming the flag, before
+    any scenario is rendered or any output is written."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["metrics", "--scenario", "{scenario}", "--seeds", "0"],
+         "--seeds must be >= 1, got 0"),
+        (["metrics", "--scenario", "{scenario}", "--seeds", "-3"],
+         "--seeds must be >= 1, got -3"),
+        (["tune"], "--scenario: scenario battery must not be empty"),
+        (["tune", "--scenario", "{scenario}", "--gain-lo", "0"],
+         "--gain-lo/--gain-hi: a log-scaled search space needs positive bounds"),
+        (["tune", "--scenario", "{scenario}", "--gain-lo", "600"],
+         "--gain-lo/--gain-hi: each lower bound must be below its upper bound"),
+        (["tune", "--scenario", "{scenario}", "--tune-eta", "200", "100"],
+         "--tune-eta: each lower bound must be below its upper bound"),
+        (["tune", "--scenario", "{scenario}", "--tune-eta", "0", "100"],
+         "--tune-eta: a log-scaled search space needs positive bounds"),
+        (["tune", "--scenario", "{scenario}", "--swarm", "1"],
+         "--swarm: swarm size must be >= 2"),
+        (["tune", "--scenario", "{scenario}", "--iterations", "0"],
+         "--iterations: iteration count must be >= 1"),
+        (["sweep-eta", "{scenario}", "--ratios", "1.0", "0"],
+         "--ratios 0.0: eta_opt must be positive"),
+    ])
+    def test_exits_2_naming_the_flag(self, tmp_path, scenario_file, capsys,
+                                     monkeypatch, argv, message):
+        def no_render(*args, **kwargs):
+            raise AssertionError("rendered a scenario before checking flags")
+
+        monkeypatch.setattr(cli, "synthesize", no_render)
+        argv = [a.format(scenario=scenario_file) for a in argv]
+        rc = main([*argv, "--out", str(tmp_path / "out")])
+        out, err = capsys.readouterr()
+        assert rc == EXIT_INPUT
+        assert f"error: {message}" in err
+        assert out == ""
         assert not (tmp_path / "out").exists()
 
 

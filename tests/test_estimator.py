@@ -43,7 +43,6 @@ class TestConfig:
         dict(obs_lowpass_hz=-1.0),
         dict(rocof_smooth_window=0),
         dict(report_every=0),
-        dict(anchor_policy="drift"),
         dict(t_reset_s=0.0),
         dict(obs_lowpass_hz=0.0),
         dict(obs_lowpass_hz=-100.0),
@@ -99,8 +98,7 @@ class TestStepAgainstReference:
             stream.values, TS, cfg.n, cfg.f0, cfg.gamma_c, cfg.gamma_s,
             cfg.gamma_dc, cfg.gamma_dc1, eta_opt=cfg.eta_opt,
             t_reset=cfg.t_reset_s,
-            cutoff_hz=cfg.obs_lowpass_hz,
-            reset=cfg.anchor_policy == "reset")
+            cutoff_hz=cfg.obs_lowpass_hz)
         assert len(series) == len(stream)
         np.testing.assert_allclose(series.f_hz(), f_ref, atol=1e-9)
         got_raw = np.array([r.rocof_raw_hzps for r in series.records])
@@ -123,9 +121,9 @@ class TestStepAgainstReference:
 
     @pytest.mark.parametrize("variant", [
         dict(obs_lowpass_hz=400.0),
-        dict(anchor_policy="reset", t_reset_s=0.5),
-        dict(obs_lowpass_hz=400.0, anchor_policy="reset", t_reset_s=0.5),
-    ], ids=["lowpass", "reset", "lowpass-reset"])
+        dict(t_reset_s=0.5),
+        dict(obs_lowpass_hz=400.0, t_reset_s=0.5),
+    ], ids=["lowpass", "cap", "lowpass-cap"])
     @pytest.mark.parametrize("noisy", [False, True], ids=["clean", "noisy"])
     def test_filter_and_anchor_branches_match_oracle(self, variant, noisy):
         stream = self._noisy_stream() if noisy else _clean_stream(2.0)
@@ -185,15 +183,6 @@ class TestAnchorPolicies:
         assert late
         assert all(v == cfg.t_reset_s for v in late)
 
-    def test_reset_wraps_and_stays_locked(self):
-        cfg = replace(EstimatorConfig(), anchor_policy="reset", t_reset_s=0.5)
-        series = run(_clean_stream(3.0), cfg)
-        assert series.diverged_at is None
-        anchors = np.array([r.t_anchor for r in series.records])
-        assert float(anchors.max()) < 0.5 + TS
-        late_f = series.f_hz()[series.t() > 1.0]
-        assert float(np.abs(late_f - 50.0).max()) < 0.05
-
 
 class TestDivergence:
     def test_watchdog_trips_and_run_reports_it(self):
@@ -238,9 +227,8 @@ class TestKernelCache:
 class TestStepMatchesModelKernel:
     """The fused step kernel is output_and_gradient, bit for bit."""
 
-    @pytest.mark.parametrize("policy", ["saturate", "reset"])
-    def test_residual_and_raw_rocof(self, policy):
-        cfg = replace(EstimatorConfig(), report_every=1, anchor_policy=policy)
+    def test_residual_and_raw_rocof(self):
+        cfg = replace(EstimatorConfig(), report_every=1)
         stream, _ = synthesize(case1(0.02, 0, duration=2.0), FS, seed=0)
         state = init(cfg)
         mismatches = 0

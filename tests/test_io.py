@@ -175,8 +175,7 @@ class TestConfigRoundTrip:
                               gamma_c=(1.0, 2.0, 3.0), gamma_s=(4.0, 5.0, 6.0),
                               gamma_dc=7.0, gamma_dc1=8.0, eta_opt=900.0,
                               obs_lowpass_hz=300.0, rocof_smooth_window=24,
-                              report_every=3, anchor_policy="reset",
-                              t_reset_s=0.4)
+                              report_every=3, t_reset_s=0.4)
         path = tmp_path / "c.cfg"
         gio.write_config(path, cfg)
         assert gio.read_config(path) == cfg
@@ -220,6 +219,7 @@ class TestConfigRoundTrip:
         ("obs_lowpass_hz = abc", r"c\.cfg:2: key `obs_lowpass_hz` is not a number"),
         ("report_evry = 6", r"c\.cfg:2: unknown key `report_evry`"),
         ("gamma_c_8 = 40.0", r"c\.cfg:2: unknown key `gamma_c_8`"),
+        ("anchor_policy = saturate", r"c\.cfg:2: unknown key `anchor_policy`"),
     ])
     def test_malformed_value_names_file_and_key(self, tmp_path, line, match):
         path = tmp_path / "c.cfg"
@@ -245,7 +245,7 @@ class TestConfigRoundTrip:
         assert keys == ["n", "f0_hz", "ts_s", "gamma_c_1", "gamma_c_2",
                         "gamma_s_1", "gamma_s_2", "gamma_dc", "gamma_dc1",
                         "eta_opt", "rocof_smooth_window", "report_every",
-                        "anchor_policy", "t_reset_s"]
+                        "t_reset_s"]
 
     def test_invalid_config_rejected_on_read(self, tmp_path):
         path = tmp_path / "c.cfg"

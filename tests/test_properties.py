@@ -1,6 +1,7 @@
 """Property-based tests (hypothesis) for the algebraic building blocks."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridfreq import (EstimatorConfig, EventProfile, RampProfile,
-                      SampleStream, ScenarioSpec, init, step, synthesize)
+                      SampleStream, ScenarioSpec, init, run, step, synthesize)
 from gridfreq import io as gio
 from gridfreq.estimator import amp_phase
 from gridfreq.synth import (ConstantProfile, DcSpec, HarmonicSpec, NoiseSpec,
@@ -128,7 +129,6 @@ def estimator_configs(draw):
         obs_lowpass_hz=draw(st.none() | positive),
         rocof_smooth_window=draw(st.integers(1, 1000)),
         report_every=draw(st.integers(1, 1000)),
-        anchor_policy=draw(st.sampled_from(["saturate", "reset"])),
         t_reset_s=draw(positive))
 
 
@@ -211,3 +211,26 @@ def test_watchdog_exact_check_after_finite_overflow():
                              + state.theta.a_dc + state.theta.a_dc1)
     assert not state.diverged
     assert not _exact_verdict(state, cfg)
+
+
+# --------------------------------------------------------------------------
+# anchor law
+# --------------------------------------------------------------------------
+
+ANCHOR_TONE = synthesize(ScenarioSpec(duration=0.5, base_freq=50.0), 1200.0)[0]
+
+
+@settings(max_examples=100, deadline=None)
+@given(cap=st.floats(0.0, 1.0, exclude_min=True))
+def test_anchor_ramps_to_its_cap_and_holds_there(cap):
+    """The anchor time never decreases, never exceeds ``t_reset_s`` and,
+    once it reaches it, stays there exactly; a cap well inside the record
+    is reached."""
+    cfg = replace(EstimatorConfig(), report_every=1, t_reset_s=cap)
+    anchors = [r.t_anchor for r in run(ANCHOR_TONE, cfg).records]
+    assert all(a <= b for a, b in zip(anchors, anchors[1:]))
+    assert max(anchors) <= cap
+    if cap in anchors:
+        assert all(a == cap for a in anchors[anchors.index(cap):])
+    else:
+        assert cap > 0.4
