@@ -55,6 +55,15 @@ def _require_finite(args: argparse.Namespace, *names: str) -> None:
             raise ConfigError(f"--{name.replace('_', '-')} must be finite, got {value}")
 
 
+def _require_non_negative(args: argparse.Namespace, *names: str) -> None:
+    """Reject a float flag below zero, naming the flag."""
+    for name in names:
+        value = getattr(args, name)
+        if value < 0:
+            raise ConfigError(f"--{name.replace('_', '-')} must be non-negative, "
+                              f"got {value}")
+
+
 def _flagged(flag: str, build: Callable[..., Any], *args: Any,
              **kwargs: Any) -> Any:
     """``build(*args, **kwargs)``, naming the flag in any ConfigError."""
@@ -106,10 +115,15 @@ def cmd_estimate(args: argparse.Namespace) -> int:
 
 def cmd_metrics(args: argparse.Namespace) -> int:
     _require_finite(args, "latency_ms", "skip", *BOUNDS)
+    _require_non_negative(args, "latency_ms", "skip")
     latency = args.latency_ms / 1000.0
-    config = _load_config(args.config)
     if args.scenario is not None:
         # Monte-Carlo mode: synthesize/run/evaluate over a seed ensemble
+        stray = [f"--{name}" for name in ("est", "truth")
+                 if getattr(args, name) is not None]
+        if stray:
+            raise ConfigError(f"{'/'.join(stray)}: not used with --scenario")
+        config = _load_config(args.config)
         if args.seeds < 1:
             raise ConfigError(f"--seeds must be >= 1, got {args.seeds}")
         spec = gio.read_scenario(args.scenario)
@@ -130,6 +144,9 @@ def cmd_metrics(args: argparse.Namespace) -> int:
         _print_report(worst, "worst case")
         report = mean
     else:
+        if args.config is not None:
+            raise ConfigError("--config: only --scenario mode runs the "
+                              "estimator; --est is read as written")
         if args.est is None or args.truth is None:
             print("metrics: need either --scenario or both --est and --truth",
                   file=sys.stderr)
@@ -150,6 +167,7 @@ def cmd_metrics(args: argparse.Namespace) -> int:
 
 def cmd_sweep_eta(args: argparse.Namespace) -> int:
     _require_finite(args, "latency_ms", "skip")
+    _require_non_negative(args, "latency_ms", "skip")
     spec = gio.read_scenario(args.scenario)
     base = _load_config(args.config)
     latency = args.latency_ms / 1000.0

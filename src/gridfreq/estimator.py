@@ -135,7 +135,7 @@ class EstimateRecord:
     phases: list[float]
     a_dc: float
     a_dc1: float
-    residual: float
+    residual: float                    # sample - prediction, before any low-pass
     eta: float
     phase_acc: float
     t_anchor: float
@@ -347,7 +347,7 @@ def step(state: EstimatorState, sample: float, config: EstimatorConfig
         phases=phases,
         a_dc=a_dc,
         a_dc1=a_dc1,
-        residual=z,
+        residual=resid,
         eta=eta,
         phase_acc=phase,
         t_anchor=t_anchor,

@@ -19,7 +19,7 @@ import itertools
 import math
 from dataclasses import MISSING, fields, is_dataclass
 from pathlib import Path
-from typing import Any, Iterable, Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -34,17 +34,14 @@ TRUTH_HEADER = ["t", "freq_hz", "rocof_hzps", "amp_pu", "phase_rad"]
 HISTORY_HEADER = ["iteration", "best_score"]
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
 def _write_rows(path: str | Path, header: Sequence[str],
-                rows: Iterable[Sequence[float]]) -> None:
+                columns: Sequence[np.ndarray]) -> None:
+    """Write equal-length columns as CSV rows of ``repr`` values, which
+    keeps an int column (the history's iterations) integral."""
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for row in rows:
-            w.writerow([_fmt(v) for v in row])
+        fh.write(",".join(header) + "\r\n")
+        rows = zip(*(np.asarray(c).tolist() for c in columns))
+        fh.writelines(",".join(map(repr, row)) + "\r\n" for row in rows)
 
 
 def _read_rows(path: str | Path, header: Sequence[str] | None = None
@@ -108,8 +105,7 @@ def _uniform_grid(path: str | Path, t: np.ndarray, what: str
 # --------------------------------------------------------------------------
 
 def write_samples(path: str | Path, stream: SampleStream) -> None:
-    t = stream.times()
-    _write_rows(path, SAMPLE_HEADER, zip(t, stream.values))
+    _write_rows(path, SAMPLE_HEADER, (stream.times(), stream.values))
 
 
 def read_samples(path: str | Path) -> SampleStream:
@@ -119,10 +115,9 @@ def read_samples(path: str | Path) -> SampleStream:
 
 
 def write_truth(path: str | Path, truth: GroundTruth) -> None:
-    t = truth.times()
     _write_rows(path, TRUTH_HEADER,
-                zip(t, truth.freq_hz, truth.rocof_hzps, truth.amp_pu,
-                    truth.phase_rad))
+                (truth.times(), truth.freq_hz, truth.rocof_hzps, truth.amp_pu,
+                 truth.phase_rad))
 
 
 def read_truth(path: str | Path) -> GroundTruth:
@@ -146,14 +141,12 @@ def estimate_header(n: int) -> list[str]:
 
 
 def write_estimates(path: str | Path, series: EstimateSeries) -> None:
-    rows = []
-    for r in series.records:
-        row = [r.t, r.f_hz, r.rocof_hzps, r.residual, r.a_dc, r.a_dc1]
-        for a, p in zip(r.amps, r.phases):
-            row.append(a)
-            row.append(p)
-        rows.append(row)
-    _write_rows(path, estimate_header(series.n), rows)
+    header = estimate_header(series.n)
+    rows = [[r.t, r.f_hz, r.rocof_hzps, r.residual, r.a_dc, r.a_dc1,
+             *itertools.chain.from_iterable(zip(r.amps, r.phases))]
+            for r in series.records]
+    table = np.array(rows, dtype=float).reshape(-1, len(header))
+    _write_rows(path, header, table.T)
 
 
 def read_estimates(path: str | Path) -> EstimateSeries:
@@ -170,11 +163,8 @@ def read_estimates(path: str | Path) -> EstimateSeries:
 
 
 def write_history(path: str | Path, history: Sequence[float]) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(HISTORY_HEADER)
-        for i, score in enumerate(history):
-            w.writerow([i, _fmt(score)])
+    _write_rows(path, HISTORY_HEADER,
+                (np.arange(len(history)), np.asarray(history, dtype=float)))
 
 
 # --------------------------------------------------------------------------
@@ -272,9 +262,9 @@ def _lines(obj: Any, prefix: str = "") -> list[str]:
                 out.append(f"{key} = {kind}")
             out += _lines(value, f"{key}.")
         elif isinstance(value, tuple):
-            out += [f"{key}_{i} = {_fmt(v)}" for i, v in enumerate(value, 1)]
+            out += [f"{key}_{i} = {float(v)!r}" for i, v in enumerate(value, 1)]
         elif value is not None:
-            text = _fmt(value) if _SCALARS[f.type] is float else value
+            text = repr(float(value)) if _SCALARS[f.type] is float else value
             out.append(f"{key} = {text}")
     return out
 

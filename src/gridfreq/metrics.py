@@ -10,14 +10,12 @@ tables implicitly start after lock.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import AlignmentError
 from .estimator import EstimateSeries
-from .model import ParameterVector, output_and_gradient
 from .synth import GroundTruth, SampleStream
 
 DEFAULT_LATENCY_S = 0.1
@@ -110,34 +108,22 @@ def reconstruction_error(est: EstimateSeries, measured: SampleStream,
                          t_max: float | None = None) -> float:
     """Normalized one-step prediction error of the reconstructed waveform.
 
-    Each record carries the model state (harmonic amplitudes/phases, DC
-    pair, phase accumulator, anchor time) as it stands right before the
-    sample at the record's timestamp, so evaluating the model there
-    reconstructs the waveform the estimator predicts.  Each (amplitude,
-    phase) pair is turned back into the coefficients a_c = amp*cos(phase),
-    a_s = amp*sin(phase) of :func:`gridfreq.model.output_and_gradient`.
-    Returns the RMS of measured - reconstructed at the report instants in
-    [t_min, t_max] over the RMS of every measured sample in that span (the
-    report instants alone can all fall on zero crossings of the waveform).
+    Each record's ``residual`` is the estimator's own prediction error,
+    sample minus model output, on the sample before the record's
+    timestamp.  Returns the RMS of the residuals of the records in
+    [t_min, t_max] (default ``t_max``: the last measured time) over the RMS
+    of every measured sample in that span (the report instants alone can
+    all fall on zero crossings of the waveform).  It reads only ``t`` and
+    ``residual``, so a series read back from its estimate CSV gives the
+    same value.
     """
     if len(est) == 0:
         raise AlignmentError("estimate series is empty")
     t = measured.times()
     hi = t[-1] if t_max is None else t_max
-    errors: list[float] = []
-    for rec in est.records:
-        if rec.t < t_min or rec.t > hi:
-            continue
-        idx = int(round((rec.t - measured.t0) / measured.ts))
-        if idx < 0 or idx >= len(measured):
-            continue
-        polar = list(zip(rec.amps, rec.phases))
-        theta = ParameterVector([a * math.cos(p) for a, p in polar],
-                                [a * math.sin(p) for a, p in polar],
-                                rec.a_dc, rec.a_dc1)
-        errors.append(float(measured.values[idx])
-                      - output_and_gradient(theta, rec.phase_acc, rec.t_anchor)[0])
-    if not errors:
+    rt = est.t()
+    errors = est.residual()[(rt >= t_min) & (rt <= hi)]
+    if errors.size == 0:
         raise AlignmentError("estimate series does not cover the evaluation span")
     span = measured.values[(t >= t_min) & (t <= hi)]
     denom = float(np.sqrt(np.mean(span ** 2)))

@@ -1,4 +1,4 @@
-"""Harmonic-plus-DC signal model shared by the synthesizer and the estimator.
+"""Harmonic-plus-DC signal model tracked by the estimator.
 
 The model of a single-channel waveform is
 
@@ -11,10 +11,9 @@ at its anchor time, which saturates at ``t_reset_s``: after that ramp
 ``a_dc - a_dc1*t`` acts as one constant offset.
 
 :func:`output_and_gradient` is the one definition of this model and of its
-derivative with respect to w1; the metrics and the tests evaluate the
-model through it.  The estimator's per-sample
-``step`` carries a fused specialisation of the same arithmetic for speed,
-and a test pins it to this function bit for bit.
+derivative with respect to w1.  The estimator's per-sample ``step``
+carries a fused specialisation of the same arithmetic for speed, and the
+tests pin it to this function bit for bit.
 """
 
 from __future__ import annotations

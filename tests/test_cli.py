@@ -394,6 +394,21 @@ class TestBadFlag:
          "--iterations: iteration count must be >= 1"),
         (["sweep-eta", "{scenario}", "--ratios", "1.0", "0"],
          "--ratios 0.0: eta_opt must be positive"),
+        (["metrics", "--scenario", "{scenario}", "--seeds", "1",
+          "--est", "missing.csv", "--truth", "missing.csv"],
+         "--est/--truth: not used with --scenario"),
+        (["metrics", "--scenario", "{scenario}", "--seeds", "1",
+          "--truth", "missing.csv"], "--truth: not used with --scenario"),
+        (["metrics", "--est", "missing.csv", "--truth", "missing.csv",
+          "--config", "missing.cfg"], "--config: only --scenario mode runs"),
+        (["metrics", "--scenario", "{scenario}", "--seeds", "2",
+          "--latency-ms", "-5"], "--latency-ms must be non-negative, got -5.0"),
+        (["metrics", "--scenario", "{scenario}", "--skip", "-1"],
+         "--skip must be non-negative, got -1.0"),
+        (["sweep-eta", "{scenario}", "--latency-ms", "-5"],
+         "--latency-ms must be non-negative, got -5.0"),
+        (["sweep-eta", "{scenario}", "--skip", "-1"],
+         "--skip must be non-negative, got -1.0"),
     ])
     def test_exits_2_naming_the_flag(self, tmp_path, scenario_file, capsys,
                                      monkeypatch, argv, message):

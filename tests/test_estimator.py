@@ -227,8 +227,8 @@ class TestKernelCache:
 class TestStepMatchesModelKernel:
     """The fused step kernel is output_and_gradient, bit for bit."""
 
-    def test_residual_and_raw_rocof(self):
-        cfg = replace(EstimatorConfig(), report_every=1)
+    @staticmethod
+    def _mismatches(cfg: EstimatorConfig) -> int:
         stream, _ = synthesize(case1(0.02, 0, duration=2.0), FS, seed=0)
         state = init(cfg)
         mismatches = 0
@@ -237,11 +237,21 @@ class TestStepMatchesModelKernel:
             rec = step(state, x, cfg)
             out, _ = output_and_gradient(theta, phase, t)
             _, grad = output_and_gradient(state.theta, phase, t)
+            # the record reports the raw prediction error; the laws are
+            # driven by it, low-passed when obs_lowpass_hz is set
+            z = rec.residual if cfg.obs_lowpass_hz is None else state.zfilt
             mismatches += rec.residual != x - out
             mismatches += (rec.rocof_raw_hzps
-                           != INV_TWO_PI * cfg.eta_opt * rec.residual * grad)
+                           != INV_TWO_PI * cfg.eta_opt * z * grad)
         assert state.k == len(stream)
-        assert mismatches == 0
+        return mismatches
+
+    def test_residual_and_raw_rocof(self):
+        assert self._mismatches(replace(EstimatorConfig(), report_every=1)) == 0
+
+    def test_residual_and_raw_rocof_with_lowpass(self):
+        cfg = replace(EstimatorConfig(), report_every=1, obs_lowpass_hz=500.0)
+        assert self._mismatches(cfg) == 0
 
 
 class TestGolden:

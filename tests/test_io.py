@@ -13,6 +13,7 @@ from gridfreq import (ConfigError, EstimatorConfig, EventProfile, RampProfile,
 from gridfreq import io as gio
 from gridfreq.synth import (ConstantProfile, DcSpec, HarmonicSpec, NoiseSpec,
                             StepSpec)
+from cases import case1, case2, case2b, case3, clean_tone
 
 FS = 1200.0
 
@@ -377,6 +378,14 @@ class TestShippedScenarios:
         spec = gio.read_scenario(SCENARIO_DIR / name)
         stream, truth = synthesize(spec, FS, seed=0)
         assert len(stream) == len(truth) == int(round(spec.duration * FS)) + 1
+
+    @pytest.mark.parametrize("name, build", [
+        ("clean.cfg", clean_tone), ("case1.cfg", case1),
+        ("case1b.cfg", lambda: case1(0.15, 0)), ("case2.cfg", case2),
+        ("case2b.cfg", case2b), ("case3.cfg", case3)])
+    def test_matches_its_test_builder(self, name, build):
+        # tests build these scenarios in code; a file edit must not drift
+        assert gio.read_scenario(SCENARIO_DIR / name) == build()
 
     @pytest.mark.parametrize("name", SHIPPED)
     def test_rewrite_keeps_every_line(self, tmp_path, name):

