@@ -30,6 +30,7 @@ EXIT_DIVERGED = 3
 EXIT_BOUNDS = 4
 
 BOUNDS = ("max_fe", "rmse_fe", "max_re", "rmse_re")   # metrics bound flags
+DEFAULT_SEEDS = 20                                     # metrics --scenario
 
 
 def _load_config(path: str | None) -> EstimatorConfig:
@@ -124,12 +125,13 @@ def cmd_metrics(args: argparse.Namespace) -> int:
         if stray:
             raise ConfigError(f"{'/'.join(stray)}: not used with --scenario")
         config = _load_config(args.config)
-        if args.seeds < 1:
-            raise ConfigError(f"--seeds must be >= 1, got {args.seeds}")
+        seeds = DEFAULT_SEEDS if args.seeds is None else args.seeds
+        if seeds < 1:
+            raise ConfigError(f"--seeds must be >= 1, got {seeds}")
         spec = gio.read_scenario(args.scenario)
         reports = []
         diverged = 0
-        for seed in range(args.seeds):
+        for seed in range(seeds):
             stream, truth = synthesize(spec, 1.0 / config.ts, seed=seed)
             series = run(stream, config)
             if series.diverged_at is not None:
@@ -137,16 +139,19 @@ def cmd_metrics(args: argparse.Namespace) -> int:
                 continue
             reports.append(evaluate(series, truth, latency, skip_s=args.skip))
         if diverged:
-            print(f"{diverged}/{args.seeds} runs diverged")
+            print(f"{diverged}/{seeds} runs diverged")
             return EXIT_DIVERGED
         mean, worst = aggregate(reports)
-        _print_report(mean, f"mean over {args.seeds} seeds")
+        _print_report(mean, f"mean over {seeds} seeds")
         _print_report(worst, "worst case")
         report = mean
     else:
         if args.config is not None:
             raise ConfigError("--config: only --scenario mode runs the "
                               "estimator; --est is read as written")
+        if args.seeds is not None:
+            raise ConfigError("--seeds: only --scenario mode renders seeds; "
+                              "--est is one run")
         if args.est is None or args.truth is None:
             print("metrics: need either --scenario or both --est and --truth",
                   file=sys.stderr)
@@ -246,7 +251,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scenario", default=None,
                    help="Monte-Carlo mode: synthesize and run per seed")
     p.add_argument("--config", default=None)
-    p.add_argument("--seeds", type=int, default=20)
+    p.add_argument("--seeds", type=int, default=None,
+                   help=f"Monte-Carlo seed count (default {DEFAULT_SEEDS})")
     p.add_argument("--latency-ms", type=float,
                    default=DEFAULT_LATENCY_S * 1000.0)
     p.add_argument("--skip", type=float, default=DEFAULT_SKIP_S,

@@ -6,25 +6,45 @@ filtered observation residual, and adjusts the fundamental frequency by
 steepest descent on the squared prediction error at the constant learning
 rate ``eta_opt``.
 
-All laws are strictly per-sample: one call to :func:`step` consumes one
-sample and mutates the state in place.  :func:`step` is a single fused
-scalar kernel: one loop builds the harmonic basis and the prediction, one
-loop updates the coefficients and sums the frequency gradient.  The
-products of ``ts`` with the gains, the low-pass coefficient and the other
-per-config constants are computed once per (state, config) pair and cached
-on the state; :class:`EstimatorConfig` is frozen so that cache cannot go
-stale.  The kernel's outputs are bit-identical to the unfused form of the
-same laws (``tests/data/golden_run.json`` holds digests of them), and its
-prediction and frequency gradient are bit-identical to
-:func:`gridfreq.model.output_and_gradient` (pinned by a test).
+All laws are strictly per-sample.  With the basis ``c_i = cos(i*phase)``,
+``s_i = sin(i*phase)`` built by the angle-sum recurrence and the anchor
+time ``t``, one sample ``x`` does, with sums and loops over i = 1..n in
+order::
+
+    resid   = x - (a_dc - a_dc1*t + sum(a_c[i]*s_i + a_s[i]*c_i))
+    z       = resid, low-passed when obs_lowpass_hz is set
+    a_c[i] += (ts*gamma_c[i])*z*s_i;   a_s[i] += (ts*gamma_s[i])*z*c_i
+    g       = sum(i*t*(a_c[i]*c_i - a_s[i]*s_i))     # the updated pairs
+    a_dc   += (ts*gamma_dc)*z;         a_dc1 -= t*ts*gamma_dc1*z
+    rocof   = (1/(2*pi))*eta_opt*z*g
+    f      += ts*rocof
+
+then wraps the phase with ``%`` and, every ``report_every`` samples, emits
+a record whose RoCoF is a left-to-right boxcar over the raw values.
+
+One kernel runs these laws.  It is generated per harmonic order n, from the
+integer n alone, with one local per coefficient and basis term and the
+harmonic loops unrolled; it is compiled on first use and cached.
+:func:`step` runs it on one sample and :func:`run` on a whole stream in one
+call, so the estimator has a single per-sample loop.  The products of ``ts``
+with the gains and the other per-config constants are cached per (state,
+config) pair on the state; :class:`EstimatorConfig` is frozen so that cache
+cannot go stale.  Every expression keeps the operand order of the laws, so
+unrolling moves no output bit: ``tests/data/golden_run.json`` holds digests
+of the records and of ``step`` final states at n = 7, and tests pin the
+prediction error and the raw RoCoF to
+:func:`gridfreq.model.output_and_gradient`, and a ``step`` fold to one
+:func:`run` pass, bit for bit at n = 1, 2, 7 and 11.
 """
 
 from __future__ import annotations
 
+import functools
+import linecache
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -121,7 +141,7 @@ class EstimatorState:
     diverged: bool = False
     rocof_buf: deque[float] = field(default_factory=deque)
     t0: float = 0.0                    # time of the first sample
-    # per-config constants of the step kernel, see _bind
+    # per-config constants and kernel, see _bind
     kernel: _Kernel | None = field(default=None, repr=False, compare=False)
 
 
@@ -188,15 +208,12 @@ def amp_phase(a_s: float, a_c: float) -> tuple[float, float]:
 
 
 class _Kernel(NamedTuple):
-    """Per-config constants and scratch lists of the step kernel."""
+    """Per-config constants of the estimator kernel and the kernel itself."""
 
     config: EstimatorConfig
-    idx: range
+    advance: Callable[..., list[EstimateRecord]]  # (state, values, kernel)
     tgc: tuple[float, ...]             # ts * gamma_c[i]
     tgs: tuple[float, ...]             # ts * gamma_s[i]
-    harm: tuple[float, ...]            # harmonic numbers 1..n
-    cos_i: list[float]                 # scratch: cos(i*phi)
-    sin_i: list[float]                 # scratch: sin(i*phi)
     ts: float
     tg_dc: float                       # ts * gamma_dc
     g_dc1: float
@@ -208,13 +225,146 @@ class _Kernel(NamedTuple):
     report_every: int
 
 
-def _bind(state: EstimatorState, config: EstimatorConfig) -> _Kernel:
-    """Cache the per-config constants of the step kernel on the state.
+# The laws of the module docstring over a sequence of samples, for harmonic
+# order n.  The ``{...}`` fields are filled from the integer n alone (see
+# _kernel_source); every gain and rate is read from the _Kernel argument at
+# call time.  On a divergence the state keeps the updated coefficients,
+# a_dc, a_dc1, f and zfilt, and the phase, k, t_anchor and RoCoF buffer of
+# the sample before.
+_KERNEL_TEMPLATE = """\
+def advance(state, values, kernel):
+    (_, _, tgc, tgs, ts, tg_dc, g_dc1, alpha, eta, f0, half_f0, t_reset,
+     report_every) = kernel
+    {kc} = tgc
+    {ks} = tgs
+    eta_rate = INV_TWO_PI * eta
+    th = state.theta
+    a_c = th.a_c
+    a_s = th.a_s
+    {ac} = a_c
+    {as_} = a_s
+    a_dc = th.a_dc
+    a_dc1 = th.a_dc1
+    f = state.f_hz
+    phase = state.phase_acc
+    k = state.k
+    t = state.t_anchor
+    zf = state.zfilt
+    t0 = state.t0
+    buf = state.rocof_buf
+    append = buf.append
+    records = []
+    for sample in values:
+        # basis by the angle-sum recurrence, prediction and residual
+        c0 = cos(phase)
+        s0 = sin(phase){basis}
+        resid = sample - (a_dc - a_dc1 * t{prediction})
+        if alpha is None:
+            z = resid
+        else:
+            zf += alpha * (resid - zf)
+            z = zf
 
-    Every product keeps the operand order of the unfused laws, e.g.
+        # coefficient updates and, from the updated pairs, the frequency
+        # gradient; then the descent update of the frequency{update}
+        g = 0.0{gradient}
+        a_dc = a_dc + tg_dc * z
+        a_dc1 = a_dc1 - t * ts * g_dc1 * z
+        rocof_raw = eta_rate * z * g
+        f = f + ts * rocof_raw
+
+        # divergence watchdog: the band test is false for a non-finite f; a
+        # non-finite coefficient makes the sum non-finite, and a sum that
+        # overflowed from finite values goes to the exact check
+        if not (abs(f - f0) <= half_f0 and (
+                isfinite({coef_sum} + a_dc + a_dc1)
+                or all(map(isfinite, ({coefs}, a_dc, a_dc1))))):
+            state.diverged = True
+            break
+
+        # advance phase, sample counter and anchor; the anchor ramps up to
+        # t_reset and holds there
+        phase = (phase + TWO_PI * f * ts) % TWO_PI
+        k += 1
+        t = t + ts
+        if t > t_reset:
+            t = t_reset
+        append(rocof_raw)
+        if k % report_every:
+            continue{polar}
+        # a plain left-to-right sum: the builtin sum of floats is
+        # compensated from Python 3.12 on, which would change the value
+        acc = 0.0
+        for v in buf:
+            acc += v
+        records.append(EstimateRecord(
+            t0 + k * ts, f, acc / len(buf), rocof_raw, [{amps}], [{phases}],
+            a_dc, a_dc1, resid, eta, phase, t))
+
+    a_c[:] = {ac}
+    a_s[:] = {as_}
+    th.a_dc = a_dc
+    th.a_dc1 = a_dc1
+    state.f_hz = f
+    state.phase_acc = phase
+    state.k = k
+    state.t_anchor = t
+    state.zfilt = zf
+    return records
+"""
+
+
+def _kernel_source(n: int) -> str:
+    """Source of the kernel for harmonic order n, built from n alone.
+
+    Harmonic i+1 has the locals ``ac{i}``/``as{i}`` (coefficients),
+    ``kc{i}``/``ks{i}`` (ts times its gains) and ``c{i}``/``s{i}`` (basis).
+    """
+    def unroll(fmt: str, sep: str, start: int = 0) -> str:
+        return sep.join(fmt.format(i=i, p=i - 1, h=float(i + 1))
+                        for i in range(start, n))
+
+    line = "\n" + " " * 8
+    return _KERNEL_TEMPLATE.format(
+        kc=unroll("kc{i},", " "),
+        ks=unroll("ks{i},", " "),
+        ac=unroll("ac{i},", " "),
+        as_=unroll("as{i},", " "),
+        basis=unroll(line + "c{i} = c{p} * c0 - s{p} * s0"
+                     + line + "s{i} = s{p} * c0 + c{p} * s0", "", start=1),
+        prediction=unroll(" + (ac{i} * s{i} + as{i} * c{i})", ""),
+        update=unroll(line + "ac{i} = ac{i} + kc{i} * z * s{i}"
+                      + line + "as{i} = as{i} + ks{i} * z * c{i}", ""),
+        gradient=unroll(" + {h!r} * t * (ac{i} * c{i} - as{i} * s{i})", ""),
+        coef_sum=unroll("ac{i} + as{i}", " + "),
+        coefs=unroll("ac{i}, as{i}", ", "),
+        polar=unroll(line + "m{i}, p{i} = amp_phase(as{i}, ac{i})", ""),
+        amps=unroll("m{i}", ", "),
+        phases=unroll("p{i}", ", "),
+    )
+
+
+@functools.cache
+def _kernel(n: int) -> Callable[..., list[EstimateRecord]]:
+    """Compile the kernel for harmonic order n (Nyquist keeps n small)."""
+    source = _kernel_source(n)
+    filename = f"<gridfreq.estimator kernel n={n}>"
+    # tracebacks through the kernel show its source lines
+    linecache.cache[filename] = (len(source), None,
+                                 source.splitlines(keepends=True), filename)
+    namespace = {"cos": math.cos, "sin": math.sin, "isfinite": math.isfinite,
+                 "TWO_PI": TWO_PI, "INV_TWO_PI": INV_TWO_PI,
+                 "amp_phase": amp_phase, "EstimateRecord": EstimateRecord}
+    exec(compile(source, filename, "exec"), namespace)
+    return namespace["advance"]
+
+
+def _bind(state: EstimatorState, config: EstimatorConfig) -> _Kernel:
+    """Cache the per-config constants and the kernel on the state.
+
+    Every product keeps the operand order of the laws, e.g.
     ``(ts*gamma)*z*basis``, so the cached form is bit-identical.
     """
-    n = config.n
     ts = config.ts
     window = config.rocof_smooth_window
     if getattr(state.rocof_buf, "maxlen", None) != window:
@@ -224,12 +374,9 @@ def _bind(state: EstimatorState, config: EstimatorConfig) -> _Kernel:
     alpha = None if cutoff is None else 1.0 - math.exp(-TWO_PI * cutoff * ts)
     kernel = _Kernel(
         config=config,
-        idx=range(n),
+        advance=_kernel(config.n),
         tgc=tuple(ts * g for g in config.gamma_c),
         tgs=tuple(ts * g for g in config.gamma_s),
-        harm=tuple(float(i) for i in range(1, n + 1)),
-        cos_i=[0.0] * n,
-        sin_i=[0.0] * n,
         ts=ts,
         tg_dc=ts * config.gamma_dc,
         g_dc1=config.gamma_dc1,
@@ -255,119 +402,22 @@ def step(state: EstimatorState, sample: float, config: EstimatorConfig
     kernel = state.kernel
     if kernel is None or kernel.config is not config:
         kernel = _bind(state, config)
-    (_, idx, tgc, tgs, harm, cos_i, sin_i, ts, tg_dc, g_dc1, alpha, eta, f0,
-     half_f0, t_reset, report_every) = kernel
-
-    th = state.theta
-    a_c = th.a_c
-    a_s = th.a_s
-    t = state.t_anchor
-
-    # basis by the angle-sum recurrence, prediction and filtered residual
-    c1 = math.cos(state.phase_acc)
-    s1 = math.sin(state.phase_acc)
-    c = c1
-    s = s1
-    ahat = th.a_dc - th.a_dc1 * t
-    for i, ac, as_ in zip(idx, a_c, a_s):
-        cos_i[i] = c
-        sin_i[i] = s
-        ahat += ac * s + as_ * c
-        c, s = c * c1 - s * s1, s * c1 + c * s1
-    resid = sample - ahat
-    if alpha is None:
-        z = resid
-    else:
-        state.zfilt += alpha * (resid - state.zfilt)
-        z = state.zfilt
-
-    # coefficient updates and, from the updated pair, the frequency gradient
-    g = 0.0
-    for i, ac, as_, kc, ks, c, s, h in zip(idx, a_c, a_s, tgc, tgs, cos_i,
-                                            sin_i, harm):
-        ac += kc * z * s
-        as_ += ks * z * c
-        a_c[i] = ac
-        a_s[i] = as_
-        g += h * t * (ac * c - as_ * s)
-    a_dc = th.a_dc + tg_dc * z
-    a_dc1 = th.a_dc1 - t * ts * g_dc1 * z
-    th.a_dc = a_dc
-    th.a_dc1 = a_dc1
-
-    # descent update of the frequency
-    rocof_raw = INV_TWO_PI * eta * z * g
-    f = state.f_hz + ts * rocof_raw
-    state.f_hz = f
-
-    # divergence watchdog: a non-finite coefficient makes the sum non-finite;
-    # a sum that overflowed from finite values goes to the exact check
-    if not math.isfinite(f) or abs(f - f0) > half_f0 or not (
-            math.isfinite(sum(a_c) + sum(a_s) + a_dc + a_dc1)
-            or th.is_finite()):
-        state.diverged = True
-        return None
-
-    # advance phase, anchor and sample counter
-    omega1 = TWO_PI * f
-    phase = (state.phase_acc + omega1 * ts) % TWO_PI
-    state.phase_acc = phase
-    k = state.k + 1
-    state.k = k
-    # the anchor multiplies the frequency gradient: ramping it up eases the
-    # loop in at lock-in, holding it at the cap keeps the loop gain uniform.
-    # A compare, not min(): on CPython 3.11 the call costs ~3 % of a step
-    t_anchor = t + ts
-    if t_anchor > t_reset:
-        t_anchor = t_reset
-    state.t_anchor = t_anchor
-
-    buf = state.rocof_buf
-    buf.append(rocof_raw)
-
-    if k % report_every:
-        return None
-    amps: list[float] = []
-    phases: list[float] = []
-    for ac, as_ in zip(a_c, a_s):
-        a, p = amp_phase(as_, ac)
-        amps.append(a)
-        phases.append(p)
-    # a plain left-to-right sum: the builtin sum of floats is compensated
-    # from Python 3.12 on, which would change the reported value
-    acc = 0.0
-    for v in buf:
-        acc += v
-    return EstimateRecord(
-        t=state.t0 + k * ts,
-        f_hz=f,
-        rocof_hzps=acc / len(buf),
-        rocof_raw_hzps=rocof_raw,
-        amps=amps,
-        phases=phases,
-        a_dc=a_dc,
-        a_dc1=a_dc1,
-        residual=resid,
-        eta=eta,
-        phase_acc=phase,
-        t_anchor=t_anchor,
-    )
+    records = kernel.advance(state, (sample,), kernel)
+    return records[0] if records else None
 
 
 def run(stream: SampleStream, config: EstimatorConfig) -> EstimateSeries:
-    """Fold :func:`step` over a stream; report divergence if it occurs."""
+    """Run the kernel over a whole stream in one pass.
+
+    The series equals the records of :func:`step` called on each sample in
+    turn; the pass stops at a divergence and reports its sample index.
+    """
     if abs(stream.ts - config.ts) > 1e-9 * config.ts:
         raise ConfigError(
             f"stream interval {stream.ts:g} does not match config ts {config.ts:g}"
         )
     state = init(config, stream.t0)
-    records: list[EstimateRecord] = []
-    diverged_at: int | None = None
-    for sample in stream.values.tolist():
-        rec = step(state, sample, config)
-        if rec is not None:
-            records.append(rec)
-        if state.diverged:
-            diverged_at = state.k
-            break
-    return EstimateSeries(records=records, n=config.n, diverged_at=diverged_at)
+    kernel = state.kernel
+    records = kernel.advance(state, stream.values.tolist(), kernel)
+    return EstimateSeries(records=records, n=config.n,
+                          diverged_at=state.k if state.diverged else None)

@@ -11,9 +11,10 @@ at its anchor time, which saturates at ``t_reset_s``: after that ramp
 ``a_dc - a_dc1*t`` acts as one constant offset.
 
 :func:`output_and_gradient` is the one definition of this model and of its
-derivative with respect to w1.  The estimator's per-sample ``step``
-carries a fused specialisation of the same arithmetic for speed, and the
-tests pin it to this function bit for bit.
+derivative with respect to w1.  The estimator runs the same arithmetic in a
+kernel generated per harmonic order n, with the harmonic loops unrolled for
+speed, and the tests pin it to this function bit for bit at n = 1, 2, 7
+and 11.
 """
 
 from __future__ import annotations

@@ -409,6 +409,8 @@ class TestBadFlag:
          "--latency-ms must be non-negative, got -5.0"),
         (["sweep-eta", "{scenario}", "--skip", "-1"],
          "--skip must be non-negative, got -1.0"),
+        (["metrics", "--est", "missing.csv", "--truth", "missing.csv",
+          "--seeds", "0"], "--seeds: only --scenario mode renders seeds"),
     ])
     def test_exits_2_naming_the_flag(self, tmp_path, scenario_file, capsys,
                                      monkeypatch, argv, message):

@@ -17,6 +17,9 @@ from reference import reference_estimator
 
 FS = 1200.0
 TS = 1.0 / FS
+# harmonic orders the kernel tests generate: the two shortest unrolls, the
+# default 7 and 11, the largest the default ts and f0 allow (Nyquist)
+ORDERS = (1, 2, 7, 11)
 
 
 def _clean_stream(duration: float = 2.0) -> SampleStream:
@@ -215,8 +218,9 @@ class TestKernelCache:
         with pytest.raises(FrozenInstanceError):
             EstimatorConfig().eta_opt = 1.0
 
-    def test_new_config_object_every_step_is_bit_identical(self):
-        cfg = replace(EstimatorConfig(), obs_lowpass_hz=500.0)
+    @pytest.mark.parametrize("n", ORDERS)
+    def test_new_config_object_every_step_is_bit_identical(self, n):
+        cfg = EstimatorConfig(n=n, obs_lowpass_hz=500.0)
         stream = _clean_stream(0.5)
         state = init(cfg)
         records = [rec for x in stream.values.tolist()
@@ -225,7 +229,7 @@ class TestKernelCache:
 
 
 class TestStepMatchesModelKernel:
-    """The fused step kernel is output_and_gradient, bit for bit."""
+    """At each order the kernel is output_and_gradient, bit for bit."""
 
     @staticmethod
     def _mismatches(cfg: EstimatorConfig) -> int:
@@ -246,11 +250,13 @@ class TestStepMatchesModelKernel:
         assert state.k == len(stream)
         return mismatches
 
-    def test_residual_and_raw_rocof(self):
-        assert self._mismatches(replace(EstimatorConfig(), report_every=1)) == 0
+    @pytest.mark.parametrize("n", ORDERS)
+    def test_residual_and_raw_rocof(self, n):
+        assert self._mismatches(EstimatorConfig(n=n, report_every=1)) == 0
 
-    def test_residual_and_raw_rocof_with_lowpass(self):
-        cfg = replace(EstimatorConfig(), report_every=1, obs_lowpass_hz=500.0)
+    @pytest.mark.parametrize("n", ORDERS)
+    def test_residual_and_raw_rocof_with_lowpass(self, n):
+        cfg = EstimatorConfig(n=n, report_every=1, obs_lowpass_hz=500.0)
         assert self._mismatches(cfg) == 0
 
 
