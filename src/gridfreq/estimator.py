@@ -144,6 +144,11 @@ class EstimatorState:
     # per-config constants and kernel, see _bind
     kernel: _Kernel | None = field(default=None, repr=False, compare=False)
 
+    def __getstate__(self) -> dict:
+        # the kernel is a cache that step rebuilds, and its generated
+        # function cannot be pickled
+        return {**self.__dict__, "kernel": None}
+
 
 @dataclass
 class EstimateRecord:
@@ -365,6 +370,9 @@ def _bind(state: EstimatorState, config: EstimatorConfig) -> _Kernel:
     Every product keeps the operand order of the laws, e.g.
     ``(ts*gamma)*z*basis``, so the cached form is bit-identical.
     """
+    if state.theta.n != config.n:
+        raise ConfigError(f"state has {state.theta.n} harmonics, "
+                          f"config has n = {config.n}")
     ts = config.ts
     window = config.rocof_smooth_window
     if getattr(state.rocof_buf, "maxlen", None) != window:

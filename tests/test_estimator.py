@@ -1,6 +1,7 @@
 """Unit tests for the per-sample adaptive estimator."""
 
 import math
+import pickle
 from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
@@ -226,6 +227,22 @@ class TestKernelCache:
         records = [rec for x in stream.values.tolist()
                    if (rec := step(state, x, replace(cfg))) is not None]
         assert records == run(stream, cfg).records
+
+
+    def test_config_of_another_order_rejected(self):
+        state = init(EstimatorConfig())
+        with pytest.raises(ConfigError, match="state has 7 harmonics"):
+            step(state, 0.0, EstimatorConfig(n=3))
+
+    def test_pickled_state_resumes_bit_identically(self):
+        cfg = EstimatorConfig()
+        values = _clean_stream(0.5).values.tolist()
+        state = init(cfg)
+        for x in values[:300]:
+            step(state, x, cfg)
+        copy = pickle.loads(pickle.dumps(state))
+        assert ([step(state, x, cfg) for x in values[300:]]
+                == [step(copy, x, cfg) for x in values[300:]])
 
 
 class TestStepMatchesModelKernel:
