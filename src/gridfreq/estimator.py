@@ -22,28 +22,40 @@ order::
 then wraps the phase with ``%`` and, every ``report_every`` samples, emits
 a record whose RoCoF is a left-to-right boxcar over the raw values.
 
-One kernel runs these laws.  It is generated per harmonic order n, from the
-integer n alone, with one local per coefficient and basis term and the
-harmonic loops unrolled; it is compiled on first use and cached.
-:func:`step` runs it on one sample and :func:`run` on a whole stream in one
-call, so the estimator has a single per-sample loop.  The products of ``ts``
-with the gains and the other per-config constants are cached per (state,
-config) pair on the state; :class:`EstimatorConfig` is frozen so that cache
-cannot go stale.  Every expression keeps the operand order of the laws, so
-unrolling moves no output bit: ``tests/data/golden_run.json`` holds digests
-of the records and of ``step`` final states at n = 7, and tests pin the
-prediction error and the raw RoCoF to
-:func:`gridfreq.model.output_and_gradient`, and a ``step`` fold to one
-:func:`run` pass, bit for bit at n = 1, 2, 7 and 11.
+One set of laws, two backends.  :func:`step` runs a Python kernel generated
+per harmonic order n, from the integer n alone, with one local per
+coefficient and basis term and the harmonic loops unrolled; it is compiled
+on first use and cached.  The products of ``ts`` with the gains and the
+other per-config constants are cached per (state, config) pair on the
+state; :class:`EstimatorConfig` is frozen so that cache cannot go stale.
+:func:`run` calls the same laws in C (``_kernel.c``) over a whole stream
+from a fresh state, and falls back to the Python kernel when no C compiler
+or cache directory is at hand.  The C loop is built on the first
+:func:`run` call, never at import, with ``cc -O2 -ffp-contract=off`` into
+``$XDG_CACHE_HOME/gridfreq`` (default ``~/.cache/gridfreq``), one shared
+object per source and flags, and loaded through :mod:`ctypes`;
+:func:`run_backend` names the backend :func:`run` uses.
+
+Every expression of both backends keeps the operand order of the laws, so
+neither moves an output bit: ``tests/data/golden_run.json`` holds digests
+of the records of both backends and of ``step`` final states at n = 7;
+tests pin the prediction error and the raw RoCoF to
+:func:`gridfreq.model.output_and_gradient` at n = 1, 2, 7 and 11, a
+``step`` fold to one :func:`run` pass of either backend, and the two
+backends to each other on drawn configs and samples with nan, inf and
+huge values.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import linecache
 import math
+import os
 from collections import deque
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -414,11 +426,121 @@ def step(state: EstimatorState, sample: float, config: EstimatorConfig
     return records[0] if records else None
 
 
+# --------------------------------------------------------------------------
+# The C run loop
+# --------------------------------------------------------------------------
+
+_CC = "cc"
+_CFLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
+
+
+def _native_source() -> bytes:
+    from importlib import resources
+    return resources.files(__package__).joinpath("_kernel.c").read_bytes()
+
+
+def _cache_dir() -> Path:
+    """``$XDG_CACHE_HOME/gridfreq`` or ``~/.cache/gridfreq``, private to the user."""
+    base = os.environ.get("XDG_CACHE_HOME", "")
+    path = (Path(base) if os.path.isabs(base)
+            else Path.home() / ".cache") / "gridfreq"
+    path.mkdir(mode=0o700, parents=True, exist_ok=True)
+    st = path.stat()
+    # a shared object others can replace would run their code
+    if st.st_uid != os.getuid() or st.st_mode & 0o022:
+        raise PermissionError(f"{path} is writable by other users")
+    return path
+
+
+def _build(source: bytes) -> Path:
+    """Path of the shared object of ``source``, compiled unless cached.
+
+    It is named by the sha256 of the source and the flags, and published
+    with an atomic rename, so processes that build at once are safe.
+    """
+    import hashlib
+    import subprocess
+    import tempfile
+
+    key = hashlib.sha256(source + " ".join(_CFLAGS).encode()).hexdigest()
+    cache = _cache_dir()
+    target = cache / f"_kernel-{key[:16]}.so"
+    if target.exists():
+        return target
+    fd, tmp = tempfile.mkstemp(suffix=".so", dir=cache)
+    os.close(fd)
+    try:
+        subprocess.run([_CC, *_CFLAGS, "-x", "c", "-", "-o", tmp, "-lm"],
+                       input=source, capture_output=True, check=True,
+                       timeout=120)
+        os.replace(tmp, target)
+    finally:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+    return target
+
+
+@functools.cache
+def _native_kernel() -> Callable[..., int] | None:
+    """The C run loop, or None (once per process) when it cannot be built.
+
+    A missing compiler, a compile error or an unwritable cache directory
+    leaves :func:`run` on the Python kernel, which gives the same series.
+    """
+    import ctypes
+    import subprocess
+
+    try:
+        lib = ctypes.CDLL(str(_build(_native_source())))
+    except (OSError, RuntimeError, subprocess.SubprocessError):
+        return None
+    fn = lib.gridfreq_run
+    doubles = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
+    i64, f64 = ctypes.c_int64, ctypes.c_double
+    fn.argtypes = [doubles, i64, i64, doubles, doubles, f64, f64, f64,
+                   ctypes.c_int, f64, f64, f64, f64, f64, i64, i64, f64,
+                   doubles, doubles]
+    fn.restype = i64
+    return fn
+
+
+def run_backend() -> str:
+    """``"c"`` when :func:`run` uses the C loop, ``"python"`` otherwise."""
+    return "python" if _native_kernel() is None else "c"
+
+
+def _run_native(native: Callable[..., int], values: np.ndarray,
+                kernel: _Kernel, t0: float
+                ) -> tuple[list[EstimateRecord], int | None]:
+    """Records and divergence index of the C loop over ``values``."""
+    n = kernel.config.n
+    every = kernel.report_every
+    x = np.ascontiguousarray(values, dtype=np.float64)
+    ring = max(1, min(kernel.config.rocof_smooth_window, len(x)))
+    rows = np.empty((len(x) // every, 9 + 2 * n))
+    k = native(x, len(x), n, np.array(kernel.tgc), np.array(kernel.tgs),
+               kernel.ts, kernel.tg_dc, kernel.g_dc1, kernel.alpha is not None,
+               kernel.alpha or 0.0, INV_TWO_PI * kernel.eta, kernel.f0,
+               kernel.half_f0, kernel.t_reset, every, ring, t0,
+               np.empty(4 * n + ring), rows)
+    eta = kernel.eta
+    records = []
+    for (t, f, rocof, rocof_raw, a_dc, a_dc1, resid, phase, t_anchor,
+         *coefs) in rows[:k // every].tolist():
+        polar = list(map(amp_phase, coefs[n:], coefs[:n]))
+        records.append(EstimateRecord(
+            t, f, rocof, rocof_raw, [m for m, _ in polar],
+            [p for _, p in polar], a_dc, a_dc1, resid, eta, phase, t_anchor))
+    return records, (k if k < len(x) else None)
+
+
 def run(stream: SampleStream, config: EstimatorConfig) -> EstimateSeries:
-    """Run the kernel over a whole stream in one pass.
+    """Run the estimator over a whole stream in one pass, from a fresh state.
 
     The series equals the records of :func:`step` called on each sample in
-    turn; the pass stops at a divergence and reports its sample index.
+    turn, bit for bit; the pass stops at a divergence and reports its
+    sample index.  The loop runs in C when it can be built and in the
+    Python kernel of :func:`step` otherwise (see :func:`run_backend`).
     """
     if abs(stream.ts - config.ts) > 1e-9 * config.ts:
         raise ConfigError(
@@ -426,6 +548,11 @@ def run(stream: SampleStream, config: EstimatorConfig) -> EstimateSeries:
         )
     state = init(config, stream.t0)
     kernel = state.kernel
-    records = kernel.advance(state, stream.values.tolist(), kernel)
-    return EstimateSeries(records=records, n=config.n,
-                          diverged_at=state.k if state.diverged else None)
+    native = _native_kernel()
+    if native is not None:
+        records, diverged_at = _run_native(native, stream.values, kernel,
+                                           stream.t0)
+    else:
+        records = kernel.advance(state, stream.values.tolist(), kernel)
+        diverged_at = state.k if state.diverged else None
+    return EstimateSeries(records=records, n=config.n, diverged_at=diverged_at)

@@ -53,10 +53,6 @@ class ParameterVector:
     def copy(self) -> "ParameterVector":
         return ParameterVector(list(self.a_c), list(self.a_s), self.a_dc, self.a_dc1)
 
-    def is_finite(self) -> bool:
-        vals = [*self.a_c, *self.a_s, self.a_dc, self.a_dc1]
-        return all(math.isfinite(v) for v in vals)
-
 
 def harmonic_basis(phase: float, n: int) -> tuple[list[float], list[float]]:
     """cos(i*phase), sin(i*phase) for i = 1..n via the angle-sum recurrence."""

@@ -1,7 +1,10 @@
 """Unit tests for the per-sample adaptive estimator."""
 
+import gc
 import math
 import pickle
+import shutil
+import warnings
 from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
@@ -9,10 +12,13 @@ import pytest
 
 from gridfreq import (ConfigError, DivergenceError, EstimatorConfig,
                       SampleStream, ScenarioSpec, init, run, step, synthesize)
+from gridfreq import estimator
 from gridfreq.estimator import INV_TWO_PI, amp_phase
 from gridfreq.model import output_and_gradient
 from cases import case1
+from golden import cases as golden_cases
 from golden import compute as golden_compute
+from golden import digest as golden_digest
 from golden import load as golden_load
 from reference import reference_estimator
 
@@ -219,8 +225,8 @@ class TestKernelCache:
         with pytest.raises(FrozenInstanceError):
             EstimatorConfig().eta_opt = 1.0
 
-    @pytest.mark.parametrize("n", ORDERS)
-    def test_new_config_object_every_step_is_bit_identical(self, n):
+    @staticmethod
+    def _check_step_fold(n: int) -> None:
         cfg = EstimatorConfig(n=n, obs_lowpass_hz=500.0)
         stream = _clean_stream(0.5)
         state = init(cfg)
@@ -228,6 +234,15 @@ class TestKernelCache:
                    if (rec := step(state, x, replace(cfg))) is not None]
         assert records == run(stream, cfg).records
 
+    @pytest.mark.parametrize("n", ORDERS)
+    def test_new_config_object_every_step_is_bit_identical(self, n,
+                                                            native_kernel):
+        self._check_step_fold(n)
+
+    @pytest.mark.parametrize("n", ORDERS)
+    def test_new_config_object_every_step_is_bit_identical_python_kernel(
+            self, n, python_kernel):
+        self._check_step_fold(n)
 
     def test_config_of_another_order_rejected(self):
         state = init(EstimatorConfig())
@@ -278,12 +293,21 @@ class TestStepMatchesModelKernel:
 
 
 class TestGolden:
-    def test_outputs_match_stored_digests(self):
+    """Both backends of run() reproduce the stored digests."""
+
+    @staticmethod
+    def _check() -> None:
         want = golden_load()
         got = golden_compute()
         assert sorted(got) == sorted(want)
         changed = [name for name in want if got[name] != want[name]]
         assert not changed, f"outputs changed for {changed}"
+
+    def test_outputs_match_stored_digests(self, native_kernel):
+        self._check()
+
+    def test_outputs_match_stored_digests_python_kernel(self, python_kernel):
+        self._check()
 
     def test_divergence_fixtures(self):
         want = golden_load()
@@ -299,3 +323,78 @@ class TestObservationFilter:
         assert series.diverged_at is None
         late = series.f_hz()[series.t() > 1.5]
         assert float(np.abs(late - 50.0).max()) < 0.01
+
+
+needs_cc = pytest.mark.skipif(shutil.which("cc") is None,
+                              reason="no C compiler (cc) on PATH")
+
+
+class TestNativeLoader:
+    """Building and loading the C run loop, and the fallback when it fails."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_loader(self, monkeypatch, tmp_path):
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+        estimator._native_kernel.cache_clear()
+        yield
+        estimator._native_kernel.cache_clear()
+
+    @staticmethod
+    def _load() -> str:
+        """The backend run() picks, failing on any warning while it loads."""
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            backend = estimator.run_backend()
+            gc.collect()
+        assert caught == []
+        return backend
+
+    @staticmethod
+    def _golden_case1() -> bool:
+        name, stream, cfg = next(golden_cases())
+        want = golden_load()[name]
+        series = run(stream, cfg)
+        return (golden_digest(series), series.diverged_at) == (
+            want["sha256"], want["diverged_at"])
+
+    @pytest.mark.parametrize("fault", ["missing_cc", "compile_error",
+                                       "unwritable_cache", "shared_cache"])
+    def test_failed_build_falls_back_to_an_identical_series(
+            self, fault, monkeypatch, tmp_path):
+        if fault == "missing_cc":
+            monkeypatch.setattr(estimator, "_CC", str(tmp_path / "no-cc"))
+        elif fault == "compile_error":
+            monkeypatch.setattr(estimator, "_native_source",
+                                lambda: b"not C\n")
+        elif fault == "unwritable_cache":
+            (tmp_path / "file").write_text("")
+            monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "file"))
+        else:
+            (tmp_path / "cache" / "gridfreq").mkdir(parents=True)
+            (tmp_path / "cache" / "gridfreq").chmod(0o777)
+        assert self._load() == "python"
+        assert self._golden_case1()
+        assert not list(tmp_path.glob("cache/gridfreq/*"))
+
+    @needs_cc
+    def test_second_load_reuses_the_cached_object(self, monkeypatch,
+                                                  tmp_path):
+        assert self._load() == "c"
+        built = list((tmp_path / "cache" / "gridfreq").iterdir())
+        assert len(built) == 1 and built[0].suffix == ".so"
+        estimator._native_kernel.cache_clear()
+        monkeypatch.setattr(estimator, "_CC", str(tmp_path / "no-cc"))
+        assert self._load() == "c"
+        assert list((tmp_path / "cache" / "gridfreq").iterdir()) == built
+        assert self._golden_case1()
+
+    @needs_cc
+    def test_default_cache_is_private_under_home(self, monkeypatch,
+                                                 tmp_path):
+        # a relative XDG_CACHE_HOME is ignored, as the XDG spec asks
+        monkeypatch.setenv("XDG_CACHE_HOME", "relative")
+        monkeypatch.setenv("HOME", str(tmp_path))
+        assert self._load() == "c"
+        cache = tmp_path / ".cache" / "gridfreq"
+        assert cache.stat().st_mode & 0o777 == 0o700
+        assert len(list(cache.glob("_kernel-*.so"))) == 1

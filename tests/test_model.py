@@ -29,11 +29,6 @@ class TestParameterVector:
         assert th.a_c[0] == 1.0
         assert th.a_dc == 3.0
 
-    def test_is_finite(self):
-        assert ParameterVector([1.0], [2.0]).is_finite()
-        assert not ParameterVector([math.nan], [2.0]).is_finite()
-        assert not ParameterVector([1.0], [2.0], a_dc1=math.inf).is_finite()
-
 
 class TestHarmonicBasis:
     def test_matches_direct_trig(self):

@@ -1,6 +1,7 @@
 """Property-based tests (hypothesis) for the algebraic building blocks."""
 
 import math
+import shutil
 from dataclasses import replace
 
 import numpy as np
@@ -10,11 +11,13 @@ from hypothesis import strategies as st
 
 from gridfreq import (EstimatorConfig, EventProfile, RampProfile,
                       SampleStream, ScenarioSpec, init, run, step, synthesize)
+from gridfreq import estimator
 from gridfreq import io as gio
 from gridfreq.estimator import amp_phase
 from gridfreq.synth import (ConstantProfile, DcSpec, HarmonicSpec, NoiseSpec,
                             StepSpec)
 from gridfreq.model import ParameterVector, harmonic_basis, output_and_gradient
+from golden import digest
 
 finite = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False,
                    allow_infinity=False)
@@ -161,9 +164,14 @@ bad_values = st.sampled_from([math.nan, math.inf, -math.inf]) | st.floats(
         lambda v: st.sampled_from([v, -v]))
 
 
+def _finite(theta) -> bool:
+    return all(map(math.isfinite,
+                   (*theta.a_c, *theta.a_s, theta.a_dc, theta.a_dc1)))
+
+
 def _exact_verdict(state, config) -> bool:
     f = state.f_hz
-    return (not (math.isfinite(f) and state.theta.is_finite())
+    return (not (math.isfinite(f) and _finite(state.theta))
             or abs(f - config.f0) > config.f0 / 2)
 
 
@@ -206,7 +214,7 @@ def test_watchdog_exact_check_after_finite_overflow():
     state.theta.a_dc1 = 1.7e308
     step(state, 1.7e308, cfg)
     assert state.f_hz == cfg.f0
-    assert state.theta.is_finite()
+    assert _finite(state.theta)
     assert not math.isfinite(sum(state.theta.a_c) + sum(state.theta.a_s)
                              + state.theta.a_dc + state.theta.a_dc1)
     assert not state.diverged
@@ -234,3 +242,51 @@ def test_anchor_ramps_to_its_cap_and_holds_there(cap):
         assert all(a == cap for a in anchors[anchors.index(cap):])
     else:
         assert cap > 0.4
+
+
+# --------------------------------------------------------------------------
+# the C and Python backends of run()
+# --------------------------------------------------------------------------
+
+extreme = st.sampled_from([math.nan, math.inf, -math.inf, 1e300, -1e300])
+
+
+@st.composite
+def backend_cases(draw):
+    """A config of any order the default ts allows and a tone with extreme
+    values at random positions."""
+    n = draw(st.integers(1, 11))
+    gains = st.lists(positive, min_size=n, max_size=n).map(tuple)
+    report_every = draw(st.integers(1, 50))
+    length = draw(st.integers(1, len(ANCHOR_TONE.values)))
+    config = EstimatorConfig(
+        n=n, gamma_c=draw(gains), gamma_s=draw(gains),
+        gamma_dc=draw(positive), gamma_dc1=draw(positive),
+        eta_opt=draw(st.floats(1.0, 1e5)),
+        obs_lowpass_hz=draw(st.none() | st.floats(1.0, 5000.0)),
+        report_every=report_every,
+        # shorter than the report interval up to longer than the record
+        rocof_smooth_window=draw(st.integers(1, report_every)
+                                 | st.integers(length, 2 * length)),
+        t_reset_s=draw(st.floats(1e-3, 1.0)))
+    values = (ANCHOR_TONE.values[:length] * draw(st.floats(0.01, 100.0)))
+    for pos in draw(st.lists(st.integers(0, length - 1), max_size=3)):
+        values[pos] = draw(extreme)
+    t0 = draw(st.floats(-1e6, 1e6))
+    return config, SampleStream(t0, ANCHOR_TONE.ts, values)
+
+
+@pytest.mark.skipif(shutil.which("cc") is None,
+                    reason="no C compiler (cc) on PATH")
+@settings(max_examples=300, deadline=None)
+@given(case=backend_cases())
+def test_c_run_equals_python_run_bit_for_bit(case):
+    config, stream = case
+    assert estimator.run_backend() == "c"
+    native = run(stream, config)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(estimator, "_native_kernel", lambda: None)
+        python = run(stream, config)
+    assert native.diverged_at == python.diverged_at
+    assert len(native) == len(python)
+    assert digest(native) == digest(python)
