@@ -12,9 +12,10 @@ at its anchor time, which saturates at ``t_reset_s``: after that ramp
 
 :func:`output_and_gradient` is the one definition of this model and of its
 derivative with respect to w1.  The estimator runs the same arithmetic in a
-kernel generated per harmonic order n, with the harmonic loops unrolled for
-speed, and the tests pin it to this function bit for bit at n = 1, 2, 7
-and 11.
+Python kernel generated per harmonic order n, with the harmonic loops
+unrolled for speed, and in a C loop for whole streams; the tests pin the
+Python kernel to this function bit for bit at n = 1, 2, 7 and 11, and the
+C loop to the Python kernel.
 """
 
 from __future__ import annotations

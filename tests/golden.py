@@ -4,8 +4,9 @@ Each case is one ``run()`` over a bundled scenario or a divergence fixture.
 Its digest is the SHA-256 of the ``repr`` of every field of every record,
 so a change in any output bit changes it.  The default-config cases at
 seed 0 also digest the final state of a ``step`` loop over the same
-stream.  ``tests/data/golden_run.json`` holds the digests; regenerate it
-only when an output change is intended:
+stream.  ``tests/data/golden_run.json`` holds the digests, which both
+backends of ``run()`` (the C loop and the Python kernel) must reproduce;
+regenerate it only when an output change is intended:
 
     PYTHONPATH=src python tests/golden.py --write
 """
