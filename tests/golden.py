@@ -5,8 +5,11 @@ Its digest is the SHA-256 of the ``repr`` of every field of every record,
 so a change in any output bit changes it.  The default-config cases at
 seed 0 also digest the final state of a ``step`` loop over the same
 stream.  ``tests/data/golden_run.json`` holds the digests, which both
-backends of ``run()`` (the C loop and the Python kernel) must reproduce;
-regenerate it only when an output change is intended:
+backends of ``run()`` (the C loop and the Python kernel) must reproduce.
+``tests/data/golden_estimate_csv.json`` holds the SHA-256 of the estimate
+CSV ``io.write_estimates`` writes for two of the cases, one that runs and
+one that diverges before its first report.  Regenerate both only when an
+output change is intended:
 
     PYTHONPATH=src python tests/golden.py --write
 """
@@ -18,6 +21,7 @@ import json
 import math
 import pathlib
 import sys
+import tempfile
 from dataclasses import fields
 from typing import Iterator
 
@@ -27,6 +31,8 @@ from gridfreq import io as gio
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 GOLDEN = pathlib.Path(__file__).resolve().parent / "data" / "golden_run.json"
+GOLDEN_CSV = GOLDEN.with_name("golden_estimate_csv.json")
+CSV_CASES = ("case1/seed0/default", "case1/seed0/x325")
 FS = 1200.0
 SEEDS = (0, 1)
 CONFIGS = {
@@ -94,8 +100,23 @@ def compute() -> dict[str, dict]:
     return out
 
 
+def csv_digests(tmp: pathlib.Path) -> dict[str, str]:
+    """SHA-256 of the estimate CSV of each case in CSV_CASES."""
+    out = {}
+    for name, stream, config in cases():
+        if name in CSV_CASES:
+            path = tmp / "estimates.csv"
+            gio.write_estimates(path, run(stream, config))
+            out[name] = hashlib.sha256(path.read_bytes()).hexdigest()
+    return out
+
+
 def load() -> dict[str, dict]:
     return json.loads(GOLDEN.read_text())
+
+
+def load_csv() -> dict[str, str]:
+    return json.loads(GOLDEN_CSV.read_text())
 
 
 if __name__ == "__main__":
@@ -104,3 +125,7 @@ if __name__ == "__main__":
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(json.dumps(compute(), indent=1, sort_keys=True) + "\n")
     print(f"wrote {GOLDEN}")
+    with tempfile.TemporaryDirectory() as tmp:
+        digests = csv_digests(pathlib.Path(tmp))
+    GOLDEN_CSV.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n")
+    print(f"wrote {GOLDEN_CSV}")

@@ -14,6 +14,7 @@ from gridfreq import io as gio
 from gridfreq.synth import (ConstantProfile, DcSpec, HarmonicSpec, NoiseSpec,
                             StepSpec)
 from cases import case1, case2, case2b, case3, clean_tone
+from golden import csv_digests, load_csv
 
 FS = 1200.0
 
@@ -151,6 +152,13 @@ class TestEstimateRoundTrip:
         path.write_text("t,value\n0.0,1.0\n")
         with pytest.raises(ScenarioError):
             gio.read_estimates(path)
+
+    def test_csv_bytes_match_stored_digests(self, tmp_path, native_kernel):
+        assert csv_digests(tmp_path) == load_csv()
+
+    def test_csv_bytes_match_stored_digests_python_kernel(self, tmp_path,
+                                                          python_kernel):
+        assert csv_digests(tmp_path) == load_csv()
 
 
 class TestHistory:
