@@ -178,26 +178,99 @@ class EstimateRecord:
     t_anchor: float
 
 
-@dataclass
+# the columns of an EstimateSeries row before its n a_c and n a_s columns,
+# in the order the C loop writes them
+ROW_COLUMNS = ("t", "f_hz", "rocof_hzps", "rocof_raw_hzps", "a_dc", "a_dc1",
+               "residual", "phase_acc", "t_anchor")
+
+
+@dataclass(eq=False)
 class EstimateSeries:
-    records: list[EstimateRecord]
+    """The reports of one run, one row of 9 + 2n floats each.
+
+    ``rows`` holds the columns of :data:`ROW_COLUMNS`, then ``a_c[0..n)``
+    and ``a_s[0..n)``, the layout the C loop writes; it is read-only, and
+    each column accessor returns a view of it.  ``eta`` is the
+    frequency-loop rate, the same on every report.
+
+    Amplitude and phase are derived when read: :meth:`polar` maps
+    :func:`amp_phase` over the rectangular pairs, and :attr:`records`
+    builds the :class:`EstimateRecord` list :func:`step` would have
+    returned, anew on each read.  A series read back from an estimate CSV
+    carries the file's amplitude and phase in ``polar_rows``; the values
+    the CSV lacks (``rocof_raw_hzps``, ``phase_acc``, ``t_anchor``, the
+    rectangular pairs and ``eta``) are NaN.
+    """
+
+    rows: np.ndarray
     n: int
     diverged_at: int | None = None     # sample index of divergence, if any
+    eta: float = math.nan
+    polar_rows: np.ndarray | None = None   # amp_1, phase_1, ..., phase_n
+
+    def __post_init__(self) -> None:
+        if self.rows.ndim != 2 or self.rows.shape[1] != 9 + 2 * self.n:
+            raise ValueError(f"rows of shape {self.rows.shape} do not hold "
+                             f"n = {self.n} harmonics")
+        self.rows.flags.writeable = False
+        if self.polar_rows is not None:
+            self.polar_rows.flags.writeable = False
 
     def __len__(self) -> int:
-        return len(self.records)
+        return self.rows.shape[0]
 
     def t(self) -> np.ndarray:
-        return np.array([r.t for r in self.records])
+        return self.rows[:, 0]
 
     def f_hz(self) -> np.ndarray:
-        return np.array([r.f_hz for r in self.records])
+        return self.rows[:, 1]
 
     def rocof_hzps(self) -> np.ndarray:
-        return np.array([r.rocof_hzps for r in self.records])
+        return self.rows[:, 2]
+
+    def rocof_raw_hzps(self) -> np.ndarray:
+        return self.rows[:, 3]
+
+    def a_dc(self) -> np.ndarray:
+        return self.rows[:, 4]
+
+    def a_dc1(self) -> np.ndarray:
+        return self.rows[:, 5]
 
     def residual(self) -> np.ndarray:
-        return np.array([r.residual for r in self.records])
+        return self.rows[:, 6]
+
+    def phase_acc(self) -> np.ndarray:
+        return self.rows[:, 7]
+
+    def t_anchor(self) -> np.ndarray:
+        return self.rows[:, 8]
+
+    def a_c(self) -> np.ndarray:
+        return self.rows[:, 9:9 + self.n]
+
+    def a_s(self) -> np.ndarray:
+        return self.rows[:, 9 + self.n:]
+
+    def polar(self) -> np.ndarray:
+        """Amplitude and phase of each harmonic, one row per report:
+        ``amp_1, phase_1, ..., amp_n, phase_n``."""
+        if self.polar_rows is not None:
+            return self.polar_rows
+        pairs = map(amp_phase, self.a_s().ravel().tolist(),
+                    self.a_c().ravel().tolist())
+        return np.array(list(pairs), dtype=float).reshape(len(self), 2 * self.n)
+
+    @property
+    def records(self) -> list[EstimateRecord]:
+        """The reports as records, equal to :func:`step`'s bit for bit."""
+        eta = self.eta
+        return [EstimateRecord(t, f, rocof, rocof_raw, polar[0::2],
+                               polar[1::2], a_dc, a_dc1, resid, eta, phase,
+                               t_anchor)
+                for (t, f, rocof, rocof_raw, a_dc, a_dc1, resid, phase,
+                     t_anchor, *_), polar
+                in zip(self.rows.tolist(), self.polar().tolist())]
 
 
 # --------------------------------------------------------------------------
@@ -314,9 +387,7 @@ def advance(state, values, kernel):
         acc = 0.0
         for v in buf:
             acc += v
-        records.append(EstimateRecord(
-            t0 + k * ts, f, acc / len(buf), rocof_raw, [{amps}], [{phases}],
-            a_dc, a_dc1, resid, eta, phase, t))
+        records.append({emit})
 
     a_c[:] = {ac}
     a_s[:] = {as_}
@@ -331,17 +402,31 @@ def advance(state, values, kernel):
 """
 
 
-def _kernel_source(n: int) -> str:
+def _kernel_source(n: int, rows: bool = False) -> str:
     """Source of the kernel for harmonic order n, built from n alone.
 
     Harmonic i+1 has the locals ``ac{i}``/``as{i}`` (coefficients),
     ``kc{i}``/``ks{i}`` (ts times its gains) and ``c{i}``/``s{i}`` (basis).
+    The kernel of :func:`step` emits :class:`EstimateRecord` s; with
+    ``rows``, the one :func:`run` falls back to emits the row tuples of
+    :class:`EstimateSeries` instead.
     """
     def unroll(fmt: str, sep: str, start: int = 0) -> str:
         return sep.join(fmt.format(i=i, p=i - 1, h=float(i + 1))
                         for i in range(start, n))
 
     line = "\n" + " " * 8
+    if rows:
+        polar = ""
+        emit = ("(" + line + "    t0 + k * ts, f, acc / len(buf), rocof_raw, "
+                "a_dc, a_dc1, resid," + line + "    phase, t, "
+                + unroll("ac{i}, ", "") + unroll("as{i}", ", ") + ")")
+    else:
+        polar = unroll(line + "m{i}, p{i} = amp_phase(as{i}, ac{i})", "")
+        emit = ("EstimateRecord(" + line + "    t0 + k * ts, f, acc / len(buf), "
+                "rocof_raw, [" + unroll("m{i}", ", ") + "], ["
+                + unroll("p{i}", ", ") + "]," + line
+                + "    a_dc, a_dc1, resid, eta, phase, t)")
     return _KERNEL_TEMPLATE.format(
         kc=unroll("kc{i},", " "),
         ks=unroll("ks{i},", " "),
@@ -355,17 +440,16 @@ def _kernel_source(n: int) -> str:
         gradient=unroll(" + {h!r} * t * (ac{i} * c{i} - as{i} * s{i})", ""),
         coef_sum=unroll("ac{i} + as{i}", " + "),
         coefs=unroll("ac{i}, as{i}", ", "),
-        polar=unroll(line + "m{i}, p{i} = amp_phase(as{i}, ac{i})", ""),
-        amps=unroll("m{i}", ", "),
-        phases=unroll("p{i}", ", "),
+        polar=polar,
+        emit=emit,
     )
 
 
 @functools.cache
-def _kernel(n: int) -> Callable[..., list[EstimateRecord]]:
+def _kernel(n: int, rows: bool = False) -> Callable[..., list]:
     """Compile the kernel for harmonic order n (Nyquist keeps n small)."""
-    source = _kernel_source(n)
-    filename = f"<gridfreq.estimator kernel n={n}>"
+    source = _kernel_source(n, rows)
+    filename = f"<gridfreq.estimator {'run ' if rows else ''}kernel n={n}>"
     # tracebacks through the kernel show its source lines
     linecache.cache[filename] = (len(source), None,
                                  source.splitlines(keepends=True), filename)
@@ -510,9 +594,8 @@ def run_backend() -> str:
 
 
 def _run_native(native: Callable[..., int], values: np.ndarray,
-                kernel: _Kernel, t0: float
-                ) -> tuple[list[EstimateRecord], int | None]:
-    """Records and divergence index of the C loop over ``values``."""
+                kernel: _Kernel, t0: float) -> tuple[np.ndarray, int | None]:
+    """Rows and divergence index of the C loop over ``values``."""
     n = kernel.config.n
     every = kernel.report_every
     x = np.ascontiguousarray(values, dtype=np.float64)
@@ -523,24 +606,17 @@ def _run_native(native: Callable[..., int], values: np.ndarray,
                kernel.alpha or 0.0, INV_TWO_PI * kernel.eta, kernel.f0,
                kernel.half_f0, kernel.t_reset, every, ring, t0,
                np.empty(4 * n + ring), rows)
-    eta = kernel.eta
-    records = []
-    for (t, f, rocof, rocof_raw, a_dc, a_dc1, resid, phase, t_anchor,
-         *coefs) in rows[:k // every].tolist():
-        polar = list(map(amp_phase, coefs[n:], coefs[:n]))
-        records.append(EstimateRecord(
-            t, f, rocof, rocof_raw, [m for m, _ in polar],
-            [p for _, p in polar], a_dc, a_dc1, resid, eta, phase, t_anchor))
-    return records, (k if k < len(x) else None)
+    return rows[:k // every], (k if k < len(x) else None)
 
 
 def run(stream: SampleStream, config: EstimatorConfig) -> EstimateSeries:
     """Run the estimator over a whole stream in one pass, from a fresh state.
 
-    The series equals the records of :func:`step` called on each sample in
-    turn, bit for bit; the pass stops at a divergence and reports its
+    The series' records equal those of :func:`step` called on each sample
+    in turn, bit for bit; the pass stops at a divergence and reports its
     sample index.  The loop runs in C when it can be built and in the
-    Python kernel of :func:`step` otherwise (see :func:`run_backend`).
+    Python kernel of :func:`step` otherwise (see :func:`run_backend`); both
+    fill the same rows, and neither builds a record.
     """
     if abs(stream.ts - config.ts) > 1e-9 * config.ts:
         raise ConfigError(
@@ -550,9 +626,12 @@ def run(stream: SampleStream, config: EstimatorConfig) -> EstimateSeries:
     kernel = state.kernel
     native = _native_kernel()
     if native is not None:
-        records, diverged_at = _run_native(native, stream.values, kernel,
-                                           stream.t0)
+        rows, diverged_at = _run_native(native, stream.values, kernel,
+                                        stream.t0)
     else:
-        records = kernel.advance(state, stream.values.tolist(), kernel)
+        emitted = _kernel(config.n, rows=True)(state, stream.values.tolist(),
+                                               kernel)
+        rows = np.array(emitted, dtype=float).reshape(-1, 9 + 2 * config.n)
         diverged_at = state.k if state.diverged else None
-    return EstimateSeries(records=records, n=config.n, diverged_at=diverged_at)
+    return EstimateSeries(rows=rows, n=config.n, diverged_at=diverged_at,
+                          eta=config.eta_opt)

@@ -24,7 +24,7 @@ from typing import Any, Sequence
 import numpy as np
 
 from .errors import GridFreqError, ScenarioError
-from .estimator import EstimateRecord, EstimateSeries, EstimatorConfig
+from .estimator import ROW_COLUMNS, EstimateSeries, EstimatorConfig
 from .synth import (ConstantProfile, DcSpec, EventProfile, GroundTruth,
                     HarmonicSpec, NoiseSpec, RampProfile, SampleStream,
                     ScenarioSpec, StepSpec)
@@ -141,25 +141,23 @@ def estimate_header(n: int) -> list[str]:
 
 
 def write_estimates(path: str | Path, series: EstimateSeries) -> None:
-    header = estimate_header(series.n)
-    rows = [[r.t, r.f_hz, r.rocof_hzps, r.residual, r.a_dc, r.a_dc1,
-             *itertools.chain.from_iterable(zip(r.amps, r.phases))]
-            for r in series.records]
-    table = np.array(rows, dtype=float).reshape(-1, len(header))
-    _write_rows(path, header, table.T)
+    """The estimate CSV of ``series``, one row per report."""
+    _write_rows(path, estimate_header(series.n),
+                (series.t(), series.f_hz(), series.rocof_hzps(),
+                 series.residual(), series.a_dc(), series.a_dc1(),
+                 *series.polar().T))
 
 
 def read_estimates(path: str | Path) -> EstimateSeries:
+    """The series of an estimate CSV; the values it lacks are NaN (see
+    :class:`gridfreq.estimator.EstimateSeries`)."""
     header, arr = _read_rows(path)
     n = (len(header) - 6) // 2
     if n < 1 or header != estimate_header(n):
         raise ScenarioError(f"{path}: not an estimate CSV")
-    records = [EstimateRecord(
-        t=vals[0], f_hz=vals[1], rocof_hzps=vals[2], rocof_raw_hzps=math.nan,
-        amps=vals[6::2], phases=vals[7::2], a_dc=vals[4], a_dc1=vals[5],
-        residual=vals[3], eta=math.nan, phase_acc=math.nan,
-        t_anchor=math.nan) for vals in arr.tolist()]
-    return EstimateSeries(records=records, n=n)
+    rows = np.full((len(arr), 9 + 2 * n), math.nan)
+    rows[:, [ROW_COLUMNS.index(name) for name in header[:6]]] = arr[:, :6]
+    return EstimateSeries(rows=rows, n=n, polar_rows=arr[:, 6:])
 
 
 def write_history(path: str | Path, history: Sequence[float]) -> None:

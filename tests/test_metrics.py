@@ -11,7 +11,7 @@ from gridfreq import (AlignmentError, EstimatorConfig, MetricsReport,
                       align, evaluate, fe_re, reconstruction_error, run,
                       synthesize)
 from gridfreq import io as gio
-from gridfreq.estimator import EstimateRecord, EstimateSeries
+from gridfreq.estimator import ROW_COLUMNS, EstimateSeries
 from gridfreq.synth import GroundTruth
 from cases import case1
 from reference import reference_fe_re
@@ -20,13 +20,12 @@ FS = 1200.0
 
 
 def _series(t, f, rocof):
-    records = [EstimateRecord(t=float(ti), f_hz=float(fi),
-                              rocof_hzps=float(ri), rocof_raw_hzps=float(ri),
-                              amps=[1.0], phases=[0.0], a_dc=0.0, a_dc1=0.0,
-                              residual=0.0, eta=0.0, phase_acc=0.0,
-                              t_anchor=0.0)
-               for ti, fi, ri in zip(t, f, rocof)]
-    return EstimateSeries(records=records, n=1)
+    rows = np.zeros((len(t), 11))
+    rows[:, ROW_COLUMNS.index("t")] = t
+    rows[:, ROW_COLUMNS.index("f_hz")] = f
+    rows[:, ROW_COLUMNS.index("rocof_hzps")] = rocof
+    rows[:, ROW_COLUMNS.index("rocof_raw_hzps")] = rocof
+    return EstimateSeries(rows=rows, n=1)
 
 
 def _truth(t0, ts, freq, rocof):
@@ -76,7 +75,7 @@ class TestAlign:
         with pytest.raises(AlignmentError):
             align(est, truth, -0.1)
         with pytest.raises(AlignmentError):
-            align(EstimateSeries(records=[], n=1), truth, 0.1)
+            align(_series([], [], []), truth, 0.1)
         with pytest.raises(AlignmentError):
             align(est, truth, 0.1, skip_s=100.0)
 
@@ -181,7 +180,7 @@ class TestReconstructionError:
         stream, _ = synthesize(ScenarioSpec(duration=1.0, base_freq=50.0), FS)
         series = run(stream, self.CFG)
         with pytest.raises(AlignmentError):
-            reconstruction_error(EstimateSeries(records=[], n=1), stream)
+            reconstruction_error(_series([], [], []), stream)
         with pytest.raises(AlignmentError):
             reconstruction_error(series, stream, t_min=100.0)
         zero = SampleStream(0.0, stream.ts, np.zeros(len(stream)))
