@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface."""
 
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from gridfreq import io as gio
 from gridfreq.cli import EXIT_BOUNDS, EXIT_DIVERGED, EXIT_INPUT, EXIT_OK, main
 
 FS = 1200.0
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 @pytest.fixture()
@@ -192,6 +194,30 @@ class TestEstimateAndMetrics:
         assert rc == EXIT_DIVERGED
         assert "DIVERGED" in capsys.readouterr().out
 
+
+    @pytest.mark.parametrize("backend", ["native_kernel", "python_kernel"])
+    def test_divergence_before_the_first_report(self, tmp_path, capsys,
+                                                request, backend):
+        # case1 in raw volts (x 325) diverges at sample 4 with no record
+        request.getfixturevalue(backend)
+        stream, truth = synthesize(gio.read_scenario(SCENARIOS / "case1.cfg"),
+                                   FS, seed=0)
+        samples, truth_csv, est = (tmp_path / name for name in
+                                   ("s.csv", "truth.csv", "est.csv"))
+        gio.write_samples(samples, SampleStream(stream.t0, stream.ts,
+                                                stream.values * 325.0))
+        gio.write_truth(truth_csv, truth)
+        rc = main(["estimate", str(samples), "--out", str(est)])
+        assert rc == EXIT_DIVERGED
+        out = capsys.readouterr().out
+        assert "(0 records)" in out and "DIVERGED at sample 4 " in out
+        header = ",".join(gio.estimate_header(EstimatorConfig().n))
+        assert est.read_bytes() == (header + "\r\n").encode()
+        rc = main(["metrics", "--est", str(est), "--truth", str(truth_csv)])
+        assert rc == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert f"error: {est}: no data rows" in err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("row_edit", [
         lambda row: row[:3],                              # short row

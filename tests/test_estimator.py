@@ -11,10 +11,13 @@ import numpy as np
 import pytest
 
 from gridfreq import (ConfigError, DivergenceError, EstimatorConfig,
-                      SampleStream, ScenarioSpec, init, run, step, synthesize)
+                      SampleStream, ScenarioSpec, evaluate, init,
+                      ise_fitness, reconstruction_error, run, step,
+                      synthesize)
 from gridfreq import estimator
-from gridfreq.estimator import INV_TWO_PI, amp_phase
+from gridfreq.estimator import INV_TWO_PI, ROW_COLUMNS, amp_phase
 from gridfreq.model import output_and_gradient
+from gridfreq.tuner import DIVERGENCE_PENALTY
 from cases import case1
 from golden import cases as golden_cases
 from golden import compute as golden_compute
@@ -183,6 +186,49 @@ class TestReporting:
         last = series.records[-1]
         assert last.amps[0] == pytest.approx(1.0, abs=0.01)
         assert all(a < 0.01 for a in last.amps[1:])
+
+
+class TestColumnarSeries:
+    def test_columns_are_read_only_views_of_the_rows(self):
+        cfg = EstimatorConfig(n=3)
+        series = run(_clean_stream(0.5), cfg)
+        assert series.rows.shape == (len(series), 9 + 2 * cfg.n)
+        for i, name in enumerate(ROW_COLUMNS):
+            column = getattr(series, name)()
+            assert np.shares_memory(column, series.rows)
+            np.testing.assert_array_equal(column, series.rows[:, i])
+        np.testing.assert_array_equal(series.a_c(), series.rows[:, 9:12])
+        np.testing.assert_array_equal(series.a_s(), series.rows[:, 12:])
+        with pytest.raises(ValueError, match="read-only"):
+            series.f_hz()[0] = 0.0
+
+    def test_records_are_derived_from_the_rows(self):
+        cfg = EstimatorConfig(n=2)
+        series = run(_clean_stream(0.5), cfg)
+        records = series.records
+        assert records is not series.records
+        records.clear()
+        assert len(series.records) == len(series)
+        for row, rec in zip(series.rows.tolist(), series.records):
+            assert rec.eta == series.eta == cfg.eta_opt
+            assert [rec.amps, rec.phases] == [
+                list(x) for x in zip(*map(amp_phase, row[11:], row[9:11]))]
+
+    def test_c_path_builds_no_record(self, native_kernel, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("per-record work on the C path")
+
+        monkeypatch.setattr(estimator, "amp_phase", forbidden)
+        monkeypatch.setattr(estimator, "EstimateRecord", forbidden)
+        stream, truth = synthesize(case1(), FS, seed=0)
+        cfg = EstimatorConfig()
+        assert evaluate(run(stream, cfg), truth).max_fe < 0.05
+        assert reconstruction_error(run(stream, cfg), stream, t_min=0.5) < 0.1
+        gains = [*cfg.gamma_c, *cfg.gamma_s, cfg.gamma_dc, cfg.gamma_dc1]
+        assert ise_fitness(gains, [(stream, truth)], cfg) < DIVERGENCE_PENALTY
+        # reading amplitude and phase still needs them
+        with pytest.raises(AssertionError, match="per-record work"):
+            run(stream, cfg).records
 
 
 class TestAnchorPolicies:

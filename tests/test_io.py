@@ -146,6 +146,12 @@ class TestEstimateRoundTrip:
             assert b.amps == a.amps
             assert b.phases == a.phases
             assert math.isnan(b.rocof_raw_hzps)   # not persisted
+        # the values the CSV lacks read back as NaN
+        for column in (back.rocof_raw_hzps(), back.phase_acc(),
+                       back.t_anchor(), back.a_c(), back.a_s()):
+            assert np.isnan(column).all()
+        assert math.isnan(back.eta)
+        np.testing.assert_array_equal(back.polar(), series.polar())
 
     def test_rejects_foreign_csv(self, tmp_path):
         path = tmp_path / "x.csv"

@@ -289,4 +289,6 @@ def test_c_run_equals_python_run_bit_for_bit(case):
         python = run(stream, config)
     assert native.diverged_at == python.diverged_at
     assert len(native) == len(python)
+    # the bytes compare NaN positions and signed zeros too
+    assert native.rows.tobytes() == python.rows.tobytes()
     assert digest(native) == digest(python)
