@@ -20,7 +20,22 @@ order::
     f      += ts*rocof
 
 then wraps the phase with ``%`` and, every ``report_every`` samples, emits
-a record whose RoCoF is a left-to-right boxcar over the raw values.
+a report whose RoCoF is a left-to-right boxcar over the raw values.
+
+:func:`step` returns a report as an :class:`EstimateRecord`.  :func:`run`
+keeps the reports of a whole stream as the rows of an
+:class:`EstimateSeries`, 9 + 2n floats each::
+
+    t, f_hz, rocof_hzps, rocof_raw_hzps, a_dc, a_dc1, residual,
+    phase_acc, t_anchor, a_c[0..n), a_s[0..n)
+
+and the rate ``eta_opt`` once per series.  Amplitude and phase are derived
+only when read, by :func:`amp_phase` (CPython's ``math.hypot``, which is
+not libm's): the series' ``polar()`` and ``records`` and the estimate CSV
+writer read them; ``run`` and the metrics do not.  A series read back from
+an estimate CSV keeps the file's amplitude and phase, and the values the
+file lacks (``rocof_raw_hzps``, ``phase_acc``, ``t_anchor``, ``a_c``,
+``a_s`` and ``eta``) are NaN.
 
 One set of laws, two backends.  :func:`step` runs a Python kernel generated
 per harmonic order n, from the integer n alone, with one local per
@@ -30,20 +45,22 @@ other per-config constants are cached per (state, config) pair on the
 state; :class:`EstimatorConfig` is frozen so that cache cannot go stale.
 :func:`run` calls the same laws in C (``_kernel.c``) over a whole stream
 from a fresh state, and falls back to the Python kernel when no C compiler
-or cache directory is at hand.  The C loop is built on the first
-:func:`run` call, never at import, with ``cc -O2 -ffp-contract=off`` into
-``$XDG_CACHE_HOME/gridfreq`` (default ``~/.cache/gridfreq``), one shared
-object per source and flags, and loaded through :mod:`ctypes`;
-:func:`run_backend` names the backend :func:`run` uses.
+or cache directory is at hand; that variant of the kernel emits the row
+tuple in place of the record and is otherwise the same source.  The C loop
+is built on the first :func:`run` call, never at import, with
+``cc -O2 -ffp-contract=off`` into ``$XDG_CACHE_HOME/gridfreq`` (default
+``~/.cache/gridfreq``), one shared object per source and flags, and loaded
+through :mod:`ctypes`; :func:`run_backend` names the backend :func:`run`
+uses.
 
 Every expression of both backends keeps the operand order of the laws, so
 neither moves an output bit: ``tests/data/golden_run.json`` holds digests
 of the records of both backends and of ``step`` final states at n = 7;
 tests pin the prediction error and the raw RoCoF to
 :func:`gridfreq.model.output_and_gradient` at n = 1, 2, 7 and 11, a
-``step`` fold to one :func:`run` pass of either backend, and the two
-backends to each other on drawn configs and samples with nan, inf and
-huge values.
+``step`` fold to one :func:`run` pass of either backend, and the rows of
+the two backends to each other on drawn configs and samples with nan, inf
+and huge values.
 """
 
 from __future__ import annotations
@@ -317,8 +334,9 @@ class _Kernel(NamedTuple):
 
 # The laws of the module docstring over a sequence of samples, for harmonic
 # order n.  The ``{...}`` fields are filled from the integer n alone (see
-# _kernel_source); every gain and rate is read from the _Kernel argument at
-# call time.  On a divergence the state keeps the updated coefficients,
+# _kernel_source), and ``{polar}`` and ``{emit}`` also from the variant:
+# step's kernel emits records, run's fallback emits row tuples.  Every gain
+# and rate is read from the _Kernel argument at call time.  On a divergence the state keeps the updated coefficients,
 # a_dc, a_dc1, f and zfilt, and the phase, k, t_anchor and RoCoF buffer of
 # the sample before.
 _KERNEL_TEMPLATE = """\
