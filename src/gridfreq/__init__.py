@@ -13,7 +13,6 @@ from .estimator import (EstimateRecord, EstimateSeries, EstimatorConfig,
                         EstimatorState, init, run, step)
 from .metrics import (MetricsReport, aggregate, align, evaluate, fe_re,
                       reconstruction_error)
-from .model import ParameterVector, output_and_gradient
 from .synth import (ConstantProfile, DcSpec, EventProfile, GroundTruth,
                     HarmonicSpec, NoiseSpec, RampProfile, SampleStream,
                     ScenarioSpec, StepSpec, synthesize)
@@ -26,10 +25,9 @@ __all__ = [
     "AlignmentError", "ConfigError", "ConstantProfile", "DcSpec",
     "DivergenceError", "EstimateRecord", "EstimateSeries", "EstimatorConfig",
     "EstimatorState", "EventProfile", "GridFreqError", "GroundTruth",
-    "HarmonicSpec", "MetricsReport", "NoiseSpec", "ParameterVector",
-    "PsoParams", "RampProfile", "SampleStream", "ScenarioError",
-    "ScenarioSpec", "SearchSpace", "StepSpec", "aggregate", "align",
-    "apply_gain_vector", "evaluate", "fe_re", "init", "ise_fitness",
-    "output_and_gradient", "pso_minimize", "pso_tune", "reconstruction_error",
-    "run", "step", "synthesize",
+    "HarmonicSpec", "MetricsReport", "NoiseSpec", "PsoParams", "RampProfile",
+    "SampleStream", "ScenarioError", "ScenarioSpec", "SearchSpace",
+    "StepSpec", "aggregate", "align", "apply_gain_vector", "evaluate",
+    "fe_re", "init", "ise_fitness", "pso_minimize", "pso_tune",
+    "reconstruction_error", "run", "step", "synthesize",
 ]

@@ -57,10 +57,10 @@ def _require_finite(args: argparse.Namespace, *names: str) -> None:
 
 
 def _require_non_negative(args: argparse.Namespace, *names: str) -> None:
-    """Reject a float flag below zero, naming the flag."""
+    """Reject a numeric flag below zero, naming the flag."""
     for name in names:
         value = getattr(args, name)
-        if value < 0:
+        if value is not None and value < 0:
             raise ConfigError(f"--{name.replace('_', '-')} must be non-negative, "
                               f"got {value}")
 
@@ -89,6 +89,7 @@ def _check_bounds(report: MetricsReport, args: argparse.Namespace) -> bool:
 # --------------------------------------------------------------------------
 
 def cmd_synth(args: argparse.Namespace) -> int:
+    _require_non_negative(args, "seed")
     spec = gio.read_scenario(args.scenario)
     stream, truth = synthesize(spec, args.fs, seed=args.seed)
     out = Path(args.out)
@@ -172,7 +173,7 @@ def cmd_metrics(args: argparse.Namespace) -> int:
 
 def cmd_sweep_eta(args: argparse.Namespace) -> int:
     _require_finite(args, "latency_ms", "skip")
-    _require_non_negative(args, "latency_ms", "skip")
+    _require_non_negative(args, "latency_ms", "skip", "seed")
     spec = gio.read_scenario(args.scenario)
     base = _load_config(args.config)
     latency = args.latency_ms / 1000.0
@@ -197,6 +198,7 @@ def cmd_sweep_eta(args: argparse.Namespace) -> int:
 
 
 def cmd_tune(args: argparse.Namespace) -> int:
+    _require_non_negative(args, "seed")
     if not args.scenario:
         raise ConfigError("--scenario: scenario battery must not be empty")
     pso = _flagged("--swarm", PsoParams, swarm_size=args.swarm, seed=args.seed)

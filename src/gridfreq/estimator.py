@@ -1,10 +1,21 @@
 """Per-sample adaptive observer for frequency and RoCoF.
 
-The estimator tracks the coefficients of the harmonic-plus-DC signal model
-(:mod:`gridfreq.model`) with gradient parameter updates driven by the
-filtered observation residual, and adjusts the fundamental frequency by
-steepest descent on the squared prediction error at the constant learning
-rate ``eta_opt``.
+The model of a single-channel waveform is
+
+    a(t) = sum_i  a_c[i] * sin(i*w1*t) + a_s[i] * cos(i*w1*t)
+         + a_dc - a_dc1 * t
+
+a truncated harmonic series around a fundamental w1 plus a first-order
+(Taylor) approximation of a decaying DC offset.  Its coefficients are the
+fields ``a_c``, ``a_s``, ``a_dc`` and ``a_dc1`` of :class:`EstimatorState`.
+The estimator evaluates the model at its anchor time, which saturates at
+``t_reset_s``: after that ramp ``a_dc - a_dc1*t`` acts as one constant
+offset.
+
+The estimator tracks the coefficients with gradient parameter updates
+driven by the filtered observation residual, and adjusts the fundamental
+frequency by steepest descent on the squared prediction error at the
+constant learning rate ``eta_opt``.
 
 All laws are strictly per-sample.  With the basis ``c_i = cos(i*phase)``,
 ``s_i = sin(i*phase)`` built by the angle-sum recurrence and the anchor
@@ -56,8 +67,8 @@ uses.
 Every expression of both backends keeps the operand order of the laws, so
 neither moves an output bit: ``tests/data/golden_run.json`` holds digests
 of the records of both backends and of ``step`` final states at n = 7;
-tests pin the prediction error and the raw RoCoF to
-:func:`gridfreq.model.output_and_gradient` at n = 1, 2, 7 and 11, a
+tests pin the prediction error and the raw RoCoF to the model oracle
+``output_and_gradient`` of ``tests/reference.py`` at n = 1, 2, 7 and 11, a
 ``step`` fold to one :func:`run` pass of either backend, and the rows of
 the two backends to each other on drawn configs and samples with nan, inf
 and huge values.
@@ -78,7 +89,6 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import ConfigError, DivergenceError
-from .model import ParameterVector
 from .synth import SampleStream
 
 TWO_PI = 2.0 * math.pi
@@ -88,6 +98,12 @@ INV_TWO_PI = 1.0 / TWO_PI
 # --------------------------------------------------------------------------
 # Configuration
 # --------------------------------------------------------------------------
+
+def _is_count(value: object) -> bool:
+    # a float count would pass the range checks, then each backend would
+    # fail its own way on it
+    return isinstance(value, int) and not isinstance(value, bool)
+
 
 @dataclass(frozen=True)
 class EstimatorConfig:
@@ -116,13 +132,18 @@ class EstimatorConfig:
     t_reset_s: float = 0.25               # lock-in ramp length, anchor cap
 
     def __post_init__(self) -> None:
-        for name in ("gamma_c", "gamma_s"):
-            gains = getattr(self, name)
-            object.__setattr__(self, name,
-                               tuple(gains) if gains else (40.0,) * self.n)
+        if _is_count(self.n):              # validate rejects any other n
+            for name in ("gamma_c", "gamma_s"):
+                gains = getattr(self, name)
+                object.__setattr__(self, name,
+                                   tuple(gains) if gains else (40.0,) * self.n)
         self.validate()
 
     def validate(self) -> None:
+        for name in ("n", "rocof_smooth_window", "report_every"):
+            value = getattr(self, name)
+            if not _is_count(value):
+                raise ConfigError(f"{name} must be an int, got {value!r}")
         if self.n < 1:
             raise ConfigError("harmonic order n must be >= 1")
         for name in ("f0", "ts", "gamma_c", "gamma_s", "gamma_dc", "gamma_dc1",
@@ -161,8 +182,18 @@ class EstimatorConfig:
 
 @dataclass
 class EstimatorState:
-    theta: ParameterVector
+    """Coefficients and loop state of one estimator.
+
+    ``a_c[i-1]`` multiplies sin(i*w1*t) and ``a_s[i-1]`` cos(i*w1*t); both
+    have one entry per harmonic.  ``a_dc`` is the constant offset in pu and
+    ``a_dc1`` its decay slope in pu/s.
+    """
+
+    a_c: list[float]
+    a_s: list[float]
     f_hz: float
+    a_dc: float = 0.0
+    a_dc1: float = 0.0
     phase_acc: float = 0.0             # wrapped fundamental phase, [0, 2pi)
     k: int = 0
     t_anchor: float = 0.0              # min(elapsed time, t_reset_s)
@@ -300,7 +331,7 @@ def init(config: EstimatorConfig, t0: float = 0.0) -> EstimatorState:
     ``t0`` is the time of the first sample; records are stamped
     ``t0 + k*ts`` after the k-th sample.
     """
-    state = EstimatorState(theta=ParameterVector.zeros(config.n),
+    state = EstimatorState(a_c=[0.0] * config.n, a_s=[0.0] * config.n,
                            f_hz=config.f0, t0=t0)
     _bind(state, config)
     return state
@@ -336,9 +367,9 @@ class _Kernel(NamedTuple):
 # order n.  The ``{...}`` fields are filled from the integer n alone (see
 # _kernel_source), and ``{polar}`` and ``{emit}`` also from the variant:
 # step's kernel emits records, run's fallback emits row tuples.  Every gain
-# and rate is read from the _Kernel argument at call time.  On a divergence the state keeps the updated coefficients,
-# a_dc, a_dc1, f and zfilt, and the phase, k, t_anchor and RoCoF buffer of
-# the sample before.
+# and rate is read from the _Kernel argument at call time.  On a divergence
+# the state keeps the updated coefficients, a_dc, a_dc1, f and zfilt, and
+# the phase, k, t_anchor and RoCoF buffer of the sample before.
 _KERNEL_TEMPLATE = """\
 def advance(state, values, kernel):
     (_, _, tgc, tgs, ts, tg_dc, g_dc1, alpha, eta, f0, half_f0, t_reset,
@@ -346,13 +377,12 @@ def advance(state, values, kernel):
     {kc} = tgc
     {ks} = tgs
     eta_rate = INV_TWO_PI * eta
-    th = state.theta
-    a_c = th.a_c
-    a_s = th.a_s
+    a_c = state.a_c
+    a_s = state.a_s
     {ac} = a_c
     {as_} = a_s
-    a_dc = th.a_dc
-    a_dc1 = th.a_dc1
+    a_dc = state.a_dc
+    a_dc1 = state.a_dc1
     f = state.f_hz
     phase = state.phase_acc
     k = state.k
@@ -409,8 +439,8 @@ def advance(state, values, kernel):
 
     a_c[:] = {ac}
     a_s[:] = {as_}
-    th.a_dc = a_dc
-    th.a_dc1 = a_dc1
+    state.a_dc = a_dc
+    state.a_dc1 = a_dc1
     state.f_hz = f
     state.phase_acc = phase
     state.k = k
@@ -484,8 +514,9 @@ def _bind(state: EstimatorState, config: EstimatorConfig) -> _Kernel:
     Every product keeps the operand order of the laws, e.g.
     ``(ts*gamma)*z*basis``, so the cached form is bit-identical.
     """
-    if state.theta.n != config.n:
-        raise ConfigError(f"state has {state.theta.n} harmonics, "
+    if len(state.a_c) != config.n or len(state.a_s) != config.n:
+        raise ConfigError(f"state has {len(state.a_c)} harmonics "
+                          f"({len(state.a_s)} in a_s), "
                           f"config has n = {config.n}")
     ts = config.ts
     window = config.rocof_smooth_window

@@ -235,6 +235,8 @@ class NoiseSpec:
             raise ScenarioError(f"unknown noise kind {self.kind!r}")
         if not 0.0 <= self.level <= 0.2:
             raise ScenarioError("noise level must lie in [0, 0.2]")
+        if self.seed < 0:
+            raise ScenarioError(f"noise.seed must be non-negative, got {self.seed}")
         if not 0.0 < self.pole < 1.0:
             raise ScenarioError("color pole must lie in (0, 1)")
         if not 0.0 <= self.impulse_rate <= 1.0:
@@ -294,6 +296,8 @@ def synthesize(spec: ScenarioSpec, fs: float, seed: int | None = None
         raise ScenarioError(f"sampling rate must be finite and positive, got {fs:g}")
     if spec.duration * fs < 2:
         raise ScenarioError("scenario too short for the requested sampling rate")
+    if seed is not None and seed < 0:
+        raise ScenarioError(f"seed must be non-negative, got {seed}")
 
     n_samples = int(round(spec.duration * fs)) + 1
     t = np.arange(n_samples) / fs

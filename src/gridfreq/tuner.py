@@ -65,6 +65,8 @@ class PsoParams:
             raise ConfigError("swarm size must be >= 2")
         if self.iterations < 1:
             raise ConfigError("iteration count must be >= 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
 
 
 def apply_gain_vector(config: EstimatorConfig, gains: Sequence[float]

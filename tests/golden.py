@@ -50,10 +50,9 @@ def digest(series: EstimateSeries) -> str:
 
 
 def state_digest(state: EstimatorState) -> str:
-    th = state.theta
-    vals = [th.a_c, th.a_s, th.a_dc, th.a_dc1, state.f_hz, state.phase_acc,
-            state.k, state.t_anchor, state.zfilt, state.diverged,
-            list(state.rocof_buf)]
+    vals = [state.a_c, state.a_s, state.a_dc, state.a_dc1, state.f_hz,
+            state.phase_acc, state.k, state.t_anchor, state.zfilt,
+            state.diverged, list(state.rocof_buf)]
     return hashlib.sha256(repr(vals).encode()).hexdigest()
 
 

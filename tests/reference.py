@@ -3,7 +3,10 @@
 Everything here is written independently of the package internals: plain
 Python loops, direct math.sin/math.cos calls, no shared helpers.  Do not
 refactor these to call into gridfreq; their value is that a bug in the
-package cannot silently propagate into the expectation.
+package cannot silently propagate into the expectation.  The one exception
+to direct trig is the model oracle (harmonic_basis, output_and_gradient):
+it builds the basis by the angle-sum recurrence in the estimator's
+operation order, so that the tests can pin the kernel to it bit for bit.
 """
 
 from __future__ import annotations
@@ -71,6 +74,39 @@ def reference_estimator(values, ts, n, f0, gamma_c, gamma_s, gamma_dc,
         f_trace.append(f_hz)
         rocof_trace.append(rocof_raw)
     return f_trace, rocof_trace
+
+
+def harmonic_basis(phase, n):
+    """cos(i*phase), sin(i*phase) for i = 1..n via the angle-sum recurrence."""
+    c1 = math.cos(phase)
+    s1 = math.sin(phase)
+    cos_i = [c1]
+    sin_i = [s1]
+    for _ in range(1, n):
+        c_prev = cos_i[-1]
+        s_prev = sin_i[-1]
+        cos_i.append(c_prev * c1 - s_prev * s1)
+        sin_i.append(s_prev * c1 + c_prev * s1)
+    return cos_i, sin_i
+
+
+def output_and_gradient(a_c, a_s, a_dc, a_dc1, phase, t):
+    """Model output and its derivative d(model)/d(w1) at fixed coefficients.
+
+    The model is a = sum_i a_c[i]*sin((i+1)*phase) + a_s[i]*cos((i+1)*phase)
+    + a_dc - a_dc1*t.  ``phase`` is the fundamental phase (w1*t; an
+    estimator state carries a wrapped phase accumulator instead) and ``t``
+    the time that multiplies the DC slope and the gradient.  Harmonic i
+    contributes i*t*(a_c*cos(i*phase) - a_s*sin(i*phase)) to the gradient;
+    the DC terms do not depend on the fundamental.
+    """
+    cos_i, sin_i = harmonic_basis(phase, len(a_c))
+    value = a_dc - a_dc1 * t
+    grad = 0.0
+    for i, (ac, as_, c, s) in enumerate(zip(a_c, a_s, cos_i, sin_i), 1):
+        value += ac * s + as_ * c
+        grad += i * t * (ac * c - as_ * s)
+    return value, grad
 
 
 def reference_event_freq(t, f0, t_start, peak_dev, peak_rocof):

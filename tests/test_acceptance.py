@@ -20,10 +20,8 @@ import pytest
 from cases import FS, case1, case2, case2b, case3, clean_tone
 from gridfreq import (ConfigError, EstimatorConfig, PsoParams, SearchSpace,
                       aggregate, align, evaluate, init, ise_fitness,
-                      output_and_gradient, pso_minimize, pso_tune, run, step,
-                      synthesize)
-from gridfreq.model import ParameterVector
-from reference import reference_gram
+                      pso_minimize, pso_tune, run, step, synthesize)
+from reference import output_and_gradient, reference_gram
 
 LATENCY = 0.1
 CONFIG = EstimatorConfig()
@@ -223,7 +221,7 @@ def test_c06_eta_sweep_trend():
 def test_c07_descent_and_divergence():
     ts = 1.0 / FS
     cap = 0.5
-    theta = ParameterVector([1.0], [0.0])
+    theta = ([1.0], [0.0], 0.0, 0.0)       # (a_c, a_s, a_dc, a_dc1)
     omega_true = 2.0 * math.pi * 50.0
     g_max = cap * 1.0
 
@@ -234,11 +232,11 @@ def test_c07_descent_and_divergence():
         omega = 2.0 * math.pi * 50.02
         for k in range(1000):
             t = min((k + 1) * ts, cap)
-            target = output_and_gradient(theta, omega_true * t, t)[0]
-            y, g = output_and_gradient(theta, omega * t, t)
+            target = output_and_gradient(*theta, omega_true * t, t)[0]
+            y, g = output_and_gradient(*theta, omega * t, t)
             err = y - target
             omega_new = omega - ts * eta * err * g
-            y_new = output_and_gradient(theta, omega_new * t, t)[0]
+            y_new = output_and_gradient(*theta, omega_new * t, t)[0]
             dj = 0.5 * (y_new - target) ** 2 - 0.5 * err ** 2
             worst_dj = max(worst_dj, dj)
             omega = omega_new
@@ -251,13 +249,13 @@ def test_c07_descent_and_divergence():
     t = cap
     eta = 3.0 / (ts * g_max ** 2)
     omega = omega_true * (1.0 + 1e-6)
-    target = output_and_gradient(theta, omega_true * t, t)[0]
-    J = [0.5 * (output_and_gradient(theta, omega * t, t)[0] - target) ** 2]
+    target = output_and_gradient(*theta, omega_true * t, t)[0]
+    J = [0.5 * (output_and_gradient(*theta, omega * t, t)[0] - target) ** 2]
     for _ in range(1000):
-        y, g = output_and_gradient(theta, omega * t, t)
+        y, g = output_and_gradient(*theta, omega * t, t)
         err = y - target
         omega = omega - ts * eta * err * g
-        J.append(0.5 * (output_and_gradient(theta, omega * t, t)[0]
+        J.append(0.5 * (output_and_gradient(*theta, omega * t, t)[0]
                         - target) ** 2)
     k = 1
     grew = False
@@ -315,15 +313,14 @@ def test_c09_gradient_check():
     worst = 0.0
     for _ in range(100):
         n = int(rng.integers(1, 8))
-        theta = ParameterVector(list(rng.normal(0.0, 1.0, n)),
-                                list(rng.normal(0.0, 1.0, n)),
-                                float(rng.normal()), float(rng.normal()))
+        theta = (list(rng.normal(0.0, 1.0, n)), list(rng.normal(0.0, 1.0, n)),
+                 float(rng.normal()), float(rng.normal()))
         omega = float(rng.uniform(250.0, 380.0))
         t = float(rng.uniform(0.01, 1.0))
-        g = output_and_gradient(theta, omega * t, t)[1]
+        g = output_and_gradient(*theta, omega * t, t)[1]
         h = 1e-6 * omega
-        fd = (output_and_gradient(theta, (omega + h) * t, t)[0]
-              - output_and_gradient(theta, (omega - h) * t, t)[0]) / (2.0 * h)
+        fd = (output_and_gradient(*theta, (omega + h) * t, t)[0]
+              - output_and_gradient(*theta, (omega - h) * t, t)[0]) / (2.0 * h)
         worst = max(worst, abs(g - fd) / max(abs(g), abs(fd), 1e-9))
     _verdict("C9 gradient check", worst < 1e-5,
              f"worst relative error = {worst:.2e} (< 1e-5) over 100 states")

@@ -7,12 +7,11 @@ PUBLIC = {
     "AlignmentError", "ConfigError", "ConstantProfile", "DcSpec",
     "DivergenceError", "EstimateRecord", "EstimateSeries", "EstimatorConfig",
     "EstimatorState", "EventProfile", "GridFreqError", "GroundTruth",
-    "HarmonicSpec", "MetricsReport", "NoiseSpec", "ParameterVector",
-    "PsoParams", "RampProfile", "SampleStream", "ScenarioError",
-    "ScenarioSpec", "SearchSpace", "StepSpec", "aggregate", "align",
-    "apply_gain_vector", "evaluate", "fe_re", "init", "ise_fitness",
-    "output_and_gradient", "pso_minimize", "pso_tune", "reconstruction_error",
-    "run", "step", "synthesize",
+    "HarmonicSpec", "MetricsReport", "NoiseSpec", "PsoParams", "RampProfile",
+    "SampleStream", "ScenarioError", "ScenarioSpec", "SearchSpace",
+    "StepSpec", "aggregate", "align", "apply_gain_vector", "evaluate",
+    "fe_re", "init", "ise_fitness", "pso_minimize", "pso_tune",
+    "reconstruction_error", "run", "step", "synthesize",
 }
 
 
@@ -23,5 +22,5 @@ def test_star_import_resolves_every_exported_name():
 
 
 def test_public_names_are_pinned():
-    assert len(gridfreq.__all__) == len(PUBLIC) == 37
+    assert len(gridfreq.__all__) == len(PUBLIC) == 35
     assert set(gridfreq.__all__) == PUBLIC

@@ -69,6 +69,16 @@ class TestSynth:
         err = capsys.readouterr().err
         assert f"bad.cfg:{len(body) + 1}: " in err and f"`{key}`" in err
 
+    def test_negative_noise_seed_names_the_key(self, tmp_path, capsys):
+        path = tmp_path / "bad.cfg"
+        path.write_text("duration = 1.0\nbase_freq = 50.0\n"
+                        "noise.level = 0.01\nnoise.seed = -1\n")
+        rc = main(["synth", str(path), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == EXIT_INPUT
+        assert err == f"error: {path}: noise.seed must be non-negative, got -1\n"
+        assert not (tmp_path / "out").exists()
+
     def test_scenario_value_error_names_the_file(self, tmp_path, capsys):
         path = tmp_path / "bad.cfg"
         path.write_text("duration = 1.0\nbase_freq = 50.0\nnoise.level = 0.5\n")
@@ -437,6 +447,12 @@ class TestBadFlag:
          "--skip must be non-negative, got -1.0"),
         (["metrics", "--est", "missing.csv", "--truth", "missing.csv",
           "--seeds", "0"], "--seeds: only --scenario mode renders seeds"),
+        (["synth", "{scenario}", "--seed", "-1"],
+         "--seed must be non-negative, got -1"),
+        (["sweep-eta", "{scenario}", "--seed", "-1"],
+         "--seed must be non-negative, got -1"),
+        (["tune", "--scenario", "{scenario}", "--seed", "-1"],
+         "--seed must be non-negative, got -1"),
     ])
     def test_exits_2_naming_the_flag(self, tmp_path, scenario_file, capsys,
                                      monkeypatch, argv, message):
@@ -449,6 +465,7 @@ class TestBadFlag:
         out, err = capsys.readouterr()
         assert rc == EXIT_INPUT
         assert f"error: {message}" in err
+        assert "Traceback" not in err
         assert out == ""
         assert not (tmp_path / "out").exists()
 

@@ -11,19 +11,18 @@ import numpy as np
 import pytest
 
 from gridfreq import (ConfigError, DivergenceError, EstimatorConfig,
-                      SampleStream, ScenarioSpec, evaluate, init,
-                      ise_fitness, reconstruction_error, run, step,
+                      EstimatorState, SampleStream, ScenarioSpec, evaluate,
+                      init, ise_fitness, reconstruction_error, run, step,
                       synthesize)
 from gridfreq import estimator
 from gridfreq.estimator import INV_TWO_PI, ROW_COLUMNS, amp_phase
-from gridfreq.model import output_and_gradient
 from gridfreq.tuner import DIVERGENCE_PENALTY
 from cases import case1
 from golden import cases as golden_cases
 from golden import compute as golden_compute
 from golden import digest as golden_digest
 from golden import load as golden_load
-from reference import reference_estimator
+from reference import output_and_gradient, reference_estimator
 
 FS = 1200.0
 TS = 1.0 / FS
@@ -76,6 +75,20 @@ class TestConfig:
     def test_defaults_are_valid(self):
         EstimatorConfig().validate()
 
+    @pytest.mark.parametrize("backend", ["native_kernel", "python_kernel"])
+    @pytest.mark.parametrize("name, value", [("n", 7.0),
+                                             ("rocof_smooth_window", 96.0),
+                                             ("report_every", 12.0)])
+    def test_validation_rejects_non_int_count(self, request, backend, name,
+                                              value):
+        # a float count used to pass on one backend and fail on the other
+        request.getfixturevalue(backend)
+        with pytest.raises(ConfigError, match=f"{name} must be an int"):
+            EstimatorConfig(**{name: value})
+        with pytest.raises(ConfigError, match=f"{name} must be an int"):
+            replace(EstimatorConfig(), **{name: value})
+        assert len(run(_clean_stream(0.1), EstimatorConfig())) == 10
+
 
 class TestInitAndState:
     def test_init_values(self):
@@ -86,7 +99,21 @@ class TestInitAndState:
         assert state.t_anchor == 0.0
         assert state.k == 0
         assert not state.diverged
-        assert state.theta.n == cfg.n
+        assert len(state.a_c) == len(state.a_s) == cfg.n
+
+    def test_coefficients_start_at_zero(self):
+        state = init(EstimatorConfig(n=3))
+        assert state.a_c == [0.0, 0.0, 0.0]
+        assert state.a_s == [0.0, 0.0, 0.0]
+        assert state.a_dc == 0.0
+        assert state.a_dc1 == 0.0
+
+    @pytest.mark.parametrize("a_c, a_s", [(3, 2), (2, 3)])
+    def test_coefficient_length_mismatch_rejected(self, a_c, a_s):
+        state = EstimatorState(a_c=[0.0] * a_c, a_s=[0.0] * a_s, f_hz=50.0)
+        with pytest.raises(ConfigError, match="config has n = 3"):
+            step(state, 0.0, EstimatorConfig(n=3))
+        assert state.k == 0
 
 
 class TestAmpPhase:
@@ -315,10 +342,13 @@ class TestStepMatchesModelKernel:
         state = init(cfg)
         mismatches = 0
         for x in stream.values.tolist():
-            theta, phase, t = state.theta.copy(), state.phase_acc, state.t_anchor
+            before = (list(state.a_c), list(state.a_s), state.a_dc,
+                      state.a_dc1)
+            phase, t = state.phase_acc, state.t_anchor
             rec = step(state, x, cfg)
-            out, _ = output_and_gradient(theta, phase, t)
-            _, grad = output_and_gradient(state.theta, phase, t)
+            out, _ = output_and_gradient(*before, phase, t)
+            _, grad = output_and_gradient(state.a_c, state.a_s, state.a_dc,
+                                          state.a_dc1, phase, t)
             # the record reports the raw prediction error; the laws are
             # driven by it, low-passed when obs_lowpass_hz is set
             z = rec.residual if cfg.obs_lowpass_hz is None else state.zfilt

@@ -171,6 +171,14 @@ class TestNoise:
         with pytest.raises(ScenarioError):
             NoiseSpec(kind="pink", level=0.01)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ScenarioError, match="noise.seed must be non-neg"):
+            NoiseSpec(kind="gaussian", level=0.01, seed=-1)
+        spec = ScenarioSpec(duration=1.0, base_freq=50.0,
+                            noise=NoiseSpec(kind="gaussian", level=0.01))
+        with pytest.raises(ScenarioError, match="seed must be non-negative"):
+            synthesize(spec, FS, seed=-1)
+
 
 class TestStepsAndDc:
     def test_step_spec_matches_injection(self):

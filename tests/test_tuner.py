@@ -41,6 +41,8 @@ class TestPsoParams:
             PsoParams(swarm_size=1)
         with pytest.raises(ConfigError):
             PsoParams(iterations=0)
+        with pytest.raises(ConfigError, match="seed must be non-negative"):
+            PsoParams(seed=-1)
 
 
 class TestApplyGainVector:
