@@ -37,9 +37,10 @@ static double py_mod(double x, double y)
  * work holds 4n + ring doubles: the coefficient pairs, the basis and the
  * RoCoF ring.  ring is min(rocof_smooth_window, len), at least 1: no more
  * values than that are ever summed.  Every report_every-th sample writes
- * one row of rows, 9 + 2n doubles:
+ * one row of rows, 10 + 2n doubles, the layout of
+ * gridfreq.estimator.ROW_COLUMNS and of the estimate CSV:
  *
- *     t, f, rocof, rocof_raw, a_dc, a_dc1, resid, phase, t_anchor,
+ *     t, f, rocof, rocof_raw, a_dc, a_dc1, resid, eta, phase, t_anchor,
  *     a_c[0..n), a_s[0..n)
  *
  * Returns the number of samples consumed: len, or the index of the sample
@@ -49,13 +50,14 @@ static double py_mod(double x, double y)
 int64_t gridfreq_run(const double *x, int64_t len, int64_t n,
                      const double *tgc, const double *tgs, double ts,
                      double tg_dc, double g_dc1, int lowpass, double alpha,
-                     double eta_rate, double f0, double half_f0,
+                     double eta, double f0, double half_f0,
                      double t_reset, int64_t report_every, int64_t ring,
                      double t0, double *work, double *rows)
 {
     double *ac = work, *as = work + n, *c = work + 2 * n, *s = work + 3 * n;
     double *buf = work + 4 * n;
     double *row = rows;
+    double eta_rate = (1.0 / TWO_PI) * eta;   /* INV_TWO_PI * eta */
     double a_dc = 0.0, a_dc1 = 0.0, f = f0, phase = 0.0, t = 0.0, zf = 0.0;
     int64_t k, i, j, head = 0, count = 0;
 
@@ -138,13 +140,14 @@ int64_t gridfreq_run(const double *x, int64_t len, int64_t n,
         row[4] = a_dc;
         row[5] = a_dc1;
         row[6] = resid;
-        row[7] = phase;
-        row[8] = t;
+        row[7] = eta;
+        row[8] = phase;
+        row[9] = t;
         for (i = 0; i < n; i++) {
-            row[9 + i] = ac[i];
-            row[9 + n + i] = as[i];
+            row[10 + i] = ac[i];
+            row[10 + n + i] = as[i];
         }
-        row += 9 + 2 * n;
+        row += 10 + 2 * n;
     }
     return k;
 }

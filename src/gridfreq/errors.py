@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types, and the count check, shared across the package."""
 
 
 class GridFreqError(Exception):
@@ -19,3 +19,12 @@ class DivergenceError(GridFreqError):
 
 class AlignmentError(GridFreqError):
     """Estimate and truth series do not overlap after latency shifting."""
+
+
+def is_count(value: object) -> bool:
+    """Whether ``value`` is an int and not a bool.
+
+    A float count or seed would pass the range checks, then fail later in
+    its own way (a backend of the estimator, or numpy's generator).
+    """
+    return isinstance(value, int) and not isinstance(value, bool)

@@ -35,18 +35,17 @@ a report whose RoCoF is a left-to-right boxcar over the raw values.
 
 :func:`step` returns a report as an :class:`EstimateRecord`.  :func:`run`
 keeps the reports of a whole stream as the rows of an
-:class:`EstimateSeries`, 9 + 2n floats each::
+:class:`EstimateSeries`, 10 + 2n floats each::
 
-    t, f_hz, rocof_hzps, rocof_raw_hzps, a_dc, a_dc1, residual,
+    t, f_hz, rocof_hzps, rocof_raw_hzps, a_dc, a_dc1, residual, eta,
     phase_acc, t_anchor, a_c[0..n), a_s[0..n)
 
-and the rate ``eta_opt`` once per series.  Amplitude and phase are derived
-only when read, by :func:`amp_phase` (CPython's ``math.hypot``, which is
-not libm's): the series' ``polar()`` and ``records`` and the estimate CSV
-writer read them; ``run`` and the metrics do not.  A series read back from
-an estimate CSV keeps the file's amplitude and phase, and the values the
-file lacks (``rocof_raw_hzps``, ``phase_acc``, ``t_anchor``, ``a_c``,
-``a_s`` and ``eta``) are NaN.
+the one layout of a report: the C loop, the Python kernel and the estimate
+CSV all hold these rows, so a series read back from a file equals the
+series written.  Amplitude and phase are derived only when read, by
+:func:`amp_phase` (CPython's ``math.hypot``, which is not libm's): the
+series' ``polar()`` and ``records`` read them; ``run``, the metrics and the
+estimate CSV do not.
 
 One set of laws, two backends.  :func:`step` runs a Python kernel generated
 per harmonic order n, from the integer n alone, with one local per
@@ -88,7 +87,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, DivergenceError
+from .errors import ConfigError, DivergenceError, is_count
 from .synth import SampleStream
 
 TWO_PI = 2.0 * math.pi
@@ -98,12 +97,6 @@ INV_TWO_PI = 1.0 / TWO_PI
 # --------------------------------------------------------------------------
 # Configuration
 # --------------------------------------------------------------------------
-
-def _is_count(value: object) -> bool:
-    # a float count would pass the range checks, then each backend would
-    # fail its own way on it
-    return isinstance(value, int) and not isinstance(value, bool)
-
 
 @dataclass(frozen=True)
 class EstimatorConfig:
@@ -132,7 +125,7 @@ class EstimatorConfig:
     t_reset_s: float = 0.25               # lock-in ramp length, anchor cap
 
     def __post_init__(self) -> None:
-        if _is_count(self.n):              # validate rejects any other n
+        if is_count(self.n):              # validate rejects any other n
             for name in ("gamma_c", "gamma_s"):
                 gains = getattr(self, name)
                 object.__setattr__(self, name,
@@ -142,7 +135,7 @@ class EstimatorConfig:
     def validate(self) -> None:
         for name in ("n", "rocof_smooth_window", "report_every"):
             value = getattr(self, name)
-            if not _is_count(value):
+            if not is_count(value):
                 raise ConfigError(f"{name} must be an int, got {value!r}")
         if self.n < 1:
             raise ConfigError("harmonic order n must be >= 1")
@@ -227,84 +220,70 @@ class EstimateRecord:
 
 
 # the columns of an EstimateSeries row before its n a_c and n a_s columns,
-# in the order the C loop writes them
+# in the order the C loop writes them: EstimateRecord's fields without the
+# amplitudes and phases
 ROW_COLUMNS = ("t", "f_hz", "rocof_hzps", "rocof_raw_hzps", "a_dc", "a_dc1",
-               "residual", "phase_acc", "t_anchor")
+               "residual", "eta", "phase_acc", "t_anchor")
+
+
+def _column(name: str) -> Callable[[EstimateSeries], np.ndarray]:
+    """Accessor of the :data:`ROW_COLUMNS` column ``name``."""
+    i = ROW_COLUMNS.index(name)
+
+    def column(self: EstimateSeries) -> np.ndarray:
+        return self.rows[:, i]
+    column.__name__ = column.__qualname__ = name
+    return column
 
 
 @dataclass(eq=False)
 class EstimateSeries:
-    """The reports of one run, one row of 9 + 2n floats each.
+    """The reports of one run, one row of 10 + 2n floats each.
 
     ``rows`` holds the columns of :data:`ROW_COLUMNS`, then ``a_c[0..n)``
-    and ``a_s[0..n)``, the layout the C loop writes; it is read-only, and
-    each column accessor returns a view of it.  ``eta`` is the
-    frequency-loop rate, the same on every report.
+    and ``a_s[0..n)``, the layout the C loop and the estimate CSV hold; it
+    is read-only, and each column accessor returns a view of it.
 
     Amplitude and phase are derived when read: :meth:`polar` maps
     :func:`amp_phase` over the rectangular pairs, and :attr:`records`
     builds the :class:`EstimateRecord` list :func:`step` would have
-    returned, anew on each read.  A series read back from an estimate CSV
-    carries the file's amplitude and phase in ``polar_rows``; the values
-    the CSV lacks (``rocof_raw_hzps``, ``phase_acc``, ``t_anchor``, the
-    rectangular pairs and ``eta``) are NaN.
+    returned, anew on each read.
     """
 
     rows: np.ndarray
     n: int
     diverged_at: int | None = None     # sample index of divergence, if any
-    eta: float = math.nan
-    polar_rows: np.ndarray | None = None   # amp_1, phase_1, ..., phase_n
 
     def __post_init__(self) -> None:
-        if self.rows.ndim != 2 or self.rows.shape[1] != 9 + 2 * self.n:
+        if (self.rows.ndim != 2
+                or self.rows.shape[1] != len(ROW_COLUMNS) + 2 * self.n):
             raise ValueError(f"rows of shape {self.rows.shape} do not hold "
                              f"n = {self.n} harmonics")
         self.rows.flags.writeable = False
-        if self.polar_rows is not None:
-            self.polar_rows.flags.writeable = False
 
     def __len__(self) -> int:
         return self.rows.shape[0]
 
-    def t(self) -> np.ndarray:
-        return self.rows[:, 0]
-
-    def f_hz(self) -> np.ndarray:
-        return self.rows[:, 1]
-
-    def rocof_hzps(self) -> np.ndarray:
-        return self.rows[:, 2]
-
-    def rocof_raw_hzps(self) -> np.ndarray:
-        return self.rows[:, 3]
-
-    def a_dc(self) -> np.ndarray:
-        return self.rows[:, 4]
-
-    def a_dc1(self) -> np.ndarray:
-        return self.rows[:, 5]
-
-    def residual(self) -> np.ndarray:
-        return self.rows[:, 6]
-
-    def phase_acc(self) -> np.ndarray:
-        return self.rows[:, 7]
-
-    def t_anchor(self) -> np.ndarray:
-        return self.rows[:, 8]
+    t = _column("t")
+    f_hz = _column("f_hz")
+    rocof_hzps = _column("rocof_hzps")
+    rocof_raw_hzps = _column("rocof_raw_hzps")
+    a_dc = _column("a_dc")
+    a_dc1 = _column("a_dc1")
+    residual = _column("residual")
+    eta = _column("eta")
+    phase_acc = _column("phase_acc")
+    t_anchor = _column("t_anchor")
 
     def a_c(self) -> np.ndarray:
-        return self.rows[:, 9:9 + self.n]
+        return self.rows[:, len(ROW_COLUMNS):len(ROW_COLUMNS) + self.n]
 
     def a_s(self) -> np.ndarray:
-        return self.rows[:, 9 + self.n:]
+        return self.rows[:, len(ROW_COLUMNS) + self.n:]
 
     def polar(self) -> np.ndarray:
         """Amplitude and phase of each harmonic, one row per report:
         ``amp_1, phase_1, ..., amp_n, phase_n``."""
-        if self.polar_rows is not None:
-            return self.polar_rows
         pairs = map(amp_phase, self.a_s().ravel().tolist(),
                     self.a_c().ravel().tolist())
         return np.array(list(pairs), dtype=float).reshape(len(self), 2 * self.n)
@@ -312,13 +291,11 @@ class EstimateSeries:
     @property
     def records(self) -> list[EstimateRecord]:
         """The reports as records, equal to :func:`step`'s bit for bit."""
-        eta = self.eta
-        return [EstimateRecord(t, f, rocof, rocof_raw, polar[0::2],
-                               polar[1::2], a_dc, a_dc1, resid, eta, phase,
-                               t_anchor)
-                for (t, f, rocof, rocof_raw, a_dc, a_dc1, resid, phase,
-                     t_anchor, *_), polar
-                in zip(self.rows.tolist(), self.polar().tolist())]
+        head = len(ROW_COLUMNS)
+        return [EstimateRecord(*row[:4], polar[0::2], polar[1::2],
+                               *row[4:head])
+                for row, polar in zip(self.rows.tolist(),
+                                      self.polar().tolist())]
 
 
 # --------------------------------------------------------------------------
@@ -467,7 +444,7 @@ def _kernel_source(n: int, rows: bool = False) -> str:
     if rows:
         polar = ""
         emit = ("(" + line + "    t0 + k * ts, f, acc / len(buf), rocof_raw, "
-                "a_dc, a_dc1, resid," + line + "    phase, t, "
+                "a_dc, a_dc1, resid," + line + "    eta, phase, t, "
                 + unroll("ac{i}, ", "") + unroll("as{i}", ", ") + ")")
     else:
         polar = unroll(line + "m{i}, p{i} = amp_phase(as{i}, ac{i})", "")
@@ -517,7 +494,7 @@ def _bind(state: EstimatorState, config: EstimatorConfig) -> _Kernel:
     if len(state.a_c) != config.n or len(state.a_s) != config.n:
         raise ConfigError(f"state has {len(state.a_c)} harmonics "
                           f"({len(state.a_s)} in a_s), "
-                          f"config has n = {config.n}")
+                          f"config has n = {config.n}") from None
     ts = config.ts
     window = config.rocof_smooth_window
     if getattr(state.rocof_buf, "maxlen", None) != window:
@@ -555,7 +532,13 @@ def step(state: EstimatorState, sample: float, config: EstimatorConfig
     kernel = state.kernel
     if kernel is None or kernel.config is not config:
         kernel = _bind(state, config)
-    records = kernel.advance(state, (sample,), kernel)
+    try:
+        records = kernel.advance(state, (sample,), kernel)
+    except ValueError:
+        # a coefficient list resized since _bind fails the kernel's unpack,
+        # which runs before it writes any state
+        _bind(state, config)
+        raise
     return records[0] if records else None
 
 
@@ -592,14 +575,16 @@ def _build(source: bytes) -> Path:
     with an atomic rename, so processes that build at once are safe.
     """
     import hashlib
-    import subprocess
-    import tempfile
 
     key = hashlib.sha256(source + " ".join(_CFLAGS).encode()).hexdigest()
     cache = _cache_dir()
     target = cache / f"_kernel-{key[:16]}.so"
     if target.exists():
         return target
+    # only a compile pays for these imports
+    import subprocess
+    import tempfile
+
     fd, tmp = tempfile.mkstemp(suffix=".so", dir=cache)
     os.close(fd)
     try:
@@ -607,6 +592,8 @@ def _build(source: bytes) -> Path:
                        input=source, capture_output=True, check=True,
                        timeout=120)
         os.replace(tmp, target)
+    except subprocess.SubprocessError as exc:
+        raise OSError(f"cannot build the C run loop: {exc}") from exc
     finally:
         with contextlib.suppress(FileNotFoundError):
             os.unlink(tmp)
@@ -621,11 +608,10 @@ def _native_kernel() -> Callable[..., int] | None:
     leaves :func:`run` on the Python kernel, which gives the same series.
     """
     import ctypes
-    import subprocess
 
     try:
         lib = ctypes.CDLL(str(_build(_native_source())))
-    except (OSError, RuntimeError, subprocess.SubprocessError):
+    except (OSError, RuntimeError):
         return None
     fn = lib.gridfreq_run
     doubles = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
@@ -649,10 +635,10 @@ def _run_native(native: Callable[..., int], values: np.ndarray,
     every = kernel.report_every
     x = np.ascontiguousarray(values, dtype=np.float64)
     ring = max(1, min(kernel.config.rocof_smooth_window, len(x)))
-    rows = np.empty((len(x) // every, 9 + 2 * n))
+    rows = np.empty((len(x) // every, len(ROW_COLUMNS) + 2 * n))
     k = native(x, len(x), n, np.array(kernel.tgc), np.array(kernel.tgs),
                kernel.ts, kernel.tg_dc, kernel.g_dc1, kernel.alpha is not None,
-               kernel.alpha or 0.0, INV_TWO_PI * kernel.eta, kernel.f0,
+               kernel.alpha or 0.0, kernel.eta, kernel.f0,
                kernel.half_f0, kernel.t_reset, every, ring, t0,
                np.empty(4 * n + ring), rows)
     return rows[:k // every], (k if k < len(x) else None)
@@ -680,7 +666,7 @@ def run(stream: SampleStream, config: EstimatorConfig) -> EstimateSeries:
     else:
         emitted = _kernel(config.n, rows=True)(state, stream.values.tolist(),
                                                kernel)
-        rows = np.array(emitted, dtype=float).reshape(-1, 9 + 2 * config.n)
+        rows = np.array(emitted, dtype=float).reshape(
+            -1, len(ROW_COLUMNS) + 2 * config.n)
         diverged_at = state.k if state.diverged else None
-    return EstimateSeries(rows=rows, n=config.n, diverged_at=diverged_at,
-                          eta=config.eta_opt)
+    return EstimateSeries(rows=rows, n=config.n, diverged_at=diverged_at)

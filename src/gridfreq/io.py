@@ -133,31 +133,24 @@ def read_truth(path: str | Path) -> GroundTruth:
 # --------------------------------------------------------------------------
 
 def estimate_header(n: int) -> list[str]:
-    cols = ["t", "f_hz", "rocof_hzps", "residual", "a_dc", "a_dc1"]
-    for i in range(1, n + 1):
-        cols.append(f"amp_{i}")
-        cols.append(f"phase_{i}")
-    return cols
+    """The columns of an :class:`EstimateSeries` row of order n."""
+    return [*ROW_COLUMNS, *(f"a_{part}_{i}" for part in "cs"
+                            for i in range(1, n + 1))]
 
 
 def write_estimates(path: str | Path, series: EstimateSeries) -> None:
-    """The estimate CSV of ``series``, one row per report."""
-    _write_rows(path, estimate_header(series.n),
-                (series.t(), series.f_hz(), series.rocof_hzps(),
-                 series.residual(), series.a_dc(), series.a_dc1(),
-                 *series.polar().T))
+    """The estimate CSV of ``series``: its rows, one per report."""
+    _write_rows(path, estimate_header(series.n), series.rows.T)
 
 
 def read_estimates(path: str | Path) -> EstimateSeries:
-    """The series of an estimate CSV; the values it lacks are NaN (see
-    :class:`gridfreq.estimator.EstimateSeries`)."""
+    """The series of an estimate CSV, equal to the series written but for
+    ``diverged_at``, which the file does not hold."""
     header, arr = _read_rows(path)
-    n = (len(header) - 6) // 2
+    n = (len(header) - len(ROW_COLUMNS)) // 2
     if n < 1 or header != estimate_header(n):
         raise ScenarioError(f"{path}: not an estimate CSV")
-    rows = np.full((len(arr), 9 + 2 * n), math.nan)
-    rows[:, [ROW_COLUMNS.index(name) for name in header[:6]]] = arr[:, :6]
-    return EstimateSeries(rows=rows, n=n, polar_rows=arr[:, 6:])
+    return EstimateSeries(rows=arr, n=n)
 
 
 def write_history(path: str | Path, history: Sequence[float]) -> None:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ScenarioError
+from .errors import ScenarioError, is_count
 
 TWO_PI = 2.0 * math.pi
 
@@ -235,6 +235,8 @@ class NoiseSpec:
             raise ScenarioError(f"unknown noise kind {self.kind!r}")
         if not 0.0 <= self.level <= 0.2:
             raise ScenarioError("noise level must lie in [0, 0.2]")
+        if not is_count(self.seed):
+            raise ScenarioError(f"noise.seed must be an int, got {self.seed!r}")
         if self.seed < 0:
             raise ScenarioError(f"noise.seed must be non-negative, got {self.seed}")
         if not 0.0 < self.pole < 1.0:
@@ -296,6 +298,8 @@ def synthesize(spec: ScenarioSpec, fs: float, seed: int | None = None
         raise ScenarioError(f"sampling rate must be finite and positive, got {fs:g}")
     if spec.duration * fs < 2:
         raise ScenarioError("scenario too short for the requested sampling rate")
+    if seed is not None and not is_count(seed):
+        raise ScenarioError(f"seed must be an int, got {seed!r}")
     if seed is not None and seed < 0:
         raise ScenarioError(f"seed must be non-negative, got {seed}")
 

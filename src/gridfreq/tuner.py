@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, is_count
 from .estimator import EstimatorConfig, run
 from .metrics import align
 from .synth import GroundTruth, SampleStream
@@ -61,6 +61,10 @@ class PsoParams:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("swarm_size", "iterations", "seed"):
+            value = getattr(self, name)
+            if not is_count(value):
+                raise ConfigError(f"{name} must be an int, got {value!r}")
         if self.swarm_size < 2:
             raise ConfigError("swarm size must be >= 2")
         if self.iterations < 1:
@@ -89,9 +93,7 @@ def apply_gain_vector(config: EstimatorConfig, gains: Sequence[float]
 
 def ise_fitness(gains: Sequence[float],
                 scenarios: Sequence[tuple[SampleStream, GroundTruth]],
-                config: EstimatorConfig,
-                apply: Callable[[EstimatorConfig, Sequence[float]],
-                                EstimatorConfig] = apply_gain_vector) -> float:
+                config: EstimatorConfig) -> float:
     """Integral square frequency error over the battery; lower is better.
 
     Each scenario contributes sum_k (f_hat_k - f_k)^2 * dt at the report
@@ -102,7 +104,7 @@ def ise_fitness(gains: Sequence[float],
     if not scenarios:
         raise ConfigError("scenario battery must not be empty")
     try:
-        cfg = apply(config, gains)
+        cfg = apply_gain_vector(config, gains)
     except ConfigError:
         return DIVERGENCE_PENALTY
     score = 0.0
@@ -166,13 +168,12 @@ def pso_minimize(fn: Callable[[np.ndarray], float], space: SearchSpace,
 
 def pso_tune(space: SearchSpace,
              scenarios: Sequence[tuple[SampleStream, GroundTruth]],
-             pso: PsoParams, config: EstimatorConfig,
-             apply: Callable[[EstimatorConfig, Sequence[float]],
-                             EstimatorConfig] = apply_gain_vector
+             pso: PsoParams, config: EstimatorConfig
              ) -> tuple[np.ndarray, float, list[float]]:
     """Tune a gain vector against the scenario battery.
 
-    Returns (best gain vector, best score, per-iteration best-score history).
+    The gain vector is that of :func:`apply_gain_vector`.  Returns (best
+    gain vector, best score, per-iteration best-score history).
     """
-    return pso_minimize(lambda x: ise_fitness(x, scenarios, config, apply),
+    return pso_minimize(lambda x: ise_fitness(x, scenarios, config),
                         space, pso)

@@ -8,8 +8,9 @@ stream.  ``tests/data/golden_run.json`` holds the digests, which both
 backends of ``run()`` (the C loop and the Python kernel) must reproduce.
 ``tests/data/golden_estimate_csv.json`` holds the SHA-256 of the estimate
 CSV ``io.write_estimates`` writes for two of the cases, one that runs and
-one that diverges before its first report.  Regenerate both only when an
-output change is intended:
+one that diverges before its first report; the file holds the series'
+rows, the same floats the record digests cover.  Regenerate both only when
+an output change is intended:
 
     PYTHONPATH=src python tests/golden.py --write
 """

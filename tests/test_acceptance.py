@@ -18,9 +18,9 @@ import numpy as np
 import pytest
 
 from cases import FS, case1, case2, case2b, case3, clean_tone
-from gridfreq import (ConfigError, EstimatorConfig, PsoParams, SearchSpace,
-                      aggregate, align, evaluate, init, ise_fitness,
-                      pso_minimize, pso_tune, run, step, synthesize)
+from gridfreq import (EstimatorConfig, PsoParams, SearchSpace, aggregate,
+                      align, evaluate, init, ise_fitness, pso_minimize, run,
+                      step, synthesize)
 from reference import output_and_gradient, reference_gram
 
 LATENCY = 0.1
@@ -378,20 +378,17 @@ def test_c12_tuner_sanity():
     # 1-D gain search against a 20-point log-spaced grid oracle
     scenarios = [synthesize(case1(0.02, 0, duration=3.0), FS, seed=0)]
 
-    def apply_uniform(config, gains):
-        g = float(gains[0])
-        if g <= 0:
-            raise ConfigError("gain must be positive")
-        return replace(config, gamma_c=(g,) * config.n,
-                       gamma_s=(g,) * config.n)
+    def uniform_ise(g):
+        # one gain for every coefficient pair; the DC gains stay put
+        gains = [g] * (2 * CONFIG.n) + [CONFIG.gamma_dc, CONFIG.gamma_dc1]
+        return ise_fitness(gains, scenarios, CONFIG)
 
     grid = np.geomspace(1.0, 500.0, 20)
-    grid_best = min(ise_fitness([g], scenarios, CONFIG, apply=apply_uniform)
-                    for g in grid)
+    grid_best = min(uniform_ise(g) for g in grid)
     gain_space = SearchSpace(bounds=((1.0, 500.0),), log_scale=True)
     gain_pso = PsoParams(swarm_size=10, iterations=15, seed=1)
-    best, score, history = pso_tune(gain_space, scenarios, gain_pso, CONFIG,
-                                    apply=apply_uniform)
+    best, score, history = pso_minimize(lambda x: uniform_ise(x[0]),
+                                        gain_space, gain_pso)
     beats = score < grid_best
     _verdict("C12 tuner", sphere_ok and beats,
              f"sphere best = {sphere_best:.2e} (< 1e-3); 1-D gain "

@@ -248,6 +248,21 @@ class TestEstimateAndMetrics:
         err = capsys.readouterr().err
         assert "error:" in err and "est.csv:6" in err
 
+    def test_old_layout_estimate_file_is_input_error(self, tmp_path,
+                                                     synth_outputs, capsys):
+        # the amp_i/phase_i layout of earlier releases, at n = 7
+        _, truth = synth_outputs
+        est = tmp_path / "old.csv"
+        polar = [f"{q}_{i}" for i in range(1, 8) for q in ("amp", "phase")]
+        header = ["t", "f_hz", "rocof_hzps", "residual", "a_dc", "a_dc1", *polar]
+        est.write_text(",".join(header) + "\r\n"
+                       + ",".join(["0.01", "50.0"] + ["0.0"] * 18) + "\r\n")
+        rc = main(["metrics", "--est", str(est), "--truth", str(truth)])
+        assert rc == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert f"error: {est}: not an estimate CSV" in err
+        assert "Traceback" not in err
+
     def test_ragged_samples_file_is_input_error(self, tmp_path, synth_outputs,
                                                 capsys):
         samples, _ = synth_outputs

@@ -2,10 +2,14 @@
 
 import gc
 import math
+import os
 import pickle
 import shutil
+import subprocess
+import sys
 import warnings
 from dataclasses import FrozenInstanceError, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -219,13 +223,17 @@ class TestColumnarSeries:
     def test_columns_are_read_only_views_of_the_rows(self):
         cfg = EstimatorConfig(n=3)
         series = run(_clean_stream(0.5), cfg)
-        assert series.rows.shape == (len(series), 9 + 2 * cfg.n)
+        head = len(ROW_COLUMNS)
+        assert series.rows.shape == (len(series), head + 2 * cfg.n)
         for i, name in enumerate(ROW_COLUMNS):
             column = getattr(series, name)()
             assert np.shares_memory(column, series.rows)
             np.testing.assert_array_equal(column, series.rows[:, i])
-        np.testing.assert_array_equal(series.a_c(), series.rows[:, 9:12])
-        np.testing.assert_array_equal(series.a_s(), series.rows[:, 12:])
+        np.testing.assert_array_equal(series.a_c(),
+                                      series.rows[:, head:head + cfg.n])
+        np.testing.assert_array_equal(series.a_s(),
+                                      series.rows[:, head + cfg.n:])
+        assert (series.eta() == cfg.eta_opt).all()
         with pytest.raises(ValueError, match="read-only"):
             series.f_hz()[0] = 0.0
 
@@ -236,10 +244,11 @@ class TestColumnarSeries:
         assert records is not series.records
         records.clear()
         assert len(series.records) == len(series)
+        head = len(ROW_COLUMNS)
         for row, rec in zip(series.rows.tolist(), series.records):
-            assert rec.eta == series.eta == cfg.eta_opt
-            assert [rec.amps, rec.phases] == [
-                list(x) for x in zip(*map(amp_phase, row[11:], row[9:11]))]
+            assert rec.eta == cfg.eta_opt
+            assert [rec.amps, rec.phases] == [list(x) for x in zip(
+                *map(amp_phase, row[head + 2:], row[head:head + 2]))]
 
     def test_c_path_builds_no_record(self, native_kernel, monkeypatch):
         def forbidden(*args, **kwargs):
@@ -321,6 +330,16 @@ class TestKernelCache:
         state = init(EstimatorConfig())
         with pytest.raises(ConfigError, match="state has 7 harmonics"):
             step(state, 0.0, EstimatorConfig(n=3))
+
+    @pytest.mark.parametrize("size", [3, 9])
+    def test_resized_coefficient_list_rejected(self, size):
+        cfg = EstimatorConfig()
+        state = init(cfg)
+        step(state, 0.5, cfg)
+        state.a_c = [0.0] * size
+        with pytest.raises(ConfigError, match=f"state has {size} harmonics"):
+            step(state, 0.0, cfg)
+        assert state.k == 1            # no state was written
 
     def test_pickled_state_resumes_bit_identically(self):
         cfg = EstimatorConfig()
@@ -463,6 +482,17 @@ class TestNativeLoader:
         assert self._load() == "c"
         assert list((tmp_path / "cache" / "gridfreq").iterdir()) == built
         assert self._golden_case1()
+
+    @needs_cc
+    def test_warm_cache_load_does_not_import_subprocess(self, tmp_path):
+        assert self._load() == "c"
+        probe = ("import sys; from gridfreq.estimator import run_backend; "
+                 "print(run_backend(), 'subprocess' in sys.modules)")
+        env = {**os.environ, "XDG_CACHE_HOME": str(tmp_path / "cache"),
+               "PYTHONPATH": str(Path(estimator.__file__).parents[1])}
+        out = subprocess.run([sys.executable, "-c", probe], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.split() == ["c", "False"]
 
     @needs_cc
     def test_default_cache_is_private_under_home(self, monkeypatch,

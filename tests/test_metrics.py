@@ -20,7 +20,7 @@ FS = 1200.0
 
 
 def _series(t, f, rocof):
-    rows = np.zeros((len(t), 11))
+    rows = np.zeros((len(t), len(ROW_COLUMNS) + 2))
     rows[:, ROW_COLUMNS.index("t")] = t
     rows[:, ROW_COLUMNS.index("f_hz")] = f
     rows[:, ROW_COLUMNS.index("rocof_hzps")] = rocof

@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from gridfreq import (EstimatorConfig, EventProfile, RampProfile,
@@ -292,3 +292,27 @@ def test_c_run_equals_python_run_bit_for_bit(case):
     # the bytes compare NaN positions and signed zeros too
     assert native.rows.tobytes() == python.rows.tobytes()
     assert digest(native) == digest(python)
+
+
+@pytest.fixture(params=["native_kernel", "python_kernel"])
+def backend(request):
+    request.getfixturevalue(request.param)
+
+
+# the backend fixture holds for every example
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=backend_cases())
+def test_estimate_csv_round_trip_is_bitwise(backend, case, tmp_path_factory):
+    """A series read back from its estimate CSV equals the series written:
+    the same row bytes and the same records."""
+    config, stream = case
+    series = run(stream, config)
+    # an estimate file holds at least one row, of finite values only
+    assume(len(series) > 0 and np.isfinite(series.rows).all())
+    path = tmp_path_factory.mktemp("est") / "e.csv"
+    gio.write_estimates(path, series)
+    back = gio.read_estimates(path)
+    assert back.n == config.n
+    assert back.rows.tobytes() == series.rows.tobytes()
+    assert back.records == series.records

@@ -179,6 +179,15 @@ class TestNoise:
         with pytest.raises(ScenarioError, match="seed must be non-negative"):
             synthesize(spec, FS, seed=-1)
 
+    @pytest.mark.parametrize("seed", [1.5, 2.0, True, "3"])
+    def test_non_int_seed_rejected(self, seed):
+        with pytest.raises(ScenarioError, match="noise.seed must be an int"):
+            NoiseSpec(kind="gaussian", level=0.01, seed=seed)
+        spec = ScenarioSpec(duration=1.0, base_freq=50.0,
+                            noise=NoiseSpec(kind="gaussian", level=0.01))
+        with pytest.raises(ScenarioError, match="seed must be an int"):
+            synthesize(spec, FS, seed=seed)
+
 
 class TestStepsAndDc:
     def test_step_spec_matches_injection(self):

@@ -44,6 +44,12 @@ class TestPsoParams:
         with pytest.raises(ConfigError, match="seed must be non-negative"):
             PsoParams(seed=-1)
 
+    @pytest.mark.parametrize("field", ["swarm_size", "iterations", "seed"])
+    @pytest.mark.parametrize("value", [4.5, 4.0, True])
+    def test_non_int_counts_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=f"{field} must be an int"):
+            PsoParams(**{field: value})
+
 
 class TestApplyGainVector:
     def test_full_vector(self):
@@ -162,22 +168,15 @@ class TestPsoMinimize:
 
 
 class TestPsoTune:
-    def test_tunes_uniform_gain(self):
-        spec = ScenarioSpec(duration=2.0, base_freq=50.0)
+    def test_tunes_the_default_gain_vector(self):
+        spec = ScenarioSpec(duration=1.0, base_freq=50.0)
         battery = [synthesize(spec, FS)]
-        cfg = EstimatorConfig(n=3)
-
-        def apply_uniform(config, gains):
-            g = float(gains[0])
-            if g <= 0:
-                raise ConfigError("gain must be positive")
-            return replace(config, gamma_c=(g,) * config.n,
-                           gamma_s=(g,) * config.n)
-
-        space = SearchSpace(bounds=((1.0, 500.0),), log_scale=True)
-        pso = PsoParams(swarm_size=6, iterations=8, seed=0)
-        best, score, history = pso_tune(space, battery, pso, cfg,
-                                        apply=apply_uniform)
-        assert 1.0 <= best[0] <= 500.0
+        cfg = EstimatorConfig(n=1)
+        space = SearchSpace(bounds=((1.0, 500.0),) * 4, log_scale=True)
+        pso = PsoParams(swarm_size=4, iterations=3, seed=0)
+        best, score, history = pso_tune(space, battery, pso, cfg)
+        assert best.shape == (2 * cfg.n + 2,)
+        assert all(1.0 <= g <= 500.0 for g in best)
         assert score < DIVERGENCE_PENALTY
-        assert len(history) == 8
+        assert len(history) == 3
+        assert ise_fitness(best, battery, cfg) == score
