@@ -125,7 +125,7 @@ class EstimatorConfig:
     t_reset_s: float = 0.25               # lock-in ramp length, anchor cap
 
     def __post_init__(self) -> None:
-        if is_count(self.n):              # validate rejects any other n
+        if is_count(self.n):               # validate rejects any other n
             for name in ("gamma_c", "gamma_s"):
                 gains = getattr(self, name)
                 object.__setattr__(self, name,
