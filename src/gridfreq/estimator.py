@@ -491,6 +491,11 @@ def _bind(state: EstimatorState, config: EstimatorConfig) -> _Kernel:
     Every product keeps the operand order of the laws, e.g.
     ``(ts*gamma)*z*basis``, so the cached form is bit-identical.
     """
+    if not (isinstance(state.a_c, list) and isinstance(state.a_s, list)):
+        # the kernel stores the updated coefficients into the lists
+        raise ConfigError(f"state coefficients must be lists, got "
+                          f"a_c: {type(state.a_c).__name__}, "
+                          f"a_s: {type(state.a_s).__name__}")
     if len(state.a_c) != config.n or len(state.a_s) != config.n:
         raise ConfigError(f"state has {len(state.a_c)} harmonics "
                           f"({len(state.a_s)} in a_s), "
@@ -534,9 +539,10 @@ def step(state: EstimatorState, sample: float, config: EstimatorConfig
         kernel = _bind(state, config)
     try:
         records = kernel.advance(state, (sample,), kernel)
-    except ValueError:
-        # a coefficient list resized since _bind fails the kernel's unpack,
-        # which runs before it writes any state
+    except (ValueError, TypeError):
+        # since _bind, a coefficient list resized fails the kernel's unpack,
+        # before it writes any state, and a tuple in place of a list fails
+        # its final store, after the loop appended to the RoCoF buffer
         _bind(state, config)
         raise
     return records[0] if records else None

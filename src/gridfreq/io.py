@@ -19,7 +19,7 @@ import itertools
 import math
 from dataclasses import MISSING, fields, is_dataclass
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Sequence, TextIO
 
 import numpy as np
 
@@ -46,7 +46,11 @@ def _write_rows(path: str | Path, header: Sequence[str],
 
 def _read_rows(path: str | Path, header: Sequence[str] | None = None
                ) -> tuple[list[str], np.ndarray]:
-    """(header, float rows) of a CSV; ``header``, if given, must match."""
+    """(header, float rows) of a CSV; ``header``, if given, must match.
+
+    numpy parses the rows; where it fails or gives another shape than the
+    header's, the csv loop reads them again and names the line at fault.
+    """
     with open(path, newline="") as fh:
         r = csv.reader(fh)
         try:
@@ -56,28 +60,50 @@ def _read_rows(path: str | Path, header: Sequence[str] | None = None
         if header is not None and got != list(header):
             raise ScenarioError(f"{path}: expected header {','.join(header)}, "
                                 f"got {','.join(got)}")
-        width = len(got)
-        data = []
-        try:
-            for row in r:
-                if len(row) != width:
-                    if not row:
-                        continue
-                    raise ScenarioError(f"{path}:{r.line_num}: expected {width} "
-                                        f"fields, got {len(row)}")
-                data.append(list(map(float, row)))
-        except ValueError as exc:
-            raise ScenarioError(f"{path}:{r.line_num}: malformed CSV value "
-                                f"({exc})") from None
-    if not data:
-        raise ScenarioError(f"{path}: no data rows")
-    arr = np.array(data)
+        # numpy warns on a file without a row; the loop reports that
+        arr = _loadtxt_rows(path, len(got)) if any(map(str.strip, fh)) else None
+        if arr is None:
+            fh.seek(0)
+            arr = _csv_rows(path, fh)
     finite = np.isfinite(arr)
     if not finite.all():
         row, col = np.argwhere(~finite)[0]
         raise ScenarioError(f"{path}:{_line_of_row(path, row)}: "
                             f"`{got[col]}` is not finite")
     return got, arr
+
+
+def _loadtxt_rows(path: str | Path, width: int) -> np.ndarray | None:
+    """The data rows of a CSV as numpy parses them, or None where numpy
+    fails or they are not ``width`` fields wide.  ``comments=None`` keeps a
+    ``#`` line an error, and a quoted field fails numpy's float parse."""
+    try:
+        arr = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2,
+                         comments=None)
+    except Exception:
+        return None
+    return arr if len(arr) and arr.shape[1] == width else None
+
+
+def _csv_rows(path: str | Path, fh: TextIO) -> np.ndarray:
+    """The data rows of the open CSV ``fh``, read from its start."""
+    r = csv.reader(fh)
+    width = len(next(r))
+    data = []
+    try:
+        for row in r:
+            if len(row) != width:
+                if not row:
+                    continue
+                raise ScenarioError(f"{path}:{r.line_num}: expected {width} "
+                                    f"fields, got {len(row)}")
+            data.append(list(map(float, row)))
+    except ValueError as exc:
+        raise ScenarioError(f"{path}:{r.line_num}: malformed CSV value "
+                            f"({exc})") from None
+    if not data:
+        raise ScenarioError(f"{path}: no data rows")
+    return np.array(data)
 
 
 def _line_of_row(path: str | Path, row: int) -> int:

@@ -50,7 +50,11 @@ class SampleStream:
 
 @dataclass(frozen=True)
 class GroundTruth:
-    """Per-sample true fundamental parameters paired with a SampleStream."""
+    """Per-sample true fundamental parameters paired with a SampleStream.
+
+    The arrays are read-only: :func:`synthesize` shares them between the
+    seeds of one scenario.
+    """
 
     t0: float
     ts: float
@@ -61,7 +65,9 @@ class GroundTruth:
 
     def __post_init__(self) -> None:
         for name in ("freq_hz", "rocof_hzps", "amp_pu", "phase_rad"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+            arr = np.asarray(getattr(self, name), dtype=float)
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
         n = self.freq_hz.size
         if any(getattr(self, f).size != n for f in ("rocof_hzps", "amp_pu", "phase_rad")):
             raise ScenarioError("ground-truth sequences must have equal length")
@@ -293,6 +299,11 @@ def synthesize(spec: ScenarioSpec, fs: float, seed: int | None = None
     The fundamental phase is 2*pi * integral of the frequency profile, so
     time-varying profiles produce physically consistent waveforms.  ``seed``
     overrides the seed of the scenario's noise block when given.
+
+    The noise-free waveform and the truth of the last ``(spec, fs)`` are
+    kept, so a seed ensemble over one spec object renders them once and
+    adds each seed's noise to them.  The truth arrays are read-only and
+    shared between calls; ``stream.values`` is a new array on every call.
     """
     if not (math.isfinite(fs) and fs > 0):
         raise ScenarioError(f"sampling rate must be finite and positive, got {fs:g}")
@@ -302,6 +313,33 @@ def synthesize(spec: ScenarioSpec, fs: float, seed: int | None = None
         raise ScenarioError(f"seed must be an int, got {seed!r}")
     if seed is not None and seed < 0:
         raise ScenarioError(f"seed must be non-negative, got {seed}")
+
+    clean, truth = _render(spec, fs)
+    if spec.noise is not None and spec.noise.level > 0:
+        values = clean + _noise(spec.noise, clean.size, spec.amp_pu,
+                                spec.noise.seed if seed is None else seed)
+    else:
+        values = clean.copy()
+    return SampleStream(t0=0.0, ts=1.0 / fs, values=values), truth
+
+
+# (spec, fs, (values, truth)) of the last render; one assignment replaces
+# the whole entry, so a concurrent caller sees either the old or the new one
+_last_render: tuple = (None, None, None)
+
+
+def _render(spec: ScenarioSpec, fs: float) -> tuple[np.ndarray, GroundTruth]:
+    """The noise-free waveform of ``spec`` at ``fs`` and its truth, read-only.
+
+    A hit needs the same spec object, not an equal one: equal specs can
+    differ in how they render (an int ``amp_pu`` fails a step window that
+    ``1.0`` passes), and a command that reads its scenario file anew renders
+    it anew.  A render that raises is not kept, so it raises on every call.
+    """
+    global _last_render
+    cached_spec, cached_fs, render = _last_render
+    if cached_spec is spec and cached_fs == fs:
+        return render
 
     n_samples = int(round(spec.duration * fs)) + 1
     t = np.arange(n_samples) / fs
@@ -332,14 +370,12 @@ def synthesize(spec: ScenarioSpec, fs: float, seed: int | None = None
         k = spec.distortion_knee
         values = k * np.tanh(values / k)
 
-    if spec.noise is not None and spec.noise.level > 0:
-        values = values + _noise(spec.noise, n_samples, spec.amp_pu,
-                                 spec.noise.seed if seed is None else seed)
-
-    stream = SampleStream(t0=0.0, ts=1.0 / fs, values=values)
+    values.flags.writeable = False
     truth = GroundTruth(t0=0.0, ts=1.0 / fs, freq_hz=f1, rocof_hzps=rocof,
                         amp_pu=amp, phase_rad=phase)
-    return stream, truth
+    render = (values, truth)
+    _last_render = (spec, fs, render)
+    return render
 
 
 def _noise(spec: NoiseSpec, n: int, amp_pu: float, seed: int) -> np.ndarray:
@@ -351,13 +387,15 @@ def _noise(spec: NoiseSpec, n: int, amp_pu: float, seed: int) -> np.ndarray:
         return rng.normal(0.0, sigma, n)
     if spec.kind == "colored":
         white = rng.normal(0.0, 1.0, n)
-        y = np.empty(n)
+        pole = spec.pole
+        y = []
+        append = y.append
         acc = 0.0
-        for i in range(n):
-            acc = spec.pole * acc + white[i]
-            y[i] = acc
+        for w in white.tolist():
+            acc = pole * acc + w
+            append(acc)
         # variance-match the AR(1) output to the requested sigma
-        return y * (sigma / math.sqrt(1.0 / (1.0 - spec.pole * spec.pole)))
+        return np.array(y) * (sigma / math.sqrt(1.0 / (1.0 - pole * pole)))
     # impulsive, the one kind left that NoiseSpec admits
     hits = rng.random(n) < spec.impulse_rate
     signs = np.where(rng.random(n) < 0.5, -1.0, 1.0)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from gridfreq import (EstimatorConfig, EventProfile, SampleStream,
-                      ScenarioSpec, synthesize)
+                      ScenarioSpec, aggregate, evaluate, run, synthesize)
 from gridfreq import cli
 from gridfreq import io as gio
 from gridfreq.cli import EXIT_BOUNDS, EXIT_DIVERGED, EXIT_INPUT, EXIT_OK, main
@@ -190,6 +190,24 @@ class TestEstimateAndMetrics:
         out = capsys.readouterr().out
         assert "mean over 3 seeds" in out
         assert "worst case" in out
+
+    def test_monte_carlo_equals_renders_of_distinct_specs(self, tmp_path,
+                                                          capsys):
+        # the command renders its spec once and adds each seed's noise; a
+        # spec read anew for every seed renders in full
+        path = SCENARIOS / "case2.cfg"
+        out = tmp_path / "mc.csv"
+        assert main(["metrics", "--scenario", str(path), "--seeds", "3",
+                     "--out", str(out)]) == EXIT_OK
+        reports = []
+        for seed in range(3):
+            stream, truth = synthesize(gio.read_scenario(path), FS, seed=seed)
+            reports.append(evaluate(run(stream, EstimatorConfig()), truth,
+                                    cli.DEFAULT_LATENCY_S,
+                                    skip_s=cli.DEFAULT_SKIP_S))
+        mean, _ = aggregate(reports)
+        assert out.read_text() == "metric,value\n" + "".join(
+            f"{name},{value!r}\n" for name, value in mean.rows())
 
     def test_divergence_exits_3(self, tmp_path, capsys):
         # a destabilizing learning rate makes the watchdog trip

@@ -1,5 +1,6 @@
 """Unit tests for the per-sample adaptive estimator."""
 
+import copy
 import gc
 import math
 import os
@@ -340,6 +341,27 @@ class TestKernelCache:
         with pytest.raises(ConfigError, match=f"state has {size} harmonics"):
             step(state, 0.0, cfg)
         assert state.k == 1            # no state was written
+
+    @pytest.mark.parametrize("name", ["a_c", "a_s"])
+    def test_tuple_coefficient_list_rejected(self, name):
+        cfg = EstimatorConfig()
+        state = init(cfg)
+        for x in (0.5, 0.25):
+            step(state, x, cfg)
+        setattr(state, name, tuple(getattr(state, name)))
+        before = copy.deepcopy(state)
+        # a new config object binds before the kernel runs: nothing is written
+        with pytest.raises(ConfigError, match=f"{name}: tuple"):
+            step(state, 0.0, replace(cfg))
+        assert state == before
+        # the bound kernel fails at its final coefficient store; its loop has
+        # appended the sample's raw RoCoF to the buffer by then, and the
+        # a_c store precedes the a_s one
+        with pytest.raises(ConfigError, match=f"{name}: tuple"):
+            step(state, 0.0, state.kernel.config)
+        assert replace(state, rocof_buf=None, a_c=None) == replace(
+            before, rocof_buf=None, a_c=None)
+        assert state.k == 2
 
     def test_pickled_state_resumes_bit_identically(self):
         cfg = EstimatorConfig()

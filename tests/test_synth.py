@@ -2,6 +2,7 @@
 
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,9 +10,12 @@ import pytest
 from gridfreq import (ConstantProfile, DcSpec, EventProfile, HarmonicSpec,
                       NoiseSpec, RampProfile, SampleStream, ScenarioError,
                       ScenarioSpec, StepSpec, synthesize)
+from gridfreq import io as gio
 from reference import reference_event_freq, reference_event_phase
 
 FS = 1200.0
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+TRUTH_ARRAYS = ("freq_hz", "rocof_hzps", "amp_pu", "phase_rad")
 
 
 class TestSampleStream:
@@ -187,6 +191,76 @@ class TestNoise:
                             noise=NoiseSpec(kind="gaussian", level=0.01))
         with pytest.raises(ScenarioError, match="seed must be an int"):
             synthesize(spec, FS, seed=seed)
+
+
+class TestRenderCache:
+    """synthesize keeps the noise-free render of the last spec object and
+    rate; a hit must give the bits of a fresh render."""
+
+    @staticmethod
+    def _bits(stream, truth) -> list[bytes]:
+        return [stream.values.tobytes(),
+                *(getattr(truth, name).tobytes() for name in TRUTH_ARRAYS)]
+
+    @pytest.mark.parametrize("name", ["case1", "case2", "case2b", "clean"])
+    def test_a_miss_gives_the_bits_of_a_hit(self, name):
+        spec = gio.read_scenario(SCENARIOS / f"{name}.cfg")
+        synthesize(spec, FS, seed=1)
+        hit = synthesize(spec, FS, seed=4)
+        miss = synthesize(replace(spec), FS, seed=4)
+        assert self._bits(*hit) == self._bits(*miss)
+
+    def test_an_equal_spec_object_renders_anew(self):
+        # value equality treats amp_pu = 1 and 1.0 alike; the int fails the
+        # step window's in-place scaling, on every call
+        steps = (StepSpec(t_start=0.2, duration=0.2, amp_step_pu=0.1),)
+        floats = ScenarioSpec(duration=1.0, base_freq=50.0, steps=steps)
+        ints = replace(floats, amp_pu=1)
+        assert ints == floats
+        synthesize(floats, FS)
+        for _ in range(2):
+            with pytest.raises(TypeError):
+                synthesize(ints, FS)
+
+    def test_truth_is_read_only_and_shared(self):
+        spec = gio.read_scenario(SCENARIOS / "case1.cfg")
+        _, a = synthesize(spec, FS, seed=0)
+        _, b = synthesize(spec, FS, seed=1)
+        for name in TRUTH_ARRAYS:
+            assert not getattr(a, name).flags.writeable
+            assert getattr(a, name) is getattr(b, name)
+        with pytest.raises(ValueError, match="read-only"):
+            a.freq_hz[0] = 0.0
+
+    @pytest.mark.parametrize("name", ["case1", "clean"])
+    def test_values_are_fresh_and_writable(self, name):
+        # clean.cfg has no noise: its values are a copy of the render
+        spec = gio.read_scenario(SCENARIOS / f"{name}.cfg")
+        a, _ = synthesize(spec, FS, seed=0)
+        b, _ = synthesize(spec, FS, seed=0)
+        assert a.values.flags.writeable and b.values.flags.writeable
+        assert not np.shares_memory(a.values, b.values)
+        expected = b.values.copy()
+        a.values[:] = 0.0
+        np.testing.assert_array_equal(b.values, expected)
+        np.testing.assert_array_equal(synthesize(spec, FS, seed=0)[0].values,
+                                      expected)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5])
+    def test_a_bad_seed_raises_on_every_call(self, seed):
+        spec = gio.read_scenario(SCENARIOS / "case1.cfg")
+        synthesize(spec, FS, seed=0)
+        for _ in range(2):
+            with pytest.raises(ScenarioError, match="seed must be"):
+                synthesize(spec, FS, seed=seed)
+
+    def test_a_failed_render_is_not_kept(self):
+        spec = ScenarioSpec(duration=1.0, base_freq=50.0,
+                            harmonics=(HarmonicSpec(order=13, rel_amp=0.01),))
+        synthesize(spec, 2000.0)
+        for _ in range(2):
+            with pytest.raises(ScenarioError, match="violates Nyquist"):
+                synthesize(spec, 1200.0)
 
 
 class TestStepsAndDc:
