@@ -1,6 +1,8 @@
 """Unit tests for the scenario synthesizer."""
 
 import math
+import sys
+import threading
 from dataclasses import replace
 from pathlib import Path
 
@@ -253,6 +255,38 @@ class TestRenderCache:
         for _ in range(2):
             with pytest.raises(ScenarioError, match="seed must be"):
                 synthesize(spec, FS, seed=seed)
+
+    def test_threads_alternating_specs_get_their_own_render(self):
+        # more threads than cores, switching often: a reader that paired one
+        # entry's spec with another's render would return the wrong bits
+        noise = NoiseSpec(kind="gaussian", level=0.02)
+        specs = [ScenarioSpec(duration=0.5, base_freq=f0, noise=noise)
+                 for f0 in (49.0, 51.0)]
+        expected = {(i, seed): self._bits(*synthesize(replace(spec), FS,
+                                                      seed=seed))
+                    for i, spec in enumerate(specs) for seed in range(3)}
+        mismatches = []
+
+        def worker(offset: int) -> None:
+            for k in range(60):
+                i, seed = (k + offset) % 2, (k + offset) % 3
+                got = self._bits(*synthesize(specs[i], FS, seed=seed))
+                if got != expected[i, seed]:
+                    mismatches.append((i, seed))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(t,))
+                       for t in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert mismatches == []
 
     def test_a_failed_render_is_not_kept(self):
         spec = ScenarioSpec(duration=1.0, base_freq=50.0,
