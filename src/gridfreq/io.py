@@ -60,8 +60,7 @@ def _read_rows(path: str | Path, header: Sequence[str] | None = None
         if header is not None and got != list(header):
             raise ScenarioError(f"{path}: expected header {','.join(header)}, "
                                 f"got {','.join(got)}")
-        # numpy warns on a file without a row; the loop reports that
-        arr = _loadtxt_rows(path, len(got)) if any(map(str.strip, fh)) else None
+        arr = _loadtxt_rows(path, fh, len(got))
         if arr is None:
             fh.seek(0)
             arr = _csv_rows(path, fh)
@@ -73,11 +72,19 @@ def _read_rows(path: str | Path, header: Sequence[str] | None = None
     return got, arr
 
 
-def _loadtxt_rows(path: str | Path, width: int) -> np.ndarray | None:
+def _loadtxt_rows(path: str | Path, fh: TextIO, width: int
+                  ) -> np.ndarray | None:
     """The data rows of a CSV as numpy parses them, or None where numpy
-    fails or they are not ``width`` fields wide.  ``comments=None`` keeps a
-    ``#`` line an error, and a quoted field fails numpy's float parse."""
+    fails or they are not ``width`` fields wide.
+
+    ``fh`` is the open file past its header; without a non-blank line left
+    in it numpy would warn, so the csv loop reports the file instead.
+    ``comments=None`` keeps a ``#`` line an error, and a quoted field fails
+    numpy's float parse.
+    """
     try:
+        if not any(map(str.strip, fh)):
+            return None
         arr = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2,
                          comments=None)
     except Exception:

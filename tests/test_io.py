@@ -1,6 +1,7 @@
 """Unit tests for CSV and key-value file round trips."""
 
 import math
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -75,6 +76,23 @@ class TestSampleRoundTrip:
         path.write_text("t,value\n0.0,abc\n")
         with pytest.raises(ScenarioError):
             gio.read_samples(path)
+
+    def test_rejects_a_hash_line(self, tmp_path):
+        # a CSV has no comments: the line is a malformed row
+        path = tmp_path / "bad.csv"
+        path.write_text("t,value\n#0.0,1.0\n0.1,2.0\n0.2,3.0\n")
+        with pytest.raises(ScenarioError, match=r"bad\.csv:2: malformed"):
+            gio.read_samples(path)
+
+    @pytest.mark.parametrize("rows", ["", "\n\r\n"])
+    def test_rowless_file_is_an_error_without_a_warning(self, tmp_path, rows):
+        path = tmp_path / "rowless.csv"
+        path.write_text("t,value\n" + rows)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ScenarioError, match="no data rows"):
+                gio.read_samples(path)
+        assert caught == []
 
 
 class TestTruthAndPhasorRoundTrip:
