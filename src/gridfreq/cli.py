@@ -34,9 +34,7 @@ DEFAULT_SEEDS = 20                                     # metrics --scenario
 
 
 def _load_config(path: str | None) -> EstimatorConfig:
-    if path is None:
-        return EstimatorConfig()
-    return gio.read_config(path)
+    return EstimatorConfig() if path is None else gio.read_config(path)
 
 
 def _print_report(report: MetricsReport, label: str = "") -> None:
@@ -162,10 +160,7 @@ def cmd_metrics(args: argparse.Namespace) -> int:
         report = evaluate(series, truth, latency, skip_s=args.skip)
         _print_report(report)
     if args.out is not None:
-        with open(args.out, "w") as fh:
-            fh.write("metric,value\n")
-            for name, value in report.rows():
-                fh.write(f"{name},{value!r}\n")
+        gio.write_report(args.out, report)
     if not _check_bounds(report, args):
         return EXIT_BOUNDS
     return EXIT_OK
@@ -182,18 +177,17 @@ def cmd_sweep_eta(args: argparse.Namespace) -> int:
                                 eta_opt=base.eta_opt * ratio))
                for ratio in args.ratios]
     stream, truth = synthesize(spec, 1.0 / base.ts, seed=args.seed)
-    lines = ["ratio,rmse_fe,rmse_re"]
-    print(lines[0])
+    print(",".join(gio.SWEEP_HEADER))
+    reports = []
     for ratio, cfg in configs:
         series = run(stream, cfg)
         if series.diverged_at is not None:
             print(f"{ratio},DIVERGED,DIVERGED")
             return EXIT_DIVERGED
-        rep = evaluate(series, truth, latency, skip_s=args.skip)
-        lines.append(f"{ratio},{rep.rmse_fe!r},{rep.rmse_re!r}")
-        print(lines[-1])
+        reports.append(evaluate(series, truth, latency, skip_s=args.skip))
+        print(f"{ratio},{reports[-1].rmse_fe!r},{reports[-1].rmse_re!r}")
     if args.out is not None:
-        Path(args.out).write_text("\n".join(lines) + "\n")
+        gio.write_sweep(args.out, args.ratios, reports)
     return EXIT_OK
 
 

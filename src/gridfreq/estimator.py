@@ -178,8 +178,9 @@ class EstimatorState:
     """Coefficients and loop state of one estimator.
 
     ``a_c[i-1]`` multiplies sin(i*w1*t) and ``a_s[i-1]`` cos(i*w1*t); both
-    have one entry per harmonic.  ``a_dc`` is the constant offset in pu and
-    ``a_dc1`` its decay slope in pu/s.
+    have one entry per harmonic, and :func:`step` stores new lists, so a
+    list taken from the state keeps its values.  ``a_dc`` is the constant
+    offset in pu and ``a_dc1`` its decay slope in pu/s.
     """
 
     a_c: list[float]
@@ -354,10 +355,8 @@ def advance(state, values, kernel):
     {kc} = tgc
     {ks} = tgs
     eta_rate = INV_TWO_PI * eta
-    a_c = state.a_c
-    a_s = state.a_s
-    {ac} = a_c
-    {as_} = a_s
+    {ac} = state.a_c
+    {as_} = state.a_s
     a_dc = state.a_dc
     a_dc1 = state.a_dc1
     f = state.f_hz
@@ -414,8 +413,8 @@ def advance(state, values, kernel):
             acc += v
         records.append({emit})
 
-    a_c[:] = {ac}
-    a_s[:] = {as_}
+    state.a_c = [{ac}]
+    state.a_s = [{as_}]
     state.a_dc = a_dc
     state.a_dc1 = a_dc1
     state.f_hz = f
@@ -491,11 +490,6 @@ def _bind(state: EstimatorState, config: EstimatorConfig) -> _Kernel:
     Every product keeps the operand order of the laws, e.g.
     ``(ts*gamma)*z*basis``, so the cached form is bit-identical.
     """
-    if not (isinstance(state.a_c, list) and isinstance(state.a_s, list)):
-        # the kernel stores the updated coefficients into the lists
-        raise ConfigError(f"state coefficients must be lists, got "
-                          f"a_c: {type(state.a_c).__name__}, "
-                          f"a_s: {type(state.a_s).__name__}")
     if len(state.a_c) != config.n or len(state.a_s) != config.n:
         raise ConfigError(f"state has {len(state.a_c)} harmonics "
                           f"({len(state.a_s)} in a_s), "
@@ -539,10 +533,9 @@ def step(state: EstimatorState, sample: float, config: EstimatorConfig
         kernel = _bind(state, config)
     try:
         records = kernel.advance(state, (sample,), kernel)
-    except (ValueError, TypeError):
+    except ValueError:
         # since _bind, a coefficient list resized fails the kernel's unpack,
-        # before it writes any state, and a tuple in place of a list fails
-        # its final store, after the loop appended to the RoCoF buffer
+        # before it writes any state
         _bind(state, config)
         raise
     return records[0] if records else None

@@ -2,7 +2,8 @@
 configs and scenarios.
 
 Floats are written with ``repr`` (shortest round-trip form), so every file
-written here parses back bit-identically.
+written here parses back bit-identically.  CSV lines end in CRLF.  Every
+file is read as UTF-8, and one ``np.loadtxt`` call parses a CSV's rows.
 
 Config and scenario files are ``key = value`` lines whose keys come from
 the fields of the frozen dataclasses they describe: ``name`` for a field of
@@ -14,17 +15,17 @@ writes and reads every format, so each key is defined once, by its field.
 
 from __future__ import annotations
 
-import csv
-import itertools
 import math
+import re
 from dataclasses import MISSING, fields, is_dataclass
 from pathlib import Path
-from typing import Any, Sequence, TextIO
+from typing import Any, NoReturn, Sequence
 
 import numpy as np
 
 from .errors import GridFreqError, ScenarioError
 from .estimator import ROW_COLUMNS, EstimateSeries, EstimatorConfig
+from .metrics import MetricsReport
 from .synth import (ConstantProfile, DcSpec, EventProfile, GroundTruth,
                     HarmonicSpec, NoiseSpec, RampProfile, SampleStream,
                     ScenarioSpec, StepSpec)
@@ -32,6 +33,8 @@ from .synth import (ConstantProfile, DcSpec, EventProfile, GroundTruth,
 SAMPLE_HEADER = ["t", "value"]
 TRUTH_HEADER = ["t", "freq_hz", "rocof_hzps", "amp_pu", "phase_rad"]
 HISTORY_HEADER = ["iteration", "best_score"]
+SWEEP_HEADER = ["ratio", "rmse_fe", "rmse_re"]
+_NEWLINE = re.compile(r"\r\n?|\n")    # where text mode ends a line
 
 
 def _write_rows(path: str | Path, header: Sequence[str],
@@ -47,79 +50,66 @@ def _write_rows(path: str | Path, header: Sequence[str],
 def _read_rows(path: str | Path, header: Sequence[str] | None = None
                ) -> tuple[list[str], np.ndarray]:
     """(header, float rows) of a CSV; ``header``, if given, must match.
-
-    numpy parses the rows; where it fails or gives another shape than the
-    header's, the csv loop reads them again and names the line at fault.
-    """
-    with open(path, newline="") as fh:
-        r = csv.reader(fh)
-        try:
-            got = next(r)
-        except StopIteration:
-            raise ScenarioError(f"{path}: empty CSV") from None
+    Where :func:`_loadtxt` fails or its rows are absent, not the header's
+    width or not finite, :func:`_fault` names the line at fault."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            got = fh.readline().rstrip("\n").split(",")
+            # numpy skips empty lines, and warns when it finds no other
+            nonempty = any(line != "\n" for line in fh)
         if header is not None and got != list(header):
             raise ScenarioError(f"{path}: expected header {','.join(header)}, "
                                 f"got {','.join(got)}")
-        arr = _loadtxt_rows(path, fh, len(got))
-        if arr is None:
-            fh.seek(0)
-            arr = _csv_rows(path, fh)
-    finite = np.isfinite(arr)
-    if not finite.all():
-        row, col = np.argwhere(~finite)[0]
-        raise ScenarioError(f"{path}:{_line_of_row(path, row)}: "
-                            f"`{got[col]}` is not finite")
+        arr = _loadtxt(path, skiprows=1) if nonempty else None
+    except ValueError:                # UnicodeDecodeError included
+        arr = None
+    if arr is None or arr.shape[1] != len(got) or not np.isfinite(arr).all():
+        _fault(path)
     return got, arr
 
 
-def _loadtxt_rows(path: str | Path, fh: TextIO, width: int
-                  ) -> np.ndarray | None:
-    """The data rows of a CSV as numpy parses them, or None where numpy
-    fails or they are not ``width`` fields wide.
+def _loadtxt(source: str | Path | list[str], skiprows: int = 0) -> np.ndarray:
+    """The rows of a CSV file or of a list of its lines: a quoted field is
+    one value, an empty line none, and a ``#`` line a malformed row."""
+    return np.loadtxt(source, delimiter=",", skiprows=skiprows, ndmin=2,
+                      comments=None, quotechar='"', encoding="utf-8")
 
-    ``fh`` is the open file past its header; without a non-blank line left
-    in it numpy would warn, so the csv loop reports the file instead.
-    ``comments=None`` keeps a ``#`` line an error, and a quoted field fails
-    numpy's float parse.
-    """
+
+def _fault(path: str | Path) -> NoReturn:
+    """Raise :class:`ScenarioError` naming the first bad line of a CSV.
+    Each line is parsed alone, by numpy's grammar; one with an odd number of
+    quotes would carry a quoted field into the next in a whole-file parse."""
+    header, *lines = _text_lines(path)
+    names = header.split(",")
+    for lineno, line in enumerate(lines, 2):
+        if not line:
+            continue
+        where = f"{path}:{lineno}:"
+        if line.count('"') % 2:
+            raise ScenarioError(f"{where} unmatched quote")
+        try:
+            row = _loadtxt([line])[0]
+        except ValueError as exc:
+            raise ScenarioError(f"{where} malformed CSV value ({exc})") from None
+        if len(row) != len(names):
+            raise ScenarioError(f"{where} expected {len(names)} fields, "
+                                f"got {len(row)}")
+        if not np.isfinite(row).all():
+            name = names[np.argmin(np.isfinite(row))]
+            raise ScenarioError(f"{where} `{name}` is not finite")
+    raise ScenarioError(f"{path}: no data rows")
+
+
+def _text_lines(path: str | Path) -> list[str]:
+    """The lines of a UTF-8 file, split where text mode splits them; a byte
+    that is not UTF-8 raises :class:`ScenarioError` naming its line."""
+    data = Path(path).read_bytes()
     try:
-        if not any(map(str.strip, fh)):
-            return None
-        arr = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2,
-                         comments=None)
-    except Exception:
-        return None
-    return arr if len(arr) and arr.shape[1] == width else None
-
-
-def _csv_rows(path: str | Path, fh: TextIO) -> np.ndarray:
-    """The data rows of the open CSV ``fh``, read from its start."""
-    r = csv.reader(fh)
-    width = len(next(r))
-    data = []
-    try:
-        for row in r:
-            if len(row) != width:
-                if not row:
-                    continue
-                raise ScenarioError(f"{path}:{r.line_num}: expected {width} "
-                                    f"fields, got {len(row)}")
-            data.append(list(map(float, row)))
-    except ValueError as exc:
-        raise ScenarioError(f"{path}:{r.line_num}: malformed CSV value "
-                            f"({exc})") from None
-    if not data:
-        raise ScenarioError(f"{path}: no data rows")
-    return np.array(data)
-
-
-def _line_of_row(path: str | Path, row: int) -> int:
-    """File line of the ``row``-th data row, found by reading it again."""
-    with open(path, newline="") as fh:
-        r = csv.reader(fh)
-        next(r)
-        lines = (r.line_num for cells in r if cells)
-        return next(itertools.islice(lines, row, None))
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = len(_NEWLINE.split(data[:exc.start].decode("utf-8")))
+        raise ScenarioError(f"{path}:{line}: not UTF-8 text") from None
+    return _NEWLINE.split(text)
 
 
 def _uniform_grid(path: str | Path, t: np.ndarray, what: str
@@ -162,7 +152,7 @@ def read_truth(path: str | Path) -> GroundTruth:
 
 
 # --------------------------------------------------------------------------
-# Estimate series
+# Estimate series, reports and tables
 # --------------------------------------------------------------------------
 
 def estimate_header(n: int) -> list[str]:
@@ -191,6 +181,20 @@ def write_history(path: str | Path, history: Sequence[float]) -> None:
                 (np.arange(len(history)), np.asarray(history, dtype=float)))
 
 
+def write_report(path: str | Path, report: MetricsReport) -> None:
+    """The ``metric,value`` CSV of a metrics report."""
+    with open(path, "w", newline="") as fh:
+        fh.write("metric,value\r\n")
+        fh.writelines(f"{name},{value!r}\r\n" for name, value in report.rows())
+
+
+def write_sweep(path: str | Path, ratios: Sequence[float],
+                reports: Sequence[MetricsReport]) -> None:
+    """The table of a learning-rate sweep, one row per ratio."""
+    _write_rows(path, SWEEP_HEADER, (ratios, [r.rmse_fe for r in reports],
+                                     [r.rmse_re for r in reports]))
+
+
 # --------------------------------------------------------------------------
 # Key-value files
 # --------------------------------------------------------------------------
@@ -215,20 +219,19 @@ class _Keys:
     def __init__(self, path: str | Path) -> None:
         self.path = path
         self.kv: dict[str, tuple[int, str]] = {}
-        with open(path) as fh:
-            for lineno, raw in enumerate(fh, 1):
-                line = raw.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise ScenarioError(f"{path}:{lineno}: expected 'key = value'")
-                key, value = (part.strip() for part in line.split("=", 1))
-                if not key:
-                    raise ScenarioError(f"{path}:{lineno}: empty key")
-                if key in self.kv:
-                    raise ScenarioError(f"{path}:{lineno}: duplicate key `{key}` "
-                                        f"(first on line {self.kv[key][0]})")
-                self.kv[key] = (lineno, value)
+        for lineno, raw in enumerate(_text_lines(path), 1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if "=" not in line:
+                raise ScenarioError(f"{path}:{lineno}: expected 'key = value'")
+            key, value = (part.strip() for part in line.split("=", 1))
+            if not key:
+                raise ScenarioError(f"{path}:{lineno}: empty key")
+            if key in self.kv:
+                raise ScenarioError(f"{path}:{lineno}: duplicate key `{key}` "
+                                    f"(first on line {self.kv[key][0]})")
+            self.kv[key] = (lineno, value)
 
     def take(self, key: str, kind: type, default: Any = MISSING) -> Any:
         """The value of ``key`` as an int, a finite float or a str."""

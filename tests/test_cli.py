@@ -206,8 +206,8 @@ class TestEstimateAndMetrics:
                                     cli.DEFAULT_LATENCY_S,
                                     skip_s=cli.DEFAULT_SKIP_S))
         mean, _ = aggregate(reports)
-        assert out.read_text() == "metric,value\n" + "".join(
-            f"{name},{value!r}\n" for name, value in mean.rows())
+        assert out.read_bytes() == ("metric,value\r\n" + "".join(
+            f"{name},{value!r}\r\n" for name, value in mean.rows())).encode()
 
     def test_divergence_exits_3(self, tmp_path, capsys):
         # a destabilizing learning rate makes the watchdog trip
@@ -401,8 +401,9 @@ class TestSweepEta:
         assert rc == EXIT_OK
         out = capsys.readouterr().out
         assert out.splitlines()[0] == "ratio,rmse_fe,rmse_re"
-        lines = out_csv.read_text().strip().splitlines()
-        assert len(lines) == 3
+        # the file holds the printed table, with io's CRLF line ends
+        assert out_csv.read_bytes() == out.replace("\n", "\r\n").encode()
+        assert len(out.splitlines()) == 3
 
     def test_sub_unity_ratio_rejected(self, scenario_file, capsys):
         # any positive ratio is a rate; zero is not
@@ -412,6 +413,64 @@ class TestSweepEta:
         assert main(["sweep-eta", str(scenario_file),
                      "--ratios", "0"]) == EXIT_INPUT
         assert "eta_opt must be positive" in capsys.readouterr().err
+
+
+class TestUndecodableInput:
+    """A byte that is not UTF-8, in any input file, exits 2 naming its line."""
+
+    @pytest.mark.parametrize("data, line", [
+        (b"t,value\r\n0.0,1.0\r\n0.1,\xff\r\n", 3),      # a data row
+        (b"t,val\xffue\r\n0.0,1.0\r\n0.1,2.0\r\n", 1),   # the header
+    ])
+    def test_samples_file(self, tmp_path, capsys, data, line):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(data)
+        rc = main(["estimate", str(path), "--out", str(tmp_path / "e.csv")])
+        assert rc == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err == f"error: {path}:{line}: not UTF-8 text\n"
+
+    def test_byte_past_the_header_chunk(self, tmp_path, synth_outputs, capsys):
+        # numpy's read of the rows meets it, not the read of the header
+        samples, _ = synth_outputs
+        lines = samples.read_bytes().split(b"\r\n")
+        lines[1000] += b"\xff"
+        samples.write_bytes(b"\r\n".join(lines))
+        rc = main(["estimate", str(samples), "--out", str(tmp_path / "e.csv")])
+        assert rc == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err == f"error: {samples}:1001: not UTF-8 text\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["synth", "{path}", "--out", "{tmp}"],
+        ["metrics", "--scenario", "{path}", "--seeds", "1"],
+    ])
+    def test_scenario_file(self, tmp_path, capsys, argv):
+        path = tmp_path / "bad.cfg"
+        path.write_bytes(b"duration = 1.0\nbase_freq = 5\xff0.0\n")
+        rc = main([a.format(path=path, tmp=tmp_path) for a in argv])
+        assert rc == EXIT_INPUT
+        assert capsys.readouterr().err == f"error: {path}:2: not UTF-8 text\n"
+
+    def test_config_file(self, tmp_path, synth_outputs, capsys):
+        # the whole file is decoded before a comment is stripped
+        samples, _ = synth_outputs
+        path = tmp_path / "bad.cfg"
+        path.write_bytes(b"n = 7\n# gains \xff\n")
+        rc = main(["estimate", str(samples), "--config", str(path),
+                   "--out", str(tmp_path / "e.csv")])
+        assert rc == EXIT_INPUT
+        assert capsys.readouterr().err == f"error: {path}:2: not UTF-8 text\n"
+
+    @pytest.mark.parametrize("value", ["1_0", "\u0661"])
+    def test_digits_python_alone_reads(self, tmp_path, capsys, value):
+        # float() takes an underscore or a non-ASCII digit, numpy does not
+        path = tmp_path / "bad.csv"
+        path.write_bytes(f"t,value\r\n0.0,1.0\r\n0.1,{value}\r\n".encode())
+        rc = main(["estimate", str(path), "--out", str(tmp_path / "e.csv")])
+        assert rc == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}:3: malformed CSV value")
 
 
 class TestNonFiniteInput:

@@ -1,6 +1,5 @@
 """Unit tests for the per-sample adaptive estimator."""
 
-import copy
 import gc
 import math
 import os
@@ -27,6 +26,7 @@ from golden import cases as golden_cases
 from golden import compute as golden_compute
 from golden import digest as golden_digest
 from golden import load as golden_load
+from golden import state_digest
 from reference import output_and_gradient, reference_estimator
 
 FS = 1200.0
@@ -343,25 +343,23 @@ class TestKernelCache:
         assert state.k == 1            # no state was written
 
     @pytest.mark.parametrize("name", ["a_c", "a_s"])
-    def test_tuple_coefficient_list_rejected(self, name):
+    def test_tuple_coefficient_list_steps_like_a_list(self, name):
+        # the kernel reads the coefficients and stores new lists, so a tuple
+        # in place of a list gives the same records and state, bit for bit
         cfg = EstimatorConfig()
-        state = init(cfg)
-        for x in (0.5, 0.25):
-            step(state, x, cfg)
-        setattr(state, name, tuple(getattr(state, name)))
-        before = copy.deepcopy(state)
-        # a new config object binds before the kernel runs: nothing is written
-        with pytest.raises(ConfigError, match=f"{name}: tuple"):
-            step(state, 0.0, replace(cfg))
-        assert state == before
-        # the bound kernel fails at its final coefficient store; its loop has
-        # appended the sample's raw RoCoF to the buffer by then, and the
-        # a_c store precedes the a_s one
-        with pytest.raises(ConfigError, match=f"{name}: tuple"):
-            step(state, 0.0, state.kernel.config)
-        assert replace(state, rocof_buf=None, a_c=None) == replace(
-            before, rocof_buf=None, a_c=None)
-        assert state.k == 2
+        values = _clean_stream(0.5).values.tolist()[:40]
+        lists, tuples = init(cfg), init(cfg)
+        for x in values[:5]:
+            step(lists, x, cfg)
+            step(tuples, x, cfg)
+        setattr(tuples, name, tuple(getattr(tuples, name)))
+        # the first step after the swap binds a new config object
+        got = [repr(step(tuples, x, c)) for x, c in
+               zip(values[5:], [replace(cfg)] + [cfg] * 34)]
+        assert got == [repr(step(lists, x, cfg)) for x in values[5:]]
+        assert got.count("None") < len(got)       # some steps reported
+        assert state_digest(tuples) == state_digest(lists)
+        assert type(tuples.a_c) is list and type(tuples.a_s) is list
 
     def test_pickled_state_resumes_bit_identically(self):
         cfg = EstimatorConfig()

@@ -84,6 +84,14 @@ class TestSampleRoundTrip:
         with pytest.raises(ScenarioError, match=r"bad\.csv:2: malformed"):
             gio.read_samples(path)
 
+    def test_quoted_field_across_lines_names_its_first_line(self, tmp_path):
+        # numpy reads `"2` on into the next line, where each line alone
+        # parses; the odd quote count names the line that opens the field
+        path = tmp_path / "bad.csv"
+        path.write_text('t,value\n0.0,"2\n0.1,"3\n')
+        with pytest.raises(ScenarioError, match=r"bad\.csv:2: unmatched quote"):
+            gio.read_samples(path)
+
     @pytest.mark.parametrize("rows", ["", "\n\r\n"])
     def test_rowless_file_is_an_error_without_a_warning(self, tmp_path, rows):
         path = tmp_path / "rowless.csv"

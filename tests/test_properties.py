@@ -1,7 +1,9 @@
 """Property-based tests (hypothesis) for the algebraic building blocks."""
 
 import math
+import re
 import shutil
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -371,34 +373,53 @@ def csv_texts(draw):
     return width, text + draw(st.sampled_from(["", "\n", "\r\n"]))
 
 
+NOT_UTF8 = st.sampled_from([b"\xff", b"\x80", b"\xc3", b"\xed\xa0\x80",
+                            b"\xf4\x90\x80\x80"])
+
+
 @settings(max_examples=300, deadline=None)
-@given(case=csv_texts())
-def test_numpy_row_parse_matches_the_csv_loop_or_defers(case,
-                                                         tmp_path_factory):
-    """For any row text, numpy's parse is the csv loop's array bit for bit,
-    or None; and _read_rows gives the same array or error without it."""
-    width, text = case
+@given(case=csv_texts(),
+       junk=st.lists(st.tuples(st.integers(0, 10**6), NOT_UTF8), max_size=2))
+def test_csv_rows_are_numpys_or_an_error_naming_a_line(case, junk,
+                                                       tmp_path_factory):
+    """_read_rows gives np.loadtxt's array of the data lines, bit for bit,
+    or a ScenarioError naming a line of the file (`no data rows` only where
+    numpy finds none); undecodable bytes name the line that holds them."""
+    _, text = case
+    data = text.encode()
+    for pos, bad in junk:
+        pos %= len(data) + 1
+        data = data[:pos] + bad + data[pos:]
     path = tmp_path_factory.mktemp("csv") / "rows.csv"
-    with open(path, "w", newline="") as fh:
-        fh.write(text)
+    path.write_bytes(data)
+    lines = re.split(rb"\r\n?|\n", data)
+    try:
+        _, arr = gio._read_rows(path)
+    except ScenarioError as exc:
+        message = str(exc)
+    else:
+        expect = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2,
+                            comments=None, quotechar='"', encoding="utf-8")
+        assert (arr.shape, arr.tobytes()) == (expect.shape, expect.tobytes())
+        return
+    undecodable = [i for i, line in enumerate(lines, 1)
+                   if not _is_utf8(line)]
+    if undecodable:
+        assert message == f"{path}:{undecodable[0]}: not UTF-8 text"
+    elif message == f"{path}: no data rows":
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            assert len(np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2,
+                                  comments=None, quotechar='"',
+                                  encoding="utf-8")) == 0
+    else:
+        named = re.match(rf"{re.escape(str(path))}:(\d+): ", message)
+        assert named and 2 <= int(named[1]) <= len(lines), message
 
-    def read():
-        try:
-            _, arr = gio._read_rows(path)
-        except ScenarioError as exc:
-            return str(exc)
-        return arr.shape, arr.tobytes()
 
-    with open(path, newline="") as fh:
-        fh.readline()
-        fast = gio._loadtxt_rows(path, fh, width)
-        fh.seek(0)
-        if fast is not None:
-            slow = gio._csv_rows(path, fh)
-            # the bytes compare NaN signs and signed zeros too
-            assert (fast.shape, fast.tobytes()) == (slow.shape,
-                                                    slow.tobytes())
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(gio, "_loadtxt_rows", lambda path, fh, width: None)
-        csv_only = read()
-    assert read() == csv_only
+def _is_utf8(line: bytes) -> bool:
+    try:
+        line.decode("utf-8")
+    except UnicodeDecodeError:
+        return False
+    return True
