@@ -52,9 +52,11 @@ def _read_rows(path: str | Path, header: Sequence[str] | None = None
     """(header, float rows) of a CSV; ``header``, if given, must match.
     Where :func:`_loadtxt` fails or its rows are absent, not the header's
     width or not finite, :func:`_fault` names the line at fault."""
+    got: list[str] = []
     try:
         with open(path, encoding="utf-8") as fh:
-            got = fh.readline().rstrip("\n").split(",")
+            # no column name holds a quote or a comma: quotes are dropped
+            got = fh.readline().rstrip("\n").replace('"', "").split(",")
             # numpy skips empty lines, and warns when it finds no other
             nonempty = any(line != "\n" for line in fh)
         if header is not None and got != list(header):
@@ -64,7 +66,7 @@ def _read_rows(path: str | Path, header: Sequence[str] | None = None
     except ValueError:                # UnicodeDecodeError included
         arr = None
     if arr is None or arr.shape[1] != len(got) or not np.isfinite(arr).all():
-        _fault(path)
+        _fault(path, got)
     return got, arr
 
 
@@ -75,13 +77,11 @@ def _loadtxt(source: str | Path | list[str], skiprows: int = 0) -> np.ndarray:
                       comments=None, quotechar='"', encoding="utf-8")
 
 
-def _fault(path: str | Path) -> NoReturn:
+def _fault(path: str | Path, header: list[str]) -> NoReturn:
     """Raise :class:`ScenarioError` naming the first bad line of a CSV.
     Each line is parsed alone, by numpy's grammar; one with an odd number of
     quotes would carry a quoted field into the next in a whole-file parse."""
-    header, *lines = _text_lines(path)
-    names = header.split(",")
-    for lineno, line in enumerate(lines, 2):
+    for lineno, line in enumerate(_text_lines(path)[1:], 2):
         if not line:
             continue
         where = f"{path}:{lineno}:"
@@ -91,11 +91,11 @@ def _fault(path: str | Path) -> NoReturn:
             row = _loadtxt([line])[0]
         except ValueError as exc:
             raise ScenarioError(f"{where} malformed CSV value ({exc})") from None
-        if len(row) != len(names):
-            raise ScenarioError(f"{where} expected {len(names)} fields, "
+        if len(row) != len(header):
+            raise ScenarioError(f"{where} expected {len(header)} fields, "
                                 f"got {len(row)}")
         if not np.isfinite(row).all():
-            name = names[np.argmin(np.isfinite(row))]
+            name = header[np.argmin(np.isfinite(row))]
             raise ScenarioError(f"{where} `{name}` is not finite")
     raise ScenarioError(f"{path}: no data rows")
 

@@ -292,6 +292,16 @@ class TestEstimateAndMetrics:
         err = capsys.readouterr().err
         assert "error:" in err and "tone_samples.csv:4" in err
 
+    @pytest.mark.parametrize("value", ["1_0", "\u0661"])
+    def test_digits_python_alone_reads(self, tmp_path, capsys, value):
+        # float() takes an underscore or a non-ASCII digit, numpy does not
+        path = tmp_path / "bad.csv"
+        path.write_bytes(f"t,value\r\n0.0,1.0\r\n0.1,{value}\r\n".encode())
+        rc = main(["estimate", str(path), "--out", str(tmp_path / "e.csv")])
+        assert rc == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}:3: malformed CSV value")
+
     @pytest.mark.parametrize("row", [1, 500])
     def test_non_finite_sample_time_is_input_error(self, tmp_path,
                                                    synth_outputs, capsys, row):
@@ -461,16 +471,6 @@ class TestUndecodableInput:
                    "--out", str(tmp_path / "e.csv")])
         assert rc == EXIT_INPUT
         assert capsys.readouterr().err == f"error: {path}:2: not UTF-8 text\n"
-
-    @pytest.mark.parametrize("value", ["1_0", "\u0661"])
-    def test_digits_python_alone_reads(self, tmp_path, capsys, value):
-        # float() takes an underscore or a non-ASCII digit, numpy does not
-        path = tmp_path / "bad.csv"
-        path.write_bytes(f"t,value\r\n0.0,1.0\r\n0.1,{value}\r\n".encode())
-        rc = main(["estimate", str(path), "--out", str(tmp_path / "e.csv")])
-        assert rc == EXIT_INPUT
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: {path}:3: malformed CSV value")
 
 
 class TestNonFiniteInput:

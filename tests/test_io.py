@@ -84,6 +84,12 @@ class TestSampleRoundTrip:
         with pytest.raises(ScenarioError, match=r"bad\.csv:2: malformed"):
             gio.read_samples(path)
 
+    def test_quoted_header_and_values_read_as_unquoted(self, tmp_path):
+        path = tmp_path / "quoted.csv"
+        path.write_text('"t","value"\n"0.0",1.0\n0.1,"2.0"\n')
+        back = gio.read_samples(path)
+        assert (back.t0, back.ts, back.values.tolist()) == (0.0, 0.1, [1.0, 2.0])
+
     def test_quoted_field_across_lines_names_its_first_line(self, tmp_path):
         # numpy reads `"2` on into the next line, where each line alone
         # parses; the odd quote count names the line that opens the field
