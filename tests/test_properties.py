@@ -398,8 +398,7 @@ def test_csv_rows_are_numpys_or_an_error_naming_a_line(case, junk,
     except ScenarioError as exc:
         message = str(exc)
     else:
-        expect = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2,
-                            comments=None, quotechar='"', encoding="utf-8")
+        expect = _numpy_rows(path)
         assert (arr.shape, arr.tobytes()) == (expect.shape, expect.tobytes())
         return
     undecodable = [i for i, line in enumerate(lines, 1)
@@ -407,14 +406,18 @@ def test_csv_rows_are_numpys_or_an_error_naming_a_line(case, junk,
     if undecodable:
         assert message == f"{path}:{undecodable[0]}: not UTF-8 text"
     elif message == f"{path}: no data rows":
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)
-            assert len(np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2,
-                                  comments=None, quotechar='"',
-                                  encoding="utf-8")) == 0
+        assert len(_numpy_rows(path)) == 0
     else:
         named = re.match(rf"{re.escape(str(path))}:(\d+): ", message)
         assert named and 2 <= int(named[1]) <= len(lines), message
+
+
+def _numpy_rows(path: Path) -> np.ndarray:
+    """The data rows of a CSV as the documented np.loadtxt call reads them."""
+    with warnings.catch_warnings():   # numpy warns on a file without rows
+        warnings.simplefilter("ignore", UserWarning)
+        return np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2,
+                          comments=None, quotechar='"', encoding="utf-8")
 
 
 def _is_utf8(line: bytes) -> bool:
