@@ -9,8 +9,11 @@ backends of ``run()`` (the C loop and the Python kernel) must reproduce.
 ``tests/data/golden_estimate_csv.json`` holds the SHA-256 of the estimate
 CSV ``io.write_estimates`` writes for two of the cases, one that runs and
 one that diverges before its first report; the file holds the series'
-rows, the same floats the record digests cover.  Regenerate both only when
-an output change is intended:
+rows, the same floats the record digests cover.
+``tests/data/golden_io_csv.json`` holds the SHA-256 of the samples and
+truth CSVs ``synth`` writes for two scenarios at seed 0 and of a ``tune
+--history`` file, whose iteration column is integral.  Regenerate all
+three only when an output change is intended:
 
     PYTHONPATH=src python tests/golden.py --write
 """
@@ -34,6 +37,8 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 GOLDEN = pathlib.Path(__file__).resolve().parent / "data" / "golden_run.json"
 GOLDEN_CSV = GOLDEN.with_name("golden_estimate_csv.json")
 CSV_CASES = ("case1/seed0/default", "case1/seed0/x325")
+GOLDEN_IO = GOLDEN.with_name("golden_io_csv.json")
+IO_SCENARIOS = ("case1", "case2b")
 FS = 1200.0
 SEEDS = (0, 1)
 CONFIGS = {
@@ -111,6 +116,29 @@ def csv_digests(tmp: pathlib.Path) -> dict[str, str]:
     return out
 
 
+def io_digests(tmp: pathlib.Path) -> dict[str, str]:
+    """SHA-256 of the samples and truth CSVs of IO_SCENARIOS at seed 0 and
+    of the history of a small ``tune`` over case1."""
+    from gridfreq import cli
+
+    def sha(path: pathlib.Path) -> str:
+        return hashlib.sha256(path.read_bytes()).hexdigest()
+
+    out = {}
+    for stem in IO_SCENARIOS:
+        cfg = str(ROOT / "scenarios" / f"{stem}.cfg")
+        assert cli.main(["synth", cfg, "--seed", "0", "--out", str(tmp)]) == 0
+        for kind in ("samples", "truth"):
+            out[f"{stem}/seed0/{kind}"] = sha(tmp / f"{stem}_{kind}.csv")
+    history = tmp / "history.csv"
+    assert cli.main(["tune", "--scenario", str(ROOT / "scenarios" / "case1.cfg"),
+                     "--swarm", "4", "--iterations", "2",
+                     "--out", str(tmp / "tuned.cfg"),
+                     "--history", str(history)]) == 0
+    out["case1/tune/history"] = sha(history)
+    return out
+
+
 def load() -> dict[str, dict]:
     return json.loads(GOLDEN.read_text())
 
@@ -119,13 +147,19 @@ def load_csv() -> dict[str, str]:
     return json.loads(GOLDEN_CSV.read_text())
 
 
+def load_io() -> dict[str, str]:
+    return json.loads(GOLDEN_IO.read_text())
+
+
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit("usage: golden.py --write")
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(json.dumps(compute(), indent=1, sort_keys=True) + "\n")
     print(f"wrote {GOLDEN}")
-    with tempfile.TemporaryDirectory() as tmp:
-        digests = csv_digests(pathlib.Path(tmp))
-    GOLDEN_CSV.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n")
-    print(f"wrote {GOLDEN_CSV}")
+    for target, compute_digests in ((GOLDEN_CSV, csv_digests),
+                                    (GOLDEN_IO, io_digests)):
+        with tempfile.TemporaryDirectory() as tmp:
+            digests = compute_digests(pathlib.Path(tmp))
+        target.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n")
+        print(f"wrote {target}")

@@ -15,7 +15,7 @@ from gridfreq import io as gio
 from gridfreq.synth import (ConstantProfile, DcSpec, HarmonicSpec, NoiseSpec,
                             StepSpec)
 from cases import case1, case2, case2b, case3, clean_tone
-from golden import csv_digests, load_csv
+from golden import csv_digests, io_digests, load_csv, load_io
 
 FS = 1200.0
 
@@ -185,6 +185,16 @@ class TestEstimateRoundTrip:
     def test_csv_bytes_match_stored_digests_python_kernel(self, tmp_path,
                                                           python_kernel):
         assert csv_digests(tmp_path) == load_csv()
+
+
+class TestWrittenBytes:
+    """Samples, truth and history files keep the bytes of the stored digests."""
+
+    def test_match_stored_digests(self, tmp_path, native_kernel):
+        assert io_digests(tmp_path) == load_io()
+
+    def test_match_stored_digests_python_kernel(self, tmp_path, python_kernel):
+        assert io_digests(tmp_path) == load_io()
 
 
 class TestHistory:
