@@ -1,20 +1,31 @@
-/* The estimator's run loop in C: the laws of the gridfreq.estimator module
- * docstring over a whole stream, from a fresh state.
+/* The package's C library: the estimator's run loop (gridfreq_run) and
+ * the CSV float formatter of gridfreq.io (gridfreq_format_rows).
  *
- * gridfreq.estimator builds this file on first use with
+ * gridfreq._native builds this file on first use with
  *
  *     cc -O2 -ffp-contract=off -fPIC -shared -lm
  *
- * and calls gridfreq_run through ctypes.  Its output equals the generated
- * Python kernel's (_KERNEL_TEMPLATE) bit for bit, for four reasons: every
- * expression keeps the template's operand order; -ffp-contract=off rules
- * out fused multiply-adds; CPython's math.sin and math.cos call the same
- * libm; and py_mod is CPython's float %.  Amplitude and phase are left to
- * Python, because CPython's math.hypot is not libm's.
+ * and calls both functions through ctypes.
+ *
+ * gridfreq_run runs the laws of the gridfreq.estimator module docstring
+ * over a whole stream, from a fresh state.  Its output equals the
+ * generated Python kernel's (_KERNEL_TEMPLATE) bit for bit, for four
+ * reasons: every expression keeps the template's operand order;
+ * -ffp-contract=off rules out fused multiply-adds; CPython's math.sin and
+ * math.cos call the same libm; and py_mod is CPython's float %.  Amplitude
+ * and phase are left to Python, because CPython's math.hypot is not libm's.
+ *
+ * gridfreq_format_rows writes rows of floats as CSV text, each float as
+ * CPython's repr writes it: Ryu's shortest round-trip digits (Adams, "Ryu:
+ * fast float-to-string conversion", PLDI 2018), laid out as
+ * float.__repr__ lays out the digits of David Gay's dtoa.  Both give the
+ * shortest digit string that reads back to the same double, the nearest
+ * to it where several are that short.
  */
 
 #include <math.h>
 #include <stdint.h>
+#include <string.h>
 
 #define TWO_PI (2.0 * 3.141592653589793)   /* 2.0 * math.pi */
 
@@ -150,4 +161,268 @@ int64_t gridfreq_run(const double *x, int64_t len, int64_t n,
         row += 10 + 2 * n;
     }
     return k;
+}
+
+
+/* ------------------------------------------------------------------------
+ * CSV rows of floats, byte-identical to CPython's repr
+ * ------------------------------------------------------------------------ */
+
+typedef unsigned __int128 u128;
+
+#define POW5_BITCOUNT 125       /* bits of each entry of pow5 */
+#define POW5_INV_BITCOUNT 125   /* bits of each entry of pow5_inv */
+
+/* ceil(log2(5^e)), and 1 for e = 0; 0 <= e <= 3528 */
+static int32_t pow5bits(int32_t e)
+{
+    return (int32_t)((((uint32_t)e * 1217359) >> 19) + 1);
+}
+
+/* floor(log10(2^e)); 0 <= e <= 1650 */
+static int32_t log10_pow2(int32_t e)
+{
+    return (int32_t)(((uint32_t)e * 78913) >> 18);
+}
+
+/* floor(log10(5^e)); 0 <= e <= 2620 */
+static int32_t log10_pow5(int32_t e)
+{
+    return (int32_t)(((uint32_t)e * 732923) >> 20);
+}
+
+/* whether 5^p divides v, v > 0 */
+static int multiple_of_pow5(uint64_t v, int32_t p)
+{
+    int32_t count = 0;
+    while (v % 5 == 0) {
+        v /= 5;
+        count++;
+    }
+    return count >= p;
+}
+
+/* whether 2^p divides v, p < 64 */
+static int multiple_of_pow2(uint64_t v, int32_t p)
+{
+    return (v & ((1ull << p) - 1)) == 0;
+}
+
+/* (m * mul) >> j, mul a 128-bit table entry as (low, high) words, j >= 64 */
+static uint64_t mul_shift(uint64_t m, const uint64_t *mul, int32_t j)
+{
+    u128 b0 = (u128)m * mul[0], b2 = (u128)m * mul[1];
+    return (uint64_t)(((b0 >> 64) + b2) >> (j - 64));
+}
+
+/* Ryu's d2d: the shortest decimal digits*10^*e10 that reads back as the
+ * finite, nonzero double with these mantissa and exponent bits, the
+ * nearest to it among the shortest.  pow5 and pow5_inv are the tables
+ * gridfreq._native builds, one (low, high) pair of words per entry. */
+static uint64_t shortest(uint64_t ieee_m, int32_t ieee_e,
+                         const uint64_t *pow5, const uint64_t *pow5_inv,
+                         int32_t *e10)
+{
+    /* the value is m2 * 2^e2, with 2 more bits for the interval bounds */
+    int32_t e2 = (ieee_e ? ieee_e : 1) - 1023 - 52 - 2;
+    uint64_t m2 = ieee_e ? (1ull << 52) | ieee_m : ieee_m;
+    int accept_bounds = (m2 & 1) == 0;      /* round-half-even reads them */
+    uint64_t mv = 4 * m2;
+    uint32_t mm_shift = ieee_m != 0 || ieee_e <= 1;
+    uint64_t vr, vp, vm, output;
+    int vm_zeros = 0, vr_zeros = 0, round_up = 0;
+    int32_t removed = 0, q, i, k;
+    uint32_t last_digit = 0;
+
+    /* the interval (mm, mp) around mv scaled by 10^-q into vm, vr, vp */
+    if (e2 >= 0) {
+        q = log10_pow2(e2) - (e2 > 3);
+        *e10 = q;
+        k = POW5_INV_BITCOUNT + pow5bits(q) - 1;
+        i = -e2 + q + k;
+        vr = mul_shift(4 * m2, pow5_inv + 2 * q, i);
+        vp = mul_shift(4 * m2 + 2, pow5_inv + 2 * q, i);
+        vm = mul_shift(4 * m2 - 1 - mm_shift, pow5_inv + 2 * q, i);
+        if (q <= 21) {
+            /* only one of mp, mv and mm can be a multiple of 5 */
+            if (mv % 5 == 0)
+                vr_zeros = multiple_of_pow5(mv, q);
+            else if (accept_bounds)
+                vm_zeros = multiple_of_pow5(mv - 1 - mm_shift, q);
+            else
+                vp -= multiple_of_pow5(mv + 2, q);
+        }
+    } else {
+        q = log10_pow5(-e2) - (-e2 > 1);
+        *e10 = q + e2;
+        i = -e2 - q;
+        k = pow5bits(i) - POW5_BITCOUNT;
+        vr = mul_shift(4 * m2, pow5 + 2 * i, q - k);
+        vp = mul_shift(4 * m2 + 2, pow5 + 2 * i, q - k);
+        vm = mul_shift(4 * m2 - 1 - mm_shift, pow5 + 2 * i, q - k);
+        if (q <= 1) {
+            /* mv = 4 * m2 has at least 2 trailing zero bits */
+            vr_zeros = 1;
+            if (accept_bounds)
+                vm_zeros = mm_shift == 1;
+            else
+                --vp;
+        } else if (q < 63) {
+            vr_zeros = multiple_of_pow2(mv, q);
+        }
+    }
+
+    /* drop digits while the interval still holds a shorter number */
+    if (vm_zeros || vr_zeros) {
+        while (vp / 10 > vm / 10) {
+            vm_zeros &= vm % 10 == 0;
+            vr_zeros &= last_digit == 0;
+            last_digit = (uint32_t)(vr % 10);
+            vr /= 10;
+            vp /= 10;
+            vm /= 10;
+            removed++;
+        }
+        if (vm_zeros) {
+            while (vm % 10 == 0) {
+                vr_zeros &= last_digit == 0;
+                last_digit = (uint32_t)(vr % 10);
+                vr /= 10;
+                vp /= 10;
+                vm /= 10;
+                removed++;
+            }
+        }
+        if (vr_zeros && last_digit == 5 && vr % 2 == 0)
+            last_digit = 4;                 /* an exact tie rounds to even */
+        output = vr + ((vr == vm && (!accept_bounds || !vm_zeros))
+                       || last_digit >= 5);
+    } else {
+        while (vp / 10 > vm / 10) {
+            round_up = vr % 10 >= 5;
+            vr /= 10;
+            vp /= 10;
+            vm /= 10;
+            removed++;
+        }
+        output = vr + (vr == vm || round_up);
+    }
+    *e10 += removed;
+    return output;
+}
+
+/* the decimal digits of v > 0 at p; returns the end */
+static char *put_digits(char *p, uint64_t v)
+{
+    char tmp[20];
+    int n = 0;
+    do {
+        tmp[n++] = (char)('0' + v % 10);
+        v /= 10;
+    } while (v);
+    while (n)
+        *p++ = tmp[--n];
+    return p;
+}
+
+/* repr of the double with these bits at p; returns the end */
+static char *put_float(char *p, uint64_t bits, const uint64_t *pow5,
+                       const uint64_t *pow5_inv)
+{
+    uint64_t ieee_m = bits & ((1ull << 52) - 1), digits;
+    int32_t ieee_e = (int32_t)((bits >> 52) & 0x7ff), e10, n, decpt, i;
+    char d[20];
+
+    if (ieee_e == 0x7ff && ieee_m) {
+        memcpy(p, "nan", 3);                /* repr drops a NaN's sign */
+        return p + 3;
+    }
+    if (bits >> 63)
+        *p++ = '-';
+    if (ieee_e == 0x7ff) {
+        memcpy(p, "inf", 3);
+        return p + 3;
+    }
+    if (ieee_e == 0 && ieee_m == 0) {
+        memcpy(p, "0.0", 3);
+        return p + 3;
+    }
+    digits = shortest(ieee_m, ieee_e, pow5, pow5_inv, &e10);
+    n = (int32_t)(put_digits(d, digits) - d);
+    decpt = n + e10;        /* the value is 0.d[0..n) * 10^decpt */
+    if (decpt > -4 && decpt <= 16) {
+        /* fixed notation, with ".0" on an integral value */
+        if (decpt <= 0) {
+            *p++ = '0';
+            *p++ = '.';
+            for (i = decpt; i < 0; i++)
+                *p++ = '0';
+            memcpy(p, d, n);
+            return p + n;
+        }
+        if (decpt < n) {
+            memcpy(p, d, decpt);
+            p[decpt] = '.';
+            memcpy(p + decpt + 1, d + decpt, n - decpt);
+            return p + n + 1;
+        }
+        memcpy(p, d, n);
+        p += n;
+        for (i = n; i < decpt; i++)
+            *p++ = '0';
+        *p++ = '.';
+        *p++ = '0';
+        return p;
+    }
+    /* d.ddde+XX: a signed exponent of at least two digits */
+    *p++ = d[0];
+    if (n > 1) {
+        *p++ = '.';
+        memcpy(p, d + 1, n - 1);
+        p += n - 1;
+    }
+    *p++ = 'e';
+    *p++ = decpt - 1 < 0 ? '-' : '+';
+    i = decpt - 1 < 0 ? 1 - decpt : decpt - 1;
+    if (i < 10)
+        *p++ = '0';
+    return put_digits(p, (uint64_t)i);
+}
+
+/* repr of the int64 with these bits at p; returns the end */
+static char *put_int(char *p, uint64_t bits)
+{
+    if ((int64_t)bits < 0) {
+        *p++ = '-';
+        bits = 0 - bits;
+    }
+    return put_digits(p, bits);
+}
+
+/* Write nrows rows of ncols fields from cells[0..nrows*ncols), row-major,
+ * as CSV text at out: fields joined by ',' and each row ended by "\r\n".
+ * A field holds the bits of a double, written as repr writes it, or, where
+ * integral[column] is set, those of an int64, written as a decimal integer.
+ * out must hold nrows * (25 * ncols + 2) bytes: a field takes at most 24,
+ * as in -2.2250738585072014e-308 or -9223372036854775808.  Returns the
+ * number of bytes written. */
+int64_t gridfreq_format_rows(const uint64_t *cells, int64_t nrows,
+                             int64_t ncols, const uint8_t *integral,
+                             const uint64_t *pow5, const uint64_t *pow5_inv,
+                             char *out)
+{
+    char *p = out;
+    int64_t r, c;
+
+    for (r = 0; r < nrows; r++) {
+        for (c = 0; c < ncols; c++) {
+            if (c)
+                *p++ = ',';
+            p = integral[c] ? put_int(p, *cells++)
+                            : put_float(p, *cells++, pow5, pow5_inv);
+        }
+        *p++ = '\r';
+        *p++ = '\n';
+    }
+    return p - out;
 }

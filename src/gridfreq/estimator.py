@@ -75,18 +75,16 @@ and huge values.
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import linecache
 import math
-import os
 from collections import deque
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Callable, NamedTuple
 
 import numpy as np
 
+from . import _native
 from .errors import ConfigError, DivergenceError, is_count
 from .synth import SampleStream
 
@@ -545,86 +543,9 @@ def step(state: EstimatorState, sample: float, config: EstimatorConfig
 # The C run loop
 # --------------------------------------------------------------------------
 
-_CC = "cc"
-_CFLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
-
-
-def _native_source() -> bytes:
-    from importlib import resources
-    return resources.files(__package__).joinpath("_kernel.c").read_bytes()
-
-
-def _cache_dir() -> Path:
-    """``$XDG_CACHE_HOME/gridfreq`` or ``~/.cache/gridfreq``, private to the user."""
-    base = os.environ.get("XDG_CACHE_HOME", "")
-    path = (Path(base) if os.path.isabs(base)
-            else Path.home() / ".cache") / "gridfreq"
-    path.mkdir(mode=0o700, parents=True, exist_ok=True)
-    st = path.stat()
-    # a shared object others can replace would run their code
-    if st.st_uid != os.getuid() or st.st_mode & 0o022:
-        raise PermissionError(f"{path} is writable by other users")
-    return path
-
-
-def _build(source: bytes) -> Path:
-    """Path of the shared object of ``source``, compiled unless cached.
-
-    It is named by the sha256 of the source and the flags, and published
-    with an atomic rename, so processes that build at once are safe.
-    """
-    import hashlib
-
-    key = hashlib.sha256(source + " ".join(_CFLAGS).encode()).hexdigest()
-    cache = _cache_dir()
-    target = cache / f"_kernel-{key[:16]}.so"
-    if target.exists():
-        return target
-    # only a compile pays for these imports
-    import subprocess
-    import tempfile
-
-    fd, tmp = tempfile.mkstemp(suffix=".so", dir=cache)
-    os.close(fd)
-    try:
-        subprocess.run([_CC, *_CFLAGS, "-x", "c", "-", "-o", tmp, "-lm"],
-                       input=source, capture_output=True, check=True,
-                       timeout=120)
-        os.replace(tmp, target)
-    except subprocess.SubprocessError as exc:
-        raise OSError(f"cannot build the C run loop: {exc}") from exc
-    finally:
-        with contextlib.suppress(FileNotFoundError):
-            os.unlink(tmp)
-    return target
-
-
-@functools.cache
-def _native_kernel() -> Callable[..., int] | None:
-    """The C run loop, or None (once per process) when it cannot be built.
-
-    A missing compiler, a compile error or an unwritable cache directory
-    leaves :func:`run` on the Python kernel, which gives the same series.
-    """
-    import ctypes
-
-    try:
-        lib = ctypes.CDLL(str(_build(_native_source())))
-    except (OSError, RuntimeError):
-        return None
-    fn = lib.gridfreq_run
-    doubles = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
-    i64, f64 = ctypes.c_int64, ctypes.c_double
-    fn.argtypes = [doubles, i64, i64, doubles, doubles, f64, f64, f64,
-                   ctypes.c_int, f64, f64, f64, f64, f64, i64, i64, f64,
-                   doubles, doubles]
-    fn.restype = i64
-    return fn
-
-
 def run_backend() -> str:
     """``"c"`` when :func:`run` uses the C loop, ``"python"`` otherwise."""
-    return "python" if _native_kernel() is None else "c"
+    return "python" if _native.library() is None else "c"
 
 
 def _run_native(native: Callable[..., int], values: np.ndarray,
@@ -658,10 +579,10 @@ def run(stream: SampleStream, config: EstimatorConfig) -> EstimateSeries:
         )
     state = init(config, stream.t0)
     kernel = state.kernel
-    native = _native_kernel()
-    if native is not None:
-        rows, diverged_at = _run_native(native, stream.values, kernel,
-                                        stream.t0)
+    lib = _native.library()
+    if lib is not None:
+        rows, diverged_at = _run_native(lib.gridfreq_run, stream.values,
+                                        kernel, stream.t0)
     else:
         emitted = _kernel(config.n, rows=True)(state, stream.values.tolist(),
                                                kernel)

@@ -19,10 +19,11 @@ import math
 import re
 from dataclasses import MISSING, fields, is_dataclass
 from pathlib import Path
-from typing import Any, NoReturn, Sequence
+from typing import Any, Callable, NoReturn, Sequence
 
 import numpy as np
 
+from . import _native
 from .errors import GridFreqError, ScenarioError
 from .estimator import ROW_COLUMNS, EstimateSeries, EstimatorConfig
 from .metrics import MetricsReport
@@ -35,16 +36,44 @@ TRUTH_HEADER = ["t", "freq_hz", "rocof_hzps", "amp_pu", "phase_rad"]
 HISTORY_HEADER = ["iteration", "best_score"]
 SWEEP_HEADER = ["ratio", "rmse_fe", "rmse_re"]
 _NEWLINE = re.compile(r"\r\n?|\n")    # where text mode ends a line
+_CHUNK_ROWS = 4096                      # rows formatted per write
 
 
 def _write_rows(path: str | Path, header: Sequence[str],
                 columns: Sequence[np.ndarray]) -> None:
-    """Write equal-length columns as CSV rows of ``repr`` values, which
-    keeps an int column (the history's iterations) integral."""
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
-        rows = zip(*(np.asarray(c).tolist() for c in columns))
-        fh.writelines(",".join(map(repr, row)) + "\r\n" for row in rows)
+    """Write equal-length float or int64 columns as CSV rows of ``repr``
+    values, which keeps an int column (the history's iterations) integral.
+    The rows go out in chunks of ``_CHUNK_ROWS``, through the C formatter
+    when the C library is at hand and through ``repr`` otherwise."""
+    cols = [np.asarray(c) for c in columns]
+    write = _repr_rows if _native.library() is None else _c_rows(cols)
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\r\n").encode())
+        for start in range(0, len(cols[0]), _CHUNK_ROWS):
+            fh.write(write([c[start:start + _CHUNK_ROWS] for c in cols]))
+
+
+def _repr_rows(chunk: list[np.ndarray]) -> bytes:
+    """CSV rows of the ``repr`` of each value."""
+    rows = zip(*(c.tolist() for c in chunk))
+    return "".join(",".join(map(repr, row)) + "\r\n" for row in rows).encode()
+
+
+def _c_rows(cols: list[np.ndarray]) -> Callable[[list[np.ndarray]], memoryview]:
+    """The C formatter's writer of chunks of ``cols``: it gives the bytes
+    of :func:`_repr_rows`."""
+    integral = np.array([c.dtype.kind in "iu" for c in cols])
+    cells = np.empty((min(len(cols[0]), _CHUNK_ROWS), len(cols)), np.uint64)
+    out = np.empty(len(cells) * (_native.FIELD_BYTES * len(cols)
+                                 + _native.ROW_END_BYTES), np.uint8)
+
+    def write(chunk: list[np.ndarray]) -> memoryview:
+        block = cells[:len(chunk[0])]
+        for j, c in enumerate(chunk):
+            kind = np.int64 if integral[j] else np.float64
+            block[:, j] = c.astype(kind, copy=False).view(np.uint64)
+        return _native.format_rows(block, integral, out)
+    return write
 
 
 def _read_rows(path: str | Path, header: Sequence[str] | None = None

@@ -18,7 +18,7 @@ from gridfreq import (ConfigError, DivergenceError, EstimatorConfig,
                       EstimatorState, SampleStream, ScenarioSpec, evaluate,
                       init, ise_fitness, reconstruction_error, run, step,
                       synthesize)
-from gridfreq import estimator
+from gridfreq import _native, estimator
 from gridfreq.estimator import INV_TWO_PI, ROW_COLUMNS, amp_phase
 from gridfreq.tuner import DIVERGENCE_PENALTY
 from cases import case1
@@ -450,9 +450,9 @@ class TestNativeLoader:
     @pytest.fixture(autouse=True)
     def fresh_loader(self, monkeypatch, tmp_path):
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
-        estimator._native_kernel.cache_clear()
+        _native.library.cache_clear()
         yield
-        estimator._native_kernel.cache_clear()
+        _native.library.cache_clear()
 
     @staticmethod
     def _load() -> str:
@@ -477,9 +477,9 @@ class TestNativeLoader:
     def test_failed_build_falls_back_to_an_identical_series(
             self, fault, monkeypatch, tmp_path):
         if fault == "missing_cc":
-            monkeypatch.setattr(estimator, "_CC", str(tmp_path / "no-cc"))
+            monkeypatch.setattr(_native, "_CC", str(tmp_path / "no-cc"))
         elif fault == "compile_error":
-            monkeypatch.setattr(estimator, "_native_source",
+            monkeypatch.setattr(_native, "_source",
                                 lambda: b"not C\n")
         elif fault == "unwritable_cache":
             (tmp_path / "file").write_text("")
@@ -497,8 +497,8 @@ class TestNativeLoader:
         assert self._load() == "c"
         built = list((tmp_path / "cache" / "gridfreq").iterdir())
         assert len(built) == 1 and built[0].suffix == ".so"
-        estimator._native_kernel.cache_clear()
-        monkeypatch.setattr(estimator, "_CC", str(tmp_path / "no-cc"))
+        _native.library.cache_clear()
+        monkeypatch.setattr(_native, "_CC", str(tmp_path / "no-cc"))
         assert self._load() == "c"
         assert list((tmp_path / "cache" / "gridfreq").iterdir()) == built
         assert self._golden_case1()

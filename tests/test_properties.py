@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from gridfreq import (EstimatorConfig, EventProfile, RampProfile,
                       SampleStream, ScenarioError, ScenarioSpec, init, run,
                       step, synthesize)
-from gridfreq import estimator
+from gridfreq import _native, estimator
 from gridfreq import io as gio
 from gridfreq.estimator import amp_phase
 from gridfreq.synth import (ConstantProfile, DcSpec, HarmonicSpec, NoiseSpec,
@@ -289,7 +289,7 @@ def test_c_run_equals_python_run_bit_for_bit(case):
     assert estimator.run_backend() == "c"
     native = run(stream, config)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(estimator, "_native_kernel", lambda: None)
+        mp.setattr(_native, "library", lambda: None)
         python = run(stream, config)
     assert native.diverged_at == python.diverged_at
     assert len(native) == len(python)
