@@ -103,7 +103,9 @@ def cmd_synth(args: argparse.Namespace) -> int:
 def cmd_estimate(args: argparse.Namespace) -> int:
     stream = gio.read_samples(args.samples)
     config = _load_config(args.config)
-    series = run(stream, config)
+    # the stream's interval is t[1] - t[0] of the file's time column
+    series = _flagged(f"{args.samples}: time column t[1] - t[0]", run,
+                      stream, config)
     gio.write_estimates(args.out, series)
     print(f"wrote {args.out} ({len(series)} records)")
     if series.diverged_at is not None:

@@ -57,11 +57,12 @@ state; :class:`EstimatorConfig` is frozen so that cache cannot go stale.
 from a fresh state, and falls back to the Python kernel when no C compiler
 or cache directory is at hand; that variant of the kernel emits the row
 tuple in place of the record and is otherwise the same source.  The C loop
-is built on the first :func:`run` call, never at import, with
+is one function of the package's C library, which also holds the CSV float
+formatter of :mod:`gridfreq.io`: :mod:`gridfreq._native` builds it with
 ``cc -O2 -ffp-contract=off`` into ``$XDG_CACHE_HOME/gridfreq`` (default
-``~/.cache/gridfreq``), one shared object per source and flags, and loaded
-through :mod:`ctypes`; :func:`run_backend` names the backend :func:`run`
-uses.
+``~/.cache/gridfreq``) on the first :func:`run` call or CSV write, never at
+import, and loads it through :mod:`ctypes`; :func:`run_backend` names the
+backend :func:`run` uses.
 
 Every expression of both backends keeps the operand order of the laws, so
 neither moves an output bit: ``tests/data/golden_run.json`` holds digests
@@ -575,7 +576,7 @@ def run(stream: SampleStream, config: EstimatorConfig) -> EstimateSeries:
     """
     if abs(stream.ts - config.ts) > 1e-9 * config.ts:
         raise ConfigError(
-            f"stream interval {stream.ts:g} does not match config ts {config.ts:g}"
+            f"stream interval {stream.ts!r} does not match config ts {config.ts!r}"
         )
     state = init(config, stream.t0)
     kernel = state.kernel

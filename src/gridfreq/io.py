@@ -1,8 +1,11 @@
 """CSV and key-value file round-tripping for streams, truth, estimates,
 configs and scenarios.
 
-Floats are written with ``repr`` (shortest round-trip form), so every file
-written here parses back bit-identically.  CSV lines end in CRLF.  Every
+Floats are written as ``repr`` writes them (shortest round-trip form), so
+every file written here parses back bit-identically.  CSV lines end in
+CRLF.  The CSV rows are written in chunks by the C formatter of the
+package's C library (see :mod:`gridfreq._native`), which gives ``repr``'s
+bytes, and by ``repr`` itself where that library cannot be built.  Every
 file is read as UTF-8, and one ``np.loadtxt`` call parses a CSV's rows.
 
 Config and scenario files are ``key = value`` lines whose keys come from
@@ -147,8 +150,11 @@ def _uniform_grid(path: str | Path, t: np.ndarray, what: str
     if len(t) < 2:
         raise ScenarioError(f"{path}: need at least two {what}")
     ts = float(t[1] - t[0])
-    if ts <= 0 or np.abs(np.diff(t) - ts).max() > 1e-9:
-        raise ScenarioError(f"{path}: {what} times are not uniformly spaced")
+    off = float(np.abs(np.diff(t) - ts).max())
+    if ts <= 0 or off > 1e-9:
+        raise ScenarioError(f"{path}: {what} times are not uniformly spaced "
+                            f"(a step differs from t[1] - t[0] = {ts!r} s "
+                            f"by {off!r} s)")
     return float(t[0]), ts
 
 

@@ -87,6 +87,84 @@ def test_sample_csv_round_trip_is_bitwise(values, tmp_path_factory):
 
 
 # --------------------------------------------------------------------------
+# The C CSV formatter writes what repr writes
+# --------------------------------------------------------------------------
+
+needs_cc = pytest.mark.skipif(shutil.which("cc") is None,
+                              reason="no C compiler (cc) on PATH")
+
+# where repr's layout changes: signed zeros, the smallest subnormal and
+# normal, the largest double, the fixed/exponent switches at 1e16 and 1e-4
+# and their neighbours, and integral values on either side of 2^53
+REPR_EDGES = [0.0, -0.0, 5e-324, 2.2250738585072014e-308,
+              2.225073858507201e-308, 1.7976931348623157e308, 1e16,
+              9999999999999998.0, 1.0000000000000002e16, 1e-4,
+              9.999999999999999e-05, 1.0000000000000002e-4, 1e15, 1e22,
+              1e23, 2.0 ** 53, 2.0 ** 53 + 2.0, 123456789012345680.0]
+repr_floats = st.one_of(
+    st.floats(width=64),
+    st.sampled_from(REPR_EDGES).flatmap(
+        lambda x: st.sampled_from([x, -x, math.nextafter(x, math.inf),
+                                   math.nextafter(x, -math.inf)])),
+    st.floats(9e15, 2e16), st.floats(5e-5, 2e-4),
+    st.floats(0.0, 2.3e-308),                          # subnormals
+    st.integers(-2 ** 60, 2 ** 60).map(float))
+
+
+@needs_cc
+@settings(max_examples=300, deadline=None)
+@given(values=st.lists(repr_floats, min_size=1, max_size=50))
+def test_c_formatter_writes_repr(values):
+    cells = np.array(values, dtype=np.float64).view(np.uint64).reshape(-1, 1)
+    out = np.empty(len(values) * 27, np.uint8)
+    text = bytes(_native.format_rows(cells, np.zeros(1, bool), out))
+    assert text == "".join(f"{x!r}\r\n" for x in values).encode()
+
+
+@st.composite
+def csv_columns(draw):
+    """Columns longer than one write chunk: floats from random bits, from a
+    drawn scale or integral, with drawn floats set at drawn rows, and, in
+    about half the cases, an int64 column first, as in a history file."""
+    rows = draw(st.integers(gio._CHUNK_ROWS + 1, 2 * gio._CHUNK_ROWS + 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32)))
+    columns = []
+    if draw(st.booleans()):
+        ints = rng.integers(-2 ** 63, 2 ** 63, rows, dtype=np.int64,
+                            endpoint=False)
+        columns.append(draw(st.sampled_from([np.arange(rows), ints])))
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["bits", "scaled", "integral"]))
+        if kind == "bits":
+            col = rng.integers(0, 2 ** 64, rows, dtype=np.uint64).view(
+                np.float64)
+        elif kind == "scaled":
+            col = rng.standard_normal(rows) * 10.0 ** draw(st.integers(-20, 20))
+        else:
+            col = rng.integers(-2 ** 40, 2 ** 40, rows).astype(np.float64)
+        for row in draw(st.lists(st.integers(0, rows - 1), max_size=8)):
+            col[row] = draw(repr_floats)
+        columns.append(col)
+    return columns
+
+
+@needs_cc
+@settings(max_examples=25, deadline=None)
+@given(columns=csv_columns())
+def test_write_rows_is_the_same_on_both_backends(columns, tmp_path_factory):
+    assert estimator.run_backend() == "c"
+    header = [f"c{j}" for j in range(len(columns))]
+    path = tmp_path_factory.mktemp("rows") / "rows.csv"
+    gio._write_rows(path, header, columns)
+    native = path.read_bytes()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_native, "library", lambda: None)
+        gio._write_rows(path, header, columns)
+    assert native == path.read_bytes()
+    assert native.count(b"\r\n") == len(columns[0]) + 1
+
+
+# --------------------------------------------------------------------------
 # key-value file round trips
 # --------------------------------------------------------------------------
 
