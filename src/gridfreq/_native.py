@@ -9,8 +9,7 @@ object per source and flags, on the first call, never at import.  When it
 cannot be built, :func:`library` returns None and each caller takes its
 Python path, which gives the same output.
 
-:func:`format_rows` writes CSV rows through the formatter.  The
-power-of-5 tables that Ryu's algorithm multiplies by are built from
+:func:`format_rows` formats CSV rows through it.  The power-of-5 tables that Ryu's algorithm multiplies by are built from
 Python ints on its first call, not on the first :func:`library` call, so
 a process that only runs the estimator does not build them.
 """
@@ -21,7 +20,7 @@ import contextlib
 import functools
 import os
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -30,10 +29,6 @@ if TYPE_CHECKING:
 
 _CC = "cc"
 _CFLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
-
-# the bytes a field and a row end take at most in gridfreq_format_rows
-FIELD_BYTES = 25
-ROW_END_BYTES = 2
 
 
 def _source() -> bytes:
@@ -133,23 +128,30 @@ def _pow5_tables() -> tuple[np.ndarray, np.ndarray]:
 
     def words(values: list[int]) -> np.ndarray:
         mask = (1 << 64) - 1
-        return np.array([(v & mask, v >> 64) for v in values], dtype=np.uint64)
+        table = np.array([(v & mask, v >> 64) for v in values], np.uint64)
+        table.flags.writeable = False     # one copy serves every call
+        return table
 
     return (words([top_bits(i) for i in range(326)]),
             words([inverse(i) for i in range(342)]))
 
 
-def format_rows(cells: np.ndarray, integral: np.ndarray,
-                out: np.ndarray) -> memoryview:
-    """The CSV text, CRLF line ends included, of the rows of ``cells``, a
-    C-contiguous uint64 matrix of float64 bits or, in the columns where
-    the bool array ``integral`` is set, of int64 bits.  Each float is
-    written as ``repr`` writes it and each int as a decimal integer.
-    ``out`` is a uint8 scratch buffer of at least
-    ``rows * (FIELD_BYTES * columns + ROW_END_BYTES)`` bytes, and the text
-    is a view of it."""
-    nrows, ncols = cells.shape
+def format_rows(columns: Sequence[np.ndarray]) -> memoryview:
+    """The CSV text, CRLF line ends included, of the rows of equal-length
+    float or int64 columns: each float as ``repr`` writes it and each int
+    as a decimal integer.  Needs :func:`library`."""
+    rows, ncols = len(columns[0]), len(columns)
+    integral = np.array([c.dtype.kind in "iu" for c in columns])
+    # the C function reads each cell's bits as a double or, where its
+    # column is integral, as an int64
+    cells = np.empty((rows, ncols), np.uint64)
+    for j, c in enumerate(columns):
+        kind = np.int64 if integral[j] else np.float64
+        cells[:, j] = c.astype(kind, copy=False).view(np.uint64)
+    # a field and its comma take at most 25 bytes, a row end 2
+    out = np.empty(rows * (25 * ncols + 2), np.uint8)
     pow5, pow5_inv = _pow5_tables()
-    size = library().gridfreq_format_rows(
-        cells, nrows, ncols, integral.view(np.uint8), pow5, pow5_inv, out)
+    size = library().gridfreq_format_rows(cells, rows, ncols,
+                                          integral.view(np.uint8), pow5,
+                                          pow5_inv, out)
     return memoryview(out)[:size]

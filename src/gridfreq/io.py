@@ -22,7 +22,7 @@ import math
 import re
 from dataclasses import MISSING, fields, is_dataclass
 from pathlib import Path
-from typing import Any, Callable, NoReturn, Sequence
+from typing import Any, NoReturn, Sequence
 
 import numpy as np
 
@@ -46,37 +46,20 @@ def _write_rows(path: str | Path, header: Sequence[str],
                 columns: Sequence[np.ndarray]) -> None:
     """Write equal-length float or int64 columns as CSV rows of ``repr``
     values, which keeps an int column (the history's iterations) integral.
-    The rows go out in chunks of ``_CHUNK_ROWS``, through the C formatter
-    when the C library is at hand and through ``repr`` otherwise."""
+    The rows go out in chunks of ``_CHUNK_ROWS``, formatted by the C
+    library when it is at hand and by ``repr`` otherwise: the same bytes."""
     cols = [np.asarray(c) for c in columns]
-    write = _repr_rows if _native.library() is None else _c_rows(cols)
+    fmt = _repr_rows if _native.library() is None else _native.format_rows
     with open(path, "wb") as fh:
         fh.write((",".join(header) + "\r\n").encode())
         for start in range(0, len(cols[0]), _CHUNK_ROWS):
-            fh.write(write([c[start:start + _CHUNK_ROWS] for c in cols]))
+            fh.write(fmt([c[start:start + _CHUNK_ROWS] for c in cols]))
 
 
-def _repr_rows(chunk: list[np.ndarray]) -> bytes:
+def _repr_rows(columns: list[np.ndarray]) -> bytes:
     """CSV rows of the ``repr`` of each value."""
-    rows = zip(*(c.tolist() for c in chunk))
+    rows = zip(*(c.tolist() for c in columns))
     return "".join(",".join(map(repr, row)) + "\r\n" for row in rows).encode()
-
-
-def _c_rows(cols: list[np.ndarray]) -> Callable[[list[np.ndarray]], memoryview]:
-    """The C formatter's writer of chunks of ``cols``: it gives the bytes
-    of :func:`_repr_rows`."""
-    integral = np.array([c.dtype.kind in "iu" for c in cols])
-    cells = np.empty((min(len(cols[0]), _CHUNK_ROWS), len(cols)), np.uint64)
-    out = np.empty(len(cells) * (_native.FIELD_BYTES * len(cols)
-                                 + _native.ROW_END_BYTES), np.uint8)
-
-    def write(chunk: list[np.ndarray]) -> memoryview:
-        block = cells[:len(chunk[0])]
-        for j, c in enumerate(chunk):
-            kind = np.int64 if integral[j] else np.float64
-            block[:, j] = c.astype(kind, copy=False).view(np.uint64)
-        return _native.format_rows(block, integral, out)
-    return write
 
 
 def _read_rows(path: str | Path, header: Sequence[str] | None = None
