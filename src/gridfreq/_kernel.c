@@ -20,7 +20,9 @@
  * fast float-to-string conversion", PLDI 2018), laid out as
  * float.__repr__ lays out the digits of David Gay's dtoa.  Both give the
  * shortest digit string that reads back to the same double, the nearest
- * to it where several are that short.
+ * to it where several are that short.  Ryu's 64x128-bit products need
+ * unsigned __int128 (gcc and clang on 64-bit targets); where the compiler
+ * lacks it the build fails, and gridfreq takes its Python paths.
  */
 
 #include <math.h>

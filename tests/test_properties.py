@@ -356,8 +356,7 @@ def backend_cases(draw):
     return config, SampleStream(t0, ANCHOR_TONE.ts, values)
 
 
-@pytest.mark.skipif(shutil.which("cc") is None,
-                    reason="no C compiler (cc) on PATH")
+@needs_cc
 @settings(max_examples=300, deadline=None)
 @given(case=backend_cases())
 def test_c_run_equals_python_run_bit_for_bit(case):
