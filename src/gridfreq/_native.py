@@ -9,9 +9,10 @@ object per source and flags, on the first call, never at import.  When it
 cannot be built, :func:`library` returns None and each caller takes its
 Python path, which gives the same output.
 
-:func:`format_rows` formats CSV rows through it.  The power-of-5 tables that Ryu's algorithm multiplies by are built from
-Python ints on its first call, not on the first :func:`library` call, so
-a process that only runs the estimator does not build them.
+:func:`format_rows` formats CSV rows through it.  The power-of-5 tables
+that Ryu's algorithm multiplies by are built from Python ints on its first
+call, not on the first :func:`library` call, so a process that only runs
+the estimator does not build them.
 """
 
 from __future__ import annotations

@@ -445,7 +445,7 @@ needs_cc = pytest.mark.skipif(shutil.which("cc") is None,
 
 
 class TestNativeLoader:
-    """Building and loading the C run loop, and the fallback when it fails."""
+    """Building and loading the C library, and the fallback when it fails."""
 
     @pytest.fixture(autouse=True)
     def fresh_loader(self, monkeypatch, tmp_path):
