@@ -33,45 +33,45 @@ order::
 then wraps the phase with ``%`` and, every ``report_every`` samples, emits
 a report whose RoCoF is a left-to-right boxcar over the raw values.
 
-:func:`step` returns a report as an :class:`EstimateRecord`.  :func:`run`
-keeps the reports of a whole stream as the rows of an
-:class:`EstimateSeries`, 10 + 2n floats each::
+A report is one row of 10 + 2n floats::
 
     t, f_hz, rocof_hzps, rocof_raw_hzps, a_dc, a_dc1, residual, eta,
     phase_acc, t_anchor, a_c[0..n), a_s[0..n)
 
-the one layout of a report: the C loop, the Python kernel and the estimate
-CSV all hold these rows, so a series read back from a file equals the
-series written.  Amplitude and phase are derived only when read, by
-:func:`amp_phase` (CPython's ``math.hypot``, which is not libm's): the
-series' ``polar()`` and ``records`` read them; ``run``, the metrics and the
+the one layout the C loop, the Python kernel and the estimate CSV hold.
+:func:`run` keeps the rows of a whole stream as an :class:`EstimateSeries`,
+so a series read back from a file equals the series written; :func:`step`
+returns its row as an :class:`EstimateRecord`.  Amplitude and phase are
+derived only when read, by one rule (CPython's ``math.hypot``, which is not
+libm's, and ``math.atan2``; see :func:`amp_phase`): ``step`` and the
+series' ``polar()`` and ``records`` apply it; ``run``, the metrics and the
 estimate CSV do not.
 
-One set of laws, two backends.  :func:`step` runs a Python kernel generated
-per harmonic order n, from the integer n alone, with one local per
-coefficient and basis term and the harmonic loops unrolled; it is compiled
-on first use and cached.  The products of ``ts`` with the gains and the
-other per-config constants are cached per (state, config) pair on the
-state; :class:`EstimatorConfig` is frozen so that cache cannot go stale.
-:func:`run` calls the same laws in C (``_kernel.c``) over a whole stream
-from a fresh state, and falls back to the Python kernel when no C compiler
-or cache directory is at hand; that variant of the kernel emits the row
-tuple in place of the record and is otherwise the same source.  The C loop
-is one function of the package's C library, which also holds the CSV float
-formatter of :mod:`gridfreq.io`: :mod:`gridfreq._native` builds it with
-``cc -O2 -ffp-contract=off`` into ``$XDG_CACHE_HOME/gridfreq`` (default
-``~/.cache/gridfreq``) on the first :func:`run` call or CSV write, never at
-import, and loads it through :mod:`ctypes`; :func:`run_backend` names the
-backend :func:`run` uses.
+One set of laws, two backends.  The Python kernel is generated per
+harmonic order n, from the integer n alone, with one local per coefficient
+and basis term and the harmonic loops unrolled; :func:`init` compiles it on
+first use and caches it.  :func:`step` calls it on one sample, and
+:func:`run` on the whole stream when it has no C loop.  The products of
+``ts`` with the gains and the other per-config constants are cached per
+(state, config) pair on the state; :class:`EstimatorConfig` is frozen so
+that cache cannot go stale.  :func:`run` calls the same laws in C
+(``_kernel.c``) over a whole stream from a fresh state, and then compiles
+no Python kernel; it falls back to the Python kernel when no C compiler or
+cache directory is at hand.  The C loop is one function of the package's C
+library, which also holds the CSV float formatter of :mod:`gridfreq.io`:
+:mod:`gridfreq._native` builds it with ``cc -O2 -ffp-contract=off`` into
+``$XDG_CACHE_HOME/gridfreq`` (default ``~/.cache/gridfreq``) on the first
+:func:`run` call or CSV write, never at import, and loads it through
+:mod:`ctypes`; :func:`run_backend` names the backend :func:`run` uses.
 
 Every expression of both backends keeps the operand order of the laws, so
 neither moves an output bit: ``tests/data/golden_run.json`` holds digests
 of the records of both backends and of ``step`` final states at n = 7;
 tests pin the prediction error and the raw RoCoF to the model oracle
-``output_and_gradient`` of ``tests/reference.py`` at n = 1, 2, 7 and 11, a
-``step`` fold to one :func:`run` pass of either backend, and the rows of
-the two backends to each other on drawn configs and samples with nan, inf
-and huge values.
+``output_and_gradient`` of ``tests/reference.py`` at n = 1, 2, 7 and 11;
+and, on drawn configs and samples with nan, inf and huge values, a ``step``
+fold to one :func:`run` pass of either backend and the rows of the two
+backends to each other.
 """
 
 from __future__ import annotations
@@ -81,7 +81,7 @@ import linecache
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -244,10 +244,10 @@ class EstimateSeries:
     and ``a_s[0..n)``, the layout the C loop and the estimate CSV hold; it
     is read-only, and each column accessor returns a view of it.
 
-    Amplitude and phase are derived when read: :meth:`polar` maps
-    :func:`amp_phase` over the rectangular pairs, and :attr:`records`
-    builds the :class:`EstimateRecord` list :func:`step` would have
-    returned, anew on each read.
+    Amplitude and phase are derived when read, by the rule of
+    :func:`amp_phase`: :meth:`polar` applies it to the rectangular pairs,
+    and :attr:`records` builds the :class:`EstimateRecord` list
+    :func:`step` would have returned, anew on each read.
     """
 
     rows: np.ndarray
@@ -284,18 +284,14 @@ class EstimateSeries:
     def polar(self) -> np.ndarray:
         """Amplitude and phase of each harmonic, one row per report:
         ``amp_1, phase_1, ..., amp_n, phase_n``."""
-        pairs = map(amp_phase, self.a_s().ravel().tolist(),
-                    self.a_c().ravel().tolist())
-        return np.array(list(pairs), dtype=float).reshape(len(self), 2 * self.n)
+        pairs = _amps_phases(self.a_s().ravel().tolist(),
+                             self.a_c().ravel().tolist())
+        return np.column_stack(pairs).reshape(len(self), 2 * self.n)
 
     @property
     def records(self) -> list[EstimateRecord]:
         """The reports as records, equal to :func:`step`'s bit for bit."""
-        head = len(ROW_COLUMNS)
-        return [EstimateRecord(*row[:4], polar[0::2], polar[1::2],
-                               *row[4:head])
-                for row, polar in zip(self.rows.tolist(),
-                                      self.polar().tolist())]
+        return list(map(_record, self.rows.tolist()))
 
 
 # --------------------------------------------------------------------------
@@ -306,7 +302,8 @@ def init(config: EstimatorConfig, t0: float = 0.0) -> EstimatorState:
     """Fresh state at the nominal frequency with all coefficients zero.
 
     ``t0`` is the time of the first sample; records are stamped
-    ``t0 + k*ts`` after the k-th sample.
+    ``t0 + k*ts`` after the k-th sample.  The kernel of order ``config.n``
+    is compiled here, if no earlier call compiled it, not in :func:`step`.
     """
     state = EstimatorState(a_c=[0.0] * config.n, a_s=[0.0] * config.n,
                            f_hz=config.f0, t0=t0)
@@ -316,17 +313,40 @@ def init(config: EstimatorConfig, t0: float = 0.0) -> EstimatorState:
 
 def amp_phase(a_s: float, a_c: float) -> tuple[float, float]:
     """Amplitude and full-quadrant phase of a (sin, cos) coefficient pair."""
-    amp = math.hypot(a_s, a_c)
-    if amp == 0.0:
-        return 0.0, 0.0
-    return amp, math.atan2(a_s, a_c)
+    (amp,), (phase,) = _amps_phases((a_s,), (a_c,))
+    return amp, phase
+
+
+def _amps_phases(a_s: Sequence[float], a_c: Sequence[float]
+                 ) -> tuple[list[float], list[float]]:
+    """Amplitudes and full-quadrant phases of (sin, cos) coefficient pairs:
+    ``math.hypot`` (CPython's, not libm's) and ``math.atan2``, and
+    ``(0.0, 0.0)`` for a zero pair of either sign."""
+    amps = list(map(math.hypot, a_s, a_c))
+    phases = list(map(math.atan2, a_s, a_c))
+    if 0.0 in amps:
+        for i, amp in enumerate(amps):
+            if amp == 0.0:
+                phases[i] = 0.0
+    return amps, phases
+
+
+def _record(row: Sequence[float]) -> EstimateRecord:
+    """The :class:`EstimateRecord` of one :data:`ROW_COLUMNS` row."""
+    (t, f_hz, rocof, rocof_raw, a_dc, a_dc1, resid, eta, phase, t_anchor,
+     *coefs) = row
+    n = len(coefs) // 2
+    amps, phases = _amps_phases(coefs[n:], coefs[:n])
+    return EstimateRecord(t, f_hz, rocof, rocof_raw, amps, phases, a_dc,
+                          a_dc1, resid, eta, phase, t_anchor)
 
 
 class _Kernel(NamedTuple):
-    """Per-config constants of the estimator kernel and the kernel itself."""
+    """Per-config constants of the estimator kernel and the kernel itself;
+    the C loop takes the constants alone, with no kernel."""
 
     config: EstimatorConfig
-    advance: Callable[..., list[EstimateRecord]]  # (state, values, kernel)
+    advance: Callable[..., list] | None  # (state, values, kernel) -> rows
     tgc: tuple[float, ...]             # ts * gamma_c[i]
     tgs: tuple[float, ...]             # ts * gamma_s[i]
     ts: float
@@ -341,12 +361,11 @@ class _Kernel(NamedTuple):
 
 
 # The laws of the module docstring over a sequence of samples, for harmonic
-# order n.  The ``{...}`` fields are filled from the integer n alone (see
-# _kernel_source), and ``{polar}`` and ``{emit}`` also from the variant:
-# step's kernel emits records, run's fallback emits row tuples.  Every gain
-# and rate is read from the _Kernel argument at call time.  On a divergence
-# the state keeps the updated coefficients, a_dc, a_dc1, f and zfilt, and
-# the phase, k, t_anchor and RoCoF buffer of the sample before.
+# order n; it returns the row of each report.  The ``{...}`` fields are
+# filled from the integer n alone (see _kernel_source).  Every gain and rate
+# is read from the _Kernel argument at call time.  On a divergence the state
+# keeps the updated coefficients, a_dc, a_dc1, f and zfilt, and the phase,
+# k, t_anchor and RoCoF buffer of the sample before.
 _KERNEL_TEMPLATE = """\
 def advance(state, values, kernel):
     (_, _, tgc, tgs, ts, tg_dc, g_dc1, alpha, eta, f0, half_f0, t_reset,
@@ -366,7 +385,7 @@ def advance(state, values, kernel):
     t0 = state.t0
     buf = state.rocof_buf
     append = buf.append
-    records = []
+    rows = []
     for sample in values:
         # basis by the angle-sum recurrence, prediction and residual
         c0 = cos(phase)
@@ -404,13 +423,14 @@ def advance(state, values, kernel):
             t = t_reset
         append(rocof_raw)
         if k % report_every:
-            continue{polar}
+            continue
         # a plain left-to-right sum: the builtin sum of floats is
         # compensated from Python 3.12 on, which would change the value
         acc = 0.0
         for v in buf:
             acc += v
-        records.append({emit})
+        rows.append((t0 + k * ts, f, acc / len(buf), rocof_raw, a_dc, a_dc1,
+                     resid, eta, phase, t, {ac} {as_}))
 
     state.a_c = [{ac}]
     state.a_s = [{as_}]
@@ -421,35 +441,21 @@ def advance(state, values, kernel):
     state.k = k
     state.t_anchor = t
     state.zfilt = zf
-    return records
+    return rows
 """
 
 
-def _kernel_source(n: int, rows: bool = False) -> str:
+def _kernel_source(n: int) -> str:
     """Source of the kernel for harmonic order n, built from n alone.
 
     Harmonic i+1 has the locals ``ac{i}``/``as{i}`` (coefficients),
     ``kc{i}``/``ks{i}`` (ts times its gains) and ``c{i}``/``s{i}`` (basis).
-    The kernel of :func:`step` emits :class:`EstimateRecord` s; with
-    ``rows``, the one :func:`run` falls back to emits the row tuples of
-    :class:`EstimateSeries` instead.
     """
     def unroll(fmt: str, sep: str, start: int = 0) -> str:
         return sep.join(fmt.format(i=i, p=i - 1, h=float(i + 1))
                         for i in range(start, n))
 
     line = "\n" + " " * 8
-    if rows:
-        polar = ""
-        emit = ("(" + line + "    t0 + k * ts, f, acc / len(buf), rocof_raw, "
-                "a_dc, a_dc1, resid," + line + "    eta, phase, t, "
-                + unroll("ac{i}, ", "") + unroll("as{i}", ", ") + ")")
-    else:
-        polar = unroll(line + "m{i}, p{i} = amp_phase(as{i}, ac{i})", "")
-        emit = ("EstimateRecord(" + line + "    t0 + k * ts, f, acc / len(buf), "
-                "rocof_raw, [" + unroll("m{i}", ", ") + "], ["
-                + unroll("p{i}", ", ") + "]," + line
-                + "    a_dc, a_dc1, resid, eta, phase, t)")
     return _KERNEL_TEMPLATE.format(
         kc=unroll("kc{i},", " "),
         ks=unroll("ks{i},", " "),
@@ -463,59 +469,60 @@ def _kernel_source(n: int, rows: bool = False) -> str:
         gradient=unroll(" + {h!r} * t * (ac{i} * c{i} - as{i} * s{i})", ""),
         coef_sum=unroll("ac{i} + as{i}", " + "),
         coefs=unroll("ac{i}, as{i}", ", "),
-        polar=polar,
-        emit=emit,
     )
 
 
 @functools.cache
-def _kernel(n: int, rows: bool = False) -> Callable[..., list]:
+def _kernel(n: int) -> Callable[..., list[tuple[float, ...]]]:
     """Compile the kernel for harmonic order n (Nyquist keeps n small)."""
-    source = _kernel_source(n, rows)
-    filename = f"<gridfreq.estimator {'run ' if rows else ''}kernel n={n}>"
+    source = _kernel_source(n)
+    filename = f"<gridfreq.estimator kernel n={n}>"
     # tracebacks through the kernel show its source lines
     linecache.cache[filename] = (len(source), None,
                                  source.splitlines(keepends=True), filename)
     namespace = {"cos": math.cos, "sin": math.sin, "isfinite": math.isfinite,
-                 "TWO_PI": TWO_PI, "INV_TWO_PI": INV_TWO_PI,
-                 "amp_phase": amp_phase, "EstimateRecord": EstimateRecord}
+                 "TWO_PI": TWO_PI, "INV_TWO_PI": INV_TWO_PI}
     exec(compile(source, filename, "exec"), namespace)
     return namespace["advance"]
 
 
-def _bind(state: EstimatorState, config: EstimatorConfig) -> _Kernel:
-    """Cache the per-config constants and the kernel on the state.
+def _constants(config: EstimatorConfig,
+               advance: Callable[..., list] | None = None) -> _Kernel:
+    """The per-config constants of the laws, with ``advance`` as the kernel.
 
     Every product keeps the operand order of the laws, e.g.
     ``(ts*gamma)*z*basis``, so the cached form is bit-identical.
     """
-    if len(state.a_c) != config.n or len(state.a_s) != config.n:
-        raise ConfigError(f"state has {len(state.a_c)} harmonics "
-                          f"({len(state.a_s)} in a_s), "
-                          f"config has n = {config.n}") from None
     ts = config.ts
-    window = config.rocof_smooth_window
-    if getattr(state.rocof_buf, "maxlen", None) != window:
-        # a shorter window drops the oldest values at once
-        state.rocof_buf = deque(state.rocof_buf, maxlen=window)
     cutoff = config.obs_lowpass_hz
-    alpha = None if cutoff is None else 1.0 - math.exp(-TWO_PI * cutoff * ts)
-    kernel = _Kernel(
+    return _Kernel(
         config=config,
-        advance=_kernel(config.n),
+        advance=advance,
         tgc=tuple(ts * g for g in config.gamma_c),
         tgs=tuple(ts * g for g in config.gamma_s),
         ts=ts,
         tg_dc=ts * config.gamma_dc,
         g_dc1=config.gamma_dc1,
-        alpha=alpha,
+        alpha=None if cutoff is None else 1.0 - math.exp(-TWO_PI * cutoff * ts),
         eta=config.eta_opt,
         f0=config.f0,
         half_f0=config.f0 / 2,
         t_reset=config.t_reset_s,
         report_every=config.report_every,
     )
-    state.kernel = kernel
+
+
+def _bind(state: EstimatorState, config: EstimatorConfig) -> _Kernel:
+    """Cache the per-config constants and the compiled kernel on the state."""
+    if len(state.a_c) != config.n or len(state.a_s) != config.n:
+        raise ConfigError(f"state has {len(state.a_c)} harmonics "
+                          f"({len(state.a_s)} in a_s), "
+                          f"config has n = {config.n}") from None
+    window = config.rocof_smooth_window
+    if getattr(state.rocof_buf, "maxlen", None) != window:
+        # a shorter window drops the oldest values at once
+        state.rocof_buf = deque(state.rocof_buf, maxlen=window)
+    state.kernel = kernel = _constants(config, _kernel(config.n))
     return kernel
 
 
@@ -531,13 +538,13 @@ def step(state: EstimatorState, sample: float, config: EstimatorConfig
     if kernel is None or kernel.config is not config:
         kernel = _bind(state, config)
     try:
-        records = kernel.advance(state, (sample,), kernel)
+        rows = kernel.advance(state, (sample,), kernel)
     except ValueError:
         # since _bind, a coefficient list resized fails the kernel's unpack,
         # before it writes any state
         _bind(state, config)
         raise
-    return records[0] if records else None
+    return _record(rows[0]) if rows else None
 
 
 # --------------------------------------------------------------------------
@@ -578,15 +585,14 @@ def run(stream: SampleStream, config: EstimatorConfig) -> EstimateSeries:
         raise ConfigError(
             f"stream interval {stream.ts!r} does not match config ts {config.ts!r}"
         )
-    state = init(config, stream.t0)
-    kernel = state.kernel
     lib = _native.library()
     if lib is not None:
         rows, diverged_at = _run_native(lib.gridfreq_run, stream.values,
-                                        kernel, stream.t0)
+                                        _constants(config), stream.t0)
     else:
-        emitted = _kernel(config.n, rows=True)(state, stream.values.tolist(),
-                                               kernel)
+        state = init(config, stream.t0)
+        kernel = state.kernel
+        emitted = kernel.advance(state, stream.values.tolist(), kernel)
         rows = np.array(emitted, dtype=float).reshape(
             -1, len(ROW_COLUMNS) + 2 * config.n)
         diverged_at = state.k if state.diverged else None

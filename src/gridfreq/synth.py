@@ -198,12 +198,21 @@ class HarmonicSpec:
 
 @dataclass(frozen=True)
 class StepSpec:
-    """Amplitude/phase step applied to the fundamental inside a window."""
+    """Amplitude/phase step applied to the fundamental inside a window: the
+    amplitude is scaled by ``1 + amp_step_pu``, so -1 silences it."""
 
     t_start: float
     duration: float
     amp_step_pu: float = 0.0
     phase_step_rad: float = 0.0
+
+    def __post_init__(self) -> None:
+        if self.duration < 0:
+            raise ScenarioError(
+                f"step duration must be non-negative, got {self.duration!r}")
+        if self.amp_step_pu < -1:
+            raise ScenarioError(
+                f"amp_step_pu must be >= -1, got {self.amp_step_pu!r}")
 
 
 @dataclass(frozen=True)
@@ -274,6 +283,9 @@ class ScenarioSpec:
             raise ScenarioError("scenario duration must be positive")
         if self.base_freq <= 0:
             raise ScenarioError("base frequency must be positive")
+        if self.amp_pu < 0:
+            raise ScenarioError(
+                f"amp_pu must be non-negative, got {self.amp_pu!r}")
         object.__setattr__(self, "harmonics", tuple(self.harmonics))
         object.__setattr__(self, "steps", tuple(self.steps))
         object.__setattr__(self, "dc_events", tuple(self.dc_events))

@@ -1,5 +1,4 @@
 import pathlib
-import shutil
 import sys
 
 import pytest
@@ -8,6 +7,7 @@ import pytest
 sys.path.insert(0, str(pathlib.Path(__file__).parent))
 
 from gridfreq import _native, estimator  # noqa: E402
+from cases import HAVE_CC, NO_CC  # noqa: E402
 
 
 @pytest.fixture(scope="session", autouse=True)
@@ -24,8 +24,8 @@ def kernel_cache(tmp_path_factory):
 def native_kernel():
     """run() on the C loop and the CSV writers on the C formatter; skipped
     only where no C compiler is installed."""
-    if shutil.which("cc") is None:
-        pytest.skip("no C compiler (cc) on PATH")
+    if not HAVE_CC:
+        pytest.skip(NO_CC)
     assert estimator.run_backend() == "c"
 
 

@@ -79,6 +79,25 @@ class TestSynth:
         assert err == f"error: {path}: noise.seed must be non-negative, got -1\n"
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("line, message", [
+        ("step_1.duration = -1.0", "step duration must be non-negative, "
+                                   "got -1.0"),
+        ("step_1.amp_step_pu = -3", "amp_step_pu must be >= -1, got -3.0"),
+        ("amp_pu = -1", "amp_pu must be non-negative, got -1.0"),
+    ])
+    def test_value_rendering_something_else_is_input_error(
+            self, tmp_path, capsys, line, message):
+        path = tmp_path / "bad.cfg"
+        body = {"duration": "1.0", "base_freq": "50.0",
+                "step_1.t_start": "0.5", "step_1.duration": "0.2"}
+        key, value = line.split(" = ")
+        body[key] = value
+        path.write_text("".join(f"{k} = {v}\n" for k, v in body.items()))
+        rc = main(["synth", str(path), "--out", str(tmp_path / "out")])
+        assert rc == EXIT_INPUT
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
+        assert not (tmp_path / "out").exists()
+
     def test_scenario_value_error_names_the_file(self, tmp_path, capsys):
         path = tmp_path / "bad.cfg"
         path.write_text("duration = 1.0\nbase_freq = 50.0\nnoise.level = 0.5\n")

@@ -4,7 +4,6 @@ import gc
 import math
 import os
 import pickle
-import shutil
 import subprocess
 import sys
 import warnings
@@ -14,14 +13,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gridfreq import (ConfigError, DivergenceError, EstimatorConfig,
-                      EstimatorState, SampleStream, ScenarioSpec, evaluate,
-                      init, ise_fitness, reconstruction_error, run, step,
-                      synthesize)
+from gridfreq import (ConfigError, DivergenceError, EstimateSeries,
+                      EstimatorConfig, EstimatorState, SampleStream,
+                      ScenarioSpec, evaluate, init, ise_fitness,
+                      reconstruction_error, run, step, synthesize)
 from gridfreq import _native, estimator
 from gridfreq.estimator import INV_TWO_PI, ROW_COLUMNS, amp_phase
 from gridfreq.tuner import DIVERGENCE_PENALTY
-from cases import case1
+from cases import case1, needs_cc
 from golden import cases as golden_cases
 from golden import compute as golden_compute
 from golden import digest as golden_digest
@@ -251,11 +250,29 @@ class TestColumnarSeries:
             assert [rec.amps, rec.phases] == [list(x) for x in zip(
                 *map(amp_phase, row[head + 2:], row[head:head + 2]))]
 
+        # signed zeros, nan and inf: records, polar() and amp_phase agree
+        # bit for bit, and a zero pair of either sign is (0.0, 0.0)
+        nan, inf = math.nan, math.inf
+        pairs = [(0.0, -0.0), (-0.0, 0.0), (-0.0, -0.0), (0.0, 0.0),
+                 (nan, 1.0), (-2.0, nan), (inf, nan), (-inf, 3.0),
+                 (nan, -inf), (-0.0, 5e-324)]           # (a_s, a_c)
+        a_s, a_c = (list(x) for x in zip(*pairs))
+        n = len(pairs)
+        edge = EstimateSeries(
+            rows=np.array([[*range(head), *a_c, *a_s]], dtype=float), n=n)
+        (rec,) = edge.records
+        expect = [v for pair in pairs for v in amp_phase(*pair)]
+        assert expect[:8] == [0.0] * 8
+        assert all(math.copysign(1.0, v) == 1.0 for v in expect[:8])
+        got = [v for pair in zip(rec.amps, rec.phases) for v in pair]
+        assert (np.array(got).tobytes() == np.array(expect).tobytes()
+                == edge.polar()[0].tobytes())
+
     def test_c_path_builds_no_record(self, native_kernel, monkeypatch):
         def forbidden(*args, **kwargs):
             raise AssertionError("per-record work on the C path")
 
-        monkeypatch.setattr(estimator, "amp_phase", forbidden)
+        monkeypatch.setattr(estimator, "_amps_phases", forbidden)
         monkeypatch.setattr(estimator, "EstimateRecord", forbidden)
         stream, truth = synthesize(case1(), FS, seed=0)
         cfg = EstimatorConfig()
@@ -310,12 +327,15 @@ class TestKernelCache:
 
     @staticmethod
     def _check_step_fold(n: int) -> None:
+        estimator._kernel.cache_clear()
         cfg = EstimatorConfig(n=n, obs_lowpass_hz=500.0)
         stream = _clean_stream(0.5)
         state = init(cfg)
         records = [rec for x in stream.values.tolist()
                    if (rec := step(state, x, replace(cfg))) is not None]
         assert records == run(stream, cfg).records
+        # step and the Python fallback of run share one compiled kernel
+        assert estimator._kernel.cache_info().currsize == 1
 
     @pytest.mark.parametrize("n", ORDERS)
     def test_new_config_object_every_step_is_bit_identical(self, n,
@@ -326,6 +346,12 @@ class TestKernelCache:
     def test_new_config_object_every_step_is_bit_identical_python_kernel(
             self, n, python_kernel):
         self._check_step_fold(n)
+
+    def test_c_run_compiles_no_python_kernel(self, native_kernel):
+        estimator._kernel.cache_clear()
+        series = run(_clean_stream(0.5), EstimatorConfig(n=3))
+        assert len(series) > 0
+        assert estimator._kernel.cache_info().currsize == 0
 
     def test_config_of_another_order_rejected(self):
         state = init(EstimatorConfig())
@@ -438,10 +464,6 @@ class TestObservationFilter:
         assert series.diverged_at is None
         late = series.f_hz()[series.t() > 1.5]
         assert float(np.abs(late - 50.0).max()) < 0.01
-
-
-needs_cc = pytest.mark.skipif(shutil.which("cc") is None,
-                              reason="no C compiler (cc) on PATH")
 
 
 class TestNativeLoader:

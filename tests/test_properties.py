@@ -2,7 +2,6 @@
 
 import math
 import re
-import shutil
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -20,6 +19,7 @@ from gridfreq import io as gio
 from gridfreq.estimator import amp_phase
 from gridfreq.synth import (ConstantProfile, DcSpec, HarmonicSpec, NoiseSpec,
                             StepSpec)
+from cases import needs_cc
 from golden import digest
 from reference import harmonic_basis, output_and_gradient
 
@@ -89,9 +89,6 @@ def test_sample_csv_round_trip_is_bitwise(values, tmp_path_factory):
 # --------------------------------------------------------------------------
 # The C CSV formatter writes what repr writes
 # --------------------------------------------------------------------------
-
-needs_cc = pytest.mark.skipif(shutil.which("cc") is None,
-                              reason="no C compiler (cc) on PATH")
 
 # where repr's layout changes: signed zeros, the smallest subnormal and
 # normal, the largest double, the fixed/exponent switches at 1e16 and 1e-4
@@ -189,9 +186,10 @@ def scenario_specs(draw):
     # each half of the window fits in half the record
     steps = st.builds(lambda a, b, amp, ph: StepSpec(0.5 * a * duration,
                                                      0.5 * b * duration, amp, ph),
-                      unit, unit, real, real)
+                      unit, unit, st.floats(-1.0, 1e3), real)
     return ScenarioSpec(
-        duration=duration, base_freq=draw(positive), amp_pu=draw(real),
+        duration=duration, base_freq=draw(positive),
+        amp_pu=draw(st.floats(0.0, 1e3)),
         phase0_rad=draw(real), profile=draw(profiles), noise=draw(noises),
         harmonics=draw(st.lists(st.builds(HarmonicSpec, st.integers(2, 50),
                                           unit, real), max_size=3)),
@@ -376,6 +374,31 @@ def test_c_run_equals_python_run_bit_for_bit(case):
 @pytest.fixture(params=["native_kernel", "python_kernel"])
 def backend(request):
     request.getfixturevalue(request.param)
+
+
+# the backend fixture holds for every example
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=backend_cases())
+def test_step_fold_equals_run(backend, case):
+    """step from init(config, t0), one sample at a time up to a divergence,
+    reports what one run() pass stores, and stops where run() stops."""
+    config, stream = case
+    state = init(config, stream.t0)
+    records = []
+    for x in stream.values.tolist():
+        rec = step(state, x, config)
+        if rec is not None:
+            records.append(rec)
+        if state.diverged:
+            break
+    series = run(stream, config)
+    # repr compares signed zeros and nan too
+    assert repr(records) == repr(series.records)
+    if series.diverged_at is None:
+        assert not state.diverged and state.k == len(stream)
+    else:
+        assert state.diverged and state.k == series.diverged_at
 
 
 # the backend fixture holds for every example

@@ -402,6 +402,37 @@ class TestSpecValidation:
         with pytest.raises(ScenarioError):
             ScenarioSpec(duration=1.0, base_freq=0.0)
 
+    @pytest.mark.parametrize("build, message", [
+        # a negative window renders no step at all
+        (lambda: StepSpec(t_start=0.5, duration=-1.0),
+         "step duration must be non-negative, got -1.0"),
+        # a scale 1 + amp_step_pu below zero flips the fundamental's sign
+        (lambda: StepSpec(t_start=0.5, duration=0.2, amp_step_pu=-3.0),
+         "amp_step_pu must be >= -1, got -3.0"),
+        (lambda: ScenarioSpec(duration=1.0, base_freq=50.0, amp_pu=-1.0),
+         "amp_pu must be non-negative, got -1.0"),
+    ])
+    def test_values_that_render_something_else_rejected(self, build,
+                                                        message):
+        with pytest.raises(ScenarioError) as info:
+            build()
+        assert str(info.value) == message
+
+    def test_boundary_values_render(self):
+        # an empty window, a silenced fundamental and a zero amplitude
+        spec = ScenarioSpec(
+            duration=1.0, base_freq=50.0, amp_pu=0.0,
+            steps=(StepSpec(t_start=0.5, duration=0.0, amp_step_pu=-1.0),))
+        _, truth = synthesize(spec, FS)
+        assert not truth.amp_pu.any()
+        spec = replace(spec, amp_pu=1.0,
+                       steps=(StepSpec(t_start=0.5, duration=0.2,
+                                       amp_step_pu=-1.0),))
+        _, truth = synthesize(spec, FS)
+        t = truth.times()
+        win = (t >= 0.5) & (t < 0.7)
+        assert not truth.amp_pu[win].any() and (truth.amp_pu[~win] == 1.0).all()
+
     def test_harmonic_spec_validation(self):
         with pytest.raises(ScenarioError):
             HarmonicSpec(order=1, rel_amp=0.1)
