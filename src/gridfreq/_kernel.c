@@ -1,11 +1,12 @@
-/* The package's C library: the estimator's run loop (gridfreq_run) and
- * the CSV float formatter of gridfreq.io (gridfreq_format_rows).
+/* The package's C library: the estimator's run loop (gridfreq_run), the
+ * CSV float formatter of gridfreq.io (gridfreq_format_rows) and its CSV row
+ * parser (gridfreq_parse_rows).
  *
  * gridfreq._native builds this file on first use with
  *
  *     cc -O2 -ffp-contract=off -fPIC -shared -lm
  *
- * and calls both functions through ctypes.
+ * and calls the three functions through ctypes.
  *
  * gridfreq_run runs the laws of the gridfreq.estimator module docstring
  * over a whole stream, from a fresh state.  Its output equals the
@@ -23,6 +24,13 @@
  * to it where several are that short.  Ryu's 64x128-bit products need
  * unsigned __int128 (gcc and clang on 64-bit targets); where the compiler
  * lacks it the build fails, and gridfreq takes its Python paths.
+ *
+ * gridfreq_parse_rows reads rows of decimal floats that fit a strict
+ * grammar into doubles, each the nearest to its decimal, as CPython's
+ * float() and numpy's loadtxt read it.  At the first byte it does not
+ * accept it returns -1, and gridfreq.io hands the whole file to numpy,
+ * whose grammar is the rule; deferring is always correct, so the grammar
+ * is kept narrow: no quotes, blanks, inf, nan or empty lines.
  */
 
 #include <math.h>
@@ -427,4 +435,178 @@ int64_t gridfreq_format_rows(const uint64_t *cells, int64_t nrows,
         *p++ = '\n';
     }
     return p - out;
+}
+
+
+/* ------------------------------------------------------------------------
+ * CSV rows of decimal floats, parsed as correctly rounded doubles
+ * ------------------------------------------------------------------------ */
+
+#define POW10_MIN_Q (-342)      /* the table of 5^q spans q in [-342, 308] */
+#define POW10_MAX_Q 308
+
+/* 10^0 .. 10^22, each exact in a double */
+static const double exact_pow10[] = {
+    1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12,
+    1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22};
+
+/* The bits of the double nearest to w * 10^q, w > 0 and q in the table's
+ * range, or those of infinity (exponent 0x7ff) where it overflows.
+ * pow10[2 * (q + 342)] and [... + 1] are the low and high words of the top
+ * 128 bits of 5^q.  This is fast_float's binary64 path (Lemire, "Number
+ * Parsing at a Gigabyte per Second", SPE 2021): w < 2^64, so the 128-bit
+ * product is always close enough to round correctly (Mushtak and Lemire,
+ * "Fast number parsing without fallback", SPE 2023). */
+static uint64_t eisel_lemire(uint64_t w, int64_t q, const uint64_t *pow10)
+{
+    const uint64_t *p5 = pow10 + 2 * (q - POW10_MIN_Q);
+    int lz = __builtin_clzll(w);
+    u128 first, second;
+    uint64_t high, low, mantissa;
+    int upper, shift;
+    int64_t power2;
+
+    w <<= lz;
+    first = (u128)w * p5[1];
+    high = (uint64_t)(first >> 64);
+    low = (uint64_t)first;
+    if ((high & 0x1ff) == 0x1ff) {
+        /* 55 bits are needed; the low word of 5^q can carry into them */
+        second = (u128)w * p5[0];
+        low += (uint64_t)(second >> 64);
+        if ((uint64_t)(second >> 64) > low)
+            high++;
+    }
+    upper = (int)(high >> 63);
+    shift = upper + 64 - 52 - 3;
+    mantissa = high >> shift;
+    /* floor(log2(10^q)) + 63, less the zeros shifted in, plus the bias */
+    power2 = (((152170 + 65536) * q) >> 16) + 63 + upper - lz + 1023;
+    if (power2 <= 0) {
+        /* subnormal, or zero once 64 bits and more fall below the least */
+        if (-power2 + 1 >= 64)
+            return 0;
+        mantissa >>= -power2 + 1;
+        mantissa += mantissa & 1;
+        mantissa >>= 1;
+        /* rounding up to 2^52 gives the least normal's bits */
+        return mantissa;
+    }
+    /* an exact tie rounds to even; it needs 5^q in one word */
+    if (low <= 1 && q >= -4 && q <= 23 && (mantissa & 3) == 1
+        && (mantissa << shift) == high)
+        mantissa &= ~1ull;
+    mantissa += mantissa & 1;
+    mantissa >>= 1;
+    if (mantissa >= (2ull << 52)) {
+        mantissa = 1ull << 52;
+        power2++;
+    }
+    if (power2 >= 0x7ff)
+        return 0x7ffull << 52;
+    return (mantissa & ~(1ull << 52)) | ((uint64_t)power2 << 52);
+}
+
+/* Parse one field, [+-]?digits[.digits][(e|E)[+-]digits], at p into *out.
+ * Returns its end, or NULL where the field leaves that grammar, has more
+ * than 19 significant digits, or its value is not a finite double whose
+ * exponent lies in the table: the caller defers those to numpy. */
+static const char *parse_field(const char *p, const char *end,
+                               const uint64_t *pow10, double *out)
+{
+    uint64_t w = 0, bits;
+    int64_t q = 0, e = 0;
+    int neg = 0, eneg = 0, digits;
+    const char *start, *s;
+    double d;
+
+    if (p < end && (*p == '-' || *p == '+'))
+        neg = *p++ == '-';
+    start = p;
+    while (p < end && (unsigned char)(*p - '0') < 10)
+        w = 10 * w + (uint64_t)(*p++ - '0');
+    if (p == start)
+        return NULL;
+    digits = (int)(p - start);
+    if (p < end && *p == '.') {
+        const char *frac = ++p;
+        while (p < end && (unsigned char)(*p - '0') < 10)
+            w = 10 * w + (uint64_t)(*p++ - '0');
+        if (p == frac)
+            return NULL;
+        q = -(int64_t)(p - frac);
+        digits += (int)(p - frac);
+    }
+    if (p < end && (*p == 'e' || *p == 'E')) {
+        const char *exp;
+        if (++p < end && (*p == '-' || *p == '+'))
+            eneg = *p++ == '-';
+        exp = p;
+        while (p < end && (unsigned char)(*p - '0') < 10) {
+            if (e < 0x10000)
+                e = 10 * e + (*p - '0');
+            p++;
+        }
+        if (p == exp)
+            return NULL;
+        q += eneg ? -e : e;
+    }
+    if (digits > 19) {
+        /* leading zeros add nothing to w */
+        for (s = start; s < p && (*s == '0' || *s == '.'); s++)
+            digits -= *s == '0';
+        if (digits > 19)
+            return NULL;
+    }
+    if (w == 0) {
+        bits = 0;
+    } else if (w <= (1ull << 53) && q >= -22 && q <= 22) {
+        /* Clinger's path: w and 10^|q| are exact, so one rounding */
+        d = (double)w;
+        d = q < 0 ? d / exact_pow10[-q] : d * exact_pow10[q];
+        memcpy(&bits, &d, 8);
+    } else if (q < POW10_MIN_Q || q > POW10_MAX_Q) {
+        return NULL;
+    } else {
+        bits = eisel_lemire(w, q, pow10);
+        if (bits >> 52 == 0x7ff)
+            return NULL;
+    }
+    bits |= (uint64_t)neg << 63;
+    memcpy(out, &bits, 8);
+    return p;
+}
+
+/* Parse the CSV rows of text[start..len) into out, ncols doubles a row,
+ * each correctly rounded, as CPython's float() and numpy read them.
+ * Fields are separated by ',' and rows end in "\r\n" or "\n"; the last may
+ * have no end.  out holds max_rows rows; pow10 is the table gridfreq._native
+ * builds for eisel_lemire.  Returns the number of rows, or -1 ("defer") at
+ * the first byte outside that grammar, a field parse_field rejects, a row
+ * of another width, or a row past max_rows. */
+int64_t gridfreq_parse_rows(const char *text, int64_t start, int64_t len,
+                            int64_t ncols, int64_t max_rows,
+                            const uint64_t *pow10, double *out)
+{
+    const char *p = text + start, *end = text + len;
+    int64_t rows = 0, c;
+
+    while (p < end) {
+        if (rows == max_rows)
+            return -1;
+        for (c = 0; c < ncols; c++) {
+            if (c && (p == end || *p++ != ','))
+                return -1;
+            p = parse_field(p, end, pow10, out++);
+            if (!p)
+                return -1;
+        }
+        if (p < end) {
+            p += *p == '\r';
+            if (p == end || *p++ != '\n')
+                return -1;
+        }
+        rows++;
+    }
+    return rows;
 }

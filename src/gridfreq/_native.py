@@ -1,18 +1,21 @@
 """The package's C library, ``_kernel.c``: built on first use, loaded
 through :mod:`ctypes`.
 
-It holds the estimator's run loop (``gridfreq_run``) and the CSV float
-formatter of :mod:`gridfreq.io` (``gridfreq_format_rows``).
+It holds the estimator's run loop (``gridfreq_run``), the CSV float
+formatter of :mod:`gridfreq.io` (``gridfreq_format_rows``) and its CSV row
+parser (``gridfreq_parse_rows``).
 :func:`library` builds it with ``cc -O2 -ffp-contract=off`` into
 ``$XDG_CACHE_HOME/gridfreq`` (default ``~/.cache/gridfreq``), one shared
 object per source and flags, on the first call, never at import.  When it
 cannot be built, :func:`library` returns None and each caller takes its
 Python path, which gives the same output.
 
-:func:`format_rows` formats CSV rows through it.  The power-of-5 tables
-that Ryu's algorithm multiplies by are built from Python ints on its first
-call, not on the first :func:`library` call, so a process that only runs
-the estimator does not build them.
+:func:`format_rows` formats CSV rows through it, and :func:`parse_rows`
+parses them.  The power-of-5 tables that they multiply by, Ryu's for the
+formatter and Eisel-Lemire's 128-bit powers of five for the parser, are
+built from Python ints on the first call of each, not on the first
+:func:`library` call, so a process that only runs the estimator builds
+neither.
 """
 
 from __future__ import annotations
@@ -107,7 +110,19 @@ def library() -> ctypes.CDLL | None:
     lib.gridfreq_format_rows.argtypes = [words, i64, i64, array(np.uint8),
                                          words, words, array(np.uint8)]
     lib.gridfreq_format_rows.restype = i64
+    lib.gridfreq_parse_rows.argtypes = [ctypes.c_char_p, i64, i64, i64, i64,
+                                        words, doubles]
+    lib.gridfreq_parse_rows.restype = i64
     return lib
+
+
+def _words(values: list[int]) -> np.ndarray:
+    """A read-only table of ints below 2^128, each as its (low, high)
+    64-bit words."""
+    mask = (1 << 64) - 1
+    table = np.array([(v & mask, v >> 64) for v in values], np.uint64)
+    table.flags.writeable = False     # one copy serves every call
+    return table
 
 
 @functools.cache
@@ -127,14 +142,27 @@ def _pow5_tables() -> tuple[np.ndarray, np.ndarray]:
     def inverse(i: int) -> int:
         return (1 << (5 ** i).bit_length() - 1 + 125) // 5 ** i + 1
 
-    def words(values: list[int]) -> np.ndarray:
-        mask = (1 << 64) - 1
-        table = np.array([(v & mask, v >> 64) for v in values], np.uint64)
-        table.flags.writeable = False     # one copy serves every call
-        return table
+    return (_words([top_bits(i) for i in range(326)]),
+            _words([inverse(i) for i in range(342)]))
 
-    return (words([top_bits(i) for i in range(326)]),
-            words([inverse(i) for i in range(342)]))
+
+@functools.cache
+def _pow10_table() -> np.ndarray:
+    """Eisel-Lemire's table: for q in [-342, 308], the top 128 bits of 5^q,
+    with its leading bit at bit 127.  They are 5^q shifted and truncated
+    for q >= 0, and 2^b // 5^-q + 1 truncated for q < 0, b the shift that
+    gives 5^-q's reciprocal 128 bits (fast_float's table)."""
+    def entry(q: int) -> int:
+        if q >= 0:
+            shift = (5 ** q).bit_length() - 128
+            return 5 ** q >> shift if shift >= 0 else 5 ** q << -shift
+        z = (5 ** -q).bit_length()            # 5^-q is never a power of 2
+        if q >= -27:
+            return 2 ** (z + 127) // 5 ** -q + 1
+        c = 2 ** (2 * z + 128) // 5 ** -q + 1
+        return c >> c.bit_length() - 128
+
+    return _words([entry(q) for q in range(-342, 309)])
 
 
 def format_rows(columns: Sequence[np.ndarray]) -> memoryview:
@@ -156,3 +184,18 @@ def format_rows(columns: Sequence[np.ndarray]) -> memoryview:
                                           integral.view(np.uint8), pow5,
                                           pow5_inv, out)
     return memoryview(out)[:size]
+
+
+def parse_rows(data: bytes, start: int, ncols: int) -> np.ndarray | None:
+    """The float rows of the CSV text ``data[start:]``, ``ncols`` fields
+    each, or None where a byte falls outside the C parser's strict grammar
+    (see ``gridfreq_parse_rows``) or there is no row.  Needs
+    :func:`library`."""
+    # a row takes at least 2 * ncols bytes with its line end, which bounds
+    # the buffer by the file's size whatever its header's width
+    max_rows = min(data.count(b"\n", start) + 1,
+                   (len(data) - start + 1) // (2 * ncols))
+    out = np.empty((max_rows, ncols))
+    rows = library().gridfreq_parse_rows(data, start, len(data), ncols,
+                                         max_rows, _pow10_table(), out)
+    return out[:rows] if rows > 0 else None

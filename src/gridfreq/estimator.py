@@ -225,6 +225,11 @@ class EstimateRecord:
 ROW_COLUMNS = ("t", "f_hz", "rocof_hzps", "rocof_raw_hzps", "a_dc", "a_dc1",
                "residual", "eta", "phase_acc", "t_anchor")
 
+# spacings of the largest |time| that an interval taken from stored times,
+# t[1] - t[0] or a step of the time column, may be off by: each time is
+# rounded by up to half a spacing, and t[1] may lie one binade up
+TIME_ROUNDING = 4
+
 
 def _column(name: str) -> Callable[[EstimateSeries], np.ndarray]:
     """Accessor of the :data:`ROW_COLUMNS` column ``name``."""
@@ -581,7 +586,9 @@ def run(stream: SampleStream, config: EstimatorConfig) -> EstimateSeries:
     Python kernel of :func:`step` otherwise (see :func:`run_backend`); both
     fill the same rows, and neither builds a record.
     """
-    if abs(stream.ts - config.ts) > 1e-9 * config.ts:
+    # an interval read from a time column carries the rounding of its times
+    if abs(stream.ts - config.ts) > (1e-9 * config.ts + TIME_ROUNDING
+                                     * np.spacing(abs(stream.t0))):
         raise ConfigError(
             f"stream interval {stream.ts!r} does not match config ts {config.ts!r}"
         )

@@ -6,7 +6,11 @@ every file written here parses back bit-identically.  CSV lines end in
 CRLF.  The CSV rows are written in chunks by the C formatter of the
 package's C library (see :mod:`gridfreq._native`), which gives ``repr``'s
 bytes, and by ``repr`` itself where that library cannot be built.  Every
-file is read as UTF-8, and one ``np.loadtxt`` call parses a CSV's rows.
+file is read as UTF-8.  A CSV's rows are parsed by the library's C parser
+where every byte fits its strict grammar (decimal fields, commas, CRLF or
+LF row ends), to the bits numpy reads; ``np.loadtxt``'s grammar stays the
+rule, and one ``np.loadtxt`` call parses the rows of any other file, or of
+every file where the library cannot be built.
 
 Config and scenario files are ``key = value`` lines whose keys come from
 the fields of the frozen dataclasses they describe: ``name`` for a field of
@@ -28,7 +32,8 @@ import numpy as np
 
 from . import _native
 from .errors import GridFreqError, ScenarioError
-from .estimator import ROW_COLUMNS, EstimateSeries, EstimatorConfig
+from .estimator import (ROW_COLUMNS, TIME_ROUNDING, EstimateSeries,
+                        EstimatorConfig)
 from .metrics import MetricsReport
 from .synth import (ConstantProfile, DcSpec, EventProfile, GroundTruth,
                     HarmonicSpec, NoiseSpec, RampProfile, SampleStream,
@@ -39,6 +44,7 @@ TRUTH_HEADER = ["t", "freq_hz", "rocof_hzps", "amp_pu", "phase_rad"]
 HISTORY_HEADER = ["iteration", "best_score"]
 SWEEP_HEADER = ["ratio", "rmse_fe", "rmse_re"]
 _NEWLINE = re.compile(r"\r\n?|\n")    # where text mode ends a line
+_LINE_END = re.compile(rb"\r\n?|\n")   # the same in bytes
 _CHUNK_ROWS = 4096                      # rows formatted per write
 
 
@@ -65,19 +71,29 @@ def _repr_rows(columns: list[np.ndarray]) -> bytes:
 def _read_rows(path: str | Path, header: Sequence[str] | None = None
                ) -> tuple[list[str], np.ndarray]:
     """(header, float rows) of a CSV; ``header``, if given, must match.
-    Where :func:`_loadtxt` fails or its rows are absent, not the header's
-    width or not finite, :func:`_fault` names the line at fault."""
+    The C parser reads rows that fit its strict grammar; where it defers or
+    the library is absent, :func:`_loadtxt` reads the file.  Where numpy
+    fails or its rows are absent, not the header's width or not finite,
+    :func:`_fault` names the line at fault."""
+    data = Path(path).read_bytes()
+    end = _LINE_END.search(data)
+    head, start = (data[:end.start()], end.end()) if end else (data, len(data))
     got: list[str] = []
+    arr = None
     try:
-        with open(path, encoding="utf-8") as fh:
-            # no column name holds a quote or a comma: quotes are dropped
-            got = fh.readline().rstrip("\n").replace('"', "").split(",")
+        # no column name holds a quote or a comma: quotes are dropped
+        got = head.decode("utf-8").replace('"', "").split(",")
+        if _native.library() is not None:
+            # the rows it accepts are ASCII, so the whole file is UTF-8
+            arr = _native.parse_rows(data, start, len(got))
+        if arr is None:
             # numpy skips empty lines, and warns when it finds no other
-            nonempty = any(line != "\n" for line in fh)
+            nonempty = data[start:].decode("utf-8").strip("\r\n") != ""
         if header is not None and got != list(header):
             raise ScenarioError(f"{path}: expected header {','.join(header)}, "
                                 f"got {','.join(got)}")
-        arr = _loadtxt(path, skiprows=1) if nonempty else None
+        if arr is None and nonempty:
+            arr = _loadtxt(path, skiprows=1)
     except ValueError:                # UnicodeDecodeError included
         arr = None
     if arr is None or arr.shape[1] != len(got) or not np.isfinite(arr).all():
@@ -129,15 +145,24 @@ def _text_lines(path: str | Path) -> list[str]:
 
 def _uniform_grid(path: str | Path, t: np.ndarray, what: str
                   ) -> tuple[float, float]:
-    """(t0, ts) of a time column, which must be uniformly spaced."""
+    """(t0, ts) of a time column, which must be uniformly spaced.
+
+    Every step must match ``t[1] - t[0]`` to 1e-9 s plus the rounding of
+    times as large as these: a stored time is off by up to half its
+    spacing, so a step and ``t[1] - t[0]`` each by up to one spacing.
+    ``ts`` is ``t[1] - t[0]`` where the steps match it to 1e-9 s, and the
+    mean step over the whole column where only that rounding lets them.
+    """
     if len(t) < 2:
         raise ScenarioError(f"{path}: need at least two {what}")
     ts = float(t[1] - t[0])
     off = float(np.abs(np.diff(t) - ts).max())
-    if ts <= 0 or off > 1e-9:
+    if ts <= 0 or off > 1e-9 + TIME_ROUNDING * np.spacing(np.abs(t).max()):
         raise ScenarioError(f"{path}: {what} times are not uniformly spaced "
                             f"(a step differs from t[1] - t[0] = {ts!r} s "
                             f"by {off!r} s)")
+    if off > 1e-9:
+        ts = float(t[-1] - t[0]) / (len(t) - 1)
     return float(t[0]), ts
 
 

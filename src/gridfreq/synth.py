@@ -343,10 +343,10 @@ _last_render: tuple = (None, None, None)
 def _render(spec: ScenarioSpec, fs: float) -> tuple[np.ndarray, GroundTruth]:
     """The noise-free waveform of ``spec`` at ``fs`` and its truth, read-only.
 
-    A hit needs the same spec object, not an equal one: equal specs can
-    differ in how they render (an int ``amp_pu`` fails a step window that
-    ``1.0`` passes), and a command that reads its scenario file anew renders
-    it anew.  A render that raises is not kept, so it raises on every call.
+    A hit needs the same spec object, not an equal one: a command that
+    reads its scenario file anew renders it anew, and an equal spec built
+    with an int ``amp_pu`` renders anew, to the bits of ``1.0``.  A render
+    that raises is not kept, so it raises on every call.
     """
     global _last_render
     cached_spec, cached_fs, render = _last_render
@@ -364,7 +364,7 @@ def _render(spec: ScenarioSpec, fs: float) -> tuple[np.ndarray, GroundTruth]:
     rocof = spec.profile.rocof(t, spec.base_freq)
     phi1 = TWO_PI * spec.profile.freq_integral(t, spec.base_freq) + spec.phase0_rad
 
-    amp = np.full(n_samples, spec.amp_pu)
+    amp = np.full(n_samples, spec.amp_pu, dtype=float)
     phase = phi1.copy()
     for s in spec.steps:
         win = (t >= s.t_start) & (t < s.t_start + s.duration)

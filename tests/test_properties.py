@@ -475,14 +475,17 @@ NOT_UTF8 = st.sampled_from([b"\xff", b"\x80", b"\xc3", b"\xed\xa0\x80",
                             b"\xf4\x90\x80\x80"])
 
 
-@settings(max_examples=300, deadline=None)
+# the backend fixture holds for every example
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(case=csv_texts(),
        junk=st.lists(st.tuples(st.integers(0, 10**6), NOT_UTF8), max_size=2))
-def test_csv_rows_are_numpys_or_an_error_naming_a_line(case, junk,
+def test_csv_rows_are_numpys_or_an_error_naming_a_line(backend, case, junk,
                                                        tmp_path_factory):
     """_read_rows gives np.loadtxt's array of the data lines, bit for bit,
     or a ScenarioError naming a line of the file (`no data rows` only where
-    numpy finds none); undecodable bytes name the line that holds them."""
+    numpy finds none); undecodable bytes name the line that holds them.
+    With the C library, the rows that fit its grammar are parsed in C."""
     _, text = case
     data = text.encode()
     for pos, bad in junk:
@@ -510,6 +513,44 @@ def test_csv_rows_are_numpys_or_an_error_naming_a_line(case, junk,
         assert named and 2 <= int(named[1]) <= len(lines), message
 
 
+# four spellings of a double: repr's and %.17g's (both write e+XX
+# exponents), a short decimal and an E exponent
+SPELLINGS = {
+    "repr": repr,
+    "%.17g": "%.17g".__mod__,
+    "short": lambda x: f"{x:.3g}",
+    "exponent": "%.16E".__mod__,
+}
+
+
+@needs_cc
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), width=st.integers(1, 4), nrows=st.integers(1, 5),
+       crlf=st.booleans(), last_end=st.booleans())
+def test_c_rows_are_numpys_or_deferred(data, width, nrows, crlf, last_end):
+    """The C parser gives np.loadtxt's bits for drawn doubles, subnormals
+    included, written each of four ways, or defers; it never defers on
+    repr's or %.17g's spellings."""
+    values = data.draw(st.lists(st.floats(allow_nan=False,
+                                          allow_infinity=False),
+                                min_size=width * nrows,
+                                max_size=width * nrows))
+    ways = data.draw(st.lists(st.sampled_from(sorted(SPELLINGS)),
+                              min_size=len(values), max_size=len(values)))
+    fields = [SPELLINGS[w](x) for w, x in zip(ways, values)]
+    end = "\r\n" if crlf else "\n"
+    rows = [",".join(fields[i:i + width]) for i in range(0, len(fields), width)]
+    text = ",".join(f"h{i}" for i in range(width)) + end + end.join(rows)
+    text += end if last_end else ""
+    start = len(text.split(end, 1)[0]) + len(end)
+    arr = _native.parse_rows(text.encode(), start, width)
+    if arr is None:
+        assert not {"repr", "%.17g"} >= set(ways)
+        return
+    expect = gio._loadtxt(text.split(end)[1:])
+    assert (arr.shape, arr.tobytes()) == (expect.shape, expect.tobytes())
+
+
 def _numpy_rows(path: Path) -> np.ndarray:
     """The data rows of a CSV as the documented np.loadtxt call reads them."""
     with warnings.catch_warnings():   # numpy warns on a file without rows
@@ -524,3 +565,28 @@ def _is_utf8(line: bytes) -> bool:
     except UnicodeDecodeError:
         return False
     return True
+
+
+@settings(max_examples=60, deadline=None)
+@given(t0=st.builds(lambda sign, m, e: sign * m * 10.0 ** e,
+                    st.sampled_from([-1.0, 1.0]), st.floats(1.0, 10.0),
+                    st.integers(-3, 9)) | st.just(0.0))
+def test_a_samples_file_at_any_start_time_is_run(t0, tmp_path_factory):
+    """A samples and a truth file written at a start time of any magnitude
+    up to 1e10 s read back with that start and an interval close to the
+    written one, and run gives the rows of the stream written."""
+    config = EstimatorConfig()
+    stream, truth = synthesize(ScenarioSpec(duration=0.5, base_freq=50.0),
+                               1.0 / config.ts)
+    stream = SampleStream(t0, stream.ts, stream.values)
+    d = tmp_path_factory.mktemp("t0")
+    gio.write_samples(d / "s.csv", stream)
+    gio.write_truth(d / "truth.csv", replace(truth, t0=t0))
+    slack = 1e-9 * config.ts + estimator.TIME_ROUNDING * np.spacing(abs(t0))
+    samples = gio.read_samples(d / "s.csv")
+    for back in (samples, gio.read_truth(d / "truth.csv")):
+        assert back.t0 == t0
+        assert abs(back.ts - config.ts) <= slack
+    assert samples.values.tobytes() == stream.values.tobytes()
+    assert (run(samples, config).rows.tobytes()
+            == run(stream, config).rows.tobytes())

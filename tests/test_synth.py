@@ -213,16 +213,18 @@ class TestRenderCache:
         assert self._bits(*hit) == self._bits(*miss)
 
     def test_an_equal_spec_object_renders_anew(self):
-        # value equality treats amp_pu = 1 and 1.0 alike; the int fails the
-        # step window's in-place scaling, on every call
+        # value equality treats amp_pu = 1 and 1.0 alike; the int spec is
+        # rendered anew, through the step window's in-place scaling, to the
+        # bits of the float one
         steps = (StepSpec(t_start=0.2, duration=0.2, amp_step_pu=0.1),)
         floats = ScenarioSpec(duration=1.0, base_freq=50.0, steps=steps)
         ints = replace(floats, amp_pu=1)
         assert ints == floats
-        synthesize(floats, FS)
-        for _ in range(2):
-            with pytest.raises(TypeError):
-                synthesize(ints, FS)
+        stream, truth = synthesize(floats, FS, seed=3)
+        expect = self._bits(stream, truth)
+        got = synthesize(ints, FS, seed=3)
+        assert got[1].freq_hz is not truth.freq_hz
+        assert self._bits(*got) == expect
 
     def test_truth_is_read_only_and_shared(self):
         spec = gio.read_scenario(SCENARIOS / "case1.cfg")
