@@ -515,8 +515,8 @@ static const char *parse_field(const char *p, const char *end,
                                const uint64_t *pow10, double *out)
 {
     uint64_t w = 0, bits;
-    int64_t q = 0, e = 0;
-    int neg = 0, eneg = 0, digits;
+    int64_t q = 0, e = 0, digits;
+    int neg = 0, eneg = 0;
     const char *start, *s;
     double d;
 
@@ -527,7 +527,7 @@ static const char *parse_field(const char *p, const char *end,
         w = 10 * w + (uint64_t)(*p++ - '0');
     if (p == start)
         return NULL;
-    digits = (int)(p - start);
+    digits = p - start;
     if (p < end && *p == '.') {
         const char *frac = ++p;
         while (p < end && (unsigned char)(*p - '0') < 10)
@@ -535,7 +535,7 @@ static const char *parse_field(const char *p, const char *end,
         if (p == frac)
             return NULL;
         q = -(int64_t)(p - frac);
-        digits += (int)(p - frac);
+        digits += p - frac;
     }
     if (p < end && (*p == 'e' || *p == 'E')) {
         const char *exp;
