@@ -431,14 +431,13 @@ class TestStreamStartTime:
     # at 1.7e9 s (a Unix time) the steps themselves are off by up to
     # 2.4e-7 s.  Both files are read, and run accepts their interval.
     @pytest.mark.parametrize("t0", [1e5, 1.7e9])
-    def test_rounded_late_times_are_read(self, tmp_path, capsys, t0):
+    def test_rounded_late_times_are_read(self, tmp_path, t0):
         stream, truth = synthesize(ScenarioSpec(duration=1.0, base_freq=50.0),
                                    FS)
         at_zero = self._report_at(tmp_path, stream, truth, 0.0)
         late = self._report_at(tmp_path, stream, truth, t0)
         for name, value in at_zero.items():
             assert late[name] == pytest.approx(value, rel=1e-6)
-        assert "Traceback" not in capsys.readouterr().err
 
     def test_another_interval_is_named_with_both_values(self, tmp_path,
                                                         capsys):
