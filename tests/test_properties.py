@@ -19,7 +19,7 @@ from gridfreq import io as gio
 from gridfreq.estimator import amp_phase
 from gridfreq.synth import (ConstantProfile, DcSpec, HarmonicSpec, NoiseSpec,
                             StepSpec)
-from cases import needs_cc
+from cases import HAVE_CC, needs_cc
 from golden import digest
 from reference import harmonic_basis, output_and_gradient
 
@@ -475,17 +475,16 @@ NOT_UTF8 = st.sampled_from([b"\xff", b"\x80", b"\xc3", b"\xed\xa0\x80",
                             b"\xf4\x90\x80\x80"])
 
 
-# the backend fixture holds for every example
-@settings(max_examples=300, deadline=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@settings(max_examples=300, deadline=None)
 @given(case=csv_texts(),
        junk=st.lists(st.tuples(st.integers(0, 10**6), NOT_UTF8), max_size=2))
-def test_csv_rows_are_numpys_or_an_error_naming_a_line(backend, case, junk,
+def test_csv_rows_are_numpys_or_an_error_naming_a_line(case, junk,
                                                        tmp_path_factory):
     """_read_rows gives np.loadtxt's array of the data lines, bit for bit,
     or a ScenarioError naming a line of the file (`no data rows` only where
     numpy finds none); undecodable bytes name the line that holds them.
-    With the C library, the rows that fit its grammar are parsed in C."""
+    It holds with the C library, which parses the rows that fit its
+    grammar, and without it."""
     _, text = case
     data = text.encode()
     for pos, bad in junk:
@@ -493,6 +492,16 @@ def test_csv_rows_are_numpys_or_an_error_naming_a_line(backend, case, junk,
         data = data[:pos] + bad + data[pos:]
     path = tmp_path_factory.mktemp("csv") / "rows.csv"
     path.write_bytes(data)
+    if HAVE_CC:
+        _check_read_rows(path, data)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_native, "library", lambda: None)
+        _check_read_rows(path, data)
+
+
+def _check_read_rows(path: Path, data: bytes) -> None:
+    """One backend's _read_rows of `path`, which holds `data`, against
+    np.loadtxt's rows or the line its error names."""
     lines = re.split(rb"\r\n?|\n", data)
     try:
         _, arr = gio._read_rows(path)
