@@ -16,7 +16,7 @@
  * math.cos call the same libm; and py_mod is CPython's float %.  Amplitude
  * and phase are left to Python, because CPython's math.hypot is not libm's.
  *
- * gridfreq_format_rows writes rows of floats as CSV text, each float as
+ * gridfreq_format_rows writes rows of doubles as CSV text, each as
  * CPython's repr writes it: Ryu's shortest round-trip digits (Adams, "Ryu:
  * fast float-to-string conversion", PLDI 2018), laid out as
  * float.__repr__ lays out the digits of David Gay's dtoa.  Both give the
@@ -31,6 +31,9 @@
  * accept it returns -1, and gridfreq.io hands the whole file to numpy,
  * whose grammar is the rule; deferring is always correct, so the grammar
  * is kept narrow: no quotes, blanks, inf, nan or empty lines.
+ *
+ * The formatter and the parser multiply by one table of 128-bit powers of
+ * five, fast_float's, which gridfreq._native builds (see POW10_MIN_Q).
  */
 
 #include <math.h>
@@ -180,8 +183,13 @@ int64_t gridfreq_run(const double *x, int64_t len, int64_t n,
 
 typedef unsigned __int128 u128;
 
-#define POW5_BITCOUNT 125       /* bits of each entry of pow5 */
-#define POW5_INV_BITCOUNT 125   /* bits of each entry of pow5_inv */
+/* The one table of powers of five, which gridfreq._native builds: for q in
+ * [-342, 325], pow10[2 * (q + 342)] and [... + 1] are the low and high
+ * words of the top 128 bits of 5^q, its leading bit at bit 127.  They are
+ * truncated, but for -27 <= q < 0, where they are rounded up. */
+#define POW10_MIN_Q (-342)
+#define POW10_MAX_Q 325
+#define POW5_BITCOUNT 128       /* bits of each entry */
 
 /* ceil(log2(5^e)), and 1 for e = 0; 0 <= e <= 3528 */
 static int32_t pow5bits(int32_t e)
@@ -227,11 +235,10 @@ static uint64_t mul_shift(uint64_t m, const uint64_t *mul, int32_t j)
 
 /* Ryu's d2d: the shortest decimal digits*10^*e10 that reads back as the
  * finite, nonzero double with these mantissa and exponent bits, the
- * nearest to it among the shortest.  pow5 and pow5_inv are the tables
- * gridfreq._native builds, one (low, high) pair of words per entry. */
+ * nearest to it among the shortest.  pow10 is the table of powers of
+ * five; Ryu multiplies by 5^i truncated and by 5^-q rounded up. */
 static uint64_t shortest(uint64_t ieee_m, int32_t ieee_e,
-                         const uint64_t *pow5, const uint64_t *pow5_inv,
-                         int32_t *e10)
+                         const uint64_t *pow10, int32_t *e10)
 {
     /* the value is m2 * 2^e2, with 2 more bits for the interval bounds */
     int32_t e2 = (ieee_e ? ieee_e : 1) - 1023 - 52 - 2;
@@ -239,7 +246,7 @@ static uint64_t shortest(uint64_t ieee_m, int32_t ieee_e,
     int accept_bounds = (m2 & 1) == 0;      /* round-half-even reads them */
     uint64_t mv = 4 * m2;
     uint32_t mm_shift = ieee_m != 0 || ieee_e <= 1;
-    uint64_t vr, vp, vm, output;
+    uint64_t vr, vp, vm, output, mul[2];
     int vm_zeros = 0, vr_zeros = 0, round_up = 0;
     int32_t removed = 0, q, i, k;
     uint32_t last_digit = 0;
@@ -248,11 +255,19 @@ static uint64_t shortest(uint64_t ieee_m, int32_t ieee_e,
     if (e2 >= 0) {
         q = log10_pow2(e2) - (e2 > 3);
         *e10 = q;
-        k = POW5_INV_BITCOUNT + pow5bits(q) - 1;
+        memcpy(mul, pow10 + 2 * (-q - POW10_MIN_Q), sizeof mul);
+        if (q > 27) {
+            /* the table truncates 5^-q below q = -27: round it up, with
+             * the carry into the high word */
+            mul[0]++;
+            mul[1] += mul[0] == 0;
+        }
+        /* 5^0 is 2^127 in the table, not the 2^128 of pow5bits(0) = 1 */
+        k = POW5_BITCOUNT + pow5bits(q) - 1 - (q == 0);
         i = -e2 + q + k;
-        vr = mul_shift(4 * m2, pow5_inv + 2 * q, i);
-        vp = mul_shift(4 * m2 + 2, pow5_inv + 2 * q, i);
-        vm = mul_shift(4 * m2 - 1 - mm_shift, pow5_inv + 2 * q, i);
+        vr = mul_shift(4 * m2, mul, i);
+        vp = mul_shift(4 * m2 + 2, mul, i);
+        vm = mul_shift(4 * m2 - 1 - mm_shift, mul, i);
         if (q <= 21) {
             /* only one of mp, mv and mm can be a multiple of 5 */
             if (mv % 5 == 0)
@@ -267,9 +282,10 @@ static uint64_t shortest(uint64_t ieee_m, int32_t ieee_e,
         *e10 = q + e2;
         i = -e2 - q;
         k = pow5bits(i) - POW5_BITCOUNT;
-        vr = mul_shift(4 * m2, pow5 + 2 * i, q - k);
-        vp = mul_shift(4 * m2 + 2, pow5 + 2 * i, q - k);
-        vm = mul_shift(4 * m2 - 1 - mm_shift, pow5 + 2 * i, q - k);
+        memcpy(mul, pow10 + 2 * (i - POW10_MIN_Q), sizeof mul);
+        vr = mul_shift(4 * m2, mul, q - k);
+        vp = mul_shift(4 * m2 + 2, mul, q - k);
+        vm = mul_shift(4 * m2 - 1 - mm_shift, mul, q - k);
         if (q <= 1) {
             /* mv = 4 * m2 has at least 2 trailing zero bits */
             vr_zeros = 1;
@@ -335,13 +351,16 @@ static char *put_digits(char *p, uint64_t v)
     return p;
 }
 
-/* repr of the double with these bits at p; returns the end */
-static char *put_float(char *p, uint64_t bits, const uint64_t *pow5,
-                       const uint64_t *pow5_inv)
+/* repr of x at p; returns the end */
+static char *put_float(char *p, double x, const uint64_t *pow10)
 {
-    uint64_t ieee_m = bits & ((1ull << 52) - 1), digits;
-    int32_t ieee_e = (int32_t)((bits >> 52) & 0x7ff), e10, n, decpt, i;
+    uint64_t bits, ieee_m, digits;
+    int32_t ieee_e, e10, n, decpt, i;
     char d[20];
+
+    memcpy(&bits, &x, sizeof bits);
+    ieee_m = bits & ((1ull << 52) - 1);
+    ieee_e = (int32_t)((bits >> 52) & 0x7ff);
 
     if (ieee_e == 0x7ff && ieee_m) {
         memcpy(p, "nan", 3);                /* repr drops a NaN's sign */
@@ -357,7 +376,7 @@ static char *put_float(char *p, uint64_t bits, const uint64_t *pow5,
         memcpy(p, "0.0", 3);
         return p + 3;
     }
-    digits = shortest(ieee_m, ieee_e, pow5, pow5_inv, &e10);
+    digits = shortest(ieee_m, ieee_e, pow10, &e10);
     n = (int32_t)(put_digits(d, digits) - d);
     decpt = n + e10;        /* the value is 0.d[0..n) * 10^decpt */
     if (decpt > -4 && decpt <= 16) {
@@ -399,27 +418,13 @@ static char *put_float(char *p, uint64_t bits, const uint64_t *pow5,
     return put_digits(p, (uint64_t)i);
 }
 
-/* repr of the int64 with these bits at p; returns the end */
-static char *put_int(char *p, uint64_t bits)
-{
-    if ((int64_t)bits < 0) {
-        *p++ = '-';
-        bits = 0 - bits;
-    }
-    return put_digits(p, bits);
-}
-
-/* Write nrows rows of ncols fields from cells[0..nrows*ncols), row-major,
- * as CSV text at out: fields joined by ',' and each row ended by "\r\n".
- * A field holds the bits of a double, written as repr writes it, or, where
- * integral[column] is set, those of an int64, written as a decimal integer.
- * out must hold nrows * (25 * ncols + 2) bytes: a field takes at most 24,
- * as in -2.2250738585072014e-308 or -9223372036854775808.  Returns the
- * number of bytes written. */
-int64_t gridfreq_format_rows(const uint64_t *cells, int64_t nrows,
-                             int64_t ncols, const uint8_t *integral,
-                             const uint64_t *pow5, const uint64_t *pow5_inv,
-                             char *out)
+/* Write nrows rows of ncols doubles from cells[0..nrows*ncols), row-major,
+ * as CSV text at out: each as repr writes it, fields joined by ',' and
+ * each row ended by "\r\n".  out must hold nrows * (25 * ncols + 2)
+ * bytes: a field takes at most 24, as in -2.2250738585072014e-308.
+ * Returns the number of bytes written. */
+int64_t gridfreq_format_rows(const double *cells, int64_t nrows,
+                             int64_t ncols, const uint64_t *pow10, char *out)
 {
     char *p = out;
     int64_t r, c;
@@ -428,8 +433,7 @@ int64_t gridfreq_format_rows(const uint64_t *cells, int64_t nrows,
         for (c = 0; c < ncols; c++) {
             if (c)
                 *p++ = ',';
-            p = integral[c] ? put_int(p, *cells++)
-                            : put_float(p, *cells++, pow5, pow5_inv);
+            p = put_float(p, *cells++, pow10);
         }
         *p++ = '\r';
         *p++ = '\n';
@@ -437,13 +441,9 @@ int64_t gridfreq_format_rows(const uint64_t *cells, int64_t nrows,
     return p - out;
 }
 
-
 /* ------------------------------------------------------------------------
  * CSV rows of decimal floats, parsed as correctly rounded doubles
  * ------------------------------------------------------------------------ */
-
-#define POW10_MIN_Q (-342)      /* the table of 5^q spans q in [-342, 308] */
-#define POW10_MAX_Q 308
 
 /* 10^0 .. 10^22, each exact in a double */
 static const double exact_pow10[] = {
@@ -451,10 +451,9 @@ static const double exact_pow10[] = {
     1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22};
 
 /* The bits of the double nearest to w * 10^q, w > 0 and q in the table's
- * range, or those of infinity (exponent 0x7ff) where it overflows.
- * pow10[2 * (q + 342)] and [... + 1] are the low and high words of the top
- * 128 bits of 5^q.  This is fast_float's binary64 path (Lemire, "Number
- * Parsing at a Gigabyte per Second", SPE 2021): w < 2^64, so the 128-bit
+ * range, or those of infinity (exponent 0x7ff) where it overflows.  This
+ * is fast_float's binary64 path (Lemire, "Number Parsing at a Gigabyte per
+ * Second", SPE 2021), whose table this is: w < 2^64, so the 128-bit
  * product is always close enough to round correctly (Mushtak and Lemire,
  * "Fast number parsing without fallback", SPE 2023). */
 static uint64_t eisel_lemire(uint64_t w, int64_t q, const uint64_t *pow10)

@@ -10,12 +10,11 @@ object per source and flags, on the first call, never at import.  When it
 cannot be built, :func:`library` returns None and each caller takes its
 Python path, which gives the same output.
 
-:func:`format_rows` formats CSV rows through it, and :func:`parse_rows`
-parses them.  The power-of-5 tables that they multiply by, Ryu's for the
-formatter and Eisel-Lemire's 128-bit powers of five for the parser, are
-built from Python ints on the first call of each, not on the first
-:func:`library` call, so a process that only runs the estimator builds
-neither.
+:func:`format_rows` formats CSV rows of doubles through it, and
+:func:`parse_rows` parses them.  Both multiply by one table of 128-bit
+powers of five, built from Python ints on the first call of either, not on
+the first :func:`library` call, so a process that only runs the estimator
+never builds it.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ import contextlib
 import functools
 import os
 from pathlib import Path
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -107,8 +106,8 @@ def library() -> ctypes.CDLL | None:
         f64, f64, f64, f64, f64, i64, i64, f64, doubles, doubles]
     lib.gridfreq_run.restype = i64
     words = array(np.uint64)
-    lib.gridfreq_format_rows.argtypes = [words, i64, i64, array(np.uint8),
-                                         words, words, array(np.uint8)]
+    lib.gridfreq_format_rows.argtypes = [doubles, i64, i64, words,
+                                         array(np.uint8)]
     lib.gridfreq_format_rows.restype = i64
     lib.gridfreq_parse_rows.argtypes = [ctypes.c_char_p, i64, i64, i64, i64,
                                         words, doubles]
@@ -116,73 +115,38 @@ def library() -> ctypes.CDLL | None:
     return lib
 
 
-def _words(values: list[int]) -> np.ndarray:
-    """A read-only table of ints below 2^128, each as its (low, high)
-    64-bit words."""
+@functools.cache
+def _pow10_table() -> np.ndarray:
+    """The one table of the formatter and the parser: for q in [-342, 325],
+    the top 128 bits of 5^q, its leading bit at bit 127, stored as its
+    (low, high) 64-bit words.  These are fast_float's entries, extended to
+    the 5^325 that a subnormal needs in Ryu: truncated, but rounded up for
+    -27 <= q < 0.  Ryu needs every 5^-q rounded up; the formatter rounds
+    up the entries below q = -27 itself."""
+    def entry(q: int) -> int:
+        if q >= 0:
+            shift = (5 ** q).bit_length() - 128
+            return 5 ** q >> shift if shift >= 0 else 5 ** q << -shift
+        # 5^-q is never a power of 2, so no quotient is exact
+        b = 127 + (5 ** -q).bit_length()
+        return 2 ** b // 5 ** -q + (q >= -27)
+
     mask = (1 << 64) - 1
+    values = map(entry, range(-342, 326))
     table = np.array([(v & mask, v >> 64) for v in values], np.uint64)
     table.flags.writeable = False     # one copy serves every call
     return table
 
 
-@functools.cache
-def _pow5_tables() -> tuple[np.ndarray, np.ndarray]:
-    """Ryu's tables for doubles, each entry a 125-bit int stored as its
-    (low, high) 64-bit words.  With L the bit length of 5^i:
-
-    - ``pow5[i] = 5^i * 2^(125 - L)``, rounded down: the top 125 bits of
-      5^i, for i < 326 (a subnormal needs i = 325);
-    - ``pow5_inv[i] = 2^(L - 1 + 125) // 5^i + 1``: 125 bits of 5^-i,
-      rounded up, for i < 342 (the largest double needs i = 290).
-    """
-    def top_bits(i: int) -> int:
-        shift = (5 ** i).bit_length() - 125
-        return 5 ** i >> shift if shift >= 0 else 5 ** i << -shift
-
-    def inverse(i: int) -> int:
-        return (1 << (5 ** i).bit_length() - 1 + 125) // 5 ** i + 1
-
-    return (_words([top_bits(i) for i in range(326)]),
-            _words([inverse(i) for i in range(342)]))
-
-
-@functools.cache
-def _pow10_table() -> np.ndarray:
-    """Eisel-Lemire's table: for q in [-342, 308], the top 128 bits of 5^q,
-    with its leading bit at bit 127.  They are 5^q shifted and truncated
-    for q >= 0, and 2^b // 5^-q + 1 truncated for q < 0, b the shift that
-    gives 5^-q's reciprocal 128 bits (fast_float's table)."""
-    def entry(q: int) -> int:
-        if q >= 0:
-            shift = (5 ** q).bit_length() - 128
-            return 5 ** q >> shift if shift >= 0 else 5 ** q << -shift
-        z = (5 ** -q).bit_length()            # 5^-q is never a power of 2
-        if q >= -27:
-            return 2 ** (z + 127) // 5 ** -q + 1
-        c = 2 ** (2 * z + 128) // 5 ** -q + 1
-        return c >> c.bit_length() - 128
-
-    return _words([entry(q) for q in range(-342, 309)])
-
-
-def format_rows(columns: Sequence[np.ndarray]) -> memoryview:
-    """The CSV text, CRLF line ends included, of the rows of equal-length
-    float or int64 columns: each float as ``repr`` writes it and each int
-    as a decimal integer.  Needs :func:`library`."""
-    rows, ncols = len(columns[0]), len(columns)
-    integral = np.array([c.dtype.kind in "iu" for c in columns])
-    # the C function reads each cell's bits as a double or, where its
-    # column is integral, as an int64
-    cells = np.empty((rows, ncols), np.uint64)
-    for j, c in enumerate(columns):
-        kind = np.int64 if integral[j] else np.float64
-        cells[:, j] = c.astype(kind, copy=False).view(np.uint64)
+def format_rows(cells: np.ndarray) -> memoryview:
+    """The CSV text, CRLF line ends included, of the rows of a C-contiguous
+    float64 matrix, each value as ``repr`` writes it.  Needs
+    :func:`library`."""
+    rows, ncols = cells.shape
     # a field and its comma take at most 25 bytes, a row end 2
     out = np.empty(rows * (25 * ncols + 2), np.uint8)
-    pow5, pow5_inv = _pow5_tables()
-    size = library().gridfreq_format_rows(cells, rows, ncols,
-                                          integral.view(np.uint8), pow5,
-                                          pow5_inv, out)
+    size = library().gridfreq_format_rows(cells, rows, ncols, _pow10_table(),
+                                          out)
     return memoryview(out)[:size]
 
 

@@ -300,6 +300,10 @@ def main(argv: list[str] | None = None) -> int:
     except (GridFreqError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except MemoryError as exc:
+        # a render names its sample count; numpy names an array's shape
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return EXIT_INPUT
 
 
 if __name__ == "__main__":

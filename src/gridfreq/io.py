@@ -50,21 +50,22 @@ _CHUNK_ROWS = 4096                      # rows formatted per write
 
 def _write_rows(path: str | Path, header: Sequence[str],
                 columns: Sequence[np.ndarray]) -> None:
-    """Write equal-length float or int64 columns as CSV rows of ``repr``
-    values, which keeps an int column (the history's iterations) integral.
-    The rows go out in chunks of ``_CHUNK_ROWS``, formatted by the C
-    library when it is at hand and by ``repr`` otherwise: the same bytes."""
-    cols = [np.asarray(c) for c in columns]
+    """Write equal-length columns as CSV rows of the ``repr`` of each value
+    as a float.  The rows go out in chunks of ``_CHUNK_ROWS``, formatted by
+    the C library when it is at hand and by ``repr`` otherwise: the same
+    bytes."""
+    cols = [np.asarray(c, dtype=np.float64) for c in columns]
     fmt = _repr_rows if _native.library() is None else _native.format_rows
     with open(path, "wb") as fh:
         fh.write((",".join(header) + "\r\n").encode())
         for start in range(0, len(cols[0]), _CHUNK_ROWS):
-            fh.write(fmt([c[start:start + _CHUNK_ROWS] for c in cols]))
+            fh.write(fmt(np.column_stack(
+                [c[start:start + _CHUNK_ROWS] for c in cols])))
 
 
-def _repr_rows(columns: list[np.ndarray]) -> bytes:
-    """CSV rows of the ``repr`` of each value."""
-    rows = zip(*(c.tolist() for c in columns))
+def _repr_rows(cells: np.ndarray) -> bytes:
+    """CSV rows of the ``repr`` of each value of a float matrix."""
+    rows = cells.tolist()
     return "".join(",".join(map(repr, row)) + "\r\n" for row in rows).encode()
 
 
@@ -150,8 +151,9 @@ def _uniform_grid(path: str | Path, t: np.ndarray, what: str
     Every step must match ``t[1] - t[0]`` to 1e-9 s plus the rounding of
     times as large as these: a stored time is off by up to half its
     spacing, so a step and ``t[1] - t[0]`` each by up to one spacing.
-    ``ts`` is ``t[1] - t[0]`` where the steps match it to 1e-9 s, and the
-    mean step over the whole column where only that rounding lets them.
+    ``ts`` is whichever of ``t[1] - t[0]`` and the mean step over the whole
+    column regenerates the stored times, as ``t0 + ts * k``, with the
+    smaller largest error; a tie keeps ``t[1] - t[0]``.
     """
     if len(t) < 2:
         raise ScenarioError(f"{path}: need at least two {what}")
@@ -161,8 +163,11 @@ def _uniform_grid(path: str | Path, t: np.ndarray, what: str
         raise ScenarioError(f"{path}: {what} times are not uniformly spaced "
                             f"(a step differs from t[1] - t[0] = {ts!r} s "
                             f"by {off!r} s)")
-    if off > 1e-9:
-        ts = float(t[-1] - t[0]) / (len(t) - 1)
+    k = np.arange(len(t))
+    mean = float(t[-1] - t[0]) / (len(t) - 1)
+    if (np.abs(t[0] + mean * k - t).max()
+            < np.abs(t[0] + ts * k - t).max()):
+        ts = mean
     return float(t[0]), ts
 
 
@@ -220,8 +225,11 @@ def read_estimates(path: str | Path) -> EstimateSeries:
 
 
 def write_history(path: str | Path, history: Sequence[float]) -> None:
-    _write_rows(path, HISTORY_HEADER,
-                (np.arange(len(history)), np.asarray(history, dtype=float)))
+    """The ``iteration,best_score`` CSV of a tuning run."""
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(HISTORY_HEADER) + "\r\n")
+        fh.writelines(f"{i},{float(score)!r}\r\n"
+                      for i, score in enumerate(history))
 
 
 def write_report(path: str | Path, report: MetricsReport) -> None:

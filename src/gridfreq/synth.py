@@ -7,7 +7,8 @@ and the additive noise of a :class:`NoiseSpec`.  The fundamental phase is
 obtained by analytically integrating the frequency profile, so ramps and
 dips are physically consistent and the recorded ground truth (frequency,
 RoCoF, amplitude, phase) is exact rather than finite-differenced.  The
-Nyquist check reads the same rendered frequency.
+Nyquist check, and the check that the fundamental stays above 0 Hz, read
+the same rendered frequency.
 """
 
 from __future__ import annotations
@@ -353,14 +354,25 @@ def _render(spec: ScenarioSpec, fs: float) -> tuple[np.ndarray, GroundTruth]:
     if cached_spec is spec and cached_fs == fs:
         return render
 
-    n_samples = int(round(spec.duration * fs)) + 1
-    t = np.arange(n_samples) / fs
+    span = spec.duration * fs
+    if span >= np.iinfo(np.intp).max // 8:
+        raise ScenarioError(f"{span + 1:g} samples at fs={fs:g} are more "
+                            f"than one array of doubles can hold")
+    n_samples = int(round(span)) + 1
+    try:
+        t = np.arange(n_samples) / fs
+    except MemoryError:
+        raise MemoryError(f"{n_samples} samples at fs={fs:g} do not fit in "
+                          f"memory") from None
 
     f1 = spec.profile.freq(t, spec.base_freq)
     if spec.max_order * f1.max() >= fs / 2:
         raise ScenarioError(
             f"harmonic order {spec.max_order} at {f1.max():g} Hz violates Nyquist for fs={fs:g}"
         )
+    if f1.min() <= 0:
+        raise ScenarioError(f"the fundamental falls to {f1.min():g} Hz; it "
+                            f"must stay above 0 Hz")
     rocof = spec.profile.rocof(t, spec.base_freq)
     phi1 = TWO_PI * spec.profile.freq_integral(t, spec.base_freq) + spec.phase0_rad
 

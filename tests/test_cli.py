@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface."""
 
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -52,6 +53,39 @@ class TestSynth:
         rc = main(["synth", str(path), "--out", str(tmp_path)])
         assert rc == EXIT_INPUT
 
+    @pytest.mark.parametrize("fs, message", [
+        # 1e16 samples, 71 PiB of times alone: no host can allocate them
+        ("1e15", "error: out of memory: 10000000000000001 samples at "
+                 "fs=1e+15 do not fit in memory\n"),
+        ("1e300", "error: 1e+301 samples at fs=1e+300 are more than one "
+                  "array of doubles can hold\n"),
+    ])
+    def test_render_too_large_is_input_error(self, tmp_path, capsys, fs,
+                                             message):
+        rc = main(["synth", str(SCENARIOS / "clean.cfg"), "--fs", fs,
+                   "--out", str(tmp_path / "out")])
+        assert rc == EXIT_INPUT
+        assert capsys.readouterr().err == message
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("profile, minimum", [
+        ("profile = ramp\nprofile.t_start = 0.2\nprofile.duration = 0.5\n"
+         "profile.df_hz = -60.0\n", r"-10"),
+        # the sample nearest the dip's bottom at -50 Hz
+        ("profile = event\nprofile.t_start = 0.2\nprofile.peak_dev_hz = 100\n"
+         "profile.peak_rocof_hzps = 1000\n", r"-49\.99\d*"),
+    ], ids=["ramp", "event"])
+    def test_fundamental_at_or_below_zero_is_input_error(
+            self, tmp_path, capsys, profile, minimum):
+        path = tmp_path / "bad.cfg"
+        path.write_text("duration = 1.0\nbase_freq = 50.0\n" + profile)
+        rc = main(["synth", str(path), "--out", str(tmp_path / "out")])
+        assert rc == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert re.fullmatch(f"error: the fundamental falls to {minimum} Hz; "
+                            f"it must stay above 0 Hz\n", err), err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("line, key", [
         ("harmonic_1.order = 2.9", "harmonic_1.order"),
         ("duration = nan", "duration"),
@@ -97,6 +131,18 @@ class TestSynth:
         assert rc == EXIT_INPUT
         assert capsys.readouterr().err == f"error: {path}: {message}\n"
         assert not (tmp_path / "out").exists()
+
+    def test_render_too_large_for_memory_is_input_error(self, tmp_path,
+                                                        capsys):
+        # 1e16 samples at ts = 1e-15 s: no host can allocate them
+        config = tmp_path / "fast.cfg"
+        gio.write_config(config, replace(EstimatorConfig(), ts=1e-15))
+        rc = main(["metrics", "--scenario", str(SCENARIOS / "clean.cfg"),
+                   "--config", str(config), "--seeds", "1"])
+        assert rc == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"error: out of memory: \d+ samples at "
+                            r"fs=1e\+15 do not fit in memory\n", err), err
 
     def test_scenario_value_error_names_the_file(self, tmp_path, capsys):
         path = tmp_path / "bad.cfg"
@@ -423,9 +469,13 @@ class TestStreamStartTime:
                                                  peak_rocof_hzps=1.0))
         stream, truth = synthesize(spec, FS, seed=0)
         at_zero = self._report_at(tmp_path, stream, truth, 0.0)
-        late = self._report_at(tmp_path, stream, truth, 100.0)
-        for name, value in at_zero.items():
-            assert late[name] == pytest.approx(value, rel=1e-6)
+        # at 1e5 s, t[1] - t[0] of the written times is 5.6e-12 s off the
+        # interval, and times regenerated from it drift by 1.4e-8 s over
+        # the record; the mean step regenerates them exactly
+        for t0 in (100.0, 1e5):
+            late = self._report_at(tmp_path, stream, truth, t0)
+            for name, value in at_zero.items():
+                assert late[name] == pytest.approx(value, rel=1e-8), (t0, name)
 
     # At t0 = 1e5 s, t[1] - t[0] of the written times is off by 5.6e-12 s;
     # at 1.7e9 s (a Unix time) the steps themselves are off by up to

@@ -2,6 +2,7 @@
 
 import math
 import re
+from fractions import Fraction
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -112,22 +113,60 @@ repr_floats = st.one_of(
 @settings(max_examples=300, deadline=None)
 @given(values=st.lists(repr_floats, min_size=1, max_size=50))
 def test_c_formatter_writes_repr(values):
-    text = bytes(_native.format_rows([np.array(values)]))
+    text = bytes(_native.format_rows(np.array(values)[:, None]))
     assert text == "".join(f"{x!r}\r\n" for x in values).encode()
+
+
+def test_power_of_five_table_is_exact():
+    """Each entry is 5^q scaled to 128 bits: truncated, but rounded up for
+    -27 <= q < 0.  Ryu needs 5^-q rounded up, and the formatter adds 1 to
+    the entries below q = -27 alone."""
+    table = _native._pow10_table()
+    qs = range(-342, 326)
+    assert table.shape == (len(qs), 2)
+    for q, (low, high) in zip(qs, table.tolist()):
+        exact = Fraction(5) ** q
+        # the scale that puts exact's leading bit at bit 127
+        scaled = exact * Fraction(2) ** (127 - math.floor(math.log2(exact)))
+        if scaled >= 2 ** 128:          # log2 rounded up near a power of 2
+            scaled /= 2
+        elif scaled < 2 ** 127:
+            scaled *= 2
+        expect = math.ceil(scaled) if -27 <= q < 0 else math.floor(scaled)
+        assert low | high << 64 == expect, q
+
+
+def _scale_changes() -> np.ndarray:
+    """Doubles where the formatter's use of the table changes: every
+    exponent with the mantissas 0, 1 and 2^52 - 1; random mantissas in
+    [2^52, 2^62), which holds [2^54, 2^61), where Ryu scales by 5^0; and
+    random mantissas in the binades where Ryu's decimal exponent q crosses
+    from 27, the last 5^-q that the table rounds up, to 28."""
+    exponents = np.arange(2047, dtype=np.uint64) << np.uint64(52)
+    edges = [exponents | np.uint64(m) for m in (0, 1, 2 ** 52 - 1)]
+    rng = np.random.default_rng(0)
+    mantissas = rng.integers(0, 2 ** 52, 2000, dtype=np.uint64)
+    # a binade's doubles are 2^(e - 1075) * (2^52 + mantissa)
+    binades = [*range(1075, 1085), *range(1165, 1180)]
+    edges += [np.uint64(e << 52) | mantissas for e in binades]
+    bits = np.concatenate(edges)
+    return np.concatenate([bits, bits | np.uint64(1 << 63)]).view(np.float64)
+
+
+@needs_cc
+def test_c_formatter_writes_repr_where_the_table_scale_changes():
+    values = _scale_changes()
+    text = bytes(_native.format_rows(values[:, None]))
+    assert text == "".join(f"{x!r}\r\n" for x in values.tolist()).encode()
 
 
 @st.composite
 def csv_columns(draw):
     """Columns longer than one write chunk: floats from random bits, from a
-    drawn scale or integral, with drawn floats set at drawn rows, and, in
-    about half the cases, an int64 column first, as in a history file."""
+    drawn scale or integral, with drawn floats set at drawn rows."""
     rows = draw(st.integers(gio._CHUNK_ROWS + 1, 2 * gio._CHUNK_ROWS + 3))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32)))
     columns = []
-    if draw(st.booleans()):
-        ints = rng.integers(-2 ** 63, 2 ** 63, rows, dtype=np.int64,
-                            endpoint=False)
-        columns.append(draw(st.sampled_from([np.arange(rows), ints])))
     for _ in range(draw(st.integers(1, 4))):
         kind = draw(st.sampled_from(["bits", "scaled", "integral"]))
         if kind == "bits":

@@ -382,6 +382,31 @@ class TestDistortionAndNyquist:
             _, truth = synthesize(spec, FS)
             assert float(truth.freq_hz.min()) == pytest.approx(45.0)
 
+    @pytest.mark.parametrize("profile, minimum", [
+        (RampProfile(t_start=0.5, duration=1.0, df_hz=-60.0), "-10"),
+        (RampProfile(t_start=0.5, duration=1.0, df_hz=-50.0), "0"),
+        # 1200 Hz puts a sample on the dip's bottom
+        (EventProfile(t_start=0.5, peak_dev_hz=100.0,
+                      peak_rocof_hzps=100.0 * math.pi), "-50"),
+    ])
+    def test_fundamental_at_or_below_zero_rejected(self, profile, minimum):
+        spec = ScenarioSpec(duration=3.0, base_freq=50.0, profile=profile)
+        with pytest.raises(ScenarioError) as info:
+            synthesize(spec, FS)
+        assert str(info.value) == (f"the fundamental falls to {minimum} Hz; "
+                                   f"it must stay above 0 Hz")
+
+    def test_more_samples_than_an_array_holds_rejected(self):
+        with pytest.raises(ScenarioError, match=r"^1e\+301 samples at "
+                                                r"fs=1e\+300 are more than"):
+            synthesize(ScenarioSpec(duration=10.0, base_freq=50.0), 1e300)
+
+    def test_samples_no_host_can_allocate_name_their_count(self):
+        # 1e16 samples: 71 PiB of times alone
+        with pytest.raises(MemoryError, match=r"^10000000000000001 samples at "
+                                              r"fs=1e\+15 do not fit"):
+            synthesize(ScenarioSpec(duration=10.0, base_freq=50.0), 1e15)
+
     def test_too_short_rejected(self):
         with pytest.raises(ScenarioError):
             synthesize(ScenarioSpec(duration=0.0005, base_freq=50.0), FS)
