@@ -30,7 +30,9 @@
  * float() and numpy's loadtxt read it.  At the first byte it does not
  * accept it returns -1, and gridfreq.io hands the whole file to numpy,
  * whose grammar is the rule; deferring is always correct, so the grammar
- * is kept narrow: no quotes, blanks, inf, nan or empty lines.
+ * is kept narrow: no quotes, blanks, inf, nan or empty lines.  Every
+ * nonzero field goes through one path, Eisel-Lemire, which is exact for
+ * every significand below 2^64 in the table's range.
  *
  * The formatter and the parser multiply by one table of 128-bit powers of
  * five, fast_float's, which gridfreq._native builds (see POW10_MIN_Q).
@@ -236,7 +238,9 @@ static uint64_t mul_shift(uint64_t m, const uint64_t *mul, int32_t j)
 /* Ryu's d2d: the shortest decimal digits*10^*e10 that reads back as the
  * finite, nonzero double with these mantissa and exponent bits, the
  * nearest to it among the shortest.  pow10 is the table of powers of
- * five; Ryu multiplies by 5^i truncated and by 5^-q rounded up. */
+ * five; Ryu multiplies by 5^i truncated and by 5^-q rounded up.  One digit
+ * loop serves every double: it tracks whether the dropped digits of vm
+ * and vr are all zeros, which only an exact bound or an exact tie needs. */
 static uint64_t shortest(uint64_t ieee_m, int32_t ieee_e,
                          const uint64_t *pow10, int32_t *e10)
 {
@@ -247,7 +251,7 @@ static uint64_t shortest(uint64_t ieee_m, int32_t ieee_e,
     uint64_t mv = 4 * m2;
     uint32_t mm_shift = ieee_m != 0 || ieee_e <= 1;
     uint64_t vr, vp, vm, output, mul[2];
-    int vm_zeros = 0, vr_zeros = 0, round_up = 0;
+    int vm_zeros = 0, vr_zeros = 0;
     int32_t removed = 0, q, i, k;
     uint32_t last_digit = 0;
 
@@ -298,41 +302,32 @@ static uint64_t shortest(uint64_t ieee_m, int32_t ieee_e,
         }
     }
 
-    /* drop digits while the interval still holds a shorter number */
-    if (vm_zeros || vr_zeros) {
-        while (vp / 10 > vm / 10) {
-            vm_zeros &= vm % 10 == 0;
-            vr_zeros &= last_digit == 0;
+    /* drop digits while the interval still holds a shorter number; with
+     * both flags clear, vr rounds up where the last dropped digit is >= 5
+     * or vr reached vm */
+    while (vp / 10 > vm / 10) {
+        vm_zeros = vm_zeros && vm % 10 == 0;
+        vr_zeros = vr_zeros && last_digit == 0;
+        last_digit = (uint32_t)(vr % 10);
+        vr /= 10;
+        vp /= 10;
+        vm /= 10;
+        removed++;
+    }
+    if (vm_zeros) {
+        while (vm % 10 == 0) {
+            vr_zeros = vr_zeros && last_digit == 0;
             last_digit = (uint32_t)(vr % 10);
             vr /= 10;
             vp /= 10;
             vm /= 10;
             removed++;
         }
-        if (vm_zeros) {
-            while (vm % 10 == 0) {
-                vr_zeros &= last_digit == 0;
-                last_digit = (uint32_t)(vr % 10);
-                vr /= 10;
-                vp /= 10;
-                vm /= 10;
-                removed++;
-            }
-        }
-        if (vr_zeros && last_digit == 5 && vr % 2 == 0)
-            last_digit = 4;                 /* an exact tie rounds to even */
-        output = vr + ((vr == vm && (!accept_bounds || !vm_zeros))
-                       || last_digit >= 5);
-    } else {
-        while (vp / 10 > vm / 10) {
-            round_up = vr % 10 >= 5;
-            vr /= 10;
-            vp /= 10;
-            vm /= 10;
-            removed++;
-        }
-        output = vr + (vr == vm || round_up);
     }
+    if (vr_zeros && last_digit == 5 && vr % 2 == 0)
+        last_digit = 4;                     /* an exact tie rounds to even */
+    output = vr + ((vr == vm && (!accept_bounds || !vm_zeros))
+                   || last_digit >= 5);
     *e10 += removed;
     return output;
 }
@@ -445,11 +440,6 @@ int64_t gridfreq_format_rows(const double *cells, int64_t nrows,
  * CSV rows of decimal floats, parsed as correctly rounded doubles
  * ------------------------------------------------------------------------ */
 
-/* 10^0 .. 10^22, each exact in a double */
-static const double exact_pow10[] = {
-    1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12,
-    1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22};
-
 /* The bits of the double nearest to w * 10^q, w > 0 and q in the table's
  * range, or those of infinity (exponent 0x7ff) where it overflows.  This
  * is fast_float's binary64 path (Lemire, "Number Parsing at a Gigabyte per
@@ -506,10 +496,12 @@ static uint64_t eisel_lemire(uint64_t w, int64_t q, const uint64_t *pow10)
     return (mantissa & ~(1ull << 52)) | ((uint64_t)power2 << 52);
 }
 
-/* Parse one field, [+-]?digits[.digits][(e|E)[+-]digits], at p into *out.
- * Returns its end, or NULL where the field leaves that grammar, has more
- * than 19 significant digits, or its value is not a finite double whose
- * exponent lies in the table: the caller defers those to numpy. */
+/* Parse one field, [+-]?digits[.digits][(e|E)[+-]digits], at p into *out:
+ * zero where its significand w is 0, else the bits eisel_lemire gives,
+ * small exact values included.  Returns its end, or NULL where the field
+ * leaves that grammar, has more than 19 significant digits, or its value
+ * is not a finite double whose exponent lies in the table: the caller
+ * defers those to numpy. */
 static const char *parse_field(const char *p, const char *end,
                                const uint64_t *pow10, double *out)
 {
@@ -517,7 +509,6 @@ static const char *parse_field(const char *p, const char *end,
     int64_t q = 0, e = 0, digits;
     int neg = 0, eneg = 0;
     const char *start, *s;
-    double d;
 
     if (p < end && (*p == '-' || *p == '+'))
         neg = *p++ == '-';
@@ -559,11 +550,6 @@ static const char *parse_field(const char *p, const char *end,
     }
     if (w == 0) {
         bits = 0;
-    } else if (w <= (1ull << 53) && q >= -22 && q <= 22) {
-        /* Clinger's path: w and 10^|q| are exact, so one rounding */
-        d = (double)w;
-        d = q < 0 ? d / exact_pow10[-q] : d * exact_pow10[q];
-        memcpy(&bits, &d, 8);
     } else if (q < POW10_MIN_Q || q > POW10_MAX_Q) {
         return NULL;
     } else {

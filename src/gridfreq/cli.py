@@ -22,7 +22,8 @@ from .estimator import EstimatorConfig, run
 from .metrics import (DEFAULT_LATENCY_S, DEFAULT_SKIP_S, MetricsReport,
                       aggregate, evaluate)
 from .synth import synthesize
-from .tuner import PsoParams, SearchSpace, apply_gain_vector, pso_tune
+from .tuner import (DIVERGENCE_PENALTY, PsoParams, SearchSpace,
+                    apply_gain_vector, pso_tune)
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -217,6 +218,11 @@ def cmd_tune(args: argparse.Namespace) -> int:
     if args.history is not None:
         gio.write_history(args.history, history)
         print(f"wrote {args.history}")
+    if score >= DIVERGENCE_PENALTY:
+        # as estimate does, the files are written before the divergence
+        print(f"DIVERGED: the best gains found diverge on the battery "
+              f"(fitness {score:.6g})")
+        return EXIT_DIVERGED
     return EXIT_OK
 
 

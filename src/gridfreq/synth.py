@@ -88,14 +88,10 @@ class GroundTruth:
 class ConstantProfile:
     """f(t) = base frequency for all t."""
 
-    def freq(self, t: np.ndarray, f0: float) -> np.ndarray:
-        return np.full_like(t, f0)
-
-    def rocof(self, t: np.ndarray, f0: float) -> np.ndarray:
-        return np.zeros_like(t)
-
-    def freq_integral(self, t: np.ndarray, f0: float) -> np.ndarray:
-        return f0 * t
+    def render(self, t: np.ndarray, f0: float
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(frequency, RoCoF, integral of the frequency from 0) at ``t``."""
+        return np.full_like(t, f0), np.zeros_like(t), f0 * t
 
 
 @dataclass(frozen=True)
@@ -113,23 +109,15 @@ class RampProfile:
         if self.duration <= 0:
             raise ScenarioError("ramp duration must be positive")
 
-    @property
-    def slope(self) -> float:
-        return self.df_hz / self.duration
-
-    def freq(self, t: np.ndarray, f0: float) -> np.ndarray:
+    def render(self, t: np.ndarray, f0: float
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(frequency, RoCoF, integral of the frequency from 0) at ``t``."""
+        slope = self.df_hz / self.duration
         u = np.clip(t - self.t_start, 0.0, self.duration)
-        return f0 + self.slope * u
-
-    def rocof(self, t: np.ndarray, f0: float) -> np.ndarray:
         inside = (t >= self.t_start) & (t < self.t_start + self.duration)
-        return np.where(inside, self.slope, 0.0)
-
-    def freq_integral(self, t: np.ndarray, f0: float) -> np.ndarray:
-        u = np.clip(t - self.t_start, 0.0, self.duration)
-        return f0 * t + 0.5 * self.slope * u * u + self.df_hz * np.clip(
-            t - self.t_start - self.duration, 0.0, None
-        )
+        return (f0 + slope * u, np.where(inside, slope, 0.0),
+                f0 * t + 0.5 * slope * u * u + self.df_hz * np.clip(
+                    t - self.t_start - self.duration, 0.0, None))
 
 
 @dataclass(frozen=True)
@@ -156,23 +144,18 @@ class EventProfile:
     def duration(self) -> float:
         return math.pi * abs(self.peak_dev_hz) / self.peak_rocof_hzps
 
-    def _window(self, t: np.ndarray) -> tuple[np.ndarray, float]:
+    def render(self, t: np.ndarray, f0: float
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(frequency, RoCoF, integral of the frequency from 0) at ``t``."""
         T = self.duration
-        return np.clip(t - self.t_start, 0.0, T), T
-
-    def freq(self, t: np.ndarray, f0: float) -> np.ndarray:
-        u, T = self._window(t)
-        return f0 - 0.5 * self.peak_dev_hz * (1.0 - np.cos(TWO_PI * u / T))
-
-    def rocof(self, t: np.ndarray, f0: float) -> np.ndarray:
-        u, T = self._window(t)
+        u = np.clip(t - self.t_start, 0.0, T)
+        angle = TWO_PI * u / T
+        sin = np.sin(angle)
         inside = (t >= self.t_start) & (t < self.t_start + T)
-        r = -0.5 * self.peak_dev_hz * (TWO_PI / T) * np.sin(TWO_PI * u / T)
-        return np.where(inside, r, 0.0)
-
-    def freq_integral(self, t: np.ndarray, f0: float) -> np.ndarray:
-        u, T = self._window(t)
-        return f0 * t - 0.5 * self.peak_dev_hz * (u - (T / TWO_PI) * np.sin(TWO_PI * u / T))
+        half_dev = 0.5 * self.peak_dev_hz
+        return (f0 - half_dev * (1.0 - np.cos(angle)),
+                np.where(inside, -half_dev * (TWO_PI / T) * sin, 0.0),
+                f0 * t - half_dev * (u - (T / TWO_PI) * sin))
 
 
 FreqProfile = ConstantProfile | RampProfile | EventProfile
@@ -329,11 +312,22 @@ def synthesize(spec: ScenarioSpec, fs: float, seed: int | None = None
 
     clean, truth = _render(spec, fs)
     if spec.noise is not None and spec.noise.level > 0:
-        values = clean + _noise(spec.noise, clean.size, spec.amp_pu,
-                                spec.noise.seed if seed is None else seed)
+        with np.errstate(all="ignore"):
+            values = clean + _noise(spec.noise, clean.size, spec.amp_pu,
+                                    spec.noise.seed if seed is None else seed)
+        _require_finite("sample", values, fs)
     else:
         values = clean.copy()
     return SampleStream(t0=0.0, ts=1.0 / fs, values=values), truth
+
+
+def _require_finite(name: str, values: np.ndarray, fs: float) -> None:
+    """Reject rendered ``values`` sampled at ``fs`` that are not all finite,
+    naming ``name`` and the time of the first that is not."""
+    finite = np.isfinite(values)
+    if not finite.all():
+        raise ScenarioError(f"the rendered {name} is not finite, first at "
+                            f"t = {int(finite.argmin()) / fs:g} s")
 
 
 # (spec, fs, (values, truth)) of the last render; one assignment replaces
@@ -341,8 +335,13 @@ def synthesize(spec: ScenarioSpec, fs: float, seed: int | None = None
 _last_render: tuple = (None, None, None)
 
 
+@np.errstate(all="ignore")
 def _render(spec: ScenarioSpec, fs: float) -> tuple[np.ndarray, GroundTruth]:
     """The noise-free waveform of ``spec`` at ``fs`` and its truth, read-only.
+
+    A frequency, RoCoF, phase or sample that is not finite (a value that
+    overflows a double) raises ScenarioError; numpy's floating-point
+    warnings are silenced, since the checks name what went wrong.
 
     A hit needs the same spec object, not an equal one: a command that
     reads its scenario file anew renders it anew, and an equal spec built
@@ -365,7 +364,8 @@ def _render(spec: ScenarioSpec, fs: float) -> tuple[np.ndarray, GroundTruth]:
         raise MemoryError(f"{n_samples} samples at fs={fs:g} do not fit in "
                           f"memory") from None
 
-    f1 = spec.profile.freq(t, spec.base_freq)
+    f1, rocof, integral = spec.profile.render(t, spec.base_freq)
+    _require_finite("frequency", f1, fs)
     if spec.max_order * f1.max() >= fs / 2:
         raise ScenarioError(
             f"harmonic order {spec.max_order} at {f1.max():g} Hz violates Nyquist for fs={fs:g}"
@@ -373,8 +373,8 @@ def _render(spec: ScenarioSpec, fs: float) -> tuple[np.ndarray, GroundTruth]:
     if f1.min() <= 0:
         raise ScenarioError(f"the fundamental falls to {f1.min():g} Hz; it "
                             f"must stay above 0 Hz")
-    rocof = spec.profile.rocof(t, spec.base_freq)
-    phi1 = TWO_PI * spec.profile.freq_integral(t, spec.base_freq) + spec.phase0_rad
+    _require_finite("RoCoF", rocof, fs)
+    phi1 = TWO_PI * integral + spec.phase0_rad
 
     amp = np.full(n_samples, spec.amp_pu, dtype=float)
     phase = phi1.copy()
@@ -382,6 +382,7 @@ def _render(spec: ScenarioSpec, fs: float) -> tuple[np.ndarray, GroundTruth]:
         win = (t >= s.t_start) & (t < s.t_start + s.duration)
         amp[win] *= 1.0 + s.amp_step_pu
         phase[win] += s.phase_step_rad
+    _require_finite("phase", phase, fs)
 
     values = amp * np.sin(phase)
     for h in spec.harmonics:
@@ -393,6 +394,7 @@ def _render(spec: ScenarioSpec, fs: float) -> tuple[np.ndarray, GroundTruth]:
     if spec.distortion_knee is not None:
         k = spec.distortion_knee
         values = k * np.tanh(values / k)
+    _require_finite("sample", values, fs)
 
     values.flags.writeable = False
     truth = GroundTruth(t0=0.0, ts=1.0 / fs, freq_hz=f1, rocof_hzps=rocof,

@@ -86,6 +86,27 @@ class TestSynth:
                             f"it must stay above 0 Hz\n", err), err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("body, message", [
+        ("profile = ramp\nprofile.t_start = 0.2\nprofile.duration = 1e-320\n"
+         "profile.df_hz = 1.0\n",
+         "the rendered frequency is not finite, first at t = 0 s"),
+        ("amp_pu = 1.5e308\nharmonic_1.order = 3\nharmonic_1.rel_amp = 1.0\n",
+         "the rendered sample is not finite, first at t = 0.00166667 s"),
+    ], ids=["ramp", "amplitude"])
+    def test_render_that_is_not_finite_is_input_error(self, tmp_path, capsys,
+                                                      body, message):
+        # a numpy RuntimeWarning fails the test (pyproject's filterwarnings)
+        path = tmp_path / "bad.cfg"
+        path.write_text("duration = 1.0\nbase_freq = 50.0\n" + body)
+        for argv in (["synth", str(path), "--out", str(tmp_path / "out")],
+                     ["metrics", "--scenario", str(path), "--seeds", "1"]):
+            rc = main(argv)
+            out, err = capsys.readouterr()
+            assert rc == EXIT_INPUT
+            assert err == f"error: {message}\n"
+            assert out == ""
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("line, key", [
         ("harmonic_1.order = 2.9", "harmonic_1.order"),
         ("duration = nan", "duration"),
@@ -678,6 +699,26 @@ class TestTune:
         tuned = gio.read_config(out_cfg)
         assert all(10.0 <= g <= 100.0 for g in tuned.gamma_c)
         assert hist.read_text().startswith("iteration,best_score")
+
+    def test_all_diverged_tune_exits_3(self, tmp_path, capsys):
+        # every gain in [1e6, 1e7] diverges on case1
+        out_cfg, hist = tmp_path / "tuned.cfg", tmp_path / "hist.csv"
+        rc = main(["tune", "--scenario", str(SCENARIOS / "case1.cfg"),
+                   "--gain-lo", "1e6", "--gain-hi", "1e7", "--swarm", "4",
+                   "--iterations", "2", "--out", str(out_cfg),
+                   "--history", str(hist)])
+        assert rc == EXIT_DIVERGED
+        out = capsys.readouterr().out
+        assert out.splitlines()[-1] == ("DIVERGED: the best gains found "
+                                        "diverge on the battery (fitness 1e+06)")
+        # the files are written, as estimate writes its rows
+        tuned = gio.read_config(out_cfg)
+        assert all(1e6 <= g <= 1e7 for g in tuned.gamma_c)
+        assert hist.read_bytes() == b"iteration,best_score\r\n" + b"".join(
+            f"{i},1000000.0\r\n".encode() for i in range(2))
+        rc = main(["metrics", "--scenario", str(SCENARIOS / "case1.cfg"),
+                   "--config", str(out_cfg), "--seeds", "1"])
+        assert rc == EXIT_DIVERGED
 
     def test_tune_eta_stays_in_range(self, tmp_path, scenario_file):
         out_cfg = tmp_path / "tuned.cfg"

@@ -68,10 +68,41 @@ def test_eval_model_is_linear_in_the_coefficients(data, n, omega, t):
 def test_event_profile_respects_its_peaks(peak_dev, peak_rocof, t):
     ev = EventProfile(t_start=1.0, peak_dev_hz=peak_dev,
                       peak_rocof_hzps=peak_rocof)
-    ta = np.array([t])
-    dev = abs(float(ev.freq(ta, 50.0)[0]) - 50.0)
+    freq, rocof, _ = ev.render(np.array([t]), 50.0)
+    dev = abs(float(freq[0]) - 50.0)
     assert dev <= abs(peak_dev) * (1.0 + 1e-9)
-    assert abs(float(ev.rocof(ta, 50.0)[0])) <= peak_rocof * (1.0 + 1e-9)
+    assert abs(float(rocof[0])) <= peak_rocof * (1.0 + 1e-9)
+
+
+smooth_profiles = st.one_of(
+    st.just(ConstantProfile()),
+    st.builds(RampProfile, t_start=st.floats(0.0, 5.0),
+              duration=st.floats(0.01, 5.0), df_hz=st.floats(-10.0, 10.0)),
+    st.builds(EventProfile, t_start=st.floats(0.0, 5.0),
+              peak_dev_hz=st.floats(-5.0, 5.0).filter(lambda v: abs(v) >= 0.01),
+              peak_rocof_hzps=st.floats(0.1, 10.0)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(profile=smooth_profiles, f0=st.floats(10.0, 100.0),
+       t=st.lists(st.floats(0.0, 10.0), min_size=1, max_size=20))
+def test_profile_render_is_consistent(profile, f0, t):
+    """A profile's RoCoF is the slope of its frequency, and its frequency
+    the slope of its integral: central differences agree, away from the
+    corners where a ramp's RoCoF or an event's slope of RoCoF steps."""
+    h = 1e-4 * min(getattr(profile, "duration", 1.0), 1.0)
+    t = np.array(t)
+    if not isinstance(profile, ConstantProfile):
+        corners = np.array([profile.t_start, profile.t_start + profile.duration])
+        t = t[np.abs(t[:, None] - corners).min(axis=1) > 2 * h]
+    freq, rocof, _ = profile.render(t, f0)
+    f_hi, _, i_hi = profile.render(t + h, f0)
+    f_lo, _, i_lo = profile.render(t - h, f0)
+    step = (t + h) - (t - h)
+    np.testing.assert_allclose((f_hi - f_lo) / step, rocof, rtol=0, atol=1e-6
+                               * (1.0 + np.abs(rocof).max(initial=0.0)))
+    np.testing.assert_allclose((i_hi - i_lo) / step, freq, rtol=0,
+                               atol=1e-6 * (1.0 + np.abs(freq).max(initial=0.0)))
 
 
 @settings(max_examples=25, deadline=None)
@@ -596,6 +627,36 @@ def test_c_rows_are_numpys_or_deferred(data, width, nrows, crlf, last_end):
         assert not {"repr", "%.17g"} >= set(ways)
         return
     expect = gio._loadtxt(text.split(end)[1:])
+    assert (arr.shape, arr.tobytes()) == (expect.shape, expect.tobytes())
+
+
+@st.composite
+def midpoint_decimals(draw):
+    """"{w}e{q}", 1 <= q <= 23 and w < 10^19, for an exact midpoint between
+    two adjacent doubles, or w - 1 or w + 1 beside it.  The midpoint's odd
+    part, o * 5^q, has the 54 bits of a double's significand and one more."""
+    q = draw(st.integers(1, 23))
+    o = draw(st.integers(-(-2 ** 53 // 5 ** q), 2 ** 54 // 5 ** q)) | 1
+    assume((o * 5 ** q).bit_length() == 54)
+    w = o << draw(st.integers(0, ((10 ** 19 - 1) // o).bit_length() - 1))
+    x = float(w * 10 ** q)
+    ulp = Fraction(math.nextafter(x, math.inf)) - Fraction(x)
+    assert abs(Fraction(w * 10 ** q) - Fraction(x)) == ulp / 2
+    return f"{w + draw(st.sampled_from([0, -1, 1]))}e{q}"
+
+
+@needs_cc
+@settings(max_examples=300, deadline=None)
+@given(fields=st.lists(
+    st.builds("{}e{}".format, st.integers(1, 2 ** 53), st.integers(-22, 22))
+    | midpoint_decimals(), min_size=1, max_size=20))
+def test_c_parser_reads_exact_and_tied_decimals(fields):
+    """w * 10^q with w <= 2^53 and |q| <= 22, where a double holds w and
+    10^|q| exactly, and exact midpoints between doubles, which round to
+    even, read as float() reads them."""
+    arr = _native.parse_rows("\n".join(fields).encode(), 0, 1)
+    expect = np.array([[float(f)] for f in fields])
+    assert arr is not None
     assert (arr.shape, arr.tobytes()) == (expect.shape, expect.tobytes())
 
 

@@ -396,6 +396,41 @@ class TestDistortionAndNyquist:
         assert str(info.value) == (f"the fundamental falls to {minimum} Hz; "
                                    f"it must stay above 0 Hz")
 
+    @pytest.mark.parametrize("spec, message", [
+        # df_hz / 1e-320 overflows: every frequency is nan
+        (ScenarioSpec(duration=1.0, base_freq=50.0,
+                      profile=RampProfile(t_start=0.2, duration=1e-320,
+                                          df_hz=1.0)),
+         "the rendered frequency is not finite, first at t = 0 s"),
+        # 1.5e308 * (sin(phi) + sin(3 phi)) overflows from sample 2
+        (ScenarioSpec(duration=1.0, base_freq=50.0, amp_pu=1.5e308,
+                      harmonics=(HarmonicSpec(order=3, rel_amp=1.0),)),
+         f"the rendered sample is not finite, first at t = {2 / FS:g} s"),
+        (ScenarioSpec(duration=1.0, base_freq=50.0, amp_pu=1.0,
+                      steps=(StepSpec(t_start=0.5, duration=0.1,
+                                      phase_step_rad=1e308),
+                             StepSpec(t_start=0.5, duration=0.1,
+                                      phase_step_rad=1e308))),
+         "the rendered phase is not finite, first at t = 0.5 s"),
+    ], ids=["ramp slope", "harmonic sum", "phase steps"])
+    def test_render_that_is_not_finite_rejected(self, spec, message):
+        # a numpy RuntimeWarning fails the test (pyproject's filterwarnings)
+        for _ in range(2):      # a failed render is not kept
+            with pytest.raises(ScenarioError) as info:
+                synthesize(spec, FS)
+            assert str(info.value) == message
+
+    def test_noise_that_overflows_rejected(self):
+        # the clean render is finite; 10 x 0.2 x 1e308 impulses are not
+        spec = ScenarioSpec(duration=1.0, base_freq=50.0, amp_pu=1e308,
+                            noise=NoiseSpec(kind="impulsive", level=0.2,
+                                            impulse_rate=1.0))
+        with pytest.raises(ScenarioError, match=r"^the rendered sample is "
+                                                r"not finite, first at t = 0 s$"):
+            synthesize(spec, FS)
+        stream, _ = synthesize(replace(spec, noise=None), FS)
+        assert np.isfinite(stream.values).all()
+
     def test_more_samples_than_an_array_holds_rejected(self):
         with pytest.raises(ScenarioError, match=r"^1e\+301 samples at "
                                                 r"fs=1e\+300 are more than"):
