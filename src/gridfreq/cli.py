@@ -14,14 +14,13 @@ import math
 import sys
 from dataclasses import replace
 from pathlib import Path
-from typing import Any, Callable
 
 from . import io as gio
-from .errors import ConfigError, GridFreqError
+from .errors import ConfigError, GridFreqError, ScenarioError, named
 from .estimator import EstimatorConfig, run
 from .metrics import (DEFAULT_LATENCY_S, DEFAULT_SKIP_S, MetricsReport,
                       aggregate, evaluate)
-from .synth import synthesize
+from .synth import GroundTruth, SampleStream, ScenarioSpec, synthesize
 from .tuner import (DIVERGENCE_PENALTY, PsoParams, SearchSpace,
                     apply_gain_vector, pso_tune)
 
@@ -47,30 +46,28 @@ def _print_report(report: MetricsReport, label: str = "") -> None:
     print(f"{'pairs':>16}: {report.n_samples}")
 
 
-def _require_finite(args: argparse.Namespace, *names: str) -> None:
-    """Reject a float flag that is not finite, naming the flag."""
-    for name in names:
-        value = getattr(args, name)
-        if value is not None and not math.isfinite(value):
-            raise ConfigError(f"--{name.replace('_', '-')} must be finite, got {value}")
+def _check_flags(args: argparse.Namespace) -> None:
+    """Reject, naming the flag, a float or list item that is not finite, a
+    negative ``--seed``, ``--latency-ms`` or ``--skip``, or ``--fs <= 0``."""
+    for name, value in vars(args).items():
+        flag = "--" + name.replace("_", "-")
+        for x in value if isinstance(value, list) else [value]:
+            if isinstance(x, float) and not math.isfinite(x):
+                raise ConfigError(f"{flag} must be finite, got {x}")
+        if name == "fs" and value <= 0:
+            raise ConfigError(f"{flag} must be positive, got {value}")
+        if name in ("seed", "latency_ms", "skip") and (value or 0) < 0:
+            raise ConfigError(f"{flag} must be non-negative, got {value}")
 
 
-def _require_non_negative(args: argparse.Namespace, *names: str) -> None:
-    """Reject a numeric flag below zero, naming the flag."""
-    for name in names:
-        value = getattr(args, name)
-        if value is not None and value < 0:
-            raise ConfigError(f"--{name.replace('_', '-')} must be non-negative, "
-                              f"got {value}")
-
-
-def _flagged(flag: str, build: Callable[..., Any], *args: Any,
-             **kwargs: Any) -> Any:
-    """``build(*args, **kwargs)``, naming the flag in any ConfigError."""
-    try:
-        return build(*args, **kwargs)
-    except ConfigError as exc:
-        raise ConfigError(f"{flag}: {exc}") from None
+def _render(path: str, spec: ScenarioSpec, config: EstimatorConfig,
+            seed: int | None) -> tuple[SampleStream, GroundTruth]:
+    """Render ``spec`` at the config's rate; any error names file ``path``."""
+    stream, truth = named(path, synthesize, spec, 1.0 / config.ts, seed=seed)
+    if len(stream) < config.report_every:
+        raise ScenarioError(f"{path}: {len(stream)} samples give no report "
+                            f"at report_every = {config.report_every}")
+    return stream, truth
 
 
 def _check_bounds(report: MetricsReport, args: argparse.Namespace) -> bool:
@@ -88,9 +85,9 @@ def _check_bounds(report: MetricsReport, args: argparse.Namespace) -> bool:
 # --------------------------------------------------------------------------
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    _require_non_negative(args, "seed")
     spec = gio.read_scenario(args.scenario)
-    stream, truth = synthesize(spec, args.fs, seed=args.seed)
+    stream, truth = named(args.scenario, synthesize, spec, args.fs,
+                          seed=args.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     stem = Path(args.scenario).stem
@@ -105,8 +102,8 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     stream = gio.read_samples(args.samples)
     config = _load_config(args.config)
     # the stream's interval is t[1] - t[0] of the file's time column
-    series = _flagged(f"{args.samples}: time column t[1] - t[0]", run,
-                      stream, config)
+    series = named(f"{args.samples}: time column t[1] - t[0]", run,
+                   stream, config)
     gio.write_estimates(args.out, series)
     print(f"wrote {args.out} ({len(series)} records)")
     if series.diverged_at is not None:
@@ -117,8 +114,6 @@ def cmd_estimate(args: argparse.Namespace) -> int:
 
 
 def cmd_metrics(args: argparse.Namespace) -> int:
-    _require_finite(args, "latency_ms", "skip", *BOUNDS)
-    _require_non_negative(args, "latency_ms", "skip")
     latency = args.latency_ms / 1000.0
     if args.scenario is not None:
         # Monte-Carlo mode: synthesize/run/evaluate over a seed ensemble
@@ -134,7 +129,7 @@ def cmd_metrics(args: argparse.Namespace) -> int:
         reports = []
         diverged = 0
         for seed in range(seeds):
-            stream, truth = synthesize(spec, 1.0 / config.ts, seed=seed)
+            stream, truth = _render(args.scenario, spec, config, seed)
             series = run(stream, config)
             if series.diverged_at is not None:
                 diverged += 1
@@ -155,9 +150,8 @@ def cmd_metrics(args: argparse.Namespace) -> int:
             raise ConfigError("--seeds: only --scenario mode renders seeds; "
                               "--est is one run")
         if args.est is None or args.truth is None:
-            print("metrics: need either --scenario or both --est and --truth",
-                  file=sys.stderr)
-            return EXIT_INPUT
+            raise ConfigError("need either --scenario or both --est "
+                              "and --truth")
         series = gio.read_estimates(args.est)
         truth = gio.read_truth(args.truth)
         report = evaluate(series, truth, latency, skip_s=args.skip)
@@ -170,48 +164,43 @@ def cmd_metrics(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep_eta(args: argparse.Namespace) -> int:
-    _require_finite(args, "latency_ms", "skip")
-    _require_non_negative(args, "latency_ms", "skip", "seed")
     spec = gio.read_scenario(args.scenario)
     base = _load_config(args.config)
     latency = args.latency_ms / 1000.0
     # every rate is checked before the first run: replace validates
-    configs = [(ratio, _flagged(f"--ratios {ratio}", replace, base,
-                                eta_opt=base.eta_opt * ratio))
+    configs = [(ratio, named(f"--ratios {ratio}", replace, base,
+                             eta_opt=base.eta_opt * ratio))
                for ratio in args.ratios]
-    stream, truth = synthesize(spec, 1.0 / base.ts, seed=args.seed)
+    stream, truth = _render(args.scenario, spec, base, args.seed)
     print(",".join(gio.SWEEP_HEADER))
     reports = []
     for ratio, cfg in configs:
         series = run(stream, cfg)
         if series.diverged_at is not None:
             print(f"{ratio},DIVERGED,DIVERGED")
-            return EXIT_DIVERGED
+            break
         reports.append(evaluate(series, truth, latency, skip_s=args.skip))
         print(f"{ratio},{reports[-1].rmse_fe!r},{reports[-1].rmse_re!r}")
-    if args.out is not None:
-        gio.write_sweep(args.out, args.ratios, reports)
-    return EXIT_OK
+    if args.out is not None:      # with the rows before a divergence
+        gio.write_sweep(args.out, args.ratios[:len(reports)], reports)
+    return EXIT_OK if len(reports) == len(configs) else EXIT_DIVERGED
 
 
 def cmd_tune(args: argparse.Namespace) -> int:
-    _require_non_negative(args, "seed")
     if not args.scenario:
         raise ConfigError("--scenario: scenario battery must not be empty")
-    pso = _flagged("--swarm", PsoParams, swarm_size=args.swarm, seed=args.seed)
-    pso = _flagged("--iterations", replace, pso, iterations=args.iterations)
+    pso = named("--swarm", PsoParams, swarm_size=args.swarm, seed=args.seed)
+    pso = named("--iterations", replace, pso, iterations=args.iterations)
     config = _load_config(args.config)
-    gains = _flagged("--gain-lo/--gain-hi", SearchSpace,
-                     ((args.gain_lo, args.gain_hi),), log_scale=True)
+    gains = named("--gain-lo/--gain-hi", SearchSpace,
+                  ((args.gain_lo, args.gain_hi),), log_scale=True)
     bounds = gains.bounds * (2 * config.n + 2)
     if args.tune_eta is not None:
-        bounds += _flagged("--tune-eta", SearchSpace, (tuple(args.tune_eta),),
-                           log_scale=True).bounds
+        bounds += named("--tune-eta", SearchSpace, (tuple(args.tune_eta),),
+                        log_scale=True).bounds
     space = SearchSpace(bounds=bounds, log_scale=True)
-    scenarios = []
-    for path in args.scenario:
-        spec = gio.read_scenario(path)
-        scenarios.append(synthesize(spec, 1.0 / config.ts, seed=args.seed))
+    scenarios = [_render(path, gio.read_scenario(path), config, args.seed)
+                 for path in args.scenario]
     best, score, history = pso_tune(space, scenarios, pso, config)
     gio.write_config(args.out, apply_gain_vector(config, best))
     print(f"wrote {args.out} (fitness {score:.6g})")
@@ -302,6 +291,7 @@ def main(argv: list[str] | None = None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
+        _check_flags(args)
         return args.func(args)
     except (GridFreqError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

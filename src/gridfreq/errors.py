@@ -1,4 +1,6 @@
-"""Exception types, and the count check, shared across the package."""
+"""Exception types and the helpers shared across the package."""
+
+from typing import Any, Callable
 
 
 class GridFreqError(Exception):
@@ -28,3 +30,13 @@ def is_count(value: object) -> bool:
     its own way (a backend of the estimator, or numpy's generator).
     """
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def named(source: object, build: Callable[..., Any], /, *args: Any,
+          **kwargs: Any) -> Any:
+    """``build(*args, **kwargs)``; a :class:`GridFreqError` raised in it
+    gets ``source: `` before its message and keeps its type."""
+    try:
+        return build(*args, **kwargs)
+    except GridFreqError as exc:
+        raise type(exc)(f"{source}: {exc}") from None

@@ -31,7 +31,7 @@ from typing import Any, NoReturn, Sequence
 import numpy as np
 
 from . import _native
-from .errors import GridFreqError, ScenarioError
+from .errors import ScenarioError, named
 from .estimator import (ROW_COLUMNS, TIME_ROUNDING, EstimateSeries,
                         EstimatorConfig)
 from .metrics import MetricsReport
@@ -43,8 +43,7 @@ SAMPLE_HEADER = ["t", "value"]
 TRUTH_HEADER = ["t", "freq_hz", "rocof_hzps", "amp_pu", "phase_rad"]
 HISTORY_HEADER = ["iteration", "best_score"]
 SWEEP_HEADER = ["ratio", "rmse_fe", "rmse_re"]
-_NEWLINE = re.compile(r"\r\n?|\n")    # where text mode ends a line
-_LINE_END = re.compile(rb"\r\n?|\n")   # the same in bytes
+_LINE_END = re.compile(rb"\r\n?|\n")   # where text mode ends a line
 _CHUNK_ROWS = 4096                      # rows formatted per write
 
 
@@ -133,15 +132,16 @@ def _fault(path: str | Path, header: list[str]) -> NoReturn:
 
 
 def _text_lines(path: str | Path) -> list[str]:
-    """The lines of a UTF-8 file, split where text mode splits them; a byte
-    that is not UTF-8 raises :class:`ScenarioError` naming its line."""
-    data = Path(path).read_bytes()
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        line = len(_NEWLINE.split(data[:exc.start].decode("utf-8")))
-        raise ScenarioError(f"{path}:{line}: not UTF-8 text") from None
-    return _NEWLINE.split(text)
+    """The lines of a UTF-8 file, split where text mode splits them (no UTF-8
+    sequence holds a CR or LF byte); a byte that is not UTF-8 raises
+    :class:`ScenarioError` naming its line."""
+    lines: list[str] = []
+    for lineno, line in enumerate(_LINE_END.split(Path(path).read_bytes()), 1):
+        try:
+            lines.append(line.decode("utf-8"))
+        except UnicodeDecodeError:
+            raise ScenarioError(f"{path}:{lineno}: not UTF-8 text") from None
+    return lines
 
 
 def _uniform_grid(path: str | Path, t: np.ndarray, what: str
@@ -375,10 +375,7 @@ def _read(keys: _Keys, cls: type, prefix: str = "", **given: Any) -> Any:
                                    for i in range(1, values["n"] + 1))
         else:
             values[f.name] = keys.take(key, _SCALARS[f.type], f.default)
-    try:
-        return cls(**values)
-    except GridFreqError as exc:      # a value check of the dataclass
-        raise type(exc)(f"{keys.path}: {exc}") from None
+    return named(keys.path, cls, **values)   # a value check of the dataclass
 
 
 def _write_kv(path: str | Path, obj: Any) -> None:

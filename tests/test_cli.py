@@ -57,15 +57,16 @@ class TestSynth:
         # 1e16 samples, 71 PiB of times alone: no host can allocate them
         ("1e15", "error: out of memory: 10000000000000001 samples at "
                  "fs=1e+15 do not fit in memory\n"),
-        ("1e300", "error: 1e+301 samples at fs=1e+300 are more than one "
-                  "array of doubles can hold\n"),
+        ("1e300", "error: {path}: 1e+301 samples at fs=1e+300 are more "
+                  "than one array of doubles can hold\n"),
     ])
     def test_render_too_large_is_input_error(self, tmp_path, capsys, fs,
                                              message):
-        rc = main(["synth", str(SCENARIOS / "clean.cfg"), "--fs", fs,
+        path = SCENARIOS / "clean.cfg"
+        rc = main(["synth", str(path), "--fs", fs,
                    "--out", str(tmp_path / "out")])
         assert rc == EXIT_INPUT
-        assert capsys.readouterr().err == message
+        assert capsys.readouterr().err == message.format(path=path)
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("profile, minimum", [
@@ -82,8 +83,9 @@ class TestSynth:
         rc = main(["synth", str(path), "--out", str(tmp_path / "out")])
         assert rc == EXIT_INPUT
         err = capsys.readouterr().err
-        assert re.fullmatch(f"error: the fundamental falls to {minimum} Hz; "
-                            f"it must stay above 0 Hz\n", err), err
+        assert re.fullmatch(f"error: {re.escape(str(path))}: the fundamental "
+                            f"falls to {minimum} Hz; it must stay above 0 Hz\n",
+                            err), err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("body, message", [
@@ -99,11 +101,16 @@ class TestSynth:
         path = tmp_path / "bad.cfg"
         path.write_text("duration = 1.0\nbase_freq = 50.0\n" + body)
         for argv in (["synth", str(path), "--out", str(tmp_path / "out")],
-                     ["metrics", "--scenario", str(path), "--seeds", "1"]):
+                     ["metrics", "--scenario", str(path), "--seeds", "1"],
+                     ["sweep-eta", str(path)],
+                     # the file at fault is the second of the battery
+                     ["tune", "--scenario", str(SCENARIOS / "case1.cfg"),
+                      "--scenario", str(path), "--swarm", "2",
+                      "--iterations", "1", "--out", str(tmp_path / "out")]):
             rc = main(argv)
             out, err = capsys.readouterr()
             assert rc == EXIT_INPUT
-            assert err == f"error: {message}\n"
+            assert err == f"error: {path}: {message}\n"
             assert out == ""
         assert not (tmp_path / "out").exists()
 
@@ -265,6 +272,10 @@ class TestEstimateAndMetrics:
 
     def test_metrics_needs_inputs(self, capsys):
         assert main(["metrics"]) == EXIT_INPUT
+        out, err = capsys.readouterr()
+        assert err == ("error: need either --scenario or both --est and "
+                       "--truth\n")
+        assert out == ""
 
     def test_monte_carlo_mode(self, tmp_path, capsys):
         path = tmp_path / "noisy.cfg"
@@ -549,6 +560,44 @@ class TestSweepEta:
                      "--ratios", "0"]) == EXIT_INPUT
         assert "eta_opt must be positive" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("ratios, kept", [(["1.0", "1000"], 1),
+                                              (["1000", "1.0"], 0)])
+    def test_divergence_writes_the_rows_before_it(self, tmp_path, capsys,
+                                                  ratios, kept):
+        out_csv = tmp_path / "sweep.csv"
+        rc = main(["sweep-eta", str(SCENARIOS / "case1.cfg"),
+                   "--ratios", *ratios, "--out", str(out_csv)])
+        assert rc == EXIT_DIVERGED
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == kept + 2
+        assert lines[-1] == "1000.0,DIVERGED,DIVERGED"
+        # as estimate writes its rows, the table stops at the divergence
+        assert out_csv.read_bytes() == "".join(
+            line + "\r\n" for line in lines[:-1]).encode()
+
+
+class TestShortScenario:
+    @pytest.mark.parametrize("argv", [
+        ["metrics", "--scenario", "{path}", "--seeds", "1"],
+        ["sweep-eta", "{path}"],
+        ["tune", "--scenario", str(SCENARIOS / "case1.cfg"),
+         "--scenario", "{path}", "--swarm", "2", "--iterations", "1"],
+    ], ids=["metrics", "sweep-eta", "tune"])
+    def test_too_short_to_report_is_input_error(self, tmp_path, capsys, argv):
+        # 7 samples at 1200 Hz give no report: tune would score the empty
+        # series as a divergence, and metrics fail on it unnamed
+        path = tmp_path / "short.cfg"
+        path.write_text("duration = 0.005\nbase_freq = 50.0\n")
+        out_file = tmp_path / "out"
+        rc = main([*(a.format(path=path) for a in argv),
+                   "--out", str(out_file)])
+        out, err = capsys.readouterr()
+        assert rc == EXIT_INPUT
+        assert err == (f"error: {path}: 7 samples give no report at "
+                       f"report_every = 12\n")
+        assert out == ""
+        assert not out_file.exists()
+
 
 class TestUndecodableInput:
     """A byte that is not UTF-8, in any input file, exits 2 naming its line."""
@@ -600,11 +649,13 @@ class TestUndecodableInput:
 
 class TestNonFiniteInput:
     @pytest.mark.parametrize("argv, message", [
-        (["synth", "{scenario}", "--fs", "nan"], "sampling rate"),
-        (["synth", "{scenario}", "--fs", "inf"], "sampling rate"),
-        (["sweep-eta", "{scenario}", "--ratios", "nan"], "eta_opt"),
+        (["synth", "{scenario}", "--fs", "nan"], "--fs must be finite, got nan"),
+        (["synth", "{scenario}", "--fs", "inf"], "--fs must be finite, got inf"),
+        (["sweep-eta", "{scenario}", "--ratios", "nan"],
+         "--ratios must be finite, got nan"),
         (["tune", "--scenario", "{scenario}", "--gain-hi", "inf",
-          "--swarm", "2", "--iterations", "1"], "bounds must be finite"),
+          "--swarm", "2", "--iterations", "1"],
+         "--gain-hi must be finite, got inf"),
         *((["metrics", "--scenario", "{scenario}", "--seeds", "1", flag, "nan"],
            f"{flag} must be finite")
           for flag in ("--max-fe", "--rmse-fe", "--max-re", "--rmse-re",
@@ -612,6 +663,8 @@ class TestNonFiniteInput:
         (["sweep-eta", "{scenario}", "--latency-ms", "nan"],
          "--latency-ms must be finite"),
         (["sweep-eta", "{scenario}", "--skip", "inf"], "--skip must be finite"),
+        (["tune", "--scenario", "{scenario}", "--tune-eta", "100", "nan"],
+         "--tune-eta must be finite, got nan"),
     ])
     def test_is_input_error(self, tmp_path, scenario_file, capsys, argv,
                             message):
@@ -670,6 +723,9 @@ class TestBadFlag:
          "--seed must be non-negative, got -1"),
         (["tune", "--scenario", "{scenario}", "--seed", "-1"],
          "--seed must be non-negative, got -1"),
+        (["synth", "{scenario}", "--fs", "0"], "--fs must be positive, got 0.0"),
+        (["synth", "{scenario}", "--fs", "-1200"],
+         "--fs must be positive, got -1200.0"),
     ])
     def test_exits_2_naming_the_flag(self, tmp_path, scenario_file, capsys,
                                      monkeypatch, argv, message):

@@ -411,6 +411,20 @@ class TestScenarioRoundTrip:
         spec = gio.read_scenario(path)
         assert isinstance(spec.profile, ConstantProfile)
 
+    @pytest.mark.parametrize("end", [b"\n", b"\r\n", b"\r"])
+    def test_line_ends_and_utf8(self, tmp_path, end):
+        # lines end where text mode ends them; a multi-byte character in a
+        # comment is read, and a byte that is not UTF-8 names its line
+        path = tmp_path / "s.cfg"
+        lines = ["# \u00b5s and \u2126".encode(), b"duration = 1.0",
+                 b"base_freq = 50.0"]
+        path.write_bytes(end.join(lines) + end)
+        assert gio.read_scenario(path) == ScenarioSpec(duration=1.0,
+                                                       base_freq=50.0)
+        path.write_bytes(end.join([*lines, b"# \xff"]) + end)
+        with pytest.raises(ScenarioError, match="s.cfg:4: not UTF-8 text$"):
+            gio.read_scenario(path)
+
 
 SHIPPED = ["clean.cfg", "case1.cfg", "case1b.cfg", "case2.cfg", "case2b.cfg",
            "case3.cfg"]
