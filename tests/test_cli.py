@@ -57,8 +57,11 @@ class TestSynth:
         # 1e16 samples, 71 PiB of times alone: no host can allocate them
         ("1e15", "error: out of memory: 10000000000000001 samples at "
                  "fs=1e+15 do not fit in memory\n"),
-        ("1e300", "error: {path}: 1e+301 samples at fs=1e+300 are more "
-                  "than one array of doubles can hold\n"),
+        # the id keeps the message as it read before the file was named
+        pytest.param("1e300", "error: {path}: 1e+301 samples at fs=1e+300 "
+                              "are more than one array of doubles can hold\n",
+                     id="1e300-error: 1e+301 samples at fs=1e+300 are more "
+                        "than one array of doubles can hold\n"),
     ])
     def test_render_too_large_is_input_error(self, tmp_path, capsys, fs,
                                              message):
@@ -649,13 +652,18 @@ class TestUndecodableInput:
 
 class TestNonFiniteInput:
     @pytest.mark.parametrize("argv, message", [
-        (["synth", "{scenario}", "--fs", "nan"], "--fs must be finite, got nan"),
-        (["synth", "{scenario}", "--fs", "inf"], "--fs must be finite, got inf"),
-        (["sweep-eta", "{scenario}", "--ratios", "nan"],
-         "--ratios must be finite, got nan"),
-        (["tune", "--scenario", "{scenario}", "--gain-hi", "inf",
-          "--swarm", "2", "--iterations", "1"],
-         "--gain-hi must be finite, got inf"),
+        # these ids name the quantity, as the messages did before they
+        # named the flag
+        pytest.param(["synth", "{scenario}", "--fs", "nan"],
+                     "--fs must be finite, got nan", id="argv0-sampling rate"),
+        pytest.param(["synth", "{scenario}", "--fs", "inf"],
+                     "--fs must be finite, got inf", id="argv1-sampling rate"),
+        pytest.param(["sweep-eta", "{scenario}", "--ratios", "nan"],
+                     "--ratios must be finite, got nan", id="argv2-eta_opt"),
+        pytest.param(["tune", "--scenario", "{scenario}", "--gain-hi", "inf",
+                      "--swarm", "2", "--iterations", "1"],
+                     "--gain-hi must be finite, got inf",
+                     id="argv3-bounds must be finite"),
         *((["metrics", "--scenario", "{scenario}", "--seeds", "1", flag, "nan"],
            f"{flag} must be finite")
           for flag in ("--max-fe", "--rmse-fe", "--max-re", "--rmse-re",
