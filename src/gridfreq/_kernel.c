@@ -1,4 +1,4 @@
-/* The package's C library: the estimator's run loop (gridfreq_run), the
+/* The package's C library: the estimator's loop (gridfreq_advance), the
  * CSV float formatter of gridfreq.io (gridfreq_format_rows) and its CSV row
  * parser (gridfreq_parse_rows).
  *
@@ -8,13 +8,17 @@
  *
  * and calls the three functions through ctypes.
  *
- * gridfreq_run runs the laws of the gridfreq.estimator module docstring
- * over a whole stream, from a fresh state.  Its output equals the
- * generated Python kernel's (_KERNEL_TEMPLATE) bit for bit, for four
- * reasons: every expression keeps the template's operand order;
- * -ffp-contract=off rules out fused multiply-adds; CPython's math.sin and
- * math.cos call the same libm; and py_mod is CPython's float %.  Amplitude
- * and phase are left to Python, because CPython's math.hypot is not libm's.
+ * gridfreq_advance runs the laws of the gridfreq.estimator module
+ * docstring on a state buffer that persists between calls, over any number
+ * of samples: estimator.run calls it once over a whole stream from a fresh
+ * state, and estimator.step once per sample, with two arguments, a context
+ * that holds the buffer, constant and row pointers, and the sample.  Its
+ * output equals the generated Python kernel's (_KERNEL_TEMPLATE) bit for
+ * bit, for four reasons: every expression keeps the template's operand
+ * order; -ffp-contract=off rules out fused multiply-adds; CPython's
+ * math.sin and math.cos call the same libm; and py_mod is CPython's
+ * float %.  Amplitude and phase are left to Python, because CPython's
+ * math.hypot is not libm's.
  *
  * gridfreq_format_rows writes rows of doubles as CSV text, each as
  * CPython's repr writes it: Ryu's shortest round-trip digits (Adams, "Ryu:
@@ -57,39 +61,68 @@ static double py_mod(double x, double y)
     return mod;
 }
 
-/* Run the laws over x[0..len) from a fresh state: all coefficients zero,
- * frequency f0, phase, anchor and filter state 0.
+/* The state buffer of one estimator, which persists between calls: these
+ * slots, then a_c[n], a_s[n], the RoCoF ring (ctx->ring values, oldest
+ * first from head once full) and the basis c[n], s[n], which is scratch.
+ * k, head and count are integers stored as doubles; the layout is
+ * gridfreq.estimator's _SLOTS. */
+enum { S_A_DC, S_A_DC1, S_F, S_PHASE, S_T_ANCHOR, S_ZFILT, S_T0, S_K, S_HEAD,
+       S_COUNT, S_HEADER };
+
+/* The per-config constants: these, then ts*gamma_c[n] and ts*gamma_s[n] */
+enum { C_TS, C_TG_DC, C_G_DC1, C_ALPHA, C_ETA, C_F0, C_HALF_F0, C_T_RESET,
+       C_HEADER };
+
+/* What one call advances: a state buffer under one config, writing rows
+ * from rows on; over the len samples at x (a run), or over the one sample
+ * the call passes when x is NULL (a step). */
+struct gridfreq_ctx {
+    double *state;
+    const double *consts;
+    double *rows;
+    const double *x;
+    int64_t len;
+    int64_t n;
+    int64_t ring;             /* capacity of the RoCoF ring, at least 1 */
+    int64_t report_every;
+    int64_t lowpass;          /* 0: the raw residual drives the laws */
+};
+
+/* Advance ctx->state by the laws over the samples of ctx (see above).
  *
- * work holds 4n + ring doubles: the coefficient pairs, the basis and the
- * RoCoF ring.  ring is min(rocof_smooth_window, len), at least 1: no more
- * values than that are ever summed.  Every report_every-th sample writes
- * one row of rows, 10 + 2n doubles, the layout of
- * gridfreq.estimator.ROW_COLUMNS and of the estimate CSV:
+ * Every report_every-th sample, counted by the state's k, writes one row,
+ * 10 + 2n doubles, the layout of gridfreq.estimator.ROW_COLUMNS and of the
+ * estimate CSV:
  *
  *     t, f, rocof, rocof_raw, a_dc, a_dc1, resid, eta, phase, t_anchor,
  *     a_c[0..n), a_s[0..n)
  *
- * Returns the number of samples consumed: len, or the index of the sample
- * at which the divergence watchdog tripped.  k / report_every rows are
- * written.
+ * Returns the number of rows written, or -1 when the divergence watchdog
+ * tripped: then the state keeps the updated coefficients, a_dc, a_dc1, f
+ * and zfilt, and the phase, k, anchor and ring of the sample before, and
+ * the rows written before it stand.
  */
-int64_t gridfreq_run(const double *x, int64_t len, int64_t n,
-                     const double *tgc, const double *tgs, double ts,
-                     double tg_dc, double g_dc1, int lowpass, double alpha,
-                     double eta, double f0, double half_f0,
-                     double t_reset, int64_t report_every, int64_t ring,
-                     double t0, double *work, double *rows)
+int64_t gridfreq_advance(const struct gridfreq_ctx *ctx, double sample)
 {
-    double *ac = work, *as = work + n, *c = work + 2 * n, *s = work + 3 * n;
-    double *buf = work + 4 * n;
-    double *row = rows;
+    const double *x = ctx->x ? ctx->x : &sample;
+    int64_t len = ctx->x ? ctx->len : 1;
+    int64_t n = ctx->n, ring = ctx->ring, report_every = ctx->report_every;
+    double *st = ctx->state, *row = ctx->rows;
+    double *ac = st + S_HEADER, *as = ac + n, *buf = as + n;
+    double *c = buf + ring, *s = c + n;
+    const double *cs = ctx->consts, *tgc = cs + C_HEADER, *tgs = tgc + n;
+    double ts = cs[C_TS], tg_dc = cs[C_TG_DC], g_dc1 = cs[C_G_DC1];
+    double alpha = cs[C_ALPHA], eta = cs[C_ETA], f0 = cs[C_F0];
+    double half_f0 = cs[C_HALF_F0], t_reset = cs[C_T_RESET];
     double eta_rate = (1.0 / TWO_PI) * eta;   /* INV_TWO_PI * eta */
-    double a_dc = 0.0, a_dc1 = 0.0, f = f0, phase = 0.0, t = 0.0, zf = 0.0;
-    int64_t k, i, j, head = 0, count = 0;
+    double a_dc = st[S_A_DC], a_dc1 = st[S_A_DC1], f = st[S_F];
+    double phase = st[S_PHASE], t = st[S_T_ANCHOR], zf = st[S_ZFILT];
+    double t0 = st[S_T0];
+    int64_t k = (int64_t)st[S_K], head = (int64_t)st[S_HEAD];
+    int64_t count = (int64_t)st[S_COUNT];
+    int64_t m, i, j, rows = 0;
 
-    for (i = 0; i < n; i++)
-        ac[i] = as[i] = 0.0;
-    for (k = 0; k < len; ) {
+    for (m = 0; m < len; m++) {
         /* basis by the angle-sum recurrence, prediction and residual */
         double c0 = cos(phase), s0 = sin(phase);
         double pred, resid, z, g, rocof_raw, sum, acc;
@@ -102,8 +135,8 @@ int64_t gridfreq_run(const double *x, int64_t len, int64_t n,
         pred = a_dc - a_dc1 * t;
         for (i = 0; i < n; i++)
             pred = pred + (ac[i] * s[i] + as[i] * c[i]);
-        resid = x[k] - pred;
-        if (lowpass) {
+        resid = x[m] - pred;
+        if (ctx->lowpass) {
             zf += alpha * (resid - zf);
             z = zf;
         } else {
@@ -126,8 +159,10 @@ int64_t gridfreq_run(const double *x, int64_t len, int64_t n,
 
         /* divergence watchdog: the fast sum, and the exact per-term check
          * when it is not finite */
-        if (!(fabs(f - f0) <= half_f0))
+        if (!(fabs(f - f0) <= half_f0)) {
+            rows = -1;
             break;
+        }
         sum = ac[0] + as[0];
         for (i = 1; i < n; i++)
             sum = sum + ac[i] + as[i];
@@ -135,8 +170,10 @@ int64_t gridfreq_run(const double *x, int64_t len, int64_t n,
             int finite = isfinite(a_dc) && isfinite(a_dc1);
             for (i = 0; finite && i < n; i++)
                 finite = isfinite(ac[i]) && isfinite(as[i]);
-            if (!finite)
+            if (!finite) {
+                rows = -1;
                 break;
+            }
         }
 
         /* advance phase, sample counter and anchor; the anchor ramps up
@@ -153,11 +190,12 @@ int64_t gridfreq_run(const double *x, int64_t len, int64_t n,
         if (k % report_every)
             continue;
 
-        /* left-to-right boxcar, oldest value first */
+        /* left-to-right boxcar, oldest value first: until the ring is
+         * full, head == count and the first loop is empty */
         acc = 0.0;
-        for (j = count < ring ? 0 : head; j < count; j++)
+        for (j = head; j < count; j++)
             acc += buf[j];
-        for (j = 0; count == ring && j < head; j++)
+        for (j = 0; j < head; j++)
             acc += buf[j];
         row[0] = t0 + (double)k * ts;
         row[1] = f;
@@ -174,8 +212,18 @@ int64_t gridfreq_run(const double *x, int64_t len, int64_t n,
             row[10 + n + i] = as[i];
         }
         row += 10 + 2 * n;
+        rows++;
     }
-    return k;
+    st[S_A_DC] = a_dc;
+    st[S_A_DC1] = a_dc1;
+    st[S_F] = f;
+    st[S_PHASE] = phase;
+    st[S_T_ANCHOR] = t;
+    st[S_ZFILT] = zf;
+    st[S_K] = (double)k;
+    st[S_HEAD] = (double)head;
+    st[S_COUNT] = (double)count;
+    return rows;
 }
 
 

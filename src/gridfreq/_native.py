@@ -1,7 +1,7 @@
 """The package's C library, ``_kernel.c``: built on first use, loaded
 through :mod:`ctypes`.
 
-It holds the estimator's run loop (``gridfreq_run``), the CSV float
+It holds the estimator's loop (``gridfreq_advance``), the CSV float
 formatter of :mod:`gridfreq.io` (``gridfreq_format_rows``) and its CSV row
 parser (``gridfreq_parse_rows``).
 :func:`library` builds it with ``cc -O2 -ffp-contract=off`` into
@@ -23,12 +23,15 @@ import contextlib
 import functools
 import os
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
 if TYPE_CHECKING:
     import ctypes
+    from array import array
+
+    Doubles = array | np.ndarray          # C-contiguous float64
 
 _CC = "cc"
 _CFLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
@@ -100,11 +103,9 @@ def library() -> ctypes.CDLL | None:
         return np.ctypeslib.ndpointer(dtype, flags="C_CONTIGUOUS")
 
     doubles = array(np.float64)
-    i64, f64 = ctypes.c_int64, ctypes.c_double
-    lib.gridfreq_run.argtypes = [
-        doubles, i64, i64, doubles, doubles, f64, f64, f64, ctypes.c_int,
-        f64, f64, f64, f64, f64, i64, i64, f64, doubles, doubles]
-    lib.gridfreq_run.restype = i64
+    i64 = ctypes.c_int64
+    lib.gridfreq_advance.argtypes = [ctypes.c_void_p, ctypes.c_double]
+    lib.gridfreq_advance.restype = i64
     words = array(np.uint64)
     lib.gridfreq_format_rows.argtypes = [doubles, i64, i64, words,
                                          array(np.uint8)]
@@ -113,6 +114,44 @@ def library() -> ctypes.CDLL | None:
                                         words, doubles]
     lib.gridfreq_parse_rows.restype = i64
     return lib
+
+
+@functools.cache
+def _context_type() -> type:
+    import ctypes
+
+    class Context(ctypes.Structure):
+        """``struct gridfreq_ctx`` of ``_kernel.c``."""
+        _fields_ = ([(name, ctypes.c_void_p)
+                     for name in ("state", "consts", "rows", "x")]
+                    + [(name, ctypes.c_int64) for name in
+                       ("len", "n", "ring", "report_every", "lowpass")])
+    return Context
+
+
+def _address(buffer: Doubles) -> int:
+    return (buffer.ctypes.data if isinstance(buffer, np.ndarray)
+            else buffer.buffer_info()[0])
+
+
+def context(state: Doubles, consts: Doubles, rows: Doubles,
+            x: Doubles | None, n: int, ring: int, report_every: int,
+            lowpass: bool) -> tuple[Callable[[float], int], ctypes.Structure]:
+    """``gridfreq_advance`` bound to a new ``struct gridfreq_ctx`` over
+    float64 buffers (C-contiguous arrays, or ``array('d')`` that no one
+    resizes), and the context: a run over the samples ``x``, or a step on
+    the sample of each call when ``x`` is None.  The context keeps the
+    buffers alive; the caller keeps the context alive as long as it calls.
+    Needs :func:`library`."""
+    import ctypes
+
+    ctx = _context_type()(_address(state), _address(consts), _address(rows),
+                          None if x is None else _address(x),
+                          0 if x is None else len(x),
+                          n, ring, report_every, lowpass)
+    ctx.buffers = state, consts, rows, x
+    return (functools.partial(library().gridfreq_advance,
+                              ctypes.addressof(ctx)), ctx)
 
 
 @functools.cache

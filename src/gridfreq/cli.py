@@ -61,12 +61,18 @@ def _check_flags(args: argparse.Namespace) -> None:
 
 
 def _render(path: str, spec: ScenarioSpec, config: EstimatorConfig,
-            seed: int | None) -> tuple[SampleStream, GroundTruth]:
-    """Render ``spec`` at the config's rate; any error names file ``path``."""
+            seed: int | None, skip: float) -> tuple[SampleStream, GroundTruth]:
+    """Render ``spec`` at the config's rate; any error names file ``path``.
+
+    A scenario that ends inside the skip window ``skip`` has no report
+    after lock to score."""
     stream, truth = named(path, synthesize, spec, 1.0 / config.ts, seed=seed)
     if len(stream) < config.report_every:
         raise ScenarioError(f"{path}: {len(stream)} samples give no report "
                             f"at report_every = {config.report_every}")
+    if spec.duration < skip:
+        raise ScenarioError(f"{path}: duration {spec.duration:g} s is shorter "
+                            f"than the skip window of {skip:g} s")
     return stream, truth
 
 
@@ -129,12 +135,14 @@ def cmd_metrics(args: argparse.Namespace) -> int:
         reports = []
         diverged = 0
         for seed in range(seeds):
-            stream, truth = _render(args.scenario, spec, config, seed)
+            stream, truth = _render(args.scenario, spec, config, seed,
+                                    args.skip)
             series = run(stream, config)
             if series.diverged_at is not None:
                 diverged += 1
                 continue
-            reports.append(evaluate(series, truth, latency, skip_s=args.skip))
+            reports.append(named(args.scenario, evaluate, series, truth,
+                                 latency, skip_s=args.skip))
         if diverged:
             print(f"{diverged}/{seeds} runs diverged")
             return EXIT_DIVERGED
@@ -171,16 +179,20 @@ def cmd_sweep_eta(args: argparse.Namespace) -> int:
     configs = [(ratio, named(f"--ratios {ratio}", replace, base,
                              eta_opt=base.eta_opt * ratio))
                for ratio in args.ratios]
-    stream, truth = _render(args.scenario, spec, base, args.seed)
-    print(",".join(gio.SWEEP_HEADER))
+    stream, truth = _render(args.scenario, spec, base, args.seed, args.skip)
+    # the table is printed once it is complete, so an error prints none
+    lines = [",".join(gio.SWEEP_HEADER)]
     reports = []
     for ratio, cfg in configs:
         series = run(stream, cfg)
         if series.diverged_at is not None:
-            print(f"{ratio},DIVERGED,DIVERGED")
+            lines.append(f"{ratio},DIVERGED,DIVERGED")
             break
-        reports.append(evaluate(series, truth, latency, skip_s=args.skip))
-        print(f"{ratio},{reports[-1].rmse_fe!r},{reports[-1].rmse_re!r}")
+        reports.append(named(args.scenario, evaluate, series, truth, latency,
+                             skip_s=args.skip))
+        lines.append(f"{ratio},{reports[-1].rmse_fe!r},"
+                     f"{reports[-1].rmse_re!r}")
+    print("\n".join(lines))
     if args.out is not None:      # with the rows before a divergence
         gio.write_sweep(args.out, args.ratios[:len(reports)], reports)
     return EXIT_OK if len(reports) == len(configs) else EXIT_DIVERGED
@@ -199,7 +211,10 @@ def cmd_tune(args: argparse.Namespace) -> int:
         bounds += named("--tune-eta", SearchSpace, (tuple(args.tune_eta),),
                         log_scale=True).bounds
     space = SearchSpace(bounds=bounds, log_scale=True)
-    scenarios = [_render(path, gio.read_scenario(path), config, args.seed)
+    # the fitness scores every report, but gains tuned on a scenario that
+    # ends inside the metrics' skip window would be tuned to the lock-in
+    scenarios = [_render(path, gio.read_scenario(path), config, args.seed,
+                         DEFAULT_SKIP_S)
                  for path in args.scenario]
     best, score, history = pso_tune(space, scenarios, pso, config)
     gio.write_config(args.out, apply_gain_vector(config, best))

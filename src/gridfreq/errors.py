@@ -34,9 +34,10 @@ def is_count(value: object) -> bool:
 
 def named(source: object, build: Callable[..., Any], /, *args: Any,
           **kwargs: Any) -> Any:
-    """``build(*args, **kwargs)``; a :class:`GridFreqError` raised in it
-    gets ``source: `` before its message and keeps its type."""
+    """``build(*args, **kwargs)``; a :class:`GridFreqError` or
+    :class:`MemoryError` raised in it gets ``source: `` before its message
+    and keeps its type."""
     try:
         return build(*args, **kwargs)
-    except GridFreqError as exc:
+    except (GridFreqError, MemoryError) as exc:
         raise type(exc)(f"{source}: {exc}") from None

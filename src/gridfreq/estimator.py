@@ -47,22 +47,26 @@ libm's, and ``math.atan2``; see :func:`amp_phase`): ``step`` and the
 series' ``polar()`` and ``records`` apply it; ``run``, the metrics and the
 estimate CSV do not.
 
-One set of laws, two backends.  The Python kernel is generated per
-harmonic order n, from the integer n alone, with one local per coefficient
-and basis term and the harmonic loops unrolled; :func:`init` compiles it on
-first use and caches it.  :func:`step` calls it on one sample, and
-:func:`run` on the whole stream when it has no C loop.  The products of
-``ts`` with the gains and the other per-config constants are cached per
-(state, config) pair on the state; :class:`EstimatorConfig` is frozen so
-that cache cannot go stale.  :func:`run` calls the same laws in C
-(``_kernel.c``) over a whole stream from a fresh state, and then compiles
-no Python kernel; it falls back to the Python kernel when no C compiler or
-cache directory is at hand.  The C loop is one function of the package's C
-library, which also holds the CSV float formatter of :mod:`gridfreq.io`:
-:mod:`gridfreq._native` builds it with ``cc -O2 -ffp-contract=off`` into
-``$XDG_CACHE_HOME/gridfreq`` (default ``~/.cache/gridfreq``) on the first
-:func:`run` call or CSV write, never at import, and loads it through
-:mod:`ctypes`; :func:`run_backend` names the backend :func:`run` uses.
+One set of laws, one loop per backend.  The state lives in one buffer of
+doubles (see :class:`EstimatorState`), and a loop advances it over any
+number of samples, writing one row per report: ``gridfreq_advance`` in C
+(``_kernel.c``), or a Python kernel generated per harmonic order n, from
+the integer n alone, with one local per coefficient and basis term and the
+harmonic loops unrolled.  :func:`step` is one call of the loop on one
+sample; :func:`run` is :func:`init` plus one call over the whole stream.
+:func:`init` binds the state to its config: it loads the C library, or,
+where none can be built, compiles the Python kernel of order n, once per
+order and process, so no step pays for either.  The binding, with the
+products of ``ts`` and the gains and the other per-config constants, is
+cached per (state, config) pair on the state; :class:`EstimatorConfig` is
+frozen so that cache cannot go stale.  A C step is one :mod:`ctypes` call
+of two arguments, the context that holds the buffer, constant and row
+pointers, and the sample.  The C loop is one function of the package's C
+library, which also holds the CSV float formatter and row parser of
+:mod:`gridfreq.io`: :mod:`gridfreq._native` builds it with ``cc -O2
+-ffp-contract=off`` into ``$XDG_CACHE_HOME/gridfreq`` (default
+``~/.cache/gridfreq``) on first use, never at import; :func:`run_backend`
+names the backend :func:`run` and :func:`step` use.
 
 Every expression of both backends keeps the operand order of the laws, so
 neither moves an output bit: ``tests/data/golden_run.json`` holds digests
@@ -79,8 +83,8 @@ from __future__ import annotations
 import functools
 import linecache
 import math
-from collections import deque
-from dataclasses import dataclass, field
+from array import array
+from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -172,35 +176,143 @@ class EstimatorConfig:
 # State and outputs
 # --------------------------------------------------------------------------
 
-@dataclass
+# the slots at the head of a state buffer, the S_* slots of _kernel.c; k and
+# the RoCoF ring's head and count are integers stored as doubles
+_SLOTS = ("a_dc", "a_dc1", "f_hz", "phase_acc", "t_anchor", "zfilt", "t0",
+          "k", "head", "count")
+_K, _HEAD, _COUNT = map(_SLOTS.index, ("k", "head", "count"))
+_COEFS = len(_SLOTS)                   # where a_c starts
+
+
+def _slot(name: str) -> property:
+    i = _SLOTS.index(name)
+    if i == _K:
+        return property(lambda self: int(self._v[i]),
+                        lambda self, value: self._v.__setitem__(i, value))
+    return property(lambda self: self._v[i],
+                    lambda self, value: self._v.__setitem__(i, value))
+
+
 class EstimatorState:
     """Coefficients and loop state of one estimator.
 
     ``a_c[i-1]`` multiplies sin(i*w1*t) and ``a_s[i-1]`` cos(i*w1*t); both
-    have one entry per harmonic, and :func:`step` stores new lists, so a
-    list taken from the state keeps its values.  ``a_dc`` is the constant
-    offset in pu and ``a_dc1`` its decay slope in pu/s.
+    have one entry per harmonic.  ``a_dc`` is the constant offset in pu and
+    ``a_dc1`` its decay slope in pu/s.  ``rocof_buf`` holds the raw RoCoF
+    values of the boxcar, oldest first, at most ``rocof_smooth_window``.
+
+    The fields live in one buffer of doubles, the state the C loop
+    advances in place: the slots of ``_SLOTS``, ``a_c``, ``a_s``, the RoCoF
+    ring and the C loop's basis.  Reading ``a_c``, ``a_s`` or ``rocof_buf``
+    gives a new list, so a list taken from the state keeps its values; to
+    change one coefficient, assign the whole list back.  A state pickles
+    and copies as its values; the copy binds its own buffer on its next
+    :func:`step`.
     """
 
-    a_c: list[float]
-    a_s: list[float]
-    f_hz: float
-    a_dc: float = 0.0
-    a_dc1: float = 0.0
-    phase_acc: float = 0.0             # wrapped fundamental phase, [0, 2pi)
-    k: int = 0
-    t_anchor: float = 0.0              # min(elapsed time, t_reset_s)
-    zfilt: float = 0.0                 # one-pole observation-filter state
-    diverged: bool = False
-    rocof_buf: deque[float] = field(default_factory=deque)
-    t0: float = 0.0                    # time of the first sample
-    # per-config constants and kernel, see _bind
-    kernel: _Kernel | None = field(default=None, repr=False, compare=False)
+    a_dc = _slot("a_dc")
+    a_dc1 = _slot("a_dc1")
+    f_hz = _slot("f_hz")
+    phase_acc = _slot("phase_acc")     # wrapped fundamental phase, [0, 2pi)
+    t_anchor = _slot("t_anchor")       # min(elapsed time, t_reset_s)
+    zfilt = _slot("zfilt")             # one-pole observation-filter state
+    t0 = _slot("t0")                   # time of the first sample
+    k = _slot("k")
+
+    def __init__(self, a_c: Sequence[float], a_s: Sequence[float],
+                 f_hz: float, a_dc: float = 0.0, a_dc1: float = 0.0,
+                 phase_acc: float = 0.0, k: int = 0, t_anchor: float = 0.0,
+                 zfilt: float = 0.0, diverged: bool = False,
+                 rocof_buf: Sequence[float] = (), t0: float = 0.0) -> None:
+        self.diverged = diverged
+        ring = list(rocof_buf)
+        self._layout(list(a_c), list(a_s), [a_dc, a_dc1, f_hz, phase_acc,
+                                             t_anchor, zfilt, t0, k],
+                     ring, len(ring))
+
+    @classmethod
+    def _fresh(cls, config: EstimatorConfig, t0: float,
+               size: int) -> EstimatorState:
+        """A state at the nominal frequency with all coefficients zero and
+        a ring of ``size`` values."""
+        state = cls.__new__(cls)
+        state.diverged = False
+        zeros = [0.0] * config.n
+        state._layout(zeros, zeros,
+                      [0.0, 0.0, config.f0, 0.0, 0.0, 0.0, t0, 0], [], size)
+        return state
+
+    def _layout(self, a_c: list[float], a_s: list[float],
+                scalars: list[float], ring: list[float], size: int) -> None:
+        """Lay the values out in a new buffer with a ring of ``size``
+        values, which keeps the newest; unbind the kernel of the old one."""
+        ring = ring[len(ring) - size:] if len(ring) > size else ring
+        self._v = array("d", [*scalars, len(ring) % max(size, 1), len(ring),
+                              *a_c, *a_s, *ring])
+        self._v.frombytes(bytes(8 * (size - len(ring) + 2 * len(a_c))))
+        self._shape = (len(a_c), len(a_s), size)
+        # per-config constants and kernel, see _bind
+        self.kernel: _Kernel | None = None
+
+    def _relayout(self, a_c: list[float] | None = None,
+                  a_s: list[float] | None = None,
+                  size: int | None = None) -> None:
+        self._layout(self.a_c if a_c is None else a_c,
+                     self.a_s if a_s is None else a_s,
+                     self._v[:_K + 1].tolist(), self.rocof_buf,
+                     self._shape[2] if size is None else size)
+
+    @property
+    def a_c(self) -> list[float]:
+        return self._v[_COEFS:_COEFS + self._shape[0]].tolist()
+
+    @a_c.setter
+    def a_c(self, values: Sequence[float]) -> None:
+        values = list(values)
+        if len(values) == self._shape[0]:
+            self._v[_COEFS:_COEFS + len(values)] = array("d", values)
+        else:
+            self._relayout(a_c=values)
+
+    @property
+    def a_s(self) -> list[float]:
+        start = _COEFS + self._shape[0]
+        return self._v[start:start + self._shape[1]].tolist()
+
+    @a_s.setter
+    def a_s(self, values: Sequence[float]) -> None:
+        values = list(values)
+        if len(values) == self._shape[1]:
+            start = _COEFS + self._shape[0]
+            self._v[start:start + len(values)] = array("d", values)
+        else:
+            self._relayout(a_s=values)
+
+    @property
+    def rocof_buf(self) -> list[float]:
+        start = _COEFS + self._shape[0] + self._shape[1]
+        head, count = int(self._v[_HEAD]), int(self._v[_COUNT])
+        ring = self._v[start:start + count]
+        return (ring[head:] + ring[:head]).tolist()
 
     def __getstate__(self) -> dict:
-        # the kernel is a cache that step rebuilds, and its generated
-        # function cannot be pickled
-        return {**self.__dict__, "kernel": None}
+        # the values, never the buffer's address or the kernel
+        return {name: getattr(self, name) for name in (
+            "a_c", "a_s", "f_hz", "a_dc", "a_dc1", "phase_acc", "k",
+            "t_anchor", "zfilt", "diverged", "rocof_buf", "t0")}
+
+    def __setstate__(self, values: dict) -> None:
+        self.__init__(**values)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, EstimatorState):
+            return NotImplemented
+        return self.__getstate__() == other.__getstate__()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}"
+                           for name, value in self.__getstate__().items())
+        return f"EstimatorState({fields})"
 
 
 @dataclass
@@ -307,11 +419,11 @@ def init(config: EstimatorConfig, t0: float = 0.0) -> EstimatorState:
     """Fresh state at the nominal frequency with all coefficients zero.
 
     ``t0`` is the time of the first sample; records are stamped
-    ``t0 + k*ts`` after the k-th sample.  The kernel of order ``config.n``
-    is compiled here, if no earlier call compiled it, not in :func:`step`.
+    ``t0 + k*ts`` after the k-th sample.  The state is bound to ``config``
+    here, the C library loaded or the Python kernel compiled, not in
+    :func:`step`.
     """
-    state = EstimatorState(a_c=[0.0] * config.n, a_s=[0.0] * config.n,
-                           f_hz=config.f0, t0=t0)
+    state = EstimatorState._fresh(config, t0, config.rocof_smooth_window)
     _bind(state, config)
     return state
 
@@ -346,12 +458,10 @@ def _record(row: Sequence[float]) -> EstimateRecord:
                           a_dc1, resid, eta, phase, t_anchor)
 
 
-class _Kernel(NamedTuple):
-    """Per-config constants of the estimator kernel and the kernel itself;
-    the C loop takes the constants alone, with no kernel."""
+class _Constants(NamedTuple):
+    """Per-config constants of the laws; the C loop takes them as one
+    array of doubles (see _native_advance)."""
 
-    config: EstimatorConfig
-    advance: Callable[..., list] | None  # (state, values, kernel) -> rows
     tgc: tuple[float, ...]             # ts * gamma_c[i]
     tgs: tuple[float, ...]             # ts * gamma_s[i]
     ts: float
@@ -365,33 +475,51 @@ class _Kernel(NamedTuple):
     report_every: int
 
 
+class _Context(NamedTuple):
+    """What one call of the Python kernel advances: the fields of the C
+    loop's ``struct gridfreq_ctx`` that it needs."""
+
+    v: array                           # the state buffer
+    constants: _Constants
+    rows: list                         # each report appends its row
+    values: list[float] | None         # a run's samples; None: a step
+    ring: int                          # capacity of the RoCoF ring
+
+
+class _Kernel(NamedTuple):
+    """One state bound to one config: ``advance(sample)`` runs the laws on
+    the sample, in C or in the Python kernel, and returns the number of
+    rows written (0 or 1), or -1 at a divergence; ``last_row()`` returns
+    the row written."""
+
+    config: EstimatorConfig
+    advance: Callable[[float], int]
+    last_row: Callable[[], Sequence[float]]
+    ctx: object                        # what advance works on, kept alive
+
+
 # The laws of the module docstring over a sequence of samples, for harmonic
-# order n; it returns the row of each report.  The ``{...}`` fields are
-# filled from the integer n alone (see _kernel_source).  Every gain and rate
-# is read from the _Kernel argument at call time.  On a divergence the state
+# order n: the Python counterpart of gridfreq_advance in _kernel.c, over the
+# same state buffer and with the same return value.  The ``{...}`` fields
+# are filled from the integer n alone (see _kernel_source); every gain and
+# rate is read from the context at call time.  On a divergence the state
 # keeps the updated coefficients, a_dc, a_dc1, f and zfilt, and the phase,
-# k, t_anchor and RoCoF buffer of the sample before.
+# k, t_anchor and RoCoF ring of the sample before.
 _KERNEL_TEMPLATE = """\
-def advance(state, values, kernel):
-    (_, _, tgc, tgs, ts, tg_dc, g_dc1, alpha, eta, f0, half_f0, t_reset,
-     report_every) = kernel
+def advance(ctx, x):
+    v, constants, rows, values, ring = ctx
+    (tgc, tgs, ts, tg_dc, g_dc1, alpha, eta, f0, half_f0, t_reset,
+     report_every) = constants
     {kc} = tgc
     {ks} = tgs
     eta_rate = INV_TWO_PI * eta
-    {ac} = state.a_c
-    {as_} = state.a_s
-    a_dc = state.a_dc
-    a_dc1 = state.a_dc1
-    f = state.f_hz
-    phase = state.phase_acc
-    k = state.k
-    t = state.t_anchor
-    zf = state.zfilt
-    t0 = state.t0
-    buf = state.rocof_buf
-    append = buf.append
-    rows = []
-    for sample in values:
+    (a_dc, a_dc1, f, phase, t, zf, t0, k, head, count, {ac}
+     {as_}) = v[:{ring_at}]
+    k = int(k)
+    head = int(head)
+    count = int(count)
+    diverged = False
+    for sample in ((x,) if values is None else values):
         # basis by the angle-sum recurrence, prediction and residual
         c0 = cos(phase)
         s0 = sin(phase){basis}
@@ -416,7 +544,7 @@ def advance(state, values, kernel):
         if not (abs(f - f0) <= half_f0 and (
                 isfinite({coef_sum} + a_dc + a_dc1)
                 or all(map(isfinite, ({coefs}, a_dc, a_dc1))))):
-            state.diverged = True
+            diverged = True
             break
 
         # advance phase, sample counter and anchor; the anchor ramps up to
@@ -426,27 +554,26 @@ def advance(state, values, kernel):
         t = t + ts
         if t > t_reset:
             t = t_reset
-        append(rocof_raw)
+        v[{ring_at} + head] = rocof_raw
+        head = 0 if head + 1 == ring else head + 1
+        if count < ring:
+            count += 1
         if k % report_every:
             continue
-        # a plain left-to-right sum: the builtin sum of floats is
-        # compensated from Python 3.12 on, which would change the value
+        # a plain left-to-right sum, oldest value first (until the ring is
+        # full, head == count): the builtin sum of floats is compensated
+        # from Python 3.12 on, which would change the value
         acc = 0.0
-        for v in buf:
-            acc += v
-        rows.append((t0 + k * ts, f, acc / len(buf), rocof_raw, a_dc, a_dc1,
+        for value in v[{ring_at} + head:{ring_at} + count]:
+            acc += value
+        for value in v[{ring_at}:{ring_at} + head]:
+            acc += value
+        rows.append((t0 + k * ts, f, acc / count, rocof_raw, a_dc, a_dc1,
                      resid, eta, phase, t, {ac} {as_}))
 
-    state.a_c = [{ac}]
-    state.a_s = [{as_}]
-    state.a_dc = a_dc
-    state.a_dc1 = a_dc1
-    state.f_hz = f
-    state.phase_acc = phase
-    state.k = k
-    state.t_anchor = t
-    state.zfilt = zf
-    return rows
+    v[:{ring_at}] = array("d", (a_dc, a_dc1, f, phase, t, zf, t0, k, head,
+                               count, {ac} {as_}))
+    return -1 if diverged else len(rows)
 """
 
 
@@ -466,6 +593,7 @@ def _kernel_source(n: int) -> str:
         ks=unroll("ks{i},", " "),
         ac=unroll("ac{i},", " "),
         as_=unroll("as{i},", " "),
+        ring_at=_COEFS + 2 * n,
         basis=unroll(line + "c{i} = c{p} * c0 - s{p} * s0"
                      + line + "s{i} = s{p} * c0 + c{p} * s0", "", start=1),
         prediction=unroll(" + (ac{i} * s{i} + as{i} * c{i})", ""),
@@ -478,7 +606,7 @@ def _kernel_source(n: int) -> str:
 
 
 @functools.cache
-def _kernel(n: int) -> Callable[..., list[tuple[float, ...]]]:
+def _kernel(n: int) -> Callable[[_Context, float], int]:
     """Compile the kernel for harmonic order n (Nyquist keeps n small)."""
     source = _kernel_source(n)
     filename = f"<gridfreq.estimator kernel n={n}>"
@@ -486,23 +614,20 @@ def _kernel(n: int) -> Callable[..., list[tuple[float, ...]]]:
     linecache.cache[filename] = (len(source), None,
                                  source.splitlines(keepends=True), filename)
     namespace = {"cos": math.cos, "sin": math.sin, "isfinite": math.isfinite,
-                 "TWO_PI": TWO_PI, "INV_TWO_PI": INV_TWO_PI}
+                 "array": array, "TWO_PI": TWO_PI, "INV_TWO_PI": INV_TWO_PI}
     exec(compile(source, filename, "exec"), namespace)
     return namespace["advance"]
 
 
-def _constants(config: EstimatorConfig,
-               advance: Callable[..., list] | None = None) -> _Kernel:
-    """The per-config constants of the laws, with ``advance`` as the kernel.
+def _constants(config: EstimatorConfig) -> _Constants:
+    """The per-config constants of the laws.
 
     Every product keeps the operand order of the laws, e.g.
     ``(ts*gamma)*z*basis``, so the cached form is bit-identical.
     """
     ts = config.ts
     cutoff = config.obs_lowpass_hz
-    return _Kernel(
-        config=config,
-        advance=advance,
+    return _Constants(
         tgc=tuple(ts * g for g in config.gamma_c),
         tgs=tuple(ts * g for g in config.gamma_s),
         ts=ts,
@@ -517,17 +642,42 @@ def _constants(config: EstimatorConfig,
     )
 
 
+def _native_advance(state: EstimatorState, config: EstimatorConfig,
+                    rows: array | np.ndarray, values: np.ndarray | None
+                    ) -> tuple[Callable[[float], int], object]:
+    """The C loop bound to the state under the config, writing rows into
+    ``rows``, and its context, which must outlive the calls (see
+    :func:`gridfreq._native.context`)."""
+    c = _constants(config)
+    consts = array("d", (c.ts, c.tg_dc, c.g_dc1, c.alpha or 0.0, c.eta, c.f0,
+                         c.half_f0, c.t_reset, *c.tgc, *c.tgs))
+    return _native.context(state._v, consts, rows, values, config.n,
+                           state._shape[2], config.report_every,
+                           c.alpha is not None)
+
+
 def _bind(state: EstimatorState, config: EstimatorConfig) -> _Kernel:
-    """Cache the per-config constants and the compiled kernel on the state."""
-    if len(state.a_c) != config.n or len(state.a_s) != config.n:
+    """Bind the state to the config for :func:`step`: to the C loop where
+    the library loads, else to the Python kernel of order ``config.n``.
+    Loading the one and compiling the other happen here, not in a step."""
+    if state._shape[:2] != (config.n, config.n):
         raise ConfigError(f"state has {len(state.a_c)} harmonics "
                           f"({len(state.a_s)} in a_s), "
                           f"config has n = {config.n}") from None
-    window = config.rocof_smooth_window
-    if getattr(state.rocof_buf, "maxlen", None) != window:
+    if state._shape[2] != config.rocof_smooth_window:
         # a shorter window drops the oldest values at once
-        state.rocof_buf = deque(state.rocof_buf, maxlen=window)
-    state.kernel = kernel = _constants(config, _kernel(config.n))
+        state._relayout(size=config.rocof_smooth_window)
+    if _native.library() is None:
+        rows: list = []
+        ctx = _Context(state._v, _constants(config), rows, None,
+                       state._shape[2])
+        kernel = _Kernel(config, functools.partial(_kernel(config.n), ctx),
+                         rows.pop, ctx)
+    else:
+        row = array("d", bytes(8 * (len(ROW_COLUMNS) + 2 * config.n)))
+        advance, ctx = _native_advance(state, config, row, None)
+        kernel = _Kernel(config, advance, row.tolist, ctx)
+    state.kernel = kernel
     return kernel
 
 
@@ -542,39 +692,22 @@ def step(state: EstimatorState, sample: float, config: EstimatorConfig
     kernel = state.kernel
     if kernel is None or kernel.config is not config:
         kernel = _bind(state, config)
-    try:
-        rows = kernel.advance(state, (sample,), kernel)
-    except ValueError:
-        # since _bind, a coefficient list resized fails the kernel's unpack,
-        # before it writes any state
-        _bind(state, config)
-        raise
-    return _record(rows[0]) if rows else None
+    written = kernel.advance(sample)
+    if written > 0:
+        return _record(kernel.last_row())
+    if written < 0:
+        state.diverged = True
+    return None
 
 
 # --------------------------------------------------------------------------
-# The C run loop
+# A whole stream
 # --------------------------------------------------------------------------
 
 def run_backend() -> str:
-    """``"c"`` when :func:`run` uses the C loop, ``"python"`` otherwise."""
+    """``"c"`` when :func:`run` and :func:`step` use the C loop,
+    ``"python"`` otherwise."""
     return "python" if _native.library() is None else "c"
-
-
-def _run_native(native: Callable[..., int], values: np.ndarray,
-                kernel: _Kernel, t0: float) -> tuple[np.ndarray, int | None]:
-    """Rows and divergence index of the C loop over ``values``."""
-    n = kernel.config.n
-    every = kernel.report_every
-    x = np.ascontiguousarray(values, dtype=np.float64)
-    ring = max(1, min(kernel.config.rocof_smooth_window, len(x)))
-    rows = np.empty((len(x) // every, len(ROW_COLUMNS) + 2 * n))
-    k = native(x, len(x), n, np.array(kernel.tgc), np.array(kernel.tgs),
-               kernel.ts, kernel.tg_dc, kernel.g_dc1, kernel.alpha is not None,
-               kernel.alpha or 0.0, kernel.eta, kernel.f0,
-               kernel.half_f0, kernel.t_reset, every, ring, t0,
-               np.empty(4 * n + ring), rows)
-    return rows[:k // every], (k if k < len(x) else None)
 
 
 def run(stream: SampleStream, config: EstimatorConfig) -> EstimateSeries:
@@ -582,9 +715,9 @@ def run(stream: SampleStream, config: EstimatorConfig) -> EstimateSeries:
 
     The series' records equal those of :func:`step` called on each sample
     in turn, bit for bit; the pass stops at a divergence and reports its
-    sample index.  The loop runs in C when it can be built and in the
-    Python kernel of :func:`step` otherwise (see :func:`run_backend`); both
-    fill the same rows, and neither builds a record.
+    sample index.  It is one call of the loop :func:`step` calls once per
+    sample, in C when it can be built and in the Python kernel otherwise
+    (see :func:`run_backend`); neither builds a record.
     """
     # an interval read from a time column carries the rounding of its times
     if abs(stream.ts - config.ts) > (1e-9 * config.ts + TIME_ROUNDING
@@ -592,15 +725,22 @@ def run(stream: SampleStream, config: EstimatorConfig) -> EstimateSeries:
         raise ConfigError(
             f"stream interval {stream.ts!r} does not match config ts {config.ts!r}"
         )
-    lib = _native.library()
-    if lib is not None:
-        rows, diverged_at = _run_native(lib.gridfreq_run, stream.values,
-                                        _constants(config), stream.t0)
+    n, every = config.n, config.report_every
+    # no more values than the stream's are ever summed
+    ring = max(1, min(config.rocof_smooth_window, len(stream)))
+    state = EstimatorState._fresh(config, stream.t0, ring)
+    if _native.library() is not None:
+        x = np.ascontiguousarray(stream.values, dtype=np.float64)
+        rows = np.empty((len(x) // every, len(ROW_COLUMNS) + 2 * n))
+        advance, _ctx = _native_advance(state, config, rows, x)
+        written = advance(0.0)
     else:
-        state = init(config, stream.t0)
-        kernel = state.kernel
-        emitted = kernel.advance(state, stream.values.tolist(), kernel)
+        emitted: list = []
+        ctx = _Context(state._v, _constants(config), emitted,
+                       stream.values.tolist(), state._shape[2])
+        written = _kernel(n)(ctx, 0.0)
         rows = np.array(emitted, dtype=float).reshape(
-            -1, len(ROW_COLUMNS) + 2 * config.n)
-        diverged_at = state.k if state.diverged else None
-    return EstimateSeries(rows=rows, n=config.n, diverged_at=diverged_at)
+            -1, len(ROW_COLUMNS) + 2 * n)
+    k = state.k
+    return EstimateSeries(rows=rows[:k // every], n=n,
+                          diverged_at=k if written < 0 else None)

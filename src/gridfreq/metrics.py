@@ -67,8 +67,8 @@ def align(est: EstimateSeries, truth: GroundTruth, latency: float,
             & (t - latency <= tt[-1]))
     if not keep.any():
         raise AlignmentError(
-            "estimate and truth series do not overlap after latency shifting"
-        )
+            f"estimate and truth series do not overlap after latency "
+            f"shifting by {latency:g} s and the skip window of {skip_s:g} s")
     t = t[keep]
     return AlignedPairs(
         t=t,

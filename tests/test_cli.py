@@ -54,10 +54,13 @@ class TestSynth:
         assert rc == EXIT_INPUT
 
     @pytest.mark.parametrize("fs, message", [
-        # 1e16 samples, 71 PiB of times alone: no host can allocate them
-        ("1e15", "error: out of memory: 10000000000000001 samples at "
-                 "fs=1e+15 do not fit in memory\n"),
+        # 1e16 samples, 71 PiB of times alone: no host can allocate them;
         # the id keeps the message as it read before the file was named
+        pytest.param("1e15", "error: out of memory: {path}: "
+                             "10000000000000001 samples at fs=1e+15 do not "
+                             "fit in memory\n",
+                     id="1e15-error: out of memory: 10000000000000001 "
+                        "samples at fs=1e+15 do not fit in memory\n"),
         pytest.param("1e300", "error: {path}: 1e+301 samples at fs=1e+300 "
                               "are more than one array of doubles can hold\n",
                      id="1e300-error: 1e+301 samples at fs=1e+300 are more "
@@ -172,8 +175,10 @@ class TestSynth:
                    "--config", str(config), "--seeds", "1"])
         assert rc == EXIT_INPUT
         err = capsys.readouterr().err
-        assert re.fullmatch(r"error: out of memory: \d+ samples at "
-                            r"fs=1e\+15 do not fit in memory\n", err), err
+        assert re.fullmatch(rf"error: out of memory: "
+                            rf"{re.escape(str(SCENARIOS / 'clean.cfg'))}: "
+                            rf"\d+ samples at fs=1e\+15 do not fit in "
+                            rf"memory\n", err), err
 
     def test_scenario_value_error_names_the_file(self, tmp_path, capsys):
         path = tmp_path / "bad.cfg"
@@ -598,6 +603,63 @@ class TestShortScenario:
         assert rc == EXIT_INPUT
         assert err == (f"error: {path}: 7 samples give no report at "
                        f"report_every = 12\n")
+        assert out == ""
+        assert not out_file.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["metrics", "--scenario", "{path}", "--seeds", "1"],
+        ["sweep-eta", "{path}"],
+        ["tune", "--scenario", str(SCENARIOS / "case1.cfg"),
+         "--scenario", "{path}", "--swarm", "2", "--iterations", "1"],
+    ], ids=["metrics", "sweep-eta", "tune"])
+    def test_shorter_than_the_skip_window_is_input_error(self, tmp_path,
+                                                          capsys, argv):
+        # 60 samples report, but all before the default 0.5 s skip window
+        # ends: metrics and sweep-eta have nothing to score, and tune would
+        # tune the gains to the lock-in alone
+        path = tmp_path / "short.cfg"
+        path.write_text("duration = 0.05\nbase_freq = 50.0\n")
+        out_file = tmp_path / "out"
+        rc = main([*(a.format(path=path) for a in argv),
+                   "--out", str(out_file)])
+        out, err = capsys.readouterr()
+        assert rc == EXIT_INPUT
+        assert err == (f"error: {path}: duration 0.05 s is shorter than the "
+                       f"skip window of 0.5 s\n")
+        assert out == ""
+        assert not out_file.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["metrics", "--scenario", "{path}", "--seeds", "1"],
+        ["sweep-eta", "{path}"],
+    ], ids=["metrics", "sweep-eta"])
+    def test_no_pairs_after_latency_names_the_file(self, tmp_path, capsys,
+                                                    argv):
+        # a latency longer than the record leaves no report to pair
+        path = SCENARIOS / "clean.cfg"
+        out_file = tmp_path / "out"
+        rc = main([*(a.format(path=path) for a in argv),
+                   "--latency-ms", "1e6", "--out", str(out_file)])
+        out, err = capsys.readouterr()
+        assert rc == EXIT_INPUT
+        assert err == (f"error: {path}: estimate and truth series do not "
+                       f"overlap after latency shifting by 1000 s and the "
+                       f"skip window of 0.5 s\n")
+        assert out == ""
+        assert not out_file.exists()
+
+    def test_tune_names_the_scenario_out_of_memory(self, tmp_path, capsys):
+        # 1.2e16 samples at 1200 Hz: no host can allocate them
+        path = tmp_path / "huge.cfg"
+        path.write_text("duration = 1e13\nbase_freq = 50.0\n")
+        out_file = tmp_path / "t.cfg"
+        rc = main(["tune", "--scenario", str(SCENARIOS / "case1.cfg"),
+                   "--scenario", str(path), "--swarm", "2",
+                   "--iterations", "1", "--out", str(out_file)])
+        out, err = capsys.readouterr()
+        assert rc == EXIT_INPUT
+        assert err == (f"error: out of memory: {path}: 12000000000000001 "
+                       f"samples at fs=1200 do not fit in memory\n")
         assert out == ""
         assert not out_file.exists()
 

@@ -1,6 +1,7 @@
 """Unit tests for the per-sample adaptive estimator."""
 
 import gc
+import itertools
 import math
 import os
 import pickle
@@ -326,7 +327,7 @@ class TestKernelCache:
             EstimatorConfig().eta_opt = 1.0
 
     @staticmethod
-    def _check_step_fold(n: int) -> None:
+    def _check_step_fold(n: int, compiled: int) -> None:
         estimator._kernel.cache_clear()
         cfg = EstimatorConfig(n=n, obs_lowpass_hz=500.0)
         stream = _clean_stream(0.5)
@@ -334,23 +335,41 @@ class TestKernelCache:
         records = [rec for x in stream.values.tolist()
                    if (rec := step(state, x, replace(cfg))) is not None]
         assert records == run(stream, cfg).records
-        # step and the Python fallback of run share one compiled kernel
-        assert estimator._kernel.cache_info().currsize == 1
+        # step and run share one loop: the C loop compiles no Python
+        # kernel, and the Python fallback one per order
+        assert estimator._kernel.cache_info().currsize == compiled
 
     @pytest.mark.parametrize("n", ORDERS)
     def test_new_config_object_every_step_is_bit_identical(self, n,
                                                             native_kernel):
-        self._check_step_fold(n)
+        self._check_step_fold(n, compiled=0)
 
     @pytest.mark.parametrize("n", ORDERS)
     def test_new_config_object_every_step_is_bit_identical_python_kernel(
             self, n, python_kernel):
-        self._check_step_fold(n)
+        self._check_step_fold(n, compiled=1)
 
     def test_c_run_compiles_no_python_kernel(self, native_kernel):
         estimator._kernel.cache_clear()
         series = run(_clean_stream(0.5), EstimatorConfig(n=3))
         assert len(series) > 0
+        assert estimator._kernel.cache_info().currsize == 0
+
+    def test_c_step_compiles_no_python_kernel(self, native_kernel,
+                                              monkeypatch):
+        # init loads the library and binds the buffer, so no step pays
+        # for either
+        estimator._kernel.cache_clear()
+        _native.library.cache_clear()
+        cfg = EstimatorConfig(n=3)
+        state = init(cfg)
+        assert _native.library.cache_info().currsize == 1
+        monkeypatch.setattr(estimator, "_bind", None)
+        stream = _clean_stream(0.5)
+        records = [rec for x in stream.values.tolist()
+                   if (rec := step(state, x, cfg)) is not None]
+        assert state.k == len(stream) and not state.diverged
+        assert records == run(stream, cfg).records
         assert estimator._kernel.cache_info().currsize == 0
 
     def test_config_of_another_order_rejected(self):
@@ -387,7 +406,33 @@ class TestKernelCache:
         assert state_digest(tuples) == state_digest(lists)
         assert type(tuples.a_c) is list and type(tuples.a_s) is list
 
-    def test_pickled_state_resumes_bit_identically(self):
+    @pytest.mark.parametrize("backend", ["native_kernel", "python_kernel"])
+    def test_new_window_keeps_the_newest_values(self, request, backend):
+        request.getfixturevalue(backend)
+        cfg = EstimatorConfig()
+        values = iter(_clean_stream(0.5).values.tolist())
+        state = init(cfg)
+        for x in itertools.islice(values, 200):
+            step(state, x, cfg)
+        before = state.rocof_buf
+        assert len(before) == cfg.rocof_smooth_window
+        # a shorter window drops the oldest values at once, a longer one
+        # keeps them all
+        for window, kept in ((10, 9), (200, 10)):
+            config = replace(cfg, rocof_smooth_window=window)
+            before = state.rocof_buf
+            step(state, next(values), config)
+            assert state.rocof_buf[:-1] == before[len(before) - kept:]
+            while (rec := step(state, next(values), config)) is None:
+                pass
+            # the boxcar sums the ring left to right, oldest value first
+            acc = 0.0
+            for v in state.rocof_buf:
+                acc += v
+            assert rec.rocof_hzps == acc / len(state.rocof_buf)
+
+    @staticmethod
+    def _check_pickle_resume() -> None:
         cfg = EstimatorConfig()
         values = _clean_stream(0.5).values.tolist()
         state = init(cfg)
@@ -396,6 +441,13 @@ class TestKernelCache:
         copy = pickle.loads(pickle.dumps(state))
         assert ([step(state, x, cfg) for x in values[300:]]
                 == [step(copy, x, cfg) for x in values[300:]])
+
+    def test_pickled_state_resumes_bit_identically(self, native_kernel):
+        self._check_pickle_resume()
+
+    def test_pickled_state_resumes_bit_identically_python_kernel(
+            self, python_kernel):
+        self._check_pickle_resume()
 
 
 class TestStepMatchesModelKernel:

@@ -21,7 +21,7 @@ from gridfreq.estimator import amp_phase
 from gridfreq.synth import (ConstantProfile, DcSpec, HarmonicSpec, NoiseSpec,
                             StepSpec)
 from cases import HAVE_CC, needs_cc
-from golden import digest
+from golden import digest, state_digest
 from reference import harmonic_basis, output_and_gradient
 
 finite = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False,
@@ -338,10 +338,15 @@ def test_watchdog_flags_exactly_the_divergence_condition(warm, slot, bad):
         step(state, x, cfg)
     assert not state.diverged
     sample = WATCH_TONE[warm]
+    # a_c and a_s read as new lists: change one and assign it back
     if slot < n:
-        state.a_c[slot] = bad
+        a_c = state.a_c
+        a_c[slot] = bad
+        state.a_c = a_c
     elif slot < 2 * n:
-        state.a_s[slot - n] = bad
+        a_s = state.a_s
+        a_s[slot - n] = bad
+        state.a_s = a_s
     elif slot == 2 * n:
         state.a_dc = bad
     elif slot == 2 * n + 1:
@@ -441,6 +446,39 @@ def test_c_run_equals_python_run_bit_for_bit(case):
     assert digest(native) == digest(python)
 
 
+def _step_fold(config, stream):
+    """The records of step from init(config, t0) over the stream, up to a
+    divergence, and the final state."""
+    state = init(config, stream.t0)
+    records = []
+    for x in stream.values.tolist():
+        rec = step(state, x, config)
+        if rec is not None:
+            records.append(rec)
+        if state.diverged:
+            break
+    return records, state
+
+
+@needs_cc
+@settings(max_examples=200, deadline=None)
+@given(case=backend_cases())
+def test_c_step_equals_python_step_bit_for_bit(case):
+    """A step fold on the C loop and on the Python kernel give the same
+    records and the same final state, and stop at the same sample."""
+    config, stream = case
+    assert estimator.run_backend() == "c"
+    native, native_state = _step_fold(config, stream)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_native, "library", lambda: None)
+        python, python_state = _step_fold(config, stream)
+    # repr compares signed zeros and nan too
+    assert repr(native) == repr(python)
+    assert state_digest(native_state) == state_digest(python_state)
+    assert native_state.k == python_state.k
+    assert native_state.diverged == python_state.diverged
+
+
 @pytest.fixture(params=["native_kernel", "python_kernel"])
 def backend(request):
     request.getfixturevalue(request.param)
@@ -454,14 +492,7 @@ def test_step_fold_equals_run(backend, case):
     """step from init(config, t0), one sample at a time up to a divergence,
     reports what one run() pass stores, and stops where run() stops."""
     config, stream = case
-    state = init(config, stream.t0)
-    records = []
-    for x in stream.values.tolist():
-        rec = step(state, x, config)
-        if rec is not None:
-            records.append(rec)
-        if state.diverged:
-            break
+    records, state = _step_fold(config, stream)
     series = run(stream, config)
     # repr compares signed zeros and nan too
     assert repr(records) == repr(series.records)
