@@ -519,7 +519,7 @@ def advance(ctx, x):
     head = int(head)
     count = int(count)
     diverged = False
-    for sample in ((x,) if values is None else values):
+    for sample in ((float(x),) if values is None else values):
         # basis by the angle-sum recurrence, prediction and residual
         c0 = cos(phase)
         s0 = sin(phase){basis}

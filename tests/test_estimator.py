@@ -431,6 +431,25 @@ class TestKernelCache:
                 acc += v
             assert rec.rocof_hzps == acc / len(state.rocof_buf)
 
+    def test_float32_samples_step_as_doubles_on_both_backends(self):
+        # a step takes its sample as a double, as run() does, whatever the
+        # backend; float32 arithmetic would move the estimate
+        cfg = EstimatorConfig()
+        stream = _clean_stream(0.5)
+        values = stream.values.astype(np.float32)
+
+        def fold() -> list:
+            state = init(cfg)
+            return [repr(rec) for x in values
+                    if (rec := step(state, x, cfg)) is not None]
+
+        expect = [repr(rec) for rec in run(
+            SampleStream(stream.t0, stream.ts, values), cfg).records]
+        assert fold() == expect
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_native, "library", lambda: None)
+            assert fold() == expect
+
     @staticmethod
     def _check_pickle_resume() -> None:
         cfg = EstimatorConfig()
