@@ -83,6 +83,7 @@ from __future__ import annotations
 import functools
 import linecache
 import math
+import struct
 from array import array
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
@@ -514,7 +515,7 @@ def advance(ctx, x):
     {ks} = tgs
     eta_rate = INV_TWO_PI * eta
     (a_dc, a_dc1, f, phase, t, zf, t0, k, head, count, {ac}
-     {as_}) = v[:{ring_at}]
+     {as_}) = HEAD.unpack_from(v)
     k = int(k)
     head = int(head)
     count = int(count)
@@ -571,8 +572,8 @@ def advance(ctx, x):
         rows.append((t0 + k * ts, f, acc / count, rocof_raw, a_dc, a_dc1,
                      resid, eta, phase, t, {ac} {as_}))
 
-    v[:{ring_at}] = array("d", (a_dc, a_dc1, f, phase, t, zf, t0, k, head,
-                               count, {ac} {as_}))
+    HEAD.pack_into(v, 0, a_dc, a_dc1, f, phase, t, zf, t0, k, head, count,
+                   {ac} {as_})
     return -1 if diverged else len(rows)
 """
 
@@ -613,8 +614,10 @@ def _kernel(n: int) -> Callable[[_Context, float], int]:
     # tracebacks through the kernel show its source lines
     linecache.cache[filename] = (len(source), None,
                                  source.splitlines(keepends=True), filename)
+    # the slots and coefficients at the head of the state buffer
+    head = struct.Struct(f"{_COEFS + 2 * n}d")
     namespace = {"cos": math.cos, "sin": math.sin, "isfinite": math.isfinite,
-                 "array": array, "TWO_PI": TWO_PI, "INV_TWO_PI": INV_TWO_PI}
+                 "HEAD": head, "TWO_PI": TWO_PI, "INV_TWO_PI": INV_TWO_PI}
     exec(compile(source, filename, "exec"), namespace)
     return namespace["advance"]
 
