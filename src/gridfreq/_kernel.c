@@ -13,8 +13,8 @@
  * of samples: estimator.run calls it once over a whole stream from a fresh
  * state, and estimator.step once per sample, with two arguments, a context
  * that holds the buffer, constant and row pointers, and the sample.  Its
- * output equals the generated Python kernel's (_KERNEL_TEMPLATE) bit for
- * bit, for four reasons: every expression keeps the template's operand
+ * output equals the plain Python loop reference_loop of tests/reference.py
+ * bit for bit, for four reasons: every expression keeps the laws' operand
  * order; -ffp-contract=off rules out fused multiply-adds; CPython's
  * math.sin and math.cos call the same libm; and py_mod is CPython's
  * float %.  Amplitude and phase are left to Python, because CPython's
@@ -27,7 +27,7 @@
  * shortest digit string that reads back to the same double, the nearest
  * to it where several are that short.  Ryu's 64x128-bit products need
  * unsigned __int128 (gcc and clang on 64-bit targets); where the compiler
- * lacks it the build fails, and gridfreq takes its Python paths.
+ * lacks it the build fails, and gridfreq._native.library raises.
  *
  * gridfreq_parse_rows reads rows of decimal floats that fit a strict
  * grammar into doubles, each the nearest to its decimal, as CPython's

@@ -1,5 +1,5 @@
 """The package's C library, ``_kernel.c``: built on first use, loaded
-through :mod:`ctypes`.
+through :mod:`ctypes`, and required.
 
 It holds the estimator's loop (``gridfreq_advance``), the CSV float
 formatter of :mod:`gridfreq.io` (``gridfreq_format_rows``) and its CSV row
@@ -7,8 +7,10 @@ parser (``gridfreq_parse_rows``).
 :func:`library` builds it with ``cc -O2 -ffp-contract=off`` into
 ``$XDG_CACHE_HOME/gridfreq`` (default ``~/.cache/gridfreq``), one shared
 object per source and flags, on the first call, never at import.  When it
-cannot be built, :func:`library` returns None and each caller takes its
-Python path, which gives the same output.
+cannot be built, :func:`library` raises :class:`OSError` naming the cause:
+a missing compiler, a compile error, or a cache directory that cannot be
+written or that other users can write.  The command line exits 2 with that
+message.
 
 :func:`format_rows` formats CSV rows of doubles through it, and
 :func:`parse_rows` parses them.  Both multiply by one table of 128-bit
@@ -47,11 +49,16 @@ def _cache_dir() -> Path:
     base = os.environ.get("XDG_CACHE_HOME", "")
     path = (Path(base) if os.path.isabs(base)
             else Path.home() / ".cache") / "gridfreq"
-    path.mkdir(mode=0o700, parents=True, exist_ok=True)
-    st = path.stat()
+    try:
+        path.mkdir(mode=0o700, parents=True, exist_ok=True)
+        st = path.stat()
+    except OSError as exc:
+        raise OSError(f"cache directory {path} cannot be used "
+                      f"({exc.strerror})") from exc
     # a shared object others can replace would run their code
     if st.st_uid != os.getuid() or st.st_mode & 0o022:
-        raise PermissionError(f"{path} is writable by other users")
+        raise PermissionError(f"cache directory {path} is writable by other "
+                              f"users")
     return path
 
 
@@ -78,9 +85,17 @@ def _build(source: bytes) -> Path:
         subprocess.run([_CC, *_CFLAGS, "-x", "c", "-", "-o", tmp, "-lm"],
                        input=source, capture_output=True, check=True,
                        timeout=120)
+    except OSError as exc:                     # not found, not executable
+        raise OSError(f"C compiler {_CC!r} cannot be run "
+                      f"({exc.strerror})") from exc
+    except subprocess.CalledProcessError as exc:
+        lines = exc.stderr.decode(errors="replace").strip().splitlines()
+        raise OSError(f"C compiler {_CC!r} failed on _kernel.c"
+                      + (f": {lines[0]}" if lines else "")) from exc
+    except subprocess.TimeoutExpired as exc:
+        raise OSError(f"C compiler {_CC!r} timed out on _kernel.c") from exc
+    else:
         os.replace(tmp, target)
-    except subprocess.SubprocessError as exc:
-        raise OSError(f"cannot build the C library: {exc}") from exc
     finally:
         with contextlib.suppress(FileNotFoundError):
             os.unlink(tmp)
@@ -88,16 +103,16 @@ def _build(source: bytes) -> Path:
 
 
 @functools.cache
-def library() -> ctypes.CDLL | None:
-    """The C library with its functions' signatures set, or None (once per
-    process) when a missing compiler, a compile error or an unwritable
-    cache directory keeps it from being built."""
+def _loaded() -> ctypes.CDLL | str:
+    """The C library with its functions' signatures set, or why it cannot
+    be built.  A failure is cached too, so no later call runs ``cc``
+    again."""
     import ctypes
 
     try:
         lib = ctypes.CDLL(str(_build(_source())))
-    except (OSError, RuntimeError):
-        return None
+    except (OSError, RuntimeError) as exc:     # RuntimeError: no home
+        return f"cannot build gridfreq's C library: {exc}"
 
     def array(dtype: type) -> type:
         return np.ctypeslib.ndpointer(dtype, flags="C_CONTIGUOUS")
@@ -113,6 +128,16 @@ def library() -> ctypes.CDLL | None:
     lib.gridfreq_parse_rows.argtypes = [ctypes.c_char_p, i64, i64, i64, i64,
                                         words, doubles]
     lib.gridfreq_parse_rows.restype = i64
+    return lib
+
+
+def library() -> ctypes.CDLL:
+    """The C library, built on the first call of the process.  Raises
+    :class:`OSError` naming the cause when it cannot be built, on that call
+    and on every later one."""
+    lib = _loaded()
+    if isinstance(lib, str):
+        raise OSError(lib)
     return lib
 
 
@@ -141,8 +166,7 @@ def context(state: Doubles, consts: Doubles, rows: Doubles,
     float64 buffers (C-contiguous arrays, or ``array('d')`` that no one
     resizes), and the context: a run over the samples ``x``, or a step on
     the sample of each call when ``x`` is None.  The context keeps the
-    buffers alive; the caller keeps the context alive as long as it calls.
-    Needs :func:`library`."""
+    buffers alive; the caller keeps the context alive as long as it calls."""
     import ctypes
 
     ctx = _context_type()(_address(state), _address(consts), _address(rows),
@@ -179,8 +203,7 @@ def _pow10_table() -> np.ndarray:
 
 def format_rows(cells: np.ndarray) -> memoryview:
     """The CSV text, CRLF line ends included, of the rows of a C-contiguous
-    float64 matrix, each value as ``repr`` writes it.  Needs
-    :func:`library`."""
+    float64 matrix, each value as ``repr`` writes it."""
     rows, ncols = cells.shape
     # a field and its comma take at most 25 bytes, a row end 2
     out = np.empty(rows * (25 * ncols + 2), np.uint8)
@@ -192,8 +215,7 @@ def format_rows(cells: np.ndarray) -> memoryview:
 def parse_rows(data: bytes, start: int, ncols: int) -> np.ndarray | None:
     """The float rows of the CSV text ``data[start:]``, ``ncols`` fields
     each, or None where a byte falls outside the C parser's strict grammar
-    (see ``gridfreq_parse_rows``) or there is no row.  Needs
-    :func:`library`."""
+    (see ``gridfreq_parse_rows``) or there is no row."""
     # a row takes at least 2 * ncols bytes with its line end, which bounds
     # the buffer by the file's size whatever its header's width
     max_rows = min(data.count(b"\n", start) + 1,

@@ -27,7 +27,7 @@ def is_count(value: object) -> bool:
     """Whether ``value`` is an int and not a bool.
 
     A float count or seed would pass the range checks, then fail later in
-    its own way (a backend of the estimator, or numpy's generator).
+    its own way (in the estimator's C loop, or in numpy's generator).
     """
     return isinstance(value, int) and not isinstance(value, bool)
 

@@ -5,12 +5,11 @@ Floats are written as ``repr`` writes them (shortest round-trip form), so
 every file written here parses back bit-identically.  CSV lines end in
 CRLF.  The CSV rows are written in chunks by the C formatter of the
 package's C library (see :mod:`gridfreq._native`), which gives ``repr``'s
-bytes, and by ``repr`` itself where that library cannot be built.  Every
-file is read as UTF-8.  A CSV's rows are parsed by the library's C parser
-where every byte fits its strict grammar (decimal fields, commas, CRLF or
-LF row ends), to the bits numpy reads; ``np.loadtxt``'s grammar stays the
-rule, and one ``np.loadtxt`` call parses the rows of any other file, or of
-every file where the library cannot be built.
+bytes.  Every file is read as UTF-8.  A CSV's rows are parsed by the
+library's C parser where every byte fits its strict grammar (decimal
+fields, commas, CRLF or LF row ends), to the bits numpy reads;
+``np.loadtxt``'s grammar stays the rule, and one ``np.loadtxt`` call parses
+the rows of any other file.
 
 Config and scenario files are ``key = value`` lines whose keys come from
 the fields of the frozen dataclasses they describe: ``name`` for a field of
@@ -51,30 +50,23 @@ def _write_rows(path: str | Path, header: Sequence[str],
                 columns: Sequence[np.ndarray]) -> None:
     """Write equal-length columns as CSV rows of the ``repr`` of each value
     as a float.  The rows go out in chunks of ``_CHUNK_ROWS``, formatted by
-    the C library when it is at hand and by ``repr`` otherwise: the same
-    bytes."""
+    the C library."""
     cols = [np.asarray(c, dtype=np.float64) for c in columns]
-    fmt = _repr_rows if _native.library() is None else _native.format_rows
+    _native.library()       # raises before the file is created
     with open(path, "wb") as fh:
         fh.write((",".join(header) + "\r\n").encode())
         for start in range(0, len(cols[0]), _CHUNK_ROWS):
-            fh.write(fmt(np.column_stack(
+            fh.write(_native.format_rows(np.column_stack(
                 [c[start:start + _CHUNK_ROWS] for c in cols])))
-
-
-def _repr_rows(cells: np.ndarray) -> bytes:
-    """CSV rows of the ``repr`` of each value of a float matrix."""
-    rows = cells.tolist()
-    return "".join(",".join(map(repr, row)) + "\r\n" for row in rows).encode()
 
 
 def _read_rows(path: str | Path, header: Sequence[str] | None = None
                ) -> tuple[list[str], np.ndarray]:
     """(header, float rows) of a CSV; ``header``, if given, must match.
-    The C parser reads rows that fit its strict grammar; where it defers or
-    the library is absent, :func:`_loadtxt` reads the file.  Where numpy
-    fails or its rows are absent, not the header's width or not finite,
-    :func:`_fault` names the line at fault."""
+    The C parser reads rows that fit its strict grammar; where it defers,
+    :func:`_loadtxt` reads the file.  Where numpy fails or its rows are
+    absent, not the header's width or not finite, :func:`_fault` names the
+    line at fault."""
     data = Path(path).read_bytes()
     end = _LINE_END.search(data)
     head, start = (data[:end.start()], end.end()) if end else (data, len(data))
@@ -83,9 +75,8 @@ def _read_rows(path: str | Path, header: Sequence[str] | None = None
     try:
         # no column name holds a quote or a comma: quotes are dropped
         got = head.decode("utf-8").replace('"', "").split(",")
-        if _native.library() is not None:
-            # the rows it accepts are ASCII, so the whole file is UTF-8
-            arr = _native.parse_rows(data, start, len(got))
+        # the C parser accepts ASCII rows only, so then the file is UTF-8
+        arr = _native.parse_rows(data, start, len(got))
         if arr is None:
             # numpy skips empty lines, and warns when it finds no other
             nonempty = data[start:].decode("utf-8").strip("\r\n") != ""

@@ -1,4 +1,4 @@
-"""Shared scenario builders and skip conditions for the test battery.
+"""Shared scenario builders for the test battery.
 
 The builders mirror the shipped scenario files in scenarios/ but are
 constructed in code so the tests do not depend on file parsing.
@@ -6,20 +6,10 @@ constructed in code so the tests do not depend on file parsing.
 
 from __future__ import annotations
 
-import shutil
-
-import pytest
-
 from gridfreq import (DcSpec, EventProfile, HarmonicSpec, NoiseSpec,
                       ScenarioSpec, StepSpec)
 
 FS = 1200.0
-
-# the C library needs a compiler; without one, run() and the CSV writers
-# take their Python paths
-HAVE_CC = shutil.which("cc") is not None
-NO_CC = "no C compiler (cc) on PATH"
-needs_cc = pytest.mark.skipif(not HAVE_CC, reason=NO_CC)
 
 
 def clean_tone(duration: float = 10.0) -> ScenarioSpec:

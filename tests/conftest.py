@@ -6,31 +6,20 @@ import pytest
 # make the sibling oracle/helper modules importable as plain modules
 sys.path.insert(0, str(pathlib.Path(__file__).parent))
 
-from gridfreq import _native, estimator  # noqa: E402
-from cases import HAVE_CC, NO_CC  # noqa: E402
+from gridfreq import _native  # noqa: E402
 
 
 @pytest.fixture(scope="session", autouse=True)
 def kernel_cache(tmp_path_factory):
-    """Build the C library into a cache of this session, not the user's."""
+    """Build the C library into a cache of this session, not the user's;
+    where it cannot be built, stop the session with the command line's
+    message rather than fail every test that needs it."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setenv("XDG_CACHE_HOME", str(tmp_path_factory.mktemp("xdg-cache")))
-        _native.library.cache_clear()
+        _native._loaded.cache_clear()
+        try:
+            _native.library()
+        except OSError as exc:
+            pytest.exit(f"error: {exc}", returncode=2)
         yield
-    _native.library.cache_clear()
-
-
-@pytest.fixture
-def native_kernel():
-    """run() on the C loop and the CSV writers on the C formatter; skipped
-    only where no C compiler is installed."""
-    if not HAVE_CC:
-        pytest.skip(NO_CC)
-    assert estimator.run_backend() == "c"
-
-
-@pytest.fixture
-def python_kernel(monkeypatch):
-    """run() on the generated Python kernel and the CSV writers on repr:
-    the C library is taken as absent."""
-    monkeypatch.setattr(_native, "library", lambda: None)
+    _native._loaded.cache_clear()

@@ -4,8 +4,8 @@ Each case is one ``run()`` over a bundled scenario or a divergence fixture.
 Its digest is the SHA-256 of the ``repr`` of every field of every record,
 so a change in any output bit changes it.  The default-config cases at
 seed 0 also digest the final state of a ``step`` loop over the same
-stream.  ``tests/data/golden_run.json`` holds the digests, which both
-backends of ``run()`` (the C loop and the Python kernel) must reproduce.
+stream.  ``tests/data/golden_run.json`` holds the digests, which ``run()``
+and the ``step`` loop, both on the C loop, must reproduce.
 ``tests/data/golden_estimate_csv.json`` holds the SHA-256 of the estimate
 CSV ``io.write_estimates`` writes for two of the cases, one that runs and
 one that diverges before its first report; the file holds the series'

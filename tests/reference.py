@@ -3,10 +3,11 @@
 Everything here is written independently of the package internals: plain
 Python loops, direct math.sin/math.cos calls, no shared helpers.  Do not
 refactor these to call into gridfreq; their value is that a bug in the
-package cannot silently propagate into the expectation.  The one exception
-to direct trig is the model oracle (harmonic_basis, output_and_gradient):
-it builds the basis by the angle-sum recurrence in the estimator's
-operation order, so that the tests can pin the kernel to it bit for bit.
+package cannot silently propagate into the expectation.  The exceptions to
+direct trig are the model oracle (harmonic_basis, output_and_gradient) and
+the loop oracle (reference_loop): they build the basis by the angle-sum
+recurrence in the estimator's operation order, so that the tests can pin
+the C loop to them bit for bit.
 """
 
 from __future__ import annotations
@@ -74,6 +75,102 @@ def reference_estimator(values, ts, n, f0, gamma_c, gamma_s, gamma_dc,
         f_trace.append(f_hz)
         rocof_trace.append(rocof_raw)
     return f_trace, rocof_trace
+
+
+def reference_loop(values, t0, ts, n, f0, gamma_c, gamma_s, gamma_dc,
+                   gamma_dc1, eta_opt, t_reset, report_every, window,
+                   cutoff_hz=None):
+    """The estimator's laws as one plain loop, from a fresh state, in the
+    operand order of the gridfreq.estimator module docstring: each sum and
+    product is evaluated left to right as written there, with ts times a
+    gain taken first.
+
+    After each sample the divergence watchdog checks the frequency band
+    |f - f0| <= f0/2 first, then that every coefficient is finite; when
+    either fails the loop stops, and the state keeps the updated
+    coefficients, f and the filter state, but the phase, sample count,
+    anchor and RoCoF buffer of the sample before.  Every ``report_every``
+    samples it reports one row
+
+        t0 + k*ts, f, rocof, rocof_raw, a_dc, a_dc1, residual, eta_opt,
+        phase, anchor, a_c[0..n), a_s[0..n)
+
+    whose rocof is the left-to-right mean of the last ``window`` raw
+    values, oldest first.  Returns (rows, state): the rows as tuples, and
+    the final state as a dict of EstimatorState's constructor arguments.
+    """
+    eta_rate = (1.0 / TWO_PI) * eta_opt
+    alpha = 0.0
+    if cutoff_hz is not None:
+        alpha = 1.0 - math.exp(-TWO_PI * cutoff_hz * ts)
+    kc = [ts * g for g in gamma_c]
+    ks = [ts * g for g in gamma_s]
+    a_c = [0.0] * n
+    a_s = [0.0] * n
+    a_dc = 0.0
+    a_dc1 = 0.0
+    f = f0
+    phase = 0.0
+    t = 0.0
+    zf = 0.0
+    k = 0
+    buf = []
+    rows = []
+    diverged = False
+    for sample in values:
+        c0 = math.cos(phase)
+        s0 = math.sin(phase)
+        c = [c0]
+        s = [s0]
+        for i in range(1, n):
+            c.append(c[i - 1] * c0 - s[i - 1] * s0)
+            s.append(s[i - 1] * c0 + c[i - 1] * s0)
+        pred = a_dc - a_dc1 * t
+        for i in range(n):
+            pred = pred + (a_c[i] * s[i] + a_s[i] * c[i])
+        resid = sample - pred
+        if cutoff_hz is None:
+            z = resid
+        else:
+            zf = zf + alpha * (resid - zf)
+            z = zf
+
+        for i in range(n):
+            a_c[i] = a_c[i] + kc[i] * z * s[i]
+            a_s[i] = a_s[i] + ks[i] * z * c[i]
+        g = 0.0
+        for i in range(n):
+            g = g + (i + 1) * t * (a_c[i] * c[i] - a_s[i] * s[i])
+        a_dc = a_dc + ts * gamma_dc * z
+        a_dc1 = a_dc1 - t * ts * gamma_dc1 * z
+        rocof_raw = eta_rate * z * g
+        f = f + ts * rocof_raw
+
+        if not abs(f - f0) <= f0 / 2:
+            diverged = True
+            break
+        if not all(math.isfinite(v) for v in [*a_c, *a_s, a_dc, a_dc1]):
+            diverged = True
+            break
+
+        phase = (phase + TWO_PI * f * ts) % TWO_PI
+        k += 1
+        t = t + ts
+        if t > t_reset:
+            t = t_reset
+        buf.append(rocof_raw)
+        if len(buf) > window:
+            del buf[0]
+        if k % report_every == 0:
+            acc = 0.0
+            for value in buf:
+                acc += value
+            rows.append((t0 + k * ts, f, acc / len(buf), rocof_raw, a_dc,
+                         a_dc1, resid, eta_opt, phase, t, *a_c, *a_s))
+    state = dict(a_c=a_c, a_s=a_s, f_hz=f, a_dc=a_dc, a_dc1=a_dc1,
+                 phase_acc=phase, k=k, t_anchor=t, zfilt=zf,
+                 diverged=diverged, rocof_buf=buf, t0=t0)
+    return rows, state
 
 
 def harmonic_basis(phase, n):

@@ -9,7 +9,7 @@ import pytest
 
 from gridfreq import (EstimatorConfig, EventProfile, SampleStream,
                       ScenarioSpec, aggregate, evaluate, run, synthesize)
-from gridfreq import cli
+from gridfreq import _native, cli
 from gridfreq import io as gio
 from gridfreq.cli import EXIT_BOUNDS, EXIT_DIVERGED, EXIT_INPUT, EXIT_OK, main
 
@@ -328,11 +328,8 @@ class TestEstimateAndMetrics:
         assert "DIVERGED" in capsys.readouterr().out
 
 
-    @pytest.mark.parametrize("backend", ["native_kernel", "python_kernel"])
-    def test_divergence_before_the_first_report(self, tmp_path, capsys,
-                                                request, backend):
+    def test_divergence_before_the_first_report(self, tmp_path, capsys):
         # case1 in raw volts (x 325) diverges at sample 4 with no record
-        request.getfixturevalue(backend)
         stream, truth = synthesize(gio.read_scenario(SCENARIOS / "case1.cfg"),
                                    FS, seed=0)
         samples, truth_csv, est = (tmp_path / name for name in
@@ -870,3 +867,38 @@ class TestTune:
         assert message in capsys.readouterr().err
         assert not out_cfg.exists()
 
+
+
+class TestNoCompiler:
+    """Where the C library cannot be built, every command that needs it
+    exits 2 naming the compiler."""
+
+    @pytest.mark.parametrize("argv", [
+        ["estimate", "{samples}", "--out", "{out}/est.csv"],
+        ["synth", "{scenario}", "--out", "{out}"],
+        ["metrics", "--scenario", "{scenario}", "--seeds", "1"],
+        ["tune", "--scenario", "{scenario}", "--swarm", "2",
+         "--iterations", "1", "--out", "{out}/tuned.cfg"]],
+        ids=["estimate", "synth", "metrics", "tune"])
+    def test_exits_2_naming_the_compiler(self, tmp_path, synth_outputs,
+                                         scenario_file, capsys, monkeypatch,
+                                         argv):
+        compiler = str(tmp_path / "no-cc")
+        out = tmp_path / "out"
+        out.mkdir()
+        # an empty cache holds no library built before
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+        monkeypatch.setattr(_native, "_CC", compiler)
+        _native._loaded.cache_clear()
+        try:
+            capsys.readouterr()
+            rc = main([arg.format(samples=synth_outputs[0], out=out,
+                                  scenario=scenario_file) for arg in argv])
+        finally:
+            _native._loaded.cache_clear()
+        err = capsys.readouterr().err
+        assert rc == EXIT_INPUT
+        assert err == (f"error: cannot build gridfreq's C library: C compiler "
+                       f"{compiler!r} cannot be run (No such file or "
+                       f"directory)\n")
+        assert not list(out.iterdir())

@@ -8,6 +8,7 @@ import pickle
 import subprocess
 import sys
 import warnings
+from array import array
 from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
 
@@ -19,9 +20,9 @@ from gridfreq import (ConfigError, DivergenceError, EstimateSeries,
                       ScenarioSpec, evaluate, init, ise_fitness,
                       reconstruction_error, run, step, synthesize)
 from gridfreq import _native, estimator
-from gridfreq.estimator import INV_TWO_PI, ROW_COLUMNS, amp_phase
+from gridfreq.estimator import ROW_COLUMNS, amp_phase
 from gridfreq.tuner import DIVERGENCE_PENALTY
-from cases import case1, needs_cc
+from cases import case1
 from golden import cases as golden_cases
 from golden import compute as golden_compute
 from golden import digest as golden_digest
@@ -80,14 +81,10 @@ class TestConfig:
     def test_defaults_are_valid(self):
         EstimatorConfig().validate()
 
-    @pytest.mark.parametrize("backend", ["native_kernel", "python_kernel"])
     @pytest.mark.parametrize("name, value", [("n", 7.0),
                                              ("rocof_smooth_window", 96.0),
                                              ("report_every", 12.0)])
-    def test_validation_rejects_non_int_count(self, request, backend, name,
-                                              value):
-        # a float count used to pass on one backend and fail on the other
-        request.getfixturevalue(backend)
+    def test_validation_rejects_non_int_count(self, name, value):
         with pytest.raises(ConfigError, match=f"{name} must be an int"):
             EstimatorConfig(**{name: value})
         with pytest.raises(ConfigError, match=f"{name} must be an int"):
@@ -269,7 +266,7 @@ class TestColumnarSeries:
         assert (np.array(got).tobytes() == np.array(expect).tobytes()
                 == edge.polar()[0].tobytes())
 
-    def test_c_path_builds_no_record(self, native_kernel, monkeypatch):
+    def test_c_path_builds_no_record(self, monkeypatch):
         def forbidden(*args, **kwargs):
             raise AssertionError("per-record work on the C path")
 
@@ -326,51 +323,40 @@ class TestKernelCache:
         with pytest.raises(FrozenInstanceError):
             EstimatorConfig().eta_opt = 1.0
 
-    @staticmethod
-    def _check_step_fold(n: int, compiled: int) -> None:
-        estimator._kernel.cache_clear()
+    @pytest.mark.parametrize("n", ORDERS)
+    def test_new_config_object_every_step_is_bit_identical(self, n):
         cfg = EstimatorConfig(n=n, obs_lowpass_hz=500.0)
         stream = _clean_stream(0.5)
         state = init(cfg)
         records = [rec for x in stream.values.tolist()
                    if (rec := step(state, x, replace(cfg))) is not None]
         assert records == run(stream, cfg).records
-        # step and run share one loop: the C loop compiles no Python
-        # kernel, and the Python fallback one per order
-        assert estimator._kernel.cache_info().currsize == compiled
 
-    @pytest.mark.parametrize("n", ORDERS)
-    def test_new_config_object_every_step_is_bit_identical(self, n,
-                                                            native_kernel):
-        self._check_step_fold(n, compiled=0)
-
-    @pytest.mark.parametrize("n", ORDERS)
-    def test_new_config_object_every_step_is_bit_identical_python_kernel(
-            self, n, python_kernel):
-        self._check_step_fold(n, compiled=1)
-
-    def test_c_run_compiles_no_python_kernel(self, native_kernel):
-        estimator._kernel.cache_clear()
-        series = run(_clean_stream(0.5), EstimatorConfig(n=3))
-        assert len(series) > 0
-        assert estimator._kernel.cache_info().currsize == 0
-
-    def test_c_step_compiles_no_python_kernel(self, native_kernel,
-                                              monkeypatch):
+    def test_init_binds_the_c_loop_for_every_step(self, monkeypatch):
         # init loads the library and binds the buffer, so no step pays
         # for either
-        estimator._kernel.cache_clear()
-        _native.library.cache_clear()
+        _native._loaded.cache_clear()
         cfg = EstimatorConfig(n=3)
         state = init(cfg)
-        assert _native.library.cache_info().currsize == 1
+        assert _native._loaded.cache_info().currsize == 1
         monkeypatch.setattr(estimator, "_bind", None)
         stream = _clean_stream(0.5)
         records = [rec for x in stream.values.tolist()
                    if (rec := step(state, x, cfg)) is not None]
         assert state.k == len(stream) and not state.diverged
         assert records == run(stream, cfg).records
-        assert estimator._kernel.cache_info().currsize == 0
+
+    @pytest.mark.parametrize("sample", [
+        "0.5", None, 0.5j, [0.5], array("d", [0.5]), np.array([0.5])])
+    def test_sample_that_is_not_a_real_number_is_rejected(self, sample):
+        cfg = EstimatorConfig()
+        state = init(cfg)
+        before = state_digest(state)
+        with pytest.raises(TypeError,
+                           match=f"got {type(sample).__name__}$"):
+            step(state, sample, cfg)
+        assert state.k == 0 and state_digest(state) == before
+        assert step(state, 0.5, cfg) is None and state.k == 1
 
     def test_config_of_another_order_rejected(self):
         state = init(EstimatorConfig())
@@ -406,9 +392,7 @@ class TestKernelCache:
         assert state_digest(tuples) == state_digest(lists)
         assert type(tuples.a_c) is list and type(tuples.a_s) is list
 
-    @pytest.mark.parametrize("backend", ["native_kernel", "python_kernel"])
-    def test_new_window_keeps_the_newest_values(self, request, backend):
-        request.getfixturevalue(backend)
+    def test_new_window_keeps_the_newest_values(self):
         cfg = EstimatorConfig()
         values = iter(_clean_stream(0.5).values.tolist())
         state = init(cfg)
@@ -431,27 +415,19 @@ class TestKernelCache:
                 acc += v
             assert rec.rocof_hzps == acc / len(state.rocof_buf)
 
-    def test_float32_samples_step_as_doubles_on_both_backends(self):
-        # a step takes its sample as a double, as run() does, whatever the
-        # backend; float32 arithmetic would move the estimate
+    def test_float32_samples_step_as_doubles(self):
+        # a step takes its sample as a double, as run() does; float32
+        # arithmetic would move the estimate
         cfg = EstimatorConfig()
         stream = _clean_stream(0.5)
         values = stream.values.astype(np.float32)
-
-        def fold() -> list:
-            state = init(cfg)
-            return [repr(rec) for x in values
-                    if (rec := step(state, x, cfg)) is not None]
-
-        expect = [repr(rec) for rec in run(
+        state = init(cfg)
+        got = [repr(rec) for x in values
+               if (rec := step(state, x, cfg)) is not None]
+        assert got == [repr(rec) for rec in run(
             SampleStream(stream.t0, stream.ts, values), cfg).records]
-        assert fold() == expect
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(_native, "library", lambda: None)
-            assert fold() == expect
 
-    @staticmethod
-    def _check_pickle_resume() -> None:
+    def test_pickled_state_resumes_bit_identically(self):
         cfg = EstimatorConfig()
         values = _clean_stream(0.5).values.tolist()
         state = init(cfg)
@@ -460,13 +436,6 @@ class TestKernelCache:
         copy = pickle.loads(pickle.dumps(state))
         assert ([step(state, x, cfg) for x in values[300:]]
                 == [step(copy, x, cfg) for x in values[300:]])
-
-    def test_pickled_state_resumes_bit_identically(self, native_kernel):
-        self._check_pickle_resume()
-
-    def test_pickled_state_resumes_bit_identically_python_kernel(
-            self, python_kernel):
-        self._check_pickle_resume()
 
 
 class TestStepMatchesModelKernel:
@@ -490,7 +459,7 @@ class TestStepMatchesModelKernel:
             z = rec.residual if cfg.obs_lowpass_hz is None else state.zfilt
             mismatches += rec.residual != x - out
             mismatches += (rec.rocof_raw_hzps
-                           != INV_TWO_PI * cfg.eta_opt * z * grad)
+                           != (1.0 / (2.0 * math.pi)) * cfg.eta_opt * z * grad)
         assert state.k == len(stream)
         return mismatches
 
@@ -505,21 +474,14 @@ class TestStepMatchesModelKernel:
 
 
 class TestGolden:
-    """Both backends of run() reproduce the stored digests."""
+    """run() and step() reproduce the stored digests."""
 
-    @staticmethod
-    def _check() -> None:
+    def test_outputs_match_stored_digests(self):
         want = golden_load()
         got = golden_compute()
         assert sorted(got) == sorted(want)
         changed = [name for name in want if got[name] != want[name]]
         assert not changed, f"outputs changed for {changed}"
-
-    def test_outputs_match_stored_digests(self, native_kernel):
-        self._check()
-
-    def test_outputs_match_stored_digests_python_kernel(self, python_kernel):
-        self._check()
 
     def test_divergence_fixtures(self):
         want = golden_load()
@@ -538,37 +500,35 @@ class TestObservationFilter:
 
 
 class TestNativeLoader:
-    """Building and loading the C library, and the fallback when it fails."""
+    """Building and loading the C library, and the error when it fails."""
 
     @pytest.fixture(autouse=True)
     def fresh_loader(self, monkeypatch, tmp_path):
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
-        _native.library.cache_clear()
+        _native._loaded.cache_clear()
         yield
-        _native.library.cache_clear()
+        _native._loaded.cache_clear()
 
     @staticmethod
-    def _load() -> str:
-        """The backend run() picks, failing on any warning while it loads."""
+    def _load() -> None:
+        """Load the library, failing on any warning while it loads."""
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            backend = estimator.run_backend()
+            _native.library()
             gc.collect()
         assert caught == []
-        return backend
 
-    @staticmethod
-    def _golden_case1() -> bool:
-        name, stream, cfg = next(golden_cases())
-        want = golden_load()[name]
-        series = run(stream, cfg)
-        return (golden_digest(series), series.diverged_at) == (
-            want["sha256"], want["diverged_at"])
-
-    @pytest.mark.parametrize("fault", ["missing_cc", "compile_error",
-                                       "unwritable_cache", "shared_cache"])
-    def test_failed_build_falls_back_to_an_identical_series(
-            self, fault, monkeypatch, tmp_path):
+    @pytest.mark.parametrize("fault, cause", [
+        ("missing_cc", "C compiler '{tmp}/no-cc' cannot be run"),
+        ("compile_error", "C compiler 'cc' failed on _kernel.c: "),
+        ("unwritable_cache", "cache directory {tmp}/file/gridfreq cannot "
+                             "be used"),
+        ("shared_cache", "cache directory {tmp}/cache/gridfreq is writable "
+                         "by other users")],
+        ids=["missing_cc", "compile_error", "unwritable_cache",
+             "shared_cache"])
+    def test_failed_build_raises_naming_its_cause(self, fault, cause,
+                                                  monkeypatch, tmp_path):
         if fault == "missing_cc":
             monkeypatch.setattr(_native, "_CC", str(tmp_path / "no-cc"))
         elif fault == "compile_error":
@@ -580,40 +540,58 @@ class TestNativeLoader:
         else:
             (tmp_path / "cache" / "gridfreq").mkdir(parents=True)
             (tmp_path / "cache" / "gridfreq").chmod(0o777)
-        assert self._load() == "python"
-        assert self._golden_case1()
+        compiles = []
+        spawn = subprocess.run
+
+        def counted(*args, **kwargs):
+            compiles.append(args)
+            return spawn(*args, **kwargs)
+
+        monkeypatch.setattr(subprocess, "run", counted)
+        message = "cannot build gridfreq's C library: " + cause.format(
+            tmp=tmp_path)
+        stream = _clean_stream(0.1)
+        for call in (lambda: init(EstimatorConfig()),
+                     lambda: run(stream, EstimatorConfig()),
+                     _native.library):
+            with pytest.raises(OSError) as raised:
+                call()
+            assert str(raised.value).startswith(message)
+        # once, and cached: a compile that failed runs no second time
+        assert len(compiles) == (fault in ("missing_cc", "compile_error"))
         assert not list(tmp_path.glob("cache/gridfreq/*"))
 
-    @needs_cc
     def test_second_load_reuses_the_cached_object(self, monkeypatch,
                                                   tmp_path):
-        assert self._load() == "c"
+        self._load()
         built = list((tmp_path / "cache" / "gridfreq").iterdir())
         assert len(built) == 1 and built[0].suffix == ".so"
-        _native.library.cache_clear()
+        _native._loaded.cache_clear()
         monkeypatch.setattr(_native, "_CC", str(tmp_path / "no-cc"))
-        assert self._load() == "c"
+        self._load()
         assert list((tmp_path / "cache" / "gridfreq").iterdir()) == built
-        assert self._golden_case1()
+        name, stream, cfg = next(golden_cases())
+        want = golden_load()[name]
+        series = run(stream, cfg)
+        assert (golden_digest(series), series.diverged_at) == (
+            want["sha256"], want["diverged_at"])
 
-    @needs_cc
     def test_warm_cache_load_does_not_import_subprocess(self, tmp_path):
-        assert self._load() == "c"
-        probe = ("import sys; from gridfreq.estimator import run_backend; "
-                 "print(run_backend(), 'subprocess' in sys.modules)")
+        self._load()
+        probe = ("import sys; from gridfreq import _native; "
+                 "_native.library(); print('subprocess' in sys.modules)")
         env = {**os.environ, "XDG_CACHE_HOME": str(tmp_path / "cache"),
                "PYTHONPATH": str(Path(estimator.__file__).parents[1])}
         out = subprocess.run([sys.executable, "-c", probe], env=env,
                              capture_output=True, text=True, check=True)
-        assert out.stdout.split() == ["c", "False"]
+        assert out.stdout.split() == ["False"]
 
-    @needs_cc
     def test_default_cache_is_private_under_home(self, monkeypatch,
                                                  tmp_path):
         # a relative XDG_CACHE_HOME is ignored, as the XDG spec asks
         monkeypatch.setenv("XDG_CACHE_HOME", "relative")
         monkeypatch.setenv("HOME", str(tmp_path))
-        assert self._load() == "c"
+        self._load()
         cache = tmp_path / ".cache" / "gridfreq"
         assert cache.stat().st_mode & 0o777 == 0o700
         assert len(list(cache.glob("_kernel-*.so"))) == 1

@@ -179,21 +179,14 @@ class TestEstimateRoundTrip:
         with pytest.raises(ScenarioError):
             gio.read_estimates(path)
 
-    def test_csv_bytes_match_stored_digests(self, tmp_path, native_kernel):
-        assert csv_digests(tmp_path) == load_csv()
-
-    def test_csv_bytes_match_stored_digests_python_kernel(self, tmp_path,
-                                                          python_kernel):
+    def test_csv_bytes_match_stored_digests(self, tmp_path):
         assert csv_digests(tmp_path) == load_csv()
 
 
 class TestWrittenBytes:
     """Samples, truth and history files keep the bytes of the stored digests."""
 
-    def test_match_stored_digests(self, tmp_path, native_kernel):
-        assert io_digests(tmp_path) == load_io()
-
-    def test_match_stored_digests_python_kernel(self, tmp_path, python_kernel):
+    def test_match_stored_digests(self, tmp_path):
         assert io_digests(tmp_path) == load_io()
 
 

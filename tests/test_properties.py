@@ -9,20 +9,19 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from gridfreq import (EstimatorConfig, EventProfile, RampProfile,
-                      SampleStream, ScenarioError, ScenarioSpec, init, run,
-                      step, synthesize)
+from gridfreq import (EstimateSeries, EstimatorConfig, EstimatorState,
+                      EventProfile, RampProfile, SampleStream, ScenarioError,
+                      ScenarioSpec, init, run, step, synthesize)
 from gridfreq import _native, estimator
 from gridfreq import io as gio
 from gridfreq.estimator import amp_phase
 from gridfreq.synth import (ConstantProfile, DcSpec, HarmonicSpec, NoiseSpec,
                             StepSpec)
-from cases import HAVE_CC, needs_cc
-from golden import digest, state_digest
-from reference import harmonic_basis, output_and_gradient
+from golden import state_digest
+from reference import harmonic_basis, output_and_gradient, reference_loop
 
 finite = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False,
                    allow_infinity=False)
@@ -140,7 +139,6 @@ repr_floats = st.one_of(
     st.integers(-2 ** 60, 2 ** 60).map(float))
 
 
-@needs_cc
 @settings(max_examples=300, deadline=None)
 @given(values=st.lists(repr_floats, min_size=1, max_size=50))
 def test_c_formatter_writes_repr(values):
@@ -184,7 +182,6 @@ def _scale_changes() -> np.ndarray:
     return np.concatenate([bits, bits | np.uint64(1 << 63)]).view(np.float64)
 
 
-@needs_cc
 def test_c_formatter_writes_repr_where_the_table_scale_changes():
     values = _scale_changes()
     text = bytes(_native.format_rows(values[:, None]))
@@ -213,20 +210,18 @@ def csv_columns(draw):
     return columns
 
 
-@needs_cc
 @settings(max_examples=25, deadline=None)
 @given(columns=csv_columns())
 def test_write_rows_is_the_same_on_both_backends(columns, tmp_path_factory):
-    assert estimator.run_backend() == "c"
+    """_write_rows, through the C formatter in chunks, writes the bytes of
+    one repr per value."""
     header = [f"c{j}" for j in range(len(columns))]
     path = tmp_path_factory.mktemp("rows") / "rows.csv"
     gio._write_rows(path, header, columns)
-    native = path.read_bytes()
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(_native, "library", lambda: None)
-        gio._write_rows(path, header, columns)
-    assert native == path.read_bytes()
-    assert native.count(b"\r\n") == len(columns[0]) + 1
+    rows = np.column_stack(columns).tolist()
+    expect = ",".join(header) + "\r\n" + "".join(
+        ",".join(map(repr, row)) + "\r\n" for row in rows)
+    assert path.read_bytes() == expect.encode()
 
 
 # --------------------------------------------------------------------------
@@ -398,14 +393,14 @@ def test_anchor_ramps_to_its_cap_and_holds_there(cap):
 
 
 # --------------------------------------------------------------------------
-# the C and Python backends of run()
+# the C loop, through run() and step(), against the reference loop
 # --------------------------------------------------------------------------
 
 extreme = st.sampled_from([math.nan, math.inf, -math.inf, 1e300, -1e300])
 
 
 @st.composite
-def backend_cases(draw):
+def loop_cases(draw):
     """A config of any order the default ts allows and a tone with extreme
     values at random positions."""
     n = draw(st.integers(1, 11))
@@ -429,23 +424,6 @@ def backend_cases(draw):
     return config, SampleStream(t0, ANCHOR_TONE.ts, values)
 
 
-@needs_cc
-@settings(max_examples=300, deadline=None)
-@given(case=backend_cases())
-def test_c_run_equals_python_run_bit_for_bit(case):
-    config, stream = case
-    assert estimator.run_backend() == "c"
-    native = run(stream, config)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(_native, "library", lambda: None)
-        python = run(stream, config)
-    assert native.diverged_at == python.diverged_at
-    assert len(native) == len(python)
-    # the bytes compare NaN positions and signed zeros too
-    assert native.rows.tobytes() == python.rows.tobytes()
-    assert digest(native) == digest(python)
-
-
 def _step_fold(config, stream):
     """The records of step from init(config, t0) over the stream, up to a
     divergence, and the final state."""
@@ -460,35 +438,51 @@ def _step_fold(config, stream):
     return records, state
 
 
-@needs_cc
-@settings(max_examples=200, deadline=None)
-@given(case=backend_cases())
-def test_c_step_equals_python_step_bit_for_bit(case):
-    """A step fold on the C loop and on the Python kernel give the same
-    records and the same final state, and stop at the same sample."""
+def _reference(config, stream):
+    """The rows, as a series, and the final state of the plain Python loop
+    of tests/reference.py over the stream from a fresh state."""
+    rows, final = reference_loop(
+        stream.values.tolist(), stream.t0, config.ts, config.n, config.f0,
+        config.gamma_c, config.gamma_s, config.gamma_dc, config.gamma_dc1,
+        config.eta_opt, config.t_reset_s, config.report_every,
+        config.rocof_smooth_window, config.obs_lowpass_hz)
+    width = len(estimator.ROW_COLUMNS) + 2 * config.n
+    series = EstimateSeries(np.array(rows, dtype=float).reshape(-1, width),
+                            config.n)
+    return series, EstimatorState(**final)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=loop_cases())
+def test_c_run_equals_python_run_bit_for_bit(case):
+    """One run() pass writes the rows of the reference loop and stops at
+    its divergence."""
     config, stream = case
-    assert estimator.run_backend() == "c"
-    native, native_state = _step_fold(config, stream)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(_native, "library", lambda: None)
-        python, python_state = _step_fold(config, stream)
+    expect, oracle = _reference(config, stream)
+    series = run(stream, config)
+    # the bytes compare NaN positions and signed zeros too
+    assert series.rows.tobytes() == expect.rows.tobytes()
+    assert series.diverged_at == (oracle.k if oracle.diverged else None)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=loop_cases())
+def test_c_step_equals_python_step_bit_for_bit(case):
+    """A step fold gives the reports, the final state and the stopping
+    sample of the reference loop."""
+    config, stream = case
+    expect, oracle = _reference(config, stream)
+    records, state = _step_fold(config, stream)
     # repr compares signed zeros and nan too
-    assert repr(native) == repr(python)
-    assert state_digest(native_state) == state_digest(python_state)
-    assert native_state.k == python_state.k
-    assert native_state.diverged == python_state.diverged
+    assert repr(records) == repr(expect.records)
+    assert state_digest(state) == state_digest(oracle)
+    assert state.k == oracle.k
+    assert state.diverged == oracle.diverged
 
 
-@pytest.fixture(params=["native_kernel", "python_kernel"])
-def backend(request):
-    request.getfixturevalue(request.param)
-
-
-# the backend fixture holds for every example
-@settings(max_examples=100, deadline=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(case=backend_cases())
-def test_step_fold_equals_run(backend, case):
+@settings(max_examples=100, deadline=None)
+@given(case=loop_cases())
+def test_step_fold_equals_run(case):
     """step from init(config, t0), one sample at a time up to a divergence,
     reports what one run() pass stores, and stops where run() stops."""
     config, stream = case
@@ -502,11 +496,9 @@ def test_step_fold_equals_run(backend, case):
         assert state.diverged and state.k == series.diverged_at
 
 
-# the backend fixture holds for every example
-@settings(max_examples=60, deadline=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(case=backend_cases())
-def test_estimate_csv_round_trip_is_bitwise(backend, case, tmp_path_factory):
+@settings(max_examples=60, deadline=None)
+@given(case=loop_cases())
+def test_estimate_csv_round_trip_is_bitwise(case, tmp_path_factory):
     """A series read back from its estimate CSV equals the series written:
     the same row bytes and the same records."""
     config, stream = case
@@ -584,8 +576,8 @@ def test_csv_rows_are_numpys_or_an_error_naming_a_line(case, junk,
     """_read_rows gives np.loadtxt's array of the data lines, bit for bit,
     or a ScenarioError naming a line of the file (`no data rows` only where
     numpy finds none); undecodable bytes name the line that holds them.
-    It holds with the C library, which parses the rows that fit its
-    grammar, and without it."""
+    The C parser reads the rows of files that fit its grammar, and
+    np.loadtxt the others."""
     _, text = case
     data = text.encode()
     for pos, bad in junk:
@@ -593,16 +585,6 @@ def test_csv_rows_are_numpys_or_an_error_naming_a_line(case, junk,
         data = data[:pos] + bad + data[pos:]
     path = tmp_path_factory.mktemp("csv") / "rows.csv"
     path.write_bytes(data)
-    if HAVE_CC:
-        _check_read_rows(path, data)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(_native, "library", lambda: None)
-        _check_read_rows(path, data)
-
-
-def _check_read_rows(path: Path, data: bytes) -> None:
-    """One backend's _read_rows of `path`, which holds `data`, against
-    np.loadtxt's rows or the line its error names."""
     lines = re.split(rb"\r\n?|\n", data)
     try:
         _, arr = gio._read_rows(path)
@@ -633,7 +615,6 @@ SPELLINGS = {
 }
 
 
-@needs_cc
 @settings(max_examples=300, deadline=None)
 @given(data=st.data(), width=st.integers(1, 4), nrows=st.integers(1, 5),
        crlf=st.booleans(), last_end=st.booleans())
@@ -676,7 +657,6 @@ def midpoint_decimals(draw):
     return f"{w + draw(st.sampled_from([0, -1, 1]))}e{q}"
 
 
-@needs_cc
 @settings(max_examples=300, deadline=None)
 @given(fields=st.lists(
     st.builds("{}e{}".format, st.integers(1, 2 ** 53), st.integers(-22, 22))
