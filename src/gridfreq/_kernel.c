@@ -1,18 +1,21 @@
-/* The package's C library: the estimator's loop (gridfreq_advance), the
- * CSV float formatter of gridfreq.io (gridfreq_format_rows) and its CSV row
- * parser (gridfreq_parse_rows).
+/* The package's C library, the CPython extension module gridfreq._kernel:
+ * the estimator's loop (gridfreq_advance), the CSV float formatter of
+ * gridfreq.io (gridfreq_format_rows) and its CSV row parser
+ * (gridfreq_parse_rows).
  *
  * gridfreq._native builds this file on first use with
  *
- *     cc -O2 -ffp-contract=off -fPIC -shared -lm
+ *     cc -O2 -ffp-contract=off -fPIC -shared -I<the Python headers> -lm
  *
- * and calls the three functions through ctypes.
+ * and loads it with importlib.  Python calls the three functions through
+ * the module's context, format_rows and parse_rows (see the end of the
+ * file), which take their arrays through the buffer protocol.
  *
  * gridfreq_advance runs the laws of the gridfreq.estimator module
  * docstring on a state buffer that persists between calls, over any number
  * of samples: estimator.run calls it once over a whole stream from a fresh
- * state, and estimator.step once per sample, with two arguments, a context
- * that holds the buffer, constant and row pointers, and the sample.  Its
+ * state, and estimator.step once per sample, through a context that holds
+ * views of the state, constant and row buffers.  Its
  * output equals the plain Python loop reference_loop of tests/reference.py
  * bit for bit, for four reasons: every expression keeps the laws' operand
  * order; -ffp-contract=off rules out fused multiply-adds; CPython's
@@ -41,6 +44,9 @@
  * The formatter and the parser multiply by one table of 128-bit powers of
  * five, fast_float's, which gridfreq._native builds (see POW10_MIN_Q).
  */
+
+#define PY_SSIZE_T_CLEAN
+#include <Python.h>                     /* before the standard headers */
 
 #include <math.h>
 #include <stdint.h>
@@ -102,7 +108,7 @@ struct gridfreq_ctx {
  * and zfilt, and the phase, k, anchor and ring of the sample before, and
  * the rows written before it stand.
  */
-int64_t gridfreq_advance(const struct gridfreq_ctx *ctx, double sample)
+static int64_t gridfreq_advance(const struct gridfreq_ctx *ctx, double sample)
 {
     const double *x = ctx->x ? ctx->x : &sample;
     int64_t len = ctx->x ? ctx->len : 1;
@@ -466,8 +472,9 @@ static char *put_float(char *p, double x, const uint64_t *pow10)
  * each row ended by "\r\n".  out must hold nrows * (25 * ncols + 2)
  * bytes: a field takes at most 24, as in -2.2250738585072014e-308.
  * Returns the number of bytes written. */
-int64_t gridfreq_format_rows(const double *cells, int64_t nrows,
-                             int64_t ncols, const uint64_t *pow10, char *out)
+static int64_t gridfreq_format_rows(const double *cells, int64_t nrows,
+                                    int64_t ncols, const uint64_t *pow10,
+                                    char *out)
 {
     char *p = out;
     int64_t r, c;
@@ -617,9 +624,10 @@ static const char *parse_field(const char *p, const char *end,
  * builds for eisel_lemire.  Returns the number of rows, or -1 ("defer") at
  * the first byte outside that grammar, a field parse_field rejects, a row
  * of another width, or a row past max_rows. */
-int64_t gridfreq_parse_rows(const char *text, int64_t start, int64_t len,
-                            int64_t ncols, int64_t max_rows,
-                            const uint64_t *pow10, double *out)
+static int64_t gridfreq_parse_rows(const char *text, int64_t start,
+                                   int64_t len, int64_t ncols,
+                                   int64_t max_rows, const uint64_t *pow10,
+                                   double *out)
 {
     const char *p = text + start, *end = text + len;
     int64_t rows = 0, c;
@@ -642,4 +650,258 @@ int64_t gridfreq_parse_rows(const char *text, int64_t start, int64_t len,
         rows++;
     }
     return rows;
+}
+
+
+/* ------------------------------------------------------------------------
+ * The module gridfreq._kernel: the three functions as Python sees them
+ * ------------------------------------------------------------------------ */
+
+/* Get a view of obj's memory in C order whose items are itemsize bytes,
+ * of the struct format given unless it is NULL, and writable where flags
+ * hold PyBUF_WRITABLE.  The exporter refuses a strided buffer and these
+ * checks a mistyped one, so no function reads memory in another layout.
+ * On a failure view->obj is NULL, and PyBuffer_Release a no-op. */
+static int get_view(PyObject *obj, Py_buffer *view, int flags,
+                    Py_ssize_t itemsize, const char *format, const char *name)
+{
+    const char *got;
+
+    if (PyObject_GetBuffer(obj, view,
+                           PyBUF_C_CONTIGUOUS | PyBUF_FORMAT | flags) < 0)
+        return -1;
+    got = view->format ? view->format : "B";
+    if (view->itemsize == itemsize && (!format || !strcmp(got, format)))
+        return 0;
+    PyErr_Format(PyExc_TypeError, "%s: expected %zd-byte items%s%s%s, got "
+                 "format '%s'", name, itemsize, format ? " of format '" : "",
+                 format ? format : "", format ? "'" : "", got);
+    PyBuffer_Release(view);
+    return -1;
+}
+
+/* One state bound to one config: the struct of gridfreq_advance, and the
+ * views of its buffers, which keep them alive and unresized until the
+ * context is freed.  A context is only ever seen by Python as the self of
+ * its advance function (see kernel_context). */
+typedef struct {
+    PyObject_HEAD
+    struct gridfreq_ctx ctx;
+    Py_buffer views[4];                 /* state, consts, rows, samples */
+} Context;
+
+static void context_dealloc(PyObject *self)
+{
+    int i;
+
+    for (i = 0; i < 4; i++)
+        PyBuffer_Release(&((Context *)self)->views[i]);
+    Py_TYPE(self)->tp_free(self);
+}
+
+static PyTypeObject ContextType = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "gridfreq._kernel.Context",
+    .tp_basicsize = sizeof(Context),
+    .tp_dealloc = context_dealloc,
+    .tp_flags = Py_TPFLAGS_DEFAULT,
+    .tp_doc = PyDoc_STR("The buffers and sizes one advance works on."),
+};
+
+/* advance(sample): gridfreq_advance on the context, the sample converted
+ * as float() converts it.  Where it cannot be, raise TypeError naming its
+ * type before the loop runs, so the state is untouched.  A run's context
+ * ignores the sample and releases the GIL over the stream. */
+static PyObject *context_advance(PyObject *self, PyObject *sample)
+{
+    const struct gridfreq_ctx *ctx = &((Context *)self)->ctx;
+    double x = PyFloat_AsDouble(sample);
+    int64_t rows;
+
+    if (x == -1.0 && PyErr_Occurred()) {
+        PyObject *name;
+
+        PyErr_Clear();
+        name = PyObject_GetAttrString((PyObject *)Py_TYPE(sample), "__name__");
+        if (name) {
+            PyErr_Format(PyExc_TypeError,
+                         "sample must be a real number, got %S", name);
+            Py_DECREF(name);
+        }
+        return NULL;
+    }
+    if (ctx->x) {
+        Py_BEGIN_ALLOW_THREADS
+        rows = gridfreq_advance(ctx, x);
+        Py_END_ALLOW_THREADS
+    } else {
+        rows = gridfreq_advance(ctx, x);
+    }
+    return PyLong_FromLongLong(rows);
+}
+
+static PyMethodDef advance_def = {
+    "advance", context_advance, METH_O,
+    PyDoc_STR("advance(sample)\n--\n\n"
+              "Advance the state; return the number of rows written, or -1 "
+              "at a divergence."),
+};
+
+static PyObject *kernel_context(PyObject *module, PyObject *args)
+{
+    static const char *const names[4] = {"state", "consts", "rows",
+                                         "samples"};
+    static const int flags[4] = {PyBUF_WRITABLE, 0, PyBUF_WRITABLE, 0};
+    PyObject *objs[4], *advance = NULL;
+    Py_ssize_t n, ring, report_every, len = 0, reports = 1;
+    int lowpass, i;
+    Context *self;
+
+    (void)module;
+    if (!PyArg_ParseTuple(args, "OOOOnnnp:context", &objs[0], &objs[1],
+                          &objs[2], &objs[3], &n, &ring, &report_every,
+                          &lowpass))
+        return NULL;
+    if (n < 1 || ring < 1 || report_every < 1) {
+        PyErr_SetString(PyExc_ValueError,
+                        "context: n, ring and report_every must be >= 1");
+        return NULL;
+    }
+    self = (Context *)ContextType.tp_alloc(&ContextType, 0);
+    if (!self)
+        return NULL;
+    for (i = 0; i < 4; i++) {
+        if (i == 3 && objs[i] == Py_None)
+            break;
+        if (get_view(objs[i], &self->views[i], flags[i], 8, "d",
+                     names[i]) < 0)
+            goto done;
+    }
+    if (self->views[3].obj) {
+        len = self->views[3].len / 8;
+        reports = len / report_every;
+    }
+    /* n and ring at most the state's length bound every product */
+    if (n > self->views[0].len || ring > self->views[0].len
+        || self->views[0].len / 8 < S_HEADER + 4 * n + ring
+        || self->views[1].len / 8 < C_HEADER + 2 * n
+        || self->views[2].len / 8 / (10 + 2 * n) < reports) {
+        PyErr_SetString(PyExc_ValueError, "context: the buffers do not "
+                        "hold n harmonics, a ring of ring values and the "
+                        "rows of the samples");
+        goto done;
+    }
+    self->ctx = (struct gridfreq_ctx){
+        self->views[0].buf, self->views[1].buf, self->views[2].buf,
+        self->views[3].buf, len, n, ring, report_every, lowpass};
+    advance = PyCFunction_New(&advance_def, (PyObject *)self);
+done:
+    Py_DECREF(self);
+    return advance;
+}
+
+/* The size of the pow10 table, in 64-bit words */
+#define POW10_WORDS (2 * (POW10_MAX_Q - POW10_MIN_Q + 1))
+
+static PyObject *kernel_format_rows(PyObject *module, PyObject *args)
+{
+    PyObject *cells_obj, *pow10_obj, *out_obj, *result = NULL;
+    Py_buffer v[3];                     /* cells, pow10, out */
+    int64_t size;
+    int i;
+
+    (void)module;
+    if (!PyArg_ParseTuple(args, "OOO:format_rows", &cells_obj, &pow10_obj,
+                          &out_obj))
+        return NULL;
+    memset(v, 0, sizeof v);
+    if (get_view(cells_obj, &v[0], 0, 8, "d", "cells") < 0
+        || get_view(pow10_obj, &v[1], 0, 8, NULL, "pow10") < 0
+        || get_view(out_obj, &v[2], PyBUF_WRITABLE, 1, NULL, "out") < 0)
+        goto done;
+    if (v[0].ndim != 2 || v[1].len / 8 != POW10_WORDS
+        || v[2].len < v[0].len / 8 * 25 + 2 * v[0].shape[0]) {
+        PyErr_SetString(PyExc_ValueError, "format_rows: cells must be a "
+                        "matrix, pow10 the table and out hold its text");
+        goto done;
+    }
+    Py_BEGIN_ALLOW_THREADS
+    size = gridfreq_format_rows(v[0].buf, v[0].shape[0], v[0].shape[1],
+                                v[1].buf, v[2].buf);
+    Py_END_ALLOW_THREADS
+    result = PyLong_FromLongLong(size);
+done:
+    for (i = 0; i < 3; i++)
+        PyBuffer_Release(&v[i]);
+    return result;
+}
+
+static PyObject *kernel_parse_rows(PyObject *module, PyObject *args)
+{
+    PyObject *text_obj, *pow10_obj, *out_obj, *result = NULL;
+    Py_buffer v[3];                     /* text, pow10, out */
+    Py_ssize_t start, ncols;
+    int64_t rows;
+    int i;
+
+    (void)module;
+    if (!PyArg_ParseTuple(args, "OnnOO:parse_rows", &text_obj, &start, &ncols,
+                          &pow10_obj, &out_obj))
+        return NULL;
+    memset(v, 0, sizeof v);
+    if (get_view(text_obj, &v[0], 0, 1, NULL, "text") < 0
+        || get_view(pow10_obj, &v[1], 0, 8, NULL, "pow10") < 0
+        || get_view(out_obj, &v[2], PyBUF_WRITABLE, 8, "d", "out") < 0)
+        goto done;
+    if (start < 0 || start > v[0].len || ncols < 1
+        || v[1].len / 8 != POW10_WORDS) {
+        PyErr_SetString(PyExc_ValueError, "parse_rows: start must lie in "
+                        "the text, ncols be >= 1 and pow10 the table");
+        goto done;
+    }
+    Py_BEGIN_ALLOW_THREADS
+    rows = gridfreq_parse_rows(v[0].buf, start, v[0].len, ncols,
+                               v[2].len / 8 / ncols, v[1].buf, v[2].buf);
+    Py_END_ALLOW_THREADS
+    result = PyLong_FromLongLong(rows);
+done:
+    for (i = 0; i < 3; i++)
+        PyBuffer_Release(&v[i]);
+    return result;
+}
+
+static PyMethodDef kernel_methods[] = {
+    {"context", kernel_context, METH_VARARGS,
+     PyDoc_STR("context(state, consts, rows, samples, n, ring, "
+               "report_every, lowpass)\n--\n\n"
+               "The advance function of a state under one config's "
+               "constants, writing its rows to rows: over the samples on "
+               "each call (a run), or over the sample it is called with "
+               "where samples is None (a step).  The state and rows must "
+               "be writable; every buffer must hold float64 in C order.")},
+    {"format_rows", kernel_format_rows, METH_VARARGS,
+     PyDoc_STR("format_rows(cells, pow10, out)\n--\n\n"
+               "Write the rows of the float64 matrix cells to out as CSV "
+               "text, each value as repr writes it; return its size.")},
+    {"parse_rows", kernel_parse_rows, METH_VARARGS,
+     PyDoc_STR("parse_rows(text, start, ncols, pow10, out)\n--\n\n"
+               "Parse the CSV rows of text[start:] into the float64 "
+               "buffer out, ncols values a row; return the number of rows, "
+               "or -1 where the C parser defers.")},
+    {NULL, NULL, 0, NULL},
+};
+
+static struct PyModuleDef kernel_module = {
+    PyModuleDef_HEAD_INIT,
+    .m_name = "gridfreq._kernel",
+    .m_doc = PyDoc_STR("The package's C library; see gridfreq._native."),
+    .m_size = -1,
+    .m_methods = kernel_methods,
+};
+
+PyMODINIT_FUNC PyInit__kernel(void)
+{
+    if (PyType_Ready(&ContextType) < 0)
+        return NULL;
+    return PyModule_Create(&kernel_module);
 }

@@ -1,16 +1,21 @@
-"""The package's C library, ``_kernel.c``: built on first use, loaded
-through :mod:`ctypes`, and required.
+"""The package's C library, ``_kernel.c``: built on first use as the
+CPython extension module ``gridfreq._kernel``, loaded through
+:mod:`importlib`, and required.
 
 It holds the estimator's loop (``gridfreq_advance``), the CSV float
 formatter of :mod:`gridfreq.io` (``gridfreq_format_rows``) and its CSV row
-parser (``gridfreq_parse_rows``).
-:func:`library` builds it with ``cc -O2 -ffp-contract=off`` into
-``$XDG_CACHE_HOME/gridfreq`` (default ``~/.cache/gridfreq``), one shared
-object per source and flags, on the first call, never at import.  When it
+parser (``gridfreq_parse_rows``), which the module's ``context``,
+``format_rows`` and ``parse_rows`` call on arrays taken through the buffer
+protocol.  :func:`library` builds it with ``cc -O2 -ffp-contract=off``
+against the running interpreter's headers into ``$XDG_CACHE_HOME/gridfreq``
+(default ``~/.cache/gridfreq``), on the first call, never at import.  The
+file is ``_kernel-<key><EXT_SUFFIX>``: the key hashes the source, the flags
+and the interpreter's include directory and extension suffix, so
+interpreters that share the cache never load each other's build.  When it
 cannot be built, :func:`library` raises :class:`OSError` naming the cause:
-a missing compiler, a compile error, or a cache directory that cannot be
-written or that other users can write.  The command line exits 2 with that
-message.
+missing Python headers, a missing compiler, a compile error, or a cache
+directory that cannot be written or that other users can write.  The
+command line exits 2 with that message.
 
 :func:`format_rows` formats CSV rows of doubles through it, and
 :func:`parse_rows` parses them.  Both multiply by one table of 128-bit
@@ -24,13 +29,14 @@ from __future__ import annotations
 import contextlib
 import functools
 import os
+import sysconfig
 from pathlib import Path
+from types import ModuleType
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
 if TYPE_CHECKING:
-    import ctypes
     from array import array
 
     Doubles = array | np.ndarray          # C-contiguous float64
@@ -42,6 +48,21 @@ _CFLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
 def _source() -> bytes:
     from importlib import resources
     return resources.files(__package__).joinpath("_kernel.c").read_bytes()
+
+
+def _include_dir() -> str:
+    """The running interpreter's C headers, ``Python.h`` among them."""
+    return sysconfig.get_paths()["include"]
+
+
+def _key(source: bytes, include: str, suffix: str) -> str:
+    """The cache key of a build: the source, the flags and the include
+    directory and extension suffix of the interpreter it is built for."""
+    import hashlib
+
+    parts = (source, " ".join(_CFLAGS).encode(), os.fsencode(include),
+             suffix.encode())
+    return hashlib.sha256(b"\0".join(parts)).hexdigest()[:16]
 
 
 def _cache_dir() -> Path:
@@ -63,28 +84,31 @@ def _cache_dir() -> Path:
 
 
 def _build(source: bytes) -> Path:
-    """Path of the shared object of ``source``, compiled unless cached.
+    """Path of the extension module of ``source``, compiled unless cached.
 
-    It is named by the sha256 of the source and the flags, and published
-    with an atomic rename, so processes that build at once are safe.
+    It is named by :func:`_key` and the interpreter's extension suffix, and
+    published with an atomic rename, so processes that build at once are
+    safe.
     """
-    import hashlib
-
-    key = hashlib.sha256(source + " ".join(_CFLAGS).encode()).hexdigest()
+    include = _include_dir()
+    suffix = sysconfig.get_config_var("EXT_SUFFIX")
     cache = _cache_dir()
-    target = cache / f"_kernel-{key[:16]}.so"
+    target = cache / f"_kernel-{_key(source, include, suffix)}{suffix}"
     if target.exists():
         return target
+    header = Path(include) / "Python.h"
+    if not header.is_file():
+        raise OSError(f"Python headers not found: {header}")
     # only a compile pays for these imports
     import subprocess
     import tempfile
 
-    fd, tmp = tempfile.mkstemp(suffix=".so", dir=cache)
+    fd, tmp = tempfile.mkstemp(suffix=suffix, dir=cache)
     os.close(fd)
     try:
-        subprocess.run([_CC, *_CFLAGS, "-x", "c", "-", "-o", tmp, "-lm"],
-                       input=source, capture_output=True, check=True,
-                       timeout=120)
+        subprocess.run([_CC, *_CFLAGS, f"-I{include}", "-x", "c", "-", "-o",
+                        tmp, "-lm"], input=source, capture_output=True,
+                       check=True, timeout=120)
     except OSError as exc:                     # not found, not executable
         raise OSError(f"C compiler {_CC!r} cannot be run "
                       f"({exc.strerror})") from exc
@@ -103,35 +127,23 @@ def _build(source: bytes) -> Path:
 
 
 @functools.cache
-def _loaded() -> ctypes.CDLL | str:
-    """The C library with its functions' signatures set, or why it cannot
-    be built.  A failure is cached too, so no later call runs ``cc``
-    again."""
-    import ctypes
+def _loaded() -> ModuleType | str:
+    """The extension module, or why it cannot be built or loaded.  A
+    failure is cached too, so no later call runs ``cc`` again."""
+    from importlib.machinery import ExtensionFileLoader
+    from importlib.util import module_from_spec, spec_from_loader
 
     try:
-        lib = ctypes.CDLL(str(_build(_source())))
-    except (OSError, RuntimeError) as exc:     # RuntimeError: no home
+        loader = ExtensionFileLoader(f"{__package__}._kernel",
+                                     str(_build(_source())))
+        module = module_from_spec(spec_from_loader(loader.name, loader))
+        loader.exec_module(module)
+    except (OSError, RuntimeError, ImportError) as exc:  # RuntimeError: no home
         return f"cannot build gridfreq's C library: {exc}"
-
-    def array(dtype: type) -> type:
-        return np.ctypeslib.ndpointer(dtype, flags="C_CONTIGUOUS")
-
-    doubles = array(np.float64)
-    i64 = ctypes.c_int64
-    lib.gridfreq_advance.argtypes = [ctypes.c_void_p, ctypes.c_double]
-    lib.gridfreq_advance.restype = i64
-    words = array(np.uint64)
-    lib.gridfreq_format_rows.argtypes = [doubles, i64, i64, words,
-                                         array(np.uint8)]
-    lib.gridfreq_format_rows.restype = i64
-    lib.gridfreq_parse_rows.argtypes = [ctypes.c_char_p, i64, i64, i64, i64,
-                                        words, doubles]
-    lib.gridfreq_parse_rows.restype = i64
-    return lib
+    return module
 
 
-def library() -> ctypes.CDLL:
+def library() -> ModuleType:
     """The C library, built on the first call of the process.  Raises
     :class:`OSError` naming the cause when it cannot be built, on that call
     and on every later one."""
@@ -141,41 +153,20 @@ def library() -> ctypes.CDLL:
     return lib
 
 
-@functools.cache
-def _context_type() -> type:
-    import ctypes
-
-    class Context(ctypes.Structure):
-        """``struct gridfreq_ctx`` of ``_kernel.c``."""
-        _fields_ = ([(name, ctypes.c_void_p)
-                     for name in ("state", "consts", "rows", "x")]
-                    + [(name, ctypes.c_int64) for name in
-                       ("len", "n", "ring", "report_every", "lowpass")])
-    return Context
-
-
-def _address(buffer: Doubles) -> int:
-    return (buffer.ctypes.data if isinstance(buffer, np.ndarray)
-            else buffer.buffer_info()[0])
-
-
 def context(state: Doubles, consts: Doubles, rows: Doubles,
             x: Doubles | None, n: int, ring: int, report_every: int,
-            lowpass: bool) -> tuple[Callable[[float], int], ctypes.Structure]:
-    """``gridfreq_advance`` bound to a new ``struct gridfreq_ctx`` over
-    float64 buffers (C-contiguous arrays, or ``array('d')`` that no one
-    resizes), and the context: a run over the samples ``x``, or a step on
-    the sample of each call when ``x`` is None.  The context keeps the
-    buffers alive; the caller keeps the context alive as long as it calls."""
-    import ctypes
+            lowpass: bool) -> Callable[[float], int]:
+    """``gridfreq_advance`` bound to the state under the constants, writing
+    into ``rows``: a run over the samples ``x`` on each call, or a step on
+    the sample of each call when ``x`` is None.  It returns the number of
+    rows written, or -1 at a divergence.
 
-    ctx = _context_type()(_address(state), _address(consts), _address(rows),
-                          None if x is None else _address(x),
-                          0 if x is None else len(x),
-                          n, ring, report_every, lowpass)
-    ctx.buffers = state, consts, rows, x
-    return (functools.partial(library().gridfreq_advance,
-                              ctypes.addressof(ctx)), ctx)
+    The buffers are float64 in C order, ``array('d')`` or numpy arrays,
+    and the state and rows writable; any other raises here.  The callable
+    holds views of them, so they stay alive, and an ``array`` cannot be
+    resized, as long as it lives."""
+    return library().context(state, consts, rows, x, n, ring, report_every,
+                             lowpass)
 
 
 @functools.cache
@@ -207,8 +198,7 @@ def format_rows(cells: np.ndarray) -> memoryview:
     rows, ncols = cells.shape
     # a field and its comma take at most 25 bytes, a row end 2
     out = np.empty(rows * (25 * ncols + 2), np.uint8)
-    size = library().gridfreq_format_rows(cells, rows, ncols, _pow10_table(),
-                                          out)
+    size = library().format_rows(cells, _pow10_table(), out)
     return memoryview(out)[:size]
 
 
@@ -221,6 +211,5 @@ def parse_rows(data: bytes, start: int, ncols: int) -> np.ndarray | None:
     max_rows = min(data.count(b"\n", start) + 1,
                    (len(data) - start + 1) // (2 * ncols))
     out = np.empty((max_rows, ncols))
-    rows = library().gridfreq_parse_rows(data, start, len(data), ncols,
-                                         max_rows, _pow10_table(), out)
+    rows = library().parse_rows(data, start, ncols, _pow10_table(), out)
     return out[:rows] if rows > 0 else None

@@ -56,13 +56,13 @@ state to its config: it loads the C library, so no step pays for that.
 The binding, with the products of ``ts`` and the gains and the other
 per-config constants, is cached per (state, config) pair on the state;
 :class:`EstimatorConfig` is frozen so that cache cannot go stale.  A step
-is one :mod:`ctypes` call of two arguments, the context that holds the
-buffer, constant and row pointers, and the sample.  The C loop is one
-function of the package's C library, which also holds the CSV float
-formatter and row parser of :mod:`gridfreq.io`: :mod:`gridfreq._native`
-builds it with ``cc -O2 -ffp-contract=off`` into
-``$XDG_CACHE_HOME/gridfreq`` (default ``~/.cache/gridfreq``) on first use,
-never at import, and raises :class:`OSError` where it cannot.
+is one C-API call of one argument, the sample, on a C callable that holds
+views of the state, constant and row buffers.  The C loop is one function
+of the package's C library, which also holds the CSV float formatter and
+row parser of :mod:`gridfreq.io`: :mod:`gridfreq._native` builds it with
+``cc -O2 -ffp-contract=off`` as the extension module ``gridfreq._kernel``
+into ``$XDG_CACHE_HOME/gridfreq`` (default ``~/.cache/gridfreq``) on first
+use, never at import, and raises :class:`OSError` where it cannot.
 
 Every expression keeps the operand order of the laws, and the tests hold
 it to that: ``tests/data/golden_run.json`` holds digests of the records of
@@ -76,7 +76,6 @@ to the plain Python loop ``reference_loop`` of the same file.
 
 from __future__ import annotations
 
-import ctypes
 import math
 from array import array
 from dataclasses import dataclass
@@ -459,15 +458,13 @@ class _Kernel(NamedTuple):
     config: EstimatorConfig
     advance: Callable[[float], int]
     row: array
-    ctx: object                        # what advance works on, kept alive
 
 
 def _native_advance(state: EstimatorState, config: EstimatorConfig,
                     rows: array | np.ndarray, values: np.ndarray | None
-                    ) -> tuple[Callable[[float], int], object]:
+                    ) -> Callable[[float], int]:
     """The C loop bound to the state under the config, writing rows into
-    ``rows``, and its context, which must outlive the calls (see
-    :func:`gridfreq._native.context`).
+    ``rows`` (see :func:`gridfreq._native.context`).
 
     The per-config constants keep the operand order of the laws, e.g.
     ``(ts*gamma)*z*basis``, so the cached products are bit-identical.
@@ -495,8 +492,8 @@ def _bind(state: EstimatorState, config: EstimatorConfig) -> _Kernel:
         # a shorter window drops the oldest values at once
         state._relayout(size=config.rocof_smooth_window)
     row = array("d", bytes(8 * (len(ROW_COLUMNS) + 2 * config.n)))
-    advance, ctx = _native_advance(state, config, row, None)
-    state.kernel = _Kernel(config, advance, row, ctx)
+    state.kernel = _Kernel(config, _native_advance(state, config, row, None),
+                           row)
     return state.kernel
 
 
@@ -513,11 +510,7 @@ def step(state: EstimatorState, sample: float, config: EstimatorConfig
     kernel = state.kernel
     if kernel is None or kernel.config is not config:
         kernel = _bind(state, config)
-    try:
-        written = kernel.advance(sample)
-    except ctypes.ArgumentError:       # raised before the C loop runs
-        raise TypeError(f"sample must be a real number, got "
-                        f"{type(sample).__name__}") from None
+    written = kernel.advance(sample)   # TypeError before the loop runs
     if written > 0:
         return _record(kernel.row.tolist())
     if written < 0:
@@ -549,8 +542,7 @@ def run(stream: SampleStream, config: EstimatorConfig) -> EstimateSeries:
     state = EstimatorState._fresh(config, stream.t0, ring)
     x = np.ascontiguousarray(stream.values, dtype=np.float64)
     rows = np.empty((len(x) // every, len(ROW_COLUMNS) + 2 * n))
-    advance, _ctx = _native_advance(state, config, rows, x)
-    written = advance(0.0)
+    written = _native_advance(state, config, rows, x)(0.0)
     k = state.k
     return EstimateSeries(rows=rows[:k // every], n=n,
                           diverged_at=k if written < 0 else None)

@@ -869,26 +869,28 @@ class TestTune:
 
 
 
+# every command that needs the C library
+NATIVE_COMMANDS = pytest.mark.parametrize("argv", [
+    ["estimate", "{samples}", "--out", "{out}/est.csv"],
+    ["synth", "{scenario}", "--out", "{out}"],
+    ["metrics", "--scenario", "{scenario}", "--seeds", "1"],
+    ["tune", "--scenario", "{scenario}", "--swarm", "2",
+     "--iterations", "1", "--out", "{out}/tuned.cfg"]],
+    ids=["estimate", "synth", "metrics", "tune"])
+
+
 class TestNoCompiler:
     """Where the C library cannot be built, every command that needs it
-    exits 2 naming the compiler."""
+    exits 2 naming the cause: no compiler, or no Python headers."""
 
-    @pytest.mark.parametrize("argv", [
-        ["estimate", "{samples}", "--out", "{out}/est.csv"],
-        ["synth", "{scenario}", "--out", "{out}"],
-        ["metrics", "--scenario", "{scenario}", "--seeds", "1"],
-        ["tune", "--scenario", "{scenario}", "--swarm", "2",
-         "--iterations", "1", "--out", "{out}/tuned.cfg"]],
-        ids=["estimate", "synth", "metrics", "tune"])
-    def test_exits_2_naming_the_compiler(self, tmp_path, synth_outputs,
-                                         scenario_file, capsys, monkeypatch,
-                                         argv):
-        compiler = str(tmp_path / "no-cc")
+    @staticmethod
+    def _main(argv, tmp_path, synth_outputs, scenario_file, capsys,
+              monkeypatch) -> tuple[int, str]:
+        """Run the command from an empty cache, which holds no library
+        built before; return its exit code and stderr."""
         out = tmp_path / "out"
         out.mkdir()
-        # an empty cache holds no library built before
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
-        monkeypatch.setattr(_native, "_CC", compiler)
         _native._loaded.cache_clear()
         try:
             capsys.readouterr()
@@ -896,9 +898,30 @@ class TestNoCompiler:
                                   scenario=scenario_file) for arg in argv])
         finally:
             _native._loaded.cache_clear()
-        err = capsys.readouterr().err
+        assert not list(out.iterdir())
+        return rc, capsys.readouterr().err
+
+    @NATIVE_COMMANDS
+    def test_exits_2_naming_the_compiler(self, tmp_path, synth_outputs,
+                                         scenario_file, capsys, monkeypatch,
+                                         argv):
+        compiler = str(tmp_path / "no-cc")
+        monkeypatch.setattr(_native, "_CC", compiler)
+        rc, err = self._main(argv, tmp_path, synth_outputs, scenario_file,
+                             capsys, monkeypatch)
         assert rc == EXIT_INPUT
         assert err == (f"error: cannot build gridfreq's C library: C compiler "
                        f"{compiler!r} cannot be run (No such file or "
                        f"directory)\n")
-        assert not list(out.iterdir())
+
+    @NATIVE_COMMANDS
+    def test_exits_2_naming_the_missing_headers(self, tmp_path, synth_outputs,
+                                                scenario_file, capsys,
+                                                monkeypatch, argv):
+        include = tmp_path / "include"
+        monkeypatch.setattr(_native, "_include_dir", lambda: str(include))
+        rc, err = self._main(argv, tmp_path, synth_outputs, scenario_file,
+                             capsys, monkeypatch)
+        assert rc == EXIT_INPUT
+        assert err == (f"error: cannot build gridfreq's C library: Python "
+                       f"headers not found: {include / 'Python.h'}\n")

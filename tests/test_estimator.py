@@ -7,9 +7,12 @@ import os
 import pickle
 import subprocess
 import sys
+import sysconfig
 import warnings
 from array import array
 from dataclasses import FrozenInstanceError, replace
+from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -347,7 +350,8 @@ class TestKernelCache:
         assert records == run(stream, cfg).records
 
     @pytest.mark.parametrize("sample", [
-        "0.5", None, 0.5j, [0.5], array("d", [0.5]), np.array([0.5])])
+        "0.5", None, 0.5j, [0.5], array("d", [0.5]), np.array([0.5]),
+        pytest.param(10**400, id="10**400")])      # overflows a double
     def test_sample_that_is_not_a_real_number_is_rejected(self, sample):
         cfg = EstimatorConfig()
         state = init(cfg)
@@ -414,6 +418,25 @@ class TestKernelCache:
             for v in state.rocof_buf:
                 acc += v
             assert rec.rocof_hzps == acc / len(state.rocof_buf)
+
+    @pytest.mark.parametrize("sample", [
+        1, True, np.int64(3), Fraction(1, 2), Decimal("0.5"), np.array(0.5),
+        np.float32(0.5)], ids=["int", "bool", "int64", "Fraction", "Decimal",
+                               "0-d array", "float32"])
+    def test_real_number_sample_steps_like_its_float(self, sample):
+        # on a report frame of a locked state, so the record and every
+        # state value are compared
+        cfg = EstimatorConfig()
+        values = _clean_stream(0.5).values.tolist()
+        lead = values[:12 * 40 - 1]
+        states = init(cfg), init(cfg)
+        for state in states:
+            for x in lead:
+                step(state, x, cfg)
+        got = step(states[0], sample, cfg)
+        want = step(states[1], float(sample), cfg)
+        assert want is not None and repr(got) == repr(want)
+        assert state_digest(states[0]) == state_digest(states[1])
 
     def test_float32_samples_step_as_doubles(self):
         # a step takes its sample as a double, as run() does; float32
@@ -519,17 +542,22 @@ class TestNativeLoader:
         assert caught == []
 
     @pytest.mark.parametrize("fault, cause", [
+        ("missing_headers", "Python headers not found: "
+                            "{tmp}/include/Python.h"),
         ("missing_cc", "C compiler '{tmp}/no-cc' cannot be run"),
         ("compile_error", "C compiler 'cc' failed on _kernel.c: "),
         ("unwritable_cache", "cache directory {tmp}/file/gridfreq cannot "
                              "be used"),
         ("shared_cache", "cache directory {tmp}/cache/gridfreq is writable "
                          "by other users")],
-        ids=["missing_cc", "compile_error", "unwritable_cache",
-             "shared_cache"])
+        ids=["missing_headers", "missing_cc", "compile_error",
+             "unwritable_cache", "shared_cache"])
     def test_failed_build_raises_naming_its_cause(self, fault, cause,
                                                   monkeypatch, tmp_path):
-        if fault == "missing_cc":
+        if fault == "missing_headers":
+            monkeypatch.setattr(_native, "_include_dir",
+                                lambda: str(tmp_path / "include"))
+        elif fault == "missing_cc":
             monkeypatch.setattr(_native, "_CC", str(tmp_path / "no-cc"))
         elif fault == "compile_error":
             monkeypatch.setattr(_native, "_source",
@@ -576,6 +604,37 @@ class TestNativeLoader:
         assert (golden_digest(series), series.diverged_at) == (
             want["sha256"], want["diverged_at"])
 
+    def test_built_module_is_named_for_this_interpreter(self, tmp_path):
+        # a shared cache holds one build per interpreter ABI
+        self._load()
+        suffix = sysconfig.get_config_var("EXT_SUFFIX")
+        (built,) = (tmp_path / "cache" / "gridfreq").iterdir()
+        assert built.name.startswith("_kernel-")
+        assert built.name.endswith(suffix)
+        assert _native.library().__file__ == str(built)
+
+    def test_unloadable_cached_module_raises(self, tmp_path):
+        # a file under the build's name that is no extension module
+        suffix = sysconfig.get_config_var("EXT_SUFFIX")
+        key = _native._key(_native._source(), _native._include_dir(), suffix)
+        cache = tmp_path / "cache" / "gridfreq"
+        cache.mkdir(mode=0o700, parents=True)
+        (cache / f"_kernel-{key}{suffix}").write_bytes(b"not ELF")
+        with pytest.raises(OSError, match="^cannot build gridfreq's C "
+                                          "library: "):
+            _native.library()
+
+    def test_key_hashes_the_interpreter(self):
+        # the key function only: nothing is compiled
+        source = _native._source()
+        include, suffix = "/usr/include/python3.11", ".cpython-311-x86_64.so"
+        key = _native._key(source, include, suffix)
+        assert key == _native._key(source, include, suffix)
+        assert len({key,
+                    _native._key(source, "/usr/include/python3.12", suffix),
+                    _native._key(source, include, ".cpython-312-x86_64.so"),
+                    _native._key(source + b"\n", include, suffix)}) == 4
+
     def test_warm_cache_load_does_not_import_subprocess(self, tmp_path):
         self._load()
         probe = ("import sys; from gridfreq import _native; "
@@ -595,3 +654,43 @@ class TestNativeLoader:
         cache = tmp_path / ".cache" / "gridfreq"
         assert cache.stat().st_mode & 0o777 == 0o700
         assert len(list(cache.glob("_kernel-*.so"))) == 1
+
+
+class TestNativeBuffers:
+    """The C library takes its arrays through the buffer protocol; one it
+    would misread, strided or of another item type, raises instead."""
+
+    @pytest.mark.parametrize("cells", [
+        np.asfortranarray(np.arange(6.0).reshape(2, 3)),
+        np.arange(6.0, dtype=np.float32).reshape(2, 3)],
+        ids=["fortran", "float32"])
+    def test_format_rows_rejects(self, cells):
+        with pytest.raises((TypeError, ValueError)):
+            _native.format_rows(cells)
+        assert bytes(_native.format_rows(np.ascontiguousarray(
+            cells, np.float64))) == b"0.0,1.0,2.0\r\n3.0,4.0,5.0\r\n"
+
+    @pytest.fixture
+    def args(self, monkeypatch):
+        """The arguments init passes to _native.context, numpy copies of
+        its buffers."""
+        calls = []
+        monkeypatch.setattr(_native, "context", lambda *a: calls.append(a))
+        init(EstimatorConfig())
+        monkeypatch.undo()
+        (args,) = calls
+        return [np.array(arg) if isinstance(arg, array) else arg
+                for arg in args]
+
+    @pytest.mark.parametrize("i", [0, 2], ids=["state", "rows"])
+    def test_context_rejects_a_strided_buffer(self, args, i):
+        assert callable(_native.context(*args))
+        args[i] = np.repeat(args[i], 2)[::2]
+        with pytest.raises(ValueError, match="not C-contiguous"):
+            _native.context(*args)
+
+    @pytest.mark.parametrize("i", [0, 2], ids=["state", "rows"])
+    def test_context_rejects_a_read_only_buffer(self, args, i):
+        args[i].flags.writeable = False
+        with pytest.raises(ValueError, match="read-only"):
+            _native.context(*args)
