@@ -8,8 +8,9 @@
  *     cc -O2 -ffp-contract=off -fPIC -shared -I<the Python headers> -lm
  *
  * and loads it with importlib.  Python calls the three functions through
- * the module's context, format_rows and parse_rows (see the end of the
- * file), which take their arrays through the buffer protocol.
+ * the module's context, format_rows and parse_rows, and reads amplitude
+ * and phase through its records, polar and amp_phase (see the end of the
+ * file); all take their arrays through the buffer protocol.
  *
  * gridfreq_advance runs the laws of the gridfreq.estimator module
  * docstring on a state buffer that persists between calls, over any number
@@ -20,8 +21,14 @@
  * bit for bit, for four reasons: every expression keeps the laws' operand
  * order; -ffp-contract=off rules out fused multiply-adds; CPython's
  * math.sin and math.cos call the same libm; and py_mod is CPython's
- * float %.  Amplitude and phase are left to Python, because CPython's
- * math.hypot is not libm's.
+ * float %.
+ *
+ * A step's context builds the report's EstimateRecord itself (make_record),
+ * and the module's records, polar and amp_phase apply the same amplitude
+ * and phase rule (amp_phase) to stored rows.  The rule calls CPython's
+ * math.hypot and math.atan2 as Python functions: math.hypot is not libm's
+ * hypot, and its algorithm differs between CPython versions, so only
+ * calling it gives the bits Python gives.
  *
  * gridfreq_format_rows writes rows of doubles as CSV text, each as
  * CPython's repr writes it: Ryu's shortest round-trip digits (Adams, "Ryu:
@@ -654,7 +661,7 @@ static int64_t gridfreq_parse_rows(const char *text, int64_t start,
 
 
 /* ------------------------------------------------------------------------
- * The module gridfreq._kernel: the three functions as Python sees them
+ * The module gridfreq._kernel: the C functions as Python sees them
  * ------------------------------------------------------------------------ */
 
 /* Get a view of obj's memory in C order whose items are itemsize bytes,
@@ -680,14 +687,101 @@ static int get_view(PyObject *obj, Py_buffer *view, int flags,
     return -1;
 }
 
-/* One state bound to one config: the struct of gridfreq_advance, and the
+/* Get a view of a matrix of report rows, float64 in C order, 10 + 2n
+ * columns each (see gridfreq_advance), and its n. */
+static int get_rows(PyObject *obj, Py_buffer *view, Py_ssize_t *n)
+{
+    if (get_view(obj, view, 0, 8, "d", "rows") < 0)
+        return -1;
+    if (view->ndim == 2 && view->shape[1] >= 10 && view->shape[1] % 2 == 0) {
+        *n = (view->shape[1] - 10) / 2;
+        return 0;
+    }
+    PyErr_SetString(PyExc_ValueError,
+                    "rows must be a matrix of 10 + 2n columns");
+    PyBuffer_Release(view);
+    return -1;
+}
+
+/* CPython's math.hypot and math.atan2, looked up when the module is
+ * initialised */
+static PyObject *math_hypot, *math_atan2;
+
+/* The amplitude and full-quadrant phase of the (sin, cos) coefficient pair
+ * (pair[0], pair[1]): math.hypot and math.atan2, and (0.0, 0.0) for a zero
+ * pair of either sign.  The one home of this rule.  Returns 0 with new
+ * references in *amp and *phase, or -1 with an exception set. */
+static int amp_phase(PyObject *const pair[2], PyObject **amp,
+                     PyObject **phase)
+{
+    *amp = PyObject_Vectorcall(math_hypot, pair, 2, NULL);
+    if (!*amp)
+        return -1;
+    /* math.hypot returns a float */
+    *phase = PyFloat_AS_DOUBLE(*amp) == 0.0
+             ? PyFloat_FromDouble(0.0)
+             : PyObject_Vectorcall(math_atan2, pair, 2, NULL);
+    if (*phase)
+        return 0;
+    Py_CLEAR(*amp);
+    return -1;
+}
+
+/* amp_phase of the pair of doubles (a_s, a_c) */
+static int amp_phase_of(double a_s, double a_c, PyObject **amp,
+                        PyObject **phase)
+{
+    PyObject *pair[2] = {PyFloat_FromDouble(a_s), PyFloat_FromDouble(a_c)};
+    int err = pair[0] && pair[1] ? amp_phase(pair, amp, phase) : -1;
+
+    Py_XDECREF(pair[0]);
+    Py_XDECREF(pair[1]);
+    return err;
+}
+
+/* record(t, f, rocof, rocof_raw, amps, phases, a_dc, a_dc1, resid, eta,
+ * phase, t_anchor), the fields of gridfreq.estimator.EstimateRecord in
+ * order, for one row of 10 + 2n doubles: amps and phases are the lists of
+ * amp_phase over the pairs (a_s[i], a_c[i]), the other fields the row's
+ * first 10 columns. */
+static PyObject *make_record(PyObject *record, const double *row,
+                             Py_ssize_t n)
+{
+    /* the argument each of the first 10 columns is */
+    static const int arg[10] = {0, 1, 2, 3, 6, 7, 8, 9, 10, 11};
+    PyObject *args[12] = {NULL}, *result = NULL;
+    Py_ssize_t i;
+
+    if (!(args[4] = PyList_New(n)) || !(args[5] = PyList_New(n)))
+        goto done;
+    for (i = 0; i < 10; i++)
+        if (!(args[arg[i]] = PyFloat_FromDouble(row[i])))
+            goto done;
+    for (i = 0; i < n; i++) {
+        PyObject *amp, *phase;
+
+        if (amp_phase_of(row[10 + n + i], row[10 + i], &amp, &phase) < 0)
+            goto done;
+        PyList_SET_ITEM(args[4], i, amp);
+        PyList_SET_ITEM(args[5], i, phase);
+    }
+    result = PyObject_Vectorcall(record, args, 12, NULL);
+done:
+    for (i = 0; i < 12; i++)
+        Py_XDECREF(args[i]);
+    return result;
+}
+
+/* One state bound to one config: the struct of gridfreq_advance, the
  * views of its buffers, which keep them alive and unresized until the
- * context is freed.  A context is only ever seen by Python as the self of
- * its advance function (see kernel_context). */
+ * context is freed, and a step's record class.  A context is only ever
+ * seen by Python as the self of its advance function (see
+ * kernel_context). */
 typedef struct {
     PyObject_HEAD
     struct gridfreq_ctx ctx;
     Py_buffer views[4];                 /* state, consts, rows, samples */
+    PyObject *record;                   /* NULL for a run */
 } Context;
 
 static void context_dealloc(PyObject *self)
@@ -696,6 +790,7 @@ static void context_dealloc(PyObject *self)
 
     for (i = 0; i < 4; i++)
         PyBuffer_Release(&((Context *)self)->views[i]);
+    Py_XDECREF(((Context *)self)->record);
     Py_TYPE(self)->tp_free(self);
 }
 
@@ -711,7 +806,11 @@ static PyTypeObject ContextType = {
 /* advance(sample): gridfreq_advance on the context, the sample converted
  * as float() converts it.  Where it cannot be, raise TypeError naming its
  * type before the loop runs, so the state is untouched.  A run's context
- * ignores the sample and releases the GIL over the stream. */
+ * ignores the sample, releases the GIL over the stream and returns the
+ * rows written, or -1 at a divergence.  A step's returns the record of its
+ * report (make_record), None on other samples, or False at a divergence;
+ * where the record cannot be built, the sample has still advanced the
+ * state. */
 static PyObject *context_advance(PyObject *self, PyObject *sample)
 {
     const struct gridfreq_ctx *ctx = &((Context *)self)->ctx;
@@ -734,17 +833,21 @@ static PyObject *context_advance(PyObject *self, PyObject *sample)
         Py_BEGIN_ALLOW_THREADS
         rows = gridfreq_advance(ctx, x);
         Py_END_ALLOW_THREADS
-    } else {
-        rows = gridfreq_advance(ctx, x);
+        return PyLong_FromLongLong(rows);
     }
-    return PyLong_FromLongLong(rows);
+    rows = gridfreq_advance(ctx, x);
+    if (rows > 0)
+        return make_record(((Context *)self)->record, ctx->rows, ctx->n);
+    return Py_NewRef(rows < 0 ? Py_False : Py_None);
 }
 
 static PyMethodDef advance_def = {
     "advance", context_advance, METH_O,
     PyDoc_STR("advance(sample)\n--\n\n"
-              "Advance the state; return the number of rows written, or -1 "
-              "at a divergence."),
+              "Advance the state.  A run returns the number of rows "
+              "written, or -1 at a divergence; a step returns the record "
+              "of its report, None on other samples, or False at a "
+              "divergence."),
 };
 
 static PyObject *kernel_context(PyObject *module, PyObject *args)
@@ -752,24 +855,31 @@ static PyObject *kernel_context(PyObject *module, PyObject *args)
     static const char *const names[4] = {"state", "consts", "rows",
                                          "samples"};
     static const int flags[4] = {PyBUF_WRITABLE, 0, PyBUF_WRITABLE, 0};
-    PyObject *objs[4], *advance = NULL;
+    PyObject *objs[4], *record, *advance = NULL;
     Py_ssize_t n, ring, report_every, len = 0, reports = 1;
     int lowpass, i;
     Context *self;
 
     (void)module;
-    if (!PyArg_ParseTuple(args, "OOOOnnnp:context", &objs[0], &objs[1],
+    if (!PyArg_ParseTuple(args, "OOOOnnnpO:context", &objs[0], &objs[1],
                           &objs[2], &objs[3], &n, &ring, &report_every,
-                          &lowpass))
+                          &lowpass, &record))
         return NULL;
     if (n < 1 || ring < 1 || report_every < 1) {
         PyErr_SetString(PyExc_ValueError,
                         "context: n, ring and report_every must be >= 1");
         return NULL;
     }
+    if (objs[3] == Py_None ? !PyCallable_Check(record) : record != Py_None) {
+        PyErr_SetString(PyExc_TypeError, "context: a step takes a callable "
+                        "record, a run None");
+        return NULL;
+    }
     self = (Context *)ContextType.tp_alloc(&ContextType, 0);
     if (!self)
         return NULL;
+    if (record != Py_None)
+        self->record = Py_NewRef(record);
     for (i = 0; i < 4; i++) {
         if (i == 3 && objs[i] == Py_None)
             break;
@@ -798,6 +908,80 @@ static PyObject *kernel_context(PyObject *module, PyObject *args)
 done:
     Py_DECREF(self);
     return advance;
+}
+
+static PyObject *kernel_records(PyObject *module, PyObject *args)
+{
+    PyObject *record, *rows_obj, *list;
+    Py_buffer view;
+    Py_ssize_t n, r;
+
+    (void)module;
+    if (!PyArg_ParseTuple(args, "OO:records", &record, &rows_obj)
+        || get_rows(rows_obj, &view, &n) < 0)
+        return NULL;
+    list = PyList_New(view.shape[0]);
+    for (r = 0; list && r < view.shape[0]; r++) {
+        PyObject *rec = make_record(
+            record, (const double *)view.buf + r * (10 + 2 * n), n);
+
+        if (!rec)
+            Py_CLEAR(list);
+        else
+            PyList_SET_ITEM(list, r, rec);
+    }
+    PyBuffer_Release(&view);
+    return list;
+}
+
+static PyObject *kernel_polar(PyObject *module, PyObject *args)
+{
+    PyObject *rows_obj, *out_obj, *result = NULL;
+    Py_buffer rows = {0}, out = {0};
+    Py_ssize_t n, r, i;
+
+    (void)module;
+    if (!PyArg_ParseTuple(args, "OO:polar", &rows_obj, &out_obj)
+        || get_rows(rows_obj, &rows, &n) < 0)
+        return NULL;
+    if (get_view(out_obj, &out, PyBUF_WRITABLE, 8, "d", "out") < 0)
+        goto done;
+    if (out.len / 8 < rows.shape[0] * 2 * n) {
+        PyErr_SetString(PyExc_ValueError, "polar: out does not hold 2n "
+                        "values a row");
+        goto done;
+    }
+    for (r = 0; r < rows.shape[0]; r++) {
+        const double *row = (const double *)rows.buf + r * (10 + 2 * n);
+        double *o = (double *)out.buf + r * 2 * n;
+
+        for (i = 0; i < n; i++) {
+            PyObject *amp, *phase;
+
+            if (amp_phase_of(row[10 + n + i], row[10 + i], &amp, &phase) < 0)
+                goto done;
+            o[2 * i] = PyFloat_AS_DOUBLE(amp);
+            o[2 * i + 1] = PyFloat_AS_DOUBLE(phase);
+            Py_DECREF(amp);
+            Py_DECREF(phase);
+        }
+    }
+    result = Py_NewRef(Py_None);
+done:
+    PyBuffer_Release(&rows);
+    PyBuffer_Release(&out);
+    return result;
+}
+
+static PyObject *kernel_amp_phase(PyObject *module, PyObject *args)
+{
+    PyObject *pair[2], *amp, *phase;
+
+    (void)module;
+    if (!PyArg_ParseTuple(args, "OO:amp_phase", &pair[0], &pair[1])
+        || amp_phase(pair, &amp, &phase) < 0)
+        return NULL;
+    return Py_BuildValue("(NN)", amp, phase);
 }
 
 /* The size of the pow10 table, in 64-bit words */
@@ -873,12 +1057,13 @@ done:
 static PyMethodDef kernel_methods[] = {
     {"context", kernel_context, METH_VARARGS,
      PyDoc_STR("context(state, consts, rows, samples, n, ring, "
-               "report_every, lowpass)\n--\n\n"
+               "report_every, lowpass, record)\n--\n\n"
                "The advance function of a state under one config's "
                "constants, writing its rows to rows: over the samples on "
-               "each call (a run), or over the sample it is called with "
-               "where samples is None (a step).  The state and rows must "
-               "be writable; every buffer must hold float64 in C order.")},
+               "each call (a run, record None), or over the sample it is "
+               "called with where samples is None (a step, which returns "
+               "its report as record(...)).  The state and rows must be "
+               "writable; every buffer must hold float64 in C order.")},
     {"format_rows", kernel_format_rows, METH_VARARGS,
      PyDoc_STR("format_rows(cells, pow10, out)\n--\n\n"
                "Write the rows of the float64 matrix cells to out as CSV "
@@ -888,6 +1073,19 @@ static PyMethodDef kernel_methods[] = {
                "Parse the CSV rows of text[start:] into the float64 "
                "buffer out, ncols values a row; return the number of rows, "
                "or -1 where the C parser defers.")},
+    {"records", kernel_records, METH_VARARGS,
+     PyDoc_STR("records(record, rows)\n--\n\n"
+               "The list of record(...) of each report row of the float64 "
+               "matrix rows, as a step returns it.")},
+    {"polar", kernel_polar, METH_VARARGS,
+     PyDoc_STR("polar(rows, out)\n--\n\n"
+               "Write amp_1, phase_1, ..., amp_n, phase_n of each report "
+               "row of the float64 matrix rows to the float64 buffer out.")},
+    {"amp_phase", kernel_amp_phase, METH_VARARGS,
+     PyDoc_STR("amp_phase(a_s, a_c)\n--\n\n"
+               "The amplitude and full-quadrant phase of a (sin, cos) "
+               "coefficient pair: math.hypot and math.atan2, and "
+               "(0.0, 0.0) for a zero pair of either sign.")},
     {NULL, NULL, 0, NULL},
 };
 
@@ -901,7 +1099,21 @@ static struct PyModuleDef kernel_module = {
 
 PyMODINIT_FUNC PyInit__kernel(void)
 {
+    PyObject *math;
+
     if (PyType_Ready(&ContextType) < 0)
         return NULL;
+    if (!math_hypot) {
+        if (!(math = PyImport_ImportModule("math")))
+            return NULL;
+        math_hypot = PyObject_GetAttrString(math, "hypot");
+        math_atan2 = PyObject_GetAttrString(math, "atan2");
+        Py_DECREF(math);
+        if (!math_hypot || !math_atan2) {
+            Py_CLEAR(math_hypot);
+            Py_CLEAR(math_atan2);
+            return NULL;
+        }
+    }
     return PyModule_Create(&kernel_module);
 }

@@ -6,9 +6,11 @@ It holds the estimator's loop (``gridfreq_advance``), the CSV float
 formatter of :mod:`gridfreq.io` (``gridfreq_format_rows``) and its CSV row
 parser (``gridfreq_parse_rows``), which the module's ``context``,
 ``format_rows`` and ``parse_rows`` call on arrays taken through the buffer
-protocol.  :func:`library` builds it with ``cc -O2 -ffp-contract=off``
-against the running interpreter's headers into ``$XDG_CACHE_HOME/gridfreq``
-(default ``~/.cache/gridfreq``), on the first call, never at import.  The
+protocol, and the amplitude and phase rule of the estimator's records,
+which a step's context, ``records``, ``polar`` and ``amp_phase`` apply.
+:func:`library` builds it with ``cc -O2 -ffp-contract=off`` against the
+running interpreter's headers into ``$XDG_CACHE_HOME/gridfreq`` (default
+``~/.cache/gridfreq``), on the first call, never at import.  The
 file is ``_kernel-<key><EXT_SUFFIX>``: the key hashes the source, the flags
 and the interpreter's include directory and extension suffix, so
 interpreters that share the cache never load each other's build.  When it
@@ -155,18 +157,27 @@ def library() -> ModuleType:
 
 def context(state: Doubles, consts: Doubles, rows: Doubles,
             x: Doubles | None, n: int, ring: int, report_every: int,
-            lowpass: bool) -> Callable[[float], int]:
+            lowpass: bool, record: Callable[..., object] | None
+            ) -> Callable[[float], object]:
     """``gridfreq_advance`` bound to the state under the constants, writing
-    into ``rows``: a run over the samples ``x`` on each call, or a step on
-    the sample of each call when ``x`` is None.  It returns the number of
-    rows written, or -1 at a divergence.
+    into ``rows``.
+
+    A run (``x`` given, ``record`` None) goes over the samples ``x`` on
+    each call and returns the number of rows written, or -1 at a
+    divergence; it builds no record.  A step (``x`` None) goes over the
+    sample of each call and returns ``record(...)`` of its report, with
+    :class:`~gridfreq.estimator.EstimateRecord`'s fields in order and
+    amplitude and phase by the rule of
+    :func:`gridfreq.estimator.amp_phase`, None on other samples, or False
+    at a divergence.  An exception ``record`` raises propagates; the
+    sample has advanced the state all the same.
 
     The buffers are float64 in C order, ``array('d')`` or numpy arrays,
     and the state and rows writable; any other raises here.  The callable
     holds views of them, so they stay alive, and an ``array`` cannot be
     resized, as long as it lives."""
     return library().context(state, consts, rows, x, n, ring, report_every,
-                             lowpass)
+                             lowpass, record)
 
 
 @functools.cache

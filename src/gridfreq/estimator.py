@@ -41,9 +41,10 @@ A report is one row of 10 + 2n floats::
 the one layout the C loop and the estimate CSV hold.
 :func:`run` keeps the rows of a whole stream as an :class:`EstimateSeries`,
 so a series read back from a file equals the series written; :func:`step`
-returns its row as an :class:`EstimateRecord`.  Amplitude and phase are
-derived only when read, by one rule (CPython's ``math.hypot``, which is not
-libm's, and ``math.atan2``; see :func:`amp_phase`): ``step`` and the
+returns its row as an :class:`EstimateRecord`, which the C library builds.
+Amplitude and phase are derived only when read, by one rule (CPython's
+``math.hypot``, which is not libm's, and ``math.atan2``; see
+:func:`amp_phase`), whose one home is the C library: ``step`` and the
 series' ``polar()`` and ``records`` apply it; ``run``, the metrics and the
 estimate CSV do not.
 
@@ -57,7 +58,8 @@ The binding, with the products of ``ts`` and the gains and the other
 per-config constants, is cached per (state, config) pair on the state;
 :class:`EstimatorConfig` is frozen so that cache cannot go stale.  A step
 is one C-API call of one argument, the sample, on a C callable that holds
-views of the state, constant and row buffers.  The C loop is one function
+views of the state, constant and row buffers and the record class, and
+that returns the report's record, or None.  The C loop is one function
 of the package's C library, which also holds the CSV float formatter and
 row parser of :mod:`gridfreq.io`: :mod:`gridfreq._native` builds it with
 ``cc -O2 -ffp-contract=off`` as the extension module ``gridfreq._kernel``
@@ -357,7 +359,8 @@ class EstimateSeries:
     Amplitude and phase are derived when read, by the rule of
     :func:`amp_phase`: :meth:`polar` applies it to the rectangular pairs,
     and :attr:`records` builds the :class:`EstimateRecord` list
-    :func:`step` would have returned, anew on each read.
+    :func:`step` would have returned, anew on each read.  Both read the
+    rows as float64 in C order, copying any other array.
     """
 
     rows: np.ndarray
@@ -394,14 +397,16 @@ class EstimateSeries:
     def polar(self) -> np.ndarray:
         """Amplitude and phase of each harmonic, one row per report:
         ``amp_1, phase_1, ..., amp_n, phase_n``."""
-        pairs = _amps_phases(self.a_s().ravel().tolist(),
-                             self.a_c().ravel().tolist())
-        return np.column_stack(pairs).reshape(len(self), 2 * self.n)
+        out = np.empty((len(self), 2 * self.n))
+        _native.library().polar(np.ascontiguousarray(self.rows, np.float64),
+                                out)
+        return out
 
     @property
     def records(self) -> list[EstimateRecord]:
         """The reports as records, equal to :func:`step`'s bit for bit."""
-        return list(map(_record, self.rows.tolist()))
+        return _native.library().records(
+            EstimateRecord, np.ascontiguousarray(self.rows, np.float64))
 
 
 # --------------------------------------------------------------------------
@@ -421,50 +426,28 @@ def init(config: EstimatorConfig, t0: float = 0.0) -> EstimatorState:
 
 
 def amp_phase(a_s: float, a_c: float) -> tuple[float, float]:
-    """Amplitude and full-quadrant phase of a (sin, cos) coefficient pair."""
-    (amp,), (phase,) = _amps_phases((a_s,), (a_c,))
-    return amp, phase
-
-
-def _amps_phases(a_s: Sequence[float], a_c: Sequence[float]
-                 ) -> tuple[list[float], list[float]]:
-    """Amplitudes and full-quadrant phases of (sin, cos) coefficient pairs:
+    """Amplitude and full-quadrant phase of a (sin, cos) coefficient pair:
     ``math.hypot`` (CPython's, not libm's) and ``math.atan2``, and
     ``(0.0, 0.0)`` for a zero pair of either sign."""
-    amps = list(map(math.hypot, a_s, a_c))
-    phases = list(map(math.atan2, a_s, a_c))
-    if 0.0 in amps:
-        for i, amp in enumerate(amps):
-            if amp == 0.0:
-                phases[i] = 0.0
-    return amps, phases
-
-
-def _record(row: Sequence[float]) -> EstimateRecord:
-    """The :class:`EstimateRecord` of one :data:`ROW_COLUMNS` row."""
-    (t, f_hz, rocof, rocof_raw, a_dc, a_dc1, resid, eta, phase, t_anchor,
-     *coefs) = row
-    n = len(coefs) // 2
-    amps, phases = _amps_phases(coefs[n:], coefs[:n])
-    return EstimateRecord(t, f_hz, rocof, rocof_raw, amps, phases, a_dc,
-                          a_dc1, resid, eta, phase, t_anchor)
+    return _native.library().amp_phase(a_s, a_c)
 
 
 class _Kernel(NamedTuple):
     """One state bound to one config: ``advance(sample)`` runs the laws on
-    the sample in C and returns the number of rows written to ``row`` (0 or
-    1), or -1 at a divergence."""
+    the sample in C and returns the report's :class:`EstimateRecord`, None
+    on other samples, or False at a divergence."""
 
     config: EstimatorConfig
-    advance: Callable[[float], int]
-    row: array
+    advance: Callable[[float], EstimateRecord | bool | None]
 
 
 def _native_advance(state: EstimatorState, config: EstimatorConfig,
-                    rows: array | np.ndarray, values: np.ndarray | None
-                    ) -> Callable[[float], int]:
+                    rows: array | np.ndarray, values: np.ndarray | None,
+                    record: Callable[..., EstimateRecord] | None
+                    ) -> Callable[[float], object]:
     """The C loop bound to the state under the config, writing rows into
-    ``rows`` (see :func:`gridfreq._native.context`).
+    ``rows``, and for a step building its reports with ``record`` (see
+    :func:`gridfreq._native.context`).
 
     The per-config constants keep the operand order of the laws, e.g.
     ``(ts*gamma)*z*basis``, so the cached products are bit-identical.
@@ -478,12 +461,12 @@ def _native_advance(state: EstimatorState, config: EstimatorConfig,
                          *(ts * g for g in config.gamma_s)))
     return _native.context(state._v, consts, rows, values, config.n,
                            state._shape[2], config.report_every,
-                           cutoff is not None)
+                           cutoff is not None, record)
 
 
 def _bind(state: EstimatorState, config: EstimatorConfig) -> _Kernel:
     """Bind the state to the config for :func:`step`, loading the C library
-    here, not in a step."""
+    here, not in a step.  The record class is the one bound now."""
     if state._shape[:2] != (config.n, config.n):
         raise ConfigError(f"state has {len(state.a_c)} harmonics "
                           f"({len(state.a_s)} in a_s), "
@@ -492,8 +475,8 @@ def _bind(state: EstimatorState, config: EstimatorConfig) -> _Kernel:
         # a shorter window drops the oldest values at once
         state._relayout(size=config.rocof_smooth_window)
     row = array("d", bytes(8 * (len(ROW_COLUMNS) + 2 * config.n)))
-    state.kernel = _Kernel(config, _native_advance(state, config, row, None),
-                           row)
+    state.kernel = _Kernel(config, _native_advance(state, config, row, None,
+                                                   EstimateRecord))
     return state.kernel
 
 
@@ -510,12 +493,11 @@ def step(state: EstimatorState, sample: float, config: EstimatorConfig
     kernel = state.kernel
     if kernel is None or kernel.config is not config:
         kernel = _bind(state, config)
-    written = kernel.advance(sample)   # TypeError before the loop runs
-    if written > 0:
-        return _record(kernel.row.tolist())
-    if written < 0:
+    record = kernel.advance(sample)    # TypeError before the loop runs
+    if record is False:
         state.diverged = True
-    return None
+        return None
+    return record
 
 
 # --------------------------------------------------------------------------
@@ -542,7 +524,7 @@ def run(stream: SampleStream, config: EstimatorConfig) -> EstimateSeries:
     state = EstimatorState._fresh(config, stream.t0, ring)
     x = np.ascontiguousarray(stream.values, dtype=np.float64)
     rows = np.empty((len(x) // every, len(ROW_COLUMNS) + 2 * n))
-    written = _native_advance(state, config, rows, x)(0.0)
+    written = _native_advance(state, config, rows, x, None)(0.0)
     k = state.k
     return EstimateSeries(rows=rows[:k // every], n=n,
                           diverged_at=k if written < 0 else None)

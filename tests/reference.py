@@ -173,6 +173,31 @@ def reference_loop(values, t0, ts, n, f0, gamma_c, gamma_s, gamma_dc,
     return rows, state
 
 
+
+def reference_amps_phases(a_s, a_c):
+    """Amplitudes and full-quadrant phases of (sin, cos) coefficient pairs
+    as plain Python applies the rule: math.hypot (CPython's, not libm's)
+    and math.atan2, and (0.0, 0.0) for a zero pair of either sign."""
+    amps = list(map(math.hypot, a_s, a_c))
+    phases = list(map(math.atan2, a_s, a_c))
+    for i, amp in enumerate(amps):
+        if amp == 0.0:
+            phases[i] = 0.0
+    return amps, phases
+
+
+def reference_record(record, row):
+    """``record(...)`` of one report row of reference_loop's layout, with
+    the fields of gridfreq's EstimateRecord in order; the class is passed
+    in, so this module imports nothing from the package."""
+    (t, f_hz, rocof, rocof_raw, a_dc, a_dc1, resid, eta, phase, t_anchor,
+     *coefs) = row
+    n = len(coefs) // 2
+    amps, phases = reference_amps_phases(coefs[n:], coefs[:n])
+    return record(t, f_hz, rocof, rocof_raw, amps, phases, a_dc, a_dc1,
+                  resid, eta, phase, t_anchor)
+
+
 def harmonic_basis(phase, n):
     """cos(i*phase), sin(i*phase) for i = 1..n via the angle-sum recurrence."""
     c1 = math.cos(phase)

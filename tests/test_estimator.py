@@ -8,6 +8,7 @@ import pickle
 import subprocess
 import sys
 import sysconfig
+import tracemalloc
 import warnings
 from array import array
 from dataclasses import FrozenInstanceError, replace
@@ -273,7 +274,9 @@ class TestColumnarSeries:
         def forbidden(*args, **kwargs):
             raise AssertionError("per-record work on the C path")
 
-        monkeypatch.setattr(estimator, "_amps_phases", forbidden)
+        # the amplitude and phase rule is reached only through these
+        monkeypatch.setattr(estimator, "amp_phase", forbidden)
+        monkeypatch.setattr(EstimateSeries, "polar", forbidden)
         monkeypatch.setattr(estimator, "EstimateRecord", forbidden)
         stream, truth = synthesize(case1(), FS, seed=0)
         cfg = EstimatorConfig()
@@ -361,6 +364,55 @@ class TestKernelCache:
             step(state, sample, cfg)
         assert state.k == 0 and state_digest(state) == before
         assert step(state, 0.5, cfg) is None and state.k == 1
+
+    def test_step_records_leak_nothing(self):
+        # 120 001 samples of case1, 10 000 reports, each record dropped
+        stream, _ = synthesize(replace(case1(), duration=100.0), FS, seed=0)
+        values = stream.values.tolist()
+        cfg = EstimatorConfig()
+        warm = init(cfg)                   # fills the allocators' free lists
+        for x in values[:1200]:
+            step(warm, x, cfg)
+        state = init(cfg)
+        refs = sys.getrefcount(estimator.EstimateRecord)
+        tracemalloc.start()
+        try:
+            reports = 0
+            for x in values:
+                reports += step(state, x, cfg) is not None
+            grown = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        leaked = sys.getrefcount(estimator.EstimateRecord) - refs
+        assert (len(values), reports) == (120_001, 10_000)
+        assert not state.diverged
+        # one leaked float per report would hold 240 KB, one record 2 MB
+        assert grown < 16 * 1024
+        assert leaked == 0
+
+    def test_record_constructor_error_propagates(self, monkeypatch):
+        class Refused(Exception):
+            pass
+
+        def refuse(*args):
+            raise Refused("no record")
+
+        cfg = EstimatorConfig()
+        stream = _clean_stream(0.5)
+        values = stream.values.tolist()
+        monkeypatch.setattr(estimator, "EstimateRecord", refuse)
+        state = init(cfg)                  # binds the record class
+        monkeypatch.undo()
+        every = cfg.report_every
+        assert all(step(state, x, cfg) is None for x in values[:every - 1])
+        with pytest.raises(Refused, match="^no record$"):
+            step(state, values[every - 1], cfg)
+        # the sample advanced the state all the same
+        assert state.k == every and not state.diverged
+        state = init(cfg, stream.t0)
+        records = [rec for x in values
+                   if (rec := step(state, x, cfg)) is not None]
+        assert records == run(stream, cfg).records
 
     def test_config_of_another_order_rejected(self):
         state = init(EstimatorConfig())

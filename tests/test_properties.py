@@ -21,7 +21,9 @@ from gridfreq.estimator import amp_phase
 from gridfreq.synth import (ConstantProfile, DcSpec, HarmonicSpec, NoiseSpec,
                             StepSpec)
 from golden import state_digest
-from reference import harmonic_basis, output_and_gradient, reference_loop
+from reference import (harmonic_basis, output_and_gradient,
+                       reference_amps_phases, reference_loop,
+                       reference_record)
 
 finite = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False,
                    allow_infinity=False)
@@ -494,6 +496,47 @@ def test_step_fold_equals_run(case):
         assert not state.diverged and state.k == len(stream)
     else:
         assert state.diverged and state.k == series.diverged_at
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=loop_cases())
+def test_step_records_equal_the_oracle_records_of_the_run_rows(case):
+    """The records a step fold builds in C are the plain Python rule's
+    records of the rows one run() pass stores."""
+    config, stream = case
+    records, _ = _step_fold(config, stream)
+    expect = [reference_record(estimator.EstimateRecord, row)
+              for row in run(stream, config).rows.tolist()]
+    # repr compares signed zeros and nan too
+    assert repr(records) == repr(expect)
+
+
+# signed zeros, nan, infinities, subnormals and the smallest normal, and
+# any other double
+pair_values = st.one_of(
+    st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324,
+                     -5e-324, 1e-310, 2.0 ** -1022, 1.0, -2.0]),
+    st.floats())
+
+
+@settings(max_examples=300, deadline=None)
+@given(pairs=st.lists(st.tuples(pair_values, pair_values), min_size=1,
+                      max_size=8))
+def test_c_amp_phase_rule_equals_the_oracle_bit_for_bit(pairs):
+    """amp_phase, polar() and records, which apply the C rule, each give
+    the plain Python rule's amplitudes and phases bit for bit."""
+    a_s, a_c = (list(x) for x in zip(*pairs))
+    amps, phases = reference_amps_phases(a_s, a_c)
+    expect = np.array([v for pair in zip(amps, phases) for v in pair])
+    head = len(estimator.ROW_COLUMNS)
+    series = EstimateSeries(
+        np.array([[*range(head), *a_c, *a_s]], dtype=float), len(pairs))
+    (rec,) = series.records
+    got = [v for pair in zip(rec.amps, rec.phases) for v in pair]
+    assert np.array(got).tobytes() == expect.tobytes()
+    assert series.polar().tobytes() == expect.tobytes()
+    got = [v for pair in pairs for v in amp_phase(*pair)]
+    assert np.array(got).tobytes() == expect.tobytes()
 
 
 @settings(max_examples=60, deadline=None)
