@@ -25,10 +25,10 @@
  *
  * A step's context builds the report's EstimateRecord itself (make_record),
  * and the module's records, polar and amp_phase apply the same amplitude
- * and phase rule (amp_phase) to stored rows.  The rule calls CPython's
- * math.hypot and math.atan2 as Python functions: math.hypot is not libm's
- * hypot, and its algorithm differs between CPython versions, so only
- * calling it gives the bits Python gives.
+ * and phase rule (amp_phase) to stored rows.  The rule is libm's hypot
+ * and atan2, so its bits, like the loop's, depend on libm only; its
+ * amplitudes are within 1 ulp of CPython's math.hypot, whose algorithm is
+ * its own and differs between CPython versions.
  *
  * gridfreq_format_rows writes rows of doubles as CSV text, each as
  * CPython's repr writes it: Ryu's shortest round-trip digits (Adams, "Ryu:
@@ -703,40 +703,13 @@ static int get_rows(PyObject *obj, Py_buffer *view, Py_ssize_t *n)
     return -1;
 }
 
-/* CPython's math.hypot and math.atan2, looked up when the module is
- * initialised */
-static PyObject *math_hypot, *math_atan2;
-
 /* The amplitude and full-quadrant phase of the (sin, cos) coefficient pair
- * (pair[0], pair[1]): math.hypot and math.atan2, and (0.0, 0.0) for a zero
- * pair of either sign.  The one home of this rule.  Returns 0 with new
- * references in *amp and *phase, or -1 with an exception set. */
-static int amp_phase(PyObject *const pair[2], PyObject **amp,
-                     PyObject **phase)
+ * (a_s, a_c): libm's hypot and atan2, and (0.0, 0.0) for a zero pair of
+ * either sign.  The one home of this rule. */
+static void amp_phase(double a_s, double a_c, double *amp, double *phase)
 {
-    *amp = PyObject_Vectorcall(math_hypot, pair, 2, NULL);
-    if (!*amp)
-        return -1;
-    /* math.hypot returns a float */
-    *phase = PyFloat_AS_DOUBLE(*amp) == 0.0
-             ? PyFloat_FromDouble(0.0)
-             : PyObject_Vectorcall(math_atan2, pair, 2, NULL);
-    if (*phase)
-        return 0;
-    Py_CLEAR(*amp);
-    return -1;
-}
-
-/* amp_phase of the pair of doubles (a_s, a_c) */
-static int amp_phase_of(double a_s, double a_c, PyObject **amp,
-                        PyObject **phase)
-{
-    PyObject *pair[2] = {PyFloat_FromDouble(a_s), PyFloat_FromDouble(a_c)};
-    int err = pair[0] && pair[1] ? amp_phase(pair, amp, phase) : -1;
-
-    Py_XDECREF(pair[0]);
-    Py_XDECREF(pair[1]);
-    return err;
+    *amp = hypot(a_s, a_c);
+    *phase = *amp == 0.0 ? 0.0 : atan2(a_s, a_c);
 }
 
 /* record(t, f, rocof, rocof_raw, amps, phases, a_dc, a_dc1, resid, eta,
@@ -758,12 +731,16 @@ static PyObject *make_record(PyObject *record, const double *row,
         if (!(args[arg[i]] = PyFloat_FromDouble(row[i])))
             goto done;
     for (i = 0; i < n; i++) {
-        PyObject *amp, *phase;
+        double amp, phase;
+        PyObject *item;
 
-        if (amp_phase_of(row[10 + n + i], row[10 + i], &amp, &phase) < 0)
+        amp_phase(row[10 + n + i], row[10 + i], &amp, &phase);
+        if (!(item = PyFloat_FromDouble(amp)))
             goto done;
-        PyList_SET_ITEM(args[4], i, amp);
-        PyList_SET_ITEM(args[5], i, phase);
+        PyList_SET_ITEM(args[4], i, item);
+        if (!(item = PyFloat_FromDouble(phase)))
+            goto done;
+        PyList_SET_ITEM(args[5], i, item);
     }
     result = PyObject_Vectorcall(record, args, 12, NULL);
 done:
@@ -955,16 +932,8 @@ static PyObject *kernel_polar(PyObject *module, PyObject *args)
         const double *row = (const double *)rows.buf + r * (10 + 2 * n);
         double *o = (double *)out.buf + r * 2 * n;
 
-        for (i = 0; i < n; i++) {
-            PyObject *amp, *phase;
-
-            if (amp_phase_of(row[10 + n + i], row[10 + i], &amp, &phase) < 0)
-                goto done;
-            o[2 * i] = PyFloat_AS_DOUBLE(amp);
-            o[2 * i + 1] = PyFloat_AS_DOUBLE(phase);
-            Py_DECREF(amp);
-            Py_DECREF(phase);
-        }
+        for (i = 0; i < n; i++)
+            amp_phase(row[10 + n + i], row[10 + i], &o[2 * i], &o[2 * i + 1]);
     }
     result = Py_NewRef(Py_None);
 done:
@@ -975,13 +944,13 @@ done:
 
 static PyObject *kernel_amp_phase(PyObject *module, PyObject *args)
 {
-    PyObject *pair[2], *amp, *phase;
+    double a_s, a_c, amp, phase;
 
     (void)module;
-    if (!PyArg_ParseTuple(args, "OO:amp_phase", &pair[0], &pair[1])
-        || amp_phase(pair, &amp, &phase) < 0)
+    if (!PyArg_ParseTuple(args, "dd:amp_phase", &a_s, &a_c))
         return NULL;
-    return Py_BuildValue("(NN)", amp, phase);
+    amp_phase(a_s, a_c, &amp, &phase);
+    return Py_BuildValue("(dd)", amp, phase);
 }
 
 /* The size of the pow10 table, in 64-bit words */
@@ -1084,7 +1053,7 @@ static PyMethodDef kernel_methods[] = {
     {"amp_phase", kernel_amp_phase, METH_VARARGS,
      PyDoc_STR("amp_phase(a_s, a_c)\n--\n\n"
                "The amplitude and full-quadrant phase of a (sin, cos) "
-               "coefficient pair: math.hypot and math.atan2, and "
+               "coefficient pair: libm's hypot and atan2, and "
                "(0.0, 0.0) for a zero pair of either sign.")},
     {NULL, NULL, 0, NULL},
 };
@@ -1099,21 +1068,7 @@ static struct PyModuleDef kernel_module = {
 
 PyMODINIT_FUNC PyInit__kernel(void)
 {
-    PyObject *math;
-
     if (PyType_Ready(&ContextType) < 0)
         return NULL;
-    if (!math_hypot) {
-        if (!(math = PyImport_ImportModule("math")))
-            return NULL;
-        math_hypot = PyObject_GetAttrString(math, "hypot");
-        math_atan2 = PyObject_GetAttrString(math, "atan2");
-        Py_DECREF(math);
-        if (!math_hypot || !math_atan2) {
-            Py_CLEAR(math_hypot);
-            Py_CLEAR(math_atan2);
-            return NULL;
-        }
-    }
     return PyModule_Create(&kernel_module);
 }

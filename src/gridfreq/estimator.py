@@ -42,11 +42,10 @@ the one layout the C loop and the estimate CSV hold.
 :func:`run` keeps the rows of a whole stream as an :class:`EstimateSeries`,
 so a series read back from a file equals the series written; :func:`step`
 returns its row as an :class:`EstimateRecord`, which the C library builds.
-Amplitude and phase are derived only when read, by one rule (CPython's
-``math.hypot``, which is not libm's, and ``math.atan2``; see
-:func:`amp_phase`), whose one home is the C library: ``step`` and the
-series' ``polar()`` and ``records`` apply it; ``run``, the metrics and the
-estimate CSV do not.
+Amplitude and phase are derived only when read, by one rule (libm's
+``hypot`` and ``atan2``; see :func:`amp_phase`), whose one home is the C
+library: ``step`` and the series' ``polar()`` and ``records`` apply it;
+``run``, the metrics and the estimate CSV do not.
 
 One set of laws, one loop.  The state lives in one buffer of doubles (see
 :class:`EstimatorState`), and ``gridfreq_advance``, the C loop of
@@ -79,6 +78,7 @@ to the plain Python loop ``reference_loop`` of the same file.
 from __future__ import annotations
 
 import math
+import sys
 from array import array
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
@@ -163,6 +163,11 @@ class EstimatorConfig:
             raise ConfigError("observation-filter cutoff must be positive")
         if self.rocof_smooth_window < 1 or self.report_every < 1:
             raise ConfigError("window and report interval must be >= 1 sample")
+        for name in ("rocof_smooth_window", "report_every"):
+            # the C loop holds both as a Py_ssize_t
+            if getattr(self, name) > sys.maxsize:
+                raise ConfigError(f"{name} must be at most {sys.maxsize}, "
+                                  f"got {getattr(self, name)}")
         if self.t_reset_s <= 0:
             raise ConfigError("anchor cap t_reset_s must be positive")
 
@@ -359,8 +364,10 @@ class EstimateSeries:
     Amplitude and phase are derived when read, by the rule of
     :func:`amp_phase`: :meth:`polar` applies it to the rectangular pairs,
     and :attr:`records` builds the :class:`EstimateRecord` list
-    :func:`step` would have returned, anew on each read.  Both read the
-    rows as float64 in C order, copying any other array.
+    :func:`step` would have returned, anew on each read.
+
+    Building a series converts its rows to float64 in C order, copying any
+    other array; the series the package builds already are.
     """
 
     rows: np.ndarray
@@ -372,6 +379,7 @@ class EstimateSeries:
                 or self.rows.shape[1] != len(ROW_COLUMNS) + 2 * self.n):
             raise ValueError(f"rows of shape {self.rows.shape} do not hold "
                              f"n = {self.n} harmonics")
+        self.rows = np.ascontiguousarray(self.rows, np.float64)
         self.rows.flags.writeable = False
 
     def __len__(self) -> int:
@@ -398,15 +406,13 @@ class EstimateSeries:
         """Amplitude and phase of each harmonic, one row per report:
         ``amp_1, phase_1, ..., amp_n, phase_n``."""
         out = np.empty((len(self), 2 * self.n))
-        _native.library().polar(np.ascontiguousarray(self.rows, np.float64),
-                                out)
+        _native.library().polar(self.rows, out)
         return out
 
     @property
     def records(self) -> list[EstimateRecord]:
         """The reports as records, equal to :func:`step`'s bit for bit."""
-        return _native.library().records(
-            EstimateRecord, np.ascontiguousarray(self.rows, np.float64))
+        return _native.library().records(EstimateRecord, self.rows)
 
 
 # --------------------------------------------------------------------------
@@ -427,8 +433,9 @@ def init(config: EstimatorConfig, t0: float = 0.0) -> EstimatorState:
 
 def amp_phase(a_s: float, a_c: float) -> tuple[float, float]:
     """Amplitude and full-quadrant phase of a (sin, cos) coefficient pair:
-    ``math.hypot`` (CPython's, not libm's) and ``math.atan2``, and
-    ``(0.0, 0.0)`` for a zero pair of either sign."""
+    libm's ``hypot`` and ``atan2``, and ``(0.0, 0.0)`` for a zero pair of
+    either sign.  An amplitude is within 1 ulp of ``math.hypot``'s, a
+    phase equal to ``math.atan2``'s."""
     return _native.library().amp_phase(a_s, a_c)
 
 

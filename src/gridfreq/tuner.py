@@ -135,7 +135,11 @@ def pso_minimize(fn: Callable[[np.ndarray], float], space: SearchSpace,
     def decode(w: np.ndarray) -> np.ndarray:
         return np.exp(w) if space.log_scale else w
 
-    pos = wlo + rng.random((pso.swarm_size, d)) * span
+    try:
+        pos = wlo + rng.random((pso.swarm_size, d)) * span
+    except (MemoryError, ValueError):    # numpy: "array is too big"
+        raise MemoryError(f"a swarm of {pso.swarm_size} particles of {d} "
+                          f"gains does not fit in memory") from None
     vel = (rng.random((pso.swarm_size, d)) - 0.5) * span
     vmax = span  # velocity clamped to the box extent
 

@@ -7,11 +7,14 @@ package cannot silently propagate into the expectation.  The exceptions to
 direct trig are the model oracle (harmonic_basis, output_and_gradient) and
 the loop oracle (reference_loop): they build the basis by the angle-sum
 recurrence in the estimator's operation order, so that the tests can pin
-the C loop to them bit for bit.
+the C loop to them bit for bit.  The amplitude and phase oracle calls
+libm's hypot and atan2 through ctypes.
 """
 
 from __future__ import annotations
 
+import ctypes
+import ctypes.util
 import math
 
 TWO_PI = 2.0 * math.pi
@@ -173,13 +176,20 @@ def reference_loop(values, t0, ts, n, f0, gamma_c, gamma_s, gamma_dc,
     return rows, state
 
 
+# libm's own hypot and atan2, which CPython's math module does not expose:
+# math.hypot has an algorithm of its own
+_libm = ctypes.CDLL(ctypes.util.find_library("m"))
+for _f in (_libm.hypot, _libm.atan2):
+    _f.argtypes = (ctypes.c_double, ctypes.c_double)
+    _f.restype = ctypes.c_double
+
 
 def reference_amps_phases(a_s, a_c):
     """Amplitudes and full-quadrant phases of (sin, cos) coefficient pairs
-    as plain Python applies the rule: math.hypot (CPython's, not libm's)
-    and math.atan2, and (0.0, 0.0) for a zero pair of either sign."""
-    amps = list(map(math.hypot, a_s, a_c))
-    phases = list(map(math.atan2, a_s, a_c))
+    by the rule: libm's hypot and atan2, and (0.0, 0.0) for a zero pair of
+    either sign."""
+    amps = list(map(_libm.hypot, a_s, a_c))
+    phases = list(map(_libm.atan2, a_s, a_c))
     for i, amp in enumerate(amps):
         if amp == 0.0:
             phases[i] = 0.0

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface."""
 
 import re
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -203,9 +204,18 @@ class TestEstimateAndMetrics:
         assert "Max (FE) (Hz)" in out
         assert "RMSE (RE) (Hz/s)" in out
 
-    @pytest.mark.parametrize("line", ["report_every = 12.7", "eta_opt = nan"])
+    @pytest.mark.parametrize("line, message", [
+        pytest.param(line, message, id=line) for line, message in [
+            ("report_every = 12.7", "c.cfg:{lineno}: key `report_every`"),
+            ("eta_opt = nan", "c.cfg:{lineno}: key `eta_opt`"),
+            # ints the C loop cannot hold as a Py_ssize_t
+            ("report_every = 100000000000000000000",
+             "c.cfg: report_every must be at most {maxsize}, got 10"),
+            ("rocof_smooth_window = 100000000000000000000",
+             "c.cfg: rocof_smooth_window must be at most {maxsize}, got 10"),
+        ]])
     def test_malformed_config_is_input_error(self, tmp_path, synth_outputs,
-                                             capsys, line):
+                                             capsys, line, message):
         samples, _ = synth_outputs
         config = tmp_path / "c.cfg"
         gio.write_config(config, EstimatorConfig())
@@ -217,7 +227,8 @@ class TestEstimateAndMetrics:
         rc = main(["estimate", str(samples), "--config", str(config),
                    "--out", str(tmp_path / "est.csv")])
         assert rc == EXIT_INPUT
-        assert f"c.cfg:{lineno}: key `{key}`" in capsys.readouterr().err
+        assert (message.format(lineno=lineno, maxsize=sys.maxsize)
+                in capsys.readouterr().err)
 
     @pytest.mark.parametrize("line, message", [
         # keys of the retired self-tuning rate law: ignoring them would run
@@ -657,6 +668,22 @@ class TestShortScenario:
         assert rc == EXIT_INPUT
         assert err == (f"error: out of memory: {path}: 12000000000000001 "
                        f"samples at fs=1200 do not fit in memory\n")
+        assert out == ""
+        assert not out_file.exists()
+
+    @pytest.mark.parametrize("swarm", ["1000000000000000000",
+                                       "100000000000000000000"])
+    def test_oversized_swarm_is_out_of_memory(self, tmp_path, capsys, swarm):
+        # numpy refuses both shapes before allocating: more bytes than an
+        # array can hold, and more rows than an index can count
+        out_file = tmp_path / "t.cfg"
+        rc = main(["tune", "--scenario", str(SCENARIOS / "case1.cfg"),
+                   "--swarm", swarm, "--iterations", "1",
+                   "--out", str(out_file)])
+        out, err = capsys.readouterr()
+        assert rc == EXIT_INPUT
+        assert err == (f"error: out of memory: a swarm of {swarm} particles "
+                       f"of 16 gains does not fit in memory\n")
         assert out == ""
         assert not out_file.exists()
 

@@ -68,6 +68,8 @@ class TestConfig:
         dict(t_reset_s=0.0),
         dict(obs_lowpass_hz=0.0),
         dict(obs_lowpass_hz=-100.0),
+        dict(rocof_smooth_window=10 ** 20),       # beyond a Py_ssize_t
+        dict(report_every=10 ** 20),
     ])
     def test_validation_rejects(self, kwargs):
         with pytest.raises(ConfigError):

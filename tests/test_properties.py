@@ -539,6 +539,25 @@ def test_c_amp_phase_rule_equals_the_oracle_bit_for_bit(pairs):
     assert np.array(got).tobytes() == expect.tobytes()
 
 
+@settings(max_examples=300, deadline=None)
+@given(pairs=st.lists(st.tuples(st.floats(allow_nan=False,
+                                          allow_infinity=False),
+                                st.floats(allow_nan=False,
+                                          allow_infinity=False)),
+                      min_size=1, max_size=8))
+def test_amp_phase_is_within_1_ulp_of_the_math_module(pairs):
+    """The tolerance of the C rule against CPython's math module on finite
+    pairs: each amplitude is within 1 ulp of math.hypot's, whose algorithm
+    is not libm's, and each phase is math.atan2's bit for bit."""
+    for a_s, a_c in pairs:
+        amp, phase = amp_phase(a_s, a_c)
+        expect = math.hypot(a_s, a_c)
+        assert amp in (math.nextafter(expect, 0.0), expect,
+                       math.nextafter(expect, math.inf))
+        # repr compares signed zeros too
+        assert repr(phase) == repr(math.atan2(a_s, a_c) if expect else 0.0)
+
+
 @settings(max_examples=60, deadline=None)
 @given(case=loop_cases())
 def test_estimate_csv_round_trip_is_bitwise(case, tmp_path_factory):
