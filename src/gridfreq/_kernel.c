@@ -31,13 +31,14 @@
  * its own and differs between CPython versions.
  *
  * gridfreq_format_rows writes rows of doubles as CSV text, each as
- * CPython's repr writes it: Ryu's shortest round-trip digits (Adams, "Ryu:
- * fast float-to-string conversion", PLDI 2018), laid out as
+ * CPython's repr writes it: Schubfach's shortest round-trip digits
+ * (Giulietti, "The Schubfach way to render doubles", 2020), laid out as
  * float.__repr__ lays out the digits of David Gay's dtoa.  Both give the
  * shortest digit string that reads back to the same double, the nearest
- * to it where several are that short.  Ryu's 64x128-bit products need
- * unsigned __int128 (gcc and clang on 64-bit targets); where the compiler
- * lacks it the build fails, and gridfreq._native.library raises.
+ * to it where several are that short, the even one of a tie.  The
+ * 128-bit products of Schubfach and of the parser need unsigned __int128
+ * (gcc and clang on 64-bit targets); where the compiler lacks it the
+ * build fails, and gridfreq._native.library raises.
  *
  * gridfreq_parse_rows reads rows of decimal floats that fit a strict
  * grammar into doubles, each the nearest to its decimal, as CPython's
@@ -247,150 +248,79 @@ static int64_t gridfreq_advance(const struct gridfreq_ctx *ctx, double sample)
 typedef unsigned __int128 u128;
 
 /* The one table of powers of five, which gridfreq._native builds: for q in
- * [-342, 325], pow10[2 * (q + 342)] and [... + 1] are the low and high
+ * [-342, 324], pow10[2 * (q + 342)] and [... + 1] are the low and high
  * words of the top 128 bits of 5^q, its leading bit at bit 127.  They are
- * truncated, but for -27 <= q < 0, where they are rounded up. */
+ * truncated, but for -27 <= q < 0, where they are rounded up.  The parser
+ * reads 5^q at a field's decimal exponent q, and the formatter 5^-k for
+ * -k in [-292, 324]. */
 #define POW10_MIN_Q (-342)
-#define POW10_MAX_Q 325
-#define POW5_BITCOUNT 128       /* bits of each entry */
+#define POW10_MAX_Q 324
 
-/* ceil(log2(5^e)), and 1 for e = 0; 0 <= e <= 3528 */
-static int32_t pow5bits(int32_t e)
+/* g * cp / 2^127 rounded to odd: the floor, its low bit set where the
+ * fraction is not zero.  The low 64 bits of the product are dropped:
+ * they hold the excess of g over 10^-k, times cp < 2^60, so that an exact
+ * quotient stays exact. */
+static uint64_t rop(u128 g, uint64_t cp)
 {
-    return (int32_t)((((uint32_t)e * 1217359) >> 19) + 1);
+    u128 high = (u128)(uint64_t)(g >> 64) * cp
+                + ((u128)(uint64_t)g * cp >> 64);
+    return (uint64_t)(high >> 63) | ((uint64_t)(high << 1) != 0);
 }
 
-/* floor(log10(2^e)); 0 <= e <= 1650 */
-static int32_t log10_pow2(int32_t e)
+/* Schubfach, as in Java 19's Double.toString: the shortest digits*10^*e10
+ * that read back as the finite, nonzero double c * 2^q, the nearest of
+ * them, the even one of a tie; they may end in zeros.  10^k is the
+ * largest power of ten not above the width of the interval that rounds to
+ * the double, so it holds s or s + 1, s = floor(c * 2^q / 10^k), and at
+ * most one multiple of 10; its bounds belong to it where c is even.  vb,
+ * vbl and vbr are the double and the bounds in units of 10^k / 4, rounded
+ * to odd, which keeps the comparisons exact; g, 10^-k in 126 bits, is the
+ * table's 5^-k rounded down, plus 1.  Java writes two digits at least;
+ * here no subnormal is scaled by 10, and one digit fewer is tried from
+ * s >= 10, not 100, so 5e-324 and 5e-323 come out as repr writes them. */
+static uint64_t shortest(uint64_t c, int32_t q, const uint64_t *pow10,
+                         int32_t *e10)
 {
-    return (int32_t)(((uint32_t)e * 78913) >> 18);
-}
+    const uint64_t *p5;
+    uint64_t out = c & 1, cb = c << 2, cbl = cb - 2, vb, vbl, vbr, s, t;
+    int64_t k, h, cmp;
+    int uin, win;
+    u128 g;
 
-/* floor(log10(5^e)); 0 <= e <= 2620 */
-static int32_t log10_pow5(int32_t e)
-{
-    return (int32_t)(((uint32_t)e * 732923) >> 20);
-}
-
-/* whether 5^p divides v, v > 0 */
-static int multiple_of_pow5(uint64_t v, int32_t p)
-{
-    int32_t count = 0;
-    while (v % 5 == 0) {
-        v /= 5;
-        count++;
-    }
-    return count >= p;
-}
-
-/* whether 2^p divides v, p < 64 */
-static int multiple_of_pow2(uint64_t v, int32_t p)
-{
-    return (v & ((1ull << p) - 1)) == 0;
-}
-
-/* (m * mul) >> j, mul a 128-bit table entry as (low, high) words, j >= 64 */
-static uint64_t mul_shift(uint64_t m, const uint64_t *mul, int32_t j)
-{
-    u128 b0 = (u128)m * mul[0], b2 = (u128)m * mul[1];
-    return (uint64_t)(((b0 >> 64) + b2) >> (j - 64));
-}
-
-/* Ryu's d2d: the shortest decimal digits*10^*e10 that reads back as the
- * finite, nonzero double with these mantissa and exponent bits, the
- * nearest to it among the shortest.  pow10 is the table of powers of
- * five; Ryu multiplies by 5^i truncated and by 5^-q rounded up.  One digit
- * loop serves every double: it tracks whether the dropped digits of vm
- * and vr are all zeros, which only an exact bound or an exact tie needs. */
-static uint64_t shortest(uint64_t ieee_m, int32_t ieee_e,
-                         const uint64_t *pow10, int32_t *e10)
-{
-    /* the value is m2 * 2^e2, with 2 more bits for the interval bounds */
-    int32_t e2 = (ieee_e ? ieee_e : 1) - 1023 - 52 - 2;
-    uint64_t m2 = ieee_e ? (1ull << 52) | ieee_m : ieee_m;
-    int accept_bounds = (m2 & 1) == 0;      /* round-half-even reads them */
-    uint64_t mv = 4 * m2;
-    uint32_t mm_shift = ieee_m != 0 || ieee_e <= 1;
-    uint64_t vr, vp, vm, output, mul[2];
-    int vm_zeros = 0, vr_zeros = 0;
-    int32_t removed = 0, q, i, k;
-    uint32_t last_digit = 0;
-
-    /* the interval (mm, mp) around mv scaled by 10^-q into vm, vr, vp */
-    if (e2 >= 0) {
-        q = log10_pow2(e2) - (e2 > 3);
-        *e10 = q;
-        memcpy(mul, pow10 + 2 * (-q - POW10_MIN_Q), sizeof mul);
-        if (q > 27) {
-            /* the table truncates 5^-q below q = -27: round it up, with
-             * the carry into the high word */
-            mul[0]++;
-            mul[1] += mul[0] == 0;
-        }
-        /* 5^0 is 2^127 in the table, not the 2^128 of pow5bits(0) = 1 */
-        k = POW5_BITCOUNT + pow5bits(q) - 1 - (q == 0);
-        i = -e2 + q + k;
-        vr = mul_shift(4 * m2, mul, i);
-        vp = mul_shift(4 * m2 + 2, mul, i);
-        vm = mul_shift(4 * m2 - 1 - mm_shift, mul, i);
-        if (q <= 21) {
-            /* only one of mp, mv and mm can be a multiple of 5 */
-            if (mv % 5 == 0)
-                vr_zeros = multiple_of_pow5(mv, q);
-            else if (accept_bounds)
-                vm_zeros = multiple_of_pow5(mv - 1 - mm_shift, q);
-            else
-                vp -= multiple_of_pow5(mv + 2, q);
-        }
+    *e10 = 0;
+    if (q < 0 && q > -53 && (c & ((1ull << -q) - 1)) == 0)
+        return c >> -q;                 /* an integer below 2^53 */
+    if (c == 1ull << 52 && q > -1074) {
+        /* the double below is half as far: k = floor(log10(3/4 * 2^q)) */
+        cbl = cb - 1;
+        k = ((int64_t)q * 661971961083 - 274743187321) >> 41;
     } else {
-        q = log10_pow5(-e2) - (-e2 > 1);
-        *e10 = q + e2;
-        i = -e2 - q;
-        k = pow5bits(i) - POW5_BITCOUNT;
-        memcpy(mul, pow10 + 2 * (i - POW10_MIN_Q), sizeof mul);
-        vr = mul_shift(4 * m2, mul, q - k);
-        vp = mul_shift(4 * m2 + 2, mul, q - k);
-        vm = mul_shift(4 * m2 - 1 - mm_shift, mul, q - k);
-        if (q <= 1) {
-            /* mv = 4 * m2 has at least 2 trailing zero bits */
-            vr_zeros = 1;
-            if (accept_bounds)
-                vm_zeros = mm_shift == 1;
-            else
-                --vp;
-        } else if (q < 63) {
-            vr_zeros = multiple_of_pow2(mv, q);
-        }
+        k = ((int64_t)q * 661971961083) >> 41;     /* floor(log10(2^q)) */
     }
-
-    /* drop digits while the interval still holds a shorter number; with
-     * both flags clear, vr rounds up where the last dropped digit is >= 5
-     * or vr reached vm */
-    while (vp / 10 > vm / 10) {
-        vm_zeros = vm_zeros && vm % 10 == 0;
-        vr_zeros = vr_zeros && last_digit == 0;
-        last_digit = (uint32_t)(vr % 10);
-        vr /= 10;
-        vp /= 10;
-        vm /= 10;
-        removed++;
+    /* q plus floor(log2(10^-k)), as in eisel_lemire, plus 2: 1 to 4 */
+    h = q + (((152170 + 65536) * -k) >> 16) + 2;
+    p5 = pow10 + 2 * (-k - POW10_MIN_Q);
+    g = ((((u128)p5[1] << 64 | p5[0]) - (k > 0 && k <= 27)) >> 2) + 1;
+    vb = rop(g, cb << h);
+    vbl = rop(g, cbl << h);
+    vbr = rop(g, (cb + 2) << h);
+    *e10 = (int32_t)k;
+    s = vb >> 2;
+    if (s >= 10) {
+        /* one digit fewer: the multiple of 10 below s or the one above */
+        uint64_t sp = s / 10 * 10;
+        uin = vbl + out <= sp << 2;
+        win = ((sp + 10) << 2) + out <= vbr;
+        if (uin != win)
+            return uin ? sp : sp + 10;
     }
-    if (vm_zeros) {
-        while (vm % 10 == 0) {
-            vr_zeros = vr_zeros && last_digit == 0;
-            last_digit = (uint32_t)(vr % 10);
-            vr /= 10;
-            vp /= 10;
-            vm /= 10;
-            removed++;
-        }
-    }
-    if (vr_zeros && last_digit == 5 && vr % 2 == 0)
-        last_digit = 4;                     /* an exact tie rounds to even */
-    output = vr + ((vr == vm && (!accept_bounds || !vm_zeros))
-                   || last_digit >= 5);
-    *e10 += removed;
-    return output;
+    t = s + 1;
+    uin = vbl + out <= s << 2;
+    win = (t << 2) + out <= vbr;
+    if (uin != win)
+        return uin ? s : t;
+    cmp = (int64_t)vb - (int64_t)((s + t) << 1);     /* both: the nearer */
+    return cmp < 0 || (cmp == 0 && s % 2 == 0) ? s : t;
 }
 
 /* the decimal digits of v > 0 at p; returns the end */
@@ -432,7 +362,12 @@ static char *put_float(char *p, double x, const uint64_t *pow10)
         memcpy(p, "0.0", 3);
         return p + 3;
     }
-    digits = shortest(ieee_m, ieee_e, pow10, &e10);
+    digits = shortest(ieee_e ? 1ull << 52 | ieee_m : ieee_m,
+                      (ieee_e ? ieee_e : 1) - 1075, pow10, &e10);
+    while (digits % 10 == 0) {
+        digits /= 10;
+        e10++;
+    }
     n = (int32_t)(put_digits(d, digits) - d);
     decpt = n + e10;        /* the value is 0.d[0..n) * 10^decpt */
     if (decpt > -4 && decpt <= 16) {

@@ -20,11 +20,13 @@ missing Python headers, a missing compiler, a compile error, or a cache
 directory that cannot be written or that other users can write.  The
 command line exits 2 with that message.
 
-:func:`format_rows` formats CSV rows of doubles through it, and
-:func:`parse_rows` parses them.  Both multiply by one table of 128-bit
-powers of five, built from Python ints on the first call of either, not on
-the first :func:`library` call, so a process that only runs the estimator
-never builds it.
+:func:`format_rows` formats CSV rows of doubles through it, each as
+``repr`` writes it, with Schubfach's shortest digits (Giulietti, "The
+Schubfach way to render doubles", 2020), and :func:`parse_rows` parses
+them, correctly rounded, with Eisel-Lemire.  Both multiply by one table of
+128-bit powers of five, built from Python ints on the first call of
+either, not on the first :func:`library` call, so a process that only
+runs the estimator never builds it.
 """
 
 from __future__ import annotations
@@ -183,12 +185,12 @@ def context(state: Doubles, consts: Doubles, rows: Doubles,
 
 @functools.cache
 def _pow10_table() -> np.ndarray:
-    """The one table of the formatter and the parser: for q in [-342, 325],
+    """The one table of the formatter and the parser: for q in [-342, 324],
     the top 128 bits of 5^q, its leading bit at bit 127, stored as its
-    (low, high) 64-bit words.  These are fast_float's entries, extended to
-    the 5^325 that a subnormal needs in Ryu: truncated, but rounded up for
-    -27 <= q < 0.  Ryu needs every 5^-q rounded up; the formatter rounds
-    up the entries below q = -27 itself."""
+    (low, high) 64-bit words.  These are fast_float's entries, truncated
+    but rounded up for -27 <= q < 0.  The parser multiplies by 5^q; the
+    formatter derives Schubfach's 126-bit approximation of 10^q, 5^q
+    rounded down and plus 1, from the entry for q in [-292, 324]."""
     def entry(q: int) -> int:
         if q >= 0:
             shift = (5 ** q).bit_length() - 128
@@ -198,7 +200,7 @@ def _pow10_table() -> np.ndarray:
         return 2 ** b // 5 ** -q + (q >= -27)
 
     mask = (1 << 64) - 1
-    values = map(entry, range(-342, 326))
+    values = map(entry, range(-342, 325))
     table = np.array([(v & mask, v >> 64) for v in values], np.uint64)
     table.flags.writeable = False     # one copy serves every call
     return table

@@ -78,6 +78,7 @@ to the plain Python loop ``reference_loop`` of the same file.
 from __future__ import annotations
 
 import math
+import os
 import sys
 from array import array
 from dataclasses import dataclass
@@ -123,35 +124,50 @@ class EstimatorConfig:
     t_reset_s: float = 0.25               # lock-in ramp length, anchor cap
 
     def __post_init__(self) -> None:
-        if is_count(self.n):               # validate rejects any other n
-            for name in ("gamma_c", "gamma_s"):
-                gains = getattr(self, name)
-                object.__setattr__(self, name,
-                                   tuple(gains) if gains else (40.0,) * self.n)
+        # n sizes the default gains, so it is checked before they are built
+        self._check_order(self.n, self.f0, self.ts)
+        for name in ("gamma_c", "gamma_s"):
+            gains = getattr(self, name)
+            object.__setattr__(self, name,
+                               tuple(gains) if gains else (40.0,) * self.n)
         self.validate()
 
+    @staticmethod
+    def _check_order(n: int, f0: float, ts: float) -> None:
+        """Check the harmonic order ``n``, an int of at least 1, against
+        Nyquist at ``f0`` and ``ts``, the part of :meth:`validate` that
+        needs no gain."""
+        if not is_count(n):
+            raise ConfigError(f"n must be an int, got {n!r}")
+        if n < 1:
+            raise ConfigError("harmonic order n must be >= 1")
+        if n > sys.maxsize:               # n * f0 could overflow a float
+            raise ConfigError(f"n must be at most {sys.maxsize}, got {n}")
+        for name, value in (("f0", f0), ("ts", ts)):
+            if not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value}")
+        if f0 <= 0:
+            raise ConfigError("nominal frequency must be positive")
+        if ts <= 0:
+            raise ConfigError("sampling interval must be positive")
+        if n * f0 >= 0.5 / ts:
+            raise ConfigError(
+                f"harmonic order {n} at f0={f0:g} Hz violates Nyquist "
+                f"for ts={ts:g} s"
+            )
+
     def validate(self) -> None:
-        for name in ("n", "rocof_smooth_window", "report_every"):
+        self._check_order(self.n, self.f0, self.ts)
+        for name in ("rocof_smooth_window", "report_every"):
             value = getattr(self, name)
             if not is_count(value):
                 raise ConfigError(f"{name} must be an int, got {value!r}")
-        if self.n < 1:
-            raise ConfigError("harmonic order n must be >= 1")
-        for name in ("f0", "ts", "gamma_c", "gamma_s", "gamma_dc", "gamma_dc1",
+        for name in ("gamma_c", "gamma_s", "gamma_dc", "gamma_dc1",
                      "eta_opt", "obs_lowpass_hz", "t_reset_s"):
             value = getattr(self, name)
             if not all(map(math.isfinite, value if isinstance(value, tuple)
                            else () if value is None else (value,))):
                 raise ConfigError(f"{name} must be finite, got {value}")
-        if self.f0 <= 0:
-            raise ConfigError("nominal frequency must be positive")
-        if self.ts <= 0:
-            raise ConfigError("sampling interval must be positive")
-        if self.n * self.f0 >= 0.5 / self.ts:
-            raise ConfigError(
-                f"harmonic order {self.n} at f0={self.f0:g} Hz violates Nyquist "
-                f"for ts={self.ts:g} s"
-            )
         if len(self.gamma_c) != self.n or len(self.gamma_s) != self.n:
             raise ConfigError("gain vectors must have length n")
         if any(g <= 0 for g in (*self.gamma_c, *self.gamma_s,
@@ -182,6 +198,8 @@ _SLOTS = ("a_dc", "a_dc1", "f_hz", "phase_acc", "t_anchor", "zfilt", "t0",
           "k", "head", "count")
 _K, _HEAD, _COUNT = map(_SLOTS.index, ("k", "head", "count"))
 _COEFS = len(_SLOTS)                   # where a_c starts
+# the host's physical memory in bytes, the bound of a state's RoCoF ring
+_MEMORY = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
 def _slot(name: str) -> property:
@@ -246,6 +264,12 @@ class EstimatorState:
                 scalars: list[float], ring: list[float], size: int) -> None:
         """Lay the values out in a new buffer with a ring of ``size``
         values, which keeps the newest; unbind the kernel of the old one."""
+        # fail before asking for the ring: a kernel that overcommits may
+        # grant more than the host holds, and kill the process on use
+        if 8 * size > _MEMORY:
+            raise ConfigError(f"rocof_smooth_window = {size} asks for a ring "
+                              f"of {size} doubles, more than this host's "
+                              f"{_MEMORY} bytes of memory")
         ring = ring[len(ring) - size:] if len(ring) > size else ring
         self._v = array("d", [*scalars, len(ring) % max(size, 1), len(ring),
                               *a_c, *a_s, *ring])

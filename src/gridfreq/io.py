@@ -362,6 +362,9 @@ def _read(keys: _Keys, cls: type, prefix: str = "", **given: Any) -> Any:
                 raise ScenarioError(f"{keys.path}: unknown profile kind {kind!r}")
             values[f.name] = _read(keys, _PROFILES[kind], f"{key}.")
         elif f.type not in _SCALARS:          # gain tuple, one key per harmonic
+            # n counts the keys, so it is checked before they are read
+            named(keys.path, EstimatorConfig._check_order, values["n"],
+                  values["f0"], values["ts"])
             values[f.name] = tuple(keys.take(f"{key}_{i}", float)
                                    for i in range(1, values["n"] + 1))
         else:

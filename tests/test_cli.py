@@ -213,6 +213,11 @@ class TestEstimateAndMetrics:
              "c.cfg: report_every must be at most {maxsize}, got 10"),
             ("rocof_smooth_window = 100000000000000000000",
              "c.cfg: rocof_smooth_window must be at most {maxsize}, got 10"),
+            # n sizes the gains, so it is checked before they are built
+            ("n = 100000000000000000000",
+             "c.cfg: n must be at most {maxsize}, got 10"),
+            ("n = -100000000000000000000", "c.cfg: harmonic order n must be"),
+            ("n = -1e300", "c.cfg: harmonic order n must be"),
         ]])
     def test_malformed_config_is_input_error(self, tmp_path, synth_outputs,
                                              capsys, line, message):

@@ -70,6 +70,8 @@ class TestConfig:
         dict(obs_lowpass_hz=-100.0),
         dict(rocof_smooth_window=10 ** 20),       # beyond a Py_ssize_t
         dict(report_every=10 ** 20),
+        dict(n=10 ** 20),                         # checked before the gains
+        dict(n=-10 ** 20),
     ])
     def test_validation_rejects(self, kwargs):
         with pytest.raises(ConfigError):
@@ -472,6 +474,17 @@ class TestKernelCache:
             for v in state.rocof_buf:
                 acc += v
             assert rec.rocof_hzps == acc / len(state.rocof_buf)
+
+    @pytest.mark.parametrize("window", [sys.maxsize, 10 ** 12])
+    def test_ring_larger_than_memory_is_config_error(self, window):
+        # rejected before the ring is asked for, by init and by a step
+        config = replace(EstimatorConfig(), rocof_smooth_window=window)
+        message = f"rocof_smooth_window = {window} asks for a ring of {window}"
+        with pytest.raises(ConfigError, match=message):
+            init(config)
+        state = init(EstimatorConfig())
+        with pytest.raises(ConfigError, match=message):
+            step(state, 0.0, config)
 
     @pytest.mark.parametrize("sample", [
         1, True, np.int64(3), Fraction(1, 2), Decimal("0.5"), np.array(0.5),

@@ -138,7 +138,13 @@ repr_floats = st.one_of(
                                    math.nextafter(x, -math.inf)])),
     st.floats(9e15, 2e16), st.floats(5e-5, 2e-4),
     st.floats(0.0, 2.3e-308),                          # subnormals
-    st.integers(-2 ** 60, 2 ** 60).map(float))
+    st.integers(-2 ** 60, 2 ** 60).map(float),
+    st.integers(0, 2 ** 64 - 1).map(                   # any bit pattern
+        lambda b: np.uint64(b).view(np.float64).item()),
+    # the smallest subnormals, where repr writes 5e-324 and 5e-323 and
+    # Java's Double.toString 4.9e-324 and 4.9e-323
+    st.integers(1, 4999).map(
+        lambda b: np.uint64(b).view(np.float64).item()))
 
 
 @settings(max_examples=300, deadline=None)
@@ -150,10 +156,11 @@ def test_c_formatter_writes_repr(values):
 
 def test_power_of_five_table_is_exact():
     """Each entry is 5^q scaled to 128 bits: truncated, but rounded up for
-    -27 <= q < 0.  Ryu needs 5^-q rounded up, and the formatter adds 1 to
-    the entries below q = -27 alone."""
+    -27 <= q < 0, as the parser's Eisel-Lemire reads them.  The formatter
+    takes 1 from the rounded-up entries to get Schubfach's 126-bit 10^q,
+    5^q rounded down and plus 1."""
     table = _native._pow10_table()
-    qs = range(-342, 326)
+    qs = range(-342, 325)
     assert table.shape == (len(qs), 2)
     for q, (low, high) in zip(qs, table.tolist()):
         exact = Fraction(5) ** q
@@ -169,10 +176,13 @@ def test_power_of_five_table_is_exact():
 
 def _scale_changes() -> np.ndarray:
     """Doubles where the formatter's use of the table changes: every
-    exponent with the mantissas 0, 1 and 2^52 - 1; random mantissas in
-    [2^52, 2^62), which holds [2^54, 2^61), where Ryu scales by 5^0; and
-    random mantissas in the binades where Ryu's decimal exponent q crosses
-    from 27, the last 5^-q that the table rounds up, to 28."""
+    exponent with the mantissas 1, 2^52 - 1 and 0, whose lower neighbour
+    is nearer than its upper one but in binade 1; random mantissas in
+    [2^52, 2^62), which holds the binades 1075-1078, where Schubfach's
+    decimal exponent k is 0 and 10^-k is 5^0, exact, and 1079, where k
+    reaches 1 and 5^-1, the first entry the table rounds up; and random
+    mantissas in the binades around 1169, where k crosses from 27, the
+    last 5^-k that the table rounds up, to 28."""
     exponents = np.arange(2047, dtype=np.uint64) << np.uint64(52)
     edges = [exponents | np.uint64(m) for m in (0, 1, 2 ** 52 - 1)]
     rng = np.random.default_rng(0)
