@@ -9,8 +9,8 @@
  *
  * and loads it with importlib.  Python calls the three functions through
  * the module's context, format_rows and parse_rows, and reads amplitude
- * and phase through its records, polar and amp_phase (see the end of the
- * file); all take their arrays through the buffer protocol.
+ * and phase through its records and polar (see the end of the file); all
+ * take their arrays through the buffer protocol.
  *
  * gridfreq_advance runs the laws of the gridfreq.estimator module
  * docstring on a state buffer that persists between calls, over any number
@@ -24,11 +24,11 @@
  * float %.
  *
  * A step's context builds the report's EstimateRecord itself (make_record),
- * and the module's records, polar and amp_phase apply the same amplitude
- * and phase rule (amp_phase) to stored rows.  The rule is libm's hypot
- * and atan2, so its bits, like the loop's, depend on libm only; its
- * amplitudes are within 1 ulp of CPython's math.hypot, whose algorithm is
- * its own and differs between CPython versions.
+ * and the module's records and polar apply the same amplitude and phase
+ * rule (amp_phase) to stored rows.  The rule is libm's hypot and atan2,
+ * so its bits, like the loop's, depend on libm only; its amplitudes are
+ * within 1 ulp of CPython's math.hypot, whose algorithm is its own and
+ * differs between CPython versions.
  *
  * gridfreq_format_rows writes rows of doubles as CSV text, each as
  * CPython's repr writes it: Schubfach's shortest round-trip digits
@@ -877,17 +877,6 @@ done:
     return result;
 }
 
-static PyObject *kernel_amp_phase(PyObject *module, PyObject *args)
-{
-    double a_s, a_c, amp, phase;
-
-    (void)module;
-    if (!PyArg_ParseTuple(args, "dd:amp_phase", &a_s, &a_c))
-        return NULL;
-    amp_phase(a_s, a_c, &amp, &phase);
-    return Py_BuildValue("(dd)", amp, phase);
-}
-
 /* The size of the pow10 table, in 64-bit words */
 #define POW10_WORDS (2 * (POW10_MAX_Q - POW10_MIN_Q + 1))
 
@@ -985,11 +974,6 @@ static PyMethodDef kernel_methods[] = {
      PyDoc_STR("polar(rows, out)\n--\n\n"
                "Write amp_1, phase_1, ..., amp_n, phase_n of each report "
                "row of the float64 matrix rows to the float64 buffer out.")},
-    {"amp_phase", kernel_amp_phase, METH_VARARGS,
-     PyDoc_STR("amp_phase(a_s, a_c)\n--\n\n"
-               "The amplitude and full-quadrant phase of a (sin, cos) "
-               "coefficient pair: libm's hypot and atan2, and "
-               "(0.0, 0.0) for a zero pair of either sign.")},
     {NULL, NULL, 0, NULL},
 };
 

@@ -8,7 +8,7 @@ parser (``gridfreq_parse_rows``), which the module's ``context``,
 ``format_rows`` and ``parse_rows`` call on arrays taken through the buffer
 protocol, and the amplitude and phase rule of the estimator's records,
 libm's ``hypot`` and ``atan2`` over doubles, which a step's context,
-``records``, ``polar`` and ``amp_phase`` apply.
+``records`` and ``polar`` apply.
 :func:`library` builds it with ``cc -O2 -ffp-contract=off`` against the
 running interpreter's headers into ``$XDG_CACHE_HOME/gridfreq`` (default
 ``~/.cache/gridfreq``), on the first call, never at import.  The
@@ -37,14 +37,8 @@ import os
 import sysconfig
 from pathlib import Path
 from types import ModuleType
-from typing import TYPE_CHECKING, Callable
 
 import numpy as np
-
-if TYPE_CHECKING:
-    from array import array
-
-    Doubles = array | np.ndarray          # C-contiguous float64
 
 _CC = "cc"
 _CFLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
@@ -156,31 +150,6 @@ def library() -> ModuleType:
     if isinstance(lib, str):
         raise OSError(lib)
     return lib
-
-
-def context(state: Doubles, consts: Doubles, rows: Doubles,
-            x: Doubles | None, n: int, ring: int, report_every: int,
-            lowpass: bool, record: Callable[..., object] | None
-            ) -> Callable[[float], object]:
-    """``gridfreq_advance`` bound to the state under the constants, writing
-    into ``rows``.
-
-    A run (``x`` given, ``record`` None) goes over the samples ``x`` on
-    each call and returns the number of rows written, or -1 at a
-    divergence; it builds no record.  A step (``x`` None) goes over the
-    sample of each call and returns ``record(...)`` of its report, with
-    :class:`~gridfreq.estimator.EstimateRecord`'s fields in order and
-    amplitude and phase by the rule of
-    :func:`gridfreq.estimator.amp_phase`, None on other samples, or False
-    at a divergence.  An exception ``record`` raises propagates; the
-    sample has advanced the state all the same.
-
-    The buffers are float64 in C order, ``array('d')`` or numpy arrays,
-    and the state and rows writable; any other raises here.  The callable
-    holds views of them, so they stay alive, and an ``array`` cannot be
-    resized, as long as it lives."""
-    return library().context(state, consts, rows, x, n, ring, report_every,
-                             lowpass, record)
 
 
 @functools.cache

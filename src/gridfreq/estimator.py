@@ -43,9 +43,10 @@ the one layout the C loop and the estimate CSV hold.
 so a series read back from a file equals the series written; :func:`step`
 returns its row as an :class:`EstimateRecord`, which the C library builds.
 Amplitude and phase are derived only when read, by one rule (libm's
-``hypot`` and ``atan2``; see :func:`amp_phase`), whose one home is the C
-library: ``step`` and the series' ``polar()`` and ``records`` apply it;
-``run``, the metrics and the estimate CSV do not.
+``hypot`` and ``atan2``, and ``(0.0, 0.0)`` for a zero pair of either
+sign), whose one home is the C library: ``step`` and the series'
+``polar()`` and ``records`` apply it; ``run``, the metrics and the
+estimate CSV do not.
 
 One set of laws, one loop.  The state lives in one buffer of doubles (see
 :class:`EstimatorState`), and ``gridfreq_advance``, the C loop of
@@ -82,7 +83,7 @@ import os
 import sys
 from array import array
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -248,22 +249,10 @@ class EstimatorState:
                                              t_anchor, zfilt, t0, k],
                      ring, len(ring))
 
-    @classmethod
-    def _fresh(cls, config: EstimatorConfig, t0: float,
-               size: int) -> EstimatorState:
-        """A state at the nominal frequency with all coefficients zero and
-        a ring of ``size`` values."""
-        state = cls.__new__(cls)
-        state.diverged = False
-        zeros = [0.0] * config.n
-        state._layout(zeros, zeros,
-                      [0.0, 0.0, config.f0, 0.0, 0.0, 0.0, t0, 0], [], size)
-        return state
-
     def _layout(self, a_c: list[float], a_s: list[float],
                 scalars: list[float], ring: list[float], size: int) -> None:
         """Lay the values out in a new buffer with a ring of ``size``
-        values, which keeps the newest; unbind the kernel of the old one."""
+        values, which keeps the newest; unbind the config of the old one."""
         # fail before asking for the ring: a kernel that overcommits may
         # grant more than the host holds, and kill the process on use
         if 8 * size > _MEMORY:
@@ -275,8 +264,9 @@ class EstimatorState:
                               *a_c, *a_s, *ring])
         self._v.frombytes(bytes(8 * (size - len(ring) + 2 * len(a_c))))
         self._shape = (len(a_c), len(a_s), size)
-        # per-config constants and kernel, see _bind
-        self.kernel: _Kernel | None = None
+        # the config bound last and the C loop bound under it, see _bind
+        self._config: EstimatorConfig | None = None
+        self._advance: Callable[[float], object] | None = None
 
     def _relayout(self, a_c: list[float] | None = None,
                   a_s: list[float] | None = None,
@@ -320,7 +310,7 @@ class EstimatorState:
         return (ring[head:] + ring[:head]).tolist()
 
     def __getstate__(self) -> dict:
-        # the values, never the buffer's address or the kernel
+        # the values, never the buffer's address or the binding
         return {name: getattr(self, name) for name in (
             "a_c", "a_s", "f_hz", "a_dc", "a_dc1", "phase_acc", "k",
             "t_anchor", "zfilt", "diverged", "rocof_buf", "t0")}
@@ -385,10 +375,10 @@ class EstimateSeries:
     and ``a_s[0..n)``, the layout the C loop and the estimate CSV hold; it
     is read-only, and each column accessor returns a view of it.
 
-    Amplitude and phase are derived when read, by the rule of
-    :func:`amp_phase`: :meth:`polar` applies it to the rectangular pairs,
-    and :attr:`records` builds the :class:`EstimateRecord` list
-    :func:`step` would have returned, anew on each read.
+    Amplitude and phase are derived when read, by the rule of the module
+    docstring: :meth:`polar` applies it to the rectangular pairs, and
+    :attr:`records` builds the :class:`EstimateRecord` list :func:`step`
+    would have returned, anew on each read.
 
     Building a series converts its rows to float64 in C order, copying any
     other array; the series the package builds already are.
@@ -450,26 +440,10 @@ def init(config: EstimatorConfig, t0: float = 0.0) -> EstimatorState:
     ``t0 + k*ts`` after the k-th sample.  The state is bound to ``config``
     and the C library loaded here, not in :func:`step`.
     """
-    state = EstimatorState._fresh(config, t0, config.rocof_smooth_window)
+    state = EstimatorState([0.0] * config.n, [0.0] * config.n, config.f0,
+                           t0=t0)
     _bind(state, config)
     return state
-
-
-def amp_phase(a_s: float, a_c: float) -> tuple[float, float]:
-    """Amplitude and full-quadrant phase of a (sin, cos) coefficient pair:
-    libm's ``hypot`` and ``atan2``, and ``(0.0, 0.0)`` for a zero pair of
-    either sign.  An amplitude is within 1 ulp of ``math.hypot``'s, a
-    phase equal to ``math.atan2``'s."""
-    return _native.library().amp_phase(a_s, a_c)
-
-
-class _Kernel(NamedTuple):
-    """One state bound to one config: ``advance(sample)`` runs the laws on
-    the sample in C and returns the report's :class:`EstimateRecord`, None
-    on other samples, or False at a divergence."""
-
-    config: EstimatorConfig
-    advance: Callable[[float], EstimateRecord | bool | None]
 
 
 def _native_advance(state: EstimatorState, config: EstimatorConfig,
@@ -477,8 +451,8 @@ def _native_advance(state: EstimatorState, config: EstimatorConfig,
                     record: Callable[..., EstimateRecord] | None
                     ) -> Callable[[float], object]:
     """The C loop bound to the state under the config, writing rows into
-    ``rows``, and for a step building its reports with ``record`` (see
-    :func:`gridfreq._native.context`).
+    ``rows``, and for a step building its reports with ``record``: the C
+    library's ``context`` (see ``kernel_context`` in ``_kernel.c``).
 
     The per-config constants keep the operand order of the laws, e.g.
     ``(ts*gamma)*z*basis``, so the cached products are bit-identical.
@@ -490,12 +464,13 @@ def _native_advance(state: EstimatorState, config: EstimatorConfig,
                          config.eta_opt, config.f0, config.f0 / 2,
                          config.t_reset_s, *(ts * g for g in config.gamma_c),
                          *(ts * g for g in config.gamma_s)))
-    return _native.context(state._v, consts, rows, values, config.n,
-                           state._shape[2], config.report_every,
-                           cutoff is not None, record)
+    return _native.library().context(state._v, consts, rows, values,
+                                      config.n, state._shape[2],
+                                      config.report_every,
+                                      cutoff is not None, record)
 
 
-def _bind(state: EstimatorState, config: EstimatorConfig) -> _Kernel:
+def _bind(state: EstimatorState, config: EstimatorConfig) -> None:
     """Bind the state to the config for :func:`step`, loading the C library
     here, not in a step.  The record class is the one bound now."""
     if state._shape[:2] != (config.n, config.n):
@@ -506,9 +481,8 @@ def _bind(state: EstimatorState, config: EstimatorConfig) -> _Kernel:
         # a shorter window drops the oldest values at once
         state._relayout(size=config.rocof_smooth_window)
     row = array("d", bytes(8 * (len(ROW_COLUMNS) + 2 * config.n)))
-    state.kernel = _Kernel(config, _native_advance(state, config, row, None,
-                                                   EstimateRecord))
-    return state.kernel
+    state._advance = _native_advance(state, config, row, None, EstimateRecord)
+    state._config = config
 
 
 def step(state: EstimatorState, sample: float, config: EstimatorConfig
@@ -521,10 +495,9 @@ def step(state: EstimatorState, sample: float, config: EstimatorConfig
     """
     if state.diverged:
         raise DivergenceError(f"estimator diverged at sample {state.k}")
-    kernel = state.kernel
-    if kernel is None or kernel.config is not config:
-        kernel = _bind(state, config)
-    record = kernel.advance(sample)    # TypeError before the loop runs
+    if state._config is not config:
+        _bind(state, config)
+    record = state._advance(sample)    # TypeError before the loop runs
     if record is False:
         state.diverged = True
         return None
@@ -551,8 +524,9 @@ def run(stream: SampleStream, config: EstimatorConfig) -> EstimateSeries:
         )
     n, every = config.n, config.report_every
     # no more values than the stream's are ever summed
-    ring = max(1, min(config.rocof_smooth_window, len(stream)))
-    state = EstimatorState._fresh(config, stream.t0, ring)
+    state = EstimatorState([0.0] * n, [0.0] * n, config.f0, t0=stream.t0)
+    state._relayout(size=max(1, min(config.rocof_smooth_window,
+                                    len(stream))))
     x = np.ascontiguousarray(stream.values, dtype=np.float64)
     rows = np.empty((len(x) // every, len(ROW_COLUMNS) + 2 * n))
     written = _native_advance(state, config, rows, x, None)(0.0)

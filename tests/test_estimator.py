@@ -24,7 +24,7 @@ from gridfreq import (ConfigError, DivergenceError, EstimateSeries,
                       ScenarioSpec, evaluate, init, ise_fitness,
                       reconstruction_error, run, step, synthesize)
 from gridfreq import _native, estimator
-from gridfreq.estimator import ROW_COLUMNS, amp_phase
+from gridfreq.estimator import ROW_COLUMNS
 from gridfreq.tuner import DIVERGENCE_PENALTY
 from cases import case1
 from golden import cases as golden_cases
@@ -32,7 +32,8 @@ from golden import compute as golden_compute
 from golden import digest as golden_digest
 from golden import load as golden_load
 from golden import state_digest
-from reference import output_and_gradient, reference_estimator
+from reference import (output_and_gradient, reference_amps_phases,
+                       reference_estimator)
 
 FS = 1200.0
 TS = 1.0 / FS
@@ -126,18 +127,25 @@ class TestInitAndState:
         assert state.k == 0
 
 
+def _polar(a_s, a_c) -> list[float]:
+    """amp_1, phase_1, ..., amp_n, phase_n of the pairs (a_s[i], a_c[i]),
+    through polar() of a one-row series."""
+    row = [*range(len(ROW_COLUMNS)), *a_c, *a_s]
+    return EstimateSeries(np.array([row], float), len(a_s)).polar()[0].tolist()
+
+
 class TestAmpPhase:
     def test_zero(self):
-        assert amp_phase(0.0, 0.0) == (0.0, 0.0)
+        assert _polar([0.0], [0.0]) == [0.0, 0.0]
 
     def test_reconstruction_identity(self):
         rng = np.random.default_rng(1)
-        for _ in range(50):
-            a_s, a_c = rng.normal(0.0, 2.0, 2)
-            amp, ph = amp_phase(a_s, a_c)
-            x = float(rng.uniform(-5.0, 5.0))
-            assert a_c * math.sin(x) + a_s * math.cos(x) == pytest.approx(
-                amp * math.sin(x + ph), abs=1e-12)
+        a_s, a_c = rng.normal(0.0, 2.0, (2, 50))
+        polar = _polar(a_s, a_c)
+        for i, x in enumerate(rng.uniform(-5.0, 5.0, 50)):
+            amp, ph = polar[2 * i:2 * i + 2]
+            assert a_c[i] * math.sin(x) + a_s[i] * math.cos(x) == (
+                pytest.approx(amp * math.sin(x + ph), abs=1e-12))
 
 
 class TestStepAgainstReference:
@@ -253,11 +261,12 @@ class TestColumnarSeries:
         head = len(ROW_COLUMNS)
         for row, rec in zip(series.rows.tolist(), series.records):
             assert rec.eta == cfg.eta_opt
-            assert [rec.amps, rec.phases] == [list(x) for x in zip(
-                *map(amp_phase, row[head + 2:], row[head:head + 2]))]
+            assert [rec.amps, rec.phases] == list(reference_amps_phases(
+                row[head + 2:], row[head:head + 2]))
 
-        # signed zeros, nan and inf: records, polar() and amp_phase agree
-        # bit for bit, and a zero pair of either sign is (0.0, 0.0)
+        # signed zeros, nan and inf: records and polar() give the libm
+        # oracle's pairs bit for bit, and a zero pair of either sign is
+        # (0.0, 0.0)
         nan, inf = math.nan, math.inf
         pairs = [(0.0, -0.0), (-0.0, 0.0), (-0.0, -0.0), (0.0, 0.0),
                  (nan, 1.0), (-2.0, nan), (inf, nan), (-inf, 3.0),
@@ -267,7 +276,8 @@ class TestColumnarSeries:
         edge = EstimateSeries(
             rows=np.array([[*range(head), *a_c, *a_s]], dtype=float), n=n)
         (rec,) = edge.records
-        expect = [v for pair in pairs for v in amp_phase(*pair)]
+        expect = [v for pair in zip(*reference_amps_phases(a_s, a_c))
+                  for v in pair]
         assert expect[:8] == [0.0] * 8
         assert all(math.copysign(1.0, v) == 1.0 for v in expect[:8])
         got = [v for pair in zip(rec.amps, rec.phases) for v in pair]
@@ -279,7 +289,6 @@ class TestColumnarSeries:
             raise AssertionError("per-record work on the C path")
 
         # the amplitude and phase rule is reached only through these
-        monkeypatch.setattr(estimator, "amp_phase", forbidden)
         monkeypatch.setattr(EstimateSeries, "polar", forbidden)
         monkeypatch.setattr(estimator, "EstimateRecord", forbidden)
         stream, truth = synthesize(case1(), FS, seed=0)
@@ -737,12 +746,20 @@ class TestNativeBuffers:
         assert bytes(_native.format_rows(np.ascontiguousarray(
             cells, np.float64))) == b"0.0,1.0,2.0\r\n3.0,4.0,5.0\r\n"
 
+    def test_c_library_has_exactly_its_entry_points(self):
+        """A new C entry point is a deliberate change."""
+        lib = _native.library()
+        assert {name for name in dir(lib) if not name.startswith("_")
+                and callable(getattr(lib, name))} == {
+            "context", "format_rows", "parse_rows", "polar", "records"}
+
     @pytest.fixture
     def args(self, monkeypatch):
-        """The arguments init passes to _native.context, numpy copies of
-        its buffers."""
+        """The arguments init passes to the C library's context, numpy
+        copies of its buffers."""
         calls = []
-        monkeypatch.setattr(_native, "context", lambda *a: calls.append(a))
+        monkeypatch.setattr(_native.library(), "context",
+                            lambda *a: calls.append(a))
         init(EstimatorConfig())
         monkeypatch.undo()
         (args,) = calls
@@ -751,13 +768,13 @@ class TestNativeBuffers:
 
     @pytest.mark.parametrize("i", [0, 2], ids=["state", "rows"])
     def test_context_rejects_a_strided_buffer(self, args, i):
-        assert callable(_native.context(*args))
+        assert callable(_native.library().context(*args))
         args[i] = np.repeat(args[i], 2)[::2]
         with pytest.raises(ValueError, match="not C-contiguous"):
-            _native.context(*args)
+            _native.library().context(*args)
 
     @pytest.mark.parametrize("i", [0, 2], ids=["state", "rows"])
     def test_context_rejects_a_read_only_buffer(self, args, i):
         args[i].flags.writeable = False
         with pytest.raises(ValueError, match="read-only"):
-            _native.context(*args)
+            _native.library().context(*args)

@@ -1,5 +1,7 @@
 """Property-based tests (hypothesis) for the algebraic building blocks."""
 
+import contextlib
+import io
 import math
 import re
 from fractions import Fraction
@@ -15,9 +17,8 @@ from hypothesis import strategies as st
 from gridfreq import (EstimateSeries, EstimatorConfig, EstimatorState,
                       EventProfile, RampProfile, SampleStream, ScenarioError,
                       ScenarioSpec, init, run, step, synthesize)
-from gridfreq import _native, estimator
+from gridfreq import _native, cli, estimator
 from gridfreq import io as gio
-from gridfreq.estimator import amp_phase
 from gridfreq.synth import (ConstantProfile, DcSpec, HarmonicSpec, NoiseSpec,
                             StepSpec)
 from golden import state_digest
@@ -29,9 +30,17 @@ finite = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False,
                    allow_infinity=False)
 
 
+def _polar_row(pairs) -> np.ndarray:
+    """amp_1, phase_1, ..., amp_n, phase_n of the (a_s, a_c) pairs,
+    through polar() of a one-row series."""
+    a_s, a_c = zip(*pairs)
+    row = [*range(len(estimator.ROW_COLUMNS)), *a_c, *a_s]
+    return EstimateSeries(np.array([row], float), len(pairs)).polar()[0]
+
+
 @given(a_s=finite, a_c=finite, x=st.floats(-10.0, 10.0))
 def test_amp_phase_reconstructs_the_pair(a_s, a_c, x):
-    amp, ph = amp_phase(a_s, a_c)
+    amp, ph = _polar_row([(a_s, a_c)]).tolist()
     expect = a_c * math.sin(x) + a_s * math.cos(x)
     scale = max(abs(a_s), abs(a_c), 1.0)
     assert amp * math.sin(x + ph) == pytest.approx(expect, abs=1e-9 * scale)
@@ -533,8 +542,8 @@ pair_values = st.one_of(
 @given(pairs=st.lists(st.tuples(pair_values, pair_values), min_size=1,
                       max_size=8))
 def test_c_amp_phase_rule_equals_the_oracle_bit_for_bit(pairs):
-    """amp_phase, polar() and records, which apply the C rule, each give
-    the plain Python rule's amplitudes and phases bit for bit."""
+    """polar() and records, which apply the C rule, each give the plain
+    Python rule's amplitudes and phases bit for bit."""
     a_s, a_c = (list(x) for x in zip(*pairs))
     amps, phases = reference_amps_phases(a_s, a_c)
     expect = np.array([v for pair in zip(amps, phases) for v in pair])
@@ -545,8 +554,6 @@ def test_c_amp_phase_rule_equals_the_oracle_bit_for_bit(pairs):
     got = [v for pair in zip(rec.amps, rec.phases) for v in pair]
     assert np.array(got).tobytes() == expect.tobytes()
     assert series.polar().tobytes() == expect.tobytes()
-    got = [v for pair in pairs for v in amp_phase(*pair)]
-    assert np.array(got).tobytes() == expect.tobytes()
 
 
 @settings(max_examples=300, deadline=None)
@@ -559,8 +566,8 @@ def test_amp_phase_is_within_1_ulp_of_the_math_module(pairs):
     """The tolerance of the C rule against CPython's math module on finite
     pairs: each amplitude is within 1 ulp of math.hypot's, whose algorithm
     is not libm's, and each phase is math.atan2's bit for bit."""
-    for a_s, a_c in pairs:
-        amp, phase = amp_phase(a_s, a_c)
+    polar = _polar_row(pairs).tolist()
+    for (a_s, a_c), amp, phase in zip(pairs, polar[::2], polar[1::2]):
         expect = math.hypot(a_s, a_c)
         assert amp in (math.nextafter(expect, 0.0), expect,
                        math.nextafter(expect, math.inf))
@@ -782,3 +789,150 @@ def test_a_samples_file_at_any_start_time_is_run(t0, tmp_path_factory):
     assert samples.values.tobytes() == stream.values.tobytes()
     assert (run(samples, config).rows.tobytes()
             == run(stream, config).rows.tobytes())
+
+
+# --------------------------------------------------------------------------
+# The command line on drawn files
+# --------------------------------------------------------------------------
+
+# Values a drawn key takes.  Every number is either at most 3 in magnitude
+# or at least 1e20, or a subnormal or the smallest normal: so a render of
+# duration * fs samples, fs = 1200 or 1 / ts_s, either holds at most 3,600
+# samples or is refused before it is allocated (too short, more than one
+# array can hold, or fs not finite).  A RoCoF ring is at most a stream long.
+KV_VALUES = st.one_of(
+    st.sampled_from([
+        "0", "-0.0", "5e-324", "1e-310", "2.2250738585072014e-308", "1e20",
+        "1e300", "1.7e308", "1e400", "100000000000000000000",
+        "9223372036854775807", "9223372036854775808",
+        "-9223372036854775809", "-1e300", "nan", "-nan", "inf", "-inf",
+        "Infinity", "abc", "", "0x10", "1_000", "١", "1", "2", "3.0",
+        "-1", "-5", "0.5", "1e-3", "event", "ramp", "constant", "gaussian",
+        "colored", "impulsive"]),
+    st.integers(-3, 3).map(str),
+    (st.floats(1e-3, 3.0) | st.floats(-3.0, -1e-3)).map(repr))
+# lines that are not `key = value` with a known key
+KV_LINES = st.sampled_from(["garbage", "= 1", "n", "bogus = 1",
+                            "profile.bogus = 1", "# comment", "\t"])
+SCENARIO_KEYS = ("profile", "profile.duration", "profile.df_hz",
+                 "noise.kind", "noise.pole", "noise.impulse_rate",
+                 "noise.impulse_mag", "harmonic_2.order",
+                 "harmonic_2.rel_amp", "step_2.t_start", "step_2.duration",
+                 "dc_2.tau_s")
+CONFIG_KEYS = ("gamma_c_3", "gamma_s_3", "obs_lowpass_hz", "anchor_policy")
+
+
+@st.composite
+def kv_texts(draw, lines, extra_keys):
+    """A key = value file: ``lines`` with up to three keys set to a drawn
+    value, dropped or duplicated, or malformed lines added."""
+    lines = list(lines)
+    keys = [line.split(" = ", 1)[0] for line in lines] + list(extra_keys)
+    for _ in range(draw(st.integers(0, 3))):
+        op = draw(st.sampled_from(["set", "set", "set", "drop", "dup",
+                                   "line"]))
+        key = draw(st.sampled_from(keys))
+        at = [i for i, line in enumerate(lines)
+              if line.split(" = ", 1)[0] == key]
+        if op == "set":
+            line = f"{key} = {draw(KV_VALUES)}"
+            if at:
+                lines[at[0]] = line
+            else:
+                lines.append(line)
+        elif op == "drop" and at:
+            del lines[at[0]]
+        elif op == "dup" and at:
+            lines.append(lines[at[0]])
+        elif op == "line":
+            lines.insert(draw(st.integers(0, len(lines))), draw(KV_LINES))
+    return "\n".join(lines) + "\n"
+
+
+CLI_SCENARIO = ScenarioSpec(
+    duration=0.75, base_freq=50.0,
+    profile=EventProfile(t_start=0.2, peak_dev_hz=0.5, peak_rocof_hzps=1.0),
+    noise=NoiseSpec(kind="gaussian", level=0.02, seed=0),
+    harmonics=(HarmonicSpec(3, 0.05, 0.1),),
+    steps=(StepSpec(0.3, 0.1, 0.1, 0.2),),
+    dc_events=(DcSpec(0.1, 0.2, 0.05),))
+CLI_CONFIG = EstimatorConfig(n=2)
+# bytes a mutation writes: separators, line ends, signs, exponents, a
+# byte that is not UTF-8, quotes and digits
+MUTATION_BYTES = st.sampled_from([b",", b"\n", b"\r", b"-", b"+", b"e",
+                                  b"E", b".", b"0", b"9", b" ", b'"',
+                                  b"\xff", b"nan", b"inf", b"#", b""])
+
+
+@st.composite
+def byte_mutations(draw, data: bytes) -> bytes:
+    """``data`` with one to three bytes replaced by, or with, drawn bytes,
+    or deleted."""
+    for _ in range(draw(st.integers(1, 3))):
+        at = draw(st.integers(0, len(data)))
+        cut = draw(st.integers(0, 1))
+        data = data[:at] + draw(MUTATION_BYTES) + data[at + cut:]
+    return data
+
+
+def _cli(*argv) -> int:
+    """The exit code of ``cli.main`` on ``argv``, asserting that it is 0, 2
+    or 3 and that the command raised no warning and printed no
+    traceback."""
+    out = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
+        warnings.simplefilter("always")
+        code = cli.main([str(arg) for arg in argv])
+    assert not caught, (argv, [str(w.message) for w in caught])
+    assert code in (0, 2, 3), (argv, code, out.getvalue())
+    assert "Traceback" not in out.getvalue(), (argv, out.getvalue())
+    return code
+
+
+@pytest.fixture(scope="module")
+def cli_base(tmp_path_factory):
+    """A directory with the samples, truth and estimate CSVs of the base
+    scenario, ``base_samples.csv``, ``base_truth.csv`` and
+    ``base_est.csv``."""
+    d = tmp_path_factory.mktemp("cli_base")
+    gio.write_scenario(d / "base.cfg", CLI_SCENARIO)
+    assert _cli("synth", d / "base.cfg", "--out", d) == 0
+    assert _cli("estimate", d / "base_samples.csv", "--out",
+                d / "base_est.csv") == 0
+    return d
+
+
+@settings(max_examples=150, deadline=None)
+@given(scenario=kv_texts(gio._lines(CLI_SCENARIO), SCENARIO_KEYS),
+       config=kv_texts(gio._lines(CLI_CONFIG), CONFIG_KEYS),
+       mutated=st.sampled_from(["samples", "truth", "est"]), data=st.data())
+def test_cli_exits_0_2_or_3_on_drawn_files(scenario, config, mutated, data,
+                                           cli_base, tmp_path_factory):
+    """Every command on a drawn scenario or config file, or on a samples,
+    truth or estimate CSV with mutated bytes, exits 0, 2 or 3, with no
+    exception out of main, no warning and no traceback in its output."""
+    d = tmp_path_factory.mktemp("cli")
+    s, c = d / "s.cfg", d / "c.cfg"
+    s.write_text(scenario)
+    c.write_text(config)
+    base = {kind: cli_base / f"base_{kind}.csv"
+            for kind in ("samples", "truth", "est")}
+    # later commands read the drawn scenario's render where it has one
+    if _cli("synth", s, "--out", d) == 0:
+        base["samples"], base["truth"] = d / "s_samples.csv", d / "s_truth.csv"
+    if _cli("estimate", base["samples"], "--config", c, "--out",
+            d / "e.csv") == 0:
+        base["est"] = d / "e.csv"
+    _cli("metrics", "--est", base["est"], "--truth", base["truth"])
+    _cli("metrics", "--scenario", s, "--config", c, "--seeds", 2)
+    _cli("sweep-eta", s, "--config", c, "--ratios", 1.0, 1.02)
+    _cli("tune", "--scenario", s, "--config", c, "--swarm", 2,
+         "--iterations", 1, "--out", d / "t.cfg")
+    base[mutated] = d / f"mutated_{mutated}.csv"
+    base[mutated].write_bytes(data.draw(byte_mutations(
+        (cli_base / f"base_{mutated}.csv").read_bytes())))
+    if mutated == "samples":
+        _cli("estimate", base["samples"], "--out", d / "m.csv")
+    else:
+        _cli("metrics", "--est", base["est"], "--truth", base["truth"])
