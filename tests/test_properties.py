@@ -797,7 +797,7 @@ def test_a_samples_file_at_any_start_time_is_run(t0, tmp_path_factory):
 
 # Values a drawn key takes.  Every number is either at most 3 in magnitude
 # or at least 1e20, or a subnormal or the smallest normal: so a render of
-# duration * fs samples, fs = 1200 or 1 / ts_s, either holds at most 3,600
+# duration * fs samples, fs = 1200 or 1 / ts_s, either holds at most 3,601
 # samples or is refused before it is allocated (too short, more than one
 # array can hold, or fs not finite).  A RoCoF ring is at most a stream long.
 KV_VALUES = st.one_of(
