@@ -9,14 +9,14 @@
  *
  * and loads it with importlib.  Python calls the three functions through
  * the module's context, format_rows and parse_rows, and reads amplitude
- * and phase through its records and polar (see the end of the file); all
- * take their arrays through the buffer protocol.
+ * and phase through its polar (see the end of the file); all take their
+ * arrays through the buffer protocol.
  *
  * gridfreq_advance runs the laws of the gridfreq.estimator module
  * docstring on a state buffer that persists between calls, over any number
  * of samples: estimator.run calls it once over a whole stream from a fresh
  * state, and estimator.step once per sample, through a context that holds
- * views of the state, constant and row buffers.  Its
+ * views of the state, constant and row buffers, which give its sizes.  Its
  * output equals the plain Python loop reference_loop of tests/reference.py
  * bit for bit, for four reasons: every expression keeps the laws' operand
  * order; -ffp-contract=off rules out fused multiply-adds; CPython's
@@ -24,8 +24,8 @@
  * float %.
  *
  * A step's context builds the report's EstimateRecord itself (make_record),
- * and the module's records and polar apply the same amplitude and phase
- * rule (amp_phase) to stored rows.  The rule is libm's hypot and atan2,
+ * and the module's polar applies the same amplitude and phase rule
+ * (amp_phase) to stored rows.  The rule is libm's hypot and atan2,
  * so its bits, like the loop's, depend on libm only; its amplitudes are
  * within 1 ulp of CPython's math.hypot, whose algorithm is its own and
  * differs between CPython versions.
@@ -99,7 +99,6 @@ struct gridfreq_ctx {
     int64_t n;
     int64_t ring;             /* capacity of the RoCoF ring, at least 1 */
     int64_t report_every;
-    int64_t lowpass;          /* 0: the raw residual drives the laws */
 };
 
 /* Advance ctx->state by the laws over the samples of ctx (see above).
@@ -150,7 +149,7 @@ static int64_t gridfreq_advance(const struct gridfreq_ctx *ctx, double sample)
         for (i = 0; i < n; i++)
             pred = pred + (ac[i] * s[i] + as[i] * c[i]);
         resid = x[m] - pred;
-        if (ctx->lowpass) {
+        if (alpha != 0.0) {                 /* 0.0: no low-pass */
             zf += alpha * (resid - zf);
             z = zf;
         } else {
@@ -622,22 +621,6 @@ static int get_view(PyObject *obj, Py_buffer *view, int flags,
     return -1;
 }
 
-/* Get a view of a matrix of report rows, float64 in C order, 10 + 2n
- * columns each (see gridfreq_advance), and its n. */
-static int get_rows(PyObject *obj, Py_buffer *view, Py_ssize_t *n)
-{
-    if (get_view(obj, view, 0, 8, "d", "rows") < 0)
-        return -1;
-    if (view->ndim == 2 && view->shape[1] >= 10 && view->shape[1] % 2 == 0) {
-        *n = (view->shape[1] - 10) / 2;
-        return 0;
-    }
-    PyErr_SetString(PyExc_ValueError,
-                    "rows must be a matrix of 10 + 2n columns");
-    PyBuffer_Release(view);
-    return -1;
-}
-
 /* The amplitude and full-quadrant phase of the (sin, cos) coefficient pair
  * (a_s, a_c): libm's hypot and atan2, and (0.0, 0.0) for a zero pair of
  * either sign.  The one home of this rule. */
@@ -769,17 +752,16 @@ static PyObject *kernel_context(PyObject *module, PyObject *args)
     static const int flags[4] = {PyBUF_WRITABLE, 0, PyBUF_WRITABLE, 0};
     PyObject *objs[4], *record, *advance = NULL;
     Py_ssize_t n, ring, report_every, len = 0, reports = 1;
-    int lowpass, i;
+    int i;
     Context *self;
 
     (void)module;
-    if (!PyArg_ParseTuple(args, "OOOOnnnpO:context", &objs[0], &objs[1],
-                          &objs[2], &objs[3], &n, &ring, &report_every,
-                          &lowpass, &record))
+    if (!PyArg_ParseTuple(args, "OOOOnO:context", &objs[0], &objs[1],
+                          &objs[2], &objs[3], &report_every, &record))
         return NULL;
-    if (n < 1 || ring < 1 || report_every < 1) {
+    if (report_every < 1) {
         PyErr_SetString(PyExc_ValueError,
-                        "context: n, ring and report_every must be >= 1");
+                        "context: report_every must be >= 1");
         return NULL;
     }
     if (objs[3] == Py_None ? !PyCallable_Check(record) : record != Py_None) {
@@ -803,47 +785,23 @@ static PyObject *kernel_context(PyObject *module, PyObject *args)
         len = self->views[3].len / 8;
         reports = len / report_every;
     }
-    /* n and ring at most the state's length bound every product */
-    if (n > self->views[0].len || ring > self->views[0].len
-        || self->views[0].len / 8 < S_HEADER + 4 * n + ring
-        || self->views[1].len / 8 < C_HEADER + 2 * n
+    /* n below the constants' length bounds every product */
+    n = (self->views[1].len / 8 - C_HEADER) / 2;
+    ring = self->views[0].len / 8 - S_HEADER - 4 * n;
+    if (n < 1 || self->views[1].len / 8 != C_HEADER + 2 * n || ring < 1
         || self->views[2].len / 8 / (10 + 2 * n) < reports) {
-        PyErr_SetString(PyExc_ValueError, "context: the buffers do not "
-                        "hold n harmonics, a ring of ring values and the "
+        PyErr_SetString(PyExc_ValueError, "context: the constants must hold "
+                        "n >= 1 gain pairs, the state a ring and rows the "
                         "rows of the samples");
         goto done;
     }
     self->ctx = (struct gridfreq_ctx){
         self->views[0].buf, self->views[1].buf, self->views[2].buf,
-        self->views[3].buf, len, n, ring, report_every, lowpass};
+        self->views[3].buf, len, n, ring, report_every};
     advance = PyCFunction_New(&advance_def, (PyObject *)self);
 done:
     Py_DECREF(self);
     return advance;
-}
-
-static PyObject *kernel_records(PyObject *module, PyObject *args)
-{
-    PyObject *record, *rows_obj, *list;
-    Py_buffer view;
-    Py_ssize_t n, r;
-
-    (void)module;
-    if (!PyArg_ParseTuple(args, "OO:records", &record, &rows_obj)
-        || get_rows(rows_obj, &view, &n) < 0)
-        return NULL;
-    list = PyList_New(view.shape[0]);
-    for (r = 0; list && r < view.shape[0]; r++) {
-        PyObject *rec = make_record(
-            record, (const double *)view.buf + r * (10 + 2 * n), n);
-
-        if (!rec)
-            Py_CLEAR(list);
-        else
-            PyList_SET_ITEM(list, r, rec);
-    }
-    PyBuffer_Release(&view);
-    return list;
 }
 
 static PyObject *kernel_polar(PyObject *module, PyObject *args)
@@ -854,15 +812,17 @@ static PyObject *kernel_polar(PyObject *module, PyObject *args)
 
     (void)module;
     if (!PyArg_ParseTuple(args, "OO:polar", &rows_obj, &out_obj)
-        || get_rows(rows_obj, &rows, &n) < 0)
-        return NULL;
-    if (get_view(out_obj, &out, PyBUF_WRITABLE, 8, "d", "out") < 0)
+        || get_view(rows_obj, &rows, 0, 8, "d", "rows") < 0
+        || get_view(out_obj, &out, PyBUF_WRITABLE, 8, "d", "out") < 0)
         goto done;
-    if (out.len / 8 < rows.shape[0] * 2 * n) {
-        PyErr_SetString(PyExc_ValueError, "polar: out does not hold 2n "
-                        "values a row");
+    /* report rows of 10 + 2n columns (see gridfreq_advance) */
+    if (rows.ndim != 2 || rows.shape[1] < 10 || rows.shape[1] % 2
+        || out.len / 8 < rows.shape[0] * (rows.shape[1] - 10)) {
+        PyErr_SetString(PyExc_ValueError, "polar: rows must be a matrix of "
+                        "10 + 2n columns and out hold 2n values a row");
         goto done;
     }
+    n = (rows.shape[1] - 10) / 2;
     for (r = 0; r < rows.shape[0]; r++) {
         const double *row = (const double *)rows.buf + r * (10 + 2 * n);
         double *o = (double *)out.buf + r * 2 * n;
@@ -949,13 +909,14 @@ done:
 
 static PyMethodDef kernel_methods[] = {
     {"context", kernel_context, METH_VARARGS,
-     PyDoc_STR("context(state, consts, rows, samples, n, ring, "
-               "report_every, lowpass, record)\n--\n\n"
+     PyDoc_STR("context(state, consts, rows, samples, report_every, "
+               "record)\n--\n\n"
                "The advance function of a state under one config's "
                "constants, writing its rows to rows: over the samples on "
                "each call (a run, record None), or over the sample it is "
                "called with where samples is None (a step, which returns "
-               "its report as record(...)).  The state and rows must be "
+               "its report as record(...)).  n and the ring's size are read "
+               "from the consts and state.  The state and rows must be "
                "writable; every buffer must hold float64 in C order.")},
     {"format_rows", kernel_format_rows, METH_VARARGS,
      PyDoc_STR("format_rows(cells, pow10, out)\n--\n\n"
@@ -966,10 +927,6 @@ static PyMethodDef kernel_methods[] = {
                "Parse the CSV rows of text[start:] into the float64 "
                "buffer out, ncols values a row; return the number of rows, "
                "or -1 where the C parser defers.")},
-    {"records", kernel_records, METH_VARARGS,
-     PyDoc_STR("records(record, rows)\n--\n\n"
-               "The list of record(...) of each report row of the float64 "
-               "matrix rows, as a step returns it.")},
     {"polar", kernel_polar, METH_VARARGS,
      PyDoc_STR("polar(rows, out)\n--\n\n"
                "Write amp_1, phase_1, ..., amp_n, phase_n of each report "

@@ -7,8 +7,9 @@ formatter of :mod:`gridfreq.io` (``gridfreq_format_rows``) and its CSV row
 parser (``gridfreq_parse_rows``), which the module's ``context``,
 ``format_rows`` and ``parse_rows`` call on arrays taken through the buffer
 protocol, and the amplitude and phase rule of the estimator's records,
-libm's ``hypot`` and ``atan2`` over doubles, which a step's context,
-``records`` and ``polar`` apply.
+libm's ``hypot`` and ``atan2`` over doubles, which a step's context and
+``polar`` apply.  ``context`` reads the harmonic count and the RoCoF
+ring's size from the buffers it is given.
 :func:`library` builds it with ``cc -O2 -ffp-contract=off`` against the
 running interpreter's headers into ``$XDG_CACHE_HOME/gridfreq`` (default
 ``~/.cache/gridfreq``), on the first call, never at import.  The

@@ -45,8 +45,8 @@ returns its row as an :class:`EstimateRecord`, which the C library builds.
 Amplitude and phase are derived only when read, by one rule (libm's
 ``hypot`` and ``atan2``, and ``(0.0, 0.0)`` for a zero pair of either
 sign), whose one home is the C library: ``step`` and the series'
-``polar()`` and ``records`` apply it; ``run``, the metrics and the
-estimate CSV do not.
+``polar()`` apply it, and ``records`` composes its records from the rows
+and ``polar()``; ``run``, the metrics and the estimate CSV do not.
 
 One set of laws, one loop.  The state lives in one buffer of doubles (see
 :class:`EstimatorState`), and ``gridfreq_advance``, the C loop of
@@ -58,8 +58,8 @@ The binding, with the products of ``ts`` and the gains and the other
 per-config constants, is cached per (state, config) pair on the state;
 :class:`EstimatorConfig` is frozen so that cache cannot go stale.  A step
 is one C-API call of one argument, the sample, on a C callable that holds
-views of the state, constant and row buffers and the record class, and
-that returns the report's record, or None.  The C loop is one function
+views of the state, constant and row buffers, which give its sizes, and
+the record class, and that returns the report's record, or None.  The C loop is one function
 of the package's C library, which also holds the CSV float formatter and
 row parser of :mod:`gridfreq.io`: :mod:`gridfreq._native` builds it with
 ``cc -O2 -ffp-contract=off`` as the extension module ``gridfreq._kernel``
@@ -82,7 +82,7 @@ import math
 import os
 import sys
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -128,9 +128,11 @@ class EstimatorConfig:
         # n sizes the default gains, so it is checked before they are built
         self._check_order(self.n, self.f0, self.ts)
         for name in ("gamma_c", "gamma_s"):
+            # an array, like a list, gives its elements: never `if gains`,
+            # whose truth is ambiguous for an array
             gains = getattr(self, name)
-            object.__setattr__(self, name,
-                               tuple(gains) if gains else (40.0,) * self.n)
+            gains = () if gains is None else tuple(gains)
+            object.__setattr__(self, name, gains or (40.0,) * self.n)
         self.validate()
 
     @staticmethod
@@ -178,6 +180,12 @@ class EstimatorConfig:
             raise ConfigError("eta_opt must be positive")
         if self.obs_lowpass_hz is not None and self.obs_lowpass_hz <= 0:
             raise ConfigError("observation-filter cutoff must be positive")
+        if (self.obs_lowpass_hz is not None
+                and _lowpass_gain(self.obs_lowpass_hz, self.ts) == 0.0):
+            # the C loop reads a zero gain as no low-pass
+            raise ConfigError(
+                f"obs_lowpass_hz = {self.obs_lowpass_hz!r} at ts = "
+                f"{self.ts!r} s gives the observation low-pass a gain of 0")
         if self.rocof_smooth_window < 1 or self.report_every < 1:
             raise ConfigError("window and report interval must be >= 1 sample")
         for name in ("rocof_smooth_window", "report_every"):
@@ -187,6 +195,12 @@ class EstimatorConfig:
                                   f"got {getattr(self, name)}")
         if self.t_reset_s <= 0:
             raise ConfigError("anchor cap t_reset_s must be positive")
+
+
+def _lowpass_gain(cutoff: float | None, ts: float) -> float:
+    """The gain of the one-pole observation filter at ``cutoff`` Hz,
+    ``1 - exp(-2*pi*cutoff*ts)``; 0.0, no low-pass, where it is None."""
+    return 0.0 if cutoff is None else 1.0 - math.exp(-TWO_PI * cutoff * ts)
 
 
 # --------------------------------------------------------------------------
@@ -373,28 +387,34 @@ class EstimateSeries:
 
     ``rows`` holds the columns of :data:`ROW_COLUMNS`, then ``a_c[0..n)``
     and ``a_s[0..n)``, the layout the C loop and the estimate CSV hold; it
-    is read-only, and each column accessor returns a view of it.
+    is read-only, and each column accessor returns a view of it.  The
+    harmonic count :attr:`n` is read from its width.
 
     Amplitude and phase are derived when read, by the rule of the module
     docstring: :meth:`polar` applies it to the rectangular pairs, and
-    :attr:`records` builds the :class:`EstimateRecord` list :func:`step`
-    would have returned, anew on each read.
+    :attr:`records` composes from the rows and :meth:`polar` the
+    :class:`EstimateRecord` list :func:`step` would have returned, anew on
+    each read.
 
     Building a series converts its rows to float64 in C order, copying any
     other array; the series the package builds already are.
     """
 
     rows: np.ndarray
-    n: int
-    diverged_at: int | None = None     # sample index of divergence, if any
+    # sample index of divergence, if any
+    diverged_at: int | None = field(default=None, kw_only=True)
 
     def __post_init__(self) -> None:
-        if (self.rows.ndim != 2
-                or self.rows.shape[1] != len(ROW_COLUMNS) + 2 * self.n):
-            raise ValueError(f"rows of shape {self.rows.shape} do not hold "
-                             f"n = {self.n} harmonics")
+        if (self.rows.ndim != 2 or self.rows.shape[1] < len(ROW_COLUMNS) + 2
+                or (self.rows.shape[1] - len(ROW_COLUMNS)) % 2):
+            raise ValueError(f"rows of shape {self.rows.shape} are not a "
+                             f"matrix of 10 + 2n columns, n >= 1")
         self.rows = np.ascontiguousarray(self.rows, np.float64)
         self.rows.flags.writeable = False
+
+    @property
+    def n(self) -> int:
+        return (self.rows.shape[1] - len(ROW_COLUMNS)) // 2
 
     def __len__(self) -> int:
         return self.rows.shape[0]
@@ -426,7 +446,8 @@ class EstimateSeries:
     @property
     def records(self) -> list[EstimateRecord]:
         """The reports as records, equal to :func:`step`'s bit for bit."""
-        return _native.library().records(EstimateRecord, self.rows)
+        return [EstimateRecord(*row[:4], p[0::2], p[1::2], *row[4:10])
+                for row, p in zip(self.rows.tolist(), self.polar().tolist())]
 
 
 # --------------------------------------------------------------------------
@@ -458,16 +479,13 @@ def _native_advance(state: EstimatorState, config: EstimatorConfig,
     ``(ts*gamma)*z*basis``, so the cached products are bit-identical.
     """
     ts = config.ts
-    cutoff = config.obs_lowpass_hz
-    alpha = 0.0 if cutoff is None else 1.0 - math.exp(-TWO_PI * cutoff * ts)
+    alpha = _lowpass_gain(config.obs_lowpass_hz, ts)
     consts = array("d", (ts, ts * config.gamma_dc, config.gamma_dc1, alpha,
                          config.eta_opt, config.f0, config.f0 / 2,
                          config.t_reset_s, *(ts * g for g in config.gamma_c),
                          *(ts * g for g in config.gamma_s)))
     return _native.library().context(state._v, consts, rows, values,
-                                      config.n, state._shape[2],
-                                      config.report_every,
-                                      cutoff is not None, record)
+                                      config.report_every, record)
 
 
 def _bind(state: EstimatorState, config: EstimatorConfig) -> None:
@@ -531,5 +549,5 @@ def run(stream: SampleStream, config: EstimatorConfig) -> EstimateSeries:
     rows = np.empty((len(x) // every, len(ROW_COLUMNS) + 2 * n))
     written = _native_advance(state, config, rows, x, None)(0.0)
     k = state.k
-    return EstimateSeries(rows=rows[:k // every], n=n,
+    return EstimateSeries(rows=rows[:k // every],
                           diverged_at=k if written < 0 else None)

@@ -212,7 +212,7 @@ def read_estimates(path: str | Path) -> EstimateSeries:
     n = (len(header) - len(ROW_COLUMNS)) // 2
     if n < 1 or header != estimate_header(n):
         raise ScenarioError(f"{path}: not an estimate CSV")
-    return EstimateSeries(rows=arr, n=n)
+    return EstimateSeries(arr)
 
 
 def write_history(path: str | Path, history: Sequence[float]) -> None:

@@ -218,12 +218,16 @@ class TestEstimateAndMetrics:
              "c.cfg: n must be at most {maxsize}, got 10"),
             ("n = -100000000000000000000", "c.cfg: harmonic order n must be"),
             ("n = -1e300", "c.cfg: harmonic order n must be"),
+            # a cutoff whose low-pass gain rounds to 0.0
+            ("obs_lowpass_hz = 1e-300", "c.cfg: obs_lowpass_hz = 1e-300 at "
+             "ts = 0.0008333333333333334 s"),
         ]])
     def test_malformed_config_is_input_error(self, tmp_path, synth_outputs,
                                              capsys, line, message):
         samples, _ = synth_outputs
         config = tmp_path / "c.cfg"
-        gio.write_config(config, EstimatorConfig())
+        # every key is written, so a case can replace its line
+        gio.write_config(config, EstimatorConfig(obs_lowpass_hz=500.0))
         key = line.split(" = ")[0]
         text = config.read_text().splitlines()
         lineno = [x.split(" = ")[0] for x in text].index(key) + 1

@@ -11,7 +11,7 @@ import sysconfig
 import tracemalloc
 import warnings
 from array import array
-from dataclasses import FrozenInstanceError, replace
+from dataclasses import FrozenInstanceError, fields, replace
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
@@ -69,6 +69,7 @@ class TestConfig:
         dict(t_reset_s=0.0),
         dict(obs_lowpass_hz=0.0),
         dict(obs_lowpass_hz=-100.0),
+        dict(obs_lowpass_hz=1e-300),              # a low-pass gain of 0.0
         dict(rocof_smooth_window=10 ** 20),       # beyond a Py_ssize_t
         dict(report_every=10 ** 20),
         dict(n=10 ** 20),                         # checked before the gains
@@ -131,7 +132,7 @@ def _polar(a_s, a_c) -> list[float]:
     """amp_1, phase_1, ..., amp_n, phase_n of the pairs (a_s[i], a_c[i]),
     through polar() of a one-row series."""
     row = [*range(len(ROW_COLUMNS)), *a_c, *a_s]
-    return EstimateSeries(np.array([row], float), len(a_s)).polar()[0].tolist()
+    return EstimateSeries(np.array([row], float)).polar()[0].tolist()
 
 
 class TestAmpPhase:
@@ -251,6 +252,22 @@ class TestColumnarSeries:
         with pytest.raises(ValueError, match="read-only"):
             series.f_hz()[0] = 0.0
 
+    @pytest.mark.parametrize("width", [8, 10, 11, 13])
+    def test_rows_without_whole_harmonic_pairs_are_rejected(self, width):
+        with pytest.raises(ValueError, match=r"10 \+ 2n columns, n >= 1"):
+            EstimateSeries(np.zeros((2, width)))
+
+    def test_n_is_read_from_the_width(self):
+        series = EstimateSeries(np.zeros((2, 12)))
+        assert series.n == 1
+        assert [f.name for f in fields(EstimateSeries)] == ["rows",
+                                                             "diverged_at"]
+        with pytest.raises(AttributeError):
+            series.n = 2
+        # diverged_at is keyword-only, so an old positional n cannot bind
+        with pytest.raises(TypeError):
+            EstimateSeries(np.zeros((2, 12)), 7)
+
     def test_records_are_derived_from_the_rows(self):
         cfg = EstimatorConfig(n=2)
         series = run(_clean_stream(0.5), cfg)
@@ -272,9 +289,8 @@ class TestColumnarSeries:
                  (nan, 1.0), (-2.0, nan), (inf, nan), (-inf, 3.0),
                  (nan, -inf), (-0.0, 5e-324)]           # (a_s, a_c)
         a_s, a_c = (list(x) for x in zip(*pairs))
-        n = len(pairs)
         edge = EstimateSeries(
-            rows=np.array([[*range(head), *a_c, *a_s]], dtype=float), n=n)
+            rows=np.array([[*range(head), *a_c, *a_s]], dtype=float))
         (rec,) = edge.records
         expect = [v for pair in zip(*reference_amps_phases(a_s, a_c))
                   for v in pair]
@@ -751,7 +767,7 @@ class TestNativeBuffers:
         lib = _native.library()
         assert {name for name in dir(lib) if not name.startswith("_")
                 and callable(getattr(lib, name))} == {
-            "context", "format_rows", "parse_rows", "polar", "records"}
+            "context", "format_rows", "parse_rows", "polar"}
 
     @pytest.fixture
     def args(self, monkeypatch):
@@ -765,6 +781,20 @@ class TestNativeBuffers:
         (args,) = calls
         return [np.array(arg) if isinstance(arg, array) else arg
                 for arg in args]
+
+    def test_context_reads_n_and_the_ring_from_the_buffers(self, args):
+        state, consts, rows, samples, report_every, record = args
+        n = EstimatorConfig().n
+        assert len(consts) == 8 + 2 * n
+        # the smallest state holds a ring of one value
+        assert callable(_native.library().context(
+            state[:10 + 4 * n + 1], *args[1:]))
+        for state, consts in [(state, consts[:-1]),       # an odd gain count
+                              (state, consts[:8]),        # no gain
+                              (state[:10 + 4 * n], consts)]:    # no ring
+            with pytest.raises(ValueError, match="context: the constants"):
+                _native.library().context(state, consts, rows, samples,
+                                          report_every, record)
 
     @pytest.mark.parametrize("i", [0, 2], ids=["state", "rows"])
     def test_context_rejects_a_strided_buffer(self, args, i):

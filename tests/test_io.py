@@ -218,6 +218,16 @@ class TestConfigRoundTrip:
         gio.write_config(path, cfg)
         assert gio.read_config(path) == cfg
 
+    def test_array_gains(self, tmp_path):
+        # e.g. a slice of pso_tune's best vector
+        cfg = EstimatorConfig(gamma_c=np.arange(31.0, 38.0),
+                              gamma_s=np.full(7, 45.5))
+        assert cfg == EstimatorConfig(gamma_c=list(range(31, 38)),
+                                      gamma_s=[45.5] * 7)
+        path = tmp_path / "c.cfg"
+        gio.write_config(path, cfg)
+        assert gio.read_config(path) == cfg
+
     def test_missing_n_names_the_key(self, tmp_path):
         path = tmp_path / "c.cfg"
         path.write_text("f0_hz = 50.0\n")

@@ -25,7 +25,7 @@ def _series(t, f, rocof):
     rows[:, ROW_COLUMNS.index("f_hz")] = f
     rows[:, ROW_COLUMNS.index("rocof_hzps")] = rocof
     rows[:, ROW_COLUMNS.index("rocof_raw_hzps")] = rocof
-    return EstimateSeries(rows=rows, n=1)
+    return EstimateSeries(rows=rows)
 
 
 def _truth(t0, ts, freq, rocof):

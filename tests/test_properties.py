@@ -35,7 +35,7 @@ def _polar_row(pairs) -> np.ndarray:
     through polar() of a one-row series."""
     a_s, a_c = zip(*pairs)
     row = [*range(len(estimator.ROW_COLUMNS)), *a_c, *a_s]
-    return EstimateSeries(np.array([row], float), len(pairs)).polar()[0]
+    return EstimateSeries(np.array([row], float)).polar()[0]
 
 
 @given(a_s=finite, a_c=finite, x=st.floats(-10.0, 10.0))
@@ -468,8 +468,7 @@ def _reference(config, stream):
         config.eta_opt, config.t_reset_s, config.report_every,
         config.rocof_smooth_window, config.obs_lowpass_hz)
     width = len(estimator.ROW_COLUMNS) + 2 * config.n
-    series = EstimateSeries(np.array(rows, dtype=float).reshape(-1, width),
-                            config.n)
+    series = EstimateSeries(np.array(rows, dtype=float).reshape(-1, width))
     return series, EstimatorState(**final)
 
 
@@ -549,7 +548,7 @@ def test_c_amp_phase_rule_equals_the_oracle_bit_for_bit(pairs):
     expect = np.array([v for pair in zip(amps, phases) for v in pair])
     head = len(estimator.ROW_COLUMNS)
     series = EstimateSeries(
-        np.array([[*range(head), *a_c, *a_s]], dtype=float), len(pairs))
+        np.array([[*range(head), *a_c, *a_s]], dtype=float))
     (rec,) = series.records
     got = [v for pair in zip(rec.amps, rec.phases) for v in pair]
     assert np.array(got).tobytes() == expect.tobytes()
