@@ -11,8 +11,7 @@ from .errors import (AlignmentError, ConfigError, DivergenceError,
                      GridFreqError, ScenarioError)
 from .estimator import (EstimateRecord, EstimateSeries, EstimatorConfig,
                         EstimatorState, init, run, step)
-from .metrics import (MetricsReport, aggregate, align, evaluate, fe_re,
-                      reconstruction_error)
+from .metrics import MetricsReport, aggregate, align, evaluate
 from .synth import (ConstantProfile, DcSpec, EventProfile, GroundTruth,
                     HarmonicSpec, NoiseSpec, RampProfile, SampleStream,
                     ScenarioSpec, StepSpec, synthesize)
@@ -28,6 +27,6 @@ __all__ = [
     "HarmonicSpec", "MetricsReport", "NoiseSpec", "PsoParams", "RampProfile",
     "SampleStream", "ScenarioError", "ScenarioSpec", "SearchSpace",
     "StepSpec", "aggregate", "align", "apply_gain_vector", "evaluate",
-    "fe_re", "init", "ise_fitness", "pso_minimize", "pso_tune",
-    "reconstruction_error", "run", "step", "synthesize",
+    "init", "ise_fitness", "pso_minimize", "pso_tune", "run", "step",
+    "synthesize",
 ]

@@ -217,11 +217,22 @@ _COEFS = len(_SLOTS)                   # where a_c starts
 _MEMORY = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
+def _sample_count(k: object) -> int:
+    """``k`` if it can be a state's sample count: an int that the C loop's
+    double holds exactly and its int64_t can take, 0 to 2**53."""
+    if not is_count(k):
+        raise TypeError(f"k must be an int, got {type(k).__name__}")
+    if not 0 <= k <= 2 ** 53:
+        raise ValueError(f"k must be in [0, 2**53], got {k}")
+    return k
+
+
 def _slot(name: str) -> property:
     i = _SLOTS.index(name)
     if i == _K:
         return property(lambda self: int(self._v[i]),
-                        lambda self, value: self._v.__setitem__(i, value))
+                        lambda self, value: self._v.__setitem__(
+                            i, _sample_count(value)))
     return property(lambda self: self._v[i],
                     lambda self, value: self._v.__setitem__(i, value))
 
@@ -260,7 +271,8 @@ class EstimatorState:
         self.diverged = diverged
         ring = list(rocof_buf)
         self._layout(list(a_c), list(a_s), [a_dc, a_dc1, f_hz, phase_acc,
-                                             t_anchor, zfilt, t0, k],
+                                             t_anchor, zfilt, t0,
+                                             _sample_count(k)],
                      ring, len(ring))
 
     def _layout(self, a_c: list[float], a_s: list[float],
@@ -396,8 +408,9 @@ class EstimateSeries:
     :class:`EstimateRecord` list :func:`step` would have returned, anew on
     each read.
 
-    Building a series converts its rows to float64 in C order, copying any
-    other array; the series the package builds already are.
+    Building a series converts its rows, an array or a list of rows, to a
+    float64 array in C order; an array that already is one, as the rows
+    the package builds are, is kept without a copy.
     """
 
     rows: np.ndarray
@@ -405,12 +418,12 @@ class EstimateSeries:
     diverged_at: int | None = field(default=None, kw_only=True)
 
     def __post_init__(self) -> None:
-        if (self.rows.ndim != 2 or self.rows.shape[1] < len(ROW_COLUMNS) + 2
-                or (self.rows.shape[1] - len(ROW_COLUMNS)) % 2):
-            raise ValueError(f"rows of shape {self.rows.shape} are not a "
+        self.rows = rows = np.ascontiguousarray(self.rows, np.float64)
+        if (rows.ndim != 2 or rows.shape[1] < len(ROW_COLUMNS) + 2
+                or (rows.shape[1] - len(ROW_COLUMNS)) % 2):
+            raise ValueError(f"rows of shape {rows.shape} are not a "
                              f"matrix of 10 + 2n columns, n >= 1")
-        self.rows = np.ascontiguousarray(self.rows, np.float64)
-        self.rows.flags.writeable = False
+        rows.flags.writeable = False
 
     @property
     def n(self) -> int:

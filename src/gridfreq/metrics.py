@@ -1,4 +1,4 @@
-"""Latency-aligned error metrics: FE/RE tables and reconstruction error.
+"""Latency-aligned error metrics: the FE/RE tables of a run.
 
 An estimate reported at time t is allowed to describe the state ``latency``
 seconds earlier (measurement-chain delay convention), so each estimate
@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import AlignmentError
 from .estimator import EstimateSeries
-from .synth import GroundTruth, SampleStream
+from .synth import GroundTruth
 
 DEFAULT_LATENCY_S = 0.1
 DEFAULT_SKIP_S = 0.5
@@ -48,7 +48,6 @@ class AlignedPairs:
     rocof_est: np.ndarray
     f_true: np.ndarray           # truth at t - latency
     rocof_true: np.ndarray
-    latency_s: float
 
     def __len__(self) -> int:
         return self.t.size
@@ -76,14 +75,15 @@ def align(est: EstimateSeries, truth: GroundTruth, latency: float,
         rocof_est=est.rocof_hzps()[keep],
         f_true=np.interp(t - latency, tt, truth.freq_hz),
         rocof_true=np.interp(t - latency, tt, truth.rocof_hzps),
-        latency_s=latency,
     )
 
 
-def fe_re(pairs: AlignedPairs) -> MetricsReport:
-    """Max and RMSE of the frequency and RoCoF error magnitudes."""
-    if len(pairs) == 0:
-        raise AlignmentError("no aligned pairs to evaluate")
+def evaluate(est: EstimateSeries, truth: GroundTruth,
+             latency: float = DEFAULT_LATENCY_S,
+             skip_s: float = DEFAULT_SKIP_S) -> MetricsReport:
+    """Max and RMSE of the frequency and RoCoF error magnitudes over the
+    pairs of :func:`align`."""
+    pairs = align(est, truth, latency, skip_s=skip_s)
     fe = np.abs(pairs.f_est - pairs.f_true)
     re = np.abs(pairs.rocof_est - pairs.rocof_true)
     return MetricsReport(
@@ -91,45 +91,9 @@ def fe_re(pairs: AlignedPairs) -> MetricsReport:
         rmse_fe=float(np.sqrt(np.mean(fe ** 2))),
         max_re=float(re.max()),
         rmse_re=float(np.sqrt(np.mean(re ** 2))),
-        latency_s=pairs.latency_s,
+        latency_s=latency,
         n_samples=len(pairs),
     )
-
-
-def evaluate(est: EstimateSeries, truth: GroundTruth,
-             latency: float = DEFAULT_LATENCY_S,
-             skip_s: float = DEFAULT_SKIP_S) -> MetricsReport:
-    """align + fe_re in one call."""
-    return fe_re(align(est, truth, latency, skip_s=skip_s))
-
-
-def reconstruction_error(est: EstimateSeries, measured: SampleStream,
-                         t_min: float = 0.0,
-                         t_max: float | None = None) -> float:
-    """Normalized one-step prediction error of the reconstructed waveform.
-
-    Each record's ``residual`` is the estimator's own prediction error,
-    sample minus model output, on the sample before the record's
-    timestamp.  Returns the RMS of the residuals of the records in
-    [t_min, t_max] (default ``t_max``: the last measured time) over the RMS
-    of every measured sample in that span (the report instants alone can
-    all fall on zero crossings of the waveform).  It reads only ``t`` and
-    ``residual``, so a series read back from its estimate CSV gives the
-    same value.
-    """
-    if len(est) == 0:
-        raise AlignmentError("estimate series is empty")
-    t = measured.times()
-    hi = t[-1] if t_max is None else t_max
-    rt = est.t()
-    errors = est.residual()[(rt >= t_min) & (rt <= hi)]
-    if errors.size == 0:
-        raise AlignmentError("estimate series does not cover the evaluation span")
-    span = measured.values[(t >= t_min) & (t <= hi)]
-    denom = float(np.sqrt(np.mean(span ** 2)))
-    if denom == 0.0:
-        raise AlignmentError("measured signal has zero energy over the span")
-    return float(np.sqrt(np.mean(np.square(errors)))) / denom
 
 
 def aggregate(reports: list[MetricsReport]) -> tuple[MetricsReport, MetricsReport]:

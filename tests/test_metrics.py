@@ -1,19 +1,15 @@
-"""Unit tests for latency-aligned metrics and reconstruction error."""
+"""Unit tests for latency-aligned metrics: align, evaluate and aggregate."""
 
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from gridfreq import (AlignmentError, EstimatorConfig, MetricsReport,
-                      RampProfile, SampleStream, ScenarioSpec, aggregate,
-                      align, evaluate, fe_re, reconstruction_error, run,
-                      synthesize)
-from gridfreq import io as gio
+                      RampProfile, ScenarioSpec, aggregate, align, evaluate,
+                      run, synthesize)
 from gridfreq.estimator import ROW_COLUMNS, EstimateSeries
 from gridfreq.synth import GroundTruth
-from cases import case1
 from reference import reference_fe_re
 
 FS = 1200.0
@@ -85,7 +81,7 @@ class TestFeRe:
         tt = np.arange(0, 3.01, 0.5)
         truth = _truth(0.0, 0.5, np.full(len(tt), 50.0), np.zeros(len(tt)))
         est = _series([1.0, 2.0], [50.3, 49.9], [0.4, -0.2])
-        m = fe_re(align(est, truth, 0.0, skip_s=0.0))
+        m = evaluate(est, truth, 0.0, skip_s=0.0)
         assert m.max_fe == pytest.approx(0.3)
         assert m.rmse_fe == pytest.approx(math.sqrt((0.09 + 0.01) / 2.0))
         assert m.max_re == pytest.approx(0.4)
@@ -142,47 +138,3 @@ class TestAggregate:
         with pytest.raises(AlignmentError):
             aggregate([])
 
-
-class TestReconstructionError:
-    CFG = replace(EstimatorConfig(), report_every=5)
-
-    def test_small_after_lock_on_clean_tone(self):
-        stream, _ = synthesize(ScenarioSpec(duration=3.0, base_freq=50.0), FS)
-        series = run(stream, self.CFG)
-        err = reconstruction_error(series, stream, t_min=1.0)
-        assert err < 0.05
-
-    def test_unlocked_start_is_worse(self):
-        stream, _ = synthesize(ScenarioSpec(duration=3.0, base_freq=50.0), FS)
-        series = run(stream, self.CFG)
-        early = reconstruction_error(series, stream, t_min=0.0, t_max=0.2)
-        late = reconstruction_error(series, stream, t_min=1.0)
-        assert early > late
-
-    @pytest.mark.parametrize("lowpass", [None, 500.0], ids=["raw", "lowpass"])
-    def test_estimate_csv_gives_the_same_value(self, tmp_path, lowpass):
-        stream, _ = synthesize(case1(0.02, 0, 3.0), FS, seed=0)
-        series = run(stream, replace(EstimatorConfig(), obs_lowpass_hz=lowpass))
-        gio.write_estimates(tmp_path / "est.csv", series)
-        back = gio.read_estimates(tmp_path / "est.csv")
-        assert (reconstruction_error(back, stream)
-                == reconstruction_error(series, stream))
-
-    def test_default_cadence_on_clean_tone(self):
-        # every 12th sample of a 50 Hz tone at 1.2 kHz is a zero crossing;
-        # normalising by the report instants alone gave about 4e9 here
-        stream, _ = synthesize(ScenarioSpec(duration=2.0, base_freq=50.0), FS)
-        series = run(stream, EstimatorConfig())
-        assert EstimatorConfig().report_every == 12
-        assert reconstruction_error(series, stream, t_min=0.5) < 0.01
-
-    def test_errors(self):
-        stream, _ = synthesize(ScenarioSpec(duration=1.0, base_freq=50.0), FS)
-        series = run(stream, self.CFG)
-        with pytest.raises(AlignmentError):
-            reconstruction_error(_series([], [], []), stream)
-        with pytest.raises(AlignmentError):
-            reconstruction_error(series, stream, t_min=100.0)
-        zero = SampleStream(0.0, stream.ts, np.zeros(len(stream)))
-        with pytest.raises(AlignmentError):
-            reconstruction_error(series, zero)
