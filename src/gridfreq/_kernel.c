@@ -138,7 +138,7 @@ static int64_t gridfreq_advance(const struct gridfreq_ctx *ctx, double sample)
     for (m = 0; m < len; m++) {
         /* basis by the angle-sum recurrence, prediction and residual */
         double c0 = cos(phase), s0 = sin(phase);
-        double pred, resid, z, g, rocof_raw, sum, acc;
+        double pred, resid, z, g, rocof_raw, acc;
         c[0] = c0;
         s[0] = s0;
         for (i = 1; i < n; i++) {
@@ -170,23 +170,13 @@ static int64_t gridfreq_advance(const struct gridfreq_ctx *ctx, double sample)
         rocof_raw = eta_rate * z * g;
         f = f + ts * rocof_raw;
 
-        /* divergence watchdog: the fast sum, and the exact per-term check
-         * when it is not finite */
-        if (!(fabs(f - f0) <= half_f0)) {
+        /* divergence watchdog: f in its band needs z and g finite, so every
+         * term of g finite, and an infinite or nan a_c[i] or a_s[i] makes
+         * its term nan or infinite (inf*0, inf-inf, inf*x).  a_dc and a_dc1
+         * reach f only from the next sample on, so they are tested here. */
+        if (!(fabs(f - f0) <= half_f0 && isfinite(a_dc) && isfinite(a_dc1))) {
             rows = -1;
             break;
-        }
-        sum = ac[0] + as[0];
-        for (i = 1; i < n; i++)
-            sum = sum + ac[i] + as[i];
-        if (!isfinite(sum + a_dc + a_dc1)) {
-            int finite = isfinite(a_dc) && isfinite(a_dc1);
-            for (i = 0; finite && i < n; i++)
-                finite = isfinite(ac[i]) && isfinite(as[i]);
-            if (!finite) {
-                rows = -1;
-                break;
-            }
         }
 
         /* advance phase, sample counter and anchor; the anchor ramps up
@@ -700,7 +690,8 @@ static PyTypeObject ContextType = {
 
 /* advance(sample): gridfreq_advance on the context, the sample converted
  * as float() converts it.  Where it cannot be, raise TypeError naming its
- * type before the loop runs, so the state is untouched.  A run's context
+ * type before the loop runs, so the state is untouched; so too a step
+ * whose state's k has reached 2**53, with OverflowError.  A run's context
  * ignores the sample, releases the GIL over the stream and returns the
  * rows written, or -1 at a divergence.  A step's returns the record of its
  * report (make_record), None on other samples, or False at a divergence;
@@ -729,6 +720,11 @@ static PyObject *context_advance(PyObject *self, PyObject *sample)
         rows = gridfreq_advance(ctx, x);
         Py_END_ALLOW_THREADS
         return PyLong_FromLongLong(rows);
+    }
+    if (ctx->state[S_K] >= 0x1p53) {    /* k + 1 would round back to k */
+        PyErr_SetString(PyExc_OverflowError,
+                        "step: the sample count k has reached 2**53");
+        return NULL;
     }
     rows = gridfreq_advance(ctx, x);
     if (rows > 0)

@@ -237,21 +237,42 @@ def _slot(name: str) -> property:
                     lambda self, value: self._v.__setitem__(i, value))
 
 
+def _coefficients(pair: int) -> property:
+    """``a_c`` (``pair`` 0) or ``a_s`` (1): a new list on each read; a
+    list of another length than the state's order is refused."""
+    def read(self: EstimatorState) -> list[float]:
+        start = _COEFS + pair * self._n
+        return self._v[start:start + self._n].tolist()
+
+    def assign(self: EstimatorState, values: Sequence[float]) -> None:
+        values = array("d", list(values))
+        if len(values) != self._n:
+            raise ValueError(f"state has {self._n} harmonics, got "
+                             f"{len(values)} values")
+        start = _COEFS + pair * self._n
+        self._v[start:start + self._n] = values
+    return property(read, assign)
+
+
 class EstimatorState:
     """Coefficients and loop state of one estimator.
 
     ``a_c[i-1]`` multiplies sin(i*w1*t) and ``a_s[i-1]`` cos(i*w1*t); both
-    have one entry per harmonic.  ``a_dc`` is the constant offset in pu and
-    ``a_dc1`` its decay slope in pu/s.  ``rocof_buf`` holds the raw RoCoF
-    values of the boxcar, oldest first, at most ``rocof_smooth_window``.
+    have one entry per harmonic, n >= 1 of them, and the constructor raises
+    :class:`ValueError` on lists of unequal length or empty ones.  ``a_dc``
+    is the constant offset in pu and ``a_dc1`` its decay slope in pu/s.
+    ``rocof_buf`` holds the raw RoCoF values of the boxcar, oldest first,
+    at most ``rocof_smooth_window``.
 
     The fields live in one buffer of doubles, the state the C loop
     advances in place: the slots of ``_SLOTS``, ``a_c``, ``a_s``, the RoCoF
     ring and the C loop's basis.  Reading ``a_c``, ``a_s`` or ``rocof_buf``
     gives a new list, so a list taken from the state keeps its values; to
-    change one coefficient, assign the whole list back.  A state pickles
-    and copies as its values; the copy binds its own buffer on its next
-    :func:`step`.
+    change one coefficient, assign the whole list back.  The order n is
+    fixed when the state is built: assigning a list of another length
+    raises :class:`ValueError` and leaves the state as it was; a state of
+    another order is built anew.  A state pickles and copies as its values;
+    the copy binds its own buffer on its next :func:`step`.
     """
 
     a_dc = _slot("a_dc")
@@ -263,74 +284,48 @@ class EstimatorState:
     t0 = _slot("t0")                   # time of the first sample
     k = _slot("k")
 
+    a_c = _coefficients(0)
+    a_s = _coefficients(1)
+
     def __init__(self, a_c: Sequence[float], a_s: Sequence[float],
                  f_hz: float, a_dc: float = 0.0, a_dc1: float = 0.0,
                  phase_acc: float = 0.0, k: int = 0, t_anchor: float = 0.0,
                  zfilt: float = 0.0, diverged: bool = False,
                  rocof_buf: Sequence[float] = (), t0: float = 0.0) -> None:
+        a_c, a_s, ring = list(a_c), list(a_s), list(rocof_buf)
+        if not len(a_c) == len(a_s) >= 1:
+            raise ValueError(f"a_c and a_s must have one entry per harmonic, "
+                             f"n >= 1, got {len(a_c)} and {len(a_s)}")
         self.diverged = diverged
-        ring = list(rocof_buf)
-        self._layout(list(a_c), list(a_s), [a_dc, a_dc1, f_hz, phase_acc,
-                                             t_anchor, zfilt, t0,
-                                             _sample_count(k)],
-                     ring, len(ring))
+        self._n = len(a_c)
+        # a ring of its values' size, full, its head at 0; then the basis
+        self._v = array("d", [a_dc, a_dc1, f_hz, phase_acc, t_anchor, zfilt,
+                              t0, _sample_count(k), 0, len(ring),
+                              *a_c, *a_s, *ring])
+        self._v.frombytes(bytes(16 * self._n))
+        # the config bound last and the C loop bound under it, see _bind
+        self._config: EstimatorConfig | None = None
+        self._advance: Callable[[float], object] | None = None
 
-    def _layout(self, a_c: list[float], a_s: list[float],
-                scalars: list[float], ring: list[float], size: int) -> None:
-        """Lay the values out in a new buffer with a ring of ``size``
-        values, which keeps the newest; unbind the config of the old one."""
+    def _resize(self, size: int) -> None:
+        """Give the RoCoF ring room for ``size`` >= 1 values, keeping the
+        newest, in a new buffer; unbind the config of the old one."""
         # fail before asking for the ring: a kernel that overcommits may
         # grant more than the host holds, and kill the process on use
         if 8 * size > _MEMORY:
             raise ConfigError(f"rocof_smooth_window = {size} asks for a ring "
                               f"of {size} doubles, more than this host's "
                               f"{_MEMORY} bytes of memory")
-        ring = ring[len(ring) - size:] if len(ring) > size else ring
-        self._v = array("d", [*scalars, len(ring) % max(size, 1), len(ring),
-                              *a_c, *a_s, *ring])
-        self._v.frombytes(bytes(8 * (size - len(ring) + 2 * len(a_c))))
-        self._shape = (len(a_c), len(a_s), size)
-        # the config bound last and the C loop bound under it, see _bind
-        self._config: EstimatorConfig | None = None
-        self._advance: Callable[[float], object] | None = None
-
-    def _relayout(self, a_c: list[float] | None = None,
-                  a_s: list[float] | None = None,
-                  size: int | None = None) -> None:
-        self._layout(self.a_c if a_c is None else a_c,
-                     self.a_s if a_s is None else a_s,
-                     self._v[:_K + 1].tolist(), self.rocof_buf,
-                     self._shape[2] if size is None else size)
-
-    @property
-    def a_c(self) -> list[float]:
-        return self._v[_COEFS:_COEFS + self._shape[0]].tolist()
-
-    @a_c.setter
-    def a_c(self, values: Sequence[float]) -> None:
-        values = list(values)
-        if len(values) == self._shape[0]:
-            self._v[_COEFS:_COEFS + len(values)] = array("d", values)
-        else:
-            self._relayout(a_c=values)
-
-    @property
-    def a_s(self) -> list[float]:
-        start = _COEFS + self._shape[0]
-        return self._v[start:start + self._shape[1]].tolist()
-
-    @a_s.setter
-    def a_s(self, values: Sequence[float]) -> None:
-        values = list(values)
-        if len(values) == self._shape[1]:
-            start = _COEFS + self._shape[0]
-            self._v[start:start + len(values)] = array("d", values)
-        else:
-            self._relayout(a_s=values)
+        ring = self.rocof_buf[-size:]
+        v = self._v[:_COEFS + 2 * self._n]
+        v[_HEAD], v[_COUNT] = len(ring) % size, len(ring)
+        v.fromlist(ring)
+        v.frombytes(bytes(8 * (size - len(ring) + 2 * self._n)))
+        self._v, self._config, self._advance = v, None, None
 
     @property
     def rocof_buf(self) -> list[float]:
-        start = _COEFS + self._shape[0] + self._shape[1]
+        start = _COEFS + 2 * self._n
         head, count = int(self._v[_HEAD]), int(self._v[_COUNT])
         ring = self._v[start:start + count]
         return (ring[head:] + ring[:head]).tolist()
@@ -504,13 +499,13 @@ def _native_advance(state: EstimatorState, config: EstimatorConfig,
 def _bind(state: EstimatorState, config: EstimatorConfig) -> None:
     """Bind the state to the config for :func:`step`, loading the C library
     here, not in a step.  The record class is the one bound now."""
-    if state._shape[:2] != (config.n, config.n):
-        raise ConfigError(f"state has {len(state.a_c)} harmonics "
-                          f"({len(state.a_s)} in a_s), "
-                          f"config has n = {config.n}") from None
-    if state._shape[2] != config.rocof_smooth_window:
-        # a shorter window drops the oldest values at once
-        state._relayout(size=config.rocof_smooth_window)
+    if state._n != config.n:
+        raise ConfigError(f"state has {state._n} harmonics, "
+                          f"config has n = {config.n}")
+    # the ring's size as the C loop reads it; a shorter window drops the
+    # oldest values at once
+    if len(state._v) - _COEFS - 4 * state._n != config.rocof_smooth_window:
+        state._resize(config.rocof_smooth_window)
     row = array("d", bytes(8 * (len(ROW_COLUMNS) + 2 * config.n)))
     state._advance = _native_advance(state, config, row, None, EstimateRecord)
     state._config = config
@@ -556,8 +551,7 @@ def run(stream: SampleStream, config: EstimatorConfig) -> EstimateSeries:
     n, every = config.n, config.report_every
     # no more values than the stream's are ever summed
     state = EstimatorState([0.0] * n, [0.0] * n, config.f0, t0=stream.t0)
-    state._relayout(size=max(1, min(config.rocof_smooth_window,
-                                    len(stream))))
+    state._resize(max(1, min(config.rocof_smooth_window, len(stream))))
     x = np.ascontiguousarray(stream.values, dtype=np.float64)
     rows = np.empty((len(x) // every, len(ROW_COLUMNS) + 2 * n))
     written = _native_advance(state, config, rows, x, None)(0.0)

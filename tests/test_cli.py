@@ -414,6 +414,17 @@ class TestEstimateAndMetrics:
         err = capsys.readouterr().err
         assert "error:" in err and "tone_samples.csv:4" in err
 
+    def test_one_row_samples_file_is_input_error(self, tmp_path, capsys):
+        # one row gives no sampling interval
+        path = tmp_path / "one.csv"
+        path.write_bytes(b"t,value\r\n0.0,1.0\r\n")
+        est = tmp_path / "e.csv"
+        rc = main(["estimate", str(path), "--out", str(est)])
+        assert rc == EXIT_INPUT
+        assert capsys.readouterr().err == (f"error: {path}: need at least "
+                                           f"two samples\n")
+        assert not est.exists()
+
     @pytest.mark.parametrize("value", ["1_0", "\u0661"])
     def test_digits_python_alone_reads(self, tmp_path, capsys, value):
         # float() takes an underscore or a non-ASCII digit, numpy does not

@@ -33,7 +33,7 @@ from golden import digest as golden_digest
 from golden import load as golden_load
 from golden import state_digest
 from reference import (output_and_gradient, reference_amps_phases,
-                       reference_estimator)
+                       reference_estimator, reference_loop)
 
 FS = 1200.0
 TS = 1.0 / FS
@@ -120,12 +120,11 @@ class TestInitAndState:
         assert state.a_dc == 0.0
         assert state.a_dc1 == 0.0
 
-    @pytest.mark.parametrize("a_c, a_s", [(3, 2), (2, 3)])
+    @pytest.mark.parametrize("a_c, a_s", [(3, 2), (2, 3), (0, 0)])
     def test_coefficient_length_mismatch_rejected(self, a_c, a_s):
-        state = EstimatorState(a_c=[0.0] * a_c, a_s=[0.0] * a_s, f_hz=50.0)
-        with pytest.raises(ConfigError, match="config has n = 3"):
-            step(state, 0.0, EstimatorConfig(n=3))
-        assert state.k == 0
+        # the order is fixed when the state is built
+        with pytest.raises(ValueError, match=f"got {a_c} and {a_s}$"):
+            EstimatorState(a_c=[0.0] * a_c, a_s=[0.0] * a_s, f_hz=50.0)
 
     @pytest.mark.parametrize("k, error", [
         (10**20, ValueError), (-1, ValueError), (2**53 + 1, ValueError),
@@ -144,6 +143,30 @@ class TestInitAndState:
         state = init(EstimatorConfig())
         state.k = 2**53
         assert state.k == 2**53
+
+    def test_step_at_the_largest_sample_count_raises(self):
+        # beyond 2**53 the loop's k + 1 would round back to k, and no
+        # report would come again
+        cfg = EstimatorConfig()
+        state = init(cfg)
+        state.k = 2**53 - 2
+        assert step(state, 0.5, cfg) is None
+        assert step(state, 0.5, cfg) is None
+        before = state_digest(state)
+        with pytest.raises(OverflowError, match="k has reached 2\\*\\*53"):
+            step(state, 0.5, cfg)
+        assert state.k == 2**53 and not state.diverged
+        assert state_digest(state) == before
+
+    def test_negative_phase_wraps_as_python_mod(self):
+        # fmod keeps the sign of -1 + 2*pi*f*ts; Python's % does not
+        cfg = EstimatorConfig()
+        state = init(cfg)
+        state.phase_acc = -1.0
+        step(state, 0.5, cfg)
+        assert state.phase_acc == (
+            (-1.0 + estimator.TWO_PI * state.f_hz * cfg.ts) % estimator.TWO_PI)
+        assert 0.0 < state.phase_acc < estimator.TWO_PI
 
 
 def _polar(a_s, a_c) -> list[float]:
@@ -402,6 +425,34 @@ class TestDivergence:
         with pytest.raises(DivergenceError):
             step(state, 0.0, cfg)
 
+    @pytest.mark.parametrize("gains, values, slot, value", [
+        (dict(gamma_dc=1e300), [1e12], "a_dc", math.inf),
+        (dict(gamma_dc1=1e308), [0.0, 1e7], "a_dc1", -math.inf)],
+        ids=["a_dc", "a_dc1"])
+    def test_dc_overflow_with_f_in_band_diverges(self, gains, values, slot,
+                                                 value):
+        # a_dc and a_dc1 enter no frequency update in the sample that
+        # overflows them, so the watchdog checks them itself
+        cfg = replace(EstimatorConfig(), **gains)
+        k = len(values) - 1
+        stream = SampleStream(0.0, cfg.ts, np.array(values))
+        _, final = reference_loop(
+            values, 0.0, cfg.ts, cfg.n, cfg.f0, cfg.gamma_c, cfg.gamma_s,
+            cfg.gamma_dc, cfg.gamma_dc1, cfg.eta_opt, cfg.t_reset_s,
+            cfg.report_every, cfg.rocof_smooth_window)
+        oracle = EstimatorState(**final)
+        assert oracle.diverged and oracle.k == k
+        assert run(stream, cfg).diverged_at == k
+        state = init(cfg)
+        for x in values:
+            step(state, x, cfg)
+        assert state.diverged and state.k == k
+        assert state_digest(state) == state_digest(oracle)
+        assert getattr(state, slot) == value
+        assert abs(state.f_hz - cfg.f0) <= cfg.f0 / 2
+        if k == 0:                     # no frequency update at t = 0
+            assert state.f_hz == cfg.f0
+
     def test_ts_mismatch_rejected(self):
         stream = SampleStream(0.0, 1.0 / 1000.0, np.zeros(10))
         with pytest.raises(ConfigError):
@@ -500,18 +551,27 @@ class TestKernelCache:
 
     def test_config_of_another_order_rejected(self):
         state = init(EstimatorConfig())
-        with pytest.raises(ConfigError, match="state has 7 harmonics"):
+        with pytest.raises(ConfigError, match="^state has 7 harmonics, "
+                                              "config has n = 3$"):
             step(state, 0.0, EstimatorConfig(n=3))
 
     @pytest.mark.parametrize("size", [3, 9])
     def test_resized_coefficient_list_rejected(self, size):
+        # refused at assignment, the state untouched: it steps as a copy
+        # that was never assigned to
         cfg = EstimatorConfig()
+        values = _clean_stream(0.5).values.tolist()
         state = init(cfg)
         step(state, 0.5, cfg)
-        state.a_c = [0.0] * size
-        with pytest.raises(ConfigError, match=f"state has {size} harmonics"):
-            step(state, 0.0, cfg)
-        assert state.k == 1            # no state was written
+        copy = pickle.loads(pickle.dumps(state))
+        for name in ("a_c", "a_s"):
+            with pytest.raises(ValueError, match=f"state has 7 harmonics, "
+                                                 f"got {size} values"):
+                setattr(state, name, [1.0] * size)
+        assert state_digest(state) == state_digest(copy)
+        assert ([repr(step(state, x, cfg)) for x in values]
+                == [repr(step(copy, x, cfg)) for x in values])
+        assert state_digest(state) == state_digest(copy)
 
     @pytest.mark.parametrize("name", ["a_c", "a_s"])
     def test_tuple_coefficient_list_steps_like_a_list(self, name):
@@ -696,11 +756,13 @@ class TestNativeLoader:
         ("unwritable_cache", "cache directory {tmp}/file/gridfreq cannot "
                              "be used"),
         ("shared_cache", "cache directory {tmp}/cache/gridfreq is writable "
-                         "by other users")],
+                         "by other users"),
+        ("timeout", "C compiler 'cc' timed out on _kernel.c")],
         ids=["missing_headers", "missing_cc", "compile_error",
-             "unwritable_cache", "shared_cache"])
+             "unwritable_cache", "shared_cache", "timeout"])
     def test_failed_build_raises_naming_its_cause(self, fault, cause,
                                                   monkeypatch, tmp_path):
+        spawn = subprocess.run
         if fault == "missing_headers":
             monkeypatch.setattr(_native, "_include_dir",
                                 lambda: str(tmp_path / "include"))
@@ -712,11 +774,13 @@ class TestNativeLoader:
         elif fault == "unwritable_cache":
             (tmp_path / "file").write_text("")
             monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "file"))
+        elif fault == "timeout":
+            def spawn(args, **kwargs):
+                raise subprocess.TimeoutExpired(args, kwargs["timeout"])
         else:
             (tmp_path / "cache" / "gridfreq").mkdir(parents=True)
             (tmp_path / "cache" / "gridfreq").chmod(0o777)
         compiles = []
-        spawn = subprocess.run
 
         def counted(*args, **kwargs):
             compiles.append(args)
@@ -733,7 +797,8 @@ class TestNativeLoader:
                 call()
             assert str(raised.value).startswith(message)
         # once, and cached: a compile that failed runs no second time
-        assert len(compiles) == (fault in ("missing_cc", "compile_error"))
+        assert len(compiles) == (fault in ("missing_cc", "compile_error",
+                                           "timeout"))
         assert not list(tmp_path.glob("cache/gridfreq/*"))
 
     def test_second_load_reuses_the_cached_object(self, monkeypatch,

@@ -11,6 +11,7 @@ import pytest
 from gridfreq import (ConfigError, EstimatorConfig, EventProfile, RampProfile,
                       SampleStream, ScenarioError, ScenarioSpec, run,
                       synthesize)
+from gridfreq import _native
 from gridfreq import io as gio
 from gridfreq.synth import (ConstantProfile, DcSpec, HarmonicSpec, NoiseSpec,
                             StepSpec)
@@ -76,6 +77,19 @@ class TestSampleRoundTrip:
         path.write_text("t,value\n0.0,abc\n")
         with pytest.raises(ScenarioError):
             gio.read_samples(path)
+
+    @pytest.mark.parametrize("field, deferred", [
+        ("1e-340", False),            # below the least subnormal: 0.0
+        ("0.000000000000000000001234567890123456789012", True),  # 22 digits
+    ], ids=["underflow", "22_digits"])
+    def test_value_reads_as_float_reads_it(self, tmp_path, field, deferred):
+        # the C parser reads the first and hands the second, with more
+        # significant digits than 64 bits hold, to numpy
+        assert (_native.parse_rows(field.encode(), 0, 1) is None) == deferred
+        path = tmp_path / "s.csv"
+        path.write_text(f"t,value\n0.0,{field}\n0.1,1.0\n")
+        back = gio.read_samples(path)
+        assert back.values.tobytes() == np.array([float(field), 1.0]).tobytes()
 
     def test_rejects_a_hash_line(self, tmp_path):
         # a CSV has no comments: the line is a malformed row

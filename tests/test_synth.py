@@ -13,6 +13,7 @@ from gridfreq import (ConstantProfile, DcSpec, EventProfile, HarmonicSpec,
                       NoiseSpec, RampProfile, SampleStream, ScenarioError,
                       ScenarioSpec, StepSpec, synthesize)
 from gridfreq import io as gio
+from gridfreq.synth import GroundTruth
 from reference import reference_event_freq, reference_event_phase
 
 FS = 1200.0
@@ -482,6 +483,19 @@ class TestSpecValidation:
          "amp_step_pu must be >= -1, got -3.0"),
         (lambda: ScenarioSpec(duration=1.0, base_freq=50.0, amp_pu=-1.0),
          "amp_pu must be non-negative, got -1.0"),
+        (lambda: DcSpec(t_start=0.5, a_dc_pu=0.1, tau_s=0.0),
+         "DC time constant must be positive"),
+        (lambda: NoiseSpec(kind="colored", level=0.01, pole=1.0),
+         "color pole must lie in (0, 1)"),
+        (lambda: ScenarioSpec(duration=1.0, base_freq=50.0,
+                              distortion_knee=0.0),
+         "distortion knee must be positive"),
+        (lambda: synthesize(ScenarioSpec(duration=1.0, base_freq=50.0),
+                            math.nan),
+         "sampling rate must be finite and positive, got nan"),
+        (lambda: GroundTruth(0.0, 1.0 / FS, [50.0] * 3, [0.0] * 3,
+                             [1.0] * 2, [0.0] * 3),
+         "ground-truth sequences must have equal length"),
     ])
     def test_values_that_render_something_else_rejected(self, build,
                                                         message):
