@@ -407,7 +407,9 @@ def _render(spec: ScenarioSpec, fs: float) -> tuple[np.ndarray, GroundTruth]:
 def _noise(spec: NoiseSpec, n: int, amp_pu: float, seed: int) -> np.ndarray:
     """``n`` samples of the noise ``spec`` describes, its standard deviation
     ``spec.level`` times the fundamental amplitude ``amp_pu``."""
-    sigma = spec.level * amp_pu
+    # abs: amp_pu = -0.0 passes the spec's check, and numpy refuses a
+    # scale of -0.0
+    sigma = spec.level * abs(amp_pu)
     rng = np.random.default_rng(seed)
     if spec.kind == "gaussian":
         return rng.normal(0.0, sigma, n)

@@ -172,6 +172,14 @@ class TestNoise:
         np.testing.assert_array_equal(synthesize(noisy, FS, seed=0)[0].values,
                                       synthesize(clean, FS)[0].values)
 
+    @pytest.mark.parametrize("kind", ["gaussian", "colored", "impulsive"])
+    def test_negative_zero_amplitude_renders_silence(self, kind):
+        # -0.0 passes amp_pu's check; the noise scale is its level times 0
+        spec = ScenarioSpec(duration=0.1, base_freq=50.0, amp_pu=-0.0,
+                            noise=NoiseSpec(kind=kind, level=0.02))
+        values = synthesize(spec, FS)[0].values
+        assert not values.any()
+
     def test_level_validation(self):
         with pytest.raises(ScenarioError):
             NoiseSpec(kind="gaussian", level=0.25)
