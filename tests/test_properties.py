@@ -425,7 +425,7 @@ dc_gain = positive | st.floats(1e3, 1e308)
 
 
 @st.composite
-def loop_cases(draw):
+def loop_cases(draw, dc_gain=dc_gain):
     """A config of any order the default ts allows and a tone with extreme
     values at random positions."""
     n = draw(st.integers(1, 11))
@@ -578,8 +578,10 @@ def test_amp_phase_is_within_1_ulp_of_the_math_module(pairs):
         assert repr(phase) == repr(math.atan2(a_s, a_c) if expect else 0.0)
 
 
+# an estimate file holds finite rows only: huge DC gains would leave too
+# few drawn cases that keep them
 @settings(max_examples=60, deadline=None)
-@given(case=loop_cases())
+@given(case=loop_cases(dc_gain=positive))
 def test_estimate_csv_round_trip_is_bitwise(case, tmp_path_factory):
     """A series read back from its estimate CSV equals the series written:
     the same row bytes and the same records."""
