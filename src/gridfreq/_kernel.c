@@ -35,7 +35,10 @@
  * (Giulietti, "The Schubfach way to render doubles", 2020), laid out as
  * float.__repr__ lays out the digits of David Gay's dtoa.  Both give the
  * shortest digit string that reads back to the same double, the nearest
- * to it where several are that short, the even one of a tie.  The
+ * to it where several are that short, the even one of a tie.  The digits
+ * are emitted eight at a time by SWAR arithmetic on 64-bit words, and
+ * laid out by fixed-width copies that may write scratch past a field's
+ * end, but never past the room the output buffer keeps for the row.  The
  * 128-bit products of Schubfach and of the parser need unsigned __int128
  * (gcc and clang on 64-bit targets); where the compiler lacks it the
  * build fails, and gridfreq._native.library raises.
@@ -312,7 +315,7 @@ static uint64_t shortest(uint64_t c, int32_t q, const uint64_t *pow10,
     return cmp < 0 || (cmp == 0 && s % 2 == 0) ? s : t;
 }
 
-/* the decimal digits of v > 0 at p; returns the end */
+/* the decimal digits of v > 0 at p, an exponent's; returns the end */
 static char *put_digits(char *p, uint64_t v)
 {
     char tmp[20];
@@ -326,12 +329,31 @@ static char *put_digits(char *p, uint64_t v)
     return p;
 }
 
-/* repr of x at p; returns the end */
+/* The eight decimal digits of v < 10^8, leading zeros included, as the
+ * bytes of a word, the first digit in the lowest byte, each 0 to 9: one
+ * split into two 4-digit lanes of 32 bits, then each lane into two 2-digit
+ * lanes of 16 by a multiply-shift quotient by 100, then each of those into
+ * two bytes by one by 10.  The quotients are exact on their lanes' ranges,
+ * and no lane's product reaches the next lane's bits. */
+static uint64_t digits8(uint32_t v)
+{
+    uint64_t x = v / 10000 | (uint64_t)(v % 10000) << 32;
+    uint64_t q = (x * 10486 >> 20) & 0x0000007f0000007full;     /* / 100 */
+
+    x = (x - 100 * q) << 16 | q;
+    q = (x * 103 >> 10) & 0x000f000f000f000full;                /* / 10 */
+    return (x - 10 * q) << 8 | q;
+}
+
+/* repr of x at p; returns the end.  Its fixed-width copies write at most
+ * 26 bytes from p (a sign, then 16 digits, the point and 8, or 8 digits,
+ * the point and 16); what lies past the end is scratch. */
 static char *put_float(char *p, double x, const uint64_t *pow10)
 {
-    uint64_t bits, ieee_m, digits;
-    int32_t ieee_e, e10, n, decpt, i;
-    char d[20];
+    uint64_t bits, ieee_m, digits, top, w[3];
+    int32_t ieee_e, e10, lead, trail, n, decpt, i;
+    char d[40];
+    const char *s;
 
     memcpy(&bits, &x, sizeof bits);
     ieee_m = bits & ((1ull << 52) - 1);
@@ -353,43 +375,56 @@ static char *put_float(char *p, double x, const uint64_t *pow10)
     }
     digits = shortest(ieee_e ? 1ull << 52 | ieee_m : ieee_m,
                       (ieee_e ? ieee_e : 1) - 1075, pow10, &e10);
-    while (digits % 10 == 0) {
-        digits /= 10;
-        e10++;
+
+    /* digits < 10^17 as 24 digits, zero-padded on the left, in three
+     * words of eight, then 16 '0's, which the copies below read past the
+     * last digit; the value is 0.s[0..n) * 10^decpt */
+    top = digits / 100000000;
+    w[0] = digits8((uint32_t)(top / 100000000));
+    w[1] = digits8((uint32_t)(top % 100000000));
+    w[2] = digits8((uint32_t)(digits % 100000000));
+    for (i = 0; i < 5; i++) {
+        uint64_t ascii = (i < 3 ? w[i] : 0) | 0x3030303030303030ull;
+#if __BYTE_ORDER__ == __ORDER_BIG_ENDIAN__
+        ascii = __builtin_bswap64(ascii);       /* the first digit first */
+#endif
+        memcpy(d + 8 * i, &ascii, 8);
     }
-    n = (int32_t)(put_digits(d, digits) - d);
-    decpt = n + e10;        /* the value is 0.d[0..n) * 10^decpt */
+    /* zero digits are zero bytes: the leading ones the low bytes of the
+     * first nonzero word, the trailing ones the high bytes of the last */
+    i = w[0] ? 0 : w[1] ? 1 : 2;
+    lead = 8 * i + __builtin_ctzll(w[i]) / 8;
+    i = w[2] ? 2 : w[1] ? 1 : 0;
+    trail = 8 * (2 - i) + __builtin_clzll(w[i]) / 8;
+    s = d + lead;
+    n = 24 - lead - trail;
+    decpt = 24 - lead + e10;
+
     if (decpt > -4 && decpt <= 16) {
         /* fixed notation, with ".0" on an integral value */
-        if (decpt <= 0) {
-            *p++ = '0';
-            *p++ = '.';
-            for (i = decpt; i < 0; i++)
-                *p++ = '0';
-            memcpy(p, d, n);
-            return p + n;
+        if (decpt <= 0) {                       /* 0.000ddd: n <= 17 */
+            memcpy(p, "0.000000", 8);
+            memcpy(p + 2 - decpt, s, 17);
+            return p + 2 - decpt + n;
         }
-        if (decpt < n) {
-            memcpy(p, d, decpt);
+        if (decpt < n) {                        /* dd.ddd: n <= 17 */
+            memcpy(p, s, 16);
             p[decpt] = '.';
-            memcpy(p + decpt + 1, d + decpt, n - decpt);
+            if (decpt > 8)                      /* at most 8 after it */
+                memcpy(p + decpt + 1, s + decpt, 8);
+            else
+                memcpy(p + decpt + 1, s + decpt, 16);
             return p + n + 1;
         }
-        memcpy(p, d, n);
-        p += n;
-        for (i = n; i < decpt; i++)
-            *p++ = '0';
-        *p++ = '.';
-        *p++ = '0';
-        return p;
+        memcpy(p, s, 16);                       /* ddd000.0 */
+        memcpy(p + decpt, ".0", 2);
+        return p + decpt + 2;
     }
     /* d.ddde+XX: a signed exponent of at least two digits */
-    *p++ = d[0];
-    if (n > 1) {
-        *p++ = '.';
-        memcpy(p, d + 1, n - 1);
-        p += n - 1;
-    }
+    p[0] = s[0];
+    p[1] = '.';
+    memcpy(p + 2, s + 1, 16);
+    p += n > 1 ? n + 1 : 1;
     *p++ = 'e';
     *p++ = decpt - 1 < 0 ? '-' : '+';
     i = decpt - 1 < 0 ? 1 - decpt : decpt - 1;
@@ -401,8 +436,11 @@ static char *put_float(char *p, double x, const uint64_t *pow10)
 /* Write nrows rows of ncols doubles from cells[0..nrows*ncols), row-major,
  * as CSV text at out: each as repr writes it, fields joined by ',' and
  * each row ended by "\r\n".  out must hold nrows * (25 * ncols + 2)
- * bytes: a field takes at most 24, as in -2.2250738585072014e-308.
- * Returns the number of bytes written. */
+ * bytes: a field takes at most 24, as in -2.2250738585072014e-308, so a row
+ * at most 25 * ncols + 1, and every field starts at least 27 bytes before
+ * the end of out.  put_float writes at most 26 from a field's start; the
+ * next field or row end overwrites what it writes past its text.  Returns
+ * the number of bytes of text. */
 static int64_t gridfreq_format_rows(const double *cells, int64_t nrows,
                                     int64_t ncols, const uint64_t *pow10,
                                     char *out)

@@ -180,7 +180,9 @@ def format_rows(cells: np.ndarray) -> memoryview:
     """The CSV text, CRLF line ends included, of the rows of a C-contiguous
     float64 matrix, each value as ``repr`` writes it."""
     rows, ncols = cells.shape
-    # a field and its comma take at most 25 bytes, a row end 2
+    # a field and its comma take at most 25 bytes, a row end 2; the
+    # formatter's fixed-width copies write scratch past a field's text, but
+    # within that room (see gridfreq_format_rows)
     out = np.empty(rows * (25 * ncols + 2), np.uint8)
     size = library().format_rows(cells, _pow10_table(), out)
     return memoryview(out)[:size]

@@ -134,12 +134,18 @@ def test_sample_csv_round_trip_is_bitwise(values, tmp_path_factory):
 
 # where repr's layout changes: signed zeros, the smallest subnormal and
 # normal, the largest double, the fixed/exponent switches at 1e16 and 1e-4
-# and their neighbours, and integral values on either side of 2^53
+# and their neighbours, and integral values on either side of 2^53; then
+# where the formatter's 8-digit words meet: shortest digits exactly 1, 8,
+# 9, 16 and 17 long, and runs of zero digits across a word
 REPR_EDGES = [0.0, -0.0, 5e-324, 2.2250738585072014e-308,
               2.225073858507201e-308, 1.7976931348623157e308, 1e16,
               9999999999999998.0, 1.0000000000000002e16, 1e-4,
               9.999999999999999e-05, 1.0000000000000002e-4, 1e15, 1e22,
-              1e23, 2.0 ** 53, 2.0 ** 53 + 2.0, 123456789012345680.0]
+              1e23, 2.0 ** 53, 2.0 ** 53 + 2.0, 123456789012345680.0,
+              7.0, 0.1, 12345678.0, 123456789.0, 12345678.9, 1.00000001,
+              100000000.5, 1200000000000000.0, 1234567890123456.0,
+              0.1234567890123456, 1.0000000000000002, 1234567890123456.8,
+              1.2345678901234568e-05]
 repr_floats = st.one_of(
     st.floats(width=64),
     st.sampled_from(REPR_EDGES).flatmap(
