@@ -383,13 +383,14 @@ static char *put_float(char *p, double x, const uint64_t *pow10)
     w[0] = digits8((uint32_t)(top / 100000000));
     w[1] = digits8((uint32_t)(top % 100000000));
     w[2] = digits8((uint32_t)(digits % 100000000));
-    for (i = 0; i < 5; i++) {
-        uint64_t ascii = (i < 3 ? w[i] : 0) | 0x3030303030303030ull;
+    for (i = 0; i < 3; i++) {
+        uint64_t ascii = w[i] | 0x3030303030303030ull;
 #if __BYTE_ORDER__ == __ORDER_BIG_ENDIAN__
         ascii = __builtin_bswap64(ascii);       /* the first digit first */
 #endif
         memcpy(d + 8 * i, &ascii, 8);
     }
+    memset(d + 24, '0', 16);
     /* zero digits are zero bytes: the leading ones the low bytes of the
      * first nonzero word, the trailing ones the high bytes of the last */
     i = w[0] ? 0 : w[1] ? 1 : 2;
