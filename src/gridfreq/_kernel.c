@@ -16,12 +16,15 @@
  * docstring on a state buffer that persists between calls, over any number
  * of samples: estimator.run calls it once over a whole stream from a fresh
  * state, and estimator.step once per sample, through a context that holds
- * views of the state, constant and row buffers, which give its sizes.  Its
- * output equals the plain Python loop reference_loop of tests/reference.py
- * bit for bit, for four reasons: every expression keeps the laws' operand
- * order; -ffp-contract=off rules out fused multiply-adds; CPython's
- * math.sin and math.cos call the same libm; and py_mod is CPython's
- * float %.
+ * views of the state, constant and row buffers, which give its sizes.  Per
+ * sample it makes two passes over the harmonics, basis with prediction and
+ * coefficient update with gradient, and calls fmod only when the phase
+ * leaves (0, 2*pi).  Its output equals the plain Python loop reference_loop
+ * of tests/reference.py bit for bit, for four reasons: every expression
+ * keeps the laws' operand order, and each sum its index order;
+ * -ffp-contract=off rules out fused multiply-adds; CPython's math.sin and
+ * math.cos call the same libm; and the phase wrap is CPython's float %
+ * (py_mod).
  *
  * A step's context builds the report's EstimateRecord itself (make_record),
  * and the module's polar applies the same amplitude and phase rule
@@ -139,18 +142,26 @@ static int64_t gridfreq_advance(const struct gridfreq_ctx *ctx, double sample)
     int64_t m, i, j, rows = 0;
 
     for (m = 0; m < len; m++) {
-        /* basis by the angle-sum recurrence, prediction and residual */
-        double c0 = cos(phase), s0 = sin(phase);
-        double pred, resid, z, g, rocof_raw, acc;
+        /* Two fused passes over the harmonics: the basis and the prediction,
+         * then the coefficient updates and the gradient.  Locals carry the
+         * recurrence and the updated pairs, so the per-sample chain stays in
+         * registers instead of going through a store and a reload of c, s,
+         * a_c and a_s at every step.  The bits equal those of one loop per
+         * quantity: every value takes the same operations in the same order,
+         * and no update reads another index. */
+        double c0 = cos(phase), s0 = sin(phase), ci = c0, si = s0;
+        double pred = a_dc - a_dc1 * t, resid, z, g, rocof_raw, acc, next;
         c[0] = c0;
         s[0] = s0;
+        pred = pred + (ac[0] * s0 + as[0] * c0);
         for (i = 1; i < n; i++) {
-            c[i] = c[i - 1] * c0 - s[i - 1] * s0;
-            s[i] = s[i - 1] * c0 + c[i - 1] * s0;
+            double cp = ci;
+            ci = cp * c0 - si * s0;
+            si = si * c0 + cp * s0;
+            c[i] = ci;
+            s[i] = si;
+            pred = pred + (ac[i] * si + as[i] * ci);
         }
-        pred = a_dc - a_dc1 * t;
-        for (i = 0; i < n; i++)
-            pred = pred + (ac[i] * s[i] + as[i] * c[i]);
         resid = x[m] - pred;
         if (alpha != 0.0) {                 /* 0.0: no low-pass */
             zf += alpha * (resid - zf);
@@ -161,13 +172,15 @@ static int64_t gridfreq_advance(const struct gridfreq_ctx *ctx, double sample)
 
         /* coefficient updates and, from the updated pairs, the frequency
          * gradient; then the descent update of the frequency */
-        for (i = 0; i < n; i++) {
-            ac[i] = ac[i] + tgc[i] * z * s[i];
-            as[i] = as[i] + tgs[i] * z * c[i];
-        }
         g = 0.0;
-        for (i = 0; i < n; i++)
-            g = g + (double)(i + 1) * t * (ac[i] * c[i] - as[i] * s[i]);
+        for (i = 0; i < n; i++) {
+            double cb = c[i], sb = s[i];
+            double aci = ac[i] + tgc[i] * z * sb;
+            double asi = as[i] + tgs[i] * z * cb;
+            ac[i] = aci;
+            as[i] = asi;
+            g = g + (double)(i + 1) * t * (aci * cb - asi * sb);
+        }
         a_dc = a_dc + tg_dc * z;
         a_dc1 = a_dc1 - t * ts * g_dc1 * z;
         rocof_raw = eta_rate * z * g;
@@ -184,7 +197,11 @@ static int64_t gridfreq_advance(const struct gridfreq_ctx *ctx, double sample)
 
         /* advance phase, sample counter and anchor; the anchor ramps up
          * to t_reset and holds there */
-        phase = py_mod(phase + TWO_PI * f * ts, TWO_PI);
+        next = phase + TWO_PI * f * ts;
+        /* x % TWO_PI is x itself for x in (0, TWO_PI): fmod returns such an
+         * x exactly and py_mod keeps its positive sign.  +-0.0, negatives,
+         * TWO_PI and above, and nan wrap through py_mod. */
+        phase = next > 0.0 && next < TWO_PI ? next : py_mod(next, TWO_PI);
         k++;
         t = t + ts;
         if (t > t_reset)

@@ -102,6 +102,18 @@ class TestConfig:
         assert len(run(_clean_stream(0.1), EstimatorConfig())) == 10
 
 
+# Start phases of the wrap tests.  The C loop skips the wrap where the
+# advanced phase lies in (0, 2*pi); -1.0, -d, -0.0, 0.0 and 5e-324 step
+# below, onto and above 0, and the ulps around 2*pi - d to either side of
+# 2*pi, one of them exactly onto it.  d is the first step's increment: f
+# stays at f0 on that step, since the anchor time is 0.  fmod keeps the
+# sign of -1 + d; Python's % does not.
+_FIRST_STEP = estimator.TWO_PI * 50.0 * TS
+_NEAR_WRAP = [estimator.TWO_PI - _FIRST_STEP
+              + k * math.ulp(estimator.TWO_PI - _FIRST_STEP)
+              for k in range(-3, 4)]
+
+
 class TestInitAndState:
     def test_init_values(self):
         cfg = EstimatorConfig()
@@ -158,15 +170,22 @@ class TestInitAndState:
         assert state.k == 2**53 and not state.diverged
         assert state_digest(state) == before
 
-    def test_negative_phase_wraps_as_python_mod(self):
-        # fmod keeps the sign of -1 + 2*pi*f*ts; Python's % does not
+    @pytest.mark.parametrize("p0", [-1.0, -_FIRST_STEP, -0.0, 0.0, 5e-324,
+                                    *_NEAR_WRAP, estimator.TWO_PI, 1e300])
+    def test_negative_phase_wraps_as_python_mod(self, p0):
         cfg = EstimatorConfig()
         state = init(cfg)
-        state.phase_acc = -1.0
+        state.phase_acc = p0
         step(state, 0.5, cfg)
-        assert state.phase_acc == (
-            (-1.0 + estimator.TWO_PI * state.f_hz * cfg.ts) % estimator.TWO_PI)
-        assert 0.0 < state.phase_acc < estimator.TWO_PI
+        assert state.f_hz == cfg.f0
+        assert repr(state.phase_acc) == repr(
+            (p0 + estimator.TWO_PI * state.f_hz * cfg.ts) % estimator.TWO_PI)
+        assert 0.0 <= state.phase_acc < estimator.TWO_PI
+
+    def test_a_start_phase_near_the_wrap_steps_onto_two_pi(self):
+        cfg = EstimatorConfig()
+        assert _FIRST_STEP == estimator.TWO_PI * cfg.f0 * cfg.ts
+        assert estimator.TWO_PI in [p + _FIRST_STEP for p in _NEAR_WRAP]
 
 
 def _polar(a_s, a_c) -> list[float]:
