@@ -18,13 +18,12 @@
  * state, and estimator.step once per sample, through a context that holds
  * views of the state, constant and row buffers, which give its sizes.  Per
  * sample it makes two passes over the harmonics, basis with prediction and
- * coefficient update with gradient, and calls fmod only when the phase
- * leaves (0, 2*pi).  Its output equals the plain Python loop reference_loop
- * of tests/reference.py bit for bit, for four reasons: every expression
- * keeps the laws' operand order, and each sum its index order;
- * -ffp-contract=off rules out fused multiply-adds; CPython's math.sin and
- * math.cos call the same libm; and the phase wrap is CPython's float %
- * (py_mod).
+ * coefficient update with gradient.  Its output equals the plain Python
+ * loop reference_loop of tests/reference.py bit for bit, for four reasons:
+ * every expression keeps the laws' operand order, and each sum its index
+ * order; -ffp-contract=off rules out fused multiply-adds; CPython's
+ * math.sin and math.cos call the same libm; and py_mod is CPython's
+ * float %.
  *
  * A step's context builds the report's EstimateRecord itself (make_record),
  * and the module's polar applies the same amplitude and phase rule
@@ -150,7 +149,7 @@ static int64_t gridfreq_advance(const struct gridfreq_ctx *ctx, double sample)
          * quantity: every value takes the same operations in the same order,
          * and no update reads another index. */
         double c0 = cos(phase), s0 = sin(phase), ci = c0, si = s0;
-        double pred = a_dc - a_dc1 * t, resid, z, g, rocof_raw, acc, next;
+        double pred = a_dc - a_dc1 * t, resid, z, g, rocof_raw, acc;
         c[0] = c0;
         s[0] = s0;
         pred = pred + (ac[0] * s0 + as[0] * c0);
@@ -197,11 +196,7 @@ static int64_t gridfreq_advance(const struct gridfreq_ctx *ctx, double sample)
 
         /* advance phase, sample counter and anchor; the anchor ramps up
          * to t_reset and holds there */
-        next = phase + TWO_PI * f * ts;
-        /* x % TWO_PI is x itself for x in (0, TWO_PI): fmod returns such an
-         * x exactly and py_mod keeps its positive sign.  +-0.0, negatives,
-         * TWO_PI and above, and nan wrap through py_mod. */
-        phase = next > 0.0 && next < TWO_PI ? next : py_mod(next, TWO_PI);
+        phase = py_mod(phase + TWO_PI * f * ts, TWO_PI);
         k++;
         t = t + ts;
         if (t > t_reset)

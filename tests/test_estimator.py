@@ -102,16 +102,16 @@ class TestConfig:
         assert len(run(_clean_stream(0.1), EstimatorConfig())) == 10
 
 
-# Start phases of the wrap tests.  The C loop skips the wrap where the
-# advanced phase lies in (0, 2*pi); -1.0, -d, -0.0, 0.0 and 5e-324 step
-# below, onto and above 0, and the ulps around 2*pi - d to either side of
-# 2*pi, one of them exactly onto it.  d is the first step's increment: f
-# stays at f0 on that step, since the anchor time is 0.  fmod keeps the
-# sign of -1 + d; Python's % does not.
+# Start phases of the wrap tests at both edges of [0, 2*pi): -1.0, -d,
+# -0.0, 0.0 and 5e-324 step below, onto and above 0, and the ulps around
+# 2*pi - d to either side of 2*pi, one of them exactly onto it.  d is the
+# first step's increment: f stays at f0 on that step, since the anchor time
+# is 0.  fmod keeps the sign of -1 + d; Python's % does not.
 _FIRST_STEP = estimator.TWO_PI * 50.0 * TS
 _NEAR_WRAP = [estimator.TWO_PI - _FIRST_STEP
               + k * math.ulp(estimator.TWO_PI - _FIRST_STEP)
               for k in range(-3, 4)]
+assert estimator.TWO_PI in [p + _FIRST_STEP for p in _NEAR_WRAP]
 
 
 class TestInitAndState:
@@ -181,11 +181,6 @@ class TestInitAndState:
         assert repr(state.phase_acc) == repr(
             (p0 + estimator.TWO_PI * state.f_hz * cfg.ts) % estimator.TWO_PI)
         assert 0.0 <= state.phase_acc < estimator.TWO_PI
-
-    def test_a_start_phase_near_the_wrap_steps_onto_two_pi(self):
-        cfg = EstimatorConfig()
-        assert _FIRST_STEP == estimator.TWO_PI * cfg.f0 * cfg.ts
-        assert estimator.TWO_PI in [p + _FIRST_STEP for p in _NEAR_WRAP]
 
 
 def _polar(a_s, a_c) -> list[float]:
