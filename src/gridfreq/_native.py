@@ -13,9 +13,10 @@ ring's size from the buffers it is given.
 :func:`library` builds it with ``cc -O2 -ffp-contract=off`` against the
 running interpreter's headers into ``$XDG_CACHE_HOME/gridfreq`` (default
 ``~/.cache/gridfreq``), on the first call, never at import.  The
-file is ``_kernel-<key><EXT_SUFFIX>``: the key hashes the source, the flags
-and the interpreter's include directory and extension suffix, so
-interpreters that share the cache never load each other's build.  When it
+file is ``_kernel-<key><EXT_SUFFIX>``: the key hashes the source, the
+compiler, the flags and the interpreter's include directory and extension
+suffix, so interpreters or compilers that share the cache never load each
+other's build.  When it
 cannot be built, :func:`library` raises :class:`OSError` naming the cause:
 missing Python headers, a missing compiler, a compile error, or a cache
 directory that cannot be written or that other users can write.  The
@@ -56,12 +57,13 @@ def _include_dir() -> str:
 
 
 def _key(source: bytes, include: str, suffix: str) -> str:
-    """The cache key of a build: the source, the flags and the include
-    directory and extension suffix of the interpreter it is built for."""
+    """The cache key of a build: the source, the compiler, the flags and
+    the include directory and extension suffix of the interpreter it is
+    built for."""
     import hashlib
 
-    parts = (source, " ".join(_CFLAGS).encode(), os.fsencode(include),
-             suffix.encode())
+    parts = (source, os.fsencode(_CC), " ".join(_CFLAGS).encode(),
+             os.fsencode(include), suffix.encode())
     return hashlib.sha256(b"\0".join(parts)).hexdigest()[:16]
 
 

@@ -1,8 +1,8 @@
-"""Command-line front end: synthesis, estimation, metrics, learning-rate
-sweeps and PSO gain tuning.
+"""Command-line front end: synthesis, estimation, metrics and PSO gain
+tuning.
 
-Estimator settings come only from ``--config``; ``metrics``, ``sweep-eta``
-and ``tune`` render at its ``1 / ts``, the one rate the estimator accepts.
+Estimator settings come only from ``--config``; ``metrics`` and ``tune``
+render at its ``1 / ts``, the one rate the estimator accepts.
 
 Exit codes: 0 success, 2 input error, 3 divergence, 4 metric-bound failure.
 """
@@ -15,11 +15,13 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
+
 from . import io as gio
 from .errors import ConfigError, GridFreqError, ScenarioError, named
 from .estimator import EstimatorConfig, run
 from .metrics import (DEFAULT_LATENCY_S, DEFAULT_SKIP_S, MetricsReport,
-                      aggregate, evaluate)
+                      aggregate, align, evaluate)
 from .synth import GroundTruth, SampleStream, ScenarioSpec, synthesize
 from .tuner import (DIVERGENCE_PENALTY, PsoParams, SearchSpace,
                     apply_gain_vector, pso_tune)
@@ -171,33 +173,6 @@ def cmd_metrics(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_sweep_eta(args: argparse.Namespace) -> int:
-    spec = gio.read_scenario(args.scenario)
-    base = _load_config(args.config)
-    latency = args.latency_ms / 1000.0
-    # every rate is checked before the first run: replace validates
-    configs = [(ratio, named(f"--ratios {ratio}", replace, base,
-                             eta_opt=base.eta_opt * ratio))
-               for ratio in args.ratios]
-    stream, truth = _render(args.scenario, spec, base, args.seed, args.skip)
-    # the table is printed once it is complete, so an error prints none
-    lines = [",".join(gio.SWEEP_HEADER)]
-    reports = []
-    for ratio, cfg in configs:
-        series = run(stream, cfg)
-        if series.diverged_at is not None:
-            lines.append(f"{ratio},DIVERGED,DIVERGED")
-            break
-        reports.append(named(args.scenario, evaluate, series, truth, latency,
-                             skip_s=args.skip))
-        lines.append(f"{ratio},{reports[-1].rmse_fe!r},"
-                     f"{reports[-1].rmse_re!r}")
-    print("\n".join(lines))
-    if args.out is not None:      # with the rows before a divergence
-        gio.write_sweep(args.out, args.ratios[:len(reports)], reports)
-    return EXIT_OK if len(reports) == len(configs) else EXIT_DIVERGED
-
-
 def cmd_tune(args: argparse.Namespace) -> int:
     if not args.scenario:
         raise ConfigError("--scenario: scenario battery must not be empty")
@@ -211,11 +186,17 @@ def cmd_tune(args: argparse.Namespace) -> int:
         bounds += named("--tune-eta", SearchSpace, (tuple(args.tune_eta),),
                         log_scale=True).bounds
     space = SearchSpace(bounds=bounds, log_scale=True)
-    # the fitness scores every report, but gains tuned on a scenario that
-    # ends inside the metrics' skip window would be tuned to the lock-in
     scenarios = [_render(path, gio.read_scenario(path), config, args.seed,
                          DEFAULT_SKIP_S)
                  for path in args.scenario]
+    # the fitness is what metrics reports, so a scenario none of whose
+    # reports pairs with its truth is an input error.  Report times depend
+    # on neither the samples nor the gains, and no gains diverge on zeros:
+    # one run over zeros stands for every particle that does not diverge
+    for path, (stream, truth) in zip(args.scenario, scenarios):
+        zeros = SampleStream(stream.t0, stream.ts, np.zeros(len(stream)))
+        named(path, align, run(zeros, config), truth, DEFAULT_LATENCY_S,
+              skip_s=DEFAULT_SKIP_S)
     best, score, history = pso_tune(space, scenarios, pso, config)
     gio.write_config(args.out, apply_gain_vector(config, best))
     print(f"wrote {args.out} (fitness {score:.6g})")
@@ -270,20 +251,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--" + name.replace("_", "-"), type=float, default=None,
                        help="optional bound; exceeding it exits 4")
     p.set_defaults(func=cmd_metrics)
-
-    p = sub.add_parser("sweep-eta",
-                       help="RMSE table with the frequency-loop rate set to "
-                            "each ratio times eta_opt")
-    p.add_argument("scenario")
-    p.add_argument("--config", default=None)
-    p.add_argument("--ratios", type=float, nargs="+",
-                   default=[1.0, 1.02, 1.04, 1.06])
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--latency-ms", type=float,
-                   default=DEFAULT_LATENCY_S * 1000.0)
-    p.add_argument("--skip", type=float, default=DEFAULT_SKIP_S)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_sweep_eta)
 
     p = sub.add_parser("tune", help="PSO gain tuning over a scenario battery")
     p.add_argument("--scenario", action="append", default=[])

@@ -41,7 +41,6 @@ from .synth import (ConstantProfile, DcSpec, EventProfile, GroundTruth,
 SAMPLE_HEADER = ["t", "value"]
 TRUTH_HEADER = ["t", "freq_hz", "rocof_hzps", "amp_pu", "phase_rad"]
 HISTORY_HEADER = ["iteration", "best_score"]
-SWEEP_HEADER = ["ratio", "rmse_fe", "rmse_re"]
 _LINE_END = re.compile(rb"\r\n?|\n")   # where text mode ends a line
 _CHUNK_ROWS = 4096                      # rows formatted per write
 
@@ -228,13 +227,6 @@ def write_report(path: str | Path, report: MetricsReport) -> None:
     with open(path, "w", newline="") as fh:
         fh.write("metric,value\r\n")
         fh.writelines(f"{name},{value!r}\r\n" for name, value in report.rows())
-
-
-def write_sweep(path: str | Path, ratios: Sequence[float],
-                reports: Sequence[MetricsReport]) -> None:
-    """The table of a learning-rate sweep, one row per ratio."""
-    _write_rows(path, SWEEP_HEADER, (ratios, [r.rmse_fe for r in reports],
-                                     [r.rmse_re for r in reports]))
 
 
 # --------------------------------------------------------------------------

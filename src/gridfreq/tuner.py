@@ -1,11 +1,10 @@
 """Offline particle-swarm tuning of estimator gains.
 
 Global-best PSO over a box-bounded search space, linear or log-scaled as a
-whole, with integral-square-error fitness computed by running the
-estimator over a scenario battery.  The driver is deterministic under a
-fixed seed; fitness evaluations are pure and reduced in particle order, so
-parallel evaluation cannot change the answer (the reference implementation
-evaluates serially).
+whole.  The fitness of a gain vector is the figure ``metrics`` reports:
+the RMSE frequency error of :func:`gridfreq.metrics.evaluate` at its
+default latency and skip window, in Hz, summed over a scenario battery.
+The driver is deterministic under a fixed seed.
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ import numpy as np
 
 from .errors import ConfigError, is_count
 from .estimator import EstimatorConfig, run
-from .metrics import align
+from .metrics import DEFAULT_LATENCY_S, DEFAULT_SKIP_S, evaluate
 from .synth import GroundTruth, SampleStream
 
 DIVERGENCE_PENALTY = 1e6
@@ -94,12 +93,11 @@ def apply_gain_vector(config: EstimatorConfig, gains: Sequence[float]
 def ise_fitness(gains: Sequence[float],
                 scenarios: Sequence[tuple[SampleStream, GroundTruth]],
                 config: EstimatorConfig) -> float:
-    """Integral square frequency error over the battery; lower is better.
-
-    Each scenario contributes sum_k (f_hat_k - f_k)^2 * dt at the report
-    cadence, f_k paired by :func:`gridfreq.metrics.align` at zero latency
-    (a record stamped after the last truth sample is dropped); a diverged
-    run adds a large constant penalty instead.
+    """Sum over the battery of the RMSE frequency error (Hz) that
+    ``metrics`` reports, :func:`gridfreq.metrics.evaluate` at its default
+    latency and skip window; lower is better.  A run that diverges or
+    reports nothing, or a gain vector the config rejects, adds a large
+    constant penalty instead.
     """
     if not scenarios:
         raise ConfigError("scenario battery must not be empty")
@@ -113,9 +111,8 @@ def ise_fitness(gains: Sequence[float],
         if series.diverged_at is not None or len(series) == 0:
             score += DIVERGENCE_PENALTY
             continue
-        pairs = align(series, truth, 0.0, skip_s=0.0)
-        dt = cfg.ts * cfg.report_every
-        score += float(np.sum((pairs.f_est - pairs.f_true) ** 2) * dt)
+        score += evaluate(series, truth, DEFAULT_LATENCY_S,
+                          skip_s=DEFAULT_SKIP_S).rmse_fe
     return score
 
 

@@ -19,8 +19,8 @@ import pytest
 
 from cases import FS, case1, case2, case2b, case3, clean_tone
 from gridfreq import (EstimatorConfig, PsoParams, SearchSpace, aggregate,
-                      align, evaluate, init, ise_fitness, pso_minimize, run,
-                      step, synthesize)
+                      align, apply_gain_vector, evaluate, init, ise_fitness,
+                      pso_minimize, pso_tune, run, step, synthesize)
 from reference import output_and_gradient, reference_gram
 
 LATENCY = 0.1
@@ -397,3 +397,31 @@ def test_c12_tuner_sanity():
     assert sphere_ok
     assert beats
     assert history == sorted(history, reverse=True)
+
+
+def test_c12_tuned_gains_beat_the_default_on_held_out_seeds():
+    # tune's default search (30 particles, 50 iterations, every gain in
+    # [1, 500] on a log scale) on case1 at seed 0, scored on seeds 1-10.
+    # The fitness is the RMSE FE metrics reports, so the tuned gains must
+    # beat the default ones there.  Tuned at seeds 0-7 and scored on the
+    # next ten, they read 3.7-9.9 % below the default (0.00434-0.00465 Hz
+    # against 0.00479-0.00491); the bound asks for 5 %, about four times
+    # the spread of the default's ten-seed mean between those windows
+    space = SearchSpace(bounds=((1.0, 500.0),) * (2 * CONFIG.n + 2),
+                        log_scale=True)
+    battery = [synthesize(case1(0.02, 0), FS, seed=0)]
+    best, _, _ = pso_tune(space, battery, PsoParams(), CONFIG)
+    tuned = apply_gain_vector(CONFIG, best)
+
+    def held_out(config):
+        return float(np.mean([
+            evaluate(run(stream, config), truth, LATENCY).rmse_fe
+            for stream, truth in (synthesize(case1(0.02, seed), FS, seed=seed)
+                                  for seed in range(1, 11))]))
+
+    got, default = held_out(tuned), held_out(CONFIG)
+    ok = got < 0.95 * default
+    _verdict("C12 held-out", ok,
+             f"gains tuned on seed 0 give RMSE FE {got:.5f} Hz over seeds "
+             f"1-10 (< 0.95 x the default's {default:.5f})")
+    assert ok

@@ -109,7 +109,6 @@ class TestSynth:
         path.write_text("duration = 1.0\nbase_freq = 50.0\n" + body)
         for argv in (["synth", str(path), "--out", str(tmp_path / "out")],
                      ["metrics", "--scenario", str(path), "--seeds", "1"],
-                     ["sweep-eta", str(path)],
                      # the file at fault is the second of the battery
                      ["tune", "--scenario", str(SCENARIOS / "case1.cfg"),
                       "--scenario", str(path), "--swarm", "2",
@@ -575,50 +574,12 @@ class TestStreamStartTime:
         assert not (tmp_path / "e.csv").exists()
 
 
-class TestSweepEta:
-    def test_table_rows(self, tmp_path, scenario_file, capsys):
-        out_csv = tmp_path / "sweep.csv"
-        rc = main(["sweep-eta", str(scenario_file), "--ratios", "1.0", "1.1",
-                   "--out", str(out_csv)])
-        assert rc == EXIT_OK
-        out = capsys.readouterr().out
-        assert out.splitlines()[0] == "ratio,rmse_fe,rmse_re"
-        # the file holds the printed table, with io's CRLF line ends
-        assert out_csv.read_bytes() == out.replace("\n", "\r\n").encode()
-        assert len(out.splitlines()) == 3
-
-    def test_sub_unity_ratio_rejected(self, scenario_file, capsys):
-        # any positive ratio is a rate; zero is not
-        assert main(["sweep-eta", str(scenario_file),
-                     "--ratios", "0.9"]) == EXIT_OK
-        assert capsys.readouterr().out.splitlines()[1].startswith("0.9,")
-        assert main(["sweep-eta", str(scenario_file),
-                     "--ratios", "0"]) == EXIT_INPUT
-        assert "eta_opt must be positive" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("ratios, kept", [(["1.0", "1000"], 1),
-                                              (["1000", "1.0"], 0)])
-    def test_divergence_writes_the_rows_before_it(self, tmp_path, capsys,
-                                                  ratios, kept):
-        out_csv = tmp_path / "sweep.csv"
-        rc = main(["sweep-eta", str(SCENARIOS / "case1.cfg"),
-                   "--ratios", *ratios, "--out", str(out_csv)])
-        assert rc == EXIT_DIVERGED
-        lines = capsys.readouterr().out.splitlines()
-        assert len(lines) == kept + 2
-        assert lines[-1] == "1000.0,DIVERGED,DIVERGED"
-        # as estimate writes its rows, the table stops at the divergence
-        assert out_csv.read_bytes() == "".join(
-            line + "\r\n" for line in lines[:-1]).encode()
-
-
 class TestShortScenario:
     @pytest.mark.parametrize("argv", [
         ["metrics", "--scenario", "{path}", "--seeds", "1"],
-        ["sweep-eta", "{path}"],
         ["tune", "--scenario", str(SCENARIOS / "case1.cfg"),
          "--scenario", "{path}", "--swarm", "2", "--iterations", "1"],
-    ], ids=["metrics", "sweep-eta", "tune"])
+    ], ids=["metrics", "tune"])
     def test_too_short_to_report_is_input_error(self, tmp_path, capsys, argv):
         # 7 samples at 1200 Hz give no report: tune would score the empty
         # series as a divergence, and metrics fail on it unnamed
@@ -636,15 +597,13 @@ class TestShortScenario:
 
     @pytest.mark.parametrize("argv", [
         ["metrics", "--scenario", "{path}", "--seeds", "1"],
-        ["sweep-eta", "{path}"],
         ["tune", "--scenario", str(SCENARIOS / "case1.cfg"),
          "--scenario", "{path}", "--swarm", "2", "--iterations", "1"],
-    ], ids=["metrics", "sweep-eta", "tune"])
+    ], ids=["metrics", "tune"])
     def test_shorter_than_the_skip_window_is_input_error(self, tmp_path,
                                                           capsys, argv):
         # 60 samples report, but all before the default 0.5 s skip window
-        # ends: metrics and sweep-eta have nothing to score, and tune would
-        # tune the gains to the lock-in alone
+        # ends: neither metrics nor tune has anything to score
         path = tmp_path / "short.cfg"
         path.write_text("duration = 0.05\nbase_freq = 50.0\n")
         out_file = tmp_path / "out"
@@ -657,21 +616,41 @@ class TestShortScenario:
         assert out == ""
         assert not out_file.exists()
 
-    @pytest.mark.parametrize("argv", [
-        ["metrics", "--scenario", "{path}", "--seeds", "1"],
-        ["sweep-eta", "{path}"],
-    ], ids=["metrics", "sweep-eta"])
-    def test_no_pairs_after_latency_names_the_file(self, tmp_path, capsys,
-                                                    argv):
+    def test_no_pairs_after_latency_names_the_file(self, tmp_path, capsys):
         # a latency longer than the record leaves no report to pair
         path = SCENARIOS / "clean.cfg"
         out_file = tmp_path / "out"
-        rc = main([*(a.format(path=path) for a in argv),
+        rc = main(["metrics", "--scenario", str(path), "--seeds", "1",
                    "--latency-ms", "1e6", "--out", str(out_file)])
         out, err = capsys.readouterr()
         assert rc == EXIT_INPUT
         assert err == (f"error: {path}: estimate and truth series do not "
                        f"overlap after latency shifting by 1000 s and the "
+                       f"skip window of 0.5 s\n")
+        assert out == ""
+        assert not out_file.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["metrics", "--scenario", "{path}", "--seeds", "1"],
+        ["tune", "--scenario", str(SCENARIOS / "case1.cfg"),
+         "--scenario", "{path}", "--swarm", "2", "--iterations", "1"],
+    ], ids=["metrics", "tune"])
+    def test_no_report_after_the_skip_window_names_the_file(self, tmp_path,
+                                                             capsys, argv):
+        # 720 samples give one report, at sample 500 (0.42 s), before the
+        # skip window ends; tune checks this before its swarm starts, as
+        # its fitness is what metrics reports
+        path = tmp_path / "short.cfg"
+        path.write_text("duration = 0.6\nbase_freq = 50.0\n")
+        config = tmp_path / "sparse.cfg"
+        gio.write_config(config, EstimatorConfig(report_every=500))
+        out_file = tmp_path / "out"
+        rc = main([*(a.format(path=path) for a in argv), "--config",
+                   str(config), "--out", str(out_file)])
+        out, err = capsys.readouterr()
+        assert rc == EXIT_INPUT
+        assert err == (f"error: {path}: estimate and truth series do not "
+                       f"overlap after latency shifting by 0.1 s and the "
                        f"skip window of 0.5 s\n")
         assert out == ""
         assert not out_file.exists()
@@ -764,8 +743,9 @@ class TestNonFiniteInput:
                      "--fs must be finite, got nan", id="argv0-sampling rate"),
         pytest.param(["synth", "{scenario}", "--fs", "inf"],
                      "--fs must be finite, got inf", id="argv1-sampling rate"),
-        pytest.param(["sweep-eta", "{scenario}", "--ratios", "nan"],
-                     "--ratios must be finite, got nan", id="argv2-eta_opt"),
+        pytest.param(["tune", "--scenario", "{scenario}", "--tune-eta", "nan",
+                      "100"],
+                     "--tune-eta must be finite, got nan", id="argv2-eta_opt"),
         pytest.param(["tune", "--scenario", "{scenario}", "--gain-hi", "inf",
                       "--swarm", "2", "--iterations", "1"],
                      "--gain-hi must be finite, got inf",
@@ -774,9 +754,10 @@ class TestNonFiniteInput:
            f"{flag} must be finite")
           for flag in ("--max-fe", "--rmse-fe", "--max-re", "--rmse-re",
                        "--latency-ms", "--skip")),
-        (["sweep-eta", "{scenario}", "--latency-ms", "nan"],
-         "--latency-ms must be finite"),
-        (["sweep-eta", "{scenario}", "--skip", "inf"], "--skip must be finite"),
+        (["metrics", "--est", "missing.csv", "--truth", "missing.csv",
+          "--latency-ms", "nan"], "--latency-ms must be finite"),
+        (["metrics", "--est", "missing.csv", "--truth", "missing.csv",
+          "--skip", "inf"], "--skip must be finite"),
         (["tune", "--scenario", "{scenario}", "--tune-eta", "100", "nan"],
          "--tune-eta must be finite, got nan"),
     ])
@@ -812,8 +793,8 @@ class TestBadFlag:
          "--swarm: swarm size must be >= 2"),
         (["tune", "--scenario", "{scenario}", "--iterations", "0"],
          "--iterations: iteration count must be >= 1"),
-        (["sweep-eta", "{scenario}", "--ratios", "1.0", "0"],
-         "--ratios 0.0: eta_opt must be positive"),
+        (["tune", "--scenario", "{scenario}", "--swarm", "-3"],
+         "--swarm: swarm size must be >= 2"),
         (["metrics", "--scenario", "{scenario}", "--seeds", "1",
           "--est", "missing.csv", "--truth", "missing.csv"],
          "--est/--truth: not used with --scenario"),
@@ -825,15 +806,16 @@ class TestBadFlag:
           "--latency-ms", "-5"], "--latency-ms must be non-negative, got -5.0"),
         (["metrics", "--scenario", "{scenario}", "--skip", "-1"],
          "--skip must be non-negative, got -1.0"),
-        (["sweep-eta", "{scenario}", "--latency-ms", "-5"],
-         "--latency-ms must be non-negative, got -5.0"),
-        (["sweep-eta", "{scenario}", "--skip", "-1"],
-         "--skip must be non-negative, got -1.0"),
+        (["metrics", "--est", "missing.csv", "--truth", "missing.csv",
+          "--latency-ms", "-5"], "--latency-ms must be non-negative, got -5.0"),
+        (["metrics", "--est", "missing.csv", "--truth", "missing.csv",
+          "--skip", "-1"], "--skip must be non-negative, got -1.0"),
         (["metrics", "--est", "missing.csv", "--truth", "missing.csv",
           "--seeds", "0"], "--seeds: only --scenario mode renders seeds"),
         (["synth", "{scenario}", "--seed", "-1"],
          "--seed must be non-negative, got -1"),
-        (["sweep-eta", "{scenario}", "--seed", "-1"],
+        # the flag checks run before the command's own
+        (["tune", "--scenario", "{scenario}", "--swarm", "1", "--seed", "-1"],
          "--seed must be non-negative, got -1"),
         (["tune", "--scenario", "{scenario}", "--seed", "-1"],
          "--seed must be non-negative, got -1"),
@@ -869,6 +851,21 @@ class TestTune:
         tuned = gio.read_config(out_cfg)
         assert all(10.0 <= g <= 100.0 for g in tuned.gamma_c)
         assert hist.read_text().startswith("iteration,best_score")
+
+    def test_fitness_is_the_rmse_fe_metrics_prints(self, tmp_path, capsys):
+        # one scenario, rendered at seed 0 by both commands: the fitness
+        # of the tuned gains is the figure metrics reports for them
+        scenario = str(SCENARIOS / "case1.cfg")
+        out_cfg = tmp_path / "tuned.cfg"
+        assert main(["tune", "--scenario", scenario, "--swarm", "2",
+                     "--iterations", "1", "--out", str(out_cfg)]) == EXIT_OK
+        tuned = re.fullmatch(rf"wrote {re.escape(str(out_cfg))} "
+                             rf"\(fitness (\S+)\)\n", capsys.readouterr().out)
+        assert main(["metrics", "--scenario", scenario, "--config",
+                     str(out_cfg), "--seeds", "1"]) == EXIT_OK
+        reported = re.search(r"^ *RMSE \(FE\) \(Hz\): (\S+)$",
+                             capsys.readouterr().out, re.MULTILINE)
+        assert tuned.group(1) == reported.group(1)
 
     def test_all_diverged_tune_exits_3(self, tmp_path, capsys):
         # every gain in [1e6, 1e7] diverges on case1

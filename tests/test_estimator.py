@@ -817,12 +817,20 @@ class TestNativeLoader:
 
     def test_second_load_reuses_the_cached_object(self, monkeypatch,
                                                   tmp_path):
+        spawn, compiles = subprocess.run, []
+
+        def counted(*args, **kwargs):
+            compiles.append(args)
+            return spawn(*args, **kwargs)
+
+        monkeypatch.setattr(subprocess, "run", counted)
         self._load()
         built = list((tmp_path / "cache" / "gridfreq").iterdir())
         assert len(built) == 1 and built[0].suffix == ".so"
+        assert len(compiles) == 1
         _native._loaded.cache_clear()
-        monkeypatch.setattr(_native, "_CC", str(tmp_path / "no-cc"))
         self._load()
+        assert len(compiles) == 1
         assert list((tmp_path / "cache" / "gridfreq").iterdir()) == built
         name, stream, cfg = next(golden_cases())
         want = golden_load()[name]
@@ -850,16 +858,20 @@ class TestNativeLoader:
                                           "library: "):
             _native.library()
 
-    def test_key_hashes_the_interpreter(self):
+    def test_key_hashes_the_interpreter(self, monkeypatch):
         # the key function only: nothing is compiled
         source = _native._source()
         include, suffix = "/usr/include/python3.11", ".cpython-311-x86_64.so"
         key = _native._key(source, include, suffix)
         assert key == _native._key(source, include, suffix)
-        assert len({key,
-                    _native._key(source, "/usr/include/python3.12", suffix),
-                    _native._key(source, include, ".cpython-312-x86_64.so"),
-                    _native._key(source + b"\n", include, suffix)}) == 4
+        keys = {key,
+                _native._key(source, "/usr/include/python3.12", suffix),
+                _native._key(source, include, ".cpython-312-x86_64.so"),
+                _native._key(source + b"\n", include, suffix)}
+        # a warm cache never loads another compiler's build
+        monkeypatch.setattr(_native, "_CC", "clang")
+        keys.add(_native._key(source, include, suffix))
+        assert len(keys) == 5
 
     def test_warm_cache_load_does_not_import_subprocess(self, tmp_path):
         self._load()

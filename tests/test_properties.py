@@ -937,7 +937,6 @@ def test_cli_exits_0_2_or_3_on_drawn_files(scenario, config, mutated, data,
         base["est"] = d / "e.csv"
     _cli("metrics", "--est", base["est"], "--truth", base["truth"])
     _cli("metrics", "--scenario", s, "--config", c, "--seeds", 2)
-    _cli("sweep-eta", s, "--config", c, "--ratios", 1.0, 1.02)
     _cli("tune", "--scenario", s, "--config", c, "--swarm", 2,
          "--iterations", 1, "--out", d / "t.cfg")
     base[mutated] = d / f"mutated_{mutated}.csv"

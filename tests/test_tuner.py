@@ -5,9 +5,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from gridfreq import (ConfigError, EstimatorConfig, GroundTruth, PsoParams,
-                      ScenarioSpec, SearchSpace, apply_gain_vector,
-                      ise_fitness, pso_minimize, pso_tune, run, synthesize)
+from gridfreq import (ConfigError, EstimatorConfig, PsoParams, ScenarioSpec,
+                      SearchSpace, apply_gain_vector, evaluate, ise_fitness,
+                      pso_minimize, pso_tune, run, synthesize)
+from gridfreq.metrics import DEFAULT_LATENCY_S, DEFAULT_SKIP_S
 from gridfreq.tuner import DIVERGENCE_PENALTY
 
 FS = 1200.0
@@ -79,31 +80,14 @@ def battery():
 
 class TestIseFitness:
     def test_matches_direct_computation(self, battery):
+        # the RMSE FE metrics reports, summed over the battery
         cfg = EstimatorConfig()
         gains = [*cfg.gamma_c, *cfg.gamma_s, cfg.gamma_dc, cfg.gamma_dc1]
-        score = ise_fitness(gains, battery, cfg)
-        stream, truth = battery[0]
-        series = run(stream, cfg)
-        f_true = np.interp(series.t(), truth.times(), truth.freq_hz)
-        expect = float(np.sum((series.f_hz() - f_true) ** 2)
-                       * cfg.ts * cfg.report_every)
-        assert score == pytest.approx(expect, rel=1e-12)
-
-    def test_records_after_the_last_truth_sample_are_dropped(self, battery):
-        cfg = EstimatorConfig()
-        gains = [*cfg.gamma_c, *cfg.gamma_s, cfg.gamma_dc, cfg.gamma_dc1]
-        stream, truth = battery[0]
-        half = len(truth) // 2
-        short = GroundTruth(truth.t0, truth.ts, truth.freq_hz[:half],
-                            truth.rocof_hzps[:half], truth.amp_pu[:half],
-                            truth.phase_rad[:half])
-        series = run(stream, cfg)
-        kept = series.t() <= short.times()[-1]
-        assert 0 < kept.sum() < len(series)
-        f_true = np.interp(series.t()[kept], short.times(), short.freq_hz)
-        expect = float(np.sum((series.f_hz()[kept] - f_true) ** 2)
-                       * cfg.ts * cfg.report_every)
-        assert ise_fitness(gains, [(stream, short)], cfg) == expect
+        expect = 0.0
+        for stream, truth in battery * 2:
+            expect += evaluate(run(stream, cfg), truth, DEFAULT_LATENCY_S,
+                               skip_s=DEFAULT_SKIP_S).rmse_fe
+        assert ise_fitness(gains, battery * 2, cfg) == expect
 
     def test_invalid_gains_are_penalized(self, battery):
         cfg = EstimatorConfig()
