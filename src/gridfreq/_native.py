@@ -16,11 +16,10 @@ running interpreter's headers into ``$XDG_CACHE_HOME/gridfreq`` (default
 file is ``_kernel-<key><EXT_SUFFIX>``: the key hashes the source, the
 compiler, the flags and the interpreter's include directory and extension
 suffix, so interpreters or compilers that share the cache never load each
-other's build.  When it
-cannot be built, :func:`library` raises :class:`OSError` naming the cause:
-missing Python headers, a missing compiler, a compile error, or a cache
-directory that cannot be written or that other users can write.  The
-command line exits 2 with that message.
+other's build.  When it cannot be built, :func:`library` raises
+:class:`OSError` naming the cause: missing Python headers, a missing
+compiler, a compile error, or a cache directory that cannot be written or
+that other users can write.  The command line exits 2 with that message.
 
 :func:`format_rows` formats CSV rows of doubles through it, each as
 ``repr`` writes it, with Schubfach's shortest digits (Giulietti, "The

@@ -96,8 +96,8 @@ def ise_fitness(gains: Sequence[float],
     """Sum over the battery of the RMSE frequency error (Hz) that
     ``metrics`` reports, :func:`gridfreq.metrics.evaluate` at its default
     latency and skip window; lower is better.  A run that diverges or
-    reports nothing, or a gain vector the config rejects, adds a large
-    constant penalty instead.
+    reports nothing adds :data:`DIVERGENCE_PENALTY` instead, and a gain
+    vector the config rejects scores it alone.
     """
     if not scenarios:
         raise ConfigError("scenario battery must not be empty")

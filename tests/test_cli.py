@@ -616,11 +616,15 @@ class TestShortScenario:
         assert out == ""
         assert not out_file.exists()
 
-    def test_no_pairs_after_latency_names_the_file(self, tmp_path, capsys):
+    @pytest.mark.parametrize("argv", [
+        ["metrics", "--scenario", "{path}", "--seeds", "1"],
+    ], ids=["metrics"])
+    def test_no_pairs_after_latency_names_the_file(self, tmp_path, capsys,
+                                                    argv):
         # a latency longer than the record leaves no report to pair
         path = SCENARIOS / "clean.cfg"
         out_file = tmp_path / "out"
-        rc = main(["metrics", "--scenario", str(path), "--seeds", "1",
+        rc = main([*(a.format(path=path) for a in argv),
                    "--latency-ms", "1e6", "--out", str(out_file)])
         out, err = capsys.readouterr()
         assert rc == EXIT_INPUT
