@@ -27,7 +27,7 @@ TWO_PI = 2.0 * math.pi
 # Streams and truth
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SampleStream:
     """Uniformly sampled waveform: sample k is at time t0 + k*ts."""
 
@@ -49,12 +49,13 @@ class SampleStream:
         return self.values.size
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GroundTruth:
     """Per-sample true fundamental parameters paired with a SampleStream.
 
     The arrays are read-only: :func:`synthesize` shares them between the
-    seeds of one scenario.
+    seeds of one scenario.  A truth equals and hashes by identity, so
+    :func:`gridfreq.metrics.align` can keep its pairing per truth.
     """
 
     t0: float
