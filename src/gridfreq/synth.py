@@ -55,7 +55,9 @@ class GroundTruth:
 
     The arrays are read-only: :func:`synthesize` shares them between the
     seeds of one scenario.  A truth equals and hashes by identity, so
-    :func:`gridfreq.metrics.align` can keep its pairing per truth.
+    :func:`gridfreq.metrics.align` can keep its pairing per truth; that
+    pairing assumes the values never change, so an array the truth is
+    built on as a view must not be written through its base.
     """
 
     t0: float

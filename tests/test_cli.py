@@ -871,6 +871,30 @@ class TestTune:
                              capsys.readouterr().out, re.MULTILINE)
         assert tuned.group(1) == reported.group(1)
 
+    def test_fitness_of_a_battery_is_the_sum_of_its_rmse_fe(self, tmp_path,
+                                                            capsys):
+        # two scenarios, so the fitness calls alternate between two truths;
+        # metrics --out writes repr floats, summed in the battery's order
+        scenarios = [str(SCENARIOS / f"{name}.cfg")
+                     for name in ("case1", "case2b")]
+        out_cfg = tmp_path / "tuned.cfg"
+        assert main(["tune", *(a for s in scenarios for a in ("--scenario", s)),
+                     "--swarm", "2", "--iterations", "1", "--seed", "0",
+                     "--out", str(out_cfg)]) == EXIT_OK
+        tuned = re.fullmatch(rf"wrote {re.escape(str(out_cfg))} "
+                             rf"\(fitness (\S+)\)\n", capsys.readouterr().out)
+        total = 0.0
+        for i, scenario in enumerate(scenarios):
+            report = tmp_path / f"report{i}.csv"
+            assert main(["metrics", "--scenario", scenario, "--config",
+                         str(out_cfg), "--seeds", "1",
+                         "--out", str(report)]) == EXIT_OK
+            capsys.readouterr()
+            rows = dict(line.split(",") for line in
+                        report.read_text().splitlines()[1:])
+            total += float(rows["RMSE (FE) (Hz)"])
+        assert tuned.group(1) == f"{total:.6g}"
+
     def test_all_diverged_tune_exits_3(self, tmp_path, capsys):
         # every gain in [1e6, 1e7] diverges on case1
         out_cfg, hist = tmp_path / "tuned.cfg", tmp_path / "hist.csv"

@@ -75,6 +75,34 @@ class TestAlign:
         with pytest.raises(AlignmentError):
             align(est, truth, 0.1, skip_s=100.0)
 
+    @pytest.mark.parametrize("value", [-5.0, -5e-324, -math.inf, math.inf,
+                                       math.nan])
+    @pytest.mark.parametrize("name", ["latency", "skip_s"])
+    def test_negative_or_non_finite_latency_or_skip_is_refused(self, name,
+                                                               value):
+        # once read as no skip, or as series that do not overlap; a kept
+        # pairing of the truth does not let one through
+        truth = _truth(0.0, 0.5, np.full(3, 50.0), np.zeros(3))
+        est = _series([0.5], [50.0], [0.0])
+        align(est, truth, 0.1, skip_s=0.0)
+        args = {"latency": 0.1, "skip_s": 0.0, name: value}
+        for fn in (align, evaluate):
+            with pytest.raises(AlignmentError, match=rf"^{name} must be "
+                               rf"finite and non-negative, got {value:g}$"):
+                fn(est, truth, **args)
+
+    def test_truths_streams_and_pairs_compare_by_identity(self):
+        # two renders of equal specs: equal arrays, distinct objects
+        renders = [synthesize(ScenarioSpec(duration=1.0, base_freq=50.0), FS)
+                   for _ in range(2)]
+        pairs = [align(run(stream, EstimatorConfig()), truth, 0.1)
+                 for stream, truth in renders]
+        for a, b in [*zip(*renders), pairs]:
+            assert a is not b
+            assert a == a and not a == b and a != b
+            assert len({a, b, a}) == 2 and hash(a) == hash(a)
+            assert a not in [b] and a in [b, a]
+
 
 class TestFeRe:
     def test_hand_arithmetic(self):

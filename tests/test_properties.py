@@ -1,7 +1,9 @@
 """Property-based tests (hypothesis) for the algebraic building blocks."""
 
 import contextlib
+import copy
 import io
+import itertools
 import math
 import re
 from fractions import Fraction
@@ -11,12 +13,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from gridfreq import (EstimateSeries, EstimatorConfig, EstimatorState,
-                      EventProfile, RampProfile, SampleStream, ScenarioError,
-                      ScenarioSpec, init, run, step, synthesize)
+from gridfreq import (AlignmentError, EstimateSeries, EstimatorConfig,
+                      EstimatorState, EventProfile, GroundTruth, RampProfile,
+                      SampleStream, ScenarioError, ScenarioSpec, align, init,
+                      run, step, synthesize)
 from gridfreq import _native, cli, estimator
 from gridfreq import io as gio
 from gridfreq.synth import (ConstantProfile, DcSpec, HarmonicSpec, NoiseSpec,
@@ -626,6 +629,70 @@ def test_a_cached_render_leaves_earlier_streams_alone(name, seeds):
     synthesize(spec, 1200.0, seed=b)
     assert bits(*first) == before
     assert bits(*synthesize(spec, 1200.0, seed=a)) == before
+
+
+# two seeds of a record whose frequency and RoCoF change over its whole
+# 2 s (the event lasts 2.09 s), so a pairing at another latency reads
+# other truth values
+_PAIRED = [synthesize(ScenarioSpec(
+    duration=2.0, base_freq=50.0, noise=NoiseSpec(level=0.02),
+    profile=EventProfile(t_start=0.0, peak_dev_hz=0.5,
+                         peak_rocof_hzps=0.75)), 1200.0, seed=s)
+    for s in (0, 1)]
+# (report_every, latency, skip_s) of one align call; past 2 s no record pairs
+align_args = st.tuples(st.integers(1, 600), st.floats(0.0, 2.2),
+                       st.floats(0.0, 2.2))
+
+
+@st.composite
+def align_calls(draw):
+    """Two calls' arguments, each of the second's that of the first or
+    drawn anew, so a kept pairing meets every kind of near miss."""
+    first, other = draw(align_args), draw(align_args)
+    same = draw(st.sampled_from(list(itertools.product((True, False),
+                                                       repeat=3))))
+    return first, tuple(a if keep else b
+                        for a, b, keep in zip(first, other, same))
+
+
+@settings(deadline=None)
+@given(t0=st.floats(-1e9, 2e9), calls=align_calls())
+# the same arguments, then another report grid, latency or skip window,
+# and a pairing that fails
+@example(t0=0.0, calls=((12, 0.1, 0.5), (12, 0.1, 0.5)))
+@example(t0=0.0, calls=((12, 0.1, 0.5), (24, 0.1, 0.5)))
+@example(t0=0.0, calls=((12, 0.1, 0.5), (12, 0.3, 0.5)))
+@example(t0=0.0, calls=((12, 0.1, 0.5), (12, 0.1, 1.0)))
+@example(t0=0.0, calls=((12, 0.1, 0.5), (12, 0.1, 2.1)))
+def test_a_kept_pairing_has_the_bits_of_a_fresh_one(t0, calls):
+    """Align a run of one seed, then of another, on one truth: each pairing
+    has the bits of a pairing on a fresh copy of the truth, whatever it
+    reuses; the truth side is read-only and, for the same arguments, the
+    first call's; and a pairing that fails fails again."""
+    truth0 = _PAIRED[0][1]
+    truth = GroundTruth(t0, truth0.ts, truth0.freq_hz, truth0.rocof_hzps,
+                        truth0.amp_pu, truth0.phase_rad)
+    kept = None
+    for (stream, _), args in zip(_PAIRED, calls):
+        report_every, latency, skip_s = args
+        series = run(SampleStream(t0, stream.ts, stream.values),
+                     replace(EstimatorConfig(), report_every=report_every))
+        try:
+            fresh = align(series, copy.copy(truth), latency, skip_s)
+        except AlignmentError:
+            for _ in range(2):
+                with pytest.raises(AlignmentError):
+                    align(series, truth, latency, skip_s)
+            continue
+        pairs = align(series, truth, latency, skip_s)
+        for name in ("t", "f_est", "rocof_est", "f_true", "rocof_true"):
+            assert (getattr(pairs, name).tobytes()
+                    == getattr(fresh, name).tobytes()), name
+        for arr in (pairs.t, pairs.f_true, pairs.rocof_true):
+            assert not arr.flags.writeable
+        if kept is not None and repr(args) == repr(kept[0]):
+            assert pairs.f_true is kept[1].f_true
+        kept = args, pairs
 
 
 number = (st.floats(width=64).map(repr)
