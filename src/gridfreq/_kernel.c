@@ -25,9 +25,10 @@
  * math.sin and math.cos call the same libm; and py_mod is CPython's
  * float %.
  *
- * A step's context builds the report's EstimateRecord itself (make_record),
- * and the module's polar applies the same amplitude and phase rule
- * (amp_phase) to stored rows.  The rule is libm's hypot and atan2,
+ * A step's context fills the report's EstimateRecord itself, slot by slot
+ * and without running the class's __init__ (make_record), and the module's
+ * polar applies the same amplitude and phase rule (amp_phase) to stored
+ * rows.  The rule is libm's hypot and atan2,
  * so its bits, like the loop's, depend on libm only; its amplitudes are
  * within 1 ulp of CPython's math.hypot, whose algorithm is its own and
  * differs between CPython versions.
@@ -64,6 +65,12 @@
 #include <math.h>
 #include <stdint.h>
 #include <string.h>
+
+#ifndef Py_T_OBJECT_EX                  /* Python.h defines both from 3.12 */
+#include <structmember.h>
+#define Py_T_OBJECT_EX T_OBJECT_EX
+#define Py_READONLY READONLY
+#endif
 
 #define TWO_PI (2.0 * 3.141592653589793)   /* 2.0 * math.pi */
 
@@ -671,53 +678,101 @@ static void amp_phase(double a_s, double a_c, double *amp, double *phase)
     *phase = *amp == 0.0 ? 0.0 : atan2(a_s, a_c);
 }
 
-/* record(t, f, rocof, rocof_raw, amps, phases, a_dc, a_dc1, resid, eta,
- * phase, t_anchor), the fields of gridfreq.estimator.EstimateRecord in
- * order, for one row of 10 + 2n doubles: amps and phases are the lists of
- * amp_phase over the pairs (a_s[i], a_c[i]), the other fields the row's
- * first 10 columns. */
-static PyObject *make_record(PyObject *record, const double *row,
-                             Py_ssize_t n)
+/* The fields of gridfreq.estimator.EstimateRecord a step's record holds:
+ * the row's first 10 columns, in order, then the lists of amp_phase over
+ * the pairs (a_s[i], a_c[i]). */
+static const char *const record_fields[] = {
+    "t", "f_hz", "rocof_hzps", "rocof_raw_hzps", "a_dc", "a_dc1",
+    "residual", "eta", "phase_acc", "t_anchor", "amps", "phases"};
+enum { F_AMPS = 10, F_PHASES, F_COUNT };
+
+/* Read into offsets where each of record_fields lives in an instance of
+ * cls, from the class's member descriptors: each must be a writable object
+ * slot of cls, and no two the same.  Otherwise raise TypeError naming the
+ * field. */
+static int record_offsets(PyTypeObject *cls, Py_ssize_t *offsets)
 {
-    /* the argument each of the first 10 columns is */
-    static const int arg[10] = {0, 1, 2, 3, 6, 7, 8, 9, 10, 11};
-    PyObject *args[12] = {NULL}, *result = NULL;
+    int i, j, ok;
+
+    for (i = 0; i < F_COUNT; i++) {
+        PyObject *d = PyObject_GetAttrString((PyObject *)cls,
+                                             record_fields[i]);
+
+        if (!d) {
+            if (!PyErr_ExceptionMatches(PyExc_AttributeError))
+                return -1;
+            PyErr_Clear();
+        }
+        ok = d && Py_IS_TYPE(d, &PyMemberDescr_Type)
+             && PyType_IsSubtype(cls, PyDescr_TYPE(d));
+        if (ok) {
+            const PyMemberDef *m = ((PyMemberDescrObject *)d)->d_member;
+
+            ok = m->type == Py_T_OBJECT_EX && !(m->flags & Py_READONLY);
+            offsets[i] = m->offset;
+        }
+        Py_XDECREF(d);
+        for (j = 0; ok && j < i; j++)
+            ok = offsets[j] != offsets[i];
+        if (!ok) {
+            PyErr_Format(PyExc_TypeError, "context: field '%s' of the record "
+                         "class %s is not an object slot of its own",
+                         record_fields[i], cls->tp_name);
+            return -1;
+        }
+    }
+    return 0;
+}
+
+/* The record of one row of 10 + 2n doubles: an instance of cls allocated
+ * with tp_alloc, whose __init__ never runs, each of record_fields stored
+ * straight into its slot at offsets.  The collector tracks the record from
+ * its allocation on, and skips the slots not yet filled. */
+static PyObject *make_record(PyTypeObject *cls, const Py_ssize_t *offsets,
+                             const double *row, Py_ssize_t n)
+{
+    PyObject *record = cls->tp_alloc(cls, 0), *amps, *phases;
     Py_ssize_t i;
 
-    if (!(args[4] = PyList_New(n)) || !(args[5] = PyList_New(n)))
-        goto done;
+    if (!record)
+        return NULL;
+#define SLOT(f) (*(PyObject **)((char *)record + offsets[f]))
     for (i = 0; i < 10; i++)
-        if (!(args[arg[i]] = PyFloat_FromDouble(row[i])))
-            goto done;
+        if (!(SLOT(i) = PyFloat_FromDouble(row[i])))
+            goto fail;
+    if (!(SLOT(F_AMPS) = amps = PyList_New(n))
+        || !(SLOT(F_PHASES) = phases = PyList_New(n)))
+        goto fail;
+#undef SLOT
     for (i = 0; i < n; i++) {
         double amp, phase;
         PyObject *item;
 
         amp_phase(row[10 + n + i], row[10 + i], &amp, &phase);
         if (!(item = PyFloat_FromDouble(amp)))
-            goto done;
-        PyList_SET_ITEM(args[4], i, item);
+            goto fail;
+        PyList_SET_ITEM(amps, i, item);
         if (!(item = PyFloat_FromDouble(phase)))
-            goto done;
-        PyList_SET_ITEM(args[5], i, item);
+            goto fail;
+        PyList_SET_ITEM(phases, i, item);
     }
-    result = PyObject_Vectorcall(record, args, 12, NULL);
-done:
-    for (i = 0; i < 12; i++)
-        Py_XDECREF(args[i]);
-    return result;
+    return record;
+fail:
+    Py_DECREF(record);
+    return NULL;
 }
 
 /* One state bound to one config: the struct of gridfreq_advance, the
  * views of its buffers, which keep them alive and unresized until the
- * context is freed, and a step's record class.  A context is only ever
- * seen by Python as the self of its advance function (see
- * kernel_context). */
+ * context is freed, and a step's record class with the offsets of its
+ * slots.  A context is only ever seen by Python as the self of its advance
+ * function (see kernel_context). */
 typedef struct {
     PyObject_HEAD
     struct gridfreq_ctx ctx;
     Py_buffer views[4];                 /* state, consts, rows, samples */
-    PyObject *record;                   /* NULL for a run */
+    PyTypeObject *record;               /* NULL for a run */
+    Py_ssize_t offsets[F_COUNT];        /* of record_fields in a record */
 } Context;
 
 static void context_dealloc(PyObject *self)
@@ -779,7 +834,8 @@ static PyObject *context_advance(PyObject *self, PyObject *sample)
     }
     rows = gridfreq_advance(ctx, x);
     if (rows > 0)
-        return make_record(((Context *)self)->record, ctx->rows, ctx->n);
+        return make_record(((Context *)self)->record,
+                           ((Context *)self)->offsets, ctx->rows, ctx->n);
     return Py_NewRef(rows < 0 ? Py_False : Py_None);
 }
 
@@ -811,16 +867,19 @@ static PyObject *kernel_context(PyObject *module, PyObject *args)
                         "context: report_every must be >= 1");
         return NULL;
     }
-    if (objs[3] == Py_None ? !PyCallable_Check(record) : record != Py_None) {
-        PyErr_SetString(PyExc_TypeError, "context: a step takes a callable "
-                        "record, a run None");
+    if (objs[3] == Py_None ? !PyType_Check(record) : record != Py_None) {
+        PyErr_SetString(PyExc_TypeError, "context: a step takes a record "
+                        "class, a run None");
         return NULL;
     }
     self = (Context *)ContextType.tp_alloc(&ContextType, 0);
     if (!self)
         return NULL;
-    if (record != Py_None)
-        self->record = Py_NewRef(record);
+    if (record != Py_None) {
+        self->record = (PyTypeObject *)Py_NewRef(record);
+        if (record_offsets(self->record, self->offsets) < 0)
+            goto done;
+    }
     for (i = 0; i < 4; i++) {
         if (i == 3 && objs[i] == Py_None)
             break;
@@ -962,7 +1021,8 @@ static PyMethodDef kernel_methods[] = {
                "constants, writing its rows to rows: over the samples on "
                "each call (a run, record None), or over the sample it is "
                "called with where samples is None (a step, which returns "
-               "its report as record(...)).  n and the ring's size are read "
+               "its report as an instance of the class record, filled slot "
+               "by slot).  n and the ring's size are read "
                "from the consts and state.  The state and rows must be "
                "writable; every buffer must hold float64 in C order.")},
     {"format_rows", kernel_format_rows, METH_VARARGS,

@@ -41,7 +41,8 @@ A report is one row of 10 + 2n floats::
 the one layout the C loop and the estimate CSV hold.
 :func:`run` keeps the rows of a whole stream as an :class:`EstimateSeries`,
 so a series read back from a file equals the series written; :func:`step`
-returns its row as an :class:`EstimateRecord`, which the C library builds.
+returns its row as an :class:`EstimateRecord`, which the C library fills
+slot by slot without running the class's ``__init__``.
 Amplitude and phase are derived only when read, by one rule (libm's
 ``hypot`` and ``atan2``, and ``(0.0, 0.0)`` for a zero pair of either
 sign), whose one home is the C library: ``step`` and the series'
@@ -59,7 +60,8 @@ per-config constants, is cached per (state, config) pair on the state;
 :class:`EstimatorConfig` is frozen so that cache cannot go stale.  A step
 is one C-API call of one argument, the sample, on a C callable that holds
 views of the state, constant and row buffers, which give its sizes, and
-the record class, and that returns the report's record, or None.  The C loop is one function
+the offsets of the record class's slots, read once when the state is
+bound, and that returns the report's record, or None.  The C loop is one function
 of the package's C library, which also holds the CSV float formatter and
 row parser of :mod:`gridfreq.io`: :mod:`gridfreq._native` builds it with
 ``cc -O2 -ffp-contract=off`` as the extension module ``gridfreq._kernel``
@@ -350,8 +352,19 @@ class EstimatorState:
         return f"EstimatorState({fields})"
 
 
-@dataclass
+@dataclass(slots=True)
 class EstimateRecord:
+    """One report of :func:`step`, or of :attr:`EstimateSeries.records`.
+
+    The C library fills a step's record slot by slot: it allocates the
+    instance and stores each field straight into its slot, and never runs
+    ``__init__``.  So the class must stay a plain slotted dataclass, every
+    field an object slot, with no ``__post_init__``, whose work a step's
+    record would skip; binding a state to a class whose fields are not all
+    object slots raises :class:`TypeError`.  A record has no ``__dict__``
+    and takes no weak references.
+    """
+
     t: float
     f_hz: float
     rocof_hzps: float                  # boxcar-smoothed
@@ -477,11 +490,12 @@ def init(config: EstimatorConfig, t0: float = 0.0) -> EstimatorState:
 
 def _native_advance(state: EstimatorState, config: EstimatorConfig,
                     rows: array | np.ndarray, values: np.ndarray | None,
-                    record: Callable[..., EstimateRecord] | None
+                    record: type[EstimateRecord] | None
                     ) -> Callable[[float], object]:
     """The C loop bound to the state under the config, writing rows into
-    ``rows``, and for a step building its reports with ``record``: the C
-    library's ``context`` (see ``kernel_context`` in ``_kernel.c``).
+    ``rows``, and for a step filling its reports as instances of
+    ``record``: the C library's ``context`` (see ``kernel_context`` in
+    ``_kernel.c``).
 
     The per-config constants keep the operand order of the laws, e.g.
     ``(ts*gamma)*z*basis``, so the cached products are bit-identical.
@@ -498,7 +512,9 @@ def _native_advance(state: EstimatorState, config: EstimatorConfig,
 
 def _bind(state: EstimatorState, config: EstimatorConfig) -> None:
     """Bind the state to the config for :func:`step`, loading the C library
-    here, not in a step.  The record class is the one bound now."""
+    here, not in a step.  The offsets of the record class's slots are read
+    now: a class whose fields are not all object slots raises
+    :class:`TypeError` before the state is bound to ``config``."""
     if state._n != config.n:
         raise ConfigError(f"state has {state._n} harmonics, "
                           f"config has n = {config.n}")

@@ -183,6 +183,12 @@ def write_truth(path: str | Path, truth: GroundTruth) -> None:
 
 def read_truth(path: str | Path) -> GroundTruth:
     _, arr = _read_rows(path, TRUTH_HEADER)
+    # nothing else holds the rows or the parse buffer they view: read-only,
+    # the truth keeps its columns without a copy
+    base = arr
+    while isinstance(base, np.ndarray):
+        base.flags.writeable = False
+        base = base.base
     t0, ts = _uniform_grid(path, arr[:, 0], "truth rows")
     return GroundTruth(t0=t0, ts=ts, freq_hz=arr[:, 1],
                        rocof_hzps=arr[:, 2], amp_pu=arr[:, 3],

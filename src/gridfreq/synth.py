@@ -56,8 +56,9 @@ class GroundTruth:
     The arrays are read-only: :func:`synthesize` shares them between the
     seeds of one scenario.  A truth equals and hashes by identity, so
     :func:`gridfreq.metrics.align` can keep its pairing per truth; that
-    pairing assumes the values never change, so an array the truth is
-    built on as a view must not be written through its base.
+    pairing assumes the values never change, so the truth keeps a private
+    copy of an array that is writable or that views a writable base, and
+    keeps, without a copy, one whose whole ``.base`` chain is read-only.
     """
 
     t0: float
@@ -70,6 +71,8 @@ class GroundTruth:
     def __post_init__(self) -> None:
         for name in ("freq_hz", "rocof_hzps", "amp_pu", "phase_rad"):
             arr = np.asarray(getattr(self, name), dtype=float)
+            if _writable(arr):
+                arr = arr.copy()
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
         n = self.freq_hz.size
@@ -81,6 +84,23 @@ class GroundTruth:
 
     def __len__(self) -> int:
         return self.freq_hz.size
+
+
+def _writable(arr: np.ndarray) -> bool:
+    """Whether ``arr`` or anything along its ``.base`` chain can be written:
+    a writable array, or a base that is not an array and does not export
+    a read-only buffer."""
+    base = arr
+    while isinstance(base, np.ndarray):
+        if base.flags.writeable:
+            return True
+        base = base.base
+    if base is None:
+        return False
+    try:
+        return not memoryview(base).readonly
+    except TypeError:
+        return True
 
 
 # --------------------------------------------------------------------------
@@ -399,7 +419,8 @@ def _render(spec: ScenarioSpec, fs: float) -> tuple[np.ndarray, GroundTruth]:
         values = k * np.tanh(values / k)
     _require_finite("sample", values, fs)
 
-    values.flags.writeable = False
+    for arr in (values, f1, rocof, amp, phase):
+        arr.flags.writeable = False       # the truth keeps them uncopied
     truth = GroundTruth(t0=0.0, ts=1.0 / fs, freq_hz=f1, rocof_hzps=rocof,
                         amp_pu=amp, phase_rad=phase)
     render = (values, truth)

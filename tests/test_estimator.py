@@ -1,5 +1,7 @@
 """Unit tests for the per-sample adaptive estimator."""
 
+import contextlib
+import copy
 import gc
 import itertools
 import math
@@ -10,8 +12,10 @@ import sys
 import sysconfig
 import tracemalloc
 import warnings
+import weakref
 from array import array
-from dataclasses import FrozenInstanceError, fields, replace
+from dataclasses import (FrozenInstanceError, asdict, astuple, fields,
+                         make_dataclass, replace)
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
@@ -26,7 +30,7 @@ from gridfreq import (ConfigError, DivergenceError, EstimateSeries,
 from gridfreq import _native, estimator
 from gridfreq.estimator import ROW_COLUMNS
 from gridfreq.tuner import DIVERGENCE_PENALTY
-from cases import case1
+from cases import case1, case2
 from golden import cases as golden_cases
 from golden import compute as golden_compute
 from golden import digest as golden_digest
@@ -45,6 +49,19 @@ ORDERS = (1, 2, 7, 11)
 def _clean_stream(duration: float = 2.0) -> SampleStream:
     stream, _ = synthesize(ScenarioSpec(duration=duration, base_freq=50.0), FS)
     return stream
+
+
+@contextlib.contextmanager
+def _collecting_every(threshold: int | None):
+    """The collector's youngest generation collected after ``threshold``
+    allocations of tracked objects, or at its own threshold where None."""
+    before = gc.get_threshold()
+    if threshold is not None:
+        gc.set_threshold(threshold)
+    try:
+        yield
+    finally:
+        gc.set_threshold(*before)
 
 
 class TestConfig:
@@ -515,53 +532,96 @@ class TestKernelCache:
         assert step(state, 0.5, cfg) is None and state.k == 1
 
     def test_step_records_leak_nothing(self):
-        # 120 001 samples of case1, 10 000 reports, each record dropped
-        stream, _ = synthesize(replace(case1(), duration=100.0), FS, seed=0)
-        values = stream.values.tolist()
+        # 120 001 samples of case1, 10 000 reports, each record dropped;
+        # then case2 with a collection at every allocation of a tracked
+        # object, so collections run while records are half built
+        long, _ = synthesize(replace(case1(), duration=100.0), FS, seed=0)
+        short, _ = synthesize(case2(), FS, seed=0)
         cfg = EstimatorConfig()
         warm = init(cfg)                   # fills the allocators' free lists
-        for x in values[:1200]:
+        for x in long.values[:1200].tolist():
             step(warm, x, cfg)
-        state = init(cfg)
-        refs = sys.getrefcount(estimator.EstimateRecord)
-        tracemalloc.start()
-        try:
-            reports = 0
-            for x in values:
-                reports += step(state, x, cfg) is not None
-            grown = tracemalloc.get_traced_memory()[0]
-        finally:
-            tracemalloc.stop()
-        leaked = sys.getrefcount(estimator.EstimateRecord) - refs
-        assert (len(values), reports) == (120_001, 10_000)
-        assert not state.diverged
-        # one leaked float per report would hold 240 KB, one record 2 MB
-        assert grown < 16 * 1024
-        assert leaked == 0
+        for stream, threshold, expect in [(long, None, (120_001, 10_000)),
+                                          (short, 1, (12_001, 1_000))]:
+            values = stream.values.tolist()
+            state = init(cfg)
+            refs = sys.getrefcount(estimator.EstimateRecord)
+            with _collecting_every(threshold):
+                tracemalloc.start()
+                try:
+                    reports = 0
+                    for x in values:
+                        reports += step(state, x, cfg) is not None
+                    grown = tracemalloc.get_traced_memory()[0]
+                finally:
+                    tracemalloc.stop()
+            leaked = sys.getrefcount(estimator.EstimateRecord) - refs
+            assert (len(values), reports) == expect
+            assert not state.diverged
+            # one leaked float per report would hold 240 KB, one record 2 MB
+            assert grown < 16 * 1024
+            assert leaked == 0
 
-    def test_record_constructor_error_propagates(self, monkeypatch):
-        class Refused(Exception):
-            pass
-
-        def refuse(*args):
-            raise Refused("no record")
-
+    def test_step_records_equal_run_through_collections(self):
+        # a collection at every allocation of a tracked object, the record
+        # among them: the collector sees records half built
+        stream, _ = synthesize(case2(), FS, seed=0)
         cfg = EstimatorConfig()
-        stream = _clean_stream(0.5)
-        values = stream.values.tolist()
-        monkeypatch.setattr(estimator, "EstimateRecord", refuse)
-        state = init(cfg)                  # binds the record class
-        monkeypatch.undo()
-        every = cfg.report_every
-        assert all(step(state, x, cfg) is None for x in values[:every - 1])
-        with pytest.raises(Refused, match="^no record$"):
-            step(state, values[every - 1], cfg)
-        # the sample advanced the state all the same
-        assert state.k == every and not state.diverged
-        state = init(cfg, stream.t0)
-        records = [rec for x in values
-                   if (rec := step(state, x, cfg)) is not None]
+        with _collecting_every(1):
+            state = init(cfg, stream.t0)
+            records = [rec for x in stream.values.tolist()
+                       if (rec := step(state, x, cfg)) is not None]
+        assert len(records) == 1_000
         assert records == run(stream, cfg).records
+
+    def test_step_record_is_a_slotted_dataclass(self):
+        stream, _ = synthesize(case2(), FS, seed=0)
+        cfg = EstimatorConfig()
+        state = init(cfg, stream.t0)
+        records = [rec for x in stream.values.tolist()
+                   if (rec := step(state, x, cfg)) is not None]
+        expect = run(stream, cfg).records
+        assert records == expect and repr(records) == repr(expect)
+        rec, ref = records[-1], expect[-1]
+        assert type(rec) is type(ref) is estimator.EstimateRecord
+        assert [f.name for f in fields(rec)] == [
+            "t", "f_hz", "rocof_hzps", "rocof_raw_hzps", "amps", "phases",
+            "a_dc", "a_dc1", "residual", "eta", "phase_acc", "t_anchor"]
+        assert astuple(rec) == astuple(ref) and asdict(rec) == asdict(ref)
+        for twin in (pickle.loads(pickle.dumps(rec)), copy.copy(rec),
+                     replace(rec)):
+            assert type(twin) is type(rec)
+            assert twin == rec and repr(twin) == repr(rec)
+        assert replace(rec, f_hz=0.0) != rec
+        assert not hasattr(rec, "__dict__") and gc.is_tracked(rec)
+        with pytest.raises(TypeError):
+            weakref.ref(rec)
+
+    @pytest.mark.parametrize("field", ["t", "t_anchor", "amps", "phases"])
+    def test_record_class_without_object_slots_is_refused(self, monkeypatch,
+                                                          field):
+        names = [f.name for f in fields(estimator.EstimateRecord)]
+        if field == "t":                   # a dataclass without slots
+            record = make_dataclass("Record", names)
+        else:
+            record = type("Record", (), {"__slots__": tuple(
+                name for name in names if name != field)})
+            if field == "amps":            # another class's slot
+                record.amps = type("Other", (), {"__slots__": ("amps",)}).amps
+            elif field == "phases":        # the slot of another field
+                record.phases = record.a_dc
+        cfg = EstimatorConfig()
+        state = EstimatorState([0.0] * cfg.n, [0.0] * cfg.n, cfg.f0)
+        monkeypatch.setattr(estimator, "EstimateRecord", record)
+        with pytest.raises(TypeError, match=f"^context: field '{field}' of "
+                           f"the record class Record is not an object slot "
+                           f"of its own$"):
+            step(state, 0.5, cfg)
+        # the state is left unbound and unadvanced
+        assert state._config is None and state._advance is None
+        assert state.k == 0
+        monkeypatch.undo()
+        assert step(state, 0.5, cfg) is None and state.k == 1
 
     def test_config_of_another_order_rejected(self):
         state = init(EstimatorConfig())

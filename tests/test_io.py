@@ -136,6 +136,8 @@ class TestTruthAndPhasorRoundTrip:
         np.testing.assert_array_equal(back.rocof_hzps, truth.rocof_hzps)
         np.testing.assert_array_equal(back.amp_pu, truth.amp_pu)
         np.testing.assert_array_equal(back.phase_rad, truth.phase_rad)
+        # read-only columns of one parsed matrix, kept without a copy
+        assert back.freq_hz.base is back.phase_rad.base is not None
 
     def test_truth_rejects_nonuniform(self, tmp_path):
         # re-gridding 0, 0.001, 0.005 to 0, 0.001, 0.002 would pair

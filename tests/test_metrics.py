@@ -1,5 +1,6 @@
 """Unit tests for latency-aligned metrics: align, evaluate and aggregate."""
 
+import copy
 import math
 
 import numpy as np
@@ -102,6 +103,38 @@ class TestAlign:
             assert a == a and not a == b and a != b
             assert len({a, b, a}) == 2 and hash(a) == hash(a)
             assert a not in [b] and a in [b, a]
+
+    def test_a_truth_over_writable_arrays_keeps_its_values(self):
+        # the truth's arrays view rows of a writable base, which the caller
+        # then writes: the kept pairing and a fresh one agree
+        base = np.empty((4, 1201))
+        base[0], base[1], base[2], base[3] = 50.0, 0.0, 1.0, 0.0
+        truth = GroundTruth(0.0, 1 / 1200, base[0], base[1], base[2], base[3])
+        t = np.arange(12, 1201, 12) / 1200
+        est = _series(t, np.full(t.size, 50.0), np.zeros(t.size))
+        first = align(est, truth, 0.1).f_true
+        base[0] += 1.0
+        kept = align(est, truth, 0.1).f_true
+        fresh = align(est, copy.copy(truth), 0.1).f_true
+        assert (first == 50.0).all() and (kept == 50.0).all()
+        assert kept.tobytes() == fresh.tobytes()
+        # the caller's arrays stay theirs, writable
+        assert base.flags.writeable and not np.shares_memory(
+            truth.freq_hz, base)
+
+    @pytest.mark.parametrize("make", [
+        lambda a: a,                        # read-only, owning its data
+        lambda a: a[::2],                   # a read-only view of one
+        lambda a: np.frombuffer(a.tobytes())],     # of bytes
+        ids=["array", "view", "bytes"])
+    def test_a_truth_over_read_only_arrays_keeps_them(self, make):
+        a = np.full(11, 50.0)
+        a.flags.writeable = False
+        arrays = [make(a) for _ in range(4)]
+        truth = GroundTruth(0.0, 1 / 1200, *arrays)
+        for name, arr in zip(("freq_hz", "rocof_hzps", "amp_pu",
+                              "phase_rad"), arrays):
+            assert getattr(truth, name) is arr
 
 
 class TestFeRe:

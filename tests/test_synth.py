@@ -242,6 +242,8 @@ class TestRenderCache:
         for name in TRUTH_ARRAYS:
             assert not getattr(a, name).flags.writeable
             assert getattr(a, name) is getattr(b, name)
+            # the render's own arrays, kept without a copy
+            assert getattr(a, name).flags.owndata
         with pytest.raises(ValueError, match="read-only"):
             a.freq_hz[0] = 0.0
 
