@@ -28,10 +28,10 @@
  * A step's context fills the report's EstimateRecord itself, slot by slot
  * and without running the class's __init__ (make_record), and the module's
  * polar applies the same amplitude and phase rule (amp_phase) to stored
- * rows.  The rule is libm's hypot and atan2,
- * so its bits, like the loop's, depend on libm only; its amplitudes are
- * within 1 ulp of CPython's math.hypot, whose algorithm is its own and
- * differs between CPython versions.
+ * rows.  The rule is libm's hypot and atan2, so its bits, like the loop's,
+ * depend on libm only; its amplitudes are within 1 ulp of CPython's
+ * math.hypot, whose algorithm is its own and differs between CPython
+ * versions.
  *
  * gridfreq_format_rows writes rows of doubles as CSV text, each as
  * CPython's repr writes it: Schubfach's shortest round-trip digits

@@ -42,7 +42,8 @@ the one layout the C loop and the estimate CSV hold.
 :func:`run` keeps the rows of a whole stream as an :class:`EstimateSeries`,
 so a series read back from a file equals the series written; :func:`step`
 returns its row as an :class:`EstimateRecord`, which the C library fills
-slot by slot without running the class's ``__init__``.
+slot by slot without running the class's ``__init__``; so that class must
+stay a plain slotted dataclass with no ``__post_init__``.
 Amplitude and phase are derived only when read, by one rule (libm's
 ``hypot`` and ``atan2``, and ``(0.0, 0.0)`` for a zero pair of either
 sign), whose one home is the C library: ``step`` and the series'
@@ -61,12 +62,13 @@ per-config constants, is cached per (state, config) pair on the state;
 is one C-API call of one argument, the sample, on a C callable that holds
 views of the state, constant and row buffers, which give its sizes, and
 the offsets of the record class's slots, read once when the state is
-bound, and that returns the report's record, or None.  The C loop is one function
-of the package's C library, which also holds the CSV float formatter and
-row parser of :mod:`gridfreq.io`: :mod:`gridfreq._native` builds it with
-``cc -O2 -ffp-contract=off`` as the extension module ``gridfreq._kernel``
-into ``$XDG_CACHE_HOME/gridfreq`` (default ``~/.cache/gridfreq``) on first
-use, never at import, and raises :class:`OSError` where it cannot.
+bound, and that returns the report's record, or None.  The C loop is one
+function of the package's C library, which also holds the CSV float
+formatter and row parser of :mod:`gridfreq.io`: :mod:`gridfreq._native`
+builds it with ``cc -O2 -ffp-contract=off`` as the extension module
+``gridfreq._kernel`` into ``$XDG_CACHE_HOME/gridfreq`` (default
+``~/.cache/gridfreq``) on first use, never at import, and raises
+:class:`OSError` where it cannot.
 
 Every expression keeps the operand order of the laws, and the tests hold
 it to that: ``tests/data/golden_run.json`` holds digests of the records of

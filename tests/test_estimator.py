@@ -562,25 +562,17 @@ class TestKernelCache:
             assert grown < 16 * 1024
             assert leaked == 0
 
-    def test_step_records_equal_run_through_collections(self):
-        # a collection at every allocation of a tracked object, the record
-        # among them: the collector sees records half built
+    def test_step_record_is_a_slotted_dataclass(self):
+        # folded with a collection at every allocation of a tracked object,
+        # the record among them, so the collector sees records half built
         stream, _ = synthesize(case2(), FS, seed=0)
         cfg = EstimatorConfig()
         with _collecting_every(1):
             state = init(cfg, stream.t0)
             records = [rec for x in stream.values.tolist()
                        if (rec := step(state, x, cfg)) is not None]
-        assert len(records) == 1_000
-        assert records == run(stream, cfg).records
-
-    def test_step_record_is_a_slotted_dataclass(self):
-        stream, _ = synthesize(case2(), FS, seed=0)
-        cfg = EstimatorConfig()
-        state = init(cfg, stream.t0)
-        records = [rec for x in stream.values.tolist()
-                   if (rec := step(state, x, cfg)) is not None]
         expect = run(stream, cfg).records
+        assert len(records) == 1_000
         assert records == expect and repr(records) == repr(expect)
         rec, ref = records[-1], expect[-1]
         assert type(rec) is type(ref) is estimator.EstimateRecord
@@ -1023,6 +1015,16 @@ class TestNativeBuffers:
             with pytest.raises(ValueError, match="context: the constants"):
                 _native.library().context(state, consts, rows, samples,
                                           report_every, record)
+
+    def test_context_takes_a_record_class_for_a_step_only(self, args):
+        record = args[5]
+        for args[5] in (lambda *fields: record(*fields), None):
+            with pytest.raises(TypeError, match="^context: a step takes a "
+                               "record class, a run None$"):
+                _native.library().context(*args)
+        args[3], args[5] = np.zeros(12), record    # a run
+        with pytest.raises(TypeError, match="a step takes a record class"):
+            _native.library().context(*args)
 
     @pytest.mark.parametrize("i", [0, 2], ids=["state", "rows"])
     def test_context_rejects_a_strided_buffer(self, args, i):
