@@ -10,7 +10,7 @@
  * and loads it with importlib.  Python calls the three functions through
  * the module's context, format_rows and parse_rows, and reads amplitude
  * and phase through its polar (see the end of the file); all take their
- * arrays through the buffer protocol.
+ * arrays through the buffer protocol, and parse_rows its text as bytes.
  *
  * gridfreq_advance runs the laws of the gridfreq.estimator module
  * docstring on a state buffer that persists between calls, over any number
@@ -46,14 +46,16 @@
  * (gcc and clang on 64-bit targets); where the compiler lacks it the
  * build fails, and gridfreq._native.library raises.
  *
- * gridfreq_parse_rows reads rows of decimal floats that fit a strict
- * grammar into doubles, each the nearest to its decimal, as CPython's
- * float() and numpy's loadtxt read it.  At the first byte it does not
- * accept it returns -1, and gridfreq.io hands the whole file to numpy,
- * whose grammar is the rule; deferring is always correct, so the grammar
- * is kept narrow: no quotes, blanks, inf, nan or empty lines.  Every
- * nonzero field goes through one path, Eisel-Lemire, which is exact for
- * every significand below 2^64 in the table's range.
+ * gridfreq_parse_rows is the package's only CSV row parser.  Its grammar
+ * (parse_value, parse_field) is the one README "File formats" states:
+ * decimal fields with blanks and one pair of quotes around them, empty
+ * lines and CRLF, LF or CR line ends.  It reads each value to the double
+ * nearest to its decimal, as CPython's float() and numpy's text reader
+ * read it: a significand of up to 19 digits through Eisel-Lemire, which
+ * is exact for every significand below 2^64 in the table's range, and a
+ * longer one through PyOS_string_to_double, the call numpy makes.  At
+ * the first line at fault it stops and reports the line, the field and
+ * the cause, which gridfreq.io turns into the message.
  *
  * The formatter and the parser multiply by one table of 128-bit powers of
  * five, fast_float's, which gridfreq._native builds (see POW10_MIN_Q).
@@ -540,44 +542,150 @@ static uint64_t eisel_lemire(uint64_t w, int64_t q, const uint64_t *pow10)
     return (mantissa & ~(1ull << 52)) | ((uint64_t)power2 << 52);
 }
 
-/* Parse one field, [+-]?digits[.digits][(e|E)[+-]digits], at p into *out:
- * zero where its significand w is 0, else the bits eisel_lemire gives,
- * small exact values included.  Returns its end, or NULL where the field
- * leaves that grammar, has more than 19 significant digits, or its value
- * is not a finite double whose exponent lies in the table: the caller
- * defers those to numpy. */
-static const char *parse_field(const char *p, const char *end,
-                               const uint64_t *pow10, double *out)
+/* The causes of a fault in CSV rows that gridfreq_parse_rows reports */
+enum { CSV_MALFORMED = 1, CSV_FIELDS, CSV_NOT_FINITE, CSV_QUOTE };
+
+/* Whether c ends a field: a comma or a line end */
+#define ENDS_FIELD(c) ((c) == ',' || (c) == '\n' || (c) == '\r')
+
+/* The parser's loop over the fields gridfreq writes inlines the common
+ * path and calls the rare ones: with every form handled in line, it read a
+ * 120,000-row samples file about 12 % slower on an x86-64 Xeon */
+#define INLINE inline __attribute__((always_inline))
+#define RARE __attribute__((noinline, cold))
+
+static const char *skip_blanks(const char *p, const char *end)
+{
+    while (p < end && (*p == ' ' || *p == '\t'))
+        p++;
+    return p;
+}
+
+/* Whether the text at p spells the lowercase word w, in any case */
+static int spells(const char *p, const char *end, const char *w)
+{
+    for (; *w; p++, w++)
+        if (p == end || (*p | 0x20) != *w)
+            return 0;
+    return 1;
+}
+
+/* Parse inf, infinity or nan, in any case, at p into *out, negative where
+ * neg is set; returns its end, or NULL where p spells none of them. */
+static RARE const char *parse_word(const char *p, const char *end, int neg,
+                                   double *out, int *cause)
+{
+    uint64_t bits;
+
+    if (spells(p, end, "nan"))
+        bits = 0x7ff8ull << 48, p += 3;
+    else if (spells(p, end, "infinity"))
+        bits = 0x7ffull << 52, p += 8;
+    else if (spells(p, end, "inf"))
+        bits = 0x7ffull << 52, p += 3;
+    else
+        return NULL;
+    *cause = CSV_NOT_FINITE;
+    bits |= (uint64_t)neg << 63;
+    memcpy(out, &bits, 8);
+    return p;
+}
+
+/* Parse the decimal text[first..p) of more than 19 significant digits into
+ * *out as PyOS_string_to_double reads it, the call numpy's text reader
+ * makes; the text must end in a NUL byte.  Its grammar is parse_value's,
+ * so its parse ends at p; where it does not, a MemoryError is set and the
+ * result is NULL. */
+static RARE const char *parse_long(const char *first, const char *p,
+                                   double *out, int *cause)
+{
+    char *stop;
+
+    *out = PyOS_string_to_double(first, &stop, NULL);
+    if (stop != p)
+        return NULL;
+    if (!isfinite(*out))
+        *cause = CSV_NOT_FINITE;
+    return p;
+}
+
+/* Append the decimal digits at p to w, modulo 2^64; returns their end.
+ * Eight digits that lie in one little-endian word are taken at once, the
+ * inverse of digits8: each byte less '0', then pairs, quads and the two
+ * halves combined by multiply-adds (Lemire, SPE 2021). */
+static INLINE const char *take_digits(const char *p, const char *end,
+                                      uint64_t *w)
+{
+    uint64_t v;
+
+    while (end - p >= 8) {
+        memcpy(&v, p, 8);
+        /* a byte below '0' borrows a high bit, one above '9' carries one */
+        if (((v + 0x4646464646464646ull) | (v - 0x3030303030303030ull))
+            & 0x8080808080808080ull)
+            break;
+        v -= 0x3030303030303030ull;
+        v = v * 10 + (v >> 8);
+        v = ((v & 0x000000ff000000ffull) * 0x000f424000000064ull
+             + (v >> 16 & 0x000000ff000000ffull) * 0x0000271000000001ull)
+            >> 32;
+        *w = *w * 100000000 + v;
+        p += 8;
+    }
+    while (p < end && (unsigned char)(*p - '0') < 10)
+        *w = 10 * *w + (uint64_t)(*p++ - '0');
+    return p;
+}
+
+/* Parse one value at p into *out:
+ *
+ *     [+-]? (digits [. digits?] | . digits) [(e|E) [+-]? digits]
+ *     [+-]? (inf | infinity | nan), in any case
+ *
+ * the grammar of CPython's float() less its blanks and underscores.  A
+ * decimal reads as zero where its significand w is 0, as the bits
+ * eisel_lemire gives where w has at most 19 significant digits, and
+ * through parse_long where it has more; a value below the table is a
+ * signed zero.  Returns the value's end, or NULL where p starts none.  An
+ * infinity, a NaN or a decimal that overflows is stored as such and sets
+ * *cause to CSV_NOT_FINITE.  Where full is 0, the function is the fast
+ * path of the values gridfreq writes: it returns NULL on a value without
+ * digits before or after its point, on inf and nan, and where parse_long
+ * or CSV_NOT_FINITE would be needed, and the caller parses again with
+ * full set. */
+static INLINE const char *parse_value(const char *p, const char *end,
+                                      const uint64_t *pow10, double *out,
+                                      int *cause, int full)
 {
     uint64_t w = 0, bits;
     int64_t q = 0, e = 0, digits;
     int neg = 0, eneg = 0;
-    const char *start, *s;
+    const char *first = p, *start, *s;
 
     if (p < end && (*p == '-' || *p == '+'))
         neg = *p++ == '-';
     start = p;
-    while (p < end && (unsigned char)(*p - '0') < 10)
-        w = 10 * w + (uint64_t)(*p++ - '0');
-    if (p == start)
+    p = take_digits(p, end, &w);
+    if (p == start && !full)
         return NULL;
     digits = p - start;
     if (p < end && *p == '.') {
         const char *frac = ++p;
-        while (p < end && (unsigned char)(*p - '0') < 10)
-            w = 10 * w + (uint64_t)(*p++ - '0');
-        if (p == frac)
+        p = take_digits(p, end, &w);
+        if (p == frac && !full)
             return NULL;
         q = -(int64_t)(p - frac);
         digits += p - frac;
     }
+    if (digits == 0)
+        return full ? parse_word(start, end, neg, out, cause) : NULL;
     if (p < end && (*p == 'e' || *p == 'E')) {
         const char *exp;
         if (++p < end && (*p == '-' || *p == '+'))
             eneg = *p++ == '-';
         exp = p;
         while (p < end && (unsigned char)(*p - '0') < 10) {
-            if (e < 0x10000)
+            if (e < 1ll << 40)          /* past any fraction's length */
                 e = 10 * e + (*p - '0');
             p++;
         }
@@ -590,54 +698,146 @@ static const char *parse_field(const char *p, const char *end,
         for (s = start; s < p && (*s == '0' || *s == '.'); s++)
             digits -= *s == '0';
         if (digits > 19)
-            return NULL;
+            return full ? parse_long(first, p, out, cause) : NULL;
     }
-    if (w == 0) {
+    if (w == 0 || q < POW10_MIN_Q) {
+        /* below 10^19 * 10^-343, under half the least subnormal */
         bits = 0;
-    } else if (q < POW10_MIN_Q || q > POW10_MAX_Q) {
-        return NULL;
+    } else if (q > POW10_MAX_Q) {
+        bits = 0x7ffull << 52;
     } else {
         bits = eisel_lemire(w, q, pow10);
-        if (bits >> 52 == 0x7ff)
+    }
+    if (bits >> 52 == 0x7ff) {
+        if (!full)
             return NULL;
+        *cause = CSV_NOT_FINITE;
     }
     bits |= (uint64_t)neg << 63;
     memcpy(out, &bits, 8);
     return p;
 }
 
+/* parse_field for a field that parse_value's fast path does not read:
+ * one with blanks or a quote, a rarer value, or none of the grammar. */
+static RARE const char *parse_padded(const char *p, const char *end,
+                                     const uint64_t *pow10, double *out,
+                                     int *cause)
+{
+    const char *q, *close = NULL;
+
+    if (p < end && *p == '"') {
+        for (close = ++p; close < end && *close != '"'; close++)
+            if (*close == '\n' || *close == '\r')
+                break;
+        if (close == end || *close != '"') {
+            *cause = CSV_QUOTE;
+            return NULL;
+        }
+    }
+    q = parse_value(skip_blanks(p, end), end, pow10, out, cause, 1);
+    if (q)
+        q = skip_blanks(q, end);
+    if (q && close)
+        q = q == close ? skip_blanks(q + 1, end) : NULL;
+    if (!q || (q < end && !ENDS_FIELD(*q))) {
+        *cause = CSV_MALFORMED;
+        return NULL;
+    }
+    return q;
+}
+
+/* Parse one field at p into *out: a value, with blanks (spaces and tabs)
+ * before and after it, and may be one pair of double quotes around those
+ * and more blanks after the closing quote, as in `"0.0"` and `" 0.0" `.
+ * A quote opens the field only as its first byte, as in numpy's reader,
+ * and closes on the same line.  Returns the field's end, a comma, a line
+ * end or the text's end, or NULL with *cause set to CSV_QUOTE where the
+ * quote is unmatched and to CSV_MALFORMED where the field is malformed.
+ * The text must end in a NUL byte, past end, for parse_long. */
+static INLINE const char *parse_field(const char *p, const char *end,
+                                      const uint64_t *pow10, double *out,
+                                      int *cause)
+{
+    const char *q = parse_value(p, end, pow10, out, cause, 0);
+
+    /* the fields gridfreq writes end here */
+    if (q && (q == end || ENDS_FIELD(*q)))
+        return q;
+    return parse_padded(p, end, pow10, out, cause);
+}
+
 /* Parse the CSV rows of text[start..len) into out, ncols doubles a row,
- * each correctly rounded, as CPython's float() and numpy read them.
- * Fields are separated by ',' and rows end in "\r\n" or "\n"; the last may
- * have no end.  out holds max_rows rows; pow10 is the table gridfreq._native
- * builds for eisel_lemire.  Returns the number of rows, or -1 ("defer") at
- * the first byte outside that grammar, a field parse_field rejects, a row
- * of another width, or a row past max_rows. */
+ * each correctly rounded, as CPython's float() and numpy's text reader
+ * read them.  Fields are separated by ',' and lines end in "\r\n", "\n" or a
+ * lone "\r"; the last may have no end, and an empty line holds no row.
+ * out holds max_rows rows; pow10 is the table gridfreq._native builds for
+ * eisel_lemire, and text[len] must be a NUL byte.  Returns the number of
+ * rows, or -1 where out is full or a Python error is set.  At the first
+ * line at fault it returns the rows before it, and sets fault to the line's
+ * index, counted from 0 at start, a field's index or count, and the cause:
+ *   - CSV_QUOTE or CSV_MALFORMED: the first field of the line at fault;
+ *   - CSV_FIELDS: the line's field count, where it is not ncols and every
+ *     field parses;
+ *   - CSV_NOT_FINITE: the first field that is not finite, where the line
+ *     is otherwise sound. */
 static int64_t gridfreq_parse_rows(const char *text, int64_t start,
                                    int64_t len, int64_t ncols,
                                    int64_t max_rows, const uint64_t *pow10,
-                                   double *out)
+                                   double *out, int64_t fault[3])
 {
     const char *p = text + start, *end = text + len;
-    int64_t rows = 0, c;
+    int64_t rows = 0, line = 0, c;
+    double extra;
+    int cause;
 
     while (p < end) {
-        if (rows == max_rows)
-            return -1;
-        for (c = 0; c < ncols; c++) {
-            if (c && (p == end || *p++ != ','))
+        if (*p != '\n' && *p != '\r') {
+            if (rows == max_rows)
                 return -1;
-            p = parse_field(p, end, pow10, out++);
-            if (!p)
-                return -1;
+            cause = 0;
+            for (c = 0; c < ncols; c++) {
+                if (c) {
+                    if (p == end || *p != ',')
+                        break;
+                    p++;
+                }
+                p = parse_field(p, end, pow10, out + c, &cause);
+                if (!p)
+                    goto fault;
+            }
+            /* fields past ncols are parsed, a malformed one being named */
+            for (; p < end && *p == ','; c++) {
+                p = parse_field(p + 1, end, pow10, &extra, &cause);
+                if (!p)
+                    goto fault;
+            }
+            if (c != ncols) {
+                cause = CSV_FIELDS;
+                goto fault;
+            }
+            if (cause) {
+                for (c = 0; c < ncols - 1 && isfinite(out[c]); c++)
+                    ;
+                goto fault;
+            }
+            out += ncols;
+            rows++;
+            if (p == end)
+                break;
         }
-        if (p < end) {
-            p += *p == '\r';
-            if (p == end || *p++ != '\n')
-                return -1;
-        }
-        rows++;
+        /* the line end: "\r\n", "\r" or "\n" */
+        if (*p++ == '\r' && p < end && *p == '\n')
+            p++;
+        line++;
     }
+    return rows;
+fault:
+    if (PyErr_Occurred())
+        return -1;
+    fault[0] = line;
+    fault[1] = c;
+    fault[2] = cause;
     return rows;
 }
 
@@ -981,34 +1181,39 @@ done:
 
 static PyObject *kernel_parse_rows(PyObject *module, PyObject *args)
 {
-    PyObject *text_obj, *pow10_obj, *out_obj, *result = NULL;
-    Py_buffer v[3];                     /* text, pow10, out */
+    PyObject *text, *pow10_obj, *out_obj, *result = NULL;
+    Py_buffer v[2];                     /* pow10, out */
     Py_ssize_t start, ncols;
-    int64_t rows;
+    int64_t rows, fault[3] = {0, 0, 0};
     int i;
 
     (void)module;
-    if (!PyArg_ParseTuple(args, "OnnOO:parse_rows", &text_obj, &start, &ncols,
+    if (!PyArg_ParseTuple(args, "SnnOO:parse_rows", &text, &start, &ncols,
                           &pow10_obj, &out_obj))
         return NULL;
     memset(v, 0, sizeof v);
-    if (get_view(text_obj, &v[0], 0, 1, NULL, "text") < 0
-        || get_view(pow10_obj, &v[1], 0, 8, NULL, "pow10") < 0
-        || get_view(out_obj, &v[2], PyBUF_WRITABLE, 8, "d", "out") < 0)
+    if (get_view(pow10_obj, &v[0], 0, 8, NULL, "pow10") < 0
+        || get_view(out_obj, &v[1], PyBUF_WRITABLE, 8, "d", "out") < 0)
         goto done;
-    if (start < 0 || start > v[0].len || ncols < 1
-        || v[1].len / 8 != POW10_WORDS) {
+    if (start < 0 || start > PyBytes_GET_SIZE(text) || ncols < 1
+        || v[0].len / 8 != POW10_WORDS) {
         PyErr_SetString(PyExc_ValueError, "parse_rows: start must lie in "
                         "the text, ncols be >= 1 and pow10 the table");
         goto done;
     }
-    Py_BEGIN_ALLOW_THREADS
-    rows = gridfreq_parse_rows(v[0].buf, start, v[0].len, ncols,
-                               v[2].len / 8 / ncols, v[1].buf, v[2].buf);
-    Py_END_ALLOW_THREADS
-    result = PyLong_FromLongLong(rows);
+    /* the GIL stays held: PyOS_string_to_double needs it */
+    rows = gridfreq_parse_rows(PyBytes_AS_STRING(text), start,
+                               PyBytes_GET_SIZE(text), ncols,
+                               v[1].len / 8 / ncols, v[0].buf, v[1].buf,
+                               fault);
+    if (rows >= 0)
+        result = Py_BuildValue("LLLL", (long long)rows, (long long)fault[0],
+                               (long long)fault[1], (long long)fault[2]);
+    else if (!PyErr_Occurred())
+        PyErr_SetString(PyExc_ValueError, "parse_rows: out holds too few "
+                        "rows");
 done:
-    for (i = 0; i < 3; i++)
+    for (i = 0; i < 2; i++)
         PyBuffer_Release(&v[i]);
     return result;
 }
@@ -1031,9 +1236,12 @@ static PyMethodDef kernel_methods[] = {
                "text, each value as repr writes it; return its size.")},
     {"parse_rows", kernel_parse_rows, METH_VARARGS,
      PyDoc_STR("parse_rows(text, start, ncols, pow10, out)\n--\n\n"
-               "Parse the CSV rows of text[start:] into the float64 "
-               "buffer out, ncols values a row; return the number of rows, "
-               "or -1 where the C parser defers.")},
+               "Parse the CSV rows of the bytes text[start:] into the "
+               "float64 buffer out, ncols values a row; return (rows, "
+               "line, field, cause): the number of rows read and, where a "
+               "line is at fault, its index from start, the field's index "
+               "or count and the cause, 1 to 4 (malformed, field count, "
+               "not finite, unmatched quote), else 0, 0, 0.")},
     {"polar", kernel_polar, METH_VARARGS,
      PyDoc_STR("polar(rows, out)\n--\n\n"
                "Write amp_1, phase_1, ..., amp_n, phase_n of each report "

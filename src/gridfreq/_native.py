@@ -23,8 +23,9 @@ that other users can write.  The command line exits 2 with that message.
 
 :func:`format_rows` formats CSV rows of doubles through it, each as
 ``repr`` writes it, with Schubfach's shortest digits (Giulietti, "The
-Schubfach way to render doubles", 2020), and :func:`parse_rows` parses
-them, correctly rounded, with Eisel-Lemire.  Both multiply by one table of
+Schubfach way to render doubles", 2020), and :func:`parse_rows`, the
+package's only CSV row parser, parses them, correctly rounded, with
+Eisel-Lemire, or names the first line at fault.  Both multiply by one table of
 128-bit powers of five, built from Python ints on the first call of
 either, not on the first :func:`library` call, so a process that only
 runs the estimator never builds it.
@@ -189,14 +190,29 @@ def format_rows(cells: np.ndarray) -> memoryview:
     return memoryview(out)[:size]
 
 
-def parse_rows(data: bytes, start: int, ncols: int) -> np.ndarray | None:
+# the causes gridfreq_parse_rows reports, by their codes 1 to 4
+_FAULTS = (None, "malformed", "fields", "not finite", "quote")
+
+
+def parse_rows(data: bytes, start: int, ncols: int
+               ) -> tuple[np.ndarray, tuple[int, int, str] | None]:
     """The float rows of the CSV text ``data[start:]``, ``ncols`` fields
-    each, or None where a byte falls outside the C parser's strict grammar
-    (see ``gridfreq_parse_rows``) or there is no row."""
+    each, and None; or, where a line is at fault, the rows before it and
+    ``(line, field, cause)`` (see ``gridfreq_parse_rows``): the line's index,
+    0 at ``start``, the index of the field at fault or, for ``"fields"``,
+    the line's field count, and the cause, ``"malformed"``, ``"fields"``,
+    ``"not finite"`` or ``"quote"``."""
     # a row takes at least 2 * ncols bytes with its line end, which bounds
-    # the buffer by the file's size whatever its header's width
-    max_rows = min(data.count(b"\n", start) + 1,
-                   (len(data) - start + 1) // (2 * ncols))
-    out = np.empty((max_rows, ncols))
-    rows = library().parse_rows(data, start, ncols, _pow10_table(), out)
-    return out[:rows] if rows > 0 else None
+    # the buffer by the file's size whatever its header's width; one more
+    # row holds a line at fault
+    bound = (len(data) - start + 1) // (2 * ncols) + 1
+    lines = data.count(b"\n", start) + 1
+    try:
+        out = np.empty((min(lines, bound), ncols))
+        rows, line, field, cause = library().parse_rows(data, start, ncols,
+                                                        _pow10_table(), out)
+    except ValueError:                # out is full: lone CRs end lines too
+        out = np.empty((min(lines + data.count(b"\r", start), bound), ncols))
+        rows, line, field, cause = library().parse_rows(data, start, ncols,
+                                                        _pow10_table(), out)
+    return out[:rows], (line, field, _FAULTS[cause]) if cause else None

@@ -5,11 +5,12 @@ Floats are written as ``repr`` writes them (shortest round-trip form), so
 every file written here parses back bit-identically.  CSV lines end in
 CRLF.  The CSV rows are written in chunks by the C formatter of the
 package's C library (see :mod:`gridfreq._native`), which gives ``repr``'s
-bytes.  Every file is read as UTF-8.  A CSV's rows are parsed by the
-library's C parser where every byte fits its strict grammar (decimal
-fields, commas, CRLF or LF row ends), to the bits numpy reads;
-``np.loadtxt``'s grammar stays the rule, and one ``np.loadtxt`` call parses
-the rows of any other file.
+bytes.  Every file is read as UTF-8, less one leading byte-order mark.
+A CSV's rows are parsed by the library's C parser alone, whose grammar
+(``gridfreq_parse_rows``) is the one README "File formats" states: decimal
+fields with blanks and one pair of quotes around them, commas, CRLF, LF
+or CR line ends and empty lines, each value to the bits numpy's text
+reader gives; it names the first line at fault and its cause.
 
 Config and scenario files are ``key = value`` lines whose keys come from
 the fields of the frozen dataclasses they describe: ``name`` for a field of
@@ -25,7 +26,7 @@ import math
 import re
 from dataclasses import MISSING, fields, is_dataclass
 from pathlib import Path
-from typing import Any, NoReturn, Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -62,71 +63,52 @@ def _write_rows(path: str | Path, header: Sequence[str],
 def _read_rows(path: str | Path, header: Sequence[str] | None = None
                ) -> tuple[list[str], np.ndarray]:
     """(header, float rows) of a CSV; ``header``, if given, must match.
-    The C parser reads rows that fit its strict grammar; where it defers,
-    :func:`_loadtxt` reads the file.  Where numpy fails or its rows are
-    absent, not the header's width or not finite, :func:`_fault` names the
-    line at fault."""
-    data = Path(path).read_bytes()
+    The C parser reads the rows; where a line is at fault, or the file has
+    no row, :class:`ScenarioError` names the file and the line and its
+    cause, or the first line that is not UTF-8, wherever it lies."""
+    data = _read_bytes(path)
     end = _LINE_END.search(data)
     head, start = (data[:end.start()], end.end()) if end else (data, len(data))
-    got: list[str] = []
-    arr = None
     try:
         # no column name holds a quote or a comma: quotes are dropped
         got = head.decode("utf-8").replace('"', "").split(",")
-        # the C parser accepts ASCII rows only, so then the file is UTF-8
-        arr = _native.parse_rows(data, start, len(got))
-        if arr is None:
-            # numpy skips empty lines, and warns when it finds no other
-            nonempty = data[start:].decode("utf-8").strip("\r\n") != ""
-        if header is not None and got != list(header):
-            raise ScenarioError(f"{path}: expected header {','.join(header)}, "
-                                f"got {','.join(got)}")
-        if arr is None and nonempty:
-            arr = _loadtxt(path, skiprows=1)
-    except ValueError:                # UnicodeDecodeError included
-        arr = None
-    if arr is None or arr.shape[1] != len(got) or not np.isfinite(arr).all():
-        _fault(path, got)
+    except UnicodeDecodeError:
+        _text_lines(path)             # raises, naming line 1
+    if header is not None and got != list(header):
+        raise ScenarioError(f"{path}: expected header {','.join(header)}, "
+                            f"got {','.join(got)}")
+    arr, fault = _native.parse_rows(data, start, len(got))
+    if fault:
+        # the C parser accepts ASCII rows only, so a byte that is not UTF-8
+        # lies at or past a line at fault
+        _text_lines(path)
+        line, field, cause = fault
+        where = f"{path}:{line + 2}:"
+        if cause == "fields":
+            raise ScenarioError(f"{where} expected {len(got)} fields, "
+                                f"got {field}")
+        if cause == "not finite":
+            raise ScenarioError(f"{where} `{got[field]}` is not finite")
+        if cause == "quote":
+            raise ScenarioError(f"{where} unmatched quote")
+        raise ScenarioError(f"{where} malformed CSV value in field "
+                            f"{field + 1}")
+    if not len(arr):
+        raise ScenarioError(f"{path}: no data rows")
     return got, arr
 
 
-def _loadtxt(source: str | Path | list[str], skiprows: int = 0) -> np.ndarray:
-    """The rows of a CSV file or of a list of its lines: a quoted field is
-    one value, an empty line none, and a ``#`` line a malformed row."""
-    return np.loadtxt(source, delimiter=",", skiprows=skiprows, ndmin=2,
-                      comments=None, quotechar='"', encoding="utf-8")
-
-
-def _fault(path: str | Path, header: list[str]) -> NoReturn:
-    """Raise :class:`ScenarioError` naming the first bad line of a CSV.
-    Each line is parsed alone, by numpy's grammar; one with an odd number of
-    quotes would carry a quoted field into the next in a whole-file parse."""
-    for lineno, line in enumerate(_text_lines(path)[1:], 2):
-        if not line:
-            continue
-        where = f"{path}:{lineno}:"
-        if line.count('"') % 2:
-            raise ScenarioError(f"{where} unmatched quote")
-        try:
-            row = _loadtxt([line])[0]
-        except ValueError as exc:
-            raise ScenarioError(f"{where} malformed CSV value ({exc})") from None
-        if len(row) != len(header):
-            raise ScenarioError(f"{where} expected {len(header)} fields, "
-                                f"got {len(row)}")
-        if not np.isfinite(row).all():
-            name = header[np.argmin(np.isfinite(row))]
-            raise ScenarioError(f"{where} `{name}` is not finite")
-    raise ScenarioError(f"{path}: no data rows")
+def _read_bytes(path: str | Path) -> bytes:
+    """The bytes of a text file, less one leading UTF-8 byte-order mark."""
+    return Path(path).read_bytes().removeprefix(b"\xef\xbb\xbf")
 
 
 def _text_lines(path: str | Path) -> list[str]:
     """The lines of a UTF-8 file, split where text mode splits them (no UTF-8
-    sequence holds a CR or LF byte); a byte that is not UTF-8 raises
-    :class:`ScenarioError` naming its line."""
+    sequence holds a CR or LF byte), less one leading byte-order mark; a byte
+    that is not UTF-8 raises :class:`ScenarioError` naming its line."""
     lines: list[str] = []
-    for lineno, line in enumerate(_LINE_END.split(Path(path).read_bytes()), 1):
+    for lineno, line in enumerate(_LINE_END.split(_read_bytes(path)), 1):
         try:
             lines.append(line.decode("utf-8"))
         except UnicodeDecodeError:
@@ -302,10 +284,12 @@ class _Keys:
         return any(key.startswith(prefix) for key in self.kv)
 
     def indices(self, prefix: str) -> list[int]:
-        """Sorted item numbers of keys like ``step_1.t_start``."""
+        """Sorted item numbers of keys like ``step_1.t_start``: ASCII digits
+        without a leading zero, so that another spelling of a number stays
+        unread, an unknown key to :meth:`finish`."""
         heads = {key.split(".", 1)[0] for key in self.kv if "." in key}
         return sorted(int(h[len(prefix) + 1:]) for h in heads
-                      if h.startswith(prefix + "_") and h[len(prefix) + 1:].isdigit())
+                      if re.fullmatch(f"{prefix}_[1-9][0-9]*", h))
 
     def finish(self) -> None:
         """Reject the keys no field has read."""

@@ -125,6 +125,9 @@ class TestSynth:
         ("duration = nan", "duration"),
         ("distortion_knee = abc", "distortion_knee"),
         ("noise.levle = 0.2", "noise.levle"),
+        # item numbers that str.isdigit or int would take
+        ("harmonic_\u00b2.order = 3", "harmonic_\u00b2.order"),
+        ("harmonic_01.order = 3", "harmonic_01.order"),
     ])
     def test_malformed_key_is_input_error(self, tmp_path, capsys, line, key):
         path = tmp_path / "bad.cfg"
@@ -426,7 +429,7 @@ class TestEstimateAndMetrics:
 
     @pytest.mark.parametrize("value", ["1_0", "\u0661"])
     def test_digits_python_alone_reads(self, tmp_path, capsys, value):
-        # float() takes an underscore or a non-ASCII digit, numpy does not
+        # float() takes an underscore or a non-ASCII digit, the grammar not
         path = tmp_path / "bad.csv"
         path.write_bytes(f"t,value\r\n0.0,1.0\r\n0.1,{value}\r\n".encode())
         rc = main(["estimate", str(path), "--out", str(tmp_path / "e.csv")])
@@ -707,7 +710,8 @@ class TestUndecodableInput:
         assert err == f"error: {path}:{line}: not UTF-8 text\n"
 
     def test_byte_past_the_header_chunk(self, tmp_path, synth_outputs, capsys):
-        # numpy's read of the rows meets it, not the read of the header
+        # the C parser's read of the rows meets it, not the read of the
+        # header
         samples, _ = synth_outputs
         lines = samples.read_bytes().split(b"\r\n")
         lines[1000] += b"\xff"
@@ -737,6 +741,30 @@ class TestUndecodableInput:
                    "--out", str(tmp_path / "e.csv")])
         assert rc == EXIT_INPUT
         assert capsys.readouterr().err == f"error: {path}:2: not UTF-8 text\n"
+
+
+class TestByteOrderMark:
+    """One leading UTF-8 byte-order mark, as Excel's "CSV UTF-8" writes, is
+    skipped by the CSV and the key-value readers."""
+
+    def test_samples_file(self, tmp_path, synth_outputs):
+        samples, _ = synth_outputs
+        marked = tmp_path / "marked.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + samples.read_bytes())
+        for path, out in ((samples, "e.csv"), (marked, "e_marked.csv")):
+            assert main(["estimate", str(path), "--out",
+                         str(tmp_path / out)]) == EXIT_OK
+        assert ((tmp_path / "e.csv").read_bytes()
+                == (tmp_path / "e_marked.csv").read_bytes())
+
+    def test_scenario_file(self, tmp_path, synth_outputs):
+        samples, _ = synth_outputs      # of the unmarked tone.cfg
+        marked = tmp_path / "marked.cfg"
+        marked.write_bytes(b"\xef\xbb\xbf"
+                           + (tmp_path / "tone.cfg").read_bytes())
+        assert main(["synth", str(marked), "--out", str(tmp_path)]) == EXIT_OK
+        assert (tmp_path / "marked_samples.csv").read_bytes() == \
+            samples.read_bytes()
 
 
 class TestNonFiniteInput:

@@ -11,7 +11,6 @@ import pytest
 from gridfreq import (ConfigError, EstimatorConfig, EventProfile, RampProfile,
                       SampleStream, ScenarioError, ScenarioSpec, run,
                       synthesize)
-from gridfreq import _native
 from gridfreq import io as gio
 from gridfreq.synth import (ConstantProfile, DcSpec, HarmonicSpec, NoiseSpec,
                             StepSpec)
@@ -78,18 +77,41 @@ class TestSampleRoundTrip:
         with pytest.raises(ScenarioError):
             gio.read_samples(path)
 
-    @pytest.mark.parametrize("field, deferred", [
-        ("1e-340", False),            # below the least subnormal: 0.0
-        ("0.000000000000000000001234567890123456789012", True),  # 22 digits
+    @pytest.mark.parametrize("field", [
+        "1e-340",                     # below the least subnormal: 0.0
+        "0.000000000000000000001234567890123456789012",   # 22 digits
     ], ids=["underflow", "22_digits"])
-    def test_value_reads_as_float_reads_it(self, tmp_path, field, deferred):
-        # the C parser reads the first and hands the second, with more
-        # significant digits than 64 bits hold, to numpy
-        assert (_native.parse_rows(field.encode(), 0, 1) is None) == deferred
+    def test_value_reads_as_float_reads_it(self, tmp_path, field):
+        # the second has more significant digits than 64 bits hold
         path = tmp_path / "s.csv"
         path.write_text(f"t,value\n0.0,{field}\n0.1,1.0\n")
         back = gio.read_samples(path)
         assert back.values.tobytes() == np.array([float(field), 1.0]).tobytes()
+
+    @pytest.mark.parametrize("data, values", [
+        (b"t,value\r\n 0.0 ,\t1.5\t\r\n0.1,  2.0\r\n", [1.5, 2.0]),
+        (b'"t","value"\r\n"0.0"," 1.5"\r\n0.1,"2.0 "  \r\n', [1.5, 2.0]),
+        (b"t,value\r\n0.,.5\r\n+.1,2.\r\n", [0.5, 2.0]),
+        (b"t,value\r\n0.0,1.5\r\n\r\n\n0.1,2.0\r\n\r\n\n", [1.5, 2.0]),
+        (b"t,value\r0.0,1.5\r0.1,2.0\r", [1.5, 2.0]),
+        # just above the midpoint between 1 and the next double
+        (b"t,value\r\n0.0,1.000000000000000111022302462515654042363166809"
+         b"082031251\r\n0.1,2.0\r\n", [1.0000000000000002, 2.0]),
+        (b"t,value\r\n0.0,1e-400\r\n0.1,-1e-400\r\n", [0.0, -0.0]),
+        (b"\xef\xbb\xbft,value\r\n0.0,1.5\r\n0.1,2.0\r\n", [1.5, 2.0]),
+    ], ids=["blanks", "quotes", "1._and_.5", "blank_lines", "lone_cr",
+            "25_digits", "underflow_sign", "byte_order_mark"])
+    def test_accepted_form_reads_without_numpy(self, tmp_path, monkeypatch,
+                                               data, values):
+        # the C parser alone reads every form the grammar accepts
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.loadtxt called")
+        monkeypatch.setattr(np, "loadtxt", refuse)
+        path = tmp_path / "s.csv"
+        path.write_bytes(data)
+        back = gio.read_samples(path)
+        assert (back.t0, back.ts) == (0.0, 0.1)
+        assert back.values.tobytes() == np.array(values).tobytes()
 
     def test_rejects_a_hash_line(self, tmp_path):
         # a CSV has no comments: the line is a malformed row
@@ -105,8 +127,7 @@ class TestSampleRoundTrip:
         assert (back.t0, back.ts, back.values.tolist()) == (0.0, 0.1, [1.0, 2.0])
 
     def test_quoted_field_across_lines_names_its_first_line(self, tmp_path):
-        # numpy reads `"2` on into the next line, where each line alone
-        # parses; the odd quote count names the line that opens the field
+        # a quote must close on its own line: the one opened on line 2 does not
         path = tmp_path / "bad.csv"
         path.write_text('t,value\n0.0,"2\n0.1,"3\n')
         with pytest.raises(ScenarioError, match=r"bad\.csv:2: unmatched quote"):
