@@ -11,6 +11,9 @@
  * the module's context, format_rows and parse_rows, and reads amplitude
  * and phase through its polar (see the end of the file); all take their
  * arrays through the buffer protocol, and parse_rows its text as bytes.
+ * format_rows and parse_rows return bytes they size themselves: the text,
+ * in a buffer of the formatter's worst case shrunk to it, and the rows,
+ * in a buffer the parser grows as it reads.
  *
  * gridfreq_advance runs the laws of the gridfreq.estimator module
  * docstring on a state buffer that persists between calls, over any number
@@ -41,7 +44,7 @@
  * to it where several are that short, the even one of a tie.  The digits
  * are emitted eight at a time by SWAR arithmetic on 64-bit words, and
  * laid out by fixed-width copies that may write scratch past a field's
- * end, but never past the room the output buffer keeps for the row.  The
+ * end, but never past the room format_rows allocates for the row.  The
  * 128-bit products of Schubfach and of the parser need unsigned __int128
  * (gcc and clang on 64-bit targets); where the compiler lacks it the
  * build fails, and gridfreq._native.library raises.
@@ -458,11 +461,13 @@ static char *put_float(char *p, double x, const uint64_t *pow10)
 /* Write nrows rows of ncols doubles from cells[0..nrows*ncols), row-major,
  * as CSV text at out: each as repr writes it, fields joined by ',' and
  * each row ended by "\r\n".  out must hold nrows * (25 * ncols + 2)
- * bytes: a field takes at most 24, as in -2.2250738585072014e-308, so a row
- * at most 25 * ncols + 1, and every field starts at least 27 bytes before
- * the end of out.  put_float writes at most 26 from a field's start; the
- * next field or row end overwrites what it writes past its text.  Returns
- * the number of bytes of text. */
+ * bytes, the room the module's format_rows allocates: a field takes at
+ * most 24, as in -2.2250738585072014e-308, so a row at most 25 * ncols + 1,
+ * and every field starts at least 27 bytes before the end of out.
+ * put_float writes at most 26 from a field's start; the next field or row
+ * end overwrites what it writes past its text.  Returns the number of
+ * bytes of text. */
+
 static int64_t gridfreq_format_rows(const double *cells, int64_t nrows,
                                     int64_t ncols, const uint64_t *pow10,
                                     char *out)
@@ -767,34 +772,58 @@ static INLINE const char *parse_field(const char *p, const char *end,
     return parse_padded(p, end, pow10, out, cause);
 }
 
-/* Parse the CSV rows of text[start..len) into out, ncols doubles a row,
- * each correctly rounded, as CPython's float() and numpy's text reader
- * read them.  Fields are separated by ',' and lines end in "\r\n", "\n" or a
+/* Make *b, a bytes or NULL, a bytes of size bytes that keeps its first
+ * ones; where size overflows Py_ssize_t or cannot be allocated, raise
+ * MemoryError, *b being a bytes or NULL still.  The formatter's text and
+ * the parser's rows are sized by it. */
+static int resize_bytes(PyObject **b, u128 size)
+{
+    if (size > PY_SSIZE_T_MAX) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    if (*b)
+        return _PyBytes_Resize(b, (Py_ssize_t)size);
+    *b = PyBytes_FromStringAndSize(NULL, (Py_ssize_t)size);
+    return *b ? 0 : -1;
+}
+
+/* Parse the CSV rows of text[start..len), ncols >= 1 doubles a row, each
+ * correctly rounded, as CPython's float() and numpy's text reader read
+ * them.  Fields are separated by ',' and lines end in "\r\n", "\n" or a
  * lone "\r"; the last may have no end, and an empty line holds no row.
- * out holds max_rows rows; pow10 is the table gridfreq._native builds for
- * eisel_lemire, and text[len] must be a NUL byte.  Returns the number of
- * rows, or -1 where out is full or a Python error is set.  At the first
- * line at fault it returns the rows before it, and sets fault to the line's
- * index, counted from 0 at start, a field's index or count, and the cause:
+ * pow10 is the table gridfreq._native builds for eisel_lemire, and
+ * text[len] must be a NUL byte.  Returns the rows as a new bytes of
+ * exactly their doubles, or NULL with a Python error set.  The bytes
+ * first hold a row for every 8 * ncols bytes of text, which the rows of
+ * the scenarios/ battery's files fill to 40-83 %, and double where they
+ * are full; the pages past the rows read are never touched.  At the first
+ * line at fault it returns the rows before it, and sets fault to the
+ * line's index, counted from 0 at start, a field's index or count, and
+ * the cause:
  *   - CSV_QUOTE or CSV_MALFORMED: the first field of the line at fault;
  *   - CSV_FIELDS: the line's field count, where it is not ncols and every
  *     field parses;
  *   - CSV_NOT_FINITE: the first field that is not finite, where the line
  *     is otherwise sound. */
-static int64_t gridfreq_parse_rows(const char *text, int64_t start,
-                                   int64_t len, int64_t ncols,
-                                   int64_t max_rows, const uint64_t *pow10,
-                                   double *out, int64_t fault[3])
+static PyObject *gridfreq_parse_rows(const char *text, int64_t start,
+                                     int64_t len, int64_t ncols,
+                                     const uint64_t *pow10, int64_t fault[3])
 {
     const char *p = text + start, *end = text + len;
-    int64_t rows = 0, line = 0, c;
-    double extra;
+    int64_t rows = 0, cap = 0, line = 0, c;
+    PyObject *buf = NULL;
+    double *out = NULL, extra;
     int cause;
 
     while (p < end) {
         if (*p != '\n' && *p != '\r') {
-            if (rows == max_rows)
-                return -1;
+            if (rows == cap) {
+                cap = cap ? 2 * cap : (len - start) / 8 / ncols + 1;
+                if (resize_bytes(&buf, (u128)cap * ncols * 8) < 0)
+                    goto done;
+                out = (double *)PyBytes_AS_STRING(buf) + rows * ncols;
+            }
             cause = 0;
             for (c = 0; c < ncols; c++) {
                 if (c) {
@@ -831,14 +860,16 @@ static int64_t gridfreq_parse_rows(const char *text, int64_t start,
             p++;
         line++;
     }
-    return rows;
+    goto done;
 fault:
-    if (PyErr_Occurred())
-        return -1;
     fault[0] = line;
     fault[1] = c;
     fault[2] = cause;
-    return rows;
+done:
+    if (!PyErr_Occurred() && resize_bytes(&buf, rows * ncols * 8) == 0)
+        return buf;
+    Py_XDECREF(buf);
+    return NULL;
 }
 
 
@@ -846,13 +877,13 @@ fault:
  * The module gridfreq._kernel: the C functions as Python sees them
  * ------------------------------------------------------------------------ */
 
-/* Get a view of obj's memory in C order whose items are itemsize bytes,
- * of the struct format given unless it is NULL, and writable where flags
- * hold PyBUF_WRITABLE.  The exporter refuses a strided buffer and these
+/* Get a view of obj's memory in C order whose items are 8 bytes, of the
+ * struct format given unless it is NULL, and writable where flags hold
+ * PyBUF_WRITABLE.  The exporter refuses a strided buffer and these
  * checks a mistyped one, so no function reads memory in another layout.
  * On a failure view->obj is NULL, and PyBuffer_Release a no-op. */
 static int get_view(PyObject *obj, Py_buffer *view, int flags,
-                    Py_ssize_t itemsize, const char *format, const char *name)
+                    const char *format, const char *name)
 {
     const char *got;
 
@@ -860,10 +891,10 @@ static int get_view(PyObject *obj, Py_buffer *view, int flags,
                            PyBUF_C_CONTIGUOUS | PyBUF_FORMAT | flags) < 0)
         return -1;
     got = view->format ? view->format : "B";
-    if (view->itemsize == itemsize && (!format || !strcmp(got, format)))
+    if (view->itemsize == 8 && (!format || !strcmp(got, format)))
         return 0;
-    PyErr_Format(PyExc_TypeError, "%s: expected %zd-byte items%s%s%s, got "
-                 "format '%s'", name, itemsize, format ? " of format '" : "",
+    PyErr_Format(PyExc_TypeError, "%s: expected 8-byte items%s%s%s, got "
+                 "format '%s'", name, format ? " of format '" : "",
                  format ? format : "", format ? "'" : "", got);
     PyBuffer_Release(view);
     return -1;
@@ -1083,8 +1114,7 @@ static PyObject *kernel_context(PyObject *module, PyObject *args)
     for (i = 0; i < 4; i++) {
         if (i == 3 && objs[i] == Py_None)
             break;
-        if (get_view(objs[i], &self->views[i], flags[i], 8, "d",
-                     names[i]) < 0)
+        if (get_view(objs[i], &self->views[i], flags[i], "d", names[i]) < 0)
             goto done;
     }
     if (self->views[3].obj) {
@@ -1118,8 +1148,8 @@ static PyObject *kernel_polar(PyObject *module, PyObject *args)
 
     (void)module;
     if (!PyArg_ParseTuple(args, "OO:polar", &rows_obj, &out_obj)
-        || get_view(rows_obj, &rows, 0, 8, "d", "rows") < 0
-        || get_view(out_obj, &out, PyBUF_WRITABLE, 8, "d", "out") < 0)
+        || get_view(rows_obj, &rows, 0, "d", "rows") < 0
+        || get_view(out_obj, &out, PyBUF_WRITABLE, "d", "out") < 0)
         goto done;
     /* report rows of 10 + 2n columns (see gridfreq_advance) */
     if (rows.ndim != 2 || rows.shape[1] < 10 || rows.shape[1] % 2
@@ -1148,73 +1178,62 @@ done:
 
 static PyObject *kernel_format_rows(PyObject *module, PyObject *args)
 {
-    PyObject *cells_obj, *pow10_obj, *out_obj, *result = NULL;
-    Py_buffer v[3];                     /* cells, pow10, out */
+    PyObject *cells_obj, *pow10_obj, *text = NULL;
+    Py_buffer cells = {0}, pow10 = {0};
     int64_t size;
-    int i;
 
     (void)module;
-    if (!PyArg_ParseTuple(args, "OOO:format_rows", &cells_obj, &pow10_obj,
-                          &out_obj))
-        return NULL;
-    memset(v, 0, sizeof v);
-    if (get_view(cells_obj, &v[0], 0, 8, "d", "cells") < 0
-        || get_view(pow10_obj, &v[1], 0, 8, NULL, "pow10") < 0
-        || get_view(out_obj, &v[2], PyBUF_WRITABLE, 1, NULL, "out") < 0)
+    if (!PyArg_ParseTuple(args, "OO:format_rows", &cells_obj, &pow10_obj)
+        || get_view(cells_obj, &cells, 0, "d", "cells") < 0
+        || get_view(pow10_obj, &pow10, 0, NULL, "pow10") < 0)
         goto done;
-    if (v[0].ndim != 2 || v[1].len / 8 != POW10_WORDS
-        || v[2].len < v[0].len / 8 * 25 + 2 * v[0].shape[0]) {
+    if (cells.ndim != 2 || pow10.len / 8 != POW10_WORDS) {
         PyErr_SetString(PyExc_ValueError, "format_rows: cells must be a "
-                        "matrix, pow10 the table and out hold its text");
+                        "matrix and pow10 the table");
         goto done;
     }
+    /* the room gridfreq_format_rows writes in */
+    if (resize_bytes(&text,
+                     cells.shape[0] * (25 * (u128)cells.shape[1] + 2)) < 0)
+        goto done;
     Py_BEGIN_ALLOW_THREADS
-    size = gridfreq_format_rows(v[0].buf, v[0].shape[0], v[0].shape[1],
-                                v[1].buf, v[2].buf);
+    size = gridfreq_format_rows(cells.buf, cells.shape[0], cells.shape[1],
+                                pow10.buf, PyBytes_AS_STRING(text));
     Py_END_ALLOW_THREADS
-    result = PyLong_FromLongLong(size);
+    resize_bytes(&text, size);          /* a shrink; NULL where it fails */
 done:
-    for (i = 0; i < 3; i++)
-        PyBuffer_Release(&v[i]);
-    return result;
+    PyBuffer_Release(&cells);
+    PyBuffer_Release(&pow10);
+    return text;
 }
 
 static PyObject *kernel_parse_rows(PyObject *module, PyObject *args)
 {
-    PyObject *text, *pow10_obj, *out_obj, *result = NULL;
-    Py_buffer v[2];                     /* pow10, out */
+    PyObject *text, *pow10_obj, *rows, *result = NULL;
+    Py_buffer pow10 = {0};
     Py_ssize_t start, ncols;
-    int64_t rows, fault[3] = {0, 0, 0};
-    int i;
+    int64_t fault[3] = {0, 0, 0};
 
     (void)module;
-    if (!PyArg_ParseTuple(args, "SnnOO:parse_rows", &text, &start, &ncols,
-                          &pow10_obj, &out_obj))
-        return NULL;
-    memset(v, 0, sizeof v);
-    if (get_view(pow10_obj, &v[0], 0, 8, NULL, "pow10") < 0
-        || get_view(out_obj, &v[1], PyBUF_WRITABLE, 8, "d", "out") < 0)
+    if (!PyArg_ParseTuple(args, "SnnO:parse_rows", &text, &start, &ncols,
+                          &pow10_obj)
+        || get_view(pow10_obj, &pow10, 0, NULL, "pow10") < 0)
         goto done;
     if (start < 0 || start > PyBytes_GET_SIZE(text) || ncols < 1
-        || v[0].len / 8 != POW10_WORDS) {
+        || pow10.len / 8 != POW10_WORDS) {
         PyErr_SetString(PyExc_ValueError, "parse_rows: start must lie in "
                         "the text, ncols be >= 1 and pow10 the table");
         goto done;
     }
     /* the GIL stays held: PyOS_string_to_double needs it */
     rows = gridfreq_parse_rows(PyBytes_AS_STRING(text), start,
-                               PyBytes_GET_SIZE(text), ncols,
-                               v[1].len / 8 / ncols, v[0].buf, v[1].buf,
+                               PyBytes_GET_SIZE(text), ncols, pow10.buf,
                                fault);
-    if (rows >= 0)
-        result = Py_BuildValue("LLLL", (long long)rows, (long long)fault[0],
+    if (rows)
+        result = Py_BuildValue("NLLL", rows, (long long)fault[0],
                                (long long)fault[1], (long long)fault[2]);
-    else if (!PyErr_Occurred())
-        PyErr_SetString(PyExc_ValueError, "parse_rows: out holds too few "
-                        "rows");
 done:
-    for (i = 0; i < 2; i++)
-        PyBuffer_Release(&v[i]);
+    PyBuffer_Release(&pow10);
     return result;
 }
 
@@ -1231,17 +1250,17 @@ static PyMethodDef kernel_methods[] = {
                "from the consts and state.  The state and rows must be "
                "writable; every buffer must hold float64 in C order.")},
     {"format_rows", kernel_format_rows, METH_VARARGS,
-     PyDoc_STR("format_rows(cells, pow10, out)\n--\n\n"
-               "Write the rows of the float64 matrix cells to out as CSV "
-               "text, each value as repr writes it; return its size.")},
+     PyDoc_STR("format_rows(cells, pow10)\n--\n\n"
+               "The rows of the float64 matrix cells as CSV text, each "
+               "value as repr writes it, as bytes.")},
     {"parse_rows", kernel_parse_rows, METH_VARARGS,
-     PyDoc_STR("parse_rows(text, start, ncols, pow10, out)\n--\n\n"
-               "Parse the CSV rows of the bytes text[start:] into the "
-               "float64 buffer out, ncols values a row; return (rows, "
-               "line, field, cause): the number of rows read and, where a "
-               "line is at fault, its index from start, the field's index "
-               "or count and the cause, 1 to 4 (malformed, field count, "
-               "not finite, unmatched quote), else 0, 0, 0.")},
+     PyDoc_STR("parse_rows(text, start, ncols, pow10)\n--\n\n"
+               "Parse the CSV rows of the bytes text[start:], ncols values "
+               "a row; return (rows, line, field, cause): the rows read, "
+               "as bytes of float64 values, and, where a line is at fault, "
+               "its index from start, the field's index or count and the "
+               "cause, 1 to 4 (malformed, field count, not finite, "
+               "unmatched quote), else 0, 0, 0.")},
     {"polar", kernel_polar, METH_VARARGS,
      PyDoc_STR("polar(rows, out)\n--\n\n"
                "Write amp_1, phase_1, ..., amp_n, phase_n of each report "

@@ -6,10 +6,10 @@ It holds the estimator's loop (``gridfreq_advance``), the CSV float
 formatter of :mod:`gridfreq.io` (``gridfreq_format_rows``) and its CSV row
 parser (``gridfreq_parse_rows``), which the module's ``context``,
 ``format_rows`` and ``parse_rows`` call on arrays taken through the buffer
-protocol, and the amplitude and phase rule of the estimator's records,
-libm's ``hypot`` and ``atan2`` over doubles, which a step's context and
-``polar`` apply.  ``context`` reads the harmonic count and the RoCoF
-ring's size from the buffers it is given.
+protocol and on text as bytes, and the amplitude and phase rule of the
+estimator's records, libm's ``hypot`` and ``atan2`` over doubles, which a
+step's context and ``polar`` apply.  ``context`` reads the harmonic count
+and the RoCoF ring's size from the buffers it is given.
 :func:`library` builds it with ``cc -O2 -ffp-contract=off`` against the
 running interpreter's headers into ``$XDG_CACHE_HOME/gridfreq`` (default
 ``~/.cache/gridfreq``), on the first call, never at import.  The
@@ -25,10 +25,12 @@ that other users can write.  The command line exits 2 with that message.
 ``repr`` writes it, with Schubfach's shortest digits (Giulietti, "The
 Schubfach way to render doubles", 2020), and :func:`parse_rows`, the
 package's only CSV row parser, parses them, correctly rounded, with
-Eisel-Lemire, or names the first line at fault.  Both multiply by one table of
-128-bit powers of five, built from Python ints on the first call of
-either, not on the first :func:`library` call, so a process that only
-runs the estimator never builds it.
+Eisel-Lemire, or names the first line at fault.  Each returns a
+``bytes`` the C library sizes: the formatter's text, in its worst case
+shrunk to fit, and the parser's rows, in a buffer it grows as it reads.
+Both multiply by one table of 128-bit powers of five, built from Python
+ints on the first call of either, not on the first :func:`library` call,
+so a process that only runs the estimator never builds it.
 """
 
 from __future__ import annotations
@@ -178,16 +180,10 @@ def _pow10_table() -> np.ndarray:
     return table
 
 
-def format_rows(cells: np.ndarray) -> memoryview:
+def format_rows(cells: np.ndarray) -> bytes:
     """The CSV text, CRLF line ends included, of the rows of a C-contiguous
     float64 matrix, each value as ``repr`` writes it."""
-    rows, ncols = cells.shape
-    # a field and its comma take at most 25 bytes, a row end 2; the
-    # formatter's fixed-width copies write scratch past a field's text, but
-    # within that room (see gridfreq_format_rows)
-    out = np.empty(rows * (25 * ncols + 2), np.uint8)
-    size = library().format_rows(cells, _pow10_table(), out)
-    return memoryview(out)[:size]
+    return library().format_rows(cells, _pow10_table())
 
 
 # the causes gridfreq_parse_rows reports, by their codes 1 to 4
@@ -201,18 +197,9 @@ def parse_rows(data: bytes, start: int, ncols: int
     ``(line, field, cause)`` (see ``gridfreq_parse_rows``): the line's index,
     0 at ``start``, the index of the field at fault or, for ``"fields"``,
     the line's field count, and the cause, ``"malformed"``, ``"fields"``,
-    ``"not finite"`` or ``"quote"``."""
-    # a row takes at least 2 * ncols bytes with its line end, which bounds
-    # the buffer by the file's size whatever its header's width; one more
-    # row holds a line at fault
-    bound = (len(data) - start + 1) // (2 * ncols) + 1
-    lines = data.count(b"\n", start) + 1
-    try:
-        out = np.empty((min(lines, bound), ncols))
-        rows, line, field, cause = library().parse_rows(data, start, ncols,
-                                                        _pow10_table(), out)
-    except ValueError:                # out is full: lone CRs end lines too
-        out = np.empty((min(lines + data.count(b"\r", start), bound), ncols))
-        rows, line, field, cause = library().parse_rows(data, start, ncols,
-                                                        _pow10_table(), out)
-    return out[:rows], (line, field, _FAULTS[cause]) if cause else None
+    ``"not finite"`` or ``"quote"``.  The rows are a read-only view of the
+    ``bytes`` the parser returns, their ``base``."""
+    rows, line, field, cause = library().parse_rows(data, start, ncols,
+                                                    _pow10_table())
+    arr = np.frombuffer(rows, (np.float64, (ncols,)))
+    return arr, (line, field, _FAULTS[cause]) if cause else None

@@ -62,6 +62,15 @@ def _check_flags(args: argparse.Namespace) -> None:
             raise ConfigError(f"{flag} must be non-negative, got {value}")
 
 
+def _check_reports(path: str, stream: SampleStream,
+                   config: EstimatorConfig) -> None:
+    """Refuse a stream of file ``path`` too short for one report: its
+    estimate would hold no row to score or to read back."""
+    if len(stream) < config.report_every:
+        raise ScenarioError(f"{path}: {len(stream)} samples give no report "
+                            f"at report_every = {config.report_every}")
+
+
 def _render(path: str, spec: ScenarioSpec, config: EstimatorConfig,
             seed: int | None, skip: float) -> tuple[SampleStream, GroundTruth]:
     """Render ``spec`` at the config's rate; any error names file ``path``.
@@ -69,9 +78,7 @@ def _render(path: str, spec: ScenarioSpec, config: EstimatorConfig,
     A scenario that ends inside the skip window ``skip`` has no report
     after lock to score."""
     stream, truth = named(path, synthesize, spec, 1.0 / config.ts, seed=seed)
-    if len(stream) < config.report_every:
-        raise ScenarioError(f"{path}: {len(stream)} samples give no report "
-                            f"at report_every = {config.report_every}")
+    _check_reports(path, stream, config)
     if spec.duration < skip:
         raise ScenarioError(f"{path}: duration {spec.duration:g} s is shorter "
                             f"than the skip window of {skip:g} s")
@@ -109,6 +116,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
 def cmd_estimate(args: argparse.Namespace) -> int:
     stream = gio.read_samples(args.samples)
     config = _load_config(args.config)
+    _check_reports(args.samples, stream, config)
     # the stream's interval is t[1] - t[0] of the file's time column
     series = named(f"{args.samples}: time column t[1] - t[0]", run,
                    stream, config)

@@ -70,8 +70,10 @@ def _read_rows(path: str | Path, header: Sequence[str] | None = None
     end = _LINE_END.search(data)
     head, start = (data[:end.start()], end.end()) if end else (data, len(data))
     try:
-        # no column name holds a quote or a comma: quotes are dropped
-        got = head.decode("utf-8").replace('"', "").split(",")
+        # no column name holds a quote or a comma: quotes are dropped, and
+        # blanks around a name as around a field
+        got = [name.strip(" \t") for name in
+               head.decode("utf-8").replace('"', "").split(",")]
     except UnicodeDecodeError:
         _text_lines(path)             # raises, naming line 1
     if header is not None and got != list(header):
@@ -165,12 +167,7 @@ def write_truth(path: str | Path, truth: GroundTruth) -> None:
 
 def read_truth(path: str | Path) -> GroundTruth:
     _, arr = _read_rows(path, TRUTH_HEADER)
-    # nothing else holds the rows or the parse buffer they view: read-only,
-    # the truth keeps its columns without a copy
-    base = arr
-    while isinstance(base, np.ndarray):
-        base.flags.writeable = False
-        base = base.base
+    # the rows view bytes, read-only: the truth keeps its columns uncopied
     t0, ts = _uniform_grid(path, arr[:, 0], "truth rows")
     return GroundTruth(t0=t0, ts=ts, freq_hz=arr[:, 1],
                        rocof_hzps=arr[:, 2], amp_pu=arr[:, 3],

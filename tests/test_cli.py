@@ -598,6 +598,20 @@ class TestShortScenario:
         assert out == ""
         assert not out_file.exists()
 
+    def test_samples_too_short_to_report_are_input_error(self, tmp_path,
+                                                         capsys):
+        # the estimate CSV would hold no row, which metrics --est refuses
+        path = tmp_path / "short.csv"
+        gio.write_samples(path, SampleStream(0.0, 1.0 / FS, np.zeros(5)))
+        est = tmp_path / "est.csv"
+        rc = main(["estimate", str(path), "--out", str(est)])
+        out, err = capsys.readouterr()
+        assert rc == EXIT_INPUT
+        assert err == (f"error: {path}: 5 samples give no report at "
+                       f"report_every = 12\n")
+        assert out == ""
+        assert not est.exists()
+
     @pytest.mark.parametrize("argv", [
         ["metrics", "--scenario", "{path}", "--seeds", "1"],
         ["tune", "--scenario", str(SCENARIOS / "case1.cfg"),

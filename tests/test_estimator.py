@@ -957,30 +957,23 @@ class TestNativeBuffers:
     def test_format_rows_rejects(self, cells):
         with pytest.raises((TypeError, ValueError)):
             _native.format_rows(cells)
-        assert bytes(_native.format_rows(np.ascontiguousarray(
-            cells, np.float64))) == b"0.0,1.0,2.0\r\n3.0,4.0,5.0\r\n"
+        assert _native.format_rows(np.ascontiguousarray(
+            cells, np.float64)) == b"0.0,1.0,2.0\r\n3.0,4.0,5.0\r\n"
 
     def test_format_rows_writes_within_its_documented_buffer(self):
-        """out of exactly rows * (25 * ncols + 2) bytes is enough, and one
-        byte less is refused.  The last field follows fields of the longest
-        text, so it starts 27 bytes before the end, and takes a branch whose
-        fixed-width copies write furthest, 26 bytes from its start: 17
-        digits, 16 of them before the point.  The sanitized tier-1 run sees
-        a write past the exact buffer; here the bytes after a view of that
-        size must stay as they were."""
-        cells = np.array([[-2.2250738585072014e-308] * 2
-                          + [-1234567890123456.8]])
-        text = (",".join(map(repr, cells[0].tolist())) + "\r\n").encode()
-        size = 25 * cells.size + 2
-        lib, table = _native.library(), _native._pow10_table()
-        out = np.empty(size, np.uint8)
-        assert lib.format_rows(cells, table, out) == len(text)
-        assert bytes(out[:len(text)]) == text
-        guarded = np.full(size + 64, 0xA5, np.uint8)
-        assert lib.format_rows(cells, table, guarded[:size]) == len(text)
-        assert (guarded[size:] == 0xA5).all()
-        with pytest.raises(ValueError, match="out hold its text"):
-            lib.format_rows(cells, table, out[:-1])
+        """format_rows allocates rows * (25 * ncols + 2) bytes and returns
+        them shrunk to the text.  The last field follows fields of the
+        longest text, so it starts 27 bytes before the end, and takes a
+        branch whose fixed-width copies write furthest, 26 bytes from its
+        start: 17 digits, 16 of them before the point.  The longest field
+        is repeated past pymalloc's 512-byte limit, so the room comes from
+        the system allocator: the sanitized tier-1 run's ASan sees a write
+        past it, and -X dev's debug hooks check its guard bytes when it is
+        shrunk and freed."""
+        row = [-2.2250738585072014e-308] * 20 + [-1234567890123456.8]
+        text = _native.format_rows(np.array([row]))
+        assert type(text) is bytes
+        assert text == (",".join(map(repr, row)) + "\r\n").encode()
 
     def test_c_library_has_exactly_its_entry_points(self):
         """A new C entry point is a deliberate change."""

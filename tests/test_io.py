@@ -1,6 +1,7 @@
 """Unit tests for CSV and key-value file round trips."""
 
 import math
+import types
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -11,6 +12,7 @@ import pytest
 from gridfreq import (ConfigError, EstimatorConfig, EventProfile, RampProfile,
                       SampleStream, ScenarioError, ScenarioSpec, run,
                       synthesize)
+from gridfreq import _native
 from gridfreq import io as gio
 from gridfreq.synth import (ConstantProfile, DcSpec, HarmonicSpec, NoiseSpec,
                             StepSpec)
@@ -121,10 +123,13 @@ class TestSampleRoundTrip:
             gio.read_samples(path)
 
     def test_quoted_header_and_values_read_as_unquoted(self, tmp_path):
+        # blanks around a name are dropped, as around a field
         path = tmp_path / "quoted.csv"
-        path.write_text('"t","value"\n"0.0",1.0\n0.1,"2.0"\n')
-        back = gio.read_samples(path)
-        assert (back.t0, back.ts, back.values.tolist()) == (0.0, 0.1, [1.0, 2.0])
+        for header in ['"t","value"', "t, value", '"t", "value"', "t,value "]:
+            path.write_text(header + '\n"0.0",1.0\n0.1,"2.0"\n')
+            back = gio.read_samples(path)
+            assert (back.t0, back.ts, back.values.tolist()) == (0.0, 0.1,
+                                                                [1.0, 2.0])
 
     def test_quoted_field_across_lines_names_its_first_line(self, tmp_path):
         # a quote must close on its own line: the one opened on line 2 does not
@@ -142,6 +147,32 @@ class TestSampleRoundTrip:
             with pytest.raises(ScenarioError, match="no data rows"):
                 gio.read_samples(path)
         assert caught == []
+
+    @pytest.mark.parametrize("data", [
+        b"v\n" + b"0\n" * 100_000,     # more rows than 8 text bytes each
+        b"a,b\r1,2\r3,4\r",
+        b"a,b\r\n1,2\r\n3,4\r\n",
+        b"a,b\n1,2\n3,4",
+    ], ids=["short_rows", "lone_cr", "crlf", "no_last_end"])
+    def test_rows_are_read_in_one_parse_into_exact_bytes(self, tmp_path,
+                                                         monkeypatch, data):
+        # the C parser sizes its rows itself: one call, its bytes the rows'
+        lib, calls = _native.library(), []
+
+        def parse_rows(*args):
+            calls.append(args)
+            return lib.parse_rows(*args)
+        monkeypatch.setattr(_native, "library",
+                            lambda: types.SimpleNamespace(parse_rows=parse_rows))
+        path = tmp_path / "rows.csv"
+        path.write_bytes(data)
+        _, arr = gio._read_rows(path)
+        expect = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2,
+                            comments=None, encoding="utf-8")
+        assert (arr.shape, arr.tobytes()) == (expect.shape, expect.tobytes())
+        assert len(calls) == 1
+        assert not arr.flags.writeable
+        assert type(arr.base) is bytes and len(arr.base) == expect.nbytes
 
 
 class TestTruthAndPhasorRoundTrip:

@@ -168,7 +168,7 @@ repr_floats = st.one_of(
 @settings(max_examples=300, deadline=None)
 @given(values=st.lists(repr_floats, min_size=1, max_size=50))
 def test_c_formatter_writes_repr(values):
-    text = bytes(_native.format_rows(np.array(values)[:, None]))
+    text = _native.format_rows(np.array(values)[:, None])
     assert text == "".join(f"{x!r}\r\n" for x in values).encode()
 
 
@@ -214,7 +214,7 @@ def _scale_changes() -> np.ndarray:
 
 def test_c_formatter_writes_repr_where_the_table_scale_changes():
     values = _scale_changes()
-    text = bytes(_native.format_rows(values[:, None]))
+    text = _native.format_rows(values[:, None])
     assert text == "".join(f"{x!r}\r\n" for x in values.tolist()).encode()
 
 
