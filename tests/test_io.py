@@ -149,7 +149,7 @@ class TestSampleRoundTrip:
         assert caught == []
 
     @pytest.mark.parametrize("data", [
-        b"v\n" + b"0\n" * 100_000,     # more rows than 8 text bytes each
+        b"v\n" + b"0\n" * 100_000,     # 4 rows to the first guess's 1
         b"a,b\r1,2\r3,4\r",
         b"a,b\r\n1,2\r\n3,4\r\n",
         b"a,b\n1,2\n3,4",
