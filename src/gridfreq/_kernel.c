@@ -131,8 +131,14 @@ struct gridfreq_ctx {
  * tripped: then the state keeps the updated coefficients, a_dc, a_dc1, f
  * and zfilt, and the phase, k, anchor and ring of the sample before, and
  * the rows written before it stand.
+ *
+ * It starts on a 64-byte line, so its loop sits the same way however much
+ * code comes before it: at the 16 bytes gcc aligns a function to, the same
+ * machine code ran about 1.3 % slower in one placement than in another on
+ * an x86-64 Xeon.
  */
-static int64_t gridfreq_advance(const struct gridfreq_ctx *ctx, double sample)
+static __attribute__((aligned(64))) int64_t
+gridfreq_advance(const struct gridfreq_ctx *ctx, double sample)
 {
     const double *x = ctx->x ? ctx->x : &sample;
     int64_t len = ctx->x ? ctx->len : 1;
