@@ -93,7 +93,7 @@ import numpy as np
 
 from . import _native
 from .errors import ConfigError, DivergenceError, is_count
-from .synth import SampleStream
+from .synth import SampleStream, immutable
 
 TWO_PI = 2.0 * math.pi
 
@@ -408,9 +408,9 @@ class EstimateSeries:
     """The reports of one run, one row of 10 + 2n floats each.
 
     ``rows`` holds the columns of :data:`ROW_COLUMNS`, then ``a_c[0..n)``
-    and ``a_s[0..n)``, the layout the C loop and the estimate CSV hold; it
-    is read-only, and each column accessor returns a view of it.  The
-    harmonic count :attr:`n` is read from its width.
+    and ``a_s[0..n)``, the layout the C loop and the estimate CSV hold;
+    each column accessor returns a view of it.  The harmonic count
+    :attr:`n` is read from its width.
 
     Amplitude and phase are derived when read, by the rule of the module
     docstring: :meth:`polar` applies it to the rectangular pairs, and
@@ -418,9 +418,11 @@ class EstimateSeries:
     :class:`EstimateRecord` list :func:`step` would have returned, anew on
     each read.
 
-    Building a series converts its rows, an array or a list of rows, to a
-    float64 array in C order; an array that already is one, as the rows
-    the package builds are, is kept without a copy.
+    Building a series keeps its rows, an array or a list of rows, as
+    :func:`gridfreq.synth.immutable` returns them: a read-only float64
+    array in C order that no write of the caller's changes.  The rows of
+    :func:`run` and of :func:`gridfreq.io.read_estimates` are kept without
+    a copy.
     """
 
     rows: np.ndarray
@@ -428,12 +430,11 @@ class EstimateSeries:
     diverged_at: int | None = field(default=None, kw_only=True)
 
     def __post_init__(self) -> None:
-        self.rows = rows = np.ascontiguousarray(self.rows, np.float64)
+        self.rows = rows = immutable(self.rows)
         if (rows.ndim != 2 or rows.shape[1] < len(ROW_COLUMNS) + 2
                 or (rows.shape[1] - len(ROW_COLUMNS)) % 2):
             raise ValueError(f"rows of shape {rows.shape} are not a "
                              f"matrix of 10 + 2n columns, n >= 1")
-        rows.flags.writeable = False
 
     @property
     def n(self) -> int:
@@ -573,6 +574,7 @@ def run(stream: SampleStream, config: EstimatorConfig) -> EstimateSeries:
     x = np.ascontiguousarray(stream.values, dtype=np.float64)
     rows = np.empty((len(x) // every, len(ROW_COLUMNS) + 2 * n))
     written = _native_advance(state, config, rows, x, None)(0.0)
-    k = state.k
-    return EstimateSeries(rows=rows[:k // every],
-                          diverged_at=k if written < 0 else None)
+    rows.flags.writeable = False
+    if written < 0:                    # a view, so the series copies it
+        return EstimateSeries(rows[:state.k // every], diverged_at=state.k)
+    return EstimateSeries(rows)

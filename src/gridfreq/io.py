@@ -167,7 +167,6 @@ def write_truth(path: str | Path, truth: GroundTruth) -> None:
 
 def read_truth(path: str | Path) -> GroundTruth:
     _, arr = _read_rows(path, TRUTH_HEADER)
-    # the rows view bytes, read-only: the truth keeps its columns uncopied
     t0, ts = _uniform_grid(path, arr[:, 0], "truth rows")
     return GroundTruth(t0=t0, ts=ts, freq_hz=arr[:, 1],
                        rocof_hzps=arr[:, 2], amp_pu=arr[:, 3],

@@ -36,8 +36,7 @@ class SampleStream:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.ts <= 0:
-            raise ScenarioError("sampling interval must be positive")
+        _check_grid(self.t0, self.ts)
         object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
         if self.values.size == 0:
             raise ScenarioError("stream must contain at least one sample")
@@ -56,9 +55,8 @@ class GroundTruth:
     The arrays are read-only: :func:`synthesize` shares them between the
     seeds of one scenario.  A truth equals and hashes by identity, so
     :func:`gridfreq.metrics.align` can keep its pairing per truth; that
-    pairing assumes the values never change, so the truth keeps a private
-    copy of an array that is writable or that views a writable base, and
-    keeps, without a copy, one whose whole ``.base`` chain is read-only.
+    pairing assumes the values never change, so the truth keeps each array
+    as :func:`immutable` returns it.
     """
 
     t0: float
@@ -69,12 +67,9 @@ class GroundTruth:
     phase_rad: np.ndarray
 
     def __post_init__(self) -> None:
+        _check_grid(self.t0, self.ts)
         for name in ("freq_hz", "rocof_hzps", "amp_pu", "phase_rad"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            if _writable(arr):
-                arr = arr.copy()
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, immutable(getattr(self, name)))
         n = self.freq_hz.size
         if any(getattr(self, f).size != n for f in ("rocof_hzps", "amp_pu", "phase_rad")):
             raise ScenarioError("ground-truth sequences must have equal length")
@@ -86,21 +81,25 @@ class GroundTruth:
         return self.freq_hz.size
 
 
-def _writable(arr: np.ndarray) -> bool:
-    """Whether ``arr`` or anything along its ``.base`` chain can be written:
-    a writable array, or a base that is not an array and does not export
-    a read-only buffer."""
-    base = arr
-    while isinstance(base, np.ndarray):
-        if base.flags.writeable:
-            return True
-        base = base.base
-    if base is None:
-        return False
-    try:
-        return not memoryview(base).readonly
-    except TypeError:
-        return True
+def immutable(value: object) -> np.ndarray:
+    """``value`` as a float64 array in C order: ``value`` itself if it is one
+    that is read-only and whose memory is its own or an immutable
+    ``bytes``, otherwise a read-only copy, which no one else holds."""
+    arr = np.ascontiguousarray(value, np.float64)
+    if arr.flags.writeable or not (arr.base is None
+                                   or isinstance(arr.base, bytes)):
+        arr = arr.copy()
+        arr.flags.writeable = False
+    return arr
+
+
+def _check_grid(t0: float, ts: float) -> None:
+    """Refuse a time grid t0 + k*ts whose start is not finite, or whose
+    interval is not finite and positive."""
+    if not math.isfinite(t0):
+        raise ScenarioError(f"t0 must be finite, got {t0!r}")
+    if not (math.isfinite(ts) and ts > 0):
+        raise ScenarioError(f"ts must be finite and positive, got {ts!r}")
 
 
 # --------------------------------------------------------------------------
@@ -197,6 +196,9 @@ class HarmonicSpec:
     phase_rad: float = 0.0
 
     def __post_init__(self) -> None:
+        if not is_count(self.order):
+            raise ScenarioError(
+                f"harmonic order must be an int, got {self.order!r}")
         if self.order < 2:
             raise ScenarioError("harmonic order must be >= 2")
         if self.rel_amp < 0:

@@ -1,4 +1,5 @@
-"""Shared scenario builders for the test battery.
+"""Shared scenario builders for the test battery, and the kinds of array a
+truth or a series can be built over.
 
 The builders mirror the shipped scenario files in scenarios/ but are
 constructed in code so the tests do not depend on file parsing.
@@ -6,10 +7,53 @@ constructed in code so the tests do not depend on file parsing.
 
 from __future__ import annotations
 
+import numpy as np
+
 from gridfreq import (DcSpec, EventProfile, HarmonicSpec, NoiseSpec,
                       ScenarioSpec, StepSpec)
 
 FS = 1200.0
+
+
+def _writable(values: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    arr = values.copy()
+    return arr, [arr]
+
+
+def _read_only(values: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    arr = values.copy()
+    arr.flags.writeable = False
+    return arr, []
+
+
+def _read_only_view(values: np.ndarray
+                    ) -> tuple[np.ndarray, list[np.ndarray]]:
+    base = np.stack([values, values])
+    view = base[1]
+    view.flags.writeable = False
+    return view, [base]
+
+
+def _bytes(values: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    return np.frombuffer(values.tobytes(), (np.float64, values.shape[1:])), []
+
+
+def _bytes_column(values: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    matrix = _bytes(np.stack([values, values], axis=1))[0]
+    return matrix[:, 1], []
+
+
+# the kinds of array a truth or a series can be built over: kind ->
+# (build, kept), where build(values) gives an array of ``values`` and the
+# writable arrays the caller still holds, and kept tells whether the truth
+# or the series keeps the array itself rather than a read-only copy
+ARRAY_KINDS = {
+    "writable": (_writable, False),
+    "read-only": (_read_only, True),
+    "view": (_read_only_view, False),         # of a writable base
+    "bytes": (_bytes, True),
+    "bytes-column": (_bytes_column, False),   # of a bytes-backed matrix
+}
 
 
 def clean_tone(duration: float = 10.0) -> ScenarioSpec:

@@ -4,8 +4,8 @@ Criteria 2 and 3 each split into a frequency-error half and a RoCoF-error
 half.  The RoCoF halves are expected failures (strict xfail): at 100 ms
 latency and the stated noise levels the requested bounds sit below the
 information-theoretic floor of any chirp-rate estimator with that much
-effective delay (Cramer-Rao analysis in the project decisions ledger,
-entry D3).  The achieved values are printed so the gap is visible.
+effective delay (the Cramer-Rao floor stated in README "Accuracy").  The
+achieved values are printed so the gap is visible.
 """
 
 from __future__ import annotations
@@ -94,7 +94,8 @@ def test_c02_event_2pct_noise_freq(case1_mc):
     strict=True,
     reason="RoCoF bounds below the delay-constrained estimation floor: at 2% "
            "noise the Cramer-Rao lower bound for a chirp-rate estimate with "
-           "0.2 s of effective data is 0.19 Hz/s per sample; decisions ledger D3")
+           "0.2 s of effective data is 0.19 Hz/s per sample; README "
+           "\"Accuracy\"")
 def test_c02_event_2pct_noise_rocof(case1_mc):
     m = case1_mc
     ok = m.max_re <= 0.21 and m.rmse_re <= 0.05
@@ -118,7 +119,7 @@ def test_c03_event_15pct_noise_freq(case1b_mc):
 @pytest.mark.xfail(
     strict=True,
     reason="RoCoF bounds below the delay-constrained estimation floor at 15% "
-           "noise (7.5x the 2% floor); decisions ledger D3")
+           "noise (7.5x the 2% floor); README \"Accuracy\"")
 def test_c03_event_15pct_noise_rocof(case1b_mc):
     m = case1b_mc
     ok = m.max_re <= 0.32 and m.rmse_re <= 0.13

@@ -358,6 +358,7 @@ class TestColumnarSeries:
         series = EstimateSeries(rows.tolist())
         assert series.rows.shape == rows.shape
         assert series.rows.tobytes() == rows.tobytes()
+        assert not series.rows.flags.writeable
         assert EstimateSeries([[0.0] * 12]).n == 1
 
     @pytest.mark.parametrize("rows", [
@@ -967,13 +968,22 @@ class TestNativeBuffers:
         branch whose fixed-width copies write furthest, 26 bytes from its
         start: 17 digits, 16 of them before the point.  The longest field
         is repeated past pymalloc's 512-byte limit, so the room comes from
-        the system allocator: the sanitized tier-1 run's ASan sees a write
-        past it, and -X dev's debug hooks check its guard bytes when it is
-        shrunk and freed."""
+        the system allocator.  The call runs in a ``python -X dev``
+        subprocess, whose debug hooks check the room's guard bytes when it
+        is shrunk and freed, whatever flags run this test; it runs here
+        too, where the sanitized tier-1 run's ASan sees a write past it."""
         row = [-2.2250738585072014e-308] * 20 + [-1234567890123456.8]
+        expect = (",".join(map(repr, row)) + "\r\n").encode()
+        probe = ("import sys; import numpy as np; from gridfreq import "
+                 "_native; sys.stdout.buffer.write(_native.format_rows("
+                 f"np.array([{row!r}])))")
+        env = {**os.environ,
+               "PYTHONPATH": str(Path(estimator.__file__).parents[1])}
+        out = subprocess.run([sys.executable, "-X", "dev", "-c", probe],
+                             env=env, capture_output=True)
+        assert (out.returncode, out.stdout) == (0, expect), out.stderr
         text = _native.format_rows(np.array([row]))
-        assert type(text) is bytes
-        assert text == (",".join(map(repr, row)) + "\r\n").encode()
+        assert type(text) is bytes and text == expect
 
     def test_c_library_has_exactly_its_entry_points(self):
         """A new C entry point is a deliberate change."""

@@ -2,6 +2,7 @@
 
 import copy
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,8 +10,10 @@ import pytest
 from gridfreq import (AlignmentError, EstimatorConfig, MetricsReport,
                       RampProfile, ScenarioSpec, aggregate, align, evaluate,
                       run, synthesize)
+from gridfreq import io as gio
 from gridfreq.estimator import ROW_COLUMNS, EstimateSeries
 from gridfreq.synth import GroundTruth
+from cases import ARRAY_KINDS
 from reference import reference_fe_re
 
 FS = 1200.0
@@ -122,19 +125,72 @@ class TestAlign:
         assert base.flags.writeable and not np.shares_memory(
             truth.freq_hz, base)
 
-    @pytest.mark.parametrize("make", [
-        lambda a: a,                        # read-only, owning its data
-        lambda a: a[::2],                   # a read-only view of one
-        lambda a: np.frombuffer(a.tobytes())],     # of bytes
-        ids=["array", "view", "bytes"])
-    def test_a_truth_over_read_only_arrays_keeps_them(self, make):
-        a = np.full(11, 50.0)
-        a.flags.writeable = False
-        arrays = [make(a) for _ in range(4)]
-        truth = GroundTruth(0.0, 1 / 1200, *arrays)
-        for name, arr in zip(("freq_hz", "rocof_hzps", "amp_pu",
-                              "phase_rad"), arrays):
-            assert getattr(truth, name) is arr
+
+# a clean 1 s record and the default config; a spec whose render is kept
+_SPEC = ScenarioSpec(duration=1.0, base_freq=50.0)
+_CLEAN = synthesize(_SPEC, FS)[0], EstimatorConfig()
+
+
+def _read_estimates(tmp_path):
+    path = tmp_path / "est.csv"
+    gio.write_estimates(path, run(*_CLEAN))
+    return gio.read_estimates(path).rows
+
+
+def _read_truth(tmp_path):
+    path = tmp_path / "truth.csv"
+    gio.write_truth(path, synthesize(_SPEC, FS)[1])
+    return gio.read_truth(path).freq_hz
+
+
+class TestKeptArrays:
+    """A truth or a series keeps an array as given only where no write can
+    reach it: read-only, over memory of its own or over ``bytes``;
+    otherwise it keeps a read-only copy, and the caller's arrays stay as
+    they were."""
+
+    @staticmethod
+    def _check(kept, built, got, values):
+        for (arr, held), mine in zip(built, got):
+            assert (mine is arr) == kept
+            assert all(a.flags.writeable for a in held)
+            for a in held:
+                a += 1.0
+            assert not mine.flags.writeable
+            assert mine.tobytes() == values.tobytes()
+
+    @pytest.mark.parametrize("kind", ARRAY_KINDS)
+    def test_a_truth(self, kind):
+        build, kept = ARRAY_KINDS[kind]
+        values = np.linspace(49.0, 51.0, 11)
+        built = [build(values) for _ in range(4)]
+        truth = GroundTruth(0.0, 1 / 1200, *(arr for arr, _ in built))
+        got = [truth.freq_hz, truth.rocof_hzps, truth.amp_pu, truth.phase_rad]
+        self._check(kept, built, got, values)
+
+    @pytest.mark.parametrize("kind", ARRAY_KINDS)
+    def test_a_series(self, kind):
+        build, kept = ARRAY_KINDS[kind]
+        values = np.arange(36.0).reshape(3, len(ROW_COLUMNS) + 2)
+        built = build(values)
+        self._check(kept, [built], [EstimateSeries(built[0]).rows], values)
+
+    # how the package builds the arrays it keeps, and the type of their
+    # base: a column of a parsed matrix is copied, the rows of a diverged
+    # run too, since they are a view of the run's buffer; that synthesize
+    # shares its truth's arrays between seeds is held in test_synth.py
+    @pytest.mark.parametrize("make, base", [
+        (lambda tmp: run(*_CLEAN).rows, type(None)),
+        (lambda tmp: run(_CLEAN[0], replace(_CLEAN[1], eta_opt=1e9)).rows,
+         type(None)),
+        (_read_estimates, bytes),
+        (_read_truth, type(None)),
+        (lambda tmp: synthesize(_SPEC, FS, seed=1)[1].freq_hz, type(None))],
+        ids=["run", "diverged-run", "read_estimates", "read_truth",
+             "synthesize"])
+    def test_the_arrays_the_package_builds(self, make, base, tmp_path):
+        arr = make(tmp_path)
+        assert not arr.flags.writeable and type(arr.base) is base
 
 
 class TestFeRe:

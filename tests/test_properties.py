@@ -24,6 +24,7 @@ from gridfreq import _native, cli, estimator
 from gridfreq import io as gio
 from gridfreq.synth import (ConstantProfile, DcSpec, HarmonicSpec, NoiseSpec,
                             StepSpec)
+from cases import ARRAY_KINDS
 from golden import state_digest
 from reference import (harmonic_basis, output_and_gradient,
                        reference_amps_phases, reference_loop,
@@ -642,6 +643,8 @@ _PAIRED = [synthesize(ScenarioSpec(
 # (report_every, latency, skip_s) of one align call; past 2 s no record pairs
 align_args = st.tuples(st.integers(1, 600), st.floats(0.0, 2.2),
                        st.floats(0.0, 2.2))
+# the kind of array the truth of an align call is built over
+array_kinds = st.sampled_from(list(ARRAY_KINDS))
 
 
 @st.composite
@@ -656,24 +659,36 @@ def align_calls(draw):
 
 
 @settings(deadline=None)
-@given(t0=st.floats(-1e9, 2e9), calls=align_calls())
-# the same arguments, then another report grid, latency or skip window,
-# and a pairing that fails
-@example(t0=0.0, calls=((12, 0.1, 0.5), (12, 0.1, 0.5)))
-@example(t0=0.0, calls=((12, 0.1, 0.5), (24, 0.1, 0.5)))
-@example(t0=0.0, calls=((12, 0.1, 0.5), (12, 0.3, 0.5)))
-@example(t0=0.0, calls=((12, 0.1, 0.5), (12, 0.1, 1.0)))
-@example(t0=0.0, calls=((12, 0.1, 0.5), (12, 0.1, 2.1)))
-def test_a_kept_pairing_has_the_bits_of_a_fresh_one(t0, calls):
-    """Align a run of one seed, then of another, on one truth: each pairing
-    has the bits of a pairing on a fresh copy of the truth, whatever it
-    reuses; the truth side is read-only and, for the same arguments, the
-    first call's; and a pairing that fails fails again."""
+@given(t0=st.floats(-1e9, 2e9), calls=align_calls(), kind=array_kinds)
+# the same arguments over each kind of array, then another report grid,
+# latency or skip window, and a pairing that fails
+@example(t0=0.0, calls=((12, 0.1, 0.5), (12, 0.1, 0.5)), kind="writable")
+@example(t0=0.0, calls=((12, 0.1, 0.5), (12, 0.1, 0.5)), kind="read-only")
+@example(t0=0.0, calls=((12, 0.1, 0.5), (12, 0.1, 0.5)), kind="view")
+@example(t0=0.0, calls=((12, 0.1, 0.5), (12, 0.1, 0.5)), kind="bytes")
+@example(t0=0.0, calls=((12, 0.1, 0.5), (12, 0.1, 0.5)),
+         kind="bytes-column")
+@example(t0=0.0, calls=((12, 0.1, 0.5), (24, 0.1, 0.5)), kind="view")
+@example(t0=0.0, calls=((12, 0.1, 0.5), (12, 0.3, 0.5)), kind="view")
+@example(t0=0.0, calls=((12, 0.1, 0.5), (12, 0.1, 1.0)), kind="view")
+@example(t0=0.0, calls=((12, 0.1, 0.5), (12, 0.1, 2.1)), kind="view")
+def test_a_kept_pairing_has_the_bits_of_a_fresh_one(t0, calls, kind):
+    """Align a run of one seed, then of another, on one truth built over
+    ``kind`` of array, writing every array the caller holds before each
+    call: each pairing has the bits of a pairing on a fresh copy of the
+    truth, whatever it reuses; the truth side is read-only and, for the
+    same arguments, the first call's; and a pairing that fails fails
+    again."""
     truth0 = _PAIRED[0][1]
-    truth = GroundTruth(t0, truth0.ts, truth0.freq_hz, truth0.rocof_hzps,
-                        truth0.amp_pu, truth0.phase_rad)
+    build = ARRAY_KINDS[kind][0]
+    built = [build(arr) for arr in (truth0.freq_hz, truth0.rocof_hzps,
+                                    truth0.amp_pu, truth0.phase_rad)]
+    truth = GroundTruth(t0, truth0.ts, *(arr for arr, _ in built))
+    held = [arr for _, writable in built for arr in writable]
     kept = None
     for (stream, _), args in zip(_PAIRED, calls):
+        for arr in held:
+            arr += 1.0
         report_every, latency, skip_s = args
         series = run(SampleStream(t0, stream.ts, stream.values),
                      replace(EstimatorConfig(), report_every=report_every))

@@ -1,6 +1,7 @@
 """Unit tests for the scenario synthesizer."""
 
 import math
+import re
 import sys
 import threading
 from dataclasses import replace
@@ -32,6 +33,25 @@ class TestSampleStream:
             SampleStream(t0=0.0, ts=0.0, values=[1.0])
         with pytest.raises(ScenarioError):
             SampleStream(t0=0.0, ts=0.1, values=[])
+
+
+@pytest.mark.parametrize("make", [
+    lambda t0, ts: SampleStream(t0, ts, [1.0]),
+    lambda t0, ts: GroundTruth(t0, ts, [50.0], [0.0], [1.0], [0.0])],
+    ids=["stream", "truth"])
+@pytest.mark.parametrize("t0, ts, message", [
+    (math.nan, 0.1, "t0 must be finite, got nan"),
+    (math.inf, 0.1, "t0 must be finite, got inf"),
+    (-math.inf, 0.1, "t0 must be finite, got -inf"),
+    (0.0, math.nan, "ts must be finite and positive, got nan"),
+    (0.0, math.inf, "ts must be finite and positive, got inf"),
+    (0.0, 0.0, "ts must be finite and positive, got 0.0"),
+    (0.0, -0.1, "ts must be finite and positive, got -0.1")])
+def test_a_time_grid_that_is_not_finite_is_refused(make, t0, ts, message):
+    # a nan ts slips past `ts <= 0`, as every comparison with nan is
+    # false; a t0 of nan or inf would stamp every time with it
+    with pytest.raises(ScenarioError, match=f"^{re.escape(message)}$"):
+        make(t0, ts)
 
 
 class TestCleanTone:
@@ -533,6 +553,13 @@ class TestSpecValidation:
             HarmonicSpec(order=1, rel_amp=0.1)
         with pytest.raises(ScenarioError):
             HarmonicSpec(order=3, rel_amp=-0.1)
+
+    @pytest.mark.parametrize("order", [2.5, 3.0, True, "3"])
+    def test_non_int_harmonic_order_rejected(self, order):
+        # 2.5 would render an interharmonic that no scenario file can hold
+        with pytest.raises(ScenarioError,
+                           match="harmonic order must be an int"):
+            HarmonicSpec(order=order, rel_amp=0.1)
 
     def test_max_order(self):
         spec = ScenarioSpec(duration=1.0, base_freq=50.0,
