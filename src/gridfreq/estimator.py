@@ -420,9 +420,9 @@ class EstimateSeries:
 
     Building a series keeps its rows, an array or a list of rows, as
     :func:`gridfreq.synth.immutable` returns them: a read-only float64
-    array in C order that no write of the caller's changes.  The rows of
-    :func:`run` and of :func:`gridfreq.io.read_estimates` are kept without
-    a copy.
+    array in C order that no write of the caller's changes.  The rows of a
+    :func:`run` that did not diverge and of
+    :func:`gridfreq.io.read_estimates` are kept without a copy.
     """
 
     rows: np.ndarray
