@@ -9,8 +9,9 @@ latency-aligned error metrics and a batch CLI.
 
 from .errors import (AlignmentError, ConfigError, DivergenceError,
                      GridFreqError, ScenarioError)
+from . import estimator
 from .estimator import (EstimateRecord, EstimateSeries, EstimatorConfig,
-                        EstimatorState, init, run, step)
+                        EstimatorState, init, run)
 from .metrics import MetricsReport, aggregate, align, evaluate
 from .synth import (ConstantProfile, DcSpec, EventProfile, GroundTruth,
                     HarmonicSpec, NoiseSpec, RampProfile, SampleStream,
@@ -30,3 +31,13 @@ __all__ = [
     "init", "ise_fitness", "pso_minimize", "pso_tune", "run", "step",
     "synthesize",
 ]
+
+
+def __getattr__(name: str) -> object:
+    """``step``, made by the C library on the first access (see
+    :mod:`gridfreq.estimator`), so the import builds no library."""
+    if name != "step":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    global step
+    step = estimator.step
+    return step

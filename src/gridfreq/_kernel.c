@@ -11,6 +11,7 @@
  * the module's context, format_rows and parse_rows, and reads amplitude
  * and phase through its polar (see the end of the file); all take their
  * arrays through the buffer protocol, and parse_rows its text as bytes.
+ * The module's stepper makes gridfreq.estimator.step, one C function.
  * format_rows and parse_rows return bytes they size themselves: the text,
  * in a buffer of the formatter's worst case shrunk to it, and the rows,
  * in a buffer the parser grows as it reads.
@@ -27,6 +28,14 @@
  * order; -ffp-contract=off rules out fused multiply-adds; CPython's
  * math.sin and math.cos call the same libm; and py_mod is CPython's
  * float %.
+ *
+ * estimator.step is the step function the module's stepper makes
+ * (stepper_step), so a step runs no Python frame: it reads the state's
+ * diverged, _config and _advance straight from their slots, at offsets
+ * read once from the state class's member descriptors, compares the
+ * config by identity and vectorcalls the context's advance.  It calls
+ * back into Python only to bind a new config or to raise on a diverged
+ * state.
  *
  * A step's context fills the report's EstimateRecord itself, slot by slot
  * and without running the class's __init__ (make_record), and the module's
@@ -923,17 +932,18 @@ static const char *const record_fields[] = {
     "residual", "eta", "phase_acc", "t_anchor", "amps", "phases"};
 enum { F_AMPS = 10, F_PHASES, F_COUNT };
 
-/* Read into offsets where each of record_fields lives in an instance of
+/* Read into offsets where each of the count names lives in an instance of
  * cls, from the class's member descriptors: each must be a writable object
  * slot of cls, and no two the same.  Otherwise raise TypeError naming the
- * field. */
-static int record_offsets(PyTypeObject *cls, Py_ssize_t *offsets)
+ * field, the function (caller) and the role of the class (what). */
+static int slot_offsets(PyTypeObject *cls, const char *const *names,
+                        int count, Py_ssize_t *offsets, const char *caller,
+                        const char *what)
 {
     int i, j, ok;
 
-    for (i = 0; i < F_COUNT; i++) {
-        PyObject *d = PyObject_GetAttrString((PyObject *)cls,
-                                             record_fields[i]);
+    for (i = 0; i < count; i++) {
+        PyObject *d = PyObject_GetAttrString((PyObject *)cls, names[i]);
 
         if (!d) {
             if (!PyErr_ExceptionMatches(PyExc_AttributeError))
@@ -952,9 +962,9 @@ static int record_offsets(PyTypeObject *cls, Py_ssize_t *offsets)
         for (j = 0; ok && j < i; j++)
             ok = offsets[j] != offsets[i];
         if (!ok) {
-            PyErr_Format(PyExc_TypeError, "context: field '%s' of the record "
-                         "class %s is not an object slot of its own",
-                         record_fields[i], cls->tp_name);
+            PyErr_Format(PyExc_TypeError, "%s: field '%s' of the %s class %s "
+                         "is not an object slot of its own", caller,
+                         names[i], what, cls->tp_name);
             return -1;
         }
     }
@@ -1114,7 +1124,8 @@ static PyObject *kernel_context(PyObject *module, PyObject *args)
         return NULL;
     if (record != Py_None) {
         self->record = (PyTypeObject *)Py_NewRef(record);
-        if (record_offsets(self->record, self->offsets) < 0)
+        if (slot_offsets(self->record, record_fields, F_COUNT,
+                         self->offsets, "context", "record") < 0)
             goto done;
     }
     for (i = 0; i < 4; i++) {
@@ -1144,6 +1155,199 @@ static PyObject *kernel_context(PyObject *module, PyObject *args)
 done:
     Py_DECREF(self);
     return advance;
+}
+
+/* The fields of gridfreq.estimator.EstimatorState a step reads and writes:
+ * its divergence flag, the config it is bound to and the advance function
+ * of that binding. */
+static const char *const state_fields[] = {"diverged", "_config",
+                                           "_advance"};
+enum { ST_DIVERGED, ST_CONFIG, ST_ADVANCE, ST_COUNT };
+
+/* The state class of a step, with the offsets of its state_fields, and the
+ * module whose _bind and DivergenceError a step looks up when it needs
+ * them.  A stepper is only ever seen by Python as the self of its step
+ * function (see kernel_stepper); the module holds that function, and the
+ * cycle goes when the interpreter clears its modules. */
+typedef struct {
+    PyObject_HEAD
+    PyTypeObject *cls;
+    PyObject *module;
+    Py_ssize_t offsets[ST_COUNT];
+} Stepper;
+
+static void stepper_dealloc(PyObject *self)
+{
+    Py_XDECREF(((Stepper *)self)->cls);
+    Py_XDECREF(((Stepper *)self)->module);
+    Py_TYPE(self)->tp_free(self);
+}
+
+static PyTypeObject StepperType = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "gridfreq._kernel.Stepper",
+    .tp_basicsize = sizeof(Stepper),
+    .tp_dealloc = stepper_dealloc,
+    .tp_flags = Py_TPFLAGS_DEFAULT,
+    .tp_doc = PyDoc_STR("The state class and module one step works with."),
+};
+
+#define STATE_SLOT(state, st, f) \
+    (*(PyObject **)((char *)(state) + (st)->offsets[f]))
+
+/* The state, sample and config of a call with keywords or without three
+ * positional arguments, into argv; the TypeErrors are those of a builtin
+ * function of these parameters. */
+static int step_args(PyObject *const *args, Py_ssize_t nargs,
+                     PyObject *kwnames, PyObject **argv)
+{
+    static const char *const names[3] = {"state", "sample", "config"};
+    Py_ssize_t i, j, nkw = kwnames ? PyTuple_GET_SIZE(kwnames) : 0;
+
+    if (nargs > 3) {
+        PyErr_Format(PyExc_TypeError, "step() takes at most 3 arguments "
+                     "(%zd given)", nargs + nkw);
+        return -1;
+    }
+    for (i = 0; i < 3; i++)
+        argv[i] = i < nargs ? args[i] : NULL;
+    for (i = 0; i < nkw; i++) {
+        PyObject *key = PyTuple_GET_ITEM(kwnames, i);
+
+        for (j = 0; j < 3; j++)
+            if (!PyUnicode_CompareWithASCIIString(key, names[j]))
+                break;
+        if (j == 3) {
+            PyErr_Format(PyExc_TypeError, "'%U' is an invalid keyword "
+                         "argument for step()", key);
+            return -1;
+        }
+        if (argv[j]) {
+            PyErr_Format(PyExc_TypeError, "argument for step() given by "
+                         "name ('%s') and position (%zd)", names[j], j + 1);
+            return -1;
+        }
+        argv[j] = args[nargs + i];
+    }
+    for (i = 0; i < 3; i++)
+        if (!argv[i]) {
+            PyErr_Format(PyExc_TypeError, "step() missing required "
+                         "argument '%s' (pos %zd)", names[i], i + 1);
+            return -1;
+        }
+    return 0;
+}
+
+/* The rare cases of a step, which call back into Python: a state whose
+ * diverged is not False raises the module's DivergenceError where it is
+ * true, and a state not bound to config is bound by the module's _bind,
+ * both looked up now. */
+static int step_prepare(const Stepper *st, PyObject *state, PyObject *config)
+{
+    if (STATE_SLOT(state, st, ST_DIVERGED) != Py_False) {
+        PyObject *flag = PyObject_GetAttrString(state, "diverged"), *exc, *k;
+        int diverged = flag ? PyObject_IsTrue(flag) : -1;
+
+        Py_XDECREF(flag);
+        if (diverged) {
+            if (diverged > 0
+                && (exc = PyObject_GetAttrString(st->module,
+                                                 "DivergenceError"))) {
+                if ((k = PyObject_GetAttrString(state, "k"))) {
+                    PyErr_Format(exc, "estimator diverged at sample %S", k);
+                    Py_DECREF(k);
+                }
+                Py_DECREF(exc);
+            }
+            return -1;
+        }
+    }
+    if (STATE_SLOT(state, st, ST_CONFIG) != config) {
+        PyObject *bind = PyObject_GetAttrString(st->module, "_bind"), *done;
+
+        if (!bind)
+            return -1;
+        done = PyObject_CallFunctionObjArgs(bind, state, config, NULL);
+        Py_DECREF(bind);
+        if (!done)
+            return -1;
+        Py_DECREF(done);
+    }
+    return 0;
+}
+
+/* step(state, sample, config): one sample through the state's advance
+ * function (see context_advance), the state bound to config first.  On the
+ * hot path it reads the state's slots, compares config by identity and
+ * makes one vectorcall; at a divergence it sets diverged to True and
+ * returns None. */
+static PyObject *stepper_step(PyObject *self, PyObject *const *args,
+                              Py_ssize_t nargs, PyObject *kwnames)
+{
+    const Stepper *st = (Stepper *)self;
+    PyObject *argv[3], *state, *advance, *result, *flag;
+
+    if (kwnames || nargs != 3) {
+        if (step_args(args, nargs, kwnames, argv) < 0)
+            return NULL;
+        args = argv;
+    }
+    state = args[0];
+    if (!PyObject_TypeCheck(state, st->cls)) {
+        PyErr_Format(PyExc_TypeError, "step: state must be an %s, got %s",
+                     st->cls->tp_name, Py_TYPE(state)->tp_name);
+        return NULL;
+    }
+    if ((STATE_SLOT(state, st, ST_DIVERGED) != Py_False
+         || STATE_SLOT(state, st, ST_CONFIG) != args[2])
+        && step_prepare(st, state, args[2]) < 0)
+        return NULL;
+    /* held over the call, which may run Python code that rebinds it */
+    advance = STATE_SLOT(state, st, ST_ADVANCE);
+    Py_XINCREF(advance);
+    if (!advance && !(advance = PyObject_GetAttrString(state, "_advance")))
+        return NULL;
+    result = PyObject_Vectorcall(advance, &args[1], 1, NULL);
+    Py_DECREF(advance);
+    if (result != Py_False)
+        return result;
+    Py_DECREF(result);
+    flag = STATE_SLOT(state, st, ST_DIVERGED);
+    STATE_SLOT(state, st, ST_DIVERGED) = Py_NewRef(Py_True);
+    Py_XDECREF(flag);
+    Py_RETURN_NONE;
+}
+
+static PyMethodDef step_def = {
+    "step", (PyCFunction)(void (*)(void))stepper_step,
+    METH_FASTCALL | METH_KEYWORDS,
+    PyDoc_STR("step(state, sample, config)\n--\n\n"
+              "Consume one sample; mutate the state; emit a record on "
+              "report frames.\n\n"
+              "Raises DivergenceError when called on a diverged state, "
+              "and TypeError, with the state untouched, when the sample is "
+              "not a real number."),
+};
+
+static PyObject *kernel_stepper(PyObject *module, PyObject *args)
+{
+    PyObject *cls, *estimator, *step = NULL;
+    Stepper *self;
+
+    (void)module;
+    if (!PyArg_ParseTuple(args, "O!O:stepper", &PyType_Type, &cls,
+                          &estimator))
+        return NULL;
+    self = (Stepper *)StepperType.tp_alloc(&StepperType, 0);
+    if (!self)
+        return NULL;
+    self->cls = (PyTypeObject *)Py_NewRef(cls);
+    self->module = Py_NewRef(estimator);
+    if (slot_offsets(self->cls, state_fields, ST_COUNT, self->offsets,
+                     "stepper", "state") == 0)
+        step = PyCFunction_New(&step_def, (PyObject *)self);
+    Py_DECREF(self);
+    return step;
 }
 
 static PyObject *kernel_polar(PyObject *module, PyObject *args)
@@ -1255,6 +1459,15 @@ static PyMethodDef kernel_methods[] = {
                "by slot).  n and the ring's size are read "
                "from the consts and state.  The state and rows must be "
                "writable; every buffer must hold float64 in C order.")},
+    {"stepper", kernel_stepper, METH_VARARGS,
+     PyDoc_STR("stepper(cls, module)\n--\n\n"
+               "The step function of states of the class cls, whose "
+               "diverged, _config and _advance are object slots: "
+               "step(state, sample, config) binds the state to config with "
+               "module._bind unless it is bound to that object, advances "
+               "it by the sample and returns the advance's record or None, "
+               "setting diverged at a divergence; on a diverged state it "
+               "raises module.DivergenceError.")},
     {"format_rows", kernel_format_rows, METH_VARARGS,
      PyDoc_STR("format_rows(cells, pow10)\n--\n\n"
                "The rows of the float64 matrix cells as CSV text, each "
@@ -1284,7 +1497,7 @@ static struct PyModuleDef kernel_module = {
 
 PyMODINIT_FUNC PyInit__kernel(void)
 {
-    if (PyType_Ready(&ContextType) < 0)
+    if (PyType_Ready(&ContextType) < 0 || PyType_Ready(&StepperType) < 0)
         return NULL;
     return PyModule_Create(&kernel_module);
 }

@@ -9,7 +9,8 @@ parser (``gridfreq_parse_rows``), which the module's ``context``,
 protocol and on text as bytes, and the amplitude and phase rule of the
 estimator's records, libm's ``hypot`` and ``atan2`` over doubles, which a
 step's context and ``polar`` apply.  ``context`` reads the harmonic count
-and the RoCoF ring's size from the buffers it is given.
+and the RoCoF ring's size from the buffers it is given; ``stepper`` makes
+:func:`gridfreq.estimator.step`, one C function over a state's slots.
 :func:`library` builds it with ``cc -O2 -ffp-contract=off`` against the
 running interpreter's headers into ``$XDG_CACHE_HOME/gridfreq`` (default
 ``~/.cache/gridfreq``), on the first call, never at import.  The

@@ -59,16 +59,23 @@ state to its config: it loads the C library, so no step pays for that.
 The binding, with the products of ``ts`` and the gains and the other
 per-config constants, is cached per (state, config) pair on the state;
 :class:`EstimatorConfig` is frozen so that cache cannot go stale.  A step
-is one C-API call of one argument, the sample, on a C callable that holds
-views of the state, constant and row buffers, which give its sizes, and
-the offsets of the record class's slots, read once when the state is
-bound, and that returns the report's record, or None.  The C loop is one
-function of the package's C library, which also holds the CSV float
+is one C-API call and runs no Python frame: :func:`step` is a C function of
+the library's ``stepper``, which reads the state's ``diverged``,
+``_config`` and ``_advance`` from their slots, compares the config by
+identity and calls ``_advance`` with the sample.  That is a C callable
+that holds views of the state, constant and row buffers, which give its
+sizes, and the offsets of the record class's slots, read once when the
+state is bound, and that returns the report's record, or None.  A step
+calls back into Python only to bind a new config, through ``_bind`` as
+the module holds it then, and to raise on a diverged state.  The C loop is
+one function of the package's C library, which also holds the CSV float
 formatter and row parser of :mod:`gridfreq.io`: :mod:`gridfreq._native`
 builds it with ``cc -O2 -ffp-contract=off`` as the extension module
 ``gridfreq._kernel`` into ``$XDG_CACHE_HOME/gridfreq`` (default
 ``~/.cache/gridfreq``) on first use, never at import, and raises
-:class:`OSError` where it cannot.
+:class:`OSError` where it cannot.  The first access of ``step``, here or
+in :mod:`gridfreq`, is such a use: it makes the step function and keeps it
+in the module's globals.
 
 Every expression keeps the operand order of the laws, and the tests hold
 it to that: ``tests/data/golden_run.json`` holds digests of the records of
@@ -276,8 +283,12 @@ class EstimatorState:
     fixed when the state is built: assigning a list of another length
     raises :class:`ValueError` and leaves the state as it was; a state of
     another order is built anew.  A state pickles and copies as its values;
-    the copy binds its own buffer on its next :func:`step`.
+    the copy binds its own buffer on its next :func:`step`.  The class has
+    ``__slots__``, which the C :func:`step` reads and writes in place, so a
+    state has no ``__dict__``; ``diverged`` is a plain attribute.
     """
+
+    __slots__ = ("diverged", "_n", "_v", "_config", "_advance")
 
     a_dc = _slot("a_dc")
     a_dc1 = _slot("a_dc1")
@@ -530,23 +541,15 @@ def _bind(state: EstimatorState, config: EstimatorConfig) -> None:
     state._config = config
 
 
-def step(state: EstimatorState, sample: float, config: EstimatorConfig
-         ) -> EstimateRecord | None:
-    """Consume one sample; mutate the state; emit a record on report frames.
-
-    Raises :class:`DivergenceError` when called on a diverged state, and
-    :class:`TypeError`, with the state untouched, when the sample is not a
-    real number.
-    """
-    if state.diverged:
-        raise DivergenceError(f"estimator diverged at sample {state.k}")
-    if state._config is not config:
-        _bind(state, config)
-    record = state._advance(sample)    # TypeError before the loop runs
-    if record is False:
-        state.diverged = True
-        return None
-    return record
+def __getattr__(name: str) -> Callable[..., EstimateRecord | None]:
+    """:func:`step`, made by the C library on the first access and kept in
+    the module's globals, so the import builds no library (PEP 562).  The
+    step looks up ``_bind`` and ``DivergenceError`` in this module."""
+    if name != "step":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    global step
+    step = _native.library().stepper(EstimatorState, sys.modules[__name__])
+    return step
 
 
 # --------------------------------------------------------------------------

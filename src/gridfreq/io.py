@@ -127,18 +127,25 @@ def _uniform_grid(path: str | Path, t: np.ndarray, what: str
     spacing, so a step and ``t[1] - t[0]`` each by up to one spacing.
     ``ts`` is whichever of ``t[1] - t[0]`` and the mean step over the whole
     column regenerates the stored times, as ``t0 + ts * k``, with the
-    smaller largest error; a tie keeps ``t[1] - t[0]``.
+    smaller largest error; a tie keeps ``t[1] - t[0]``.  Finite times
+    whose ``t[1] - t[0]`` or mean step overflows a double are refused.
     """
     if len(t) < 2:
         raise ScenarioError(f"{path}: need at least two {what}")
-    ts = float(t[1] - t[0])
-    off = float(np.abs(np.diff(t) - ts).max())
+    # finite times whose differences overflow give inf, never a warning
+    with np.errstate(over="ignore"):
+        ts = float(t[1] - t[0])
+        mean = float(t[-1] - t[0]) / (len(t) - 1)
+        if not (math.isfinite(ts) and math.isfinite(mean)):
+            raise ScenarioError(f"{path}: {what} times overflow a double "
+                                f"when subtracted (t[1] - t[0] = {ts!r} s, "
+                                f"mean step {mean!r} s)")
+        off = float(np.abs(np.diff(t) - ts).max())
     if ts <= 0 or off > 1e-9 + TIME_ROUNDING * np.spacing(np.abs(t).max()):
         raise ScenarioError(f"{path}: {what} times are not uniformly spaced "
                             f"(a step differs from t[1] - t[0] = {ts!r} s "
                             f"by {off!r} s)")
     k = np.arange(len(t))
-    mean = float(t[-1] - t[0]) / (len(t) - 1)
     if (np.abs(t[0] + mean * k - t).max()
             < np.abs(t[0] + ts * k - t).max()):
         ts = mean

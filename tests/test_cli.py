@@ -427,6 +427,39 @@ class TestEstimateAndMetrics:
                                            f"two samples\n")
         assert not est.exists()
 
+    @pytest.mark.parametrize("times, steps", [
+        ("-1.5e308 1.5e308", "t[1] - t[0] = inf s, mean step inf s"),
+        ("-1.5e308 0.0 1.5e308", "t[1] - t[0] = 1.5e+308 s, mean step inf "
+                                 "s")],
+        ids=["first_step", "mean_step"])
+    @pytest.mark.parametrize("command", ["estimate", "metrics"])
+    def test_time_step_that_overflows_is_input_error(
+            self, tmp_path, synth_outputs, capsys, command, times, steps):
+        # finite times whose difference overflows a double; a numpy
+        # RuntimeWarning would fail the test (pyproject's filterwarnings)
+        samples, truth = synth_outputs
+        est = tmp_path / "e.csv"
+        assert main(["estimate", str(samples), "--out", str(est)]) == EXIT_OK
+        times = times.split()
+        if command == "estimate":
+            path = tmp_path / "big_samples.csv"
+            path.write_text("t,value\n" + "".join(f"{t},0.5\n" for t in times))
+            argv = ["estimate", str(path), "--out", str(tmp_path / "o.csv")]
+        else:
+            path = tmp_path / "big_truth.csv"
+            path.write_text(",".join(gio.TRUTH_HEADER) + "\n" + "".join(
+                f"{t},50.0,0.0,1.0,0.0\n" for t in times))
+            argv = ["metrics", "--est", str(est), "--truth", str(path)]
+        capsys.readouterr()
+        rc = main(argv)
+        out, err = capsys.readouterr()
+        what = "samples" if command == "estimate" else "truth rows"
+        assert rc == EXIT_INPUT
+        assert err == (f"error: {path}: {what} times overflow a double when "
+                       f"subtracted ({steps})\n")
+        assert "RuntimeWarning" not in out + err
+        assert not (tmp_path / "o.csv").exists()
+
     @pytest.mark.parametrize("value", ["1_0", "\u0661"])
     def test_digits_python_alone_reads(self, tmp_path, capsys, value):
         # float() takes an underscore or a non-ASCII digit, the grammar not

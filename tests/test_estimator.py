@@ -3,6 +3,7 @@
 import contextlib
 import copy
 import gc
+import inspect
 import itertools
 import math
 import os
@@ -10,6 +11,7 @@ import pickle
 import subprocess
 import sys
 import sysconfig
+import textwrap
 import tracemalloc
 import warnings
 import weakref
@@ -27,6 +29,7 @@ from gridfreq import (ConfigError, DivergenceError, EstimateSeries,
                       EstimatorConfig, EstimatorState, SampleStream,
                       ScenarioSpec, evaluate, init, ise_fitness, run, step,
                       synthesize)
+import gridfreq
 from gridfreq import _native, estimator
 from gridfreq.estimator import ROW_COLUMNS
 from gridfreq.tuner import DIVERGENCE_PENALTY
@@ -454,7 +457,8 @@ class TestDivergence:
             if state.diverged:
                 break
         assert state.diverged
-        with pytest.raises(DivergenceError):
+        with pytest.raises(DivergenceError,
+                           match=f"^estimator diverged at sample {state.k}$"):
             step(state, 0.0, cfg)
 
     @pytest.mark.parametrize("gains, values, slot, value", [
@@ -735,6 +739,103 @@ class TestKernelCache:
                 == [step(copy, x, cfg) for x in values[300:]])
 
 
+class TestCStep:
+    """``step`` is one C function of the library's ``stepper``, with the
+    contract of a Python function ``step(state, sample, config)``."""
+
+    @staticmethod
+    def _fold(call, cls=EstimatorState) -> tuple[list[str], str]:
+        """The records of a step fold over a short stream and the final
+        state's digest, each step made by ``call(state, x, cfg)``."""
+        cfg = EstimatorConfig()
+        state = cls([0.0] * cfg.n, [0.0] * cfg.n, cfg.f0)
+        records = [repr(rec) for x in _clean_stream(0.5).values.tolist()
+                   if (rec := call(state, x, cfg)) is not None]
+        return records, state_digest(state)
+
+    def test_is_one_c_function_of_the_pinned_signature(self):
+        assert gridfreq.step is estimator.step
+        assert inspect.isbuiltin(step)
+        assert str(inspect.signature(step)) == "(state, sample, config)"
+
+    @pytest.mark.parametrize("call", [
+        lambda s, x, c: step(state=s, sample=x, config=c),
+        lambda s, x, c: step(s, config=c, sample=x),
+        lambda s, x, c: step(s, x, config=c)],
+        ids=["keywords", "reordered", "mixed"])
+    def test_keyword_call_equals_the_positional_call(self, call):
+        want = self._fold(step)
+        assert want[0] and self._fold(call) == want
+
+    @pytest.mark.parametrize("args, kwargs, message", [
+        ((), {}, "step() missing required argument 'state' (pos 1)"),
+        ((0,), {"sample": 0.5}, "step() missing required argument "
+                                "'config' (pos 3)"),
+        ((0, 0.5, 0, 0), {}, "step() takes at most 3 arguments (4 given)"),
+        ((0, 0.5, 0), {"state": 0}, "argument for step() given by name "
+                                    "('state') and position (1)"),
+        ((0, 0.5, 0), {"sampel": 0}, "'sampel' is an invalid keyword "
+                                     "argument for step()")],
+        ids=["none", "missing", "too_many", "twice", "unknown"])
+    def test_wrong_arguments_raise(self, args, kwargs, message):
+        with pytest.raises(TypeError) as raised:
+            step(*args, **kwargs)
+        assert str(raised.value) == message
+
+    @pytest.mark.parametrize("state", [None, 0.5, EstimatorConfig(),
+                                       EstimatorState],
+                             ids=["None", "float", "config", "class"])
+    def test_state_that_is_not_a_state_is_rejected(self, state):
+        with pytest.raises(TypeError, match=f"^step: state must be an "
+                           f"EstimatorState, got {type(state).__name__}$"):
+            step(state, 0.5, EstimatorConfig())
+
+    @pytest.mark.parametrize("empty", ["all", "_advance"])
+    def test_state_with_an_empty_slot_raises(self, empty):
+        cfg = EstimatorConfig()
+        if empty == "all":             # __init__ never ran
+            state = EstimatorState.__new__(EstimatorState)
+        else:
+            state = init(cfg)
+            del state._advance
+        with pytest.raises(AttributeError, match="'EstimatorState' object "
+                           "has no attribute"):
+            step(state, 0.5, cfg)
+
+    def test_state_class_without_object_slots_is_refused(self):
+        plain = type("Plain", (), {"diverged": False})
+        with pytest.raises(TypeError, match="^stepper: field 'diverged' of "
+                           "the state class Plain is not an object slot of "
+                           "its own$"):
+            _native.library().stepper(plain, estimator)
+
+    def test_subclass_of_the_state_steps(self):
+        class Tagged(EstimatorState):
+            pass
+
+        assert self._fold(step, Tagged) == self._fold(step)
+
+    def test_divergence_sets_the_plain_attribute(self):
+        cfg = replace(EstimatorConfig(), eta_opt=1e9)
+        state = init(cfg)
+        results = [step(state, x, cfg) for x in _clean_stream(1.0).values
+                   if not state.diverged]
+        assert state.diverged is True and results[-1] is None
+        assert not hasattr(state, "__dict__")
+
+    def test_steps_after_the_library_is_built_again(self, monkeypatch,
+                                                    tmp_path):
+        want = self._fold(step)
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        _native._loaded.cache_clear()
+        try:
+            # the first step binds the state to a context of the new build
+            assert self._fold(step) == want
+            assert len(list(tmp_path.glob("gridfreq/_kernel-*.so"))) == 1
+        finally:
+            _native._loaded.cache_clear()
+
+
 class TestStepMatchesModelKernel:
     """At each order the kernel is output_and_gradient, bit for bit."""
 
@@ -936,6 +1037,31 @@ class TestNativeLoader:
                              capture_output=True, text=True, check=True)
         assert out.stdout.split() == ["False"]
 
+    def test_import_builds_nothing_and_step_builds_once(self, tmp_path):
+        probe = textwrap.dedent("""
+            import os
+            import gridfreq, gridfreq.cli
+            from gridfreq import _native
+            cache = os.path.join(os.environ["XDG_CACHE_HOME"], "gridfreq")
+            assert _native._loaded.cache_info().currsize == 0
+            assert not os.path.exists(cache)
+            step = gridfreq.step
+            assert _native._loaded.cache_info().currsize == 1
+            assert vars(gridfreq)["step"] is step
+            assert vars(gridfreq.estimator)["step"] is step
+            (built,) = os.listdir(cache)
+            assert built.startswith("_kernel-") and built.endswith(".so")
+            namespace = {}
+            exec("from gridfreq import *", namespace)
+            assert set(gridfreq.__all__) <= namespace.keys()
+            assert namespace["step"] is step and os.listdir(cache) == [built]
+            """)
+        env = {**os.environ, "XDG_CACHE_HOME": str(tmp_path / "cache"),
+               "PYTHONPATH": str(Path(estimator.__file__).parents[1])}
+        out = subprocess.run([sys.executable, "-c", probe], env=env,
+                             capture_output=True, text=True)
+        assert out.returncode == 0, out.stderr
+
     def test_default_cache_is_private_under_home(self, monkeypatch,
                                                  tmp_path):
         # a relative XDG_CACHE_HOME is ignored, as the XDG spec asks
@@ -990,7 +1116,7 @@ class TestNativeBuffers:
         lib = _native.library()
         assert {name for name in dir(lib) if not name.startswith("_")
                 and callable(getattr(lib, name))} == {
-            "context", "format_rows", "parse_rows", "polar"}
+            "context", "format_rows", "parse_rows", "polar", "stepper"}
 
     @pytest.fixture
     def args(self, monkeypatch):
